@@ -26,6 +26,7 @@ from .engine import (
     CampaignConfig,
     CampaignResult,
     load_matrices,
+    reweight_cbm,
     run_campaign,
     save_matrices,
 )
@@ -169,18 +170,17 @@ def _load_seeds_summary(path: Path) -> dict[str, dict]:
         return {row["seed_id"]: row for row in reader}
 
 
-def _run_configured_campaign(seeds, cfg: CampaignConfig, workers: int) -> CampaignResult:
+def _campaign_distributions(cfg: CampaignConfig):
+    """The config's glance distribution (None for the brake-light model;
+    never cut) and deceleration distribution."""
     glance = None
     if cfg.model == MODEL_CBM:
         if not cfg.glance_file:
             raise ValidationError("campaign config needs glance_file for the cbm model")
         glance = load_glances(cfg.glance_file)
-        if cfg.glance_cut_at is not None:
-            glance = cut_glances(glance, float(cfg.glance_cut_at))
     if not cfg.decel_file:
         raise ValidationError("campaign config needs decel_file")
-    decels = load_decels(cfg.decel_file)
-    return run_campaign(seeds, cfg, glance=glance, decels=decels, workers=workers)
+    return glance, load_decels(cfg.decel_file)
 
 
 def cmd_simulate(args) -> int:
@@ -191,7 +191,11 @@ def cmd_simulate(args) -> int:
     seeds = load_seed_dir(args.seeds)
     if not seeds:
         raise ValidationError(f"no seeds found in {args.seeds}")
-    result = _run_configured_campaign(seeds, cfg, args.workers)
+    glance, decels = _campaign_distributions(cfg)
+    if glance is not None and cfg.glance_cut_at is not None:
+        glance = cut_glances(glance, float(cfg.glance_cut_at))
+    result = run_campaign(seeds, cfg, glance=glance, decels=decels,
+                          workers=args.workers)
 
     matrices_path = out / "matrices.csv"
     save_matrices(result.matrices, matrices_path)
@@ -483,17 +487,24 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------- assess-dms
 
 def cmd_assess_dms(args) -> int:
+    """Glance cuts reweight the baseline outcome matrices; nothing is
+    simulated, so --seeds and --workers are unused."""
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
         raise ValidationError("glance cutting only applies to the cbm model")
-    seeds = load_seed_dir(args.seeds)
+    glance, decels = _campaign_distributions(cfg)
 
     baseline_dir = Path(args.baseline)
+    with open(baseline_dir / "summary.json") as fh:
+        sim_summary = json.load(fh)
+    if (sim_summary.get("model") != MODEL_CBM
+            or sim_summary.get("glance_cut_at") is not None):
+        raise ValidationError(
+            f"{baseline_dir}: the baseline must be an uncut cbm campaign")
+    fraction = float(sim_summary.get("no_response_fraction", 0.0))
     baseline_matrices = load_matrices(baseline_dir / "matrices.csv")
     summary_rows = _load_seeds_summary(baseline_dir / "seeds_summary.csv")
-    with open(baseline_dir / "summary.json") as fh:
-        fraction = float(json.load(fh).get("no_response_fraction", 0.0))
     _, base_hist, _, _ = _weight_pipeline(
         baseline_matrices, summary_rows, fraction, args.bin_width)
 
@@ -503,14 +514,12 @@ def cmd_assess_dms(args) -> int:
     rows = []
     outputs = []
     for cut in args.cuts:
-        cut_cfg = CampaignConfig.from_json(args.config)
-        cut_cfg.rng_seed = cfg.rng_seed
-        cut_cfg.glance_cut_at = None if math.isinf(cut) else cut
-        result = _run_configured_campaign(seeds, cut_cfg, args.workers)
-        rate, per_seed = crash_avoidance_rate(baseline_matrices, result.matrices)
-        zero_crash = [m.seed_id for m in result.matrices if m.crash_mass <= 0]
+        matrices = reweight_cbm(baseline_matrices, glance, decels,
+                                None if math.isinf(cut) else cut)
+        rate, per_seed = crash_avoidance_rate(baseline_matrices, matrices)
+        zero_crash = [m.seed_id for m in matrices if m.crash_mass <= 0]
         _, cut_hist, _, _ = _weight_pipeline(
-            result.matrices, summary_rows, fraction, args.bin_width)
+            matrices, summary_rows, fraction, args.bin_width)
         label = "inf" if math.isinf(cut) else f"{cut:g}"
         hist_path = out / f"hist_cut_{label}.csv"
         save_histogram(cut_hist, hist_path)
@@ -536,8 +545,8 @@ def cmd_assess_dms(args) -> int:
         "cuts": rows,
     })
     write_manifest(out, "assess-dms",
-                   {"seeds": args.seeds, "config": args.config,
-                    "baseline": args.baseline},
+                   {"config": args.config, "glances": cfg.glance_file,
+                    "decels": cfg.decel_file, "baseline": args.baseline},
                    outputs + [assess],
                    {"cuts": [None if math.isinf(c) else c for c in args.cuts]})
     for row in rows:
@@ -676,14 +685,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("assess-dms", help="assess glance-cutting interventions")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--config", required=True)
+    p = sub.add_parser(
+        "assess-dms", help="assess glance-cutting interventions",
+        description="Reweight the baseline outcome matrices under each "
+                    "glance cut; no campaign is re-simulated.")
+    p.add_argument("--seeds", default=None,
+                   help="unused; accepted so existing command lines still run")
+    p.add_argument("--config", required=True,
+                   help="the campaign config the baseline was simulated with")
     p.add_argument("--baseline", required=True,
                    help="simulate output directory for the uncut baseline")
     p.add_argument("--cuts", type=float, nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="unused; accepted so existing command lines still run")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
     p.add_argument("--curves", nargs="*", default=None)
     p.set_defaults(func=cmd_assess_dms)

@@ -27,9 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DecelDistribution, GlanceDistribution, overshoot_transform
+from .distributions import (
+    DecelDistribution,
+    GlanceDistribution,
+    cut_glances,
+    overshoot_transform,
+)
 from .drivers import CbmConfig, ReactionTimeDistribution, discretize_reaction_time
-from .errors import ModelUndefinedError, ValidationError
+from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
 from .scenario import (
     DEFAULT_HORIZON_EXTENSION,
@@ -42,6 +47,9 @@ from .scenario import (
 log = logging.getLogger(__name__)
 
 IMPACT_SPEED_TOL = 0.01  # m/s, "same impact speed" in the sweep stop rule
+# a marginal recovered from saved cell probabilities is renormalized, and
+# input distributions need only sum to 1 within 1e-9
+MARGINAL_RTOL = 1e-6
 
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
@@ -343,6 +351,51 @@ def _cbm_axes(glance: GlanceDistribution):
     return axis1, probs
 
 
+def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
+                 decels: DecelDistribution,
+                 cut_at: float | None = None) -> list[OutcomeMatrix]:
+    """Glance-based matrices for `glance` cut at `cut_at` seconds (None
+    keeps every glance), built from `baseline` without running the kernel.
+
+    A cut changes only the glance weights. The brake onset of an overshoot
+    (anchor + overshoot + response delay), and so every cell outcome, stays
+    the same, so a cut's matrix is the baseline rows on the cut's
+    overshoot axis under the cut's marginals. The cut's overshoots are a
+    subset of the uncut ones with bitwise equal values: both come from the
+    same 0.1 s grid, and a cut only drops glance mass.
+
+    `baseline` must come from a campaign under the uncut `glance` and
+    `decels`: its grids must equal theirs and its marginals (recovered
+    from cell probabilities, so renormalized) must match theirs to
+    MARGINAL_RTOL. Anything else raises ValidationError.
+    """
+    axis1, axis1_probs = _cbm_axes(glance)
+    cut_axis1, cut_probs = (axis1, axis1_probs) if cut_at is None else (
+        _cbm_axes(cut_glances(glance, cut_at)))
+    rows = np.searchsorted(axis1, cut_axis1)
+    # matrices list deceleration bins in ascending order, the file in its own
+    order = np.argsort(decels.d_values, kind="stable")
+    cells = np.ix_(rows, np.argsort(order))
+    matrices = []
+    for m in baseline:
+        if not (np.array_equal(m.axis1, axis1)
+                and np.array_equal(m.decels, decels.d_values[order])
+                and np.allclose(m.axis1_probs, axis1_probs,
+                                rtol=MARGINAL_RTOL, atol=0.0)
+                and np.allclose(m.decel_probs, decels.probs[order],
+                                rtol=MARGINAL_RTOL, atol=0.0)):
+            raise ValidationError(
+                f"baseline seed {m.seed_id}: its overshoot or deceleration "
+                f"grid or marginals differ from the glance and deceleration "
+                f"distributions")
+        matrices.append(OutcomeMatrix(
+            m.seed_id, cut_axis1, cut_probs, decels.d_values, decels.probs,
+            crashed=m.crashed[cells], v1=m.v1[cells], v2=m.v2[cells],
+            impact_time=m.impact_time[cells],
+            max_severity=m.max_severity[cells]))
+    return matrices
+
+
 def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig,
                   glance: GlanceDistribution | None,
                   decels: DecelDistribution,
@@ -483,33 +536,42 @@ def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
 def load_matrices(path: str | Path) -> list[OutcomeMatrix]:
     """Rebuild per-seed outcome matrices from the flat CSV. Axis marginals
     are recovered from the cell probabilities (p_cell rows/columns sum to
-    the marginals)."""
+    the marginals). A malformed row or an incomplete seed grid raises
+    ParseError."""
     per_seed: dict[str, list] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != MATRIX_CSV_HEADER:
-            raise ValidationError(f"{path}: unexpected matrix header")
+        if next(reader, None) != MATRIX_CSV_HEADER:
+            raise ParseError(f"{path}:1: unexpected matrix header")
         for row in reader:
-            per_seed.setdefault(row[0], []).append(row)
+            try:
+                seed_id, a, d, crashed, v1, v2, severity, p = row
+                cell = (float(a), float(d), float(p),
+                        crashed == "1" and (float(v1), float(v2), severity == "1"))
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}:{reader.line_num}: malformed matrix row: {exc}") from exc
+            per_seed.setdefault(seed_id, []).append(cell)
     matrices = []
     for seed_id in sorted(per_seed):
-        rows = per_seed[seed_id]
-        axis1 = sorted({float(r[1]) for r in rows})
-        decels = sorted({float(r[2]) for r in rows})
+        cells = per_seed[seed_id]
+        axis1 = sorted({c[0] for c in cells})
+        decels = sorted({c[1] for c in cells})
         i1 = {a: i for i, a in enumerate(axis1)}
         i2 = {d: j for j, d in enumerate(decels)}
         n1, n2 = len(axis1), len(decels)
+        if len(cells) != n1 * n2:
+            raise ParseError(f"{path}: seed {seed_id} has {len(cells)} cells, "
+                             f"not its {n1} x {n2} grid")
         arrays = _outcome_arrays(n1, n2)
         p = np.zeros((n1, n2))
-        for r in rows:
-            i, j = i1[float(r[1])], i2[float(r[2])]
-            p[i, j] = float(r[7])
-            if r[3] == "1":
+        for a, d, p_cell, crash in cells:
+            i, j = i1[a], i2[d]
+            p[i, j] = p_cell
+            if crash:
                 arrays["crashed"][i, j] = True
-                arrays["v1"][i, j] = float(r[4])
-                arrays["v2"][i, j] = float(r[5])
-                arrays["max_severity"][i, j] = r[6] == "1"
+                (arrays["v1"][i, j], arrays["v2"][i, j],
+                 arrays["max_severity"][i, j]) = crash
         total = p.sum()
         axis1_probs = p.sum(axis=1) / total
         decel_probs = p.sum(axis=0) / total

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .engine import OutcomeMatrix
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .outcome import DeltaVDistribution, align_bins
 
 BELOW_MIN = "below-min"
@@ -87,6 +86,28 @@ def seed_percentile(seed_dv: float, dvs, weights) -> float | str:
     return float(100.0 * (below + 0.5 * equal))
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of a chi-square variable with integer `df`
+    degrees of freedom: the regularized upper incomplete gamma
+    Q(df/2, x/2) in closed form. With y = x/2, even df = 2m gives
+    Q(m, y) = sum_{k<m} e^-y y^k / k!, and odd df = 2m+1 gives
+    Q(m+1/2, y) = erfc(sqrt y) + sum_{k=1..m} e^-y y^(k-1/2) / Gamma(k+1/2).
+    Every term is positive and computed in log space, so a deep tail
+    underflows quietly to 0.0."""
+    if df < 1:
+        raise ValidationError("chi-square degrees of freedom must be >= 1")
+    if x <= 0:
+        return 1.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    if df % 2 == 0:
+        head, powers = 0.0, range(df // 2)
+    else:
+        head, powers = math.erfc(math.sqrt(y)), (k - 0.5 for k in range(1, df // 2 + 1))
+    tail = math.fsum(math.exp(a * log_y - y - math.lgamma(a + 1.0)) for a in powers)
+    return min(head + tail, 1.0)
+
+
 @dataclass(eq=False)
 class PercentileReport:
     """Histogram of per-seed percentiles plus a chi-square uniformity
@@ -123,7 +144,7 @@ def percentile_histogram(percentiles, n_bins: int = 10) -> PercentileReport:
     if n > 0:
         expected = n / n_bins
         chi2 = float(((counts - expected) ** 2 / expected).sum())
-        p_value = float(stats.chi2.sf(chi2, df=n_bins - 1))
+        p_value = chi2_sf(chi2, n_bins - 1)
     else:
         chi2, p_value = math.nan, math.nan
     return PercentileReport(n_bins, counts, below, above, chi2, p_value)
@@ -203,19 +224,35 @@ def crash_avoidance_rate(baseline: list[OutcomeMatrix],
 
 def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskCurve:
     """Load a curve from CSV (delta_v_kmh,risk) or JSON logistic parameters
-    {"level", "intercept", "slope"}."""
+    {"level", "intercept", "slope"}. A malformed file raises ParseError."""
     path = Path(path)
     if path.suffix == ".json":
         with open(path) as fh:
             raw = json.load(fh)
+        try:
+            logistic = (float(raw["intercept"]), float(raw["slope"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: expected numeric intercept and slope: "
+                             f"{exc!r}") from exc
         return InjuryRiskCurve(level=raw.get("level", level or path.stem),
-                               logistic=(float(raw["intercept"]), float(raw["slope"])))
+                               logistic=logistic)
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["delta_v_kmh", "risk"]:
-            raise ValidationError(f"{path}: expected delta_v_kmh,risk header")
-        rows = [(float(a), float(b)) for a, b in reader]
+        if next(reader, None) != ["delta_v_kmh", "risk"]:
+            raise ParseError(f"{path}:1: expected delta_v_kmh,risk header")
+        for row in reader:
+            try:
+                dv, risk = map(float, row)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: expected two "
+                                 f"numbers, got {row}") from exc
+            if not (math.isfinite(dv) and math.isfinite(risk)):
+                raise ParseError(f"{path}:{reader.line_num}: non-finite value")
+            rows.append((dv, risk))
+        if not rows:
+            raise ParseError(f"{path}:{reader.line_num}: no curve points "
+                             f"after the header")
     dv, risk = zip(*rows)
     return InjuryRiskCurve(level=level or path.stem, dv=np.array(dv),
                            risk=np.array(risk))

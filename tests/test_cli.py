@@ -1,14 +1,18 @@
 import contextlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rearsim
 from rearsim.bias import save_occupants
 from rearsim.cli import main
-from rearsim.distributions import save_decels, save_glances
+from rearsim.distributions import cut_glances, save_decels, save_glances
 
 from fixtures import shrp2_like_decels, shrp2_like_glances
 from test_bias import folksam_like_records
@@ -223,3 +227,76 @@ class TestExitCodes:
                      "--injury-hist", str(hist),
                      "--out", str(tmp_path / "fit")])
         assert code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(rearsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rearsim.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _assess(paths: dict, baseline: str) -> int:
+    return main(["assess-dms", "--config", paths["campaign"],
+                 "--baseline", baseline, "--cuts", "2.0", "inf",
+                 "--out", "out_assess_rejected"])
+
+
+class TestAssessDmsRejectsMismatchedBaseline:
+    """assess-dms reweights the baseline and never re-simulates, so a
+    baseline that does not fit the config is an input error."""
+
+    def _simulate(self, config: dict, out: str) -> None:
+        Path(f"{out}.json").write_text(json.dumps(config))
+        assert main(["simulate", "--seeds", "out_synth/seeds",
+                     "--config", f"{out}.json", "--out", out]) == 0
+
+    def test_blom_baseline(self, pipeline):
+        root, paths, _ = pipeline
+        with chdir(root):
+            assert main(["simulate", "--seeds", "out_synth/seeds",
+                         "--config", paths["blom"], "--out", "sim_blom"]) == 0
+            assert _assess(paths, "sim_blom") == 2
+
+    def test_baseline_from_other_glance_file(self, pipeline):
+        root, paths, _ = pipeline
+        with chdir(root):
+            save_glances(cut_glances(shrp2_like_glances(), 3.0),
+                         "other_glances.csv")
+            campaign = json.loads(Path(paths["campaign"]).read_text())
+            self._simulate(dict(campaign, glance_file="other_glances.csv"),
+                           "sim_other_glances")
+            assert _assess(paths, "sim_other_glances") == 2
+
+    def test_already_cut_baseline(self, pipeline):
+        root, paths, _ = pipeline
+        with chdir(root):
+            campaign = json.loads(Path(paths["campaign"]).read_text())
+            self._simulate(dict(campaign, glance_cut_at=3.0), "sim_cut")
+            assert _assess(paths, "sim_cut") == 2
+
+    def test_truncated_matrices(self, pipeline):
+        root, paths, out = pipeline
+        with chdir(root):
+            shutil.copytree(out["simulate"], "sim_truncated")
+            matrices = Path("sim_truncated/matrices.csv")
+            data = matrices.read_bytes()
+            matrices.write_bytes(data[:len(data) // 2])
+            assert _assess(paths, "sim_truncated") == 2
+            assert main(["weight", "--simulate-out", "sim_truncated",
+                         "--out", "weight_truncated"]) == 2
+
+
+def test_header_only_curve_exits_two(pipeline):
+    root, _, _ = pipeline
+    with chdir(root):
+        Path("empty_curve.csv").write_text("delta_v_kmh,risk\n")
+        assert main(["validate", "--model-hist", "out_apply/transformed.csv",
+                     "--reference", "out_synth/seeds",
+                     "--curves", "empty_curve.csv",
+                     "--out", "validate_empty_curve"]) == 2

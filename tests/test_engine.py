@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from rearsim.distributions import DecelDistribution
+from rearsim.distributions import DecelDistribution, cut_glances
 from rearsim.engine import (
     CampaignConfig,
     load_matrices,
+    reweight_cbm,
     run_campaign,
     save_matrices,
     simulate,
     sweep_seed,
 )
-from rearsim.errors import ModelUndefinedError
+from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.scenario import SynthesisConfig, remove_evasive_maneuver, synthesize_seeds
 
 from test_looming import make_cf
@@ -239,3 +240,89 @@ class TestCampaign:
             assert np.array_equal(back.v1, orig.v1, equal_nan=True)
             assert np.allclose(back.p_cell, orig.p_cell, atol=1e-12)
             assert back.crash_mass == pytest.approx(orig.crash_mass, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
+    """The uncut paper-mix campaign, in memory and after a CSV round trip."""
+    result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
+                          glance=glances, decels=decels)
+    path = tmp_path_factory.mktemp("baseline") / "matrices.csv"
+    save_matrices(result.matrices, path)
+    return result, load_matrices(path)
+
+
+class TestReweight:
+    @pytest.mark.parametrize("cut_at", [3.0, 2.0, 1.0, 0.5, None])
+    def test_equals_cut_campaign_bitwise(self, cut_at, paper_baseline,
+                                         paper_mix_seeds, glances, decels):
+        result, loaded = paper_baseline
+        if cut_at is not None:
+            result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
+                                  glance=cut_glances(glances, cut_at),
+                                  decels=decels)
+        reweighted = reweight_cbm(loaded, glances, decels, cut_at)
+        assert [m.seed_id for m in reweighted] == [m.seed_id for m in result.matrices]
+        for want, got in zip(result.matrices, reweighted):
+            for name in ("axis1", "axis1_probs", "decels", "decel_probs",
+                         "crashed", "v1", "v2", "max_severity"):
+                a, b = getattr(want, name), getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                    want.seed_id, name)
+
+    def test_unsorted_decel_file_order_is_kept(self, paper_baseline, glances,
+                                               decels):
+        _, loaded = paper_baseline
+        flipped = DecelDistribution(decels.d_values[::-1], decels.probs[::-1])
+        got = reweight_cbm(loaded[:3], glances, flipped, 2.0)
+        want = reweight_cbm(loaded[:3], glances, decels, 2.0)
+        for a, b in zip(want, got):
+            assert np.array_equal(b.decels, flipped.d_values)
+            assert np.array_equal(b.crashed, a.crashed[:, ::-1])
+            assert np.array_equal(b.v1, a.v1[:, ::-1], equal_nan=True)
+
+    def test_other_glance_distribution_rejected(self, paper_baseline, glances,
+                                                decels):
+        _, loaded = paper_baseline
+        with pytest.raises(ValidationError):
+            reweight_cbm(loaded, cut_glances(glances, 4.0), decels)
+        # same overshoot support, other probabilities
+        tilted = type(glances)(glances.on_road_mass, glances.durations,
+                               glances.probs[::-1])
+        with pytest.raises(ValidationError):
+            reweight_cbm(loaded, tilted, decels)
+
+    def test_other_decel_distribution_rejected(self, paper_baseline, glances,
+                                               decels):
+        _, loaded = paper_baseline
+        shifted = DecelDistribution(decels.d_values + 0.1, decels.probs)
+        with pytest.raises(ValidationError):
+            reweight_cbm(loaded, glances, shifted)
+
+
+MATRIX_HEADER = "seed_id,axis1_bin,decel_bin,crashed,v1,v2,max_severity,p_cell\n"
+MALFORMED_MATRICES = {
+    "empty": "",
+    "bad_header": "seed,axis1_bin\n",
+    "truncated_row": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,0.5\ns1,0.0,3.5,0\n",
+    "non_numeric": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,half\n",
+    "crash_without_speed": MATRIX_HEADER + "s1,0.0,2.0,1,,,0,1.0\n",
+    "incomplete_grid": MATRIX_HEADER + (
+        "s1,0.0,2.0,0,,,0,0.25\ns1,0.0,3.5,0,,,0,0.25\n"
+        "s1,0.1,2.0,0,,,0,0.25\n"),
+}
+
+
+class TestLoadMatricesParseErrors:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
+    def test_malformed_file_raises_parse_error(self, name, tmp_path):
+        path = tmp_path / "matrices.csv"
+        path.write_text(MALFORMED_MATRICES[name])
+        with pytest.raises(ParseError, match=r"matrices\.csv"):
+            load_matrices(path)
+
+    def test_truncated_row_names_its_line(self, tmp_path):
+        path = tmp_path / "matrices.csv"
+        path.write_text(MALFORMED_MATRICES["truncated_row"])
+        with pytest.raises(ParseError, match=r"matrices\.csv:3:"):
+            load_matrices(path)

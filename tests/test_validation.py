@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from rearsim.errors import ValidationError
+from rearsim.errors import ParseError, ValidationError
 from rearsim.outcome import DeltaVDistribution, build_histogram
 from rearsim.validation import (
     ABOVE_MAX,
     BELOW_MIN,
     InjuryRiskCurve,
+    chi2_sf,
     compare,
     crash_avoidance_rate,
     injury_risk,
@@ -139,6 +143,51 @@ class TestPercentileHistogram:
         rng = np.random.default_rng(13)
         rep = percentile_histogram(rng.uniform(75, 100, 500), n_bins=10)
         assert rep.p_value < 0.01
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize("df", list(range(1, 61)) + [99, 199])
+    def test_matches_scipy(self, df):
+        xs = np.linspace(0.0, 5.0 * df + 200.0, 401)
+        got = [chi2_sf(float(x), df) for x in xs]
+        assert got == pytest.approx(list(stats.chi2.sf(xs, df)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 60])
+    def test_nonpositive_x_is_exactly_one(self, df):
+        assert chi2_sf(0.0, df) == 1.0
+        assert chi2_sf(-3.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 199])
+    def test_deep_tail_is_zero_without_warning(self, df):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi2_sf(1e4, df) == 0.0
+
+
+MALFORMED_CURVES = {
+    "header_only": "delta_v_kmh,risk\n",
+    "empty": "",
+    "non_numeric": "delta_v_kmh,risk\n0.0,0.0\n20.0,high\n",
+    "short_row": "delta_v_kmh,risk\n0.0,0.0\n20.0\n",
+    "nan": "delta_v_kmh,risk\n0.0,0.0\nnan,0.5\n",
+}
+
+
+class TestInjuryCurveParseErrors:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CURVES))
+    def test_malformed_csv_raises_parse_error(self, name, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text(MALFORMED_CURVES[name])
+        with pytest.raises(ParseError, match=r"curve\.csv:\d+"):
+            load_injury_curve(path)
+
+    @pytest.mark.parametrize("body", ['{"intercept": -4.0}',
+                                      '{"intercept": "x", "slope": 0.2}'])
+    def test_malformed_json_raises_parse_error(self, body, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text(body)
+        with pytest.raises(ParseError):
+            load_injury_curve(path)
 
 
 class TestInjuryRisk:
