@@ -334,13 +334,19 @@ def save_model_json(obj, path: str | Path, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_transfer(path: str | Path) -> TransferFunction:
+def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:
     with open(path) as fh:
         raw = json.load(fh)
-    return TransferFunction(float(raw["C1"]), float(raw["C2"]))
+    try:
+        return [float(raw[name]) for name in names]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: expected numeric {' and '.join(names)}: "
+                         f"{exc!r}") from exc
+
+
+def load_transfer(path: str | Path) -> TransferFunction:
+    return TransferFunction(*_load_params(path, ("C1", "C2")))
 
 
 def load_pdo_model(path: str | Path) -> PdoModel:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return PdoModel(float(raw["B1"]), float(raw["B2"]))
+    return PdoModel(*_load_params(path, ("B1", "B2")))

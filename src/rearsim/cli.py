@@ -16,10 +16,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import bias, report
+from . import bias, report, table
 from .distributions import cut_glances, load_decels, load_glances
 from .engine import (
     MODEL_CBM,
@@ -68,6 +69,7 @@ EXIT_FIT_FAILURE = 4
 SOURCE_CELL = "cell"
 SOURCE_NO_RESPONSE = "no_response"
 
+SAMPLES_CSV_HEADER = ["seed_id", "delta_v_kmh", "weight", "source"]
 SEEDS_SUMMARY_HEADER = [
     "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
     "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
@@ -88,14 +90,6 @@ def _write_json(path: Path, payload: dict) -> Path:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
 
 
 def _reference_histogram(path: str, bin_width: float) -> DeltaVDistribution:
@@ -139,35 +133,57 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEEDS_SUMMARY_HEADER)
-        for r in result.results:
-            nr = r.no_response
-            nr_dv = None
-            if nr.crashed:
-                nr_dv = delta_v(nr.v1, nr.v2, r.follower_mass, r.lead_mass)
-            m = r.matrix
-            writer.writerow([
-                r.seed_id, int(not r.excluded), r.lead_behavior,
-                _fmt(r.anchor), int(r.anchor_absent),
-                _fmt(r.follower_mass), _fmt(r.lead_mass),
-                _fmt(r.seed_delta_v_kmh), int(nr.crashed),
-                _fmt(nr.v1), _fmt(nr.v2), _fmt(nr_dv),
-                int(m.crashed.sum()) if m is not None else 0,
-                _fmt(m.crash_mass) if m is not None else "",
-                m.kernel_calls if m is not None else 0,
-                r.theoretical_cells,
-                m.fallback_rows if m is not None else 0,
-            ])
+    rows = result.results
+    nr = [r.no_response for r in rows]
+    m = [r.matrix for r in rows]
+    nr_dv = [delta_v(o.v1, o.v2, r.follower_mass, r.lead_mass) if o.crashed
+             else None for o, r in zip(nr, rows)]
+    table.write_csv(path, SEEDS_SUMMARY_HEADER, [[
+        table.texts([r.seed_id for r in rows]),
+        table.flags([not r.excluded for r in rows]),
+        table.texts([r.lead_behavior for r in rows]),
+        table.fmt([r.anchor for r in rows]),
+        table.flags([r.anchor_absent for r in rows]),
+        table.fmt([r.follower_mass for r in rows]),
+        table.fmt([r.lead_mass for r in rows]),
+        table.fmt([r.seed_delta_v_kmh for r in rows]),
+        table.flags([o.crashed for o in nr]),
+        table.fmt([o.v1 for o in nr]), table.fmt([o.v2 for o in nr]),
+        table.fmt(nr_dv),
+        table.ints(x.crashed.sum() if x is not None else 0 for x in m),
+        table.fmt([x.crash_mass if x is not None else None for x in m]),
+        table.ints(x.kernel_calls if x is not None else 0 for x in m),
+        table.ints(r.theoretical_cells for r in rows),
+        table.ints(x.fallback_rows if x is not None else 0 for x in m),
+    ]])
 
 
-def _load_seeds_summary(path: Path) -> dict[str, dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SEEDS_SUMMARY_HEADER:
-            raise ValidationError(f"{path}: unexpected seeds summary header")
-        return {row["seed_id"]: row for row in reader}
+class _SeedSummary(NamedTuple):
+    """The seeds_summary.csv fields that weighting and validation read."""
+
+    eligible: bool
+    follower_mass: float
+    lead_mass: float
+    seed_delta_v: float | None
+    no_resp_crashed: bool
+    no_resp_dv: float  # NaN unless no_resp_crashed
+
+
+def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
+    chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
+    recorded = ~chunk.equals("seed_delta_v_kmh", "")
+    seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
+    nr_crashed = chunk.equals("no_resp_crashed", "1")
+    columns = (
+        chunk.equals("eligible", "1").tolist(),
+        chunk.floats("follower_mass_kg").tolist(),
+        chunk.floats("lead_mass_kg").tolist(),
+        [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
+        nr_crashed.tolist(),
+        chunk.floats("no_resp_dv_kmh", where=nr_crashed).tolist(),
+    )
+    return {sid: _SeedSummary(*row)
+            for sid, row in zip(chunk["seed_id"], zip(*columns))}
 
 
 def _campaign_distributions(cfg: CampaignConfig):
@@ -235,19 +251,21 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ weight
 
-def _weight_pipeline(matrices, summary_rows: dict[str, dict], fraction: float,
-                     bin_width: float):
-    """Prevalence weighting + no-response mixing; returns (samples rows,
-    final histogram, weights, diagnostics)."""
+def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
+                     fraction: float, bin_width: float):
+    """Prevalence weighting + no-response mixing; returns (samples, final
+    histogram, weights, diagnostics). Samples come in groups of (seed ids,
+    delta-v, weight, source): one group per weighted seed's crash cells,
+    then one of the no-response crashes."""
     weights, zero_crash = prevalence_weights(matrices)
-    masses = {sid: (float(row["follower_mass_kg"]), float(row["lead_mass_kg"]))
-              for sid, row in summary_rows.items()}
+    masses = {sid: (row.follower_mass, row.lead_mass)
+              for sid, row in summary.items()}
     cells = weighted_crash_samples(matrices, masses, weights)
 
-    nr_rows = [(sid, float(row["no_resp_dv_kmh"]))
-               for sid, row in sorted(summary_rows.items())
-               if row["no_resp_crashed"] == "1" and row["eligible"] == "1"]
-    base = build_histogram([(dv, w) for _, dv, w in cells], bin_width)
+    nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
+               if row.no_resp_crashed and row.eligible]
+    base = build_histogram(np.column_stack([cells.delta_v, cells.weight]),
+                           bin_width)
     if fraction > 0:
         if not nr_rows:
             raise ValidationError("no no-response crashes to mix in")
@@ -255,11 +273,13 @@ def _weight_pipeline(matrices, summary_rows: dict[str, dict], fraction: float,
     else:
         final = base
 
-    samples = [(sid, dv, (1.0 - fraction) * w, SOURCE_CELL)
-               for sid, dv, w in cells]
+    samples = [([sid] * len(dv), dv, (1.0 - fraction) * w, SOURCE_CELL)
+               for sid, dv, w in cells.by_seed()]
     if fraction > 0:
-        nr_w = fraction / len(nr_rows)
-        samples += [(sid, dv, nr_w, SOURCE_NO_RESPONSE) for sid, dv in nr_rows]
+        samples.append(([sid for sid, _ in nr_rows],
+                        np.array([dv for _, dv in nr_rows]),
+                        np.full(len(nr_rows), fraction / len(nr_rows)),
+                        SOURCE_NO_RESPONSE))
 
     w_unt = np.array([w.w_untrimmed for w in weights])
     w_trim = np.array([w.w for w in weights])
@@ -286,16 +306,13 @@ def cmd_weight(args) -> int:
         matrices, summary_rows, fraction, args.bin_width)
 
     samples_path = out / "samples.csv"
-    with open(samples_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed_id", "delta_v_kmh", "weight", "source"])
-        for sid, dv, w, source in samples:
-            writer.writerow([sid, repr(float(dv)), repr(float(w)), source])
+    table.write_csv(samples_path, SAMPLES_CSV_HEADER, (
+        (table.texts(sids), table.reprs(dv), table.reprs(w), [source] * len(w))
+        for sids, dv, w, source in samples))
     weights_path = out / "weights.csv"
-    contributions = {}
-    for sid, _, w, source in samples:
-        if source == SOURCE_CELL:
-            contributions[sid] = contributions.get(sid, 0.0) + w
+    # sequential per-seed sums, as the rows are added up one by one
+    contributions = {sids[0]: float(np.cumsum(w)[-1])
+                     for sids, _, w, source in samples if source == SOURCE_CELL}
     with open(weights_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed_id", "q_raw", "q_norm", "w_untrimmed",
@@ -309,7 +326,7 @@ def cmd_weight(args) -> int:
     summary = _write_json(out / "summary.json", {
         "mean_kmh": final.mean,
         "count": final.count,
-        "n_samples": len(samples),
+        "n_samples": sum(len(w) for _, _, w, _ in samples),
         **diagnostics,
     })
     write_manifest(out, "weight", {"simulate_out": str(sim_dir)},
@@ -383,43 +400,54 @@ def cmd_apply_bias(args) -> int:
 
 # ---------------------------------------------------------------- validate
 
-def _load_samples(path: Path) -> dict[str, dict[str, list]]:
-    per_seed: dict[str, dict[str, list]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entry = per_seed.setdefault(
-                row["seed_id"], {SOURCE_CELL: [], SOURCE_NO_RESPONSE: []})
-            entry[row["source"]].append(
-                (float(row["delta_v_kmh"]), float(row["weight"])))
-    return per_seed
+def _load_samples(path: Path) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Per seed and source, the (delta-v, weight) columns in file order."""
+    ids: dict[str, int] = {}
+    parts = []
+    for chunk in table.read_chunks(path, SAMPLES_CSV_HEADER):
+        no_response = chunk.equals("source", SOURCE_NO_RESPONSE)
+        known = no_response | chunk.equals("source", SOURCE_CELL)
+        if not known.all():
+            bad = int(np.argmin(known))
+            raise chunk.error(bad, f"source: expected {SOURCE_CELL} or "
+                                   f"{SOURCE_NO_RESPONSE}, got {chunk['source'][bad]!r}")
+        # rows are grouped by seed, and within a seed by source
+        parts.append((2 * chunk.codes("seed_id", ids) + no_response,
+                      chunk.floats("delta_v_kmh"), chunk.floats("weight")))
+    if not parts:
+        return {}
+    key, dv, w = map(np.concatenate, zip(*parts))
+    rows = table.group_rows(key, 2 * len(ids))
+    return {sid: {SOURCE_CELL: (dv[rows[2 * k]], w[rows[2 * k]]),
+                  SOURCE_NO_RESPONSE: (dv[rows[2 * k + 1]], w[rows[2 * k + 1]])}
+            for sid, k in ids.items()}
 
 
-def _per_seed_percentiles(per_seed_samples, summary_rows, fraction: float):
+def _per_seed_percentiles(per_seed_samples, summary: dict[str, _SeedSummary],
+                          fraction: float):
     """Percentile of each seed's own delta-v inside its generated crashes,
     with the no-response share mixed in per seed."""
     out = {}
-    for sid, row in sorted(summary_rows.items()):
-        if row["eligible"] != "1" or not row["seed_delta_v_kmh"]:
+    for sid, row in sorted(summary.items()):
+        if not row.eligible or row.seed_delta_v is None:
             continue
         entry = per_seed_samples.get(sid)
         if entry is None:
             continue
-        cells = entry[SOURCE_CELL]
-        nr = entry[SOURCE_NO_RESPONSE]
-        dvs = [dv for dv, _ in cells]
-        cell_mass = sum(w for _, w in cells)
-        f = fraction if nr else 0.0
-        weights = [(1.0 - f) * w / cell_mass for _, w in cells] if cell_mass else []
-        if nr and cell_mass:
-            dvs += [dv for dv, _ in nr]
-            weights += [f / len(nr)] * len(nr)
-        elif nr:
-            dvs = [dv for dv, _ in nr]
-            weights = [1.0 / len(nr)] * len(nr)
-        if not dvs:
+        dvs, cell_w = entry[SOURCE_CELL]
+        nr = entry[SOURCE_NO_RESPONSE][0]
+        # a sequential sum, as the rows are added up one by one
+        cell_mass = np.cumsum(cell_w)[-1] if cell_w.size else 0.0
+        f = fraction if nr.size else 0.0
+        weights = (1.0 - f) * cell_w / cell_mass if cell_mass else np.zeros(0)
+        if nr.size and cell_mass:
+            dvs = np.concatenate([dvs, nr])
+            weights = np.concatenate([weights, np.full(nr.size, f / nr.size)])
+        elif nr.size:
+            dvs, weights = nr, np.full(nr.size, 1.0 / nr.size)
+        if not dvs.size:
             continue
-        out[sid] = seed_percentile(float(row["seed_delta_v_kmh"]), dvs, weights)
+        out[sid] = seed_percentile(row.seed_delta_v, dvs, weights)
     return out
 
 

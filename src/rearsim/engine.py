@@ -17,7 +17,6 @@ the kernel. Filled rows are spot-checked by one random re-simulation.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -27,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .distributions import (
     DecelDistribution,
     GlanceDistribution,
@@ -513,69 +513,76 @@ def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
 
 # ---------------------------------------------------------------- file I/O
 
-def _fmt(x) -> str:
-    return "" if x is None or (isinstance(x, float) and math.isnan(x)) else repr(float(x))
-
-
 def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATRIX_CSV_HEADER)
+    """Write the matrices as one CSV row per cell, seed by seed, in row-major
+    cell order."""
+    def seed_columns():
+        grid_key, grid = None, None
         for m in matrices:
-            p = m.p_cell
-            for i, a in enumerate(m.axis1):
-                for j, d in enumerate(m.decels):
-                    writer.writerow([
-                        m.seed_id, repr(float(a)), repr(float(d)),
-                        int(m.crashed[i, j]),
-                        _fmt(m.v1[i, j]), _fmt(m.v2[i, j]),
-                        int(m.max_severity[i, j]), repr(float(p[i, j])),
-                    ])
+            n1, n2 = m.crashed.shape
+            # seeds of one campaign share the axes and marginals, so the
+            # grid's text is formatted once
+            key = (m.axis1.tobytes(), m.decels.tobytes(),
+                   m.axis1_probs.tobytes(), m.decel_probs.tobytes())
+            if key != grid_key:
+                grid_key, grid = key, (
+                    table.reprs(np.repeat(m.axis1, n2)),
+                    table.reprs(np.tile(m.decels, n1)),
+                    table.reprs(m.p_cell.ravel()))
+            crashed = m.crashed.ravel()
+            yield ([table.quote(m.seed_id)] * crashed.size, grid[0], grid[1],
+                   table.flags(crashed), table.fmt(m.v1.ravel()),
+                   table.fmt(m.v2.ravel()), table.flags(m.max_severity.ravel()),
+                   grid[2])
+
+    table.write_csv(path, MATRIX_CSV_HEADER, seed_columns())
 
 
 def load_matrices(path: str | Path) -> list[OutcomeMatrix]:
-    """Rebuild per-seed outcome matrices from the flat CSV. Axis marginals
-    are recovered from the cell probabilities (p_cell rows/columns sum to
-    the marginals). A malformed row or an incomplete seed grid raises
-    ParseError."""
-    per_seed: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != MATRIX_CSV_HEADER:
-            raise ParseError(f"{path}:1: unexpected matrix header")
-        for row in reader:
-            try:
-                seed_id, a, d, crashed, v1, v2, severity, p = row
-                cell = (float(a), float(d), float(p),
-                        crashed == "1" and (float(v1), float(v2), severity == "1"))
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: malformed matrix row: {exc}") from exc
-            per_seed.setdefault(seed_id, []).append(cell)
+    """Rebuild per-seed outcome matrices from the flat CSV; a seed's rows
+    may come in any order. Axis marginals are recovered from the cell
+    probabilities (p_cell rows/columns sum to the marginals). A malformed
+    row or an incomplete seed grid raises ParseError."""
+    ids: dict[str, int] = {}
+    parts = []
+    for chunk in table.read_chunks(path, MATRIX_CSV_HEADER):
+        crashed = chunk.equals("crashed", "1")
+        parts.append((
+            chunk.codes("seed_id", ids), chunk.floats("axis1_bin"),
+            chunk.floats("decel_bin"), crashed,
+            chunk.floats("v1", where=crashed), chunk.floats("v2", where=crashed),
+            crashed & chunk.equals("max_severity", "1"), chunk.floats("p_cell")))
+    if not parts:
+        return []
+    code, a, d, crashed, v1, v2, severity, p = map(np.concatenate, zip(*parts))
+    seed_rows = table.group_rows(code, len(ids))
     matrices = []
-    for seed_id in sorted(per_seed):
-        cells = per_seed[seed_id]
-        axis1 = sorted({c[0] for c in cells})
-        decels = sorted({c[1] for c in cells})
-        i1 = {a: i for i, a in enumerate(axis1)}
-        i2 = {d: j for j, d in enumerate(decels)}
+    for seed_id in sorted(ids):
+        rows = seed_rows[ids[seed_id]]
+        axis1, decels = _distinct(a[rows]), _distinct(d[rows])
         n1, n2 = len(axis1), len(decels)
-        if len(cells) != n1 * n2:
-            raise ParseError(f"{path}: seed {seed_id} has {len(cells)} cells, "
-                             f"not its {n1} x {n2} grid")
-        arrays = _outcome_arrays(n1, n2)
-        p = np.zeros((n1, n2))
-        for a, d, p_cell, crash in cells:
-            i, j = i1[a], i2[d]
-            p[i, j] = p_cell
-            if crash:
-                arrays["crashed"][i, j] = True
-                (arrays["v1"][i, j], arrays["v2"][i, j],
-                 arrays["max_severity"][i, j]) = crash
-        total = p.sum()
-        axis1_probs = p.sum(axis=1) / total
-        decel_probs = p.sum(axis=0) / total
+        cell = np.searchsorted(axis1, a[rows]) * n2 + np.searchsorted(decels, d[rows])
+        if len(rows) != n1 * n2 or np.any(np.bincount(cell, minlength=n1 * n2) != 1):
+            raise ParseError(f"{path}: seed {seed_id} has {len(rows)} cells, "
+                             f"not one for each cell of its {n1} x {n2} grid")
+
+        def grid(values, fill):
+            out = np.full(n1 * n2, fill, dtype=values.dtype)
+            out[cell] = values[rows]
+            return out.reshape(n1, n2)
+
+        p_grid = grid(p, 0.0)
+        total = p_grid.sum()
         matrices.append(OutcomeMatrix(
-            seed_id, np.array(axis1), axis1_probs, np.array(decels),
-            decel_probs, **arrays))
+            seed_id, axis1, p_grid.sum(axis=1) / total, decels,
+            p_grid.sum(axis=0) / total, crashed=grid(crashed, False),
+            v1=grid(v1, np.nan), v2=grid(v2, np.nan),
+            impact_time=np.full((n1, n2), np.nan),
+            max_severity=grid(severity, False)))
     return matrices
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]

@@ -8,29 +8,31 @@ change is m2*(v1 - v2)/(m1 + m2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .engine import OutcomeMatrix
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 MS_TO_KMH = 3.6
 DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 DEFAULT_NO_RESPONSE_FRACTION = 0.10
+HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 
 
-def delta_v(v1: float, v2: float, m1: float, m2: float) -> float:
+def delta_v(v1, v2, m1: float, m2: float):
     """Follower speed change over the collision, km/h. v1/v2 are the
-    follower/lead speeds at first overlap (m/s), m1/m2 their masses."""
+    follower/lead speeds at first overlap (m/s), as floats or arrays, and
+    m1/m2 their masses."""
     if m1 <= 0 or m2 <= 0:
         raise ValidationError("masses must be positive")
-    if v1 < v2:
+    if np.any(np.less(v1, v2)):
         raise ValidationError("follower must be at least as fast as the lead")
     return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
@@ -74,16 +76,15 @@ class DeltaVDistribution:
 
 
 def build_histogram(samples, bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
-    """Weighted histogram of (delta_v, weight) pairs; the mean is taken on
-    the unbinned samples."""
-    samples = [(float(dv), float(w)) for dv, w in samples]
-    if any(w < 0 for _, w in samples):
+    """Weighted histogram of (delta_v, weight) pairs, a sequence or an
+    (n, 2) array; the mean is taken on the unbinned samples."""
+    pairs = np.asarray(samples, dtype=float).reshape(-1, 2)
+    if np.any(pairs[:, 1] < 0):
         raise ValidationError("weights must be >= 0")
-    samples = [(dv, w) for dv, w in samples if w > 0]
-    if not samples:
+    pairs = pairs[pairs[:, 1] > 0]
+    if not len(pairs):
         raise ValidationError("no samples with positive weight")
-    dvs = np.array([dv for dv, _ in samples])
-    ws = np.array([w for _, w in samples])
+    dvs, ws = pairs[:, 0], pairs[:, 1]
     if np.any(dvs < 0):
         raise ValidationError("delta-v must be >= 0")
     # canonical accumulation order makes the histogram exactly invariant
@@ -149,28 +150,49 @@ def prevalence_weights(matrices: list[OutcomeMatrix]) -> tuple[list[SeedWeight],
             excluded)
 
 
+@dataclass(frozen=True, eq=False)
+class CrashSamples:
+    """Crash cells as weighted delta-v samples, seed by seed: the first
+    counts[0] samples belong to seed_ids[0], the next counts[1] to
+    seed_ids[1], and so on."""
+
+    seed_ids: list[str]
+    counts: list[int]
+    delta_v: np.ndarray  # km/h
+    weight: np.ndarray   # sums to 1
+
+    def __len__(self) -> int:
+        return len(self.delta_v)
+
+    def by_seed(self):
+        """(seed_id, delta_v, weight) of each seed's samples."""
+        bounds = np.cumsum([0] + self.counts).tolist()
+        for sid, start, stop in zip(self.seed_ids, bounds, bounds[1:]):
+            yield sid, self.delta_v[start:stop], self.weight[start:stop]
+
+
 def weighted_crash_samples(matrices: list[OutcomeMatrix],
                            masses: dict[str, tuple[float, float]],
-                           weights: list[SeedWeight]) -> list[tuple[str, float, float]]:
-    """Flatten crash cells into (seed_id, delta_v, weight) samples with the
-    prevalence weights applied; the weights are renormalized to sum to 1.
-    `masses` maps seed id to (follower, lead) mass in kg."""
+                           weights: list[SeedWeight]) -> CrashSamples:
+    """Crash cells, in row-major order per seed, as delta-v samples with
+    the prevalence weights applied; the weights are renormalized to sum to
+    1. `masses` maps seed id to (follower, lead) mass in kg."""
     w_by_seed = {w.seed_id: w.w for w in weights}
-    rows = []
+    seed_ids, dvs, ws = [], [np.zeros(0)], [np.zeros(0)]
     for m in matrices:
         if m.seed_id not in w_by_seed:
             continue
-        w_i = w_by_seed[m.seed_id]
         m1, m2 = masses[m.seed_id]
-        p = m.p_cell
-        ii, jj = np.nonzero(m.crashed)
-        for i, j in zip(ii, jj):
-            dv = delta_v(float(m.v1[i, j]), float(m.v2[i, j]), m1, m2)
-            rows.append((m.seed_id, dv, w_i * float(p[i, j])))
-    total = sum(w for _, _, w in rows)
+        seed_ids.append(m.seed_id)
+        dvs.append(delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2))
+        ws.append(w_by_seed[m.seed_id] * m.p_cell[m.crashed])
+    w = np.concatenate(ws)
+    # a sequential sum, so each weight keeps its bits whatever the count
+    total = np.cumsum(w)[-1] if w.size else 0.0
     if total <= 0:
         raise ValidationError("no weighted crash samples")
-    return [(sid, dv, w / total) for sid, dv, w in rows]
+    return CrashSamples(seed_ids, [len(dv) for dv in dvs[1:]],
+                        np.concatenate(dvs), w / total)
 
 
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
@@ -199,28 +221,18 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
 # ---------------------------------------------------------------- file I/O
 
 def save_histogram(h: DeltaVDistribution, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low_kmh", "bin_high_kmh", "weight"])
-        edges = h.edges
-        for i, w in enumerate(h.weights):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                             repr(float(w))])
+    edges = h.edges
+    table.write_csv(path, HISTOGRAM_CSV_HEADER, [[
+        table.reprs(edges[:-1]), table.reprs(edges[1:]), table.reprs(h.weights)]])
 
 
 def load_histogram(h_path: str | Path, mean: float | None = None,
                    count: int = 1) -> DeltaVDistribution:
-    with open(h_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["bin_low_kmh", "bin_high_kmh", "weight"]:
-            raise ValidationError(f"{h_path}: unexpected histogram header")
-        rows = [(float(a), float(b), float(w)) for a, b, w in reader]
-    if not rows:
-        raise ValidationError(f"{h_path}: empty histogram")
-    width = rows[0][1] - rows[0][0]
-    weights = np.array([w for _, _, w in rows])
-    dist = DeltaVDistribution(width, weights, 0.0, count,
+    chunk = table.read_csv(h_path, HISTOGRAM_CSV_HEADER)
+    if not chunk.n_rows:
+        raise ParseError(f"{h_path}: empty histogram")
+    low, high, weights = (chunk.floats(name) for name in HISTOGRAM_CSV_HEADER)
+    dist = DeltaVDistribution(float(high[0] - low[0]), weights, 0.0, count,
                               normalized=abs(weights.sum() - 1.0) <= 1e-9)
     dist.mean = dist.binned_mean() if mean is None else mean
     return dist

@@ -8,7 +8,6 @@ and a collision is ``gap <= 0``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .errors import GenerationError, ParseError, ValidationError
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
@@ -250,20 +250,10 @@ def load_seed(pcm_file: str | Path) -> SeedCrash:
     if not json_path.exists():
         raise ParseError(f"seed sidecar not found: {json_path}")
 
-    try:
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != SEED_CSV_HEADER:
-                raise ParseError(
-                    f"{csv_path}: expected header {','.join(SEED_CSV_HEADER)}"
-                )
-            rows = [[float(x) for x in row] for row in reader if row]
-    except (ValueError, StopIteration) as exc:
-        raise ParseError(f"{csv_path}: malformed seed file: {exc}") from exc
-    if not rows:
+    chunk = table.read_csv(csv_path, SEED_CSV_HEADER)
+    if not chunk.n_rows:
         raise ParseError(f"{csv_path}: no samples")
-    data = np.asarray(rows, dtype=float)
+    data = [chunk.floats(name) for name in SEED_CSV_HEADER]
 
     try:
         with open(json_path) as fh:
@@ -272,8 +262,8 @@ def load_seed(pcm_file: str | Path) -> SeedCrash:
         foll_meta = VehicleMeta(id=str(meta["id"]) + "/follower", **meta["follower"])
         seed = SeedCrash(
             id=str(meta["id"]),
-            lead=Trajectory(data[:, 0], data[:, 1], data[:, 2], data[:, 3]),
-            follower=Trajectory(data[:, 0], data[:, 4], data[:, 5], data[:, 6]),
+            lead=Trajectory(*data[:4]),
+            follower=Trajectory(data[0], *data[4:]),
             lead_meta=lead_meta,
             follower_meta=foll_meta,
             seed_delta_v_kmh=meta.get("seed_delta_v_kmh"),
@@ -287,17 +277,9 @@ def load_seed(pcm_file: str | Path) -> SeedCrash:
 def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
     """Write a seed as the CSV + JSON sidecar pair read by load_seed."""
     csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEED_CSV_HEADER)
-        for i in range(len(seed.lead)):
-            writer.writerow([
-                repr(float(x)) for x in (
-                    seed.lead.t[i], seed.lead.pos[i], seed.lead.speed[i],
-                    seed.lead.acc[i], seed.follower.pos[i],
-                    seed.follower.speed[i], seed.follower.acc[i],
-                )
-            ])
+    lead, foll = seed.lead, seed.follower
+    table.write_csv(csv_path, SEED_CSV_HEADER, [[table.reprs(x) for x in (
+        lead.t, lead.pos, lead.speed, lead.acc, foll.pos, foll.speed, foll.acc)]])
     meta = {
         "id": seed.id,
         "lead": {"mass": seed.lead_meta.mass, "width": seed.lead_meta.width,
@@ -471,8 +453,11 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
             lo = max(0, k - window)
             sl = slice(lo, k + 1)
             tt = t[sl] - t[lo]
-            lead_tr = Trajectory(tt, lead_pos[sl], lead_speed[sl], lead_acc[sl])
-            foll_tr = Trajectory(tt, foll_pos[sl], foll_speed[sl], foll_acc[sl])
+            # copies, so the seed does not keep the whole simulated run alive
+            lead_tr = Trajectory(tt, lead_pos[sl].copy(), lead_speed[sl].copy(),
+                                 lead_acc[sl].copy())
+            foll_tr = Trajectory(tt, foll_pos[sl].copy(), foll_speed[sl].copy(),
+                                 foll_acc[sl].copy())
             got_class, _ = classify_lead_behavior(lead_tr)
             wanted = {"braking": LEAD_BRAKING, "non_braking": LEAD_NON_BRAKING,
                       "standstill": LEAD_STANDSTILL}[mode]

@@ -1,0 +1,226 @@
+"""Column-at-a-time CSV files: seed trajectories, outcome matrices,
+weighted delta-v samples, per-seed summaries and histograms.
+
+Dialect. A file holds what ``csv.writer`` writes in its default dialect,
+and reads back as ``csv.reader`` reads it:
+
+- fields are separated by commas and every row ends in CRLF;
+- the first row is the header, and every table has two or more columns;
+- a float is ``repr(float(x))``, the shortest text that reads back to the
+  same bits;
+- a missing value (None, or NaN in a column that allows missing values)
+  is an empty field; elsewhere NaN is written ``nan``;
+- a flag is ``0`` or ``1``, an integer its decimal digits;
+- a text field that holds a comma, a double quote, CR or LF is enclosed in
+  double quotes, with each double quote doubled (``csv.QUOTE_MINIMAL``).
+
+Reading accepts every file ``csv.reader`` parses: quoted fields, any line
+ending, and blank lines, which are skipped. ``read_chunks`` works through
+bounded chunks of rows, so memory does not grow with the file;
+``read_csv`` reads a small file whole. A missing or different header, a
+row with the wrong number of fields, or a field that does not convert
+raises ParseError naming ``path:line``.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ParseError
+
+CHUNK_ROWS = 8192
+_PROBE_ROWS = 1024
+_NEEDS_QUOTES = (",", '"', "\r", "\n")
+
+
+# ----------------------------------------------------------------- writing
+
+def reprs(values) -> list[str]:
+    """Each value as ``repr`` of a float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def fmt(values) -> list[str]:
+    """Each value as ``repr`` of a float; None and NaN, a missing value,
+    as an empty field."""
+    values = np.asarray(values, dtype=float)
+    out = reprs(values)
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        out[k] = ""
+    return out
+
+
+def flags(values) -> list[str]:
+    """Each truth value as ``0`` or ``1``."""
+    return list(map(("0", "1").__getitem__, np.asarray(values, dtype=bool).tolist()))
+
+
+def ints(values) -> list[str]:
+    """Each value as the decimal digits of an integer."""
+    return list(map(str, map(int, values)))
+
+
+def quote(text: str) -> str:
+    """One text field, quoted the way ``csv.writer`` quotes it."""
+    if any(c in text for c in _NEEDS_QUOTES):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def texts(values) -> list[str]:
+    """Each text quoted as ``quote`` does; each distinct text once."""
+    values = list(values)
+    quoted = {text: quote(text) for text in dict.fromkeys(values)}
+    return list(map(quoted.__getitem__, values))
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              chunks: Iterable[Sequence[Sequence[str]]]) -> None:
+    """Write `header`, then each chunk: a sequence of equally long columns
+    of formatted fields, one column per header name."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(quote, header)) + "\r\n")
+        for columns in chunks:
+            if len(columns) != len(header):
+                raise ValueError(f"{len(columns)} columns for {len(header)} names")
+            lines = "\r\n".join(map(",".join, zip(*columns)))
+            if lines:
+                fh.write(lines + "\r\n")
+
+
+# ----------------------------------------------------------------- reading
+
+class Chunk:
+    """Consecutive data rows of a file, held as text columns."""
+
+    def __init__(self, path: Path, header: Sequence[str], first_row: int,
+                 rows: list[list[str]]):
+        self.path = path
+        self.first_row = first_row  # index of the first row among data rows
+        self.n_rows = len(rows)
+        width = len(header)
+        if any(n != width for n in set(map(len, rows))):
+            bad = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise self.error(bad, f"expected {width} fields, got {len(rows[bad])}")
+        fields = list(itertools.chain.from_iterable(rows))
+        self._columns = {name: fields[k::width] for k, name in enumerate(header)}
+
+    def __getitem__(self, name: str) -> list[str]:
+        return self._columns[name]
+
+    def error(self, row: int, message: str) -> ParseError:
+        line = _line_of(self.path, self.first_row + row)
+        return ParseError(f"{self.path}:{line}: {message}")
+
+    def floats(self, name: str, where: np.ndarray | None = None) -> np.ndarray:
+        """Column `name` converted with ``float``; with `where`, only the
+        rows it marks are converted and the others read NaN."""
+        column = self._columns[name]
+        if where is not None:
+            out = np.full(self.n_rows, np.nan)
+            out[where] = self._floats(name, list(itertools.compress(
+                column, where.tolist())), np.flatnonzero(where))
+            return out
+        return self._floats(name, column)
+
+    def _floats(self, name: str, fields: list[str],
+                rows: np.ndarray | None = None) -> np.ndarray:
+        """`fields` of column `name`, from the chunk's `rows` (all rows if
+        None), converted with ``float``."""
+        try:
+            # a column that repeats a few values (grid axes, probabilities)
+            # converts each distinct text once
+            probe = fields[:_PROBE_ROWS]
+            if 2 * len(set(probe)) <= len(probe):
+                value = {text: float(text) for text in dict.fromkeys(fields)}
+                return np.fromiter(map(value.__getitem__, fields), dtype=float,
+                                   count=len(fields))
+            return np.fromiter(map(float, fields), dtype=float, count=len(fields))
+        except ValueError:
+            bad = next(i for i, text in enumerate(fields) if not _is_float(text))
+            row = bad if rows is None else int(rows[bad])
+            raise self.error(row, f"{name}: not a number: {fields[bad]!r}") from None
+
+    def codes(self, name: str, index: dict[str, int]) -> np.ndarray:
+        """Column `name` as integer codes from `index`, which gains a new
+        code for each text it does not hold yet."""
+        column = self._columns[name]
+        for text in dict.fromkeys(column):
+            index.setdefault(text, len(index))
+        return np.fromiter(map(index.__getitem__, column), dtype=np.intp,
+                           count=self.n_rows)
+
+    def equals(self, name: str, text: str) -> np.ndarray:
+        """Whether each field of column `name` is exactly `text`."""
+        return np.fromiter(map(text.__eq__, self._columns[name]), dtype=bool,
+                           count=self.n_rows)
+
+
+def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each code 0 .. n-1, the indices of the rows that carry it, in
+    row order."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(n + 1))
+    return [order[bounds[k]:bounds[k + 1]] for k in range(n)]
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def read_chunks(path: str | Path, header: Sequence[str],
+                rows: int | None = CHUNK_ROWS) -> Iterator[Chunk]:
+    """The data rows of a CSV file whose first row is `header`, in chunks of
+    at most `rows` rows (None: the whole file in one chunk)."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        try:
+            if next(csv.reader(fh), None) != list(header):
+                raise ParseError(f"{path}:1: expected header {','.join(header)}")
+            first = 0
+            while True:
+                lines = list(itertools.islice(fh, rows))
+                if not lines:
+                    return
+                if '"' in "".join(lines):
+                    # quoted fields may span lines: csv.reader takes one
+                    # row per line of the chunk, and more lines as it needs
+                    batch = list(itertools.islice(
+                        csv.reader(itertools.chain(lines, fh)), len(lines)))
+                    batch = list(filter(None, batch))
+                else:
+                    # without quotes a line is a row and a comma a separator
+                    stripped = map(str.rstrip, lines, itertools.repeat("\r\n"))
+                    batch = list(map(str.split, filter(None, stripped),
+                                     itertools.repeat(",")))
+                yield Chunk(path, header, first, batch)
+                first += len(batch)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
+
+
+def read_csv(path: str | Path, header: Sequence[str]) -> Chunk:
+    """Every data row of a small CSV file as one chunk."""
+    whole = list(read_chunks(path, header, rows=None))
+    return whole[0] if whole else Chunk(Path(path), header, 0, [])
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The line on which data row `row` (0-based, blank rows not counted)
+    ends, as csv.reader counts lines."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for index, _ in enumerate(r for r in reader if r):
+            if index == row:
+                break
+        return reader.line_num

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 import rearsim
-from rearsim.bias import save_occupants
-from rearsim.cli import main
+from rearsim.bias import load_transfer, save_occupants
+from rearsim.cli import _load_samples, _load_seeds_summary, main
+from rearsim.errors import ParseError
+from rearsim.outcome import load_histogram
+from rearsim.scenario import load_seed
 from rearsim.distributions import cut_glances, save_decels, save_glances
 
 from fixtures import shrp2_like_decels, shrp2_like_glances
@@ -300,3 +304,76 @@ def test_header_only_curve_exits_two(pipeline):
                      "--reference", "out_synth/seeds",
                      "--curves", "empty_curve.csv",
                      "--out", "validate_empty_curve"]) == 2
+
+
+def _edit_row(line: int, edit):
+    """Text edit: apply `edit` to the fields of CSV line `line` (1-based)."""
+    def apply(text: str) -> str:
+        lines = text.split("\r\n")
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        return "\r\n".join(lines)
+    return apply
+
+
+def _set_field(k: int, value: str):
+    return lambda fields: fields[:k] + [value] + fields[k + 1:]
+
+
+_SIMULATE = ["simulate", "--seeds", "out_synth/seeds", "--config",
+             "inputs/campaign.json", "--out", "bad_simulate"]
+_WEIGHT = ["weight", "--simulate-out", "out_simulate", "--out", "bad_weight"]
+_APPLY = ["apply-bias", "--hist", "out_weight/hist.csv",
+          "--transfer", "out_fit/transfer.json", "--out", "bad_apply"]
+_VALIDATE = ["validate", "--model-hist", "out_apply/transformed.csv",
+             "--reference", "out_synth/seeds", "--samples",
+             "out_weight/samples.csv", "--seeds-summary",
+             "out_simulate/seeds_summary.csv", "--out", "bad_validate"]
+
+# name: (file, loader, edit of its text, error location, command reading it)
+MALFORMED_INPUTS = {
+    "seed_short_row": (
+        "out_synth/seeds/s0000.csv", load_seed,
+        _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", _SIMULATE),
+    "seed_extra_field": (
+        "out_synth/seeds/s0000.csv", load_seed,
+        _edit_row(3, lambda f: f + ["0.0"]), r"s0000\.csv:3:", _SIMULATE),
+    "samples_unknown_source": (
+        "out_weight/samples.csv", _load_samples,
+        _edit_row(2, _set_field(3, "other")), r"samples\.csv:2:", _VALIDATE),
+    "samples_non_numeric_weight": (
+        "out_weight/samples.csv", _load_samples,
+        _edit_row(4, _set_field(2, "heavy")), r"samples\.csv:4:", _VALIDATE),
+    "samples_truncated_last_row": (
+        "out_weight/samples.csv", _load_samples,
+        lambda text: text[:text.rstrip("\r\n").rindex(",")],
+        r"samples\.csv:\d+: expected 4 fields, got 3", _VALIDATE),
+    "summary_non_numeric_mass": (
+        "out_simulate/seeds_summary.csv", _load_seeds_summary,
+        _edit_row(2, _set_field(5, "heavy")), r"seeds_summary\.csv:2:",
+        _WEIGHT),
+    "histogram_non_numeric_weight": (
+        "out_weight/hist.csv", load_histogram,
+        _edit_row(3, _set_field(2, "x")), r"hist\.csv:3:", _APPLY),
+    "transfer_without_c2": (
+        "out_fit/transfer.json", load_transfer,
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "C2"}),
+        r"transfer\.json", _APPLY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
+                                                      capsys):
+    root, _, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
+    file, loader, edit, where, command = MALFORMED_INPUTS[name]
+    path = copy / file
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    with pytest.raises(ParseError, match=where):
+        loader(path)
+    capsys.readouterr()
+    with chdir(copy):
+        assert main(command) == 2
+    assert re.search(where, capsys.readouterr().err)

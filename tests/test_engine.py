@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -252,6 +253,35 @@ def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
     return result, load_matrices(path)
 
 
+def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
+    """The 103-seed CBM campaign's deterministic counters and matrices file.
+    A change that moves any of them changes outputs: update the values and
+    say why in CHANGES.md."""
+    result, _ = paper_baseline
+    assert (result.kernel_calls, result.theoretical_cells,
+            result.crash_cells) == (10851, 41406, 39167)
+    path = tmp_path / "matrices.csv"
+    save_matrices(result.matrices, path)
+    data = path.read_bytes()
+    assert len(data) == 3256765
+    assert hashlib.sha256(data).hexdigest() == (
+        "ed11559791a35ca28e7b4aacfe56458c050591765ee79c89b85cf17bb59c203f")
+
+
+def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
+    result, loaded = paper_baseline
+    path = tmp_path / "matrices.csv"
+    save_matrices(result.matrices, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = np.random.default_rng(3).permutation(len(rows))
+    path.write_text(header + "".join(rows[i] for i in order))
+    for want, got in zip(loaded, load_matrices(path), strict=True):
+        assert got.seed_id == want.seed_id
+        for name in ("axis1", "axis1_probs", "decels", "decel_probs",
+                     "crashed", "v1", "v2", "impact_time", "max_severity"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 class TestReweight:
     @pytest.mark.parametrize("cut_at", [3.0, 2.0, 1.0, 0.5, None])
     def test_equals_cut_campaign_bitwise(self, cut_at, paper_baseline,
@@ -310,6 +340,10 @@ MALFORMED_MATRICES = {
     "incomplete_grid": MATRIX_HEADER + (
         "s1,0.0,2.0,0,,,0,0.25\ns1,0.0,3.5,0,,,0,0.25\n"
         "s1,0.1,2.0,0,,,0,0.25\n"),
+    "repeated_cell": MATRIX_HEADER + (
+        "s1,0.0,2.0,0,,,0,0.25\ns1,0.0,2.0,0,,,0,0.25\n"
+        "s1,0.1,3.5,0,,,0,0.25\ns1,0.1,3.5,0,,,0,0.25\n"),
+    "extra_field": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,1.0,7\n",
 }
 
 

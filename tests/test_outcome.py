@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rearsim.distributions import DecelDistribution
-from rearsim.engine import OutcomeMatrix
+from rearsim.engine import CampaignConfig, OutcomeMatrix, run_campaign
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
     DeltaVDistribution,
@@ -129,8 +129,38 @@ class TestPrevalenceWeights:
         weights, _ = prevalence_weights(matrices)
         masses = {"a": (1000.0, 2000.0), "b": (1500.0, 1500.0)}
         samples = weighted_crash_samples(matrices, masses, weights)
-        assert sum(w for _, _, w in samples) == pytest.approx(1.0, abs=1e-12)
-        assert samples[0][1] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
+        assert samples.weight.sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(samples) == sum(samples.counts) == len(samples.weight)
+        assert samples.delta_v[0] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
+
+    def test_weighted_samples_equal_the_cell_loop_bitwise(
+            self, small_seeds, glances, decels):
+        """Reference: one cell at a time, weights totalled by sequential
+        addition in cell order."""
+        result = run_campaign(list(small_seeds), CampaignConfig(),
+                              glance=glances, decels=decels)
+        matrices = result.matrices
+        weights, _ = prevalence_weights(matrices)
+        masses = {s.id: (s.follower_meta.mass, s.lead_meta.mass)
+                  for s in small_seeds}
+        w_by_seed = {w.seed_id: w.w for w in weights}
+        rows = []
+        for m in matrices:
+            if m.seed_id in w_by_seed:
+                m1, m2 = masses[m.seed_id]
+                for i, j in zip(*np.nonzero(m.crashed)):
+                    rows.append((m.seed_id,
+                                 delta_v(float(m.v1[i, j]), float(m.v2[i, j]), m1, m2),
+                                 w_by_seed[m.seed_id] * float(m.p_cell[i, j])))
+        total = 0.0
+        for _, _, w in rows:
+            total += w
+
+        samples = weighted_crash_samples(matrices, masses, weights)
+        assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
+                for _ in range(n)] == [sid for sid, _, _ in rows]
+        assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
+        assert samples.weight.tolist() == [w / total for _, _, w in rows]
 
 
 class TestBuildHistogram:
