@@ -75,7 +75,6 @@ SEEDS_SUMMARY_HEADER = [
     "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
     "no_resp_crashed", "no_resp_v1", "no_resp_v2", "no_resp_dv_kmh",
     "n_crash_cells", "q_raw", "kernel_calls", "theoretical_cells",
-    "fallback_rows",
 ]
 
 
@@ -154,7 +153,6 @@ def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
         table.fmt([x.crash_mass if x is not None else None for x in m]),
         table.ints(x.kernel_calls if x is not None else 0 for x in m),
         table.ints(r.theoretical_cells for r in rows),
-        table.ints(x.fallback_rows if x is not None else 0 for x in m),
     ]])
 
 
@@ -184,6 +182,14 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
     )
     return {sid: _SeedSummary(*row)
             for sid, row in zip(chunk["seed_id"], zip(*columns))}
+
+
+def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
+    """simulate's summary.json in `sim_dir`, and the no-response fraction
+    it records: weight, validate and assess-dms all mix in that share."""
+    with open(sim_dir / "summary.json") as fh:
+        sim_summary = json.load(fh)
+    return sim_summary, float(sim_summary.get("no_response_fraction", 0.0))
 
 
 def _campaign_distributions(cfg: CampaignConfig):
@@ -297,9 +303,7 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
 def cmd_weight(args) -> int:
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    with open(sim_dir / "summary.json") as fh:
-        sim_summary = json.load(fh)
-    fraction = float(sim_summary.get("no_response_fraction", 0.0))
+    _, fraction = _simulate_summary(sim_dir)
     matrices = load_matrices(sim_dir / "matrices.csv")
     summary_rows = _load_seeds_summary(sim_dir / "seeds_summary.csv")
     samples, final, weights, diagnostics = _weight_pipeline(
@@ -469,9 +473,10 @@ def cmd_validate(args) -> int:
         if not args.seeds_summary:
             raise ValidationError("--samples requires --seeds-summary")
         per_seed = _load_samples(Path(args.samples))
-        summary_rows = _load_seeds_summary(Path(args.seeds_summary))
-        percentiles = _per_seed_percentiles(per_seed, summary_rows,
-                                            args.no_response_fraction)
+        seeds_summary = Path(args.seeds_summary)
+        summary_rows = _load_seeds_summary(seeds_summary)
+        _, fraction = _simulate_summary(seeds_summary.parent)
+        percentiles = _per_seed_percentiles(per_seed, summary_rows, fraction)
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
         with open(pct_path, "w", newline="") as fh:
@@ -524,13 +529,11 @@ def cmd_assess_dms(args) -> int:
     glance, decels = _campaign_distributions(cfg)
 
     baseline_dir = Path(args.baseline)
-    with open(baseline_dir / "summary.json") as fh:
-        sim_summary = json.load(fh)
+    sim_summary, fraction = _simulate_summary(baseline_dir)
     if (sim_summary.get("model") != MODEL_CBM
             or sim_summary.get("glance_cut_at") is not None):
         raise ValidationError(
             f"{baseline_dir}: the baseline must be an uncut cbm campaign")
-    fraction = float(sim_summary.get("no_response_fraction", 0.0))
     baseline_matrices = load_matrices(baseline_dir / "matrices.csv")
     summary_rows = _load_seeds_summary(baseline_dir / "seeds_summary.csv")
     _, base_hist, _, _ = _weight_pipeline(
@@ -675,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="unused, like the config's rng_seed: the sweep draws "
+                        "no random numbers; recorded in summary.json as rng_seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("weight", help="prevalence-weight campaign outcomes")
@@ -707,8 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default=None,
                    help="weighted samples CSV for percentile analysis")
-    p.add_argument("--seeds-summary", default=None)
-    p.add_argument("--no-response-fraction", type=float, default=0.10)
+    p.add_argument("--seeds-summary", default=None,
+                   help="simulate's seeds_summary.csv; the no-response "
+                        "fraction is read from the summary.json beside it")
     p.add_argument("--curves", nargs="*", default=None)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)

@@ -6,19 +6,30 @@ The kernel integrates the follower with semi-implicit Euler on the seed's
 is applied, then position advances with the new speed. Impact time and
 speeds are interpolated linearly inside the crossing step.
 
-The sweep exploits outcome monotonicity: for a fixed maximum deceleration,
-a later brake onset can only crash at the same or a higher impact speed,
-and whether a cell crashes is monotone in onset. A binary search finds
-the crash boundary per deceleration bin; the scan upward stops after two
-consecutive crashes at the same impact speed once the response no longer
-starts before impact, and the rest of the row is filled without running
-the kernel. Filled rows are spot-checked by one random re-simulation.
+Each seed's no-response run (the follower never brakes) is integrated once
+over the whole horizon. A braking case moves exactly like it up to its
+first braking step, so the kernel starts there from the no-response state
+and integrates in chunks of doubling size, continuing both running sums,
+so every value is bitwise the one a whole-horizon integration gives. It
+stops at the first overlap, or with no crash once the follower stands
+still short of every later lead position. Two outcomes need no
+integration. A case whose first braking step is at or past the
+no-response impact step is the no-response outcome. If the no-response
+run never overlaps, no braking case does either, because the follower
+then never gets further than without braking (rounded sums are monotone).
+
+The sweep relies on outcome monotonicity: for a fixed maximum
+deceleration, whether a cell crashes is monotone in brake onset. Rows
+whose onset is proved to give the no-response outcome are filled
+directly; over the rest a binary search finds the crash boundary per
+deceleration bin and every crashing row above it is simulated. The reduced
+sweep equals exhaustive simulation, which tests check over generated
+seeds.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,7 +44,7 @@ from .distributions import (
     cut_glances,
     overshoot_transform,
 )
-from .drivers import CbmConfig, ReactionTimeDistribution, discretize_reaction_time
+from .drivers import CbmConfig, discretize_reaction_time
 from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
 from .scenario import (
@@ -44,12 +55,10 @@ from .scenario import (
     remove_evasive_maneuver,
 )
 
-log = logging.getLogger(__name__)
-
-IMPACT_SPEED_TOL = 0.01  # m/s, "same impact speed" in the sweep stop rule
 # a marginal recovered from saved cell probabilities is renormalized, and
 # input distributions need only sum to 1 within 1e-9
 MARGINAL_RTOL = 1e-6
+FIRST_CHUNK = 256  # steps integrated before the first outcome check
 
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
@@ -72,49 +81,88 @@ class SimOutcome:
 NO_CRASH = SimOutcome(False)
 
 
-class _SeedKinematics:
-    """Precomputed arrays for one counterfactual seed."""
+class SeedKinematics:
+    """One counterfactual seed's arrays and its no-response run."""
 
     def __init__(self, cf: CounterfactualSeed, dt: float):
         if abs(cf.dt - dt) > 1e-9:
             raise ValidationError(
                 f"simulation dt {dt} does not match the seed grid {cf.dt}")
+        if cf.gap()[0] <= 0:
+            raise ValidationError(f"seed {cf.id}: vehicles overlap at start")
+        self.id = cf.id
         self.t = cf.lead.t
         self.dt = dt
         self.lead_pos = cf.lead.pos
         self.lead_speed = cf.lead.speed
         self.v0 = cf.follower_speed
         self.x0 = float(cf.follower.pos[0])
-        if cf.gap()[0] <= 0:
-            raise ValidationError(f"seed {cf.id}: vehicles overlap at start")
+        # the lowest lead position from each step on
+        self.lead_floor = np.minimum.accumulate(self.lead_pos[::-1])[::-1]
+        n = len(self.t)
+        self.v_free = max(self.v0, 0.0)
+        self.reach = np.zeros(n)  # distance covered without braking
+        np.cumsum(np.full(n - 1, self.v_free * dt), out=self.reach[1:])
+        self.free_gap = self.lead_pos - (self.x0 + self.reach)
+        below = np.flatnonzero(self.free_gap <= 0)
+        # a case braking from step k_live on is the no-response outcome
+        self.k_live = int(below[0]) if below.size else 0
+        self.no_response = NO_CRASH if not below.size else self._impact(
+            self.k_live, self.free_gap[self.k_live - 1],
+            self.free_gap[self.k_live], self.v_free, self.v_free, True)
+        # brake onsets before this time can change the outcome
+        self.live_before = self.t[self.k_live - 1] if below.size else -math.inf
 
-    def run(self, onset: float, d_max: float, jerk: float) -> SimOutcome:
-        t, dt = self.t, self.dt
-        if math.isinf(onset):
-            a = np.zeros(len(t))
-        else:
-            a = np.clip(abs(jerk) * (t - onset), 0.0, d_max)
-        v = np.empty(len(t))
-        v[0] = self.v0
-        v[1:] = self.v0 - np.cumsum(a[:-1] * dt)
-        np.maximum(v, 0.0, out=v)
-        x = np.empty(len(t))
-        x[0] = self.x0
-        x[1:] = self.x0 + np.cumsum(v[1:] * dt)
-        gap = self.lead_pos - x
-        below = gap <= 0
-        if not below.any():
-            return NO_CRASH
-        k = int(np.argmax(below))
-        alpha = gap[k - 1] / (gap[k - 1] - gap[k])
-        t_impact = float(t[k - 1] + alpha * dt)
-        v1 = float(v[k - 1] + alpha * (v[k] - v[k - 1]))
-        v2 = float(self.lead_speed[k - 1]
-                   + alpha * (self.lead_speed[k] - self.lead_speed[k - 1]))
+    def _impact(self, k: int, gap_a, gap_b, v_a, v_b,
+                max_severity: bool) -> SimOutcome:
+        """The outcome of a first overlap at step k, from the gaps and
+        follower speeds at steps k - 1 (a) and k (b)."""
+        alpha = gap_a / (gap_a - gap_b)
+        t_impact = float(self.t[k - 1] + alpha * self.dt)
+        v1 = float(v_a + alpha * (v_b - v_a))
+        ls = self.lead_speed
+        v2 = float(ls[k - 1] + alpha * (ls[k] - ls[k - 1]))
         if v1 <= v2:
             return NO_CRASH  # grazing contact counts as avoidance
-        max_severity = not bool((a[:k] > 0).any())
         return SimOutcome(True, t_impact, v1, v2, max_severity)
+
+    def run(self, onset: float, d_max: float, jerk: float) -> SimOutcome:
+        t, dt, n = self.t, self.dt, len(self.t)
+        # first braking step: the deceleration is zero up to it
+        s = n if math.isinf(onset) else int(t.searchsorted(onset, "right"))
+        if s >= self.k_live:
+            return self.no_response
+        lost, reach = 0.0, self.reach[s]  # running speed loss and distance
+        gap_prev, v_prev = self.free_gap[s], self.v_free
+        p, size = s, FIRST_CHUNK
+        while p < n - 1:
+            q = min(p + size, n - 1)
+            a = t[p:q] - onset  # the brake ramp, clipped to [0, d_max]
+            a *= abs(jerk)
+            np.minimum(np.maximum(a, 0.0, out=a), d_max, out=a)
+            acc = np.empty(q - p + 1)
+            acc[0] = lost
+            np.multiply(a, dt, out=acc[1:])
+            acc.cumsum(out=acc)
+            lost = acc[-1]
+            v = self.v0 - acc[1:]  # speeds at steps p+1..q
+            np.maximum(v, 0.0, out=v)
+            acc[0] = reach
+            np.multiply(v, dt, out=acc[1:])
+            acc.cumsum(out=acc)
+            reach = acc[-1]
+            gap = self.lead_pos[p + 1:q + 1] - (self.x0 + acc[1:])
+            m = int((gap <= 0).argmax())
+            if gap[m] <= 0:
+                if m:
+                    gap_prev, v_prev = gap[m - 1], v[m - 1]
+                return self._impact(p + 1 + m, gap_prev, gap[m], v_prev, v[m],
+                                    not a[m] > 0)
+            if v[-1] == 0.0 and self.x0 + reach < self.lead_floor[q]:
+                return NO_CRASH  # stopped for good short of the lead
+            gap_prev, v_prev = gap[-1], v[-1]
+            p, size = q, 2 * size
+        return NO_CRASH
 
 
 def simulate(cf: CounterfactualSeed, onset: float, d_max: float,
@@ -125,7 +173,7 @@ def simulate(cf: CounterfactualSeed, onset: float, d_max: float,
     """
     if d_max <= 0:
         raise ValidationError("d_max must be positive")
-    return _SeedKinematics(cf, dt).run(onset, d_max, jerk)
+    return SeedKinematics(cf, dt).run(onset, d_max, jerk)
 
 
 @dataclass(eq=False)
@@ -148,7 +196,6 @@ class OutcomeMatrix:
     impact_time: np.ndarray
     max_severity: np.ndarray   # bool
     kernel_calls: int = 0
-    fallback_rows: int = 0
 
     @property
     def p_cell(self) -> np.ndarray:
@@ -164,44 +211,38 @@ class OutcomeMatrix:
         return self.crashed.size
 
 
-def _outcome_arrays(n1: int, n2: int):
-    return dict(
-        crashed=np.zeros((n1, n2), dtype=bool),
-        v1=np.full((n1, n2), np.nan),
-        v2=np.full((n1, n2), np.nan),
-        impact_time=np.full((n1, n2), np.nan),
-        max_severity=np.zeros((n1, n2), dtype=bool),
-    )
-
-
-def sweep_seed(cf: CounterfactualSeed, axis1: np.ndarray, axis1_probs: np.ndarray,
+def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
                onsets: np.ndarray, decels: DecelDistribution, jerk: float,
-               dt: float, rng: np.random.Generator,
                exhaustive: bool = False) -> OutcomeMatrix:
     """Sweep the (axis1 x deceleration) grid for one seed.
 
     `onsets` holds the brake onset per axis1 value and must be
     nondecreasing (math.inf marks never-responding cells). The reduced
-    sweep produces cells identical to exhaustive simulation.
+    sweep produces cells identical to exhaustive simulation. Kernel calls
+    count the seed's no-response run as one.
     """
     axis1 = np.asarray(axis1, dtype=float)
     onsets = np.asarray(onsets, dtype=float)
     if np.any(np.diff(onsets) < 0):
         raise ValidationError("axis1 onsets must be sorted ascending")
-    kin = _SeedKinematics(cf, dt)
     n1, n2 = len(axis1), decels.n_bins
-    arrays = _outcome_arrays(n1, n2)
-    calls = 0
-    fallback_rows = 0
+    arrays = dict(crashed=np.zeros((n1, n2), dtype=bool),
+                  v1=np.full((n1, n2), np.nan), v2=np.full((n1, n2), np.nan),
+                  impact_time=np.full((n1, n2), np.nan),
+                  max_severity=np.zeros((n1, n2), dtype=bool))
+    calls = 1
 
-    def store(i: int, j: int, out: SimOutcome) -> None:
+    def store(rows, j, out: SimOutcome) -> None:
         if out.crashed:
-            arrays["crashed"][i, j] = True
-            arrays["v1"][i, j] = out.v1
-            arrays["v2"][i, j] = out.v2
-            arrays["impact_time"][i, j] = out.impact_time
-            arrays["max_severity"][i, j] = out.max_severity
+            arrays["crashed"][rows, j] = True
+            arrays["v1"][rows, j] = out.v1
+            arrays["v2"][rows, j] = out.v2
+            arrays["impact_time"][rows, j] = out.impact_time
+            arrays["max_severity"][rows, j] = out.max_severity
 
+    # rows from n_live on brake at or past the no-response impact step
+    n_live = n1 if exhaustive else int(np.searchsorted(onsets, kin.live_before))
+    store(slice(n_live, n1), slice(None), kin.no_response)
     for j, d_max in enumerate(decels.d_values):
         cache: dict[int, SimOutcome] = {}
 
@@ -216,55 +257,24 @@ def sweep_seed(cf: CounterfactualSeed, axis1: np.ndarray, axis1_probs: np.ndarra
             for i in range(n1):
                 store(i, j, sim(i))
             continue
-
-        # locate the crash boundary: whether a cell crashes is monotone in
-        # onset, so if the latest onset avoids, the whole row avoids
-        if not sim(n1 - 1).crashed:
+        # whether a cell crashes is monotone in onset, so if the latest
+        # live onset avoids, every live row avoids
+        if n_live == 0 or not sim(n_live - 1).crashed:
             continue
-        lo, hi = 0, n1 - 1
+        lo, hi = 0, n_live - 1
         while lo < hi:
             mid = (lo + hi) // 2
             if sim(mid).crashed:
                 hi = mid
             else:
                 lo = mid + 1
-        boundary = lo
-
-        # scan upward; stop after two consecutive equal impact speeds once
-        # the response no longer starts before impact, then fill
-        fill_from = None
-        prev = None
-        for i in range(boundary, n1):
-            out = sim(i)
-            if (prev is not None and out.max_severity
-                    and abs(out.v1 - prev.v1) <= IMPACT_SPEED_TOL):
-                fill_from = i + 1
-                break
-            store(i, j, out)
-            prev = out
-        if fill_from is None:
-            continue
-        plateau = cache[fill_from - 1]
-        store(fill_from - 1, j, plateau)
-        for i in range(fill_from, n1):
-            store(i, j, plateau)
-        if fill_from < n1:
-            probe = int(rng.integers(fill_from, n1))
-            checked = kin.run(float(onsets[probe]), float(d_max), jerk)
-            calls += 1
-            if checked != plateau:
-                log.warning(
-                    "seed %s decel %.3g: fill-in verification failed at "
-                    "axis1=%s; falling back to exhaustive row",
-                    cf.id, d_max, axis1[probe])
-                fallback_rows += 1
-                for i in range(n1):
-                    store(i, j, sim(i))
+        for i in range(lo, n_live):
+            store(i, j, sim(i))
 
     return OutcomeMatrix(
-        seed_id=cf.id, axis1=axis1, axis1_probs=np.asarray(axis1_probs, float),
+        seed_id=kin.id, axis1=axis1, axis1_probs=np.asarray(axis1_probs, float),
         decels=decels.d_values, decel_probs=decels.probs,
-        kernel_calls=calls, fallback_rows=fallback_rows, **arrays)
+        kernel_calls=calls, **arrays)
 
 
 # ---------------------------------------------------------------- campaign
@@ -279,7 +289,7 @@ class CampaignConfig:
     reaction_v: float = 0.36
     dt: float = 0.010
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION
-    rng_seed: int = 0
+    rng_seed: int = 0  # unused: the sweep draws no random numbers
     glance_file: str | None = None
     decel_file: str | None = None
     glance_cut_at: float | None = None
@@ -396,81 +406,46 @@ def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
     return matrices
 
 
-def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig,
-                  glance: GlanceDistribution | None,
-                  decels: DecelDistribution,
-                  reaction: ReactionTimeDistribution | None,
-                  seed_index: int, exhaustive: bool) -> SeedResult:
+def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, axis1: np.ndarray,
+                  axis1_probs: np.ndarray, decels: DecelDistribution,
+                  exhaustive: bool) -> SeedResult:
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
-    jerk = cfg.cbm.jerk_mean
-    kin = _SeedKinematics(cf, cfg.dt)
-    no_resp = kin.run(math.inf, 1.0, jerk)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=cfg.rng_seed, spawn_key=(seed_index,)))
-
+    kin = SeedKinematics(cf, cfg.dt)
+    anchor, excluded = None, False
     if cfg.model == MODEL_BLOM:
-        theoretical = 0 if cf.lead_behavior_class != LEAD_BRAKING else (
-            len(reaction.centers) * decels.n_bins)
-        if cf.lead_behavior_class != LEAD_BRAKING:
-            return SeedResult(seed.id, None, no_resp, None,
-                              cf.lead_behavior_class, True,
-                              seed.follower_meta.mass, seed.lead_meta.mass,
-                              seed.seed_delta_v_kmh, theoretical)
-        onsets = cf.lead_brake_onset + reaction.centers
-        matrix = sweep_seed(cf, reaction.centers, reaction.probs, onsets,
-                            decels, jerk, cfg.dt, rng, exhaustive)
-        matrix.kernel_calls += 1  # the no-response run above
-        return SeedResult(seed.id, matrix, no_resp, None,
-                          cf.lead_behavior_class, False,
-                          seed.follower_meta.mass, seed.lead_meta.mass,
-                          seed.seed_delta_v_kmh, theoretical)
-
-    # glance-based model
-    axis1, axis1_probs = _cbm_axes(glance)
-    # paper-style theoretical count: off-road bins x deceleration bins
-    theoretical = (len(axis1) - 1) * decels.n_bins
-    series = looming_series(cf)
-    anchor = find_anchor(series, cfg.cbm.inv_tau_threshold)
-    cf.anchor_time = anchor
-    if anchor is None:
-        # urgency never reaches the threshold before overlap: the driver
-        # gets no cue, so every cell is the no-response outcome
-        arrays = _outcome_arrays(len(axis1), decels.n_bins)
-        if no_resp.crashed:
-            arrays["crashed"][:, :] = True
-            arrays["v1"][:, :] = no_resp.v1
-            arrays["v2"][:, :] = no_resp.v2
-            arrays["impact_time"][:, :] = no_resp.impact_time
-            arrays["max_severity"][:, :] = True
-        matrix = OutcomeMatrix(seed.id, axis1, axis1_probs, decels.d_values,
-                               decels.probs, kernel_calls=1, **arrays)
-        return SeedResult(seed.id, matrix, no_resp, None,
-                          cf.lead_behavior_class, False,
-                          seed.follower_meta.mass, seed.lead_meta.mass,
-                          seed.seed_delta_v_kmh, theoretical, anchor_absent=True)
-    onsets = anchor + axis1 + cfg.cbm.response_delay
-    matrix = sweep_seed(cf, axis1, axis1_probs, onsets, decels, jerk,
-                        cfg.dt, rng, exhaustive)
-    matrix.kernel_calls += 1
-    return SeedResult(seed.id, matrix, no_resp, anchor,
-                      cf.lead_behavior_class, False,
+        excluded = cf.lead_behavior_class != LEAD_BRAKING
+        theoretical = 0 if excluded else len(axis1) * decels.n_bins
+        onsets = None if excluded else cf.lead_brake_onset + axis1
+    else:
+        # paper-style theoretical count: off-road bins x deceleration bins
+        theoretical = (len(axis1) - 1) * decels.n_bins
+        anchor = find_anchor(looming_series(cf), cfg.cbm.inv_tau_threshold)
+        cf.anchor_time = anchor
+        # urgency that never reaches the threshold before overlap gives the
+        # driver no cue: every cell is the no-response outcome
+        onsets = (math.inf if anchor is None else anchor) + axis1 + (
+            cfg.cbm.response_delay)
+    matrix = None if excluded else sweep_seed(
+        kin, axis1, axis1_probs, onsets, decels, cfg.cbm.jerk_mean, exhaustive)
+    return SeedResult(seed.id, matrix, kin.no_response, anchor,
+                      cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
-                      seed.seed_delta_v_kmh, theoretical)
+                      seed.seed_delta_v_kmh, theoretical,
+                      anchor_absent=cfg.model == MODEL_CBM and anchor is None)
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(cfg, glance, decels, reaction, exhaustive):
-    _WORKER_STATE.update(cfg=cfg, glance=glance, decels=decels,
-                         reaction=reaction, exhaustive=exhaustive)
+def _worker_init(cfg, axes, decels, exhaustive):
+    _WORKER_STATE.update(cfg=cfg, axes=axes, decels=decels,
+                         exhaustive=exhaustive)
 
 
-def _worker_run(args):
-    seed, index = args
+def _worker_run(seed):
     s = _WORKER_STATE
-    return _run_one_seed(seed, s["cfg"], s["glance"], s["decels"],
-                         s["reaction"], index, s["exhaustive"])
+    return _run_one_seed(seed, s["cfg"], *s["axes"], s["decels"],
+                         s["exhaustive"])
 
 
 def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
@@ -481,33 +456,27 @@ def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
     and identical for any worker count."""
     if decels is None:
         raise ValidationError("a deceleration distribution is required")
-    reaction = None
     if cfg.model == MODEL_BLOM:
         reaction = discretize_reaction_time(cfg.reaction_m, cfg.reaction_v)
+        axes = (reaction.centers, reaction.probs)
     elif glance is None:
         raise ValidationError("the glance-based model needs a glance distribution")
+    else:
+        axes = _cbm_axes(glance)
 
     ordered = sorted(seeds, key=lambda s: s.id)
-    jobs = [(seed, i) for i, seed in enumerate(ordered)]
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(ordered) > 1:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init,
-                initargs=(cfg, glance, decels, reaction, exhaustive)) as pool:
-            results = list(pool.map(_worker_run, jobs, chunksize=4))
+                initargs=(cfg, axes, decels, exhaustive)) as pool:
+            results = list(pool.map(_worker_run, ordered, chunksize=4))
     else:
-        results = [_run_one_seed(seed, cfg, glance, decels, reaction, i,
-                                 exhaustive) for seed, i in jobs]
-    results.sort(key=lambda r: r.seed_id)
+        results = [_run_one_seed(seed, cfg, *axes, decels, exhaustive)
+                   for seed in ordered]
 
-    if cfg.model == MODEL_BLOM:
-        excluded = [r for r in results if r.excluded]
-        if excluded:
-            log.warning("brake-light model: %d of %d seeds excluded "
-                        "(lead not braking or standing still)",
-                        len(excluded), len(results))
-        if len(excluded) == len(results):
-            raise ModelUndefinedError(
-                "brake-light model is undefined for every seed in this set")
+    if cfg.model == MODEL_BLOM and all(r.excluded for r in results):
+        raise ModelUndefinedError(
+            "brake-light model is undefined for every seed in this set")
     return CampaignResult(cfg.model, results)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import re
@@ -12,7 +13,13 @@ import pytest
 
 import rearsim
 from rearsim.bias import load_transfer, save_occupants
-from rearsim.cli import _load_samples, _load_seeds_summary, main
+from rearsim.cli import (
+    SOURCE_NO_RESPONSE,
+    _load_samples,
+    _load_seeds_summary,
+    _per_seed_percentiles,
+    main,
+)
 from rearsim.errors import ParseError
 from rearsim.outcome import load_histogram
 from rearsim.scenario import load_seed
@@ -305,6 +312,54 @@ def test_header_only_curve_exits_two(pipeline):
                      "--curves", "empty_curve.csv",
                      "--out", "validate_empty_curve"]) == 2
 
+
+
+def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
+    """validate reads the no-response share from simulate's summary.json,
+    so its per-seed mixtures match the one weight built the histogram
+    from."""
+    root, paths, _ = pipeline
+    with chdir(root):
+        campaign = json.loads(Path(paths["campaign"]).read_text())
+        Path("campaign_f25.json").write_text(json.dumps(
+            dict(campaign, cbm={"no_response_fraction": 0.25})))
+        assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
+                     "campaign_f25.json", "--out", "sim_f25"]) == 0
+        assert main(["weight", "--simulate-out", "sim_f25",
+                     "--out", "weight_f25"]) == 0
+        assert main(["validate", "--model-hist", "out_apply/transformed.csv",
+                     "--reference", "out_synth/seeds",
+                     "--samples", "weight_f25/samples.csv",
+                     "--seeds-summary", "sim_f25/seeds_summary.csv",
+                     "--out", "validate_f25"]) == 0
+        weighted = json.loads(Path("weight_f25/summary.json").read_text())
+        samples = _load_samples(Path("weight_f25/samples.csv"))
+        rows = _load_seeds_summary(Path("sim_f25/seeds_summary.csv"))
+        with open("validate_f25/percentiles.csv", newline="") as fh:
+            got = {row["seed_id"]: row["percentile"] for row in csv.DictReader(fh)}
+    nr_mass = sum(float(np.cumsum(entry[SOURCE_NO_RESPONSE][1])[-1])
+                  for entry in samples.values() if entry[SOURCE_NO_RESPONSE][1].size)
+    assert weighted["no_response_fraction"] == 0.25
+    assert nr_mass == pytest.approx(0.25, abs=1e-9)
+    want = _per_seed_percentiles(samples, rows, 0.25)
+    assert got == {sid: repr(float(v)) for sid, v in want.items()}
+    assert want != _per_seed_percentiles(samples, rows, 0.10)
+
+
+def test_blom_exclusion_warning_is_printed_once(pipeline):
+    """In a process of its own, where no test harness captures logging."""
+    root, paths, _ = pipeline
+    src = str(Path(rearsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rearsim.cli", "simulate", "--seeds",
+         "out_synth/seeds", "--config", paths["blom"], "--out", "sim_blom_once"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((root / "sim_blom_once" / "summary.json").read_text())
+    assert summary["n_excluded"] > 0
+    assert proc.stderr.count("excluded") == 1, proc.stderr
 
 def _edit_row(line: int, edit):
     """Text edit: apply `edit` to the fields of CSV line `line` (1-based)."""

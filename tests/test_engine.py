@@ -1,12 +1,19 @@
 import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
 from rearsim.engine import (
+    NO_CRASH,
     CampaignConfig,
+    SeedKinematics,
+    SimOutcome,
     load_matrices,
     reweight_cbm,
     run_campaign,
@@ -17,6 +24,7 @@ from rearsim.engine import (
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.scenario import SynthesisConfig, remove_evasive_maneuver, synthesize_seeds
 
+from fixtures import shrp2_like_decels, shrp2_like_glances
 from test_looming import make_cf
 
 
@@ -97,6 +105,92 @@ class TestSimulate:
         assert late == nr
 
 
+def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
+                     jerk: float) -> SimOutcome:
+    """The kernel as one integration over the whole horizon: the oracle for
+    the windowed SeedKinematics.run."""
+    t, dt = kin.t, kin.dt
+    if math.isinf(onset):
+        a = np.zeros(len(t))
+    else:
+        a = np.clip(abs(jerk) * (t - onset), 0.0, d_max)
+    v = np.empty(len(t))
+    v[0] = kin.v0
+    v[1:] = kin.v0 - np.cumsum(a[:-1] * dt)
+    np.maximum(v, 0.0, out=v)
+    x = np.empty(len(t))
+    x[0] = kin.x0
+    x[1:] = kin.x0 + np.cumsum(v[1:] * dt)
+    gap = kin.lead_pos - x
+    below = gap <= 0
+    if not below.any():
+        return NO_CRASH
+    k = int(np.argmax(below))
+    alpha = gap[k - 1] / (gap[k - 1] - gap[k])
+    t_impact = float(t[k - 1] + alpha * dt)
+    v1 = float(v[k - 1] + alpha * (v[k] - v[k - 1]))
+    v2 = float(kin.lead_speed[k - 1]
+               + alpha * (kin.lead_speed[k] - kin.lead_speed[k - 1]))
+    if v1 <= v2:
+        return NO_CRASH
+    return SimOutcome(True, t_impact, v1, v2, not bool((a[:k] > 0).any()))
+
+
+def bits(out: SimOutcome) -> tuple:
+    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(out))
+
+
+def kernel_onsets(kin: SeedKinematics, source_duration: float) -> list[float]:
+    """Onsets before the first sample, on and between samples inside the
+    seed, around and after the no-response impact, at the horizon's end,
+    and never."""
+    rng = np.random.default_rng(len(kin.t))
+    t0, t_end = float(kin.t[0]), float(kin.t[-1])
+    onsets = [t0 - 1.0, t0 - 1e-3, t0, float(kin.t[1]), float(kin.t[7]) + 3e-3]
+    onsets += list(rng.uniform(t0, source_duration, 12))
+    onsets += list(rng.uniform(t0, t_end, 6))
+    if kin.no_response.crashed:
+        k = kin.k_live
+        onsets += [float(kin.t[k - 2]), float(kin.t[k - 1]) - 1e-9,
+                   float(kin.t[k - 1]), float(kin.t[k]) + 2e-3,
+                   kin.no_response.impact_time + 1.0]
+    return onsets + [t_end, t_end + 5.0, math.inf]
+
+
+class TestWindowedKernel:
+    DECELS = (0.4, 1.3, 4.25, 10.3)
+
+    def _check(self, cf, source_duration):
+        kin = SeedKinematics(cf, 0.01)
+        assert bits(kin.no_response) == bits(
+            full_horizon_run(kin, math.inf, 1.0, -23.04))
+        for onset in kernel_onsets(kin, source_duration):
+            for d_max in self.DECELS:
+                want = full_horizon_run(kin, onset, d_max, -23.04)
+                got = kin.run(onset, d_max, -23.04)
+                assert bits(got) == bits(want), (cf.id, onset, d_max)
+
+    # a first chunk of one step puts chunk boundaries at every power of two
+    @pytest.mark.parametrize("first_chunk", [1, engine.FIRST_CHUNK])
+    def test_equals_full_horizon_on_synthesized_seeds(self, small_seeds,
+                                                      first_chunk, monkeypatch):
+        monkeypatch.setattr(engine, "FIRST_CHUNK", first_chunk)
+        for seed in small_seeds:
+            cf = remove_evasive_maneuver(seed)
+            self._check(cf, cf.source_duration)
+
+    @pytest.mark.parametrize("v_foll,v_lead,gap0", [
+        (20.0, 0.0, 30.0),   # parked lead, impact inside the seed
+        (25.0, 24.0, 60.0),  # slow closing, impact late in the horizon
+        (10.0, 9.0, 500.0),  # no-response run never overlaps
+        (15.0, 15.0, 5.0),   # equal speeds: never closes
+    ])
+    def test_equals_full_horizon_on_constructed_cases(self, v_foll, v_lead,
+                                                      gap0):
+        cf = make_cf(v_foll=v_foll, v_lead=v_lead, gap0=gap0, duration=40.0)
+        self._check(cf, 5.0)
+
+
 class TestSweep:
     @staticmethod
     def axes(n1=68, overshoot_probs_seed=3):
@@ -111,12 +205,10 @@ class TestSweep:
     def _sweep_pair(self, cf, anchor, n1=68):
         axis1, probs, decels = self.axes(n1)
         onsets = anchor + axis1 + 0.5
-        rng = np.random.default_rng(0)
-        reduced = sweep_seed(cf, axis1, probs, onsets, decels, -23.04, 0.01,
-                             rng)
-        rng = np.random.default_rng(0)
-        exhaustive = sweep_seed(cf, axis1, probs, onsets, decels, -23.04,
-                                0.01, rng, exhaustive=True)
+        kin = SeedKinematics(cf, 0.01)
+        reduced = sweep_seed(kin, axis1, probs, onsets, decels, -23.04)
+        exhaustive = sweep_seed(kin, axis1, probs, onsets, decels, -23.04,
+                                exhaustive=True)
         return reduced, exhaustive
 
     def test_reduced_equals_exhaustive_on_synthesized_seeds(self, small_seeds):
@@ -132,7 +224,6 @@ class TestSweep:
             assert np.array_equal(reduced.v1, exhaustive.v1, equal_nan=True)
             assert np.array_equal(reduced.v2, exhaustive.v2, equal_nan=True)
             assert np.array_equal(reduced.max_severity, exhaustive.max_severity)
-            assert reduced.fallback_rows == 0
             total_reduced += reduced.kernel_calls
             total_exhaustive += exhaustive.kernel_calls
         assert total_reduced <= 0.5 * total_exhaustive
@@ -141,9 +232,8 @@ class TestSweep:
         cf = make_cf(v_foll=10.0, v_lead=9.0, gap0=500.0, duration=20.0)
         axis1, probs, _ = self.axes(32)
         decels = DecelDistribution(np.array([9.0]), np.array([1.0]), 1.5)
-        rng = np.random.default_rng(0)
-        m = sweep_seed(cf, axis1, probs, 0.0 + axis1 + 0.5, decels, -23.04,
-                       0.01, rng)
+        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
+                       0.0 + axis1 + 0.5, decels, -23.04)
         assert not m.crashed.any()
         assert m.kernel_calls <= math.ceil(math.log2(32)) + 2
 
@@ -152,8 +242,8 @@ class TestSweep:
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=3.0, duration=10.0)
         axis1, probs, decels = self.axes(16)
         onsets = 0.0 + axis1 + 0.5
-        rng = np.random.default_rng(0)
-        m = sweep_seed(cf, axis1, probs, onsets, decels, -23.04, 0.01, rng)
+        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs, onsets, decels,
+                       -23.04)
         assert m.crashed.all()
         assert m.max_severity.all()
         assert m.kernel_calls < m.n_cells
@@ -161,8 +251,8 @@ class TestSweep:
     def test_cell_probabilities_sum_to_one(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
         axis1, probs, decels = self.axes()
-        rng = np.random.default_rng(0)
-        m = sweep_seed(cf, axis1, probs, axis1 + 0.5, decels, -23.04, 0.01, rng)
+        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs, axis1 + 0.5,
+                       decels, -23.04)
         assert m.p_cell.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotonicity_in_axes(self, small_seeds):
@@ -181,6 +271,37 @@ class TestSweep:
             for i in range(v1.shape[0]):
                 row = v1[i, :][exhaustive.crashed[i, :]]
                 assert np.all(np.diff(row) <= 1e-9)
+
+
+MATRIX_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs", "crashed",
+                 "v1", "v2", "impact_time", "max_severity")
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng_seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(["cbm", "blom"]),
+       speed=st.floats(5.0, 35.0), headway=st.floats(0.3, 3.0),
+       lead=st.sampled_from(["braking", "non_braking", "standstill"]))
+def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
+                                                 headway, lead):
+    """Pruned rows, the crash-boundary search and the scan together give
+    exactly the cells of simulating every one."""
+    synth = SynthesisConfig(n_seeds=2, follower_speed=(speed, speed + 2.0),
+                            headway_time=(headway, headway + 0.2),
+                            lead_mix={"braking": 1, lead: 1})
+    seeds = synthesize_seeds(synth, rng_seed)
+    glance, decels = shrp2_like_glances(), shrp2_like_decels()
+    cfg = CampaignConfig(model=model)
+    reduced, exhaustive = (run_campaign(seeds, cfg, glance=glance, decels=decels,
+                                        exhaustive=flag) for flag in (False, True))
+    assert len(reduced.matrices) == len(exhaustive.matrices) >= 1
+    for got, want in zip(reduced.matrices, exhaustive.matrices):
+        for name in MATRIX_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+                got.seed_id, name)
+        assert got.kernel_calls <= want.kernel_calls
+    assert [bits(r.no_response) for r in reduced.results] == [
+        bits(r.no_response) for r in exhaustive.results]
 
 
 class TestCampaign:
@@ -259,7 +380,7 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     say why in CHANGES.md."""
     result, _ = paper_baseline
     assert (result.kernel_calls, result.theoretical_cells,
-            result.crash_cells) == (10851, 41406, 39167)
+            result.crash_cells) == (7554, 41406, 39167)
     path = tmp_path / "matrices.csv"
     save_matrices(result.matrices, path)
     data = path.read_bytes()
