@@ -325,15 +325,6 @@ def save_occupants(records: list[OccupantRecord], path: str | Path) -> None:
             writer.writerow([repr(float(r.delta_v)), r.mais, r.role])
 
 
-def save_model_json(obj, path: str | Path, extra: dict | None = None) -> None:
-    payload = dict(vars(obj))
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:
     with open(path) as fh:
         raw = json.load(fh)

@@ -11,7 +11,6 @@ included). Exit codes: 0 success, 2 validation, 3 model-undefined,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,26 +30,25 @@ from .engine import (
     run_campaign,
     save_matrices,
 )
-from .errors import (
-    FitError,
-    ModelUndefinedError,
-    ParseError,
-    RearsimError,
-    ValidationError,
-)
-from .manifest import write_manifest
+from .errors import FitError, ModelUndefinedError, RearsimError, ValidationError
+from .manifest import write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     DeltaVDistribution,
     build_histogram,
-    delta_v,
     load_histogram,
     mix_no_response,
     prevalence_weights,
     save_histogram,
     weighted_crash_samples,
 )
-from .scenario import SynthesisConfig, load_seed_dir, save_seed, synthesize_seeds
+from .scenario import (
+    SynthesisConfig,
+    delta_v,
+    load_seed_dir,
+    save_seed,
+    synthesize_seeds,
+)
 from .validation import (
     PercentileReport,
     compare,
@@ -84,13 +82,6 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> Path:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _reference_histogram(path: str, bin_width: float) -> DeltaVDistribution:
     """Reference delta-v histogram: a histogram CSV, or built from the
     recorded delta-v of a seed directory."""
@@ -118,7 +109,7 @@ def cmd_synth(args) -> int:
         csv_path = seeds_dir / f"{seed.id}.csv"
         save_seed(seed, csv_path)
         outputs += [csv_path, csv_path.with_suffix(".json")]
-    summary = _write_json(out / "summary.json", {
+    summary = write_json(out / "summary.json", {
         "n_seeds": len(seeds),
         "rng_seed": rng_seed,
         "seed_ids": [s.id for s in seeds],
@@ -223,7 +214,7 @@ def cmd_simulate(args) -> int:
     save_matrices(result.matrices, matrices_path)
     seeds_summary = out / "seeds_summary.csv"
     _write_seeds_summary(result, seeds_summary)
-    summary = _write_json(out / "summary.json", {
+    summary = write_json(out / "summary.json", {
         "model": result.model,
         "n_seeds": len(result.results),
         "n_excluded": len(result.excluded_ids),
@@ -317,17 +308,17 @@ def cmd_weight(args) -> int:
     # sequential per-seed sums, as the rows are added up one by one
     contributions = {sids[0]: float(np.cumsum(w)[-1])
                      for sids, _, w, source in samples if source == SOURCE_CELL}
-    with open(weights_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed_id", "q_raw", "q_norm", "w_untrimmed",
-                         "w_trimmed", "contribution"])
-        for w in weights:
-            writer.writerow([w.seed_id, repr(w.q_raw), repr(w.q_norm),
-                             repr(w.w_untrimmed), repr(w.w),
-                             repr(contributions.get(w.seed_id, 0.0))])
+    table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
+                                   "w_trimmed", "contribution"], [[
+        table.texts(w.seed_id for w in weights),
+        table.reprs([w.q_raw for w in weights]),
+        table.reprs([w.q_norm for w in weights]),
+        table.reprs([w.w_untrimmed for w in weights]),
+        table.reprs([w.w for w in weights]),
+        table.reprs([contributions.get(w.seed_id, 0.0) for w in weights])]])
     hist_path = out / "hist.csv"
     save_histogram(final, hist_path)
-    summary = _write_json(out / "summary.json", {
+    summary = write_json(out / "summary.json", {
         "mean_kmh": final.mean,
         "count": final.count,
         "n_samples": sum(len(w) for _, _, w, _ in samples),
@@ -354,20 +345,17 @@ def cmd_fit_bias(args) -> int:
     tf, fit_diag = bias.fit_transfer(reference, injury)
 
     pdo_path = out / "pdo.json"
-    bias.save_model_json(model, pdo_path, {"diagnostics": diagnostics})
+    write_json(pdo_path, {**vars(model), "diagnostics": diagnostics})
     tf_path = out / "transfer.json"
-    bias.save_model_json(tf, tf_path, {"cost": fit_diag["cost"],
-                                       "saturated": fit_diag["saturated"]})
+    write_json(tf_path, {**vars(tf), "cost": fit_diag["cost"],
+                         "saturated": fit_diag["saturated"]})
     ref_path = out / "augmented_reference.csv"
     save_histogram(reference, ref_path)
     pdo_hist_path = out / "pdo_hist.csv"
     save_histogram(pdo_hist, pdo_hist_path)
     residual_path = out / "residual_curve.csv"
-    with open(residual_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c1", "min_cost_over_c2"])
-        for c1, cost in zip(bias.C1_GRID, fit_diag["cost_by_c1"]):
-            writer.writerow([repr(float(c1)), repr(float(cost))])
+    table.write_csv(residual_path, ["c1", "min_cost_over_c2"], [[
+        table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])]])
     write_manifest(out, "fit-bias",
                    {"occupants": args.occupants, "injury_hist": args.injury_hist},
                    [pdo_path, tf_path, ref_path, pdo_hist_path, residual_path],
@@ -390,7 +378,7 @@ def cmd_apply_bias(args) -> int:
     transformed = bias.apply_transfer(dist, tf)
     out_path = out / "transformed.csv"
     save_histogram(transformed, out_path)
-    summary = _write_json(out / "summary.json", {
+    summary = write_json(out / "summary.json", {
         "mean_kmh": transformed.mean,
         "input_mean_kmh": dist.mean,
         "C1": tf.C1, "C2": tf.C2,
@@ -461,7 +449,7 @@ def cmd_validate(args) -> int:
     reference = _reference_histogram(args.reference, model_hist.bin_width)
     stats = compare(model_hist, reference)
     outputs = []
-    comparison = _write_json(out / "comparison.json", {
+    comparison = write_json(out / "comparison.json", {
         "model_mean_kmh": model_hist.mean,
         "reference_mean_kmh": reference.mean,
         **vars(stats),
@@ -479,13 +467,12 @@ def cmd_validate(args) -> int:
         percentiles = _per_seed_percentiles(per_seed, summary_rows, fraction)
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
-        with open(pct_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed_id", "percentile"])
-            for sid, value in sorted(percentiles.items()):
-                writer.writerow([sid, value if isinstance(value, str)
-                                 else repr(float(value))])
-        rep_path = _write_json(out / "percentile_report.json", {
+        ordered = sorted(percentiles.items())
+        table.write_csv(pct_path, ["seed_id", "percentile"], [[
+            table.texts(sid for sid, _ in ordered),
+            [table.quote(v) if isinstance(v, str) else repr(float(v))
+             for _, v in ordered]]])
+        rep_path = write_json(out / "percentile_report.json", {
             "n_bins": rep.n_bins,
             "counts": rep.counts.tolist(),
             "below_min": rep.below_min,
@@ -506,7 +493,7 @@ def cmd_validate(args) -> int:
                 "reference": injury_risk(reference, curve),
             }
             inputs[f"curve_{curve.level}"] = curve_path
-        risk_path = _write_json(out / "injury_risk.json", risks)
+        risk_path = write_json(out / "injury_risk.json", risks)
         outputs.append(risk_path)
 
     write_manifest(out, "validate", inputs, outputs,
@@ -570,7 +557,7 @@ def cmd_assess_dms(args) -> int:
                 for c in curves}
         rows.append(row)
 
-    assess = _write_json(out / "assess.json", {
+    assess = write_json(out / "assess.json", {
         "baseline_mean_dv_kmh": base_hist.mean,
         "baseline_injury_risk": base_risks,
         "cuts": rows,
@@ -617,15 +604,10 @@ def cmd_report(args) -> int:
         if len(series) > 1:
             stats_path = out / "stats.csv"
             ref_label, ref = series[0]
-            with open(stats_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["pair", "abs_mean_diff", "mean_abs_diff",
-                                 "weighted_mean_abs_diff", "max_abs_diff",
-                                 "tv_distance", "kl_divergence", "ks_distance"])
-                for label, dist in series[1:]:
-                    s = compare(dist, ref)
-                    writer.writerow([f"{ref_label} vs {label}"] + [
-                        repr(float(v)) for v in vars(s).values()])
+            stats = [vars(compare(dist, ref)) for _, dist in series[1:]]
+            table.write_csv(stats_path, ["pair", *stats[0]], [[
+                table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
+                *(table.reprs([s[name] for s in stats]) for name in stats[0])]])
             outputs.append(stats_path)
 
     if args.percentiles:
@@ -751,16 +733,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParseError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ModelUndefinedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL_UNDEFINED
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT_FAILURE
-    except RearsimError as exc:
+    except (RearsimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,7 +19,6 @@ from .errors import ParseError, ValidationError
 
 GLANCE_BIN_WIDTH = 0.1   # s
 DECEL_BIN_WIDTH = 1.5    # m/s^2
-MASS_TOL = 1e-12
 
 
 def _duration_to_bin(duration: float) -> int:

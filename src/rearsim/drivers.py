@@ -1,5 +1,12 @@
-"""Driver response models: brake-onset timing for the glance-based model
-and the brake-light reaction model, and the jerk-ramp braking profile."""
+"""Driver response models and the brake they apply.
+
+A model gives one brake onset per value of its axis 1. The glance-based
+model (CBM) brakes at glance anchor + glance overshoot + response delay,
+over the overshoot axis of `cbm_axes`; the brake-light model (BLOM) brakes
+at the lead's brake-light onset + reaction time, over the discretized
+reaction-time axis. From its onset the driver ramps the deceleration up at
+constant jerk to a plateau (`brake_deceleration`). The engine calls these
+definitions; no other module restates them."""
 
 from __future__ import annotations
 
@@ -8,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import GlanceDistribution, overshoot_transform
 from .errors import ModelUndefinedError, ValidationError
 
 REACTION_BIN_STEP = 0.2    # s
@@ -38,52 +46,45 @@ class CbmConfig:
             raise ValidationError("inv_tau_threshold must be positive")
 
 
-@dataclass(frozen=True)
-class BrakeProfile:
-    """Jerk ramp to a plateau: decel(t) = clamp(|jerk|*(t-onset), 0, d_max).
-
-    onset may be math.inf for a driver who never responds.
-    """
-
-    onset: float   # s
-    jerk: float    # m/s^3, negative
-    d_max: float   # m/s^2, magnitude of the plateau
-
-    def __post_init__(self):
-        if self.d_max <= 0:
-            raise ValidationError("d_max must be positive")
-        if self.jerk >= 0:
-            raise ValidationError("jerk must be negative")
+def brake_deceleration(t: np.ndarray, onset: float, jerk: float,
+                       d_max: float) -> np.ndarray:
+    """Deceleration magnitude at the times `t`: a ramp at constant jerk
+    from the brake onset up to the plateau d_max,
+    clip(|jerk| * (t - onset), 0, d_max). An infinite onset (no response)
+    gives zeros."""
+    a = t - onset
+    a *= abs(jerk)
+    return np.minimum(np.maximum(a, 0.0, out=a), d_max, out=a)
 
 
-def brake_deceleration(profile: BrakeProfile, t):
-    """Deceleration magnitude at time t (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    if math.isinf(profile.onset):
-        out = np.zeros_like(t)
-    else:
-        out = np.clip(abs(profile.jerk) * (t - profile.onset), 0.0, profile.d_max)
-    return float(out) if out.ndim == 0 else out
+def cbm_axes(glance: GlanceDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The glance-based model's axis 1 and its marginal: overshoot 0 (the
+    attentive driver) with the on-road mass, then the off-road overshoots."""
+    over = overshoot_transform(glance)
+    axis1 = np.concatenate([[0.0], over.overshoots])
+    probs = np.concatenate([[over.on_road_mass], over.probs])
+    return axis1, probs
 
 
-def cbm_onset(anchor: float | None, overshoot: float, cfg: CbmConfig) -> float:
-    """Brake onset = glance anchor + glance overshoot + response delay.
-    An overshoot of 0 encodes the attentive (eyes on road) driver."""
-    if anchor is None:
-        raise ModelUndefinedError(
-            "no looming anchor: route this case to the no-response path")
-    if overshoot < 0:
-        raise ValidationError("overshoot must be >= 0")
-    return anchor + overshoot + cfg.response_delay
+def cbm_onsets(anchor: float | None, overshoots: np.ndarray,
+               cfg: CbmConfig) -> np.ndarray:
+    """Brake onset per overshoot: glance anchor + overshoot + response
+    delay. Without an anchor the urgency never reaches the threshold before
+    overlap, so the driver gets no cue and every onset is inf (the
+    no-response outcome)."""
+    return (math.inf if anchor is None else anchor) + overshoots + (
+        cfg.response_delay)
 
 
-def blom_onset(brake_light_onset: float | None, t_react: float) -> float:
-    """Brake onset = lead brake-light onset + sampled reaction time."""
+def blom_onsets(brake_light_onset: float | None,
+                reaction_times: np.ndarray) -> np.ndarray:
+    """Brake onset per reaction time: lead brake-light onset + reaction
+    time."""
     if brake_light_onset is None:
         raise ModelUndefinedError(
             "brake-light model is undefined when the lead vehicle never "
             "brakes or stands still for the whole event")
-    return brake_light_onset + t_react
+    return brake_light_onset + reaction_times
 
 
 @dataclass(eq=False)

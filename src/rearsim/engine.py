@@ -38,13 +38,17 @@ from pathlib import Path
 import numpy as np
 
 from . import table
-from .distributions import (
-    DecelDistribution,
-    GlanceDistribution,
-    cut_glances,
-    overshoot_transform,
+from .distributions import DecelDistribution, GlanceDistribution, cut_glances
+from .drivers import (
+    DEFAULT_REACTION_M,
+    DEFAULT_REACTION_V,
+    CbmConfig,
+    blom_onsets,
+    brake_deceleration,
+    cbm_axes,
+    cbm_onsets,
+    discretize_reaction_time,
 )
-from .drivers import CbmConfig, discretize_reaction_time
 from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
 from .scenario import (
@@ -137,9 +141,7 @@ class SeedKinematics:
         p, size = s, FIRST_CHUNK
         while p < n - 1:
             q = min(p + size, n - 1)
-            a = t[p:q] - onset  # the brake ramp, clipped to [0, d_max]
-            a *= abs(jerk)
-            np.minimum(np.maximum(a, 0.0, out=a), d_max, out=a)
+            a = brake_deceleration(t[p:q], onset, jerk, d_max)
             acc = np.empty(q - p + 1)
             acc[0] = lost
             np.multiply(a, dt, out=acc[1:])
@@ -165,17 +167,6 @@ class SeedKinematics:
         return NO_CRASH
 
 
-def simulate(cf: CounterfactualSeed, onset: float, d_max: float,
-             jerk: float = -23.04, dt: float = 0.010) -> SimOutcome:
-    """Simulate one (seed, brake onset, max deceleration) case.
-
-    onset may be math.inf for the no-response driver.
-    """
-    if d_max <= 0:
-        raise ValidationError("d_max must be positive")
-    return SeedKinematics(cf, dt).run(onset, d_max, jerk)
-
-
 @dataclass(eq=False)
 class OutcomeMatrix:
     """Per-seed grid of outcomes over (axis1 x max deceleration).
@@ -193,7 +184,6 @@ class OutcomeMatrix:
     crashed: np.ndarray        # (n1, n2) bool
     v1: np.ndarray             # NaN where not crashed
     v2: np.ndarray
-    impact_time: np.ndarray
     max_severity: np.ndarray   # bool
     kernel_calls: int = 0
 
@@ -228,7 +218,6 @@ def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
     n1, n2 = len(axis1), decels.n_bins
     arrays = dict(crashed=np.zeros((n1, n2), dtype=bool),
                   v1=np.full((n1, n2), np.nan), v2=np.full((n1, n2), np.nan),
-                  impact_time=np.full((n1, n2), np.nan),
                   max_severity=np.zeros((n1, n2), dtype=bool))
     calls = 1
 
@@ -237,7 +226,6 @@ def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
             arrays["crashed"][rows, j] = True
             arrays["v1"][rows, j] = out.v1
             arrays["v2"][rows, j] = out.v2
-            arrays["impact_time"][rows, j] = out.impact_time
             arrays["max_severity"][rows, j] = out.max_severity
 
     # rows from n_live on brake at or past the no-response impact step
@@ -285,8 +273,8 @@ class CampaignConfig:
 
     model: str = MODEL_CBM
     cbm: CbmConfig = field(default_factory=CbmConfig)
-    reaction_m: float = 1.275
-    reaction_v: float = 0.36
+    reaction_m: float = DEFAULT_REACTION_M
+    reaction_v: float = DEFAULT_REACTION_V
     dt: float = 0.010
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION
     rng_seed: int = 0  # unused: the sweep draws no random numbers
@@ -354,13 +342,6 @@ class CampaignResult:
                        if r.matrix is not None))
 
 
-def _cbm_axes(glance: GlanceDistribution):
-    over = overshoot_transform(glance)
-    axis1 = np.concatenate([[0.0], over.overshoots])
-    probs = np.concatenate([[over.on_road_mass], over.probs])
-    return axis1, probs
-
-
 def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
                  decels: DecelDistribution,
                  cut_at: float | None = None) -> list[OutcomeMatrix]:
@@ -379,9 +360,9 @@ def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
     from cell probabilities, so renormalized) must match theirs to
     MARGINAL_RTOL. Anything else raises ValidationError.
     """
-    axis1, axis1_probs = _cbm_axes(glance)
+    axis1, axis1_probs = cbm_axes(glance)
     cut_axis1, cut_probs = (axis1, axis1_probs) if cut_at is None else (
-        _cbm_axes(cut_glances(glance, cut_at)))
+        cbm_axes(cut_glances(glance, cut_at)))
     rows = np.searchsorted(axis1, cut_axis1)
     # matrices list deceleration bins in ascending order, the file in its own
     order = np.argsort(decels.d_values, kind="stable")
@@ -401,7 +382,6 @@ def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
         matrices.append(OutcomeMatrix(
             m.seed_id, cut_axis1, cut_probs, decels.d_values, decels.probs,
             crashed=m.crashed[cells], v1=m.v1[cells], v2=m.v2[cells],
-            impact_time=m.impact_time[cells],
             max_severity=m.max_severity[cells]))
     return matrices
 
@@ -415,16 +395,12 @@ def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, axis1: np.ndarray,
     if cfg.model == MODEL_BLOM:
         excluded = cf.lead_behavior_class != LEAD_BRAKING
         theoretical = 0 if excluded else len(axis1) * decels.n_bins
-        onsets = None if excluded else cf.lead_brake_onset + axis1
+        onsets = None if excluded else blom_onsets(cf.lead_brake_onset, axis1)
     else:
         # paper-style theoretical count: off-road bins x deceleration bins
         theoretical = (len(axis1) - 1) * decels.n_bins
         anchor = find_anchor(looming_series(cf), cfg.cbm.inv_tau_threshold)
-        cf.anchor_time = anchor
-        # urgency that never reaches the threshold before overlap gives the
-        # driver no cue: every cell is the no-response outcome
-        onsets = (math.inf if anchor is None else anchor) + axis1 + (
-            cfg.cbm.response_delay)
+        onsets = cbm_onsets(anchor, axis1, cfg.cbm)
     matrix = None if excluded else sweep_seed(
         kin, axis1, axis1_probs, onsets, decels, cfg.cbm.jerk_mean, exhaustive)
     return SeedResult(seed.id, matrix, kin.no_response, anchor,
@@ -462,7 +438,7 @@ def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
     elif glance is None:
         raise ValidationError("the glance-based model needs a glance distribution")
     else:
-        axes = _cbm_axes(glance)
+        axes = cbm_axes(glance)
 
     ordered = sorted(seeds, key=lambda s: s.id)
     if workers > 1 and len(ordered) > 1:
@@ -546,7 +522,6 @@ def load_matrices(path: str | Path) -> list[OutcomeMatrix]:
             seed_id, axis1, p_grid.sum(axis=1) / total, decels,
             p_grid.sum(axis=0) / total, crashed=grid(crashed, False),
             v1=grid(v1, np.nan), v2=grid(v2, np.nan),
-            impact_time=np.full((n1, n2), np.nan),
             max_severity=grid(severity, False)))
     return matrices
 

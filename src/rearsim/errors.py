@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
-Each maps to a CLI exit code (see cli.EXIT_CODES): validation problems
-exit 2, model-undefined situations (e.g. the brake-light model applied
-to a seed without a braking lead) exit 3, fit failures exit 4.
+Each maps to a CLI exit code (see cli.main): model-undefined situations
+(e.g. the brake-light model applied to seeds without a braking lead) exit
+3, fit failures exit 4, and every other error exits 2.
 """
 
 

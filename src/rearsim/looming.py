@@ -49,7 +49,7 @@ def looming_series(cf: CounterfactualSeed) -> LoomingSeries:
     w = cf.lead_meta.width
     r = rng[sl]
     r_dot = cf.lead.speed[sl] - cf.follower.speed[sl]
-    theta = 2.0 * np.arctan(w / (2.0 * r))
+    theta = optical_angle(r, w)
     theta_dot = -w * r_dot / (r * r + w * w / 4.0)
     return LoomingSeries(cf.lead.t[sl], theta, theta_dot, theta_dot / theta)
 

@@ -43,6 +43,15 @@ def config_digest(obj) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def write_json(path: str | Path, payload: dict) -> Path:
+    """Write `payload` as indented JSON with sorted keys and a final
+    newline, the form of every JSON artifact."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return Path(path)
+
+
 def write_manifest(out_dir: str | Path, command: str,
                    inputs: dict[str, str | Path],
                    outputs: list[str | Path],
@@ -56,8 +65,4 @@ def write_manifest(out_dir: str | Path, command: str,
         "config_digest": config_digest(config or {}),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(out_dir / "manifest.json", manifest)

@@ -1,9 +1,6 @@
-"""Delta-v estimation, prevalence weighting with trimming, no-response
-mixing, and histogram construction.
-
-Delta-v follows a 1-D inelastic collision: both vehicles leave the
-impact at the common momentum-conserving speed, so the follower's speed
-change is m2*(v1 - v2)/(m1 + m2).
+"""Prevalence weighting with trimming, no-response mixing, and histogram
+construction. Each crash cell becomes a delta-v sample through
+`scenario.delta_v`.
 """
 
 from __future__ import annotations
@@ -17,24 +14,12 @@ import numpy as np
 from . import table
 from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
+from .scenario import delta_v
 
-MS_TO_KMH = 3.6
 DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
-DEFAULT_NO_RESPONSE_FRACTION = 0.10
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
-
-
-def delta_v(v1, v2, m1: float, m2: float):
-    """Follower speed change over the collision, km/h. v1/v2 are the
-    follower/lead speeds at first overlap (m/s), as floats or arrays, and
-    m1/m2 their masses."""
-    if m1 <= 0 or m2 <= 0:
-        raise ValidationError("masses must be positive")
-    if np.any(np.less(v1, v2)):
-        raise ValidationError("follower must be at least as fast as the lead")
-    return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 
 @dataclass(eq=False)
@@ -196,7 +181,7 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
 
 
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
-                    fraction: float = DEFAULT_NO_RESPONSE_FRACTION) -> DeltaVDistribution:
+                    fraction: float) -> DeltaVDistribution:
     """Blend the sub-model histogram with the no-response (sleepy driver)
     delta-vs: (1-fraction) of the mass stays with `base`, `fraction` goes
     to the normalized no-response histogram (one delta-v per seed)."""

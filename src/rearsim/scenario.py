@@ -3,13 +3,14 @@ counterfactual transform that removes the follower's evasive maneuver.
 
 Geometry is 1-D along a common path. The lead vehicle's position is its
 rear bumper, the follower's its front bumper, so ``gap = lead - follower``
-and a collision is ``gap <= 0``.
+and a collision is ``gap <= 0``. The collision is inelastic: both vehicles
+leave the impact at the common momentum-conserving speed, so the
+follower's speed change (delta-v) is m2*(v1 - v2)/(m1 + m2).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import table
 from .errors import GenerationError, ParseError, ValidationError
+from .manifest import write_json
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
 DT_TOLERANCE = 1e-6           # s, allowed jitter on the step
@@ -26,6 +28,7 @@ DECEL_ONSET_HOLD = 0.2        # s, how long the level must hold
 STANDSTILL_SPEED = 0.01       # m/s, below this a vehicle is "not moving"
 DEFAULT_HORIZON_EXTENSION = 30.0  # s, added beyond the seed when the
                                   # evasive maneuver is removed
+MS_TO_KMH = 3.6               # km/h per m/s
 
 LEAD_BRAKING = "braking"
 LEAD_NON_BRAKING = "non-braking"
@@ -137,7 +140,6 @@ class CounterfactualSeed:
     lead_brake_onset: float | None
     source_duration: float
     seed_delta_v_kmh: float | None = None
-    anchor_time: float | None = None   # set once looming has been evaluated
 
     @property
     def dt(self) -> float:
@@ -149,6 +151,17 @@ class CounterfactualSeed:
 
     def gap(self) -> np.ndarray:
         return self.lead.pos - self.follower.pos
+
+
+def delta_v(v1, v2, m1: float, m2: float):
+    """Follower speed change over the collision, km/h. v1/v2 are the
+    follower/lead speeds at first overlap (m/s), as floats or arrays, and
+    m1/m2 their masses."""
+    if m1 <= 0 or m2 <= 0:
+        raise ValidationError("masses must be positive")
+    if np.any(np.less(v1, v2)):
+        raise ValidationError("follower must be at least as fast as the lead")
+    return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 
 def _sustained_decel_onset(t: np.ndarray, acc: np.ndarray,
@@ -290,9 +303,7 @@ def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
     }
     if seed.seed_delta_v_kmh is not None:
         meta["seed_delta_v_kmh"] = seed.seed_delta_v_kmh
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(csv_path.with_suffix(".json"), meta)
 
 
 def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
@@ -474,14 +485,14 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
             alpha = gap[k - 1] / (gap[k - 1] - gap[k])
             v1 = foll_speed[k - 1] + alpha * (foll_speed[k] - foll_speed[k - 1])
             v2 = lead_speed[k - 1] + alpha * (lead_speed[k] - lead_speed[k - 1])
-            dv = lead_meta.mass * (v1 - v2) / (foll_meta.mass + lead_meta.mass) * 3.6
             seed = SeedCrash(
                 id=sid,
                 lead=lead_tr,
                 follower=foll_tr,
                 lead_meta=lead_meta,
                 follower_meta=foll_meta,
-                seed_delta_v_kmh=float(dv),
+                seed_delta_v_kmh=float(delta_v(v1, v2, foll_meta.mass,
+                                               lead_meta.mass)),
             )
             seed.validate()
             break

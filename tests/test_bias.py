@@ -15,10 +15,10 @@ from rearsim.bias import (
     load_occupants,
     load_pdo_model,
     load_transfer,
-    save_model_json,
     save_occupants,
 )
 from rearsim.errors import ValidationError
+from rearsim.manifest import write_json
 from rearsim.outcome import DeltaVDistribution, build_histogram
 from rearsim.validation import compare
 
@@ -253,8 +253,8 @@ class TestFileIO:
 
     def test_model_json_round_trip(self, tmp_path):
         tf = TransferFunction(-4.15, 0.388)
-        save_model_json(tf, tmp_path / "tf.json", {"cost": 0.5})
+        write_json(tmp_path / "tf.json", {**vars(tf), "cost": 0.5})
         assert load_transfer(tmp_path / "tf.json") == tf
         pdo = PdoModel(0.137, 0.27)
-        save_model_json(pdo, tmp_path / "pdo.json")
+        write_json(tmp_path / "pdo.json", vars(pdo))
         assert load_pdo_model(tmp_path / "pdo.json") == pdo

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import importlib
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import rearsim
-from rearsim.bias import load_transfer, save_occupants
+from rearsim.bias import OccupantRecord, load_transfer, save_occupants
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
     _load_samples,
@@ -238,6 +240,34 @@ class TestExitCodes:
                      "--injury-hist", str(hist),
                      "--out", str(tmp_path / "fit")])
         assert code == 2
+
+    def test_fit_failure_exits_four(self, tmp_path, capsys):
+        # no PDO deficit at p_pdo 0.5 and one positive bin: the exponential
+        # PDO shape cannot be fitted
+        occ = tmp_path / "occ.csv"
+        save_occupants([OccupantRecord(50.0, 0, "driver")] * 10
+                       + [OccupantRecord(30.0, 2, "driver")] * 10, occ)
+        hist = tmp_path / "h.csv"
+        hist.write_text("bin_low_kmh,bin_high_kmh,weight\n0.0,2.0,1.0\n")
+        code = main(["fit-bias", "--occupants", str(occ),
+                     "--injury-hist", str(hist), "--p-pdo", "0.5",
+                     "--out", str(tmp_path / "fit")])
+        assert code == 4
+        assert "at least two positive bins" in capsys.readouterr().err
+
+
+def test_traced_layers_resolve():
+    """Every (module, function) the benchmark's tracer wraps exists in
+    rearsim, so moving a traced layer fails here instead of reading 0."""
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["WRAPPED"])
+    assert len(wrapped) == 22
+    for module, name in wrapped:
+        assert callable(getattr(importlib.import_module(f"rearsim.{module}"),
+                                name, None)), f"{module}.{name}"
 
 
 def test_cli_import_does_not_load_scipy():

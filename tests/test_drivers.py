@@ -6,15 +6,17 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from rearsim.drivers import (
-    BrakeProfile,
     CbmConfig,
-    ReactionTimeDistribution,
-    blom_onset,
+    blom_onsets,
     brake_deceleration,
-    cbm_onset,
+    cbm_onsets,
     discretize_reaction_time,
 )
 from rearsim.errors import ModelUndefinedError, ValidationError
+
+
+def cbm_onset(anchor, overshoot, cfg):
+    return float(cbm_onsets(anchor, np.array([overshoot]), cfg)[0])
 
 
 class TestCbmOnset:
@@ -29,31 +31,44 @@ class TestCbmOnset:
         assert cbm_onset(2.0, 0.0, cfg) == pytest.approx(2.8)
 
     def test_absent_anchor_routes_to_no_response(self):
-        with pytest.raises(ModelUndefinedError):
-            cbm_onset(None, 0.1, CbmConfig())
+        onsets = cbm_onsets(None, 0.1 * np.arange(68), CbmConfig())
+        assert onsets.shape == (68,)
+        assert np.all(onsets == math.inf)
+
+    def test_adds_anchor_and_overshoot_first(self):
+        # (anchor + overshoot) + delay differs in the last bit from
+        # anchor + (overshoot + delay) on some rows of this axis
+        axis1 = 0.1 * np.arange(68)
+        got = cbm_onsets(1.7, axis1, CbmConfig())
+        assert got.tobytes() == ((1.7 + axis1) + 0.5).tobytes()
+        assert got.tobytes() != (1.7 + (axis1 + 0.5)).tobytes()
 
     @given(anchor=st.floats(0, 10), overshoot=st.floats(0, 7),
            delay=st.floats(0, 2), bump=st.floats(0.01, 1))
     def test_strictly_increasing_in_each_argument(self, anchor, overshoot,
                                                   delay, bump):
         cfg = CbmConfig(response_delay=delay)
-        base = cbm_onset(anchor, overshoot, cfg)
-        assert cbm_onset(anchor + bump, overshoot, cfg) > base
-        assert cbm_onset(anchor, overshoot + bump, cfg) > base
-        assert cbm_onset(anchor, overshoot,
-                         CbmConfig(response_delay=delay + bump)) > base
+        axis = np.array([overshoot, overshoot + bump])
+        base, later = cbm_onsets(anchor, axis, cfg)
+        assert later > base
+        assert cbm_onsets(anchor + bump, axis, cfg)[0] > base
+        assert cbm_onsets(anchor, axis,
+                          CbmConfig(response_delay=delay + bump))[0] > base
 
 
 class TestBlomOnset:
     def test_sum(self):
-        assert blom_onset(1.0, 1.2) == pytest.approx(2.2)
+        assert blom_onsets(1.0, np.array([1.2]))[0] == pytest.approx(2.2)
 
     def test_lowest_bin(self):
-        assert blom_onset(1.0, 0.2) == pytest.approx(1.2)
+        dist = discretize_reaction_time()
+        onsets = blom_onsets(1.0, dist.centers)
+        assert onsets[0] == pytest.approx(1.2)
+        assert np.all(np.diff(onsets) > 0)
 
     def test_undefined_without_brake_light(self):
         with pytest.raises(ModelUndefinedError):
-            blom_onset(None, 1.0)
+            blom_onsets(None, np.array([1.0]))
 
 
 class TestReactionTimeDistribution:
@@ -111,39 +126,64 @@ class TestReactionTimeDistribution:
 
 
 class TestBrakeProfile:
+    """The jerk ramp to a plateau, clip(|jerk| * (t - onset), 0, d_max)."""
+
     def test_zero_before_onset(self):
-        p = BrakeProfile(onset=2.0, jerk=-23.04, d_max=9.0)
-        assert brake_deceleration(p, 1.99) == 0.0
-        assert brake_deceleration(p, 0.0) == 0.0
+        d = brake_deceleration(np.array([0.0, 1.99, 2.0]), 2.0, -23.04, 9.0)
+        assert d.tolist() == [0.0, 0.0, 0.0]
 
     def test_plateau_time(self):
         # |jerk| 23.04 to d_max 9 takes 9/23.04 = 0.390625 s exactly
-        p = BrakeProfile(onset=1.0, jerk=-23.04, d_max=9.0)
         t_plateau = 1.0 + 9.0 / 23.04
-        assert brake_deceleration(p, t_plateau) == pytest.approx(9.0, abs=1e-12)
-        assert brake_deceleration(p, t_plateau - 1e-6) < 9.0
-        assert brake_deceleration(p, t_plateau + 1e-6) == 9.0
+        d = brake_deceleration(
+            np.array([t_plateau - 1e-6, t_plateau, t_plateau + 1e-6]),
+            1.0, -23.04, 9.0)
+        assert d[0] < 9.0
+        assert d[1] == pytest.approx(9.0, abs=1e-12)
+        assert d[2] == 9.0
 
     def test_far_future_is_d_max(self):
-        p = BrakeProfile(onset=0.5, jerk=-23.04, d_max=7.5)
-        assert brake_deceleration(p, 100.0) == 7.5
+        assert brake_deceleration(np.array([100.0]), 0.5, -23.04, 7.5)[0] == 7.5
 
     def test_continuous_nondecreasing(self):
-        p = BrakeProfile(onset=1.0, jerk=-23.04, d_max=9.0)
         t = np.linspace(0, 3, 3001)
-        d = brake_deceleration(p, t)
+        d = brake_deceleration(t, 1.0, -23.04, 9.0)
         assert np.all(np.diff(d) >= 0)
         assert np.abs(np.diff(d)).max() < 0.05  # no jumps at 1 ms steps
 
     def test_never_responding_profile(self):
-        p = BrakeProfile(onset=math.inf, jerk=-23.04, d_max=9.0)
-        assert brake_deceleration(p, 1e9) == 0.0
+        d = brake_deceleration(np.array([0.0, 1e9]), math.inf, -23.04, 9.0)
+        assert d.tolist() == [0.0, 0.0]
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            BrakeProfile(onset=0.0, jerk=-1.0, d_max=0.0)
-        with pytest.raises(ValidationError):
-            BrakeProfile(onset=0.0, jerk=1.0, d_max=5.0)
+    def test_negative_zero_ramp_reads_zero(self):
+        # np.clip would keep the sign of a -0.0 ramp value; the ramp's
+        # max(a, 0) gives +0.0. Seed grids (t >= 0) never produce -0.0.
+        d = brake_deceleration(np.array([-0.0]), 0.0, -23.04, 9.0)
+        assert d.tobytes() == np.array([0.0]).tobytes()
+
+
+@st.composite
+def ramp_cases(draw):
+    """A seed-like 10 ms grid from t0 >= 0, and an onset before its first
+    sample, on a sample, between two samples, past its end, or never."""
+    n = draw(st.integers(1, 400))
+    t = draw(st.floats(0, 60)) + 0.01 * np.arange(n)
+    k = draw(st.integers(0, n - 1))
+    onset = draw(st.one_of(
+        st.floats(1e-6, 30).map(lambda x: float(t[0]) - x),
+        st.just(float(t[k])),
+        st.floats(0, 1, exclude_min=True, exclude_max=True).map(
+            lambda f: float(t[k]) + 0.01 * f),
+        st.floats(1e-6, 30).map(lambda x: float(t[-1]) + x),
+        st.just(math.inf)))
+    return t, onset, draw(st.floats(-60, -1)), draw(st.floats(0.1, 15))
+
+
+@given(ramp_cases())
+def test_brake_deceleration_is_the_clipped_ramp_bitwise(case):
+    t, onset, jerk, d_max = case
+    want = np.clip(abs(jerk) * (t - onset), 0.0, d_max)
+    assert brake_deceleration(t, onset, jerk, d_max).tobytes() == want.tobytes()
 
 
 class TestCbmConfig:

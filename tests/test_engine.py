@@ -18,9 +18,9 @@ from rearsim.engine import (
     reweight_cbm,
     run_campaign,
     save_matrices,
-    simulate,
     sweep_seed,
 )
+from rearsim.drivers import CbmConfig, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.scenario import SynthesisConfig, remove_evasive_maneuver, synthesize_seeds
 
@@ -45,7 +45,7 @@ class TestSimulate:
         # parked lead 30 m ahead, follower at 10 m/s, no response:
         # overlap at exactly t = 3 s with v1 = 10, v2 = 0
         cf = make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=10.0)
-        out = simulate(cf, math.inf, d_max=5.0)
+        out = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
         assert out.crashed
         assert out.impact_time == pytest.approx(3.0, abs=1e-9)
         assert out.v1 == pytest.approx(10.0, abs=1e-12)
@@ -54,7 +54,7 @@ class TestSimulate:
 
     def test_strong_early_braking_avoids(self):
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=100.0, duration=30.0)
-        out = simulate(cf, onset=0.5, d_max=10.0)
+        out = SeedKinematics(cf, 0.01).run(0.5, 10.0, -23.04)
         assert not out.crashed
 
     def test_stopping_distance_boundary(self):
@@ -65,7 +65,7 @@ class TestSimulate:
         for margin, expect_crash in ((+0.05, False), (-0.05, True)):
             gap0 = travel_before + dist + margin
             cf = make_cf(v_foll=v0, v_lead=0.0, gap0=gap0, duration=30.0)
-            out = simulate(cf, onset=onset, d_max=d_max, jerk=jerk)
+            out = SeedKinematics(cf, 0.01).run(onset, d_max, jerk)
             assert out.crashed == expect_crash, margin
             if out.crashed:
                 assert out.v1 < 1.8  # grazing-speed contact near the boundary
@@ -78,7 +78,7 @@ class TestSimulate:
         v0, jerk, d_max, onset = 20.0, -23.04, 8.0, 1.0
         gap0 = v0 * onset + stopping_distance(v0, jerk, d_max)
         cf = make_cf(v_foll=v0, v_lead=0.0, gap0=gap0, duration=30.0)
-        out = simulate(cf, onset=onset, d_max=d_max, jerk=jerk)
+        out = SeedKinematics(cf, 0.01).run(onset, d_max, jerk)
         assert (not out.crashed) or (out.v1 - out.v2) < 0.15
 
     def test_crashes_always_close_positively(self, small_seeds, glances, decels):
@@ -93,15 +93,15 @@ class TestSimulate:
     def test_no_response_flagged_max_severity(self, small_seeds):
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
-            out = simulate(cf, math.inf, d_max=5.0)
+            out = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
             assert out.crashed  # counterfactual seeds collide untreated
             assert out.max_severity
             assert out.v1 >= out.v2
 
     def test_late_onset_equals_no_response_bitwise(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
-        nr = simulate(cf, math.inf, d_max=5.0)
-        late = simulate(cf, nr.impact_time + 1.0, d_max=5.0)
+        nr = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
+        late = SeedKinematics(cf, 0.01).run(nr.impact_time + 1.0, 5.0, -23.04)
         assert late == nr
 
 
@@ -204,7 +204,7 @@ class TestSweep:
 
     def _sweep_pair(self, cf, anchor, n1=68):
         axis1, probs, decels = self.axes(n1)
-        onsets = anchor + axis1 + 0.5
+        onsets = cbm_onsets(anchor, axis1, CbmConfig())
         kin = SeedKinematics(cf, 0.01)
         reduced = sweep_seed(kin, axis1, probs, onsets, decels, -23.04)
         exhaustive = sweep_seed(kin, axis1, probs, onsets, decels, -23.04,
@@ -233,7 +233,7 @@ class TestSweep:
         axis1, probs, _ = self.axes(32)
         decels = DecelDistribution(np.array([9.0]), np.array([1.0]), 1.5)
         m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
-                       0.0 + axis1 + 0.5, decels, -23.04)
+                       cbm_onsets(0.0, axis1, CbmConfig()), decels, -23.04)
         assert not m.crashed.any()
         assert m.kernel_calls <= math.ceil(math.log2(32)) + 2
 
@@ -241,7 +241,7 @@ class TestSweep:
         # tiny gap: even the attentive response is too late for any decel
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=3.0, duration=10.0)
         axis1, probs, decels = self.axes(16)
-        onsets = 0.0 + axis1 + 0.5
+        onsets = cbm_onsets(0.0, axis1, CbmConfig())
         m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs, onsets, decels,
                        -23.04)
         assert m.crashed.all()
@@ -251,8 +251,8 @@ class TestSweep:
     def test_cell_probabilities_sum_to_one(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
         axis1, probs, decels = self.axes()
-        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs, axis1 + 0.5,
-                       decels, -23.04)
+        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
+                       cbm_onsets(0.0, axis1, CbmConfig()), decels, -23.04)
         assert m.p_cell.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotonicity_in_axes(self, small_seeds):
@@ -274,7 +274,7 @@ class TestSweep:
 
 
 MATRIX_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs", "crashed",
-                 "v1", "v2", "impact_time", "max_severity")
+                 "v1", "v2", "max_severity")
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,8 +398,7 @@ def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     path.write_text(header + "".join(rows[i] for i in order))
     for want, got in zip(loaded, load_matrices(path), strict=True):
         assert got.seed_id == want.seed_id
-        for name in ("axis1", "axis1_probs", "decels", "decel_probs",
-                     "crashed", "v1", "v2", "impact_time", "max_severity"):
+        for name in MATRIX_FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 

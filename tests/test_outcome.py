@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rearsim.distributions import DecelDistribution
 from rearsim.engine import CampaignConfig, OutcomeMatrix, run_campaign
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
-    DeltaVDistribution,
     build_histogram,
-    delta_v,
     load_histogram,
     mix_no_response,
     prevalence_weights,
     save_histogram,
     weighted_crash_samples,
 )
+from rearsim.scenario import delta_v
 
 
 def momentum_oracle(v1, v2, m1, m2):
@@ -33,11 +31,10 @@ def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
     crashed = np.array([[True, False]])
     v1 = np.array([[10.0, np.nan]])
     v2 = np.array([[5.0, np.nan]])
-    other = np.array([[np.nan, np.nan]])
     return OutcomeMatrix(
         seed_id, np.array([0.1]), np.array([1.0]),
         np.array([3.0, 6.0]), np.array([q, 1.0 - q]),
-        crashed, v1, v2, other.copy(), np.array([[False, False]]))
+        crashed, v1, v2, np.array([[False, False]]))
 
 
 class TestDeltaV:
