@@ -260,49 +260,6 @@ def apply_transfer(dist: DeltaVDistribution, tf: TransferFunction) -> DeltaVDist
     return out
 
 
-def fill_sensitivity(records: list[OccupantRecord],
-                     injury_dist: DeltaVDistribution,
-                     model_hist: DeltaVDistribution,
-                     p_pdo: float = DEFAULT_P_PDO,
-                     n_fill_bins: int = DEFAULT_N_FILL_BINS,
-                     n_variants: int = 18, rel: float = 0.3,
-                     rng: np.random.Generator | None = None) -> dict:
-    """Sensitivity of the downstream transformed mean to the fill shape.
-
-    Each variant perturbs every fill-bin allocation by a uniform +/-`rel`
-    relative amount, refits the exponential and the transfer, applies the
-    transfer to `model_hist`, and reports the shift of the transformed
-    mean against the unperturbed pipeline.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    model, pdo_hist, diag = build_pdo(records, p_pdo, n_fill_bins,
-                                      injury_dist.bin_width)
-    alloc = np.array(diag["allocation"])
-
-    def downstream(pdo_model: PdoModel) -> float:
-        ref = augment_reference(injury_dist, pdo_model, p_pdo)
-        tf, _ = fit_transfer(ref, injury_dist)
-        return apply_transfer(model_hist, tf).mean
-
-    base_mean = downstream(model)
-    pdo_dvs = np.array([r.delta_v for r in records if r.mais == 0])
-    present = _counts_histogram(pdo_dvs, injury_dist.bin_width, n_fill_bins)
-    centers = injury_dist.bin_width * (np.arange(len(present)) + 0.5)
-    n_injured = sum(1 for r in records if r.mais > 0)
-    to_density = (1.0 - p_pdo) / (n_injured * injury_dist.bin_width)
-
-    shifts = []
-    for _ in range(n_variants):
-        perturbed = alloc * (1.0 + rng.uniform(-rel, rel, size=len(alloc)))
-        full = present.copy()
-        full[: len(perturbed)] += perturbed
-        variant = _fit_exponential(centers, full * to_density)
-        shifts.append(downstream(variant) - base_mean)
-    return {"base_mean": base_mean, "shifts": shifts,
-            "max_abs_shift": float(np.max(np.abs(shifts)))}
-
-
 # ---------------------------------------------------------------- file I/O
 
 def load_occupants(path: str | Path) -> list[OccupantRecord]:
@@ -337,7 +294,3 @@ def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:
 
 def load_transfer(path: str | Path) -> TransferFunction:
     return TransferFunction(*_load_params(path, ("C1", "C2")))
-
-
-def load_pdo_model(path: str | Path) -> PdoModel:
-    return PdoModel(*_load_params(path, ("B1", "B2")))

@@ -199,8 +199,6 @@ def _campaign_distributions(cfg: CampaignConfig):
 def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
     seeds = load_seed_dir(args.seeds)
     if not seeds:
         raise ValidationError(f"no seeds found in {args.seeds}")
@@ -224,7 +222,6 @@ def cmd_simulate(args) -> int:
         "crash_cells": result.crash_cells,
         "no_response_fraction": (cfg.cbm.no_response_fraction
                                  if cfg.model == MODEL_CBM else 0.0),
-        "rng_seed": cfg.rng_seed,
         "glance_cut_at": cfg.glance_cut_at,
     })
     inputs = {"seeds": args.seeds, "config": args.config}
@@ -234,8 +231,7 @@ def cmd_simulate(args) -> int:
         inputs["decels"] = cfg.decel_file
     write_manifest(out, "simulate", inputs,
                    [matrices_path, seeds_summary, summary],
-                   {"rng_seed": cfg.rng_seed, "model": cfg.model,
-                    "workers_independent": True})
+                   {"model": cfg.model, "workers_independent": True})
     if result.excluded_ids:
         print(f"simulate: warning: {len(result.excluded_ids)} seeds excluded "
               f"(lead not braking or standing still)", file=sys.stderr)
@@ -660,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None,
-                   help="unused, like the config's rng_seed: the sweep draws "
-                        "no random numbers; recorded in summary.json as rng_seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("weight", help="prevalence-weight campaign outcomes")

@@ -32,6 +32,11 @@ def _duration_to_bin(duration: float) -> int:
     return int(math.ceil(x))
 
 
+def _require_finite(column: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{column} values must be finite")
+
+
 @dataclass(eq=False)
 class GlanceDistribution:
     """On-road point mass plus binned off-road glance durations."""
@@ -45,6 +50,8 @@ class GlanceDistribution:
         self.probs = np.asarray(self.probs, dtype=float)
         if not 0 <= self.on_road_mass < 1:
             raise ValidationError("on_road_mass must be in [0, 1)")
+        _require_finite("glance duration_s", self.durations)
+        _require_finite("glance probability", self.probs)
         if np.any(self.probs < 0):
             raise ValidationError("glance probabilities must be >= 0")
         total = self.on_road_mass + self.probs.sum()
@@ -98,8 +105,12 @@ class DecelDistribution:
     def __post_init__(self):
         self.d_values = np.asarray(self.d_values, dtype=float)
         self.probs = np.asarray(self.probs, dtype=float)
+        _require_finite("deceleration d_max_ms2", self.d_values)
+        _require_finite("deceleration probability", self.probs)
         if np.any(self.d_values <= 0):
             raise ValidationError("deceleration bin centers must be positive")
+        if np.any(self.probs < 0):
+            raise ValidationError("deceleration probabilities must be >= 0")
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValidationError("deceleration probabilities must sum to 1")
 

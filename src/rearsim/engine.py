@@ -8,29 +8,27 @@ speeds are interpolated linearly inside the crossing step.
 
 Each seed's no-response run (the follower never brakes) is integrated once
 over the whole horizon. A braking case moves exactly like it up to its
-first braking step, so the kernel starts there from the no-response state
-and integrates in chunks of doubling size, continuing both running sums,
-so every value is bitwise the one a whole-horizon integration gives. It
-stops at the first overlap, or with no crash once the follower stands
-still short of every later lead position. Two outcomes need no
-integration. A case whose first braking step is at or past the
-no-response impact step is the no-response outcome. If the no-response
-run never overlaps, no braking case does either, because the follower
-then never gets further than without braking (rounded sums are monotone).
+first braking step. The kernel integrates a block of cases, every brake
+onset x every maximum deceleration, from the no-response state at the
+earliest first braking step, in chunks of doubling length (capped in cells
+x steps), continuing both running sums. A case whose onset is still ahead
+adds exact zeros to its speed loss and the no-response step to its
+distance, so every value is bitwise the one a whole-horizon integration of
+that case gives. A case leaves the block at its first overlap, or with no
+crash once the follower stands still short of every later lead position.
 
-The sweep relies on outcome monotonicity: for a fixed maximum
-deceleration, whether a cell crashes is monotone in brake onset. Rows
-whose onset is proved to give the no-response outcome are filled
-directly; over the rest a binary search finds the crash boundary per
-deceleration bin and every crashing row above it is simulated. The reduced
-sweep equals exhaustive simulation, which tests check over generated
-seeds.
+Two outcomes need no integration. A case whose first braking step is at
+or past the no-response impact step is the no-response outcome, so the
+sweep integrates only the rows braking before it. If the no-response run
+never overlaps, no braking case does either, because the follower then
+never gets further than without braking (rounded sums are monotone). The
+reduced sweep equals exhaustive simulation, which tests check over
+generated seeds.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,6 +61,9 @@ from .scenario import (
 # input distributions need only sum to 1 within 1e-9
 MARGINAL_RTOL = 1e-6
 FIRST_CHUNK = 256  # steps integrated before the first outcome check
+# cells x steps of one chunk at most: larger chunk buffers raise the
+# process's peak memory and run no faster
+BLOCK_ELEMENTS = 2**14
 
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
@@ -111,60 +112,90 @@ class SeedKinematics:
         below = np.flatnonzero(self.free_gap <= 0)
         # a case braking from step k_live on is the no-response outcome
         self.k_live = int(below[0]) if below.size else 0
-        self.no_response = NO_CRASH if not below.size else self._impact(
-            self.k_live, self.free_gap[self.k_live - 1],
-            self.free_gap[self.k_live], self.v_free, self.v_free, True)
-        # brake onsets before this time can change the outcome
-        self.live_before = self.t[self.k_live - 1] if below.size else -math.inf
+        self.no_response = NO_CRASH
+        if below.size:
+            k = self.k_live
+            crashed, t_impact, v1, v2 = self._impact(
+                k, self.free_gap[k - 1], self.free_gap[k], self.v_free,
+                self.v_free)
+            if crashed:
+                self.no_response = SimOutcome(True, float(t_impact), float(v1),
+                                              float(v2), True)
 
-    def _impact(self, k: int, gap_a, gap_b, v_a, v_b,
-                max_severity: bool) -> SimOutcome:
-        """The outcome of a first overlap at step k, from the gaps and
-        follower speeds at steps k - 1 (a) and k (b)."""
+    def _impact(self, k, gap_a, gap_b, v_a, v_b):
+        """Whether first overlaps at steps k are crashes, with their impact
+        times and follower and lead speeds, interpolated from the gaps and
+        follower speeds at steps k - 1 (a) and k (b). A grazing contact
+        (v1 <= v2) counts as avoidance."""
         alpha = gap_a / (gap_a - gap_b)
-        t_impact = float(self.t[k - 1] + alpha * self.dt)
-        v1 = float(v_a + alpha * (v_b - v_a))
+        v1 = v_a + alpha * (v_b - v_a)
         ls = self.lead_speed
-        v2 = float(ls[k - 1] + alpha * (ls[k] - ls[k - 1]))
-        if v1 <= v2:
-            return NO_CRASH  # grazing contact counts as avoidance
-        return SimOutcome(True, t_impact, v1, v2, max_severity)
+        v2 = ls[k - 1] + alpha * (ls[k] - ls[k - 1])
+        return v1 > v2, self.t[k - 1] + alpha * self.dt, v1, v2
 
-    def run(self, onset: float, d_max: float, jerk: float) -> SimOutcome:
+    def run(self, onsets: np.ndarray, d_max: np.ndarray,
+            jerk: float) -> dict[str, np.ndarray]:
+        """The outcomes of braking from each of `onsets` (math.inf: never)
+        up to each plateau in `d_max`, integrated as one block: crashed, v1,
+        v2 (NaN where no crash) and max_severity, each of shape
+        (len(onsets), len(d_max))."""
         t, dt, n = self.t, self.dt, len(self.t)
-        # first braking step: the deceleration is zero up to it
-        s = n if math.isinf(onset) else int(t.searchsorted(onset, "right"))
-        if s >= self.k_live:
-            return self.no_response
-        lost, reach = 0.0, self.reach[s]  # running speed loss and distance
-        gap_prev, v_prev = self.free_gap[s], self.v_free
-        p, size = s, FIRST_CHUNK
-        while p < n - 1:
-            q = min(p + size, n - 1)
-            a = brake_deceleration(t[p:q], onset, jerk, d_max)
-            acc = np.empty(q - p + 1)
-            acc[0] = lost
-            np.multiply(a, dt, out=acc[1:])
-            acc.cumsum(out=acc)
-            lost = acc[-1]
-            v = self.v0 - acc[1:]  # speeds at steps p+1..q
+        shape = (len(onsets), len(d_max))
+        crashed = np.zeros(shape[0] * shape[1], dtype=bool)
+        v1, v2 = np.full(crashed.size, np.nan), np.full(crashed.size, np.nan)
+        severity = np.zeros(crashed.size, dtype=bool)
+        out = dict(crashed=crashed.reshape(shape), v1=v1.reshape(shape),
+                   v2=v2.reshape(shape), max_severity=severity.reshape(shape))
+        # the earliest first braking step, and at the latest the step before
+        # the no-response impact, which the cases braking later share
+        p = min(int(t.searchsorted(onsets, "right").min(initial=n)),
+                self.k_live - 1)
+        if p < 0:
+            return out  # the no-response run never overlaps, so no case does
+        onset, d = np.repeat(onsets, shape[1]), np.tile(d_max, shape[0])
+        cell = np.arange(crashed.size)  # the cells still in the block
+        lost = np.zeros(cell.size)  # running speed loss and distance
+        reach = np.full(cell.size, self.reach[p])
+        gap_prev = np.full(cell.size, self.free_gap[p])
+        v_prev = np.full(cell.size, self.v_free)
+        size = FIRST_CHUNK
+        while p < n - 1 and cell.size:
+            q = min(p + min(size, max(BLOCK_ELEMENTS // cell.size, 1)), n - 1)
+            # two buffers per chunk: decelerations then speeds, and the
+            # running sums then gaps
+            v = brake_deceleration(t[p:q], onset[cell, None], jerk,
+                                   d[cell, None])
+            acc = np.empty((cell.size, q - p + 1))
+            acc[:, 0] = lost
+            np.multiply(v, dt, out=acc[:, 1:])
+            acc.cumsum(axis=1, out=acc)
+            lost = acc[:, -1].copy()
+            np.subtract(self.v0, acc[:, 1:], out=v)  # speeds at steps p+1..q
             np.maximum(v, 0.0, out=v)
-            acc[0] = reach
-            np.multiply(v, dt, out=acc[1:])
-            acc.cumsum(out=acc)
-            reach = acc[-1]
-            gap = self.lead_pos[p + 1:q + 1] - (self.x0 + acc[1:])
-            m = int((gap <= 0).argmax())
-            if gap[m] <= 0:
-                if m:
-                    gap_prev, v_prev = gap[m - 1], v[m - 1]
-                return self._impact(p + 1 + m, gap_prev, gap[m], v_prev, v[m],
-                                    not a[m] > 0)
-            if v[-1] == 0.0 and self.x0 + reach < self.lead_floor[q]:
-                return NO_CRASH  # stopped for good short of the lead
-            gap_prev, v_prev = gap[-1], v[-1]
+            acc[:, 0] = reach
+            np.multiply(v, dt, out=acc[:, 1:])
+            acc.cumsum(axis=1, out=acc)
+            reach = acc[:, -1].copy()
+            gap = np.add(self.x0, acc[:, 1:], out=acc[:, 1:])
+            np.subtract(self.lead_pos[p + 1:q + 1], gap, out=gap)
+            over = gap <= 0
+            m = over.argmax(axis=1)
+            hit = over[np.arange(cell.size), m]
+            h, m = np.flatnonzero(hit), m[hit]
+            inside = m > 0  # else the step before is the last chunk's
+            crash, _, hv1, hv2 = self._impact(
+                p + 1 + m, np.where(inside, gap[h, m - 1], gap_prev[h]),
+                gap[h, m], np.where(inside, v[h, m - 1], v_prev[h]), v[h, m])
+            c, k = cell[h[crash]], p + m[crash]  # k: the step before impact
+            crashed[c], v1[c], v2[c] = True, hv1[crash], hv2[crash]
+            severity[c] = ~(brake_deceleration(t[k], onset[c], jerk, d[c]) > 0)
+            # stopped for good short of the lead: no crash
+            stopped = (v[:, -1] == 0.0) & (self.x0 + reach < self.lead_floor[q])
+            keep = ~(hit | stopped)
+            cell, lost, reach = cell[keep], lost[keep], reach[keep]
+            gap_prev, v_prev = gap[keep, -1], v[keep, -1]
             p, size = q, 2 * size
-        return NO_CRASH
+        return out
 
 
 @dataclass(eq=False)
@@ -196,73 +227,35 @@ class OutcomeMatrix:
         """Summed probability of the crashing cells (q_i of the seed)."""
         return float(self.p_cell[self.crashed].sum())
 
-    @property
-    def n_cells(self) -> int:
-        return self.crashed.size
-
 
 def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
                onsets: np.ndarray, decels: DecelDistribution, jerk: float,
                exhaustive: bool = False) -> OutcomeMatrix:
     """Sweep the (axis1 x deceleration) grid for one seed.
 
-    `onsets` holds the brake onset per axis1 value and must be
-    nondecreasing (math.inf marks never-responding cells). The reduced
-    sweep produces cells identical to exhaustive simulation. Kernel calls
-    count the seed's no-response run as one.
+    `onsets` holds the brake onset per axis1 value, in any order (math.inf
+    marks never-responding rows). A row whose first braking step is at or
+    past the no-response impact step is the no-response outcome in every
+    cell; the other rows are integrated as one block. `exhaustive` sends
+    every row to the block, which tests use as the oracle. Kernel calls
+    count the seed's no-response run as one, plus one per integrated cell.
     """
     axis1 = np.asarray(axis1, dtype=float)
     onsets = np.asarray(onsets, dtype=float)
-    if np.any(np.diff(onsets) < 0):
-        raise ValidationError("axis1 onsets must be sorted ascending")
     n1, n2 = len(axis1), decels.n_bins
-    arrays = dict(crashed=np.zeros((n1, n2), dtype=bool),
-                  v1=np.full((n1, n2), np.nan), v2=np.full((n1, n2), np.nan),
-                  max_severity=np.zeros((n1, n2), dtype=bool))
-    calls = 1
-
-    def store(rows, j, out: SimOutcome) -> None:
-        if out.crashed:
-            arrays["crashed"][rows, j] = True
-            arrays["v1"][rows, j] = out.v1
-            arrays["v2"][rows, j] = out.v2
-            arrays["max_severity"][rows, j] = out.max_severity
-
-    # rows from n_live on brake at or past the no-response impact step
-    n_live = n1 if exhaustive else int(np.searchsorted(onsets, kin.live_before))
-    store(slice(n_live, n1), slice(None), kin.no_response)
-    for j, d_max in enumerate(decels.d_values):
-        cache: dict[int, SimOutcome] = {}
-
-        def sim(i: int) -> SimOutcome:
-            nonlocal calls
-            if i not in cache:
-                cache[i] = kin.run(float(onsets[i]), float(d_max), jerk)
-                calls += 1
-            return cache[i]
-
-        if exhaustive:
-            for i in range(n1):
-                store(i, j, sim(i))
-            continue
-        # whether a cell crashes is monotone in onset, so if the latest
-        # live onset avoids, every live row avoids
-        if n_live == 0 or not sim(n_live - 1).crashed:
-            continue
-        lo, hi = 0, n_live - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sim(mid).crashed:
-                hi = mid
-            else:
-                lo = mid + 1
-        for i in range(lo, n_live):
-            store(i, j, sim(i))
-
+    live = np.full(n1, True) if exhaustive else (
+        kin.t.searchsorted(onsets, "right") < kin.k_live)
+    nr = kin.no_response
+    arrays = dict(crashed=np.full((n1, n2), nr.crashed),
+                  v1=np.full((n1, n2), nr.v1 if nr.crashed else np.nan),
+                  v2=np.full((n1, n2), nr.v2 if nr.crashed else np.nan),
+                  max_severity=np.full((n1, n2), nr.max_severity))
+    for name, cells in kin.run(onsets[live], decels.d_values, jerk).items():
+        arrays[name][live] = cells
     return OutcomeMatrix(
         seed_id=kin.id, axis1=axis1, axis1_probs=np.asarray(axis1_probs, float),
         decels=decels.d_values, decel_probs=decels.probs,
-        kernel_calls=calls, **arrays)
+        kernel_calls=1 + n2 * int(live.sum()), **arrays)
 
 
 # ---------------------------------------------------------------- campaign
@@ -277,7 +270,6 @@ class CampaignConfig:
     reaction_v: float = DEFAULT_REACTION_V
     dt: float = 0.010
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION
-    rng_seed: int = 0  # unused: the sweep draws no random numbers
     glance_file: str | None = None
     decel_file: str | None = None
     glance_cut_at: float | None = None

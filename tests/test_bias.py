@@ -10,10 +10,8 @@ from rearsim.bias import (
     apply_transfer,
     augment_reference,
     build_pdo,
-    fill_sensitivity,
     fit_transfer,
     load_occupants,
-    load_pdo_model,
     load_transfer,
     save_occupants,
 )
@@ -230,19 +228,6 @@ class TestApplyTransfer:
             apply_transfer(h, TransferFunction(-4.15, 0.388))
 
 
-class TestFillSensitivity:
-    def test_downstream_mean_shift_small(self):
-        records = folksam_like_records()
-        rng = np.random.default_rng(55)
-        ref = build_histogram(
-            [(float(min(d, 69.0)), 1.0) for d in rng.gamma(5.0, 3.6, 103)], BIN_W)
-        model_hist = build_histogram(
-            [(float(min(d, 59.9)), 1.0) for d in rng.gamma(1.8, 6.0, 5000)], BIN_W)
-        out = fill_sensitivity(records, ref, model_hist, p_pdo=0.7,
-                               n_variants=6, rng=np.random.default_rng(3))
-        assert out["max_abs_shift"] < 0.2
-
-
 class TestFileIO:
     def test_occupants_round_trip(self, tmp_path):
         records = folksam_like_records(n=40)
@@ -255,6 +240,3 @@ class TestFileIO:
         tf = TransferFunction(-4.15, 0.388)
         write_json(tmp_path / "tf.json", {**vars(tf), "cost": 0.5})
         assert load_transfer(tmp_path / "tf.json") == tf
-        pdo = PdoModel(0.137, 0.27)
-        write_json(tmp_path / "pdo.json", vars(pdo))
-        assert load_pdo_model(tmp_path / "pdo.json") == pdo

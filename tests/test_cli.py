@@ -58,7 +58,6 @@ def write_inputs(root: Path, n_seeds=8, lead_mix=None) -> dict:
         "model": "cbm",
         "glance_file": "inputs/glances.csv",
         "decel_file": "inputs/decels.csv",
-        "rng_seed": 5,
     }
     (root / "campaign.json").write_text(json.dumps(campaign))
 
@@ -223,12 +222,14 @@ class TestExitCodes:
     def test_bad_campaign_key_exits_two(self, tmp_path):
         paths = write_inputs(tmp_path / "inputs", n_seeds=2)
         with chdir(tmp_path):
-            Path("bad.json").write_text(json.dumps({"model": "cbm", "bogus_key": 1}))
             assert main(["synth", "--config", paths["synth"],
                          "--out", "synth", "--seed", "1"]) == 0
-            code = main(["simulate", "--seeds", "synth/seeds",
-                         "--config", "bad.json", "--out", "sim"])
-        assert code == 2
+            # rng_seed was a setting once; the sweep draws no random numbers
+            for key in ("bogus_key", "rng_seed"):
+                Path("bad.json").write_text(json.dumps({"model": "cbm", key: 1}))
+                code = main(["simulate", "--seeds", "synth/seeds",
+                             "--config", "bad.json", "--out", "sim"])
+                assert code == 2, key
 
     def test_fit_needs_both_severity_groups(self, tmp_path):
         # occupants with no injured records cannot support the accounting
@@ -402,6 +403,33 @@ def _edit_row(line: int, edit):
 
 def _set_field(k: int, value: str):
     return lambda fields: fields[:k] + [value] + fields[k + 1:]
+
+
+# name: (input file, its CSV line, field, column named in the error)
+NON_FINITE_INPUTS = {
+    "decel_probability": ("decels.csv", 2, 1, "deceleration probability"),
+    "decel_d_max": ("decels.csv", 2, 0, "deceleration d_max_ms2"),
+    "glance_probability": ("glances.csv", 3, 1, "glance probability"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_non_finite_distribution_input_exits_two(name, tmp_path, capsys):
+    file, line, field, column = NON_FINITE_INPUTS[name]
+    paths = write_inputs(tmp_path / "inputs", n_seeds=2)
+    path = tmp_path / "inputs" / file
+    edit = _edit_row(line, _set_field(field, "nan"))
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    with chdir(tmp_path):
+        assert main(["synth", "--config", paths["synth"],
+                     "--out", "synth", "--seed", "1"]) == 0
+        capsys.readouterr()
+        code = main(["simulate", "--seeds", "synth/seeds",
+                     "--config", paths["campaign"], "--out", "sim"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {column} values must be finite" in err
+    assert "Traceback" not in err
 
 
 _SIMULATE = ["simulate", "--seeds", "out_synth/seeds", "--config",

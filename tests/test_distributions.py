@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rearsim.distributions import (
+    DecelDistribution,
     GlanceDistribution,
     bin_decels,
     bin_glances,
@@ -176,6 +177,24 @@ class TestBinDecels:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             bin_decels([2.0, -1.0], 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_naming_the_column(bad):
+    with pytest.raises(ValidationError, match="d_max_ms2"):
+        DecelDistribution([2.0, bad], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="deceleration probability"):
+        DecelDistribution([2.0, 3.5], [1.0, bad])
+    with pytest.raises(ValidationError, match="duration_s"):
+        GlanceDistribution(0.8, [0.1, bad], [0.1, 0.1])
+    with pytest.raises(ValidationError, match="glance probability"):
+        GlanceDistribution(0.8, [0.1, 0.2], [0.2, bad])
+
+
+def test_negative_decel_probability_rejected():
+    # sums to 1, so only the sign check can catch it
+    with pytest.raises(ValidationError, match=">= 0"):
+        DecelDistribution([2.0, 3.5, 5.0], [0.6, 0.6, -0.2])
 
 
 class TestFileRoundTrips:

@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -40,21 +40,38 @@ def stopping_distance(v0: float, jerk: float, d_max: float) -> float:
     return d_ramp + v_ramp_end**2 / (2 * d_max)
 
 
+def cell(out: dict, i: int, j: int) -> SimOutcome:
+    """Cell (i, j) of a block the kernel returned, as an outcome without
+    impact time."""
+    if not out["crashed"][i, j]:
+        assert np.isnan(out["v1"][i, j]) and np.isnan(out["v2"][i, j])
+        return NO_CRASH
+    return SimOutcome(True, None, float(out["v1"][i, j]),
+                      float(out["v2"][i, j]), bool(out["max_severity"][i, j]))
+
+
+def run_case(kin: SeedKinematics, onset: float, d_max: float,
+             jerk: float) -> SimOutcome:
+    """One case through the kernel, as a block of one cell."""
+    return cell(kin.run(np.array([onset]), np.array([d_max]), jerk), 0, 0)
+
+
 class TestSimulate:
     def test_uniform_motion_oracle(self):
         # parked lead 30 m ahead, follower at 10 m/s, no response:
         # overlap at exactly t = 3 s with v1 = 10, v2 = 0
         cf = make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=10.0)
-        out = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
+        kin = SeedKinematics(cf, 0.01)
+        out = run_case(kin, math.inf, 5.0, -23.04)
         assert out.crashed
-        assert out.impact_time == pytest.approx(3.0, abs=1e-9)
+        assert kin.no_response.impact_time == pytest.approx(3.0, abs=1e-9)
         assert out.v1 == pytest.approx(10.0, abs=1e-12)
         assert out.v2 == pytest.approx(0.0, abs=1e-12)
         assert out.max_severity
 
     def test_strong_early_braking_avoids(self):
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=100.0, duration=30.0)
-        out = SeedKinematics(cf, 0.01).run(0.5, 10.0, -23.04)
+        out = run_case(SeedKinematics(cf, 0.01), 0.5, 10.0, -23.04)
         assert not out.crashed
 
     def test_stopping_distance_boundary(self):
@@ -65,7 +82,7 @@ class TestSimulate:
         for margin, expect_crash in ((+0.05, False), (-0.05, True)):
             gap0 = travel_before + dist + margin
             cf = make_cf(v_foll=v0, v_lead=0.0, gap0=gap0, duration=30.0)
-            out = SeedKinematics(cf, 0.01).run(onset, d_max, jerk)
+            out = run_case(SeedKinematics(cf, 0.01), onset, d_max, jerk)
             assert out.crashed == expect_crash, margin
             if out.crashed:
                 assert out.v1 < 1.8  # grazing-speed contact near the boundary
@@ -78,7 +95,7 @@ class TestSimulate:
         v0, jerk, d_max, onset = 20.0, -23.04, 8.0, 1.0
         gap0 = v0 * onset + stopping_distance(v0, jerk, d_max)
         cf = make_cf(v_foll=v0, v_lead=0.0, gap0=gap0, duration=30.0)
-        out = SeedKinematics(cf, 0.01).run(onset, d_max, jerk)
+        out = run_case(SeedKinematics(cf, 0.01), onset, d_max, jerk)
         assert (not out.crashed) or (out.v1 - out.v2) < 0.15
 
     def test_crashes_always_close_positively(self, small_seeds, glances, decels):
@@ -93,22 +110,23 @@ class TestSimulate:
     def test_no_response_flagged_max_severity(self, small_seeds):
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
-            out = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
+            out = run_case(SeedKinematics(cf, 0.01), math.inf, 5.0, -23.04)
             assert out.crashed  # counterfactual seeds collide untreated
             assert out.max_severity
             assert out.v1 >= out.v2
 
     def test_late_onset_equals_no_response_bitwise(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
-        nr = SeedKinematics(cf, 0.01).run(math.inf, 5.0, -23.04)
-        late = SeedKinematics(cf, 0.01).run(nr.impact_time + 1.0, 5.0, -23.04)
-        assert late == nr
+        kin = SeedKinematics(cf, 0.01)
+        nr = kin.no_response
+        late = run_case(kin, nr.impact_time + 1.0, 5.0, -23.04)
+        assert bits(late) == bits(replace(nr, impact_time=None))
 
 
 def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
                      jerk: float) -> SimOutcome:
-    """The kernel as one integration over the whole horizon: the oracle for
-    the windowed SeedKinematics.run."""
+    """The kernel as one integration of one case over the whole horizon:
+    the oracle for the block SeedKinematics.run."""
     t, dt = kin.t, kin.dt
     if math.isinf(onset):
         a = np.zeros(len(t))
@@ -164,11 +182,15 @@ class TestWindowedKernel:
         kin = SeedKinematics(cf, 0.01)
         assert bits(kin.no_response) == bits(
             full_horizon_run(kin, math.inf, 1.0, -23.04))
-        for onset in kernel_onsets(kin, source_duration):
-            for d_max in self.DECELS:
+        # one block of live rows, rows past the no-response impact and
+        # never-braking rows, in no particular order
+        onsets = kernel_onsets(kin, source_duration)
+        got = kin.run(np.array(onsets), np.array(self.DECELS), -23.04)
+        for i, onset in enumerate(onsets):
+            for j, d_max in enumerate(self.DECELS):
                 want = full_horizon_run(kin, onset, d_max, -23.04)
-                got = kin.run(onset, d_max, -23.04)
-                assert bits(got) == bits(want), (cf.id, onset, d_max)
+                assert bits(cell(got, i, j)) == bits(
+                    replace(want, impact_time=None)), (cf.id, onset, d_max)
 
     # a first chunk of one step puts chunk boundaries at every power of two
     @pytest.mark.parametrize("first_chunk", [1, engine.FIRST_CHUNK])
@@ -209,24 +231,26 @@ class TestSweep:
         reduced = sweep_seed(kin, axis1, probs, onsets, decels, -23.04)
         exhaustive = sweep_seed(kin, axis1, probs, onsets, decels, -23.04,
                                 exhaustive=True)
-        return reduced, exhaustive
+        # rows braking before the step ahead of the no-response impact
+        n_live = int(np.sum(onsets < kin.t[kin.k_live - 1]))
+        return reduced, exhaustive, n_live
 
     def test_reduced_equals_exhaustive_on_synthesized_seeds(self, small_seeds):
         from rearsim.looming import find_anchor, looming_series
-        total_reduced = total_exhaustive = 0
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
             anchor = find_anchor(looming_series(cf), 0.2)
             if anchor is None:
                 continue
-            reduced, exhaustive = self._sweep_pair(cf, anchor)
+            reduced, exhaustive, n_live = self._sweep_pair(cf, anchor)
             assert np.array_equal(reduced.crashed, exhaustive.crashed)
             assert np.array_equal(reduced.v1, exhaustive.v1, equal_nan=True)
             assert np.array_equal(reduced.v2, exhaustive.v2, equal_nan=True)
             assert np.array_equal(reduced.max_severity, exhaustive.max_severity)
-            total_reduced += reduced.kernel_calls
-            total_exhaustive += exhaustive.kernel_calls
-        assert total_reduced <= 0.5 * total_exhaustive
+            # one call for the no-response run, one per integrated cell
+            n1, n2 = exhaustive.crashed.shape
+            assert reduced.kernel_calls == 1 + n2 * n_live
+            assert exhaustive.kernel_calls == 1 + n1 * n2
 
     def test_all_avoid_row_costs_few_calls(self):
         cf = make_cf(v_foll=10.0, v_lead=9.0, gap0=500.0, duration=20.0)
@@ -235,7 +259,8 @@ class TestSweep:
         m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
                        cbm_onsets(0.0, axis1, CbmConfig()), decels, -23.04)
         assert not m.crashed.any()
-        assert m.kernel_calls <= math.ceil(math.log2(32)) + 2
+        # the no-response run never overlaps, so no row is live
+        assert m.kernel_calls == 1
 
     def test_all_max_severity_row(self):
         # tiny gap: even the attentive response is too late for any decel
@@ -246,7 +271,8 @@ class TestSweep:
                        -23.04)
         assert m.crashed.all()
         assert m.max_severity.all()
-        assert m.kernel_calls < m.n_cells
+        # every onset is past the no-response impact, so no row is live
+        assert m.kernel_calls == 1
 
     def test_cell_probabilities_sum_to_one(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
@@ -262,7 +288,7 @@ class TestSweep:
             anchor = find_anchor(looming_series(cf), 0.2)
             if anchor is None:
                 continue
-            _, exhaustive = self._sweep_pair(cf, anchor, n1=16)
+            _, exhaustive, _ = self._sweep_pair(cf, anchor, n1=16)
             v1 = exhaustive.v1
             for j in range(v1.shape[1]):
                 col = v1[:, j][exhaustive.crashed[:, j]]
@@ -284,8 +310,8 @@ MATRIX_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs", "crashed",
        lead=st.sampled_from(["braking", "non_braking", "standstill"]))
 def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
                                                  headway, lead):
-    """Pruned rows, the crash-boundary search and the scan together give
-    exactly the cells of simulating every one."""
+    """Pruned rows and the block of live rows together give exactly the
+    cells of integrating every row."""
     synth = SynthesisConfig(n_seeds=2, follower_speed=(speed, speed + 2.0),
                             headway_time=(headway, headway + 0.2),
                             lead_mix={"braking": 1, lead: 1})
@@ -380,7 +406,7 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     say why in CHANGES.md."""
     result, _ = paper_baseline
     assert (result.kernel_calls, result.theoretical_cells,
-            result.crash_cells) == (7554, 41406, 39167)
+            result.crash_cells) == (9799, 41406, 39167)
     path = tmp_path / "matrices.csv"
     save_matrices(result.matrices, path)
     data = path.read_bytes()
