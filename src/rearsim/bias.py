@@ -39,8 +39,9 @@ class OccupantRecord:
     def __post_init__(self):
         if not 0 <= self.mais <= 6:
             raise ValidationError("mais must be in 0..6")
-        if self.delta_v < 0:
-            raise ValidationError("delta_v must be >= 0")
+        if not 0 <= self.delta_v < math.inf:
+            raise ValidationError(
+                f"occupant delta_v_kmh must be finite and >= 0 (got {self.delta_v})")
 
 
 @dataclass(frozen=True)
@@ -272,14 +273,6 @@ def load_occupants(path: str | Path) -> list[OccupantRecord]:
             return [OccupantRecord(float(a), int(b), c) for a, b, c in reader]
     except (ValueError, StopIteration) as exc:
         raise ParseError(f"{path}: malformed occupant file: {exc}") from exc
-
-
-def save_occupants(records: list[OccupantRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_v_kmh", "mais", "role"])
-        for r in records:
-            writer.writerow([repr(float(r.delta_v)), r.mais, r.role])
 
 
 def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:

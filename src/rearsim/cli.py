@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,12 +22,14 @@ import numpy as np
 
 from . import bias, report, table
 from .distributions import cut_glances, load_decels, load_glances
+from .drivers import cbm_axes
 from .engine import (
     MODEL_CBM,
     CampaignConfig,
+    CampaignGrid,
     CampaignResult,
     load_matrices,
-    reweight_cbm,
+    reweight,
     run_campaign,
     save_matrices,
 )
@@ -183,17 +186,11 @@ def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
     return sim_summary, float(sim_summary.get("no_response_fraction", 0.0))
 
 
-def _campaign_distributions(cfg: CampaignConfig):
-    """The config's glance distribution (None for the brake-light model;
-    never cut) and deceleration distribution."""
-    glance = None
-    if cfg.model == MODEL_CBM:
-        if not cfg.glance_file:
-            raise ValidationError("campaign config needs glance_file for the cbm model")
-        glance = load_glances(cfg.glance_file)
-    if not cfg.decel_file:
-        raise ValidationError("campaign config needs decel_file")
-    return glance, load_decels(cfg.decel_file)
+def _simulated_matrices(sim_dir: Path, sim_summary: dict):
+    """The grid simulate recorded in `sim_dir`'s summary.json, and its
+    outcome matrices on that grid."""
+    grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
+    return grid, load_matrices(sim_dir / "matrices.csv", grid)
 
 
 def cmd_simulate(args) -> int:
@@ -202,7 +199,10 @@ def cmd_simulate(args) -> int:
     seeds = load_seed_dir(args.seeds)
     if not seeds:
         raise ValidationError(f"no seeds found in {args.seeds}")
-    glance, decels = _campaign_distributions(cfg)
+    glance = load_glances(cfg.glance_file) if cfg.model == MODEL_CBM else None
+    if not cfg.decel_file:
+        raise ValidationError("campaign config needs decel_file")
+    decels = load_decels(cfg.decel_file)
     if glance is not None and cfg.glance_cut_at is not None:
         glance = cut_glances(glance, float(cfg.glance_cut_at))
     result = run_campaign(seeds, cfg, glance=glance, decels=decels,
@@ -223,12 +223,12 @@ def cmd_simulate(args) -> int:
         "no_response_fraction": (cfg.cbm.no_response_fraction
                                  if cfg.model == MODEL_CBM else 0.0),
         "glance_cut_at": cfg.glance_cut_at,
+        "grid": result.grid.to_json(),
     })
-    inputs = {"seeds": args.seeds, "config": args.config}
+    inputs = {"seeds": args.seeds, "config": args.config,
+              "decels": cfg.decel_file}
     if cfg.glance_file:
         inputs["glances"] = cfg.glance_file
-    if cfg.decel_file:
-        inputs["decels"] = cfg.decel_file
     write_manifest(out, "simulate", inputs,
                    [matrices_path, seeds_summary, summary],
                    {"model": cfg.model, "workers_independent": True})
@@ -290,8 +290,17 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
 def cmd_weight(args) -> int:
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    _, fraction = _simulate_summary(sim_dir)
-    matrices = load_matrices(sim_dir / "matrices.csv")
+    sim_summary, fraction = _simulate_summary(sim_dir)
+    grid, matrices = _simulated_matrices(sim_dir, sim_summary)
+    # weight keeps the marginals the old matrices format gave back: the row
+    # and column sums of the cell probabilities over their total. With the
+    # exact ones, seeds whose crashes all tie with their own delta-v (mid-rank
+    # percentile 50 up to rounding) change percentile bin on three input
+    # sets of perfbench's reference (ROADMAP, item 3).
+    p, total = grid.p_cell, grid.p_cell.sum()
+    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
+                             p.sum(axis=0) / total)
+    matrices = [replace(m, grid=recovered) for m in matrices]
     summary_rows = _load_seeds_summary(sim_dir / "seeds_summary.csv")
     samples, final, weights, diagnostics = _weight_pipeline(
         matrices, summary_rows, fraction, args.bin_width)
@@ -504,12 +513,14 @@ def cmd_validate(args) -> int:
 
 def cmd_assess_dms(args) -> int:
     """Glance cuts reweight the baseline outcome matrices; nothing is
-    simulated, so --seeds and --workers are unused."""
+    simulated, so --seeds and --workers are unused. The deceleration bins
+    and their marginal come from the baseline's summary.json; the config's
+    glance file must give the baseline's overshoot axis and marginal."""
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
         raise ValidationError("glance cutting only applies to the cbm model")
-    glance, decels = _campaign_distributions(cfg)
+    glance = load_glances(cfg.glance_file)
 
     baseline_dir = Path(args.baseline)
     sim_summary, fraction = _simulate_summary(baseline_dir)
@@ -517,7 +528,13 @@ def cmd_assess_dms(args) -> int:
             or sim_summary.get("glance_cut_at") is not None):
         raise ValidationError(
             f"{baseline_dir}: the baseline must be an uncut cbm campaign")
-    baseline_matrices = load_matrices(baseline_dir / "matrices.csv")
+    grid, baseline_matrices = _simulated_matrices(baseline_dir, sim_summary)
+    axis1, axis1_probs = cbm_axes(glance)
+    if (axis1.tobytes() != grid.axis1.tobytes()
+            or axis1_probs.tobytes() != grid.axis1_probs.tobytes()):
+        raise ValidationError(
+            f"{baseline_dir}: the baseline was not simulated with the glance "
+            f"distribution of {cfg.glance_file}")
     summary_rows = _load_seeds_summary(baseline_dir / "seeds_summary.csv")
     _, base_hist, _, _ = _weight_pipeline(
         baseline_matrices, summary_rows, fraction, args.bin_width)
@@ -528,8 +545,9 @@ def cmd_assess_dms(args) -> int:
     rows = []
     outputs = []
     for cut in args.cuts:
-        matrices = reweight_cbm(baseline_matrices, glance, decels,
-                                None if math.isinf(cut) else cut)
+        target = grid if math.isinf(cut) else CampaignGrid(
+            *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
+        matrices = reweight(baseline_matrices, grid, target)
         rate, per_seed = crash_avoidance_rate(baseline_matrices, matrices)
         zero_crash = [m.seed_id for m in matrices if m.crash_mass <= 0]
         _, cut_hist, _, _ = _weight_pipeline(
@@ -560,7 +578,7 @@ def cmd_assess_dms(args) -> int:
     })
     write_manifest(out, "assess-dms",
                    {"config": args.config, "glances": cfg.glance_file,
-                    "decels": cfg.decel_file, "baseline": args.baseline},
+                    "baseline": args.baseline},
                    outputs + [assess],
                    {"cuts": [None if math.isinf(c) else c for c in args.cuts]})
     for row in rows:
@@ -697,11 +715,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "assess-dms", help="assess glance-cutting interventions",
         description="Reweight the baseline outcome matrices under each "
-                    "glance cut; no campaign is re-simulated.")
+                    "glance cut; no campaign is re-simulated. The deceleration "
+                    "distribution is the baseline's, from its summary.json.")
     p.add_argument("--seeds", default=None,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--config", required=True,
-                   help="the campaign config the baseline was simulated with")
+                   help="the campaign config the baseline was simulated with; "
+                        "only its glance file is read")
     p.add_argument("--baseline", required=True,
                    help="simulate output directory for the uncut baseline")
     p.add_argument("--cuts", type=float, nargs="+", required=True)

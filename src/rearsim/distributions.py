@@ -119,27 +119,6 @@ class DecelDistribution:
         return len(self.d_values)
 
 
-def bin_glances(durations, on_road_fraction: float) -> GlanceDistribution:
-    """Bin observed off-road glance durations; the off-road probability mass
-    (1 - on_road_fraction) is split by bin counts."""
-    if not 0 <= on_road_fraction < 1:
-        raise ValidationError("on_road_fraction must be in [0, 1)")
-    durations = list(durations)
-    if not durations:
-        raise ValidationError(
-            "no off-road glances but on_road_fraction < 1: off-road mass "
-            "cannot be distributed")
-    counts: dict[int, int] = {}
-    for d in durations:
-        j = _duration_to_bin(float(d))
-        counts[j] = counts.get(j, 0) + 1
-    bins = sorted(counts)
-    labels = np.array([j * GLANCE_BIN_WIDTH for j in bins])
-    probs = np.array([counts[j] for j in bins], dtype=float)
-    probs *= (1.0 - on_road_fraction) / probs.sum()
-    return GlanceDistribution(on_road_fraction, labels, probs)
-
-
 def overshoot_transform(g: GlanceDistribution) -> OvershootDistribution:
     """Convert glance durations into anchor overshoots.
 
@@ -177,36 +156,7 @@ def cut_glances(g: GlanceDistribution, cut_at: float) -> GlanceDistribution:
     return GlanceDistribution(g.on_road_mass, g.durations[keep], probs)
 
 
-def bin_decels(d_values, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistribution:
-    """Bin observed maximum decelerations into fixed-width bins anchored at
-    the smallest observation; probabilities are plain counts."""
-    d = np.asarray(list(d_values), dtype=float)
-    if d.size == 0:
-        raise ValidationError("no deceleration values")
-    if np.any(d <= 0):
-        raise ValidationError("deceleration magnitudes must be positive")
-    if bin_width <= 0:
-        raise ValidationError("bin_width must be positive")
-    lo = d.min()
-    idx = np.floor((d - lo) / bin_width - 1e-12).astype(int)
-    idx = np.maximum(idx, 0)
-    n = int(idx.max()) + 1
-    counts = np.bincount(idx, minlength=n).astype(float)
-    centers = lo + bin_width * (np.arange(n) + 0.5)
-    keep = counts > 0
-    return DecelDistribution(centers[keep], counts[keep] / counts.sum(), bin_width)
-
-
 # ---------------------------------------------------------------- file I/O
-
-def save_glances(g: GlanceDistribution, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["on_road_mass", repr(float(g.on_road_mass))])
-        writer.writerow(["duration_s", "probability"])
-        for d, p in zip(g.durations, g.probs):
-            writer.writerow([repr(float(d)), repr(float(p))])
-
 
 def load_glances(path: str | Path) -> GlanceDistribution:
     try:
@@ -226,14 +176,6 @@ def load_glances(path: str | Path) -> GlanceDistribution:
         raise ParseError(f"{path}: no off-road bins")
     durations, probs = zip(*rows)
     return GlanceDistribution(on_road, np.array(durations), np.array(probs))
-
-
-def save_decels(d: DecelDistribution, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d_max_ms2", "probability"])
-        for v, p in zip(d.d_values, d.probs):
-            writer.writerow([repr(float(v)), repr(float(p))])
 
 
 def load_decels(path: str | Path, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistribution:

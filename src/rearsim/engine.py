@@ -24,19 +24,27 @@ never overlaps, no braking case does either, because the follower then
 never gets further than without braking (rounded sums are monotone). The
 reduced sweep equals exhaustive simulation, which tests check over
 generated seeds.
+
+Outcomes and probabilities are kept apart. An `OutcomeMatrix` holds one
+seed's physics, whether each (axis1, max deceleration) cell crashes and at
+what speeds; the behaviour probabilities live once per campaign in a
+shared `CampaignGrid`. `reweight` changes only the probabilities, and
+`simulate` writes the grid to its summary.json and the outcomes to
+matrices.csv.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import table
-from .distributions import DecelDistribution, GlanceDistribution, cut_glances
+from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
     DEFAULT_REACTION_M,
     DEFAULT_REACTION_V,
@@ -57,9 +65,6 @@ from .scenario import (
     remove_evasive_maneuver,
 )
 
-# a marginal recovered from saved cell probabilities is renormalized, and
-# input distributions need only sum to 1 within 1e-9
-MARGINAL_RTOL = 1e-6
 FIRST_CHUNK = 256  # steps integrated before the first outcome check
 # cells x steps of one chunk at most: larger chunk buffers raise the
 # process's peak memory and run no faster
@@ -68,8 +73,8 @@ BLOCK_ELEMENTS = 2**14
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
 
-MATRIX_CSV_HEADER = ["seed_id", "axis1_bin", "decel_bin", "crashed",
-                     "v1", "v2", "max_severity", "p_cell"]
+MATRIX_CSV_HEADER = ["seed_id", "axis1_index", "decel_index", "crashed",
+                     "v1", "v2", "max_severity"]
 
 
 @dataclass(frozen=True)
@@ -199,19 +204,54 @@ class SeedKinematics:
 
 
 @dataclass(eq=False)
-class OutcomeMatrix:
-    """Per-seed grid of outcomes over (axis1 x max deceleration).
+class CampaignGrid:
+    """A campaign's grid and behaviour probabilities, which every seed's
+    matrix shares: axis1 (glance overshoot with the attentive 0 point, or
+    reaction time) and the deceleration bins in the order the sweep used
+    them, each with its marginal. A cell's probability is their product."""
 
-    axis1 is glance overshoot for the glance-based model (including the
-    attentive overshoot-zero point) or reaction time for the brake-light
-    model. Cell probability is the product of the axis marginals.
-    """
-
-    seed_id: str
     axis1: np.ndarray
     axis1_probs: np.ndarray
     decels: np.ndarray
     decel_probs: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.axis1), len(self.decels)
+
+    @cached_property
+    def p_cell(self) -> np.ndarray:
+        return np.outer(self.axis1_probs, self.decel_probs)
+
+    def to_json(self) -> dict[str, list[float]]:
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, summary: dict, path: str | Path) -> "CampaignGrid":
+        """The grid simulate wrote to its summary.json at `path`, which
+        holds `summary`; a missing or malformed grid raises ParseError."""
+        try:
+            grid = cls(**{f.name: summary["grid"][f.name] for f in fields(cls)})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: no campaign grid: {exc!r}") from exc
+        arrays = [getattr(grid, f.name) for f in fields(grid)]
+        if (any(a.ndim != 1 or not a.size or not np.isfinite(a).all()
+                for a in arrays) or grid.p_cell.shape != grid.shape):
+            raise ParseError(f"{path}: malformed campaign grid")
+        return grid
+
+
+@dataclass(eq=False)
+class OutcomeMatrix:
+    """One seed's outcomes over its campaign grid (axis1 x max
+    deceleration). The cell probabilities come from the shared grid."""
+
+    seed_id: str
+    grid: CampaignGrid
     crashed: np.ndarray        # (n1, n2) bool
     v1: np.ndarray             # NaN where not crashed
     v2: np.ndarray
@@ -219,18 +259,13 @@ class OutcomeMatrix:
     kernel_calls: int = 0
 
     @property
-    def p_cell(self) -> np.ndarray:
-        return np.outer(self.axis1_probs, self.decel_probs)
-
-    @property
     def crash_mass(self) -> float:
         """Summed probability of the crashing cells (q_i of the seed)."""
-        return float(self.p_cell[self.crashed].sum())
+        return float(self.grid.p_cell[self.crashed].sum())
 
 
-def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
-               onsets: np.ndarray, decels: DecelDistribution, jerk: float,
-               exhaustive: bool = False) -> OutcomeMatrix:
+def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
+               jerk: float, exhaustive: bool = False) -> OutcomeMatrix:
     """Sweep the (axis1 x deceleration) grid for one seed.
 
     `onsets` holds the brake onset per axis1 value, in any order (math.inf
@@ -240,22 +275,19 @@ def sweep_seed(kin: SeedKinematics, axis1: np.ndarray, axis1_probs: np.ndarray,
     every row to the block, which tests use as the oracle. Kernel calls
     count the seed's no-response run as one, plus one per integrated cell.
     """
-    axis1 = np.asarray(axis1, dtype=float)
     onsets = np.asarray(onsets, dtype=float)
-    n1, n2 = len(axis1), decels.n_bins
-    live = np.full(n1, True) if exhaustive else (
+    shape = grid.shape
+    live = np.full(shape[0], True) if exhaustive else (
         kin.t.searchsorted(onsets, "right") < kin.k_live)
     nr = kin.no_response
-    arrays = dict(crashed=np.full((n1, n2), nr.crashed),
-                  v1=np.full((n1, n2), nr.v1 if nr.crashed else np.nan),
-                  v2=np.full((n1, n2), nr.v2 if nr.crashed else np.nan),
-                  max_severity=np.full((n1, n2), nr.max_severity))
-    for name, cells in kin.run(onsets[live], decels.d_values, jerk).items():
+    arrays = dict(crashed=np.full(shape, nr.crashed),
+                  v1=np.full(shape, nr.v1 if nr.crashed else np.nan),
+                  v2=np.full(shape, nr.v2 if nr.crashed else np.nan),
+                  max_severity=np.full(shape, nr.max_severity))
+    for name, cells in kin.run(onsets[live], grid.decels, jerk).items():
         arrays[name][live] = cells
-    return OutcomeMatrix(
-        seed_id=kin.id, axis1=axis1, axis1_probs=np.asarray(axis1_probs, float),
-        decels=decels.d_values, decel_probs=decels.probs,
-        kernel_calls=1 + n2 * int(live.sum()), **arrays)
+    return OutcomeMatrix(kin.id, grid, **arrays,
+                         kernel_calls=1 + shape[1] * int(live.sum()))
 
 
 # ---------------------------------------------------------------- campaign
@@ -278,14 +310,18 @@ class CampaignConfig:
     def from_json(cls, path: str | Path) -> "CampaignConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        cbm_kwargs = raw.pop("cbm", {})
-        cfg = cls(cbm=CbmConfig(**cbm_kwargs))
+        try:
+            cfg = cls(cbm=CbmConfig(**raw.pop("cbm", {})))
+        except TypeError as exc:  # an unknown key, or a value of a wrong type
+            raise ValidationError(f"campaign config cbm: {exc}") from exc
         for key, value in raw.items():
             if not hasattr(cfg, key):
                 raise ValidationError(f"unknown campaign config key: {key}")
             setattr(cfg, key, value)
         if cfg.model not in (MODEL_CBM, MODEL_BLOM):
             raise ValidationError(f"unknown model {cfg.model!r}")
+        if cfg.model == MODEL_CBM and not cfg.glance_file:
+            raise ValidationError("campaign config needs glance_file for the cbm model")
         return cfg
 
 
@@ -309,6 +345,7 @@ class SeedResult:
 @dataclass(eq=False)
 class CampaignResult:
     model: str
+    grid: CampaignGrid
     results: list[SeedResult]
 
     @property
@@ -334,67 +371,49 @@ class CampaignResult:
                        if r.matrix is not None))
 
 
-def reweight_cbm(baseline: list[OutcomeMatrix], glance: GlanceDistribution,
-                 decels: DecelDistribution,
-                 cut_at: float | None = None) -> list[OutcomeMatrix]:
-    """Glance-based matrices for `glance` cut at `cut_at` seconds (None
-    keeps every glance), built from `baseline` without running the kernel.
+def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
+             target: CampaignGrid) -> list[OutcomeMatrix]:
+    """`matrices`, simulated on `grid`, under the behaviour probabilities
+    of `target`, built without running the kernel.
 
-    A cut changes only the glance weights. The brake onset of an overshoot
-    (anchor + overshoot + response delay), and so every cell outcome, stays
-    the same, so a cut's matrix is the baseline rows on the cut's
-    overshoot axis under the cut's marginals. The cut's overshoots are a
-    subset of the uncut ones with bitwise equal values: both come from the
-    same 0.1 s grid, and a cut only drops glance mass.
-
-    `baseline` must come from a campaign under the uncut `glance` and
-    `decels`: its grids must equal theirs and its marginals (recovered
-    from cell probabilities, so renormalized) must match theirs to
-    MARGINAL_RTOL. Anything else raises ValidationError.
+    A cell's outcome depends only on its axis1 value, which fixes the brake
+    onset, and its maximum deceleration. So on a target whose axis1 values
+    are a bitwise subset of the grid's and whose deceleration bins equal
+    the grid's, each matrix is its rows at the target's axis1 values under
+    the target's marginals. A glance cut is such a target: its overshoots
+    come from the same 0.1 s grid, and a cut only drops glance mass. Any
+    other target, or a matrix on another grid, raises ValidationError.
     """
-    axis1, axis1_probs = cbm_axes(glance)
-    cut_axis1, cut_probs = (axis1, axis1_probs) if cut_at is None else (
-        cbm_axes(cut_glances(glance, cut_at)))
-    rows = np.searchsorted(axis1, cut_axis1)
-    # matrices list deceleration bins in ascending order, the file in its own
-    order = np.argsort(decels.d_values, kind="stable")
-    cells = np.ix_(rows, np.argsort(order))
-    matrices = []
-    for m in baseline:
-        if not (np.array_equal(m.axis1, axis1)
-                and np.array_equal(m.decels, decels.d_values[order])
-                and np.allclose(m.axis1_probs, axis1_probs,
-                                rtol=MARGINAL_RTOL, atol=0.0)
-                and np.allclose(m.decel_probs, decels.probs[order],
-                                rtol=MARGINAL_RTOL, atol=0.0)):
-            raise ValidationError(
-                f"baseline seed {m.seed_id}: its overshoot or deceleration "
-                f"grid or marginals differ from the glance and deceleration "
-                f"distributions")
-        matrices.append(OutcomeMatrix(
-            m.seed_id, cut_axis1, cut_probs, decels.d_values, decels.probs,
-            crashed=m.crashed[cells], v1=m.v1[cells], v2=m.v2[cells],
-            max_severity=m.max_severity[cells]))
-    return matrices
+    index = {x: k for k, x in enumerate(grid.axis1.view(np.int64).tolist())}
+    rows = [index.get(x) for x in target.axis1.view(np.int64).tolist()]
+    if None in rows or target.decels.tobytes() != grid.decels.tobytes():
+        raise ValidationError(
+            "the target's axis1 values are not a subset of the simulated "
+            "grid's, or its deceleration bins differ from the grid's")
+    if any(m.grid is not grid for m in matrices):
+        raise ValidationError("a matrix is not on the simulated grid")
+    return [OutcomeMatrix(m.seed_id, target, m.crashed[rows], m.v1[rows],
+                          m.v2[rows], m.max_severity[rows]) for m in matrices]
 
 
-def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, axis1: np.ndarray,
-                  axis1_probs: np.ndarray, decels: DecelDistribution,
+def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, grid: CampaignGrid,
                   exhaustive: bool) -> SeedResult:
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
     kin = SeedKinematics(cf, cfg.dt)
     anchor, excluded = None, False
+    n1, n2 = grid.shape
     if cfg.model == MODEL_BLOM:
         excluded = cf.lead_behavior_class != LEAD_BRAKING
-        theoretical = 0 if excluded else len(axis1) * decels.n_bins
-        onsets = None if excluded else blom_onsets(cf.lead_brake_onset, axis1)
+        theoretical = 0 if excluded else n1 * n2
+        onsets = None if excluded else blom_onsets(cf.lead_brake_onset,
+                                                   grid.axis1)
     else:
         # paper-style theoretical count: off-road bins x deceleration bins
-        theoretical = (len(axis1) - 1) * decels.n_bins
+        theoretical = (n1 - 1) * n2
         anchor = find_anchor(looming_series(cf), cfg.cbm.inv_tau_threshold)
-        onsets = cbm_onsets(anchor, axis1, cfg.cbm)
+        onsets = cbm_onsets(anchor, grid.axis1, cfg.cbm)
     matrix = None if excluded else sweep_seed(
-        kin, axis1, axis1_probs, onsets, decels, cfg.cbm.jerk_mean, exhaustive)
+        kin, grid, onsets, cfg.cbm.jerk_mean, exhaustive)
     return SeedResult(seed.id, matrix, kin.no_response, anchor,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
@@ -405,15 +424,13 @@ def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, axis1: np.ndarray,
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(cfg, axes, decels, exhaustive):
-    _WORKER_STATE.update(cfg=cfg, axes=axes, decels=decels,
-                         exhaustive=exhaustive)
+def _worker_init(cfg, grid, exhaustive):
+    _WORKER_STATE.update(cfg=cfg, grid=grid, exhaustive=exhaustive)
 
 
 def _worker_run(seed):
     s = _WORKER_STATE
-    return _run_one_seed(seed, s["cfg"], *s["axes"], s["decels"],
-                         s["exhaustive"])
+    return _run_one_seed(seed, s["cfg"], s["grid"], s["exhaustive"])
 
 
 def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
@@ -421,7 +438,8 @@ def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
                  decels: DecelDistribution | None = None,
                  workers: int = 1, exhaustive: bool = False) -> CampaignResult:
     """Run one simulation set over all seeds. Output is ordered by seed id
-    and identical for any worker count."""
+    and identical for any worker count; every matrix points to the
+    result's grid."""
     if decels is None:
         raise ValidationError("a deceleration distribution is required")
     if cfg.model == MODEL_BLOM:
@@ -431,94 +449,77 @@ def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
         raise ValidationError("the glance-based model needs a glance distribution")
     else:
         axes = cbm_axes(glance)
+    grid = CampaignGrid(*axes, decels.d_values, decels.probs)
 
     ordered = sorted(seeds, key=lambda s: s.id)
     if workers > 1 and len(ordered) > 1:
         with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init,
-                initargs=(cfg, axes, decels, exhaustive)) as pool:
+                initargs=(cfg, grid, exhaustive)) as pool:
             results = list(pool.map(_worker_run, ordered, chunksize=4))
+        for r in results:
+            if r.matrix is not None:
+                r.matrix.grid = grid  # not the worker's copy
     else:
-        results = [_run_one_seed(seed, cfg, *axes, decels, exhaustive)
+        results = [_run_one_seed(seed, cfg, grid, exhaustive)
                    for seed in ordered]
 
     if cfg.model == MODEL_BLOM and all(r.excluded for r in results):
         raise ModelUndefinedError(
             "brake-light model is undefined for every seed in this set")
-    return CampaignResult(cfg.model, results)
+    return CampaignResult(cfg.model, grid, results)
 
 
 # ---------------------------------------------------------------- file I/O
 
 def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
-    """Write the matrices as one CSV row per cell, seed by seed, in row-major
-    cell order."""
+    """Write the outcomes as one CSV row per cell, seed by seed, in
+    row-major cell order. Cells are named by their grid indices; the grid
+    itself is simulate's summary.json's."""
     def seed_columns():
-        grid_key, grid = None, None
+        index = {}  # the index columns of each grid shape, formatted once
         for m in matrices:
-            n1, n2 = m.crashed.shape
-            # seeds of one campaign share the axes and marginals, so the
-            # grid's text is formatted once
-            key = (m.axis1.tobytes(), m.decels.tobytes(),
-                   m.axis1_probs.tobytes(), m.decel_probs.tobytes())
-            if key != grid_key:
-                grid_key, grid = key, (
-                    table.reprs(np.repeat(m.axis1, n2)),
-                    table.reprs(np.tile(m.decels, n1)),
-                    table.reprs(m.p_cell.ravel()))
+            n1, n2 = shape = m.crashed.shape
+            if shape not in index:
+                index[shape] = ([str(i) for i in range(n1) for _ in range(n2)],
+                                [str(j) for j in range(n2)] * n1)
             crashed = m.crashed.ravel()
-            yield ([table.quote(m.seed_id)] * crashed.size, grid[0], grid[1],
+            yield ([table.quote(m.seed_id)] * crashed.size, *index[shape],
                    table.flags(crashed), table.fmt(m.v1.ravel()),
-                   table.fmt(m.v2.ravel()), table.flags(m.max_severity.ravel()),
-                   grid[2])
+                   table.fmt(m.v2.ravel()), table.flags(m.max_severity.ravel()))
 
     table.write_csv(path, MATRIX_CSV_HEADER, seed_columns())
 
 
-def load_matrices(path: str | Path) -> list[OutcomeMatrix]:
-    """Rebuild per-seed outcome matrices from the flat CSV; a seed's rows
-    may come in any order. Axis marginals are recovered from the cell
-    probabilities (p_cell rows/columns sum to the marginals). A malformed
-    row or an incomplete seed grid raises ParseError."""
+def load_matrices(path: str | Path, grid: CampaignGrid) -> list[OutcomeMatrix]:
+    """The per-seed outcome matrices on `grid` from the outcomes CSV, by
+    seed id; a seed's rows may come in any order. A malformed row, an
+    index outside the grid, or a seed without exactly one row per cell
+    raises ParseError naming path:line."""
+    n1, n2 = grid.shape
     ids: dict[str, int] = {}
     parts = []
     for chunk in table.read_chunks(path, MATRIX_CSV_HEADER):
         crashed = chunk.equals("crashed", "1")
         parts.append((
-            chunk.codes("seed_id", ids), chunk.floats("axis1_bin"),
-            chunk.floats("decel_bin"), crashed,
-            chunk.floats("v1", where=crashed), chunk.floats("v2", where=crashed),
-            crashed & chunk.equals("max_severity", "1"), chunk.floats("p_cell")))
+            chunk.codes("seed_id", ids),
+            chunk.indices("axis1_index", n1) * n2 + chunk.indices("decel_index", n2),
+            crashed, chunk.floats("v1", where=crashed),
+            chunk.floats("v2", where=crashed),
+            crashed & chunk.equals("max_severity", "1")))
     if not parts:
         return []
-    code, a, d, crashed, v1, v2, severity, p = map(np.concatenate, zip(*parts))
-    seed_rows = table.group_rows(code, len(ids))
-    matrices = []
-    for seed_id in sorted(ids):
-        rows = seed_rows[ids[seed_id]]
-        axis1, decels = _distinct(a[rows]), _distinct(d[rows])
-        n1, n2 = len(axis1), len(decels)
-        cell = np.searchsorted(axis1, a[rows]) * n2 + np.searchsorted(decels, d[rows])
-        if len(rows) != n1 * n2 or np.any(np.bincount(cell, minlength=n1 * n2) != 1):
-            raise ParseError(f"{path}: seed {seed_id} has {len(rows)} cells, "
-                             f"not one for each cell of its {n1} x {n2} grid")
-
-        def grid(values, fill):
-            out = np.full(n1 * n2, fill, dtype=values.dtype)
-            out[cell] = values[rows]
-            return out.reshape(n1, n2)
-
-        p_grid = grid(p, 0.0)
-        total = p_grid.sum()
-        matrices.append(OutcomeMatrix(
-            seed_id, axis1, p_grid.sum(axis=1) / total, decels,
-            p_grid.sum(axis=0) / total, crashed=grid(crashed, False),
-            v1=grid(v1, np.nan), v2=grid(v2, np.nan),
-            max_severity=grid(severity, False)))
-    return matrices
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending."""
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    code, cell, *columns = map(np.concatenate, zip(*parts))
+    key = code * (n1 * n2) + cell
+    counts = np.bincount(key, minlength=len(ids) * n1 * n2)
+    if np.any(counts != 1):
+        seed = int(np.argmax(counts != 1)) // (n1 * n2)
+        raise table.row_error(
+            path, int(np.flatnonzero(code == seed)[-1]),
+            f"seed {list(ids)[seed]} has not one row for each cell of the "
+            f"{n1} x {n2} grid")
+    source = np.empty_like(key)  # the row of each cell, seed by seed
+    source[key] = np.arange(key.size)
+    crashed, v1, v2, severity = (c[source].reshape(-1, n1, n2) for c in columns)
+    return [OutcomeMatrix(seed_id, grid, crashed[k], v1[k], v2[k], severity[k])
+            for seed_id, k in sorted(ids.items())]

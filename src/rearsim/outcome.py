@@ -170,7 +170,7 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
         m1, m2 = masses[m.seed_id]
         seed_ids.append(m.seed_id)
         dvs.append(delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2))
-        ws.append(w_by_seed[m.seed_id] * m.p_cell[m.crashed])
+        ws.append(w_by_seed[m.seed_id] * m.grid.p_cell[m.crashed])
     w = np.concatenate(ws)
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0

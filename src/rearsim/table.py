@@ -114,8 +114,7 @@ class Chunk:
         return self._columns[name]
 
     def error(self, row: int, message: str) -> ParseError:
-        line = _line_of(self.path, self.first_row + row)
-        return ParseError(f"{self.path}:{line}: {message}")
+        return row_error(self.path, self.first_row + row, message)
 
     def floats(self, name: str, where: np.ndarray | None = None) -> np.ndarray:
         """Column `name` converted with ``float``; with `where`, only the
@@ -133,8 +132,8 @@ class Chunk:
         """`fields` of column `name`, from the chunk's `rows` (all rows if
         None), converted with ``float``."""
         try:
-            # a column that repeats a few values (grid axes, probabilities)
-            # converts each distinct text once
+            # a column that repeats a few values converts each distinct
+            # text once
             probe = fields[:_PROBE_ROWS]
             if 2 * len(set(probe)) <= len(probe):
                 value = {text: float(text) for text in dict.fromkeys(fields)}
@@ -145,6 +144,19 @@ class Chunk:
             bad = next(i for i, text in enumerate(fields) if not _is_float(text))
             row = bad if rows is None else int(rows[bad])
             raise self.error(row, f"{name}: not a number: {fields[bad]!r}") from None
+
+    def indices(self, name: str, n: int) -> np.ndarray:
+        """Column `name` as integers, each the decimal digits of one of
+        0 .. n-1."""
+        index = {str(k): k for k in range(n)}
+        column = self._columns[name]
+        try:
+            return np.fromiter(map(index.__getitem__, column), dtype=np.intp,
+                               count=self.n_rows)
+        except KeyError:
+            bad = next(i for i, text in enumerate(column) if text not in index)
+            raise self.error(bad, f"{name}: not an index below {n}: "
+                                  f"{column[bad]!r}") from None
 
     def codes(self, name: str, index: dict[str, int]) -> np.ndarray:
         """Column `name` as integer codes from `index`, which gains a new
@@ -214,13 +226,13 @@ def read_csv(path: str | Path, header: Sequence[str]) -> Chunk:
     return whole[0] if whole else Chunk(Path(path), header, 0, [])
 
 
-def _line_of(path: Path, row: int) -> int:
-    """The line on which data row `row` (0-based, blank rows not counted)
-    ends, as csv.reader counts lines."""
+def row_error(path: str | Path, row: int, message: str) -> ParseError:
+    """A ParseError naming the line on which data row `row` (0-based, blank
+    rows not counted) of `path` ends, as csv.reader counts lines."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for index, _ in enumerate(r for r in reader if r):
             if index == row:
                 break
-        return reader.line_num
+        return ParseError(f"{path}:{reader.line_num}: {message}")

@@ -1,18 +1,24 @@
 """Shared fixture builders: naturalistic-scale glance/deceleration
-distributions and synthesized seed sets. Everything is deterministic."""
+distributions, synthesized seed sets, and writers of the input files the
+CLI reads. Everything is deterministic."""
 
 from __future__ import annotations
 
+import csv
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+from rearsim.bias import OccupantRecord
 from rearsim.distributions import (
+    DECEL_BIN_WIDTH,
+    GLANCE_BIN_WIDTH,
     DecelDistribution,
     GlanceDistribution,
-    bin_decels,
-    bin_glances,
+    _duration_to_bin,
 )
+from rearsim.errors import ValidationError
 from rearsim.scenario import SeedCrash, SynthesisConfig, synthesize_seeds
 
 N_GLANCES = 4604
@@ -20,6 +26,72 @@ N_GLANCE_BINS = 67
 MAX_GLANCE = 6.7
 ON_ROAD = 0.8
 N_DECEL_CRASHES = 45
+
+
+def bin_glances(durations, on_road_fraction: float) -> GlanceDistribution:
+    """Bin observed off-road glance durations; the off-road probability mass
+    (1 - on_road_fraction) is split by bin counts."""
+    if not 0 <= on_road_fraction < 1:
+        raise ValidationError("on_road_fraction must be in [0, 1)")
+    durations = list(durations)
+    if not durations:
+        raise ValidationError(
+            "no off-road glances but on_road_fraction < 1: off-road mass "
+            "cannot be distributed")
+    counts: dict[int, int] = {}
+    for d in durations:
+        j = _duration_to_bin(float(d))
+        counts[j] = counts.get(j, 0) + 1
+    bins = sorted(counts)
+    labels = np.array([j * GLANCE_BIN_WIDTH for j in bins])
+    probs = np.array([counts[j] for j in bins], dtype=float)
+    probs *= (1.0 - on_road_fraction) / probs.sum()
+    return GlanceDistribution(on_road_fraction, labels, probs)
+
+
+def bin_decels(d_values, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistribution:
+    """Bin observed maximum decelerations into fixed-width bins anchored at
+    the smallest observation; probabilities are plain counts."""
+    d = np.asarray(list(d_values), dtype=float)
+    if d.size == 0:
+        raise ValidationError("no deceleration values")
+    if np.any(d <= 0):
+        raise ValidationError("deceleration magnitudes must be positive")
+    if bin_width <= 0:
+        raise ValidationError("bin_width must be positive")
+    lo = d.min()
+    idx = np.floor((d - lo) / bin_width - 1e-12).astype(int)
+    idx = np.maximum(idx, 0)
+    n = int(idx.max()) + 1
+    counts = np.bincount(idx, minlength=n).astype(float)
+    centers = lo + bin_width * (np.arange(n) + 0.5)
+    keep = counts > 0
+    return DecelDistribution(centers[keep], counts[keep] / counts.sum(), bin_width)
+
+
+def save_glances(g: GlanceDistribution, path: str | Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["on_road_mass", repr(float(g.on_road_mass))])
+        writer.writerow(["duration_s", "probability"])
+        for d, p in zip(g.durations, g.probs):
+            writer.writerow([repr(float(d)), repr(float(p))])
+
+
+def save_decels(d: DecelDistribution, path: str | Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["d_max_ms2", "probability"])
+        for v, p in zip(d.d_values, d.probs):
+            writer.writerow([repr(float(v)), repr(float(p))])
+
+
+def save_occupants(records: list[OccupantRecord], path: str | Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["delta_v_kmh", "mais", "role"])
+        for r in records:
+            writer.writerow([repr(float(r.delta_v)), r.mais, r.role])
 
 
 def glance_durations(rng_seed: int = 101) -> list[float]:

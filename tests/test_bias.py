@@ -13,12 +13,13 @@ from rearsim.bias import (
     fit_transfer,
     load_occupants,
     load_transfer,
-    save_occupants,
 )
 from rearsim.errors import ValidationError
 from rearsim.manifest import write_json
 from rearsim.outcome import DeltaVDistribution, build_histogram
 from rearsim.validation import compare
+
+from fixtures import save_occupants
 
 TARGET_B1 = 0.137
 TARGET_B2 = 0.27
@@ -226,6 +227,12 @@ class TestApplyTransfer:
         h.weights = h.weights * 2
         with pytest.raises(ValidationError):
             apply_transfer(h, TransferFunction(-4.15, 0.388))
+
+
+@pytest.mark.parametrize("delta_v", [math.nan, math.inf, -1.0])
+def test_occupant_delta_v_must_be_finite_and_non_negative(delta_v):
+    with pytest.raises(ValidationError, match="delta_v_kmh"):
+        OccupantRecord(delta_v, 0)
 
 
 class TestFileIO:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import rearsim
-from rearsim.bias import OccupantRecord, load_transfer, save_occupants
+from rearsim.bias import OccupantRecord, load_transfer
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
     _load_samples,
@@ -25,9 +25,15 @@ from rearsim.cli import (
 from rearsim.errors import ParseError
 from rearsim.outcome import load_histogram
 from rearsim.scenario import load_seed
-from rearsim.distributions import cut_glances, save_decels, save_glances
+from rearsim.distributions import cut_glances
 
-from fixtures import shrp2_like_decels, shrp2_like_glances
+from fixtures import (
+    save_decels,
+    save_glances,
+    save_occupants,
+    shrp2_like_decels,
+    shrp2_like_glances,
+)
 from test_bias import folksam_like_records
 
 
@@ -178,7 +184,9 @@ class TestPipeline:
         with open(out["assess"] / "assess.json") as fh:
             assess = json.load(fh)
         by_cut = {row["cut_at_s"]: row["avoidance_rate"] for row in assess["cuts"]}
-        assert by_cut[None] == pytest.approx(0.0, abs=1e-12)
+        # no cut reweights the baseline onto its own grid: nothing changes
+        assert by_cut[None] == 0.0
+        assert assess["cuts"][-1]["mean_dv_delta_kmh"] == 0.0
         assert by_cut[2.0] >= by_cut[3.0] >= by_cut[None]
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
@@ -219,17 +227,22 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
-    def test_bad_campaign_key_exits_two(self, tmp_path):
+    def test_bad_campaign_key_exits_two(self, tmp_path, capsys):
         paths = write_inputs(tmp_path / "inputs", n_seeds=2)
         with chdir(tmp_path):
             assert main(["synth", "--config", paths["synth"],
                          "--out", "synth", "--seed", "1"]) == 0
             # rng_seed was a setting once; the sweep draws no random numbers
-            for key in ("bogus_key", "rng_seed"):
-                Path("bad.json").write_text(json.dumps({"model": "cbm", key: 1}))
+            for key, config in (("bogus_key", {"bogus_key": 1}),
+                                ("rng_seed", {"rng_seed": 1}),
+                                ("foo", {"cbm": {"foo": 1}})):
+                Path("bad.json").write_text(json.dumps({"model": "cbm", **config}))
+                capsys.readouterr()
                 code = main(["simulate", "--seeds", "synth/seeds",
                              "--config", "bad.json", "--out", "sim"])
+                err = capsys.readouterr().err
                 assert code == 2, key
+                assert err.startswith("error: ") and key in err, err
 
     def test_fit_needs_both_severity_groups(self, tmp_path):
         # occupants with no injured records cannot support the accounting
@@ -241,6 +254,18 @@ class TestExitCodes:
                      "--injury-hist", str(hist),
                      "--out", str(tmp_path / "fit")])
         assert code == 2
+
+    def test_non_finite_occupant_delta_v_exits_two(self, tmp_path, capsys):
+        occ = tmp_path / "occ.csv"
+        occ.write_text("delta_v_kmh,mais,role\n5.0,0,driver\nnan,1,driver\n")
+        hist = tmp_path / "h.csv"
+        hist.write_text("bin_low_kmh,bin_high_kmh,weight\n0.0,2.0,1.0\n")
+        code = main(["fit-bias", "--occupants", str(occ),
+                     "--injury-hist", str(hist), "--out", str(tmp_path / "fit")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "delta_v_kmh" in err, err
+        assert "Traceback" not in err
 
     def test_fit_failure_exits_four(self, tmp_path, capsys):
         # no PDO deficit at p_pdo 0.5 and one positive bin: the exponential
@@ -307,13 +332,18 @@ class TestAssessDmsRejectsMismatchedBaseline:
 
     def test_baseline_from_other_glance_file(self, pipeline):
         root, paths, _ = pipeline
+        glances = shrp2_like_glances()
+        # another support, and the same support with other probabilities
+        tilted = type(glances)(glances.on_road_mass, glances.durations,
+                               glances.probs[::-1])
         with chdir(root):
-            save_glances(cut_glances(shrp2_like_glances(), 3.0),
-                         "other_glances.csv")
             campaign = json.loads(Path(paths["campaign"]).read_text())
-            self._simulate(dict(campaign, glance_file="other_glances.csv"),
-                           "sim_other_glances")
-            assert _assess(paths, "sim_other_glances") == 2
+            for name, other in (("cut", cut_glances(glances, 3.0)),
+                                ("tilted", tilted)):
+                save_glances(other, f"{name}_glances.csv")
+                self._simulate(dict(campaign, glance_file=f"{name}_glances.csv"),
+                               f"sim_{name}_glances")
+                assert _assess(paths, f"sim_{name}_glances") == 2, name
 
     def test_already_cut_baseline(self, pipeline):
         root, paths, _ = pipeline
@@ -332,6 +362,23 @@ class TestAssessDmsRejectsMismatchedBaseline:
             assert _assess(paths, "sim_truncated") == 2
             assert main(["weight", "--simulate-out", "sim_truncated",
                          "--out", "weight_truncated"]) == 2
+
+
+def test_assess_dms_reads_decelerations_from_the_baseline(pipeline):
+    """assess-dms takes the deceleration bins and marginal from the
+    baseline's summary.json, never from the config's decel_file."""
+    root, paths, out = pipeline
+    with chdir(root):
+        campaign = json.loads(Path(paths["campaign"]).read_text())
+        Path("campaign_no_decels.json").write_text(json.dumps(
+            dict(campaign, decel_file="missing.csv")))
+        assert main(["assess-dms", "--config", "campaign_no_decels.json",
+                     "--baseline", "out_simulate", "--cuts", "3.0", "2.0", "inf",
+                     "--out", "assess_no_decels", "--curves", paths["curve"]]) == 0
+        manifest = json.loads(Path("assess_no_decels/manifest.json").read_text())
+        got = Path("assess_no_decels/assess.json").read_bytes()
+    assert got == (out["assess"] / "assess.json").read_bytes()
+    assert sorted(manifest["inputs"]) == ["baseline", "config", "glances"]
 
 
 def test_header_only_curve_exits_two(pipeline):

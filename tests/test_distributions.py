@@ -5,18 +5,20 @@ from hypothesis import given, settings, strategies as st
 from rearsim.distributions import (
     DecelDistribution,
     GlanceDistribution,
-    bin_decels,
-    bin_glances,
     cut_glances,
     load_decels,
     load_glances,
     overshoot_transform,
-    save_decels,
-    save_glances,
 )
 from rearsim.errors import ValidationError
 
-from fixtures import glance_durations
+from fixtures import (
+    bin_decels,
+    bin_glances,
+    glance_durations,
+    save_decels,
+    save_glances,
+)
 
 
 def overshoot_by_enumeration(g: GlanceDistribution) -> dict[int, float]:

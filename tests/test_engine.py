@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -9,19 +11,22 @@ from hypothesis import strategies as st
 
 from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
+from rearsim.cli import main
 from rearsim.engine import (
     NO_CRASH,
     CampaignConfig,
+    CampaignGrid,
     SeedKinematics,
     SimOutcome,
     load_matrices,
-    reweight_cbm,
+    reweight,
     run_campaign,
     save_matrices,
     sweep_seed,
 )
-from rearsim.drivers import CbmConfig, cbm_onsets
+from rearsim.drivers import CbmConfig, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
+from rearsim.manifest import write_json
 from rearsim.scenario import SynthesisConfig, remove_evasive_maneuver, synthesize_seeds
 
 from fixtures import shrp2_like_decels, shrp2_like_glances
@@ -212,25 +217,39 @@ class TestWindowedKernel:
         cf = make_cf(v_foll=v_foll, v_lead=v_lead, gap0=gap0, duration=40.0)
         self._check(cf, 5.0)
 
+    def test_standstill_before_a_lead_that_falls_back(self):
+        """A follower standing still short of the lead leaves the block
+        only once no later lead position is behind it. Here the lead
+        position falls back behind the stopped follower while the lead
+        speed, -5e-10 m/s, is inside the seed validator's tolerance, so
+        the later overlap is a crash at v1 = 0 > v2."""
+        cf = make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=20.0)
+        cf.lead.pos = np.interp(cf.lead.t, [0.0, 8.0, 12.0], [30.0, 30.0, 5.0])
+        cf.lead.speed = np.full(len(cf.lead.t), -5e-10)
+        kin = SeedKinematics(cf, 0.01)
+        # stopped at about 12 m by t = 2.3 s, overlapped at about t = 10.9 s
+        got = run_case(kin, 0.5, 8.0, -23.04)
+        assert got.crashed and got.v1 == 0.0 and got.v2 == -5e-10
+        assert bits(got) == bits(replace(
+            full_horizon_run(kin, 0.5, 8.0, -23.04), impact_time=None))
+        self._check(cf, 5.0)
+
 
 class TestSweep:
     @staticmethod
-    def axes(n1=68, overshoot_probs_seed=3):
+    def grid(n1=68, overshoot_probs_seed=3, decels=(2.0, 4.0, 6.0, 8.0)):
         rng = np.random.default_rng(overshoot_probs_seed)
         axis1 = 0.1 * np.arange(n1)  # includes the attentive 0.0 point
         raw = rng.random(n1)
-        probs = raw / raw.sum()
-        decels = DecelDistribution(np.array([2.0, 4.0, 6.0, 8.0]),
-                                   np.full(4, 0.25), 2.0)
-        return axis1, probs, decels
+        return CampaignGrid(axis1, raw / raw.sum(), decels,
+                            np.full(len(decels), 1 / len(decels)))
 
     def _sweep_pair(self, cf, anchor, n1=68):
-        axis1, probs, decels = self.axes(n1)
-        onsets = cbm_onsets(anchor, axis1, CbmConfig())
+        grid = self.grid(n1)
+        onsets = cbm_onsets(anchor, grid.axis1, CbmConfig())
         kin = SeedKinematics(cf, 0.01)
-        reduced = sweep_seed(kin, axis1, probs, onsets, decels, -23.04)
-        exhaustive = sweep_seed(kin, axis1, probs, onsets, decels, -23.04,
-                                exhaustive=True)
+        reduced = sweep_seed(kin, grid, onsets, -23.04)
+        exhaustive = sweep_seed(kin, grid, onsets, -23.04, exhaustive=True)
         # rows braking before the step ahead of the no-response impact
         n_live = int(np.sum(onsets < kin.t[kin.k_live - 1]))
         return reduced, exhaustive, n_live
@@ -254,10 +273,9 @@ class TestSweep:
 
     def test_all_avoid_row_costs_few_calls(self):
         cf = make_cf(v_foll=10.0, v_lead=9.0, gap0=500.0, duration=20.0)
-        axis1, probs, _ = self.axes(32)
-        decels = DecelDistribution(np.array([9.0]), np.array([1.0]), 1.5)
-        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
-                       cbm_onsets(0.0, axis1, CbmConfig()), decels, -23.04)
+        grid = self.grid(32, decels=(9.0,))
+        m = sweep_seed(SeedKinematics(cf, 0.01), grid,
+                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
         assert not m.crashed.any()
         # the no-response run never overlaps, so no row is live
         assert m.kernel_calls == 1
@@ -265,10 +283,9 @@ class TestSweep:
     def test_all_max_severity_row(self):
         # tiny gap: even the attentive response is too late for any decel
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=3.0, duration=10.0)
-        axis1, probs, decels = self.axes(16)
-        onsets = cbm_onsets(0.0, axis1, CbmConfig())
-        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs, onsets, decels,
-                       -23.04)
+        grid = self.grid(16)
+        m = sweep_seed(SeedKinematics(cf, 0.01), grid,
+                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
         assert m.crashed.all()
         assert m.max_severity.all()
         # every onset is past the no-response impact, so no row is live
@@ -276,10 +293,11 @@ class TestSweep:
 
     def test_cell_probabilities_sum_to_one(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
-        axis1, probs, decels = self.axes()
-        m = sweep_seed(SeedKinematics(cf, 0.01), axis1, probs,
-                       cbm_onsets(0.0, axis1, CbmConfig()), decels, -23.04)
-        assert m.p_cell.sum() == pytest.approx(1.0, abs=1e-12)
+        grid = self.grid()
+        m = sweep_seed(SeedKinematics(cf, 0.01), grid,
+                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
+        assert m.grid is grid
+        assert grid.p_cell.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotonicity_in_axes(self, small_seeds):
         from rearsim.looming import find_anchor, looming_series
@@ -299,8 +317,21 @@ class TestSweep:
                 assert np.all(np.diff(row) <= 1e-9)
 
 
-MATRIX_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs", "crashed",
-                 "v1", "v2", "max_severity")
+MATRIX_FIELDS = ("crashed", "v1", "v2", "max_severity")
+GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
+
+
+def assert_bitwise(got, want, names):
+    """Each named array of `got` has the dtype and bytes of `want`'s."""
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def grid_round_trip(grid: CampaignGrid) -> CampaignGrid:
+    """`grid` written to and read from summary.json's JSON."""
+    summary = json.loads(json.dumps({"grid": grid.to_json()}))
+    return CampaignGrid.from_json(summary, "summary.json")
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,10 +352,9 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
     reduced, exhaustive = (run_campaign(seeds, cfg, glance=glance, decels=decels,
                                         exhaustive=flag) for flag in (False, True))
     assert len(reduced.matrices) == len(exhaustive.matrices) >= 1
+    assert_bitwise(reduced.grid, exhaustive.grid, GRID_FIELDS)
     for got, want in zip(reduced.matrices, exhaustive.matrices):
-        for name in MATRIX_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
-                got.seed_id, name)
+        assert_bitwise(got, want, MATRIX_FIELDS)
         assert got.kernel_calls <= want.kernel_calls
     assert [bits(r.no_response) for r in reduced.results] == [
         bits(r.no_response) for r in exhaustive.results]
@@ -340,7 +370,7 @@ class TestCampaign:
         assert result.theoretical_cells == n * 67 * 6
         for r in result.results:
             assert r.matrix is not None
-            assert abs(r.matrix.p_cell.sum() - 1.0) <= 1e-12
+            assert abs(r.matrix.grid.p_cell.sum() - 1.0) <= 1e-12
 
     def test_blom_excludes_ineligible(self, small_seeds, decels):
         cfg = CampaignConfig(model="blom")
@@ -351,7 +381,8 @@ class TestCampaign:
         assert len(result.excluded_ids) == expected_excluded > 0
         for r in result.results:
             if not r.excluded:
-                assert r.matrix.axis1.shape == (25,)
+                assert r.matrix.grid is result.grid
+                assert result.grid.axis1.shape == (25,)
                 assert r.theoretical_cells == 25 * 6
 
     def test_blom_all_standstill_is_model_undefined(self, decels):
@@ -377,27 +408,29 @@ class TestCampaign:
     def test_matrix_csv_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
         result = run_campaign(list(small_seeds[:3]), cfg, glance=glances,
-                              decels=decels)
+                              decels=decels, workers=2)
         path = tmp_path / "m.csv"
         save_matrices(result.matrices, path)
-        loaded = load_matrices(path)
+        grid = grid_round_trip(result.grid)
+        assert_bitwise(grid, result.grid, GRID_FIELDS + ("p_cell",))
+        loaded = load_matrices(path, grid)
         assert len(loaded) == 3
-        for orig, back in zip(result.matrices, loaded):
+        for orig, back in zip(result.matrices, loaded, strict=True):
+            assert orig.grid is result.grid and back.grid is grid
             assert back.seed_id == orig.seed_id
-            assert np.array_equal(back.crashed, orig.crashed)
-            assert np.array_equal(back.v1, orig.v1, equal_nan=True)
-            assert np.allclose(back.p_cell, orig.p_cell, atol=1e-12)
-            assert back.crash_mass == pytest.approx(orig.crash_mass, abs=1e-12)
+            assert_bitwise(back, orig, MATRIX_FIELDS)
+            assert back.crash_mass == orig.crash_mass
 
 
 @pytest.fixture(scope="module")
 def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
-    """The uncut paper-mix campaign, in memory and after a CSV round trip."""
+    """The uncut paper-mix campaign, in memory and after a round trip of
+    its grid through JSON and its matrices through CSV."""
     result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
                           glance=glances, decels=decels)
     path = tmp_path_factory.mktemp("baseline") / "matrices.csv"
     save_matrices(result.matrices, path)
-    return result, load_matrices(path)
+    return result, load_matrices(path, grid_round_trip(result.grid))
 
 
 def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
@@ -410,9 +443,9 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     path = tmp_path / "matrices.csv"
     save_matrices(result.matrices, path)
     data = path.read_bytes()
-    assert len(data) == 3256765
+    assert len(data) == 1919925
     assert hashlib.sha256(data).hexdigest() == (
-        "ed11559791a35ca28e7b4aacfe56458c050591765ee79c89b85cf17bb59c203f")
+        "f0b7c486b50f650b2151ff268512dd171c2c324615a96f14c9751160cc6ea6f9")
 
 
 def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
@@ -422,10 +455,9 @@ def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     header, *rows = path.read_text().splitlines(keepends=True)
     order = np.random.default_rng(3).permutation(len(rows))
     path.write_text(header + "".join(rows[i] for i in order))
-    for want, got in zip(loaded, load_matrices(path), strict=True):
+    for want, got in zip(loaded, load_matrices(path, result.grid), strict=True):
         assert got.seed_id == want.seed_id
-        for name in MATRIX_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert_bitwise(got, want, MATRIX_FIELDS)
 
 
 class TestReweight:
@@ -433,76 +465,121 @@ class TestReweight:
     def test_equals_cut_campaign_bitwise(self, cut_at, paper_baseline,
                                          paper_mix_seeds, glances, decels):
         result, loaded = paper_baseline
+        grid = loaded[0].grid
+        target = grid
         if cut_at is not None:
             result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
                                   glance=cut_glances(glances, cut_at),
                                   decels=decels)
-        reweighted = reweight_cbm(loaded, glances, decels, cut_at)
+            target = CampaignGrid(*cbm_axes(cut_glances(glances, cut_at)),
+                                  grid.decels, grid.decel_probs)
+        assert_bitwise(target, result.grid, GRID_FIELDS + ("p_cell",))
+        reweighted = reweight(loaded, grid, target)
         assert [m.seed_id for m in reweighted] == [m.seed_id for m in result.matrices]
         for want, got in zip(result.matrices, reweighted):
-            for name in ("axis1", "axis1_probs", "decels", "decel_probs",
-                         "crashed", "v1", "v2", "max_severity"):
-                a, b = getattr(want, name), getattr(got, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
-                    want.seed_id, name)
+            assert got.grid is target
+            assert_bitwise(got, want, MATRIX_FIELDS)
+            assert got.crash_mass == want.crash_mass
 
-    def test_unsorted_decel_file_order_is_kept(self, paper_baseline, glances,
-                                               decels):
+    def test_unsorted_decel_file_order_is_kept(self, paper_baseline,
+                                               paper_mix_seeds, glances,
+                                               decels, tmp_path):
+        """A campaign under the reversed deceleration file keeps that
+        order through summary.json and matrices.csv."""
         _, loaded = paper_baseline
         flipped = DecelDistribution(decels.d_values[::-1], decels.probs[::-1])
-        got = reweight_cbm(loaded[:3], glances, flipped, 2.0)
-        want = reweight_cbm(loaded[:3], glances, decels, 2.0)
-        for a, b in zip(want, got):
-            assert np.array_equal(b.decels, flipped.d_values)
-            assert np.array_equal(b.crashed, a.crashed[:, ::-1])
-            assert np.array_equal(b.v1, a.v1[:, ::-1], equal_nan=True)
+        result = run_campaign(list(paper_mix_seeds[:8]), CampaignConfig(),
+                              glance=glances, decels=flipped)
+        path = tmp_path / "matrices.csv"
+        save_matrices(result.matrices, path)
+        grid = grid_round_trip(result.grid)
+        assert np.array_equal(grid.decels, flipped.d_values)
+        back = load_matrices(path, grid)
+        for orig, got, ascending in zip(result.matrices, back, loaded):
+            assert got.seed_id == orig.seed_id == ascending.seed_id
+            assert_bitwise(got, orig, MATRIX_FIELDS)
+            assert np.array_equal(got.crashed, ascending.crashed[:, ::-1])
+            assert np.array_equal(got.v1, ascending.v1[:, ::-1], equal_nan=True)
 
-    def test_other_glance_distribution_rejected(self, paper_baseline, glances,
-                                                decels):
+    def test_other_glance_distribution_rejected(self, paper_baseline):
+        """An overshoot axis that is not a bitwise subset of the grid's."""
         _, loaded = paper_baseline
+        grid = loaded[0].grid
+        nudged = grid.axis1.copy()
+        nudged[3] = np.nextafter(nudged[3], 1.0)
+        for axis1 in (nudged, np.append(grid.axis1, grid.axis1[-1] + 0.1)):
+            target = CampaignGrid(axis1, np.full(len(axis1), 1 / len(axis1)),
+                                  grid.decels, grid.decel_probs)
+            with pytest.raises(ValidationError):
+                reweight(loaded, grid, target)
+        # a matrix on another grid, even an equal one
         with pytest.raises(ValidationError):
-            reweight_cbm(loaded, cut_glances(glances, 4.0), decels)
-        # same overshoot support, other probabilities
-        tilted = type(glances)(glances.on_road_mass, glances.durations,
-                               glances.probs[::-1])
-        with pytest.raises(ValidationError):
-            reweight_cbm(loaded, tilted, decels)
+            reweight(loaded, grid_round_trip(grid), grid)
 
-    def test_other_decel_distribution_rejected(self, paper_baseline, glances,
-                                               decels):
+    def test_other_decel_distribution_rejected(self, paper_baseline):
         _, loaded = paper_baseline
-        shifted = DecelDistribution(decels.d_values + 0.1, decels.probs)
-        with pytest.raises(ValidationError):
-            reweight_cbm(loaded, glances, shifted)
+        grid = loaded[0].grid
+        for decels in (grid.decels + 0.1, grid.decels[::-1]):
+            target = CampaignGrid(grid.axis1, grid.axis1_probs, decels,
+                                  grid.decel_probs)
+            with pytest.raises(ValidationError):
+                reweight(loaded, grid, target)
+        # other probabilities on the same bins reweight the same outcomes
+        tilted = CampaignGrid(grid.axis1, grid.axis1_probs, grid.decels,
+                              grid.decel_probs[::-1])
+        for want, got in zip(loaded, reweight(loaded, grid, tilted)):
+            assert_bitwise(got, want, MATRIX_FIELDS)
+            assert got.grid is tilted
 
 
-MATRIX_HEADER = "seed_id,axis1_bin,decel_bin,crashed,v1,v2,max_severity,p_cell\n"
+MATRIX_HEADER = "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\n"
+SMALL_GRID = {"axis1": [0.0, 0.1], "axis1_probs": [0.8, 0.2],
+              "decels": [2.0, 3.5], "decel_probs": [0.5, 0.5]}
+FULL_GRID_ROWS = "s1,0,0,0,,,0\ns1,0,1,0,,,0\ns1,1,0,0,,,0\n"
+# name: (matrices.csv, the grid in summary.json)
 MALFORMED_MATRICES = {
-    "empty": "",
-    "bad_header": "seed,axis1_bin\n",
-    "truncated_row": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,0.5\ns1,0.0,3.5,0\n",
-    "non_numeric": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,half\n",
-    "crash_without_speed": MATRIX_HEADER + "s1,0.0,2.0,1,,,0,1.0\n",
-    "incomplete_grid": MATRIX_HEADER + (
-        "s1,0.0,2.0,0,,,0,0.25\ns1,0.0,3.5,0,,,0,0.25\n"
-        "s1,0.1,2.0,0,,,0,0.25\n"),
-    "repeated_cell": MATRIX_HEADER + (
-        "s1,0.0,2.0,0,,,0,0.25\ns1,0.0,2.0,0,,,0,0.25\n"
-        "s1,0.1,3.5,0,,,0,0.25\ns1,0.1,3.5,0,,,0,0.25\n"),
-    "extra_field": MATRIX_HEADER + "s1,0.0,2.0,0,,,0,1.0,7\n",
+    "empty": ("", SMALL_GRID),
+    "bad_header": ("seed,axis1_index\n", SMALL_GRID),
+    "truncated_row": (MATRIX_HEADER + "s1,0,0,0,,,0\ns1,0,1,0\n", SMALL_GRID),
+    "non_numeric": (MATRIX_HEADER + "s1,0,0,1,fast,1.0,0\n", SMALL_GRID),
+    "crash_without_speed": (MATRIX_HEADER + "s1,0,0,1,,,0\n", SMALL_GRID),
+    "incomplete_grid": (MATRIX_HEADER + FULL_GRID_ROWS, SMALL_GRID),
+    "repeated_cell": (MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,0,0,,,0\n",
+                      SMALL_GRID),
+    "extra_field": (MATRIX_HEADER + "s1,0,0,0,,,0,7\n", SMALL_GRID),
+    "index_out_of_range": (
+        MATRIX_HEADER + FULL_GRID_ROWS + "s1,2,1,0,,,0\n", SMALL_GRID),
+    "index_not_integer": (
+        MATRIX_HEADER + FULL_GRID_ROWS + "s1,1.0,1,0,,,0\n", SMALL_GRID),
+    "summary_without_grid": (
+        MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,,0\n", None),
 }
 
 
 class TestLoadMatricesParseErrors:
     @pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
-    def test_malformed_file_raises_parse_error(self, name, tmp_path):
-        path = tmp_path / "matrices.csv"
-        path.write_text(MALFORMED_MATRICES[name])
-        with pytest.raises(ParseError, match=r"matrices\.csv"):
-            load_matrices(path)
+    def test_malformed_file_raises_parse_error(self, name, tmp_path, capsys):
+        """load_matrices (or the grid) raises ParseError naming the file,
+        and weight exits 2 with the same error and no traceback."""
+        text, grid = MALFORMED_MATRICES[name]
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        (sim / "matrices.csv").write_text(text)
+        summary = {"model": "cbm"} if grid is None else {"model": "cbm",
+                                                         "grid": grid}
+        write_json(sim / "summary.json", summary)
+        where = r"summary\.json" if grid is None else r"matrices\.csv:\d+: "
+        with pytest.raises(ParseError, match=where):
+            load_matrices(sim / "matrices.csv",
+                          CampaignGrid.from_json(summary, sim / "summary.json"))
+        capsys.readouterr()
+        assert main(["weight", "--simulate-out", str(sim),
+                     "--out", str(tmp_path / "weight")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"error: .*{where}", err) and "Traceback" not in err
 
     def test_truncated_row_names_its_line(self, tmp_path):
         path = tmp_path / "matrices.csv"
-        path.write_text(MALFORMED_MATRICES["truncated_row"])
+        path.write_text(MALFORMED_MATRICES["truncated_row"][0])
         with pytest.raises(ParseError, match=r"matrices\.csv:3:"):
-            load_matrices(path)
+            load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rearsim.engine import CampaignConfig, OutcomeMatrix, run_campaign
+from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
     build_histogram,
@@ -31,10 +31,9 @@ def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
     crashed = np.array([[True, False]])
     v1 = np.array([[10.0, np.nan]])
     v2 = np.array([[5.0, np.nan]])
-    return OutcomeMatrix(
-        seed_id, np.array([0.1]), np.array([1.0]),
-        np.array([3.0, 6.0]), np.array([q, 1.0 - q]),
-        crashed, v1, v2, np.array([[False, False]]))
+    grid = CampaignGrid([0.1], [1.0], [3.0, 6.0], [q, 1.0 - q])
+    return OutcomeMatrix(seed_id, grid, crashed, v1, v2,
+                         np.array([[False, False]]))
 
 
 class TestDeltaV:
@@ -148,7 +147,7 @@ class TestPrevalenceWeights:
                 for i, j in zip(*np.nonzero(m.crashed)):
                     rows.append((m.seed_id,
                                  delta_v(float(m.v1[i, j]), float(m.v2[i, j]), m1, m2),
-                                 w_by_seed[m.seed_id] * float(m.p_cell[i, j])))
+                                 w_by_seed[m.seed_id] * float(m.grid.p_cell[i, j])))
         total = 0.0
         for _, _, w in rows:
             total += w
