@@ -48,7 +48,7 @@ from .outcome import (
 from .scenario import (
     SynthesisConfig,
     delta_v,
-    load_seed_dir,
+    load_seed_refs,
     save_seed,
     synthesize_seeds,
 )
@@ -87,11 +87,11 @@ def _out_dir(path: str) -> Path:
 
 def _reference_histogram(path: str, bin_width: float) -> DeltaVDistribution:
     """Reference delta-v histogram: a histogram CSV, or built from the
-    recorded delta-v of a seed directory."""
+    delta-v a seed directory's JSON sidecars record."""
     p = Path(path)
     if p.is_dir():
-        seeds = load_seed_dir(p)
-        dvs = [s.seed_delta_v_kmh for s in seeds if s.seed_delta_v_kmh is not None]
+        dvs = [r.seed_delta_v_kmh for r in load_seed_refs(p)
+               if r.seed_delta_v_kmh is not None]
         if not dvs:
             raise ValidationError(f"{p}: seeds carry no reference delta-v")
         return build_histogram([(dv, 1.0) for dv in dvs], bin_width)
@@ -165,9 +165,9 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
     chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
     recorded = ~chunk.equals("seed_delta_v_kmh", "")
     seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
-    nr_crashed = chunk.equals("no_resp_crashed", "1")
+    nr_crashed = chunk.flags("no_resp_crashed")
     columns = (
-        chunk.equals("eligible", "1").tolist(),
+        chunk.flags("eligible").tolist(),
         chunk.floats("follower_mass_kg").tolist(),
         chunk.floats("lead_mass_kg").tolist(),
         [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
@@ -196,8 +196,8 @@ def _simulated_matrices(sim_dir: Path, sim_summary: dict):
 def cmd_simulate(args) -> int:
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
-    seeds = load_seed_dir(args.seeds)
-    if not seeds:
+    refs = load_seed_refs(args.seeds)  # the workers load the trajectories
+    if not refs:
         raise ValidationError(f"no seeds found in {args.seeds}")
     glance = load_glances(cfg.glance_file) if cfg.model == MODEL_CBM else None
     if not cfg.decel_file:
@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
     decels = load_decels(cfg.decel_file)
     if glance is not None and cfg.glance_cut_at is not None:
         glance = cut_glances(glance, float(cfg.glance_cut_at))
-    result = run_campaign(seeds, cfg, glance=glance, decels=decels,
+    result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
 
     matrices_path = out / "matrices.csv"
@@ -685,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-bias", help="fit the PDO shape and transfer function")
     p.add_argument("--occupants", required=True)
     p.add_argument("--injury-hist", required=True,
-                   help="histogram CSV or a seeds directory")
+                   help="histogram CSV or a seeds directory, of which only "
+                        "the JSON sidecars are read")
     p.add_argument("--out", required=True)
     p.add_argument("--p-pdo", type=float, default=bias.DEFAULT_P_PDO)
     p.add_argument("--n-fill-bins", type=int, default=bias.DEFAULT_N_FILL_BINS)
@@ -701,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="compare model output to a reference")
     p.add_argument("--model-hist", required=True)
     p.add_argument("--reference", required=True,
-                   help="histogram CSV or a seeds directory")
+                   help="histogram CSV or a seeds directory, of which only "
+                        "the JSON sidecars are read")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default=None,
                    help="weighted samples CSV for percentile analysis")

@@ -62,6 +62,8 @@ from .scenario import (
     LEAD_BRAKING,
     CounterfactualSeed,
     SeedCrash,
+    SeedRef,
+    load_seed,
     remove_evasive_maneuver,
 )
 
@@ -396,8 +398,13 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
                           m.v2[rows], m.max_severity[rows]) for m in matrices]
 
 
-def _run_one_seed(seed: SeedCrash, cfg: CampaignConfig, grid: CampaignGrid,
-                  exhaustive: bool) -> SeedResult:
+def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
+                  grid: CampaignGrid, exhaustive: bool) -> SeedResult:
+    if isinstance(seed, SeedRef):
+        ref, seed = seed, load_seed(seed.path)
+        if seed.id != ref.id:
+            raise ParseError(f"{ref.path}: seed {seed.id!r} was listed as "
+                             f"{ref.id!r}")
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
     kin = SeedKinematics(cf, cfg.dt)
     anchor, excluded = None, False
@@ -433,13 +440,14 @@ def _worker_run(seed):
     return _run_one_seed(seed, s["cfg"], s["grid"], s["exhaustive"])
 
 
-def run_campaign(seeds: list[SeedCrash], cfg: CampaignConfig,
+def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
                  glance: GlanceDistribution | None = None,
                  decels: DecelDistribution | None = None,
                  workers: int = 1, exhaustive: bool = False) -> CampaignResult:
-    """Run one simulation set over all seeds. Output is ordered by seed id
-    and identical for any worker count; every matrix points to the
-    result's grid."""
+    """Run one simulation set over all seeds, loaded or as refs whose
+    trajectories each worker loads. Output is ordered by seed id and
+    identical for any worker count; every matrix points to the result's
+    grid."""
     if decels is None:
         raise ValidationError("a deceleration distribution is required")
     if cfg.model == MODEL_BLOM:
@@ -493,20 +501,26 @@ def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
 
 def load_matrices(path: str | Path, grid: CampaignGrid) -> list[OutcomeMatrix]:
     """The per-seed outcome matrices on `grid` from the outcomes CSV, by
-    seed id; a seed's rows may come in any order. A malformed row, an
-    index outside the grid, or a seed without exactly one row per cell
-    raises ParseError naming path:line."""
+    seed id; a seed's rows may come in any order. A malformed row, a flag
+    other than 0 or 1, a cell without a crash that has speeds or maximum
+    severity, an index outside the grid, or a seed without exactly one row
+    per cell raises ParseError naming path:line."""
     n1, n2 = grid.shape
     ids: dict[str, int] = {}
     parts = []
     for chunk in table.read_chunks(path, MATRIX_CSV_HEADER):
-        crashed = chunk.equals("crashed", "1")
+        crashed, severity = chunk.flags("crashed"), chunk.flags("max_severity")
+        # a cell without a crash is written with no speeds and severity 0
+        clean = (crashed | (chunk.equals("v1", "") & chunk.equals("v2", "")
+                            & ~severity))
+        if not clean.all():
+            raise chunk.error(int(np.argmin(clean)), "a cell without a crash "
+                              "must have empty v1 and v2 and max_severity 0")
         parts.append((
             chunk.codes("seed_id", ids),
             chunk.indices("axis1_index", n1) * n2 + chunk.indices("decel_index", n2),
             crashed, chunk.floats("v1", where=crashed),
-            chunk.floats("v2", where=crashed),
-            crashed & chunk.equals("max_severity", "1")))
+            chunk.floats("v2", where=crashed), severity))
     if not parts:
         return []
     code, cell, *columns = map(np.concatenate, zip(*parts))

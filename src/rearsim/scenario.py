@@ -253,36 +253,59 @@ def remove_evasive_maneuver(
 
 # ---------------------------------------------------------------- file I/O
 
+@dataclass(frozen=True)
+class SeedRef:
+    """A seed as its JSON sidecar lists it: its id, the path of its
+    trajectory CSV and the delta-v it records (None if it records none)."""
+
+    id: str
+    path: Path
+    seed_delta_v_kmh: float | None
+
+
+def _read_sidecar(json_path: Path) -> tuple[str, VehicleMeta, VehicleMeta,
+                                             float | None]:
+    """A seed's id, lead and follower records and recorded delta-v, from
+    its JSON sidecar. The delta-v is absent, null or a finite number >= 0;
+    anything else raises ParseError naming the sidecar."""
+    if not json_path.exists():
+        raise ParseError(f"seed sidecar not found: {json_path}")
+    try:
+        with open(json_path) as fh:
+            meta = json.load(fh)
+        sid = str(meta["id"])
+        lead_meta = VehicleMeta(id=sid + "/lead", **meta["lead"])
+        foll_meta = VehicleMeta(id=sid + "/follower", **meta["follower"])
+        dv = meta.get("seed_delta_v_kmh")
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
+    if dv is not None and (type(dv) not in (int, float) or not 0 <= dv < np.inf):
+        raise ParseError(f"{json_path}: seed_delta_v_kmh must be null or a "
+                         f"finite number >= 0, got {dv!r}")
+    return sid, lead_meta, foll_meta, None if dv is None else float(dv)
+
+
 def load_seed(pcm_file: str | Path) -> SeedCrash:
     """Load a seed from a trajectory CSV plus its JSON sidecar and validate
     all record invariants."""
     csv_path = Path(pcm_file)
-    json_path = csv_path.with_suffix(".json")
     if not csv_path.exists():
         raise ParseError(f"seed file not found: {csv_path}")
-    if not json_path.exists():
-        raise ParseError(f"seed sidecar not found: {json_path}")
 
     chunk = table.read_csv(csv_path, SEED_CSV_HEADER)
     if not chunk.n_rows:
         raise ParseError(f"{csv_path}: no samples")
     data = [chunk.floats(name) for name in SEED_CSV_HEADER]
 
-    try:
-        with open(json_path) as fh:
-            meta = json.load(fh)
-        lead_meta = VehicleMeta(id=str(meta["id"]) + "/lead", **meta["lead"])
-        foll_meta = VehicleMeta(id=str(meta["id"]) + "/follower", **meta["follower"])
-        seed = SeedCrash(
-            id=str(meta["id"]),
-            lead=Trajectory(*data[:4]),
-            follower=Trajectory(data[0], *data[4:]),
-            lead_meta=lead_meta,
-            follower_meta=foll_meta,
-            seed_delta_v_kmh=meta.get("seed_delta_v_kmh"),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
+    sid, lead_meta, foll_meta, dv = _read_sidecar(csv_path.with_suffix(".json"))
+    seed = SeedCrash(
+        id=sid,
+        lead=Trajectory(*data[:4]),
+        follower=Trajectory(data[0], *data[4:]),
+        lead_meta=lead_meta,
+        follower_meta=foll_meta,
+        seed_delta_v_kmh=dv,
+    )
     seed.validate()
     return seed
 
@@ -306,11 +329,25 @@ def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
     write_json(csv_path.with_suffix(".json"), meta)
 
 
+def load_seed_refs(directory: str | Path) -> list[SeedRef]:
+    """Every seed CSV in a directory as its sidecar lists it, ordered by
+    id. Only the JSON sidecars are read; two sidecars with one id raise
+    ParseError naming both."""
+    refs = []
+    for csv_path in sorted(Path(directory).glob("*.csv")):
+        sid, _, _, dv = _read_sidecar(csv_path.with_suffix(".json"))
+        refs.append(SeedRef(sid, csv_path, dv))
+    refs.sort(key=lambda r: r.id)
+    for a, b in zip(refs, refs[1:]):
+        if a.id == b.id:
+            raise ParseError(f"seed id {a.id!r} in both {a.path.with_suffix('.json')} "
+                             f"and {b.path.with_suffix('.json')}")
+    return refs
+
+
 def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
     """Load every seed CSV in a directory, ordered by id."""
-    seeds = [load_seed(p) for p in sorted(Path(directory).glob("*.csv"))]
-    seeds.sort(key=lambda s: s.id)
-    return seeds
+    return [load_seed(ref.path) for ref in load_seed_refs(directory)]
 
 
 # --------------------------------------------------------------- synthesis

@@ -158,6 +158,16 @@ class Chunk:
             raise self.error(bad, f"{name}: not an index below {n}: "
                                   f"{column[bad]!r}") from None
 
+    def flags(self, name: str) -> np.ndarray:
+        """Column `name` as truth values, each field exactly 0 or 1."""
+        ones = self.equals(name, "1")
+        valid = ones | self.equals(name, "0")
+        if not valid.all():
+            bad = int(np.argmin(valid))
+            raise self.error(bad, f"{name}: expected 0 or 1, got "
+                                  f"{self._columns[name][bad]!r}")
+        return ones
+
     def codes(self, name: str, index: dict[str, int]) -> np.ndarray:
         """Column `name` as integer codes from `index`, which gains a new
         code for each text it does not hold yet."""

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import importlib
 import json
+import math
 import os
 import re
 import shutil
@@ -14,17 +15,21 @@ import numpy as np
 import pytest
 
 import rearsim
+from rearsim import table
 from rearsim.bias import OccupantRecord, load_transfer
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
     _load_samples,
     _load_seeds_summary,
     _per_seed_percentiles,
+    _reference_histogram,
+    _simulate_summary,
+    _simulated_matrices,
     main,
 )
 from rearsim.errors import ParseError
-from rearsim.outcome import load_histogram
-from rearsim.scenario import load_seed
+from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
+from rearsim.scenario import load_seed, load_seed_dir, load_seed_refs
 from rearsim.distributions import cut_glances
 
 from fixtures import (
@@ -206,9 +211,9 @@ class TestPipeline:
             assert main(["simulate", "--seeds", "out_synth/seeds",
                          "--config", paths["campaign"],
                          "--out", str(sim_out), "--workers", "2"]) == 0
-        a = (out_first["simulate"] / "matrices.csv").read_bytes()
-        b = (sim_out / "matrices.csv").read_bytes()
-        assert a == b
+        for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
+            a = (out_first["simulate"] / name).read_bytes()
+            assert (sim_out / name).read_bytes() == a, name
 
 
 class TestExitCodes:
@@ -482,6 +487,8 @@ def test_non_finite_distribution_input_exits_two(name, tmp_path, capsys):
 _SIMULATE = ["simulate", "--seeds", "out_synth/seeds", "--config",
              "inputs/campaign.json", "--out", "bad_simulate"]
 _WEIGHT = ["weight", "--simulate-out", "out_simulate", "--out", "bad_weight"]
+_FIT_BIAS = ["fit-bias", "--occupants", "inputs/occupants.csv",
+             "--injury-hist", "out_synth/seeds", "--out", "bad_fit"]
 _APPLY = ["apply-bias", "--hist", "out_weight/hist.csv",
           "--transfer", "out_fit/transfer.json", "--out", "bad_apply"]
 _VALIDATE = ["validate", "--model-hist", "out_apply/transformed.csv",
@@ -489,36 +496,81 @@ _VALIDATE = ["validate", "--model-hist", "out_apply/transformed.csv",
              "out_weight/samples.csv", "--seeds-summary",
              "out_simulate/seeds_summary.csv", "--out", "bad_validate"]
 
-# name: (file, loader, edit of its text, error location, command reading it)
+def _edit_first_row(predicate, edit):
+    """Text edit: apply `edit` to the fields of the first CSV line whose
+    fields satisfy `predicate`."""
+    def apply(text: str) -> str:
+        lines = text.split("\r\n")
+        line = next(k for k, row in enumerate(lines) if predicate(row.split(",")))
+        return _edit_row(line + 1, edit)(text)
+    return apply
+
+
+def _set_json(**changes):
+    return lambda text: json.dumps(dict(json.loads(text), **changes))
+
+
+def _load_matrices(path: Path):
+    return _simulated_matrices(path.parent, _simulate_summary(path.parent)[0])
+
+
+_SEEDS_DIR = (_SIMULATE, _FIT_BIAS, _VALIDATE)  # every stage that reads seeds
+
+
+def _bad_delta_v(value):
+    return ("out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+            _set_json(seed_delta_v_kmh=value), r"s0000\.json: seed_delta_v_kmh",
+            _SEEDS_DIR)
+
+
+# name: (file, loader, edit of its text, error location, commands reading it)
 MALFORMED_INPUTS = {
     "seed_short_row": (
         "out_synth/seeds/s0000.csv", load_seed,
-        _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", _SIMULATE),
+        _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", (_SIMULATE,)),
     "seed_extra_field": (
         "out_synth/seeds/s0000.csv", load_seed,
-        _edit_row(3, lambda f: f + ["0.0"]), r"s0000\.csv:3:", _SIMULATE),
+        _edit_row(3, lambda f: f + ["0.0"]), r"s0000\.csv:3:", (_SIMULATE,)),
+    "seed_duplicate_id": (
+        "out_synth/seeds/s0001.json", lambda path: load_seed_refs(path.parent),
+        _set_json(id="s0000"), r"s0000\.json and \S*s0001\.json", _SEEDS_DIR),
+    **{f"seed_delta_v_{name}": _bad_delta_v(value)
+       for name, value in (("text", "abc"), ("nan", math.nan),
+                           ("infinite", math.inf), ("negative", -5.0))},
+    "matrices_crashed_not_a_flag": (
+        "out_simulate/matrices.csv", _load_matrices,
+        _edit_row(2, _set_field(3, "2")), r"matrices\.csv:2: crashed", (_WEIGHT,)),
+    "matrices_no_crash_with_fields": (
+        "out_simulate/matrices.csv", _load_matrices,
+        _edit_first_row(lambda f: f[3:] == ["0", "", "", "0"],
+                        lambda f: f[:4] + ["abc", "xyz", "1"]),
+        r"matrices\.csv:\d+: a cell without a crash", (_WEIGHT,)),
     "samples_unknown_source": (
         "out_weight/samples.csv", _load_samples,
-        _edit_row(2, _set_field(3, "other")), r"samples\.csv:2:", _VALIDATE),
+        _edit_row(2, _set_field(3, "other")), r"samples\.csv:2:", (_VALIDATE,)),
     "samples_non_numeric_weight": (
         "out_weight/samples.csv", _load_samples,
-        _edit_row(4, _set_field(2, "heavy")), r"samples\.csv:4:", _VALIDATE),
+        _edit_row(4, _set_field(2, "heavy")), r"samples\.csv:4:", (_VALIDATE,)),
     "samples_truncated_last_row": (
         "out_weight/samples.csv", _load_samples,
         lambda text: text[:text.rstrip("\r\n").rindex(",")],
-        r"samples\.csv:\d+: expected 4 fields, got 3", _VALIDATE),
+        r"samples\.csv:\d+: expected 4 fields, got 3", (_VALIDATE,)),
     "summary_non_numeric_mass": (
         "out_simulate/seeds_summary.csv", _load_seeds_summary,
         _edit_row(2, _set_field(5, "heavy")), r"seeds_summary\.csv:2:",
-        _WEIGHT),
+        (_WEIGHT,)),
+    "summary_eligible_not_a_flag": (
+        "out_simulate/seeds_summary.csv", _load_seeds_summary,
+        _edit_row(2, _set_field(1, "yes")), r"seeds_summary\.csv:2: eligible",
+        (_WEIGHT,)),
     "histogram_non_numeric_weight": (
         "out_weight/hist.csv", load_histogram,
-        _edit_row(3, _set_field(2, "x")), r"hist\.csv:3:", _APPLY),
+        _edit_row(3, _set_field(2, "x")), r"hist\.csv:3:", (_APPLY,)),
     "transfer_without_c2": (
         "out_fit/transfer.json", load_transfer,
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                  if k != "C2"}),
-        r"transfer\.json", _APPLY),
+        r"transfer\.json", (_APPLY,)),
 }
 
 
@@ -528,12 +580,51 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
     root, _, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
-    file, loader, edit, where, command = MALFORMED_INPUTS[name]
+    file, loader, edit, where, commands = MALFORMED_INPUTS[name]
     path = copy / file
     path.write_bytes(edit(path.read_bytes().decode()).encode())
     with pytest.raises(ParseError, match=where):
         loader(path)
-    capsys.readouterr()
-    with chdir(copy):
-        assert main(command) == 2
-    assert re.search(where, capsys.readouterr().err)
+    for command in commands:
+        capsys.readouterr()
+        with chdir(copy):
+            assert main(command) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(where, err), (command[0], err)
+        assert "Traceback" not in err
+
+
+def test_malformed_seed_fails_simulate_from_a_worker(pipeline, tmp_path, capfd):
+    """Workers parse the seeds, and a worker's ParseError still exits 2
+    naming path:line."""
+    root, paths, _ = pipeline
+    shutil.copytree(root / "inputs", tmp_path / "inputs")
+    shutil.copytree(root / "out_synth" / "seeds", tmp_path / "seeds")
+    path = tmp_path / "seeds" / "s0000.csv"
+    path.write_bytes(_edit_row(3, lambda f: f[:-1])(path.read_bytes().decode()).encode())
+    capfd.readouterr()
+    with chdir(tmp_path):
+        code = main(["simulate", "--seeds", "seeds", "--config", paths["campaign"],
+                     "--out", "sim", "--workers", "2"])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and re.search(r"s0000\.csv:3:", err), err
+    assert "Traceback" not in err
+
+
+def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):
+    """The reference from a seeds directory is the histogram of the loaded
+    seeds' delta-v, bitwise, and no trajectory CSV is read for it."""
+    root, _, _ = pipeline
+    seeds_dir = root / "out_synth" / "seeds"
+    want = build_histogram([(s.seed_delta_v_kmh, 1.0)
+                            for s in load_seed_dir(seeds_dir)], DEFAULT_BIN_WIDTH_KMH)
+
+    def no_csv(path, header):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(table, "read_csv", no_csv)
+    got = _reference_histogram(str(seeds_dir), DEFAULT_BIN_WIDTH_KMH)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.bin_width, got.mean, got.count, got.normalized) == (
+        want.bin_width, want.mean, want.count, want.normalized)

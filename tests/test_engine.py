@@ -27,7 +27,14 @@ from rearsim.engine import (
 from rearsim.drivers import CbmConfig, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
-from rearsim.scenario import SynthesisConfig, remove_evasive_maneuver, synthesize_seeds
+from rearsim.scenario import (
+    SeedRef,
+    SynthesisConfig,
+    load_seed_refs,
+    remove_evasive_maneuver,
+    save_seed,
+    synthesize_seeds,
+)
 
 from fixtures import shrp2_like_decels, shrp2_like_glances
 from test_looming import make_cf
@@ -405,6 +412,29 @@ class TestCampaign:
         assert paths[1].read_bytes() == blob
         assert paths[2].read_bytes() == blob
 
+    def test_seed_refs_give_the_results_of_loaded_seeds(
+            self, small_seeds, glances, decels, tmp_path):
+        """Workers that load their own seeds from refs return what the
+        loaded seeds give, in id order, whatever the file names."""
+        for k, seed in enumerate(small_seeds):
+            save_seed(seed, tmp_path / f"{len(small_seeds) - k:02d}.csv")
+        refs = load_seed_refs(tmp_path)
+        assert [r.path.name for r in refs] != sorted(r.path.name for r in refs)
+        cfg = CampaignConfig()
+        want = run_campaign(list(small_seeds), cfg, glance=glances, decels=decels)
+        for workers in (1, 2):
+            got = run_campaign(refs, cfg, glance=glances, decels=decels,
+                               workers=workers)
+            for a, b in zip(got.results, want.results, strict=True):
+                assert (a.seed_id, a.anchor, a.no_response, a.seed_delta_v_kmh,
+                        a.follower_mass, a.lead_mass) == (
+                    b.seed_id, b.anchor, b.no_response, b.seed_delta_v_kmh,
+                    b.follower_mass, b.lead_mass)
+                assert_bitwise(a.matrix, b.matrix, MATRIX_FIELDS)
+        wrong = SeedRef("other", refs[0].path, refs[0].seed_delta_v_kmh)
+        with pytest.raises(ParseError, match="listed as 'other'"):
+            run_campaign([wrong], cfg, glance=glances, decels=decels)
+
     def test_matrix_csv_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
         result = run_campaign(list(small_seeds[:3]), cfg, glance=glances,
@@ -551,6 +581,14 @@ MALFORMED_MATRICES = {
         MATRIX_HEADER + FULL_GRID_ROWS + "s1,2,1,0,,,0\n", SMALL_GRID),
     "index_not_integer": (
         MATRIX_HEADER + FULL_GRID_ROWS + "s1,1.0,1,0,,,0\n", SMALL_GRID),
+    "crashed_not_a_flag": (MATRIX_HEADER + "s1,0,0,2,,,0\n", SMALL_GRID),
+    "severity_not_a_flag": (MATRIX_HEADER + "s1,0,0,1,9.0,1.0,yes\n",
+                            SMALL_GRID),
+    "no_crash_with_fields": (MATRIX_HEADER + "s1,0,0,0,abc,xyz,1\n",
+                             SMALL_GRID),
+    "no_crash_with_speed": (MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,1.0,0\n",
+                            SMALL_GRID),
+    "no_crash_at_max_severity": (MATRIX_HEADER + "s1,0,0,0,,,1\n", SMALL_GRID),
     "summary_without_grid": (
         MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,,0\n", None),
 }

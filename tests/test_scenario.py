@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from rearsim.scenario import (
     Trajectory,
     VehicleMeta,
     load_seed,
+    load_seed_dir,
+    load_seed_refs,
     remove_evasive_maneuver,
     save_seed,
     synthesize_seeds,
@@ -94,6 +97,58 @@ class TestLoadSave:
         save_seed(seed, path)
         with pytest.raises(ValidationError, match="negative gap"):
             load_seed(path)
+
+
+class TestSeedRefs:
+    def _write(self, directory, stems_and_ids):
+        for stem, sid in stems_and_ids:
+            save_seed(make_seed(seed_id=sid), directory / f"{stem}.csv")
+
+    def _record_delta_v(self, sidecar, value: str):
+        """Set the sidecar's seed_delta_v_kmh to the JSON text `value`."""
+        meta = json.loads(sidecar.read_text())
+        meta.pop("seed_delta_v_kmh")
+        sidecar.write_text(json.dumps(meta)[:-1] + f', "seed_delta_v_kmh": {value}}}')
+
+    def test_ordered_by_sidecar_id_not_file_name(self, tmp_path):
+        self._write(tmp_path, [("1", "b"), ("2", "a"), ("3", "c")])
+        refs = load_seed_refs(tmp_path)
+        assert [r.id for r in refs] == ["a", "b", "c"]
+        assert [r.path.name for r in refs] == ["2.csv", "1.csv", "3.csv"]
+        assert [r.seed_delta_v_kmh for r in refs] == [18.0] * 3
+        assert [s.id for s in load_seed_dir(tmp_path)] == ["a", "b", "c"]
+
+    def test_duplicate_id_names_both_sidecars(self, tmp_path):
+        self._write(tmp_path, [("s0001", "s0001"), ("zz", "s0001")])
+        for load in (load_seed_refs, load_seed_dir):
+            with pytest.raises(ParseError, match=r"s0001\.json.*zz\.json"):
+                load(tmp_path)
+
+    def test_missing_sidecar(self, tmp_path):
+        self._write(tmp_path, [("a", "a")])
+        (tmp_path / "a.json").unlink()
+        with pytest.raises(ParseError, match="sidecar not found"):
+            load_seed_refs(tmp_path)
+
+    @pytest.mark.parametrize("value", ['"abc"', "NaN", "Infinity", "-5.0",
+                                       "true", "[1.0]"])
+    def test_recorded_delta_v_must_be_finite_and_non_negative(self, value,
+                                                               tmp_path):
+        self._write(tmp_path, [("a", "a")])
+        self._record_delta_v(tmp_path / "a.json", value)
+        for load in (load_seed_refs, lambda d: load_seed(d / "a.csv")):
+            with pytest.raises(ParseError, match=r"a\.json: seed_delta_v_kmh"):
+                load(tmp_path)
+
+    @pytest.mark.parametrize("value, want", [("null", None), ("0", 0.0),
+                                             ("12", 12.0), ("7.5", 7.5)])
+    def test_recorded_delta_v_accepted(self, value, want, tmp_path):
+        self._write(tmp_path, [("a", "a")])
+        self._record_delta_v(tmp_path / "a.json", value)
+        (ref,) = load_seed_refs(tmp_path)
+        assert ref.seed_delta_v_kmh == want
+        assert type(ref.seed_delta_v_kmh) is type(want)
+        assert load_seed(ref.path).seed_delta_v_kmh == want
 
 
 class TestRemoveEvasiveManeuver:
