@@ -10,7 +10,6 @@ onto the injury-database selection so the two become comparable.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .errors import FitError, ParseError, ValidationError
 from .outcome import DEFAULT_BIN_WIDTH_KMH, DeltaVDistribution, align_bins
 
@@ -26,6 +26,8 @@ DEFAULT_N_FILL_BINS = 6
 
 C1_GRID = np.round(np.arange(-10.0, -0.1 + 1e-9, 0.05), 10)
 C2_GRID = np.round(np.arange(0.001, 5.0 + 1e-9, 0.001), 10)
+
+OCCUPANTS_CSV_HEADER = ["delta_v_kmh", "mais", "role"]
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,16 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     """Exhaustive grid search for the logistic (C1, C2) minimizing the
     summed absolute bin difference between `original` and the transformed
     `with_pdo`, the latter rescaled to the original's total mass before
-    differencing. Ties resolve to the smallest C1, then C2."""
+    differencing. Ties resolve to the smallest C1, then C2.
+
+    Each C1 row runs the ufuncs of the formula in one (n_c2, n_bins) work
+    buffer, allocated once. The result is byte-identical to evaluating
+    ``1 / (1 + exp(-(c1 + C2*x)))`` with a new array per step: the same
+    operations run in the same order, and each row's sum still runs over
+    one C-contiguous row, so NumPy's pairwise summation order is
+    unchanged. The one rewrite, ``-(c1 + C2*x)`` as ``(-c1) + (-(C2*x))``,
+    is exact: round-to-nearest is symmetric under negation, and the sign
+    of an exact zero, the only possible difference, leaves exp at 1."""
     wp, orig = align_bins(with_pdo, original)
     centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
     orig_mass = orig.sum()
@@ -226,12 +237,16 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     best_cost = math.inf
     best = (C1_GRID[0], C2_GRID[0])
     cost_by_c1 = np.empty(len(C1_GRID))
-    zx = np.outer(C2_GRID, centers)
+    nzx = -np.outer(C2_GRID, centers)
+    work = np.empty_like(nzx)
+    scale, cost = np.empty(len(C2_GRID)), np.empty(len(C2_GRID))
     for r, c1 in enumerate(C1_GRID):
-        p = 1.0 / (1.0 + np.exp(-(c1 + zx)))          # (n_c2, n_bins)
-        t = p * wp
-        scale = orig_mass / t.sum(axis=1)
-        cost = np.abs(orig - scale[:, None] * t).sum(axis=1)
+        np.exp(np.add(-c1, nzx, out=work), out=work)
+        np.divide(1.0, np.add(1.0, work, out=work), out=work)   # p
+        np.multiply(work, wp, out=work)                          # t = p * wp
+        np.divide(orig_mass, np.sum(work, axis=1, out=scale), out=scale)
+        np.multiply(scale[:, None], work, out=work)
+        np.sum(np.abs(np.subtract(orig, work, out=work), out=work), axis=1, out=cost)
         k = int(np.argmin(cost))
         cost_by_c1[r] = cost[k]
         if cost[k] < best_cost:
@@ -264,15 +279,21 @@ def apply_transfer(dist: DeltaVDistribution, tf: TransferFunction) -> DeltaVDist
 # ---------------------------------------------------------------- file I/O
 
 def load_occupants(path: str | Path) -> list[OccupantRecord]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["delta_v_kmh", "mais", "role"]:
-                raise ParseError(f"{path}: expected delta_v_kmh,mais,role header")
-            return [OccupantRecord(float(a), int(b), c) for a, b, c in reader]
-    except (ValueError, StopIteration) as exc:
-        raise ParseError(f"{path}: malformed occupant file: {exc}") from exc
+    """Occupant records from a ``delta_v_kmh,mais,role`` CSV file. A row
+    with the wrong number of fields, a delta-v that is not a finite number
+    >= 0, a MAIS that is not one of 0..6, or a file without records raises
+    ParseError naming ``path:line``."""
+    chunk = table.read_csv(path, OCCUPANTS_CSV_HEADER)
+    if not chunk.n_rows:
+        raise ParseError(f"{path}:1: no occupant records")
+    dv = chunk.floats("delta_v_kmh")
+    valid = (dv >= 0) & (dv < math.inf)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise chunk.error(bad, f"delta_v_kmh must be finite and >= 0, got "
+                               f"{chunk['delta_v_kmh'][bad]!r}")
+    return list(map(OccupantRecord, dv.tolist(),
+                    chunk.indices("mais", 7).tolist(), chunk["role"]))
 
 
 def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:

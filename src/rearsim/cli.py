@@ -85,17 +85,20 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _reference_histogram(path: str, bin_width: float) -> DeltaVDistribution:
+def _reference_histogram(path: str, bin_width: float
+                         ) -> tuple[DeltaVDistribution, str | list[Path]]:
     """Reference delta-v histogram: a histogram CSV, or built from the
-    delta-v a seed directory's JSON sidecars record."""
+    delta-v a seed directory's JSON sidecars record. Also returns what was
+    read, for the manifest: the CSV, or the list of sidecars."""
     p = Path(path)
     if p.is_dir():
-        dvs = [r.seed_delta_v_kmh for r in load_seed_refs(p)
-               if r.seed_delta_v_kmh is not None]
+        refs = load_seed_refs(p)
+        dvs = [r.seed_delta_v_kmh for r in refs if r.seed_delta_v_kmh is not None]
         if not dvs:
             raise ValidationError(f"{p}: seeds carry no reference delta-v")
-        return build_histogram([(dv, 1.0) for dv in dvs], bin_width)
-    return load_histogram(p)
+        return (build_histogram([(dv, 1.0) for dv in dvs], bin_width),
+                [r.path.with_suffix(".json") for r in refs])
+    return load_histogram(p), path
 
 
 # ------------------------------------------------------------------- synth
@@ -343,7 +346,7 @@ def cmd_weight(args) -> int:
 def cmd_fit_bias(args) -> int:
     out = _out_dir(args.out)
     records = bias.load_occupants(args.occupants)
-    injury = _reference_histogram(args.injury_hist, args.bin_width)
+    injury, injury_read = _reference_histogram(args.injury_hist, args.bin_width)
     model, pdo_hist, diagnostics = bias.build_pdo(
         records, args.p_pdo, args.n_fill_bins, args.bin_width)
     reference = bias.augment_reference(injury, model, args.p_pdo)
@@ -362,7 +365,7 @@ def cmd_fit_bias(args) -> int:
     table.write_csv(residual_path, ["c1", "min_cost_over_c2"], [[
         table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])]])
     write_manifest(out, "fit-bias",
-                   {"occupants": args.occupants, "injury_hist": args.injury_hist},
+                   {"occupants": args.occupants, "injury_hist": injury_read},
                    [pdo_path, tf_path, ref_path, pdo_hist_path, residual_path],
                    {"p_pdo": args.p_pdo, "n_fill_bins": args.n_fill_bins})
     print(f"fit-bias: PDO shape B1={model.B1:.4g} B2={model.B2:.4g}; "
@@ -451,7 +454,8 @@ def _per_seed_percentiles(per_seed_samples, summary: dict[str, _SeedSummary],
 def cmd_validate(args) -> int:
     out = _out_dir(args.out)
     model_hist = load_histogram(args.model_hist)
-    reference = _reference_histogram(args.reference, model_hist.bin_width)
+    reference, reference_read = _reference_histogram(args.reference,
+                                                     model_hist.bin_width)
     stats = compare(model_hist, reference)
     outputs = []
     comparison = write_json(out / "comparison.json", {
@@ -461,7 +465,7 @@ def cmd_validate(args) -> int:
     })
     outputs.append(comparison)
 
-    inputs = {"model_hist": args.model_hist, "reference": args.reference}
+    inputs = {"model_hist": args.model_hist, "reference": reference_read}
     if args.samples:
         if not args.seeds_summary:
             raise ValidationError("--samples requires --seeds-summary")

@@ -320,6 +320,15 @@ class CampaignConfig:
             if not hasattr(cfg, key):
                 raise ValidationError(f"unknown campaign config key: {key}")
             setattr(cfg, key, value)
+        for key in ("reaction_m", "reaction_v", "dt", "horizon_extension"):
+            value = getattr(cfg, key)
+            if type(value) not in (int, float) or not -np.inf < value < np.inf:
+                raise ValidationError(f"{path}: campaign config {key} must be a "
+                                      f"finite number, got {value!r}")
+        if cfg.dt <= 0 or cfg.horizon_extension < 0:
+            raise ValidationError(
+                f"{path}: campaign config needs dt > 0 and horizon_extension "
+                f">= 0, got {cfg.dt!r} and {cfg.horizon_extension!r}")
         if cfg.model not in (MODEL_CBM, MODEL_BLOM):
             raise ValidationError(f"unknown model {cfg.model!r}")
         if cfg.model == MODEL_CBM and not cfg.glance_file:

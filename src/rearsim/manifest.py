@@ -29,8 +29,11 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def digest_tree(path: str | Path) -> dict[str, str]:
-    """Digests for a file, or for every file under a directory."""
+def digest_tree(path: str | Path | list[Path]) -> dict[str, str]:
+    """Digests for a file, for every file under a directory, or for a list
+    of files in one directory, each named by its file name."""
+    if isinstance(path, list):
+        return {p.name: file_digest(p) for p in path}
     path = Path(path)
     if path.is_file():
         return {path.name: file_digest(path)}
@@ -53,7 +56,7 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 
 def write_manifest(out_dir: str | Path, command: str,
-                   inputs: dict[str, str | Path],
+                   inputs: dict[str, str | Path | list[Path]],
                    outputs: list[str | Path],
                    config: dict | None = None) -> Path:
     out_dir = Path(out_dir)

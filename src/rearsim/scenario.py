@@ -390,6 +390,9 @@ class SynthesisConfig:
             if isinstance(current, tuple):
                 value = tuple(float(v) for v in value)
             setattr(cfg, key, value)
+        if type(cfg.n_seeds) is not int or cfg.n_seeds < 1:
+            raise ValidationError(f"{path}: synthesis config n_seeds must be an "
+                                  f"integer >= 1, got {cfg.n_seeds!r}")
         return cfg
 
 

@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rearsim import bias
 from rearsim.bias import (
     OccupantRecord,
     PdoModel,
@@ -16,7 +21,7 @@ from rearsim.bias import (
 )
 from rearsim.errors import ValidationError
 from rearsim.manifest import write_json
-from rearsim.outcome import DeltaVDistribution, build_histogram
+from rearsim.outcome import DeltaVDistribution, align_bins, build_histogram
 from rearsim.validation import compare
 
 from fixtures import save_occupants
@@ -195,6 +200,92 @@ class TestFitTransfer:
         tf2, d2 = fit_transfer(all_sev, target)
         assert (tf1.C1, tf1.C2) == (tf2.C1, tf2.C2)
         assert d1["cost"] == d2["cost"]
+
+
+def reference_fit_transfer(with_pdo: DeltaVDistribution,
+                           original: DeltaVDistribution):
+    """The grid search with a new array per step: the oracle for
+    fit_transfer, which must give the same bits."""
+    wp, orig = align_bins(with_pdo, original)
+    centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
+    orig_mass = orig.sum()
+    best_cost = math.inf
+    best = (bias.C1_GRID[0], bias.C2_GRID[0])
+    cost_by_c1 = np.empty(len(bias.C1_GRID))
+    zx = np.outer(bias.C2_GRID, centers)
+    for r, c1 in enumerate(bias.C1_GRID):
+        p = 1.0 / (1.0 + np.exp(-(c1 + zx)))
+        t = p * wp
+        scale = orig_mass / t.sum(axis=1)
+        cost = np.abs(orig - scale[:, None] * t).sum(axis=1)
+        k = int(np.argmin(cost))
+        cost_by_c1[r] = cost[k]
+        if cost[k] < best_cost:
+            best_cost = float(cost[k])
+            best = (float(c1), float(bias.C2_GRID[k]))
+    saturated = (best[0] == float(bias.C1_GRID[-1])
+                 or best[1] in (float(bias.C2_GRID[0]), float(bias.C2_GRID[-1])))
+    return TransferFunction(*best), {"cost": best_cost, "saturated": saturated,
+                                     "cost_by_c1": cost_by_c1.tolist()}
+
+
+def fit_bits(fit):
+    tf, diag = fit
+    return (tf.C1.hex(), tf.C2.hex(), diag["cost"].hex(), diag["saturated"],
+            [c.hex() for c in diag["cost_by_c1"]])
+
+
+def histogram(weights) -> DeltaVDistribution:
+    w = np.asarray(weights, dtype=float)
+    return DeltaVDistribution(BIN_W, w / w.sum(), 0.0, 1)
+
+
+# 1-140 bin masses, empty bins among them, at least one positive
+MASSES = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                  min_size=1, max_size=140).filter(any)
+
+
+# C1 rows are independent of each other, so every tenth row and the last
+# one (where saturation is detected) run the same arithmetic as the whole
+# grid at a tenth of the cost; the C2 grid, the work buffer's rows, is whole
+C1_ROWS = np.concatenate([bias.C1_GRID[::10], bias.C1_GRID[-1:]])
+
+
+class TestFitTransferBits:
+    # 1-140 bins cross NumPy's 8- and 128-element pairwise-sum blocks
+    @given(MASSES, MASSES, st.booleans())
+    @example([1.0], [0.0, 1.0], False)
+    @example([0.5] * 8, [0.25] * 9, False)
+    @example([1.0] + [0.0] * 127, [0.0, 1.0] * 64 + [1.0], False)
+    @example([float(k % 7) + 1.0 for k in range(140)], [1.0], True)
+    @settings(max_examples=20, deadline=None)
+    def test_equals_the_reference_bitwise(self, with_pdo, original, identical):
+        with_pdo = histogram(with_pdo)
+        original = with_pdo if identical else histogram(original)
+        with mock.patch.object(bias, "C1_GRID", C1_ROWS):
+            assert fit_bits(fit_transfer(with_pdo, original)) == fit_bits(
+                reference_fit_transfer(with_pdo, original))
+
+    def test_equals_the_reference_on_the_whole_grid(self):
+        records = folksam_like_records()
+        injury = histogram(np.random.default_rng(4).gamma(5.0, 1.8, 36))
+        model, _, _ = build_pdo(records, bin_width=BIN_W)
+        with_pdo = augment_reference(injury, model)
+        assert fit_bits(fit_transfer(with_pdo, injury)) == fit_bits(
+            reference_fit_transfer(with_pdo, injury))
+
+    def test_peak_memory_is_about_two_grids(self):
+        """One work buffer and the grid of C2 * dv: no array per step."""
+        rng = np.random.default_rng(6)
+        with_pdo, original = histogram(rng.random(36)), histogram(rng.random(36))
+        grid_bytes = len(bias.C2_GRID) * 36 * 8
+        tracemalloc.start()
+        try:
+            fit_transfer(with_pdo, original)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid_bytes, peak / grid_bytes
 
 
 class TestApplyTransfer:

@@ -16,7 +16,7 @@ import pytest
 
 import rearsim
 from rearsim import table
-from rearsim.bias import OccupantRecord, load_transfer
+from rearsim.bias import OccupantRecord, load_occupants, load_transfer
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
     _load_samples,
@@ -27,9 +27,11 @@ from rearsim.cli import (
     _simulated_matrices,
     main,
 )
-from rearsim.errors import ParseError
+from rearsim.engine import CampaignConfig
+from rearsim.errors import ParseError, ValidationError
+from rearsim.manifest import digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
-from rearsim.scenario import load_seed, load_seed_dir, load_seed_refs
+from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
 from rearsim.distributions import cut_glances
 
 from fixtures import (
@@ -484,8 +486,11 @@ def test_non_finite_distribution_input_exits_two(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_SYNTH = ["synth", "--config", "inputs/synth.json", "--out", "bad_synth"]
 _SIMULATE = ["simulate", "--seeds", "out_synth/seeds", "--config",
              "inputs/campaign.json", "--out", "bad_simulate"]
+_SIMULATE_BLOM = ["simulate", "--seeds", "out_synth/seeds", "--config",
+                  "inputs/blom.json", "--out", "bad_simulate"]
 _WEIGHT = ["weight", "--simulate-out", "out_simulate", "--out", "bad_weight"]
 _FIT_BIAS = ["fit-bias", "--occupants", "inputs/occupants.csv",
              "--injury-hist", "out_synth/seeds", "--out", "bad_fit"]
@@ -523,8 +528,47 @@ def _bad_delta_v(value):
             _SEEDS_DIR)
 
 
-# name: (file, loader, edit of its text, error location, commands reading it)
+def _bad_occupants(edit, where):
+    return ("inputs/occupants.csv", load_occupants, edit,
+            rf"occupants\.csv:{where}", (_FIT_BIAS,))
+
+
+def _bad_config(file, loader, command, key, value):
+    return (f"inputs/{file}", loader, _set_json(**{key: value}),
+            rf"{re.escape(file)}: \w+ config .*{key}", (command,), ValidationError)
+
+
+# name: (file, loader, edit of its text, error location, commands reading it
+# [, the error the loader raises, if not ParseError])
 MALFORMED_INPUTS = {
+    "occupants_short_row": _bad_occupants(
+        _edit_row(3, lambda f: f[:-1]), "3: expected 3 fields, got 2"),
+    "occupants_extra_field": _bad_occupants(
+        _edit_row(3, lambda f: f + ["x"]), "3: expected 3 fields, got 4"),
+    "occupants_delta_v_text": _bad_occupants(
+        _edit_row(4, _set_field(0, "fast")), "4: delta_v_kmh"),
+    **{f"occupants_delta_v_{name}": _bad_occupants(
+        _edit_row(4, _set_field(0, value)), "4: delta_v_kmh")
+       for name, value in (("nan", "nan"), ("infinite", "inf"), ("negative", "-1.0"))},
+    **{f"occupants_mais_{name}": _bad_occupants(
+        _edit_row(5, _set_field(1, value)), "5: mais")
+       for name, value in (("text", "x"), ("out_of_range", "9"), ("negative", "-1"))},
+    "occupants_empty": _bad_occupants(lambda text: "", "1: expected header"),
+    "occupants_header_only": _bad_occupants(
+        lambda text: text[:text.index("\r\n") + 2], "1: no occupant records"),
+    **{f"campaign_{key}_{name}": _bad_config(
+        "campaign.json", CampaignConfig.from_json, _SIMULATE, key, value)
+       for key, name, value in (("dt", "text", "x"), ("dt", "nan", math.nan),
+                                ("dt", "zero", 0.0), ("dt", "flag", True),
+                                ("horizon_extension", "negative", -40),
+                                ("horizon_extension", "infinite", math.inf))},
+    **{f"campaign_{key}_{name}": _bad_config(
+        "blom.json", CampaignConfig.from_json, _SIMULATE_BLOM, key, value)
+       for key, name, value in (("reaction_m", "text", "a"),
+                                ("reaction_v", "infinite", math.inf))},
+    **{f"synth_n_seeds_{name}": _bad_config(
+        "synth.json", SynthesisConfig.from_json, _SYNTH, "n_seeds", value)
+       for name, value in (("text", "5"), ("zero", 0), ("fraction", 2.5))},
     "seed_short_row": (
         "out_synth/seeds/s0000.csv", load_seed,
         _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", (_SIMULATE,)),
@@ -580,10 +624,10 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
     root, _, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
-    file, loader, edit, where, commands = MALFORMED_INPUTS[name]
+    file, loader, edit, where, commands, *error = MALFORMED_INPUTS[name]
     path = copy / file
     path.write_bytes(edit(path.read_bytes().decode()).encode())
-    with pytest.raises(ParseError, match=where):
+    with pytest.raises(error[0] if error else ParseError, match=where):
         loader(path)
     for command in commands:
         capsys.readouterr()
@@ -624,7 +668,25 @@ def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):
         raise AssertionError(f"read {path}")
 
     monkeypatch.setattr(table, "read_csv", no_csv)
-    got = _reference_histogram(str(seeds_dir), DEFAULT_BIN_WIDTH_KMH)
+    got, read = _reference_histogram(str(seeds_dir), DEFAULT_BIN_WIDTH_KMH)
     assert got.weights.tobytes() == want.weights.tobytes()
     assert (got.bin_width, got.mean, got.count, got.normalized) == (
         want.bin_width, want.mean, want.count, want.normalized)
+    assert read == sorted(seeds_dir.glob("*.json"))
+
+
+def test_seeds_directory_manifests_digest_what_the_stage_read(pipeline):
+    """fit-bias and validate list only the sidecars they read under their
+    seeds-directory input, each with the digest simulate records for it;
+    simulate, which parses the trajectories, digests the whole tree."""
+    root, _, out = pipeline
+    tree = digest_tree(root / "out_synth" / "seeds")
+    sidecars = {name: d for name, d in tree.items() if name.endswith(".json")}
+    assert len(sidecars) == 8 and len(tree) == 16
+
+    def inputs(stage):
+        return json.loads((out[stage] / "manifest.json").read_text())["inputs"]
+
+    assert inputs("simulate")["seeds"] == tree
+    assert inputs("fit")["injury_hist"] == sidecars
+    assert inputs("validate")["reference"] == sidecars
