@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .errors import ParseError, ValidationError
 
 GLANCE_BIN_WIDTH = 0.1   # s
 DECEL_BIN_WIDTH = 1.5    # m/s^2
+DECELS_CSV_HEADER = ("d_max_ms2", "probability")
 
 
 def _duration_to_bin(duration: float) -> int:
@@ -159,6 +161,10 @@ def cut_glances(g: GlanceDistribution, cut_at: float) -> GlanceDistribution:
 # ---------------------------------------------------------------- file I/O
 
 def load_glances(path: str | Path) -> GlanceDistribution:
+    """A glance distribution from a CSV file: an ``on_road_mass,<value>``
+    row, then ``duration_s,probability`` and one row per off-road bin. It
+    is read with ``csv``, not ``table``, because of that first row, and a
+    malformed file raises ParseError naming the path but not the line."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -179,16 +185,11 @@ def load_glances(path: str | Path) -> GlanceDistribution:
 
 
 def load_decels(path: str | Path, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistribution:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["d_max_ms2", "probability"]:
-                raise ParseError(f"{path}: expected d_max_ms2,probability header")
-            rows = [(float(a), float(b)) for a, b in reader]
-    except (ValueError, StopIteration) as exc:
-        raise ParseError(f"{path}: malformed deceleration distribution: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no bins")
-    values, probs = zip(*rows)
-    return DecelDistribution(np.array(values), np.array(probs), bin_width)
+    """A deceleration distribution from a ``d_max_ms2,probability`` CSV
+    file. A row with the wrong number of fields, a field that is not a
+    number, or a file without bins raises ParseError naming ``path:line``."""
+    chunk = table.read_csv(path, DECELS_CSV_HEADER)
+    if not chunk.n_rows:
+        raise ParseError(f"{path}:1: no bins")
+    return DecelDistribution(chunk.floats("d_max_ms2"), chunk.floats("probability"),
+                             bin_width)

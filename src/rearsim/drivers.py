@@ -11,7 +11,7 @@ definitions; no other module restates them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,11 @@ class CbmConfig:
     no_response_fraction: float = 0.10
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ValidationError(f"{item.name} must be a finite number, "
+                                      f"got {value!r}")
         if self.response_delay < 0:
             raise ValidationError("response_delay must be >= 0")
         if self.jerk_mean >= 0:

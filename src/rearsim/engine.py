@@ -314,8 +314,8 @@ class CampaignConfig:
             raw = json.load(fh)
         try:
             cfg = cls(cbm=CbmConfig(**raw.pop("cbm", {})))
-        except TypeError as exc:  # an unknown key, or a value of a wrong type
-            raise ValidationError(f"campaign config cbm: {exc}") from exc
+        except (TypeError, ValidationError) as exc:  # an unknown key or a bad value
+            raise ValidationError(f"{path}: campaign config cbm: {exc}") from exc
         for key, value in raw.items():
             if not hasattr(cfg, key):
                 raise ValidationError(f"unknown campaign config key: {key}")

@@ -11,7 +11,7 @@ follower's speed change (delta-v) is m2*(v1 - v2)/(m1 + m2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -380,20 +380,52 @@ class SynthesisConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthesisConfig":
+        """The defaults, with the keys of a JSON object in `path` in their
+        place. An unknown key, or a value of a wrong type or out of range,
+        raises ValidationError naming the file and the key."""
         with open(path) as fh:
             raw = json.load(fh)
         cfg = cls()
         for key, value in raw.items():
-            if not hasattr(cfg, key):
+            if key not in {item.name for item in fields(cls)}:
                 raise ValidationError(f"unknown synthesis config key: {key}")
-            current = getattr(cfg, key)
-            if isinstance(current, tuple):
-                value = tuple(float(v) for v in value)
-            setattr(cfg, key, value)
-        if type(cfg.n_seeds) is not int or cfg.n_seeds < 1:
-            raise ValidationError(f"{path}: synthesis config n_seeds must be an "
-                                  f"integer >= 1, got {cfg.n_seeds!r}")
+            ranged = isinstance(getattr(cfg, key), tuple)
+            rule, check = _RANGE_RULE if ranged else _SYNTHESIS_RULES[key]
+            if not check(value):
+                raise ValidationError(f"{path}: synthesis config {key} must be "
+                                      f"{rule}, got {value!r}")
+            setattr(cfg, key, tuple(map(float, value)) if ranged else value)
         return cfg
+
+
+def _is_finite(value) -> bool:
+    """Whether a JSON value is a finite number (not a flag)."""
+    return type(value) in (int, float) and -np.inf < value < np.inf
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+# lead_mix mode: the lead behavior class a seed of that mode must have
+_LEAD_CLASS = {"braking": LEAD_BRAKING, "non_braking": LEAD_NON_BRAKING,
+               "standstill": LEAD_STANDSTILL}
+
+# (what a value must be, the test of its JSON value): every (low, high)
+# range, then each other key
+_RANGE_RULE = ("a [low, high] pair of finite numbers with low <= high",
+               lambda v: type(v) is list and len(v) == 2
+               and all(map(_is_finite, v)) and v[0] <= v[1])
+_SYNTHESIS_RULES = {
+    "n_seeds": ("an integer >= 1", _is_count),
+    "max_attempts": ("an integer >= 1", _is_count),
+    "follower_no_response_prob": ("a finite number in [0, 1]",
+                                  lambda v: _is_finite(v) and 0 <= v <= 1),
+    "max_sim_time": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "lead_mix": (f"an object of finite weights >= 0 keyed by {', '.join(_LEAD_CLASS)}",
+                 lambda v: type(v) is dict and v.keys() <= _LEAD_CLASS.keys()
+                 and all(_is_finite(w) and w >= 0 for w in v.values())),
+}
 
 
 def _mode_counts(mix: dict[str, float], n: int) -> dict[str, int]:
@@ -510,9 +542,7 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
             foll_tr = Trajectory(tt, foll_pos[sl].copy(), foll_speed[sl].copy(),
                                  foll_acc[sl].copy())
             got_class, _ = classify_lead_behavior(lead_tr)
-            wanted = {"braking": LEAD_BRAKING, "non_braking": LEAD_NON_BRAKING,
-                      "standstill": LEAD_STANDSTILL}[mode]
-            if got_class != wanted:
+            if got_class != _LEAD_CLASS[mode]:
                 continue
             sid = f"s{index:04d}"
             foll_meta = VehicleMeta(u(config.mass), u(config.width),

@@ -20,6 +20,15 @@ bounded chunks of rows, so memory does not grow with the file;
 ``read_csv`` reads a small file whole. A missing or different header, a
 row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
+
+Cost. Tables repeat values (a seed's no-response outcome fills many
+cells, a sample's weight many rows), so the work follows what is distinct:
+
+- writing formats each distinct float bit pattern once and shares its
+  text among the fields that hold it;
+- reading splits a chunk without quotes once, as one text, after checking
+  that every line holds one comma fewer than the header has names; a chunk
+  with quotes goes through ``csv.reader`` row by row.
 """
 
 from __future__ import annotations
@@ -42,17 +51,23 @@ _NEEDS_QUOTES = (",", '"', "\r", "\n")
 
 def reprs(values) -> list[str]:
     """Each value as ``repr`` of a float."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+    return _float_texts(values, "nan")
 
 
 def fmt(values) -> list[str]:
     """Each value as ``repr`` of a float; None and NaN, a missing value,
     as an empty field."""
-    values = np.asarray(values, dtype=float)
-    out = reprs(values)
-    for k in np.flatnonzero(np.isnan(values)).tolist():
-        out[k] = ""
-    return out
+    return _float_texts(values, "")
+
+
+def _float_texts(values, nan: str) -> list[str]:
+    """Each value as ``repr`` of a float, and every NaN as `nan`. Each
+    distinct bit pattern is formatted once: keys are bits, not float
+    equality, which would merge -0.0 into 0.0."""
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = [nan if x != x else repr(x) for x in distinct.view(float).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def flags(values) -> list[str]:
@@ -99,15 +114,13 @@ class Chunk:
     """Consecutive data rows of a file, held as text columns."""
 
     def __init__(self, path: Path, header: Sequence[str], first_row: int,
-                 rows: list[list[str]]):
+                 fields: list[str]):
+        """`fields` holds the chunk's rows one after another, each as wide
+        as `header`."""
         self.path = path
         self.first_row = first_row  # index of the first row among data rows
-        self.n_rows = len(rows)
         width = len(header)
-        if any(n != width for n in set(map(len, rows))):
-            bad = next(i for i, row in enumerate(rows) if len(row) != width)
-            raise self.error(bad, f"expected {width} fields, got {len(rows[bad])}")
-        fields = list(itertools.chain.from_iterable(rows))
+        self.n_rows = len(fields) // width
         self._columns = {name: fields[k::width] for k, name in enumerate(header)}
 
     def __getitem__(self, name: str) -> list[str]:
@@ -208,7 +221,7 @@ def read_chunks(path: str | Path, header: Sequence[str],
         try:
             if next(csv.reader(fh), None) != list(header):
                 raise ParseError(f"{path}:1: expected header {','.join(header)}")
-            first = 0
+            first, width = 0, len(header)
             while True:
                 lines = list(itertools.islice(fh, rows))
                 if not lines:
@@ -216,18 +229,34 @@ def read_chunks(path: str | Path, header: Sequence[str],
                 if '"' in "".join(lines):
                     # quoted fields may span lines: csv.reader takes one
                     # row per line of the chunk, and more lines as it needs
-                    batch = list(itertools.islice(
-                        csv.reader(itertools.chain(lines, fh)), len(lines)))
-                    batch = list(filter(None, batch))
+                    batch = list(filter(None, itertools.islice(
+                        csv.reader(itertools.chain(lines, fh)), len(lines))))
+                    if set(map(len, batch)) - {width}:
+                        raise _width_error(path, first, width, map(len, batch))
+                    fields = list(itertools.chain.from_iterable(batch))
                 else:
-                    # without quotes a line is a row and a comma a separator
-                    stripped = map(str.rstrip, lines, itertools.repeat("\r\n"))
-                    batch = list(map(str.split, filter(None, stripped),
-                                     itertools.repeat(",")))
-                yield Chunk(path, header, first, batch)
-                first += len(batch)
+                    # without quotes a line is a row and a comma a separator:
+                    # once every line holds width - 1 commas, the chunk
+                    # splits as one text
+                    lines = list(filter(None, map(str.rstrip, lines,
+                                                  itertools.repeat("\r\n"))))
+                    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
+                        raise _width_error(path, first, width, (
+                            line.count(",") + 1 for line in lines))
+                    fields = ",".join(lines).split(",") if lines else []
+                chunk = Chunk(path, header, first, fields)
+                yield chunk
+                first += chunk.n_rows
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
+
+
+def _width_error(path: Path, first_row: int, width: int,
+                 sizes: Iterable[int]) -> ParseError:
+    """The error for the first row whose field count in `sizes` is not
+    `width`; the rows are counted from data row `first_row`."""
+    bad, size = next((i, n) for i, n in enumerate(sizes) if n != width)
+    return row_error(path, first_row + bad, f"expected {width} fields, got {size}")
 
 
 def read_csv(path: str | Path, header: Sequence[str]) -> Chunk:

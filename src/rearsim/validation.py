@@ -3,7 +3,6 @@ injury-risk integration, and crash-avoidance rates."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -11,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
 from .outcome import DeltaVDistribution, align_bins
 
+CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
 BELOW_MIN = "below-min"
 ABOVE_MAX = "above-max"
 
@@ -224,7 +225,9 @@ def crash_avoidance_rate(baseline: list[OutcomeMatrix],
 
 def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskCurve:
     """Load a curve from CSV (delta_v_kmh,risk) or JSON logistic parameters
-    {"level", "intercept", "slope"}. A malformed file raises ParseError."""
+    {"level", "intercept", "slope"}. A malformed file raises ParseError; for
+    a CSV file (a bad row, a non-finite value, no rows) it names
+    ``path:line``."""
     path = Path(path)
     if path.suffix == ".json":
         with open(path) as fh:
@@ -236,23 +239,11 @@ def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskC
                              f"{exc!r}") from exc
         return InjuryRiskCurve(level=raw.get("level", level or path.stem),
                                logistic=logistic)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != ["delta_v_kmh", "risk"]:
-            raise ParseError(f"{path}:1: expected delta_v_kmh,risk header")
-        for row in reader:
-            try:
-                dv, risk = map(float, row)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{reader.line_num}: expected two "
-                                 f"numbers, got {row}") from exc
-            if not (math.isfinite(dv) and math.isfinite(risk)):
-                raise ParseError(f"{path}:{reader.line_num}: non-finite value")
-            rows.append((dv, risk))
-        if not rows:
-            raise ParseError(f"{path}:{reader.line_num}: no curve points "
-                             f"after the header")
-    dv, risk = zip(*rows)
-    return InjuryRiskCurve(level=level or path.stem, dv=np.array(dv),
-                           risk=np.array(risk))
+    chunk = table.read_csv(path, CURVE_CSV_HEADER)
+    if not chunk.n_rows:
+        raise ParseError(f"{path}:1: no curve points after the header")
+    dv, risk = chunk.floats("delta_v_kmh"), chunk.floats("risk")
+    finite = np.isfinite(dv) & np.isfinite(risk)
+    if not finite.all():
+        raise chunk.error(int(np.argmin(finite)), "non-finite value")
+    return InjuryRiskCurve(level=level or path.stem, dv=dv, risk=risk)

@@ -32,7 +32,7 @@ from rearsim.errors import ParseError, ValidationError
 from rearsim.manifest import digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
-from rearsim.distributions import cut_glances
+from rearsim.distributions import cut_glances, load_decels
 
 from fixtures import (
     save_decels,
@@ -533,6 +533,11 @@ def _bad_occupants(edit, where):
             rf"occupants\.csv:{where}", (_FIT_BIAS,))
 
 
+def _bad_decels(edit, where):
+    return ("inputs/decels.csv", load_decels, edit, rf"decels\.csv:{where}",
+            (_SIMULATE,))
+
+
 def _bad_config(file, loader, command, key, value):
     return (f"inputs/{file}", loader, _set_json(**{key: value}),
             rf"{re.escape(file)}: \w+ config .*{key}", (command,), ValidationError)
@@ -566,9 +571,27 @@ MALFORMED_INPUTS = {
         "blom.json", CampaignConfig.from_json, _SIMULATE_BLOM, key, value)
        for key, name, value in (("reaction_m", "text", "a"),
                                 ("reaction_v", "infinite", math.inf))},
-    **{f"synth_n_seeds_{name}": _bad_config(
-        "synth.json", SynthesisConfig.from_json, _SYNTH, "n_seeds", value)
-       for name, value in (("text", "5"), ("zero", 0), ("fraction", 2.5))},
+    **{f"campaign_cbm_{key}_nan": (
+        "inputs/campaign.json", CampaignConfig.from_json, _set_json(cbm={key: math.nan}),
+        rf"campaign\.json: campaign config cbm: {key}", (_SIMULATE,), ValidationError)
+       for key in ("response_delay", "inv_tau_threshold", "jerk_mean")},
+    **{f"synth_{key}_{name}": _bad_config(
+        "synth.json", SynthesisConfig.from_json, _SYNTH, key, value)
+       for key, name, value in (("n_seeds", "text", "5"), ("n_seeds", "zero", 0),
+                                ("n_seeds", "fraction", 2.5),
+                                ("follower_speed", "text", "x"),
+                                ("follower_speed", "low_above_high", [30.0, 10.0]),
+                                ("follower_no_response_prob", "text", "a"),
+                                ("max_attempts", "text", "a"),
+                                ("max_sim_time", "zero", 0),
+                                ("lead_mix", "unknown_mode", {"braking": 1, "trucks": 1}))},
+    "decels_short_row": _bad_decels(_edit_row(3, lambda f: f[:-1]),
+                                    "3: expected 2 fields, got 1"),
+    "decels_non_numeric": _bad_decels(_edit_row(2, _set_field(1, "x")),
+                                      "2: probability"),
+    "decels_empty": _bad_decels(lambda text: "", "1: expected header"),
+    "decels_header_only": _bad_decels(
+        lambda text: text[:text.index("\r\n") + 2], "1: no bins"),
     "seed_short_row": (
         "out_synth/seeds/s0000.csv", load_seed,
         _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", (_SIMULATE,)),

@@ -202,3 +202,11 @@ class TestCbmConfig:
             CbmConfig(jerk_mean=1.0)
         with pytest.raises(ValidationError):
             CbmConfig(no_response_fraction=1.0)
+
+    @pytest.mark.parametrize("key", ["inv_tau_threshold", "response_delay",
+                                     "jerk_mean", "jerk_sd", "no_response_fraction"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", True])
+    def test_every_field_must_be_a_finite_number(self, key, value):
+        # NaN would pass every range check, as each comparison with it is False
+        with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
+            CbmConfig(**{key: value})

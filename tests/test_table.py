@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,57 @@ def test_repeated_column_converts_like_float(tmp_path):
     assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
 
 
+def oracle_reprs(values) -> list[str]:
+    """``repr`` of every value, one by one."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def oracle_fmt(values) -> list[str]:
+    return ["" if text == "nan" else text for text in oracle_reprs(values)]
+
+
+def from_bits(*bits: int) -> list[float]:
+    return np.array(bits, dtype=np.uint64).view(float).tolist()
+
+
+# NaNs of both signs and with payloads, both zeros, both infinities,
+# subnormals and the largest magnitudes
+SPECIAL = [*from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                      0x7FF0000000000001, 0xFFF4000000000123),
+           0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+           1e308, -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                     min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), max_size=300))
+def test_reprs_and_fmt_give_the_text_of_each_value(pool, picks):
+    # few distinct values, many repeats: each distinct bit pattern is
+    # formatted once and its text shared
+    values = np.array([pool[k % len(pool)] for k in picks], dtype=float)
+    assert table.reprs(values) == oracle_reprs(values)
+    assert table.fmt(values) == oracle_fmt(values)
+    assert table.reprs(values.tolist()) == oracle_reprs(values)
+
+
+def test_signed_zeros_and_nans_keep_their_text():
+    values = [0.0, -0.0, math.nan, -math.nan, 0.0, -0.0, None]
+    assert table.reprs(values) == ["0.0", "-0.0", "nan", "nan", "0.0", "-0.0", "nan"]
+    assert table.fmt(values) == ["0.0", "-0.0", "", "", "0.0", "-0.0", ""]
+    assert table.reprs([]) == table.fmt([]) == []
+
+
+def test_chunk_of_blank_lines_holds_no_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n\r\n3,4\n\n", newline="")
+    parts = list(table.read_chunks(path, ["a", "b"], rows=1))
+    assert [c.n_rows for c in parts] == [1, 0, 0, 1, 0]
+    assert [(c["a"], c["b"]) for c in parts] == [
+        (["1"], ["2"]), ([], []), ([], []), (["3"], ["4"]), ([], [])]
+
+
+# name: (text, error; optionally the rows per chunk, 1 if not given)
 MALFORMED_TABLES = {
     "empty": ("", r"t\.csv:1:"),
     "other_header": ("a,c\n1,2\n", r"t\.csv:1:"),
@@ -107,14 +159,20 @@ MALFORMED_TABLES = {
     "non_numeric": ("a,b\n1,2\n\n3,x\n", r"t\.csv:4: b: not a number: 'x'"),
     "after_quoted_lines": ('a,b\n"1\n2",2\n3,x\n', r"t\.csv:4: b:"),
     "empty_number": ("a,b\n1,\n", r"t\.csv:2: b:"),
+    # the chunk holds as many commas as two good rows: a count over the
+    # whole chunk would pass it
+    "long_then_short_row": ("a,b\n1,2,3\n4\n",
+                            r"t\.csv:2: expected 2 fields, got 3", None),
+    "quoted_short_row": ('a,b\n"1",2\n3\n', r"t\.csv:3: expected 2 fields, got 1",
+                         None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
 def test_malformed_table_names_path_and_line(name, tmp_path):
-    body, message = MALFORMED_TABLES[name]
+    body, message, *rows = MALFORMED_TABLES[name]
     path = tmp_path / "t.csv"
     path.write_text(body, newline="")
     with pytest.raises(ParseError, match=message):
-        for chunk in table.read_chunks(path, ["a", "b"], rows=1):
+        for chunk in table.read_chunks(path, ["a", "b"], rows=rows[0] if rows else 1):
             chunk.floats("b")

@@ -164,21 +164,25 @@ class TestChi2Sf:
             assert chi2_sf(1e4, df) == 0.0
 
 
+# name: (file text, the line named in the error and its start)
 MALFORMED_CURVES = {
-    "header_only": "delta_v_kmh,risk\n",
-    "empty": "",
-    "non_numeric": "delta_v_kmh,risk\n0.0,0.0\n20.0,high\n",
-    "short_row": "delta_v_kmh,risk\n0.0,0.0\n20.0\n",
-    "nan": "delta_v_kmh,risk\n0.0,0.0\nnan,0.5\n",
+    "header_only": ("delta_v_kmh,risk\n", "1: no curve points"),
+    "empty": ("", "1: expected header"),
+    "non_numeric": ("delta_v_kmh,risk\n0.0,0.0\n20.0,high\n", "3: risk"),
+    "short_row": ("delta_v_kmh,risk\n0.0,0.0\n20.0\n", "3: expected 2 fields"),
+    "long_row": ("delta_v_kmh,risk\n0.0,0.0,1\n20.0,0.5\n", "2: expected 2 fields"),
+    "nan": ("delta_v_kmh,risk\n0.0,0.0\nnan,0.5\n", "3: non-finite"),
+    "infinite_risk": ("delta_v_kmh,risk\n0.0,0.0\n\n20.0,inf\n", "4: non-finite"),
 }
 
 
 class TestInjuryCurveParseErrors:
     @pytest.mark.parametrize("name", sorted(MALFORMED_CURVES))
     def test_malformed_csv_raises_parse_error(self, name, tmp_path):
+        text, where = MALFORMED_CURVES[name]
         path = tmp_path / "curve.csv"
-        path.write_text(MALFORMED_CURVES[name])
-        with pytest.raises(ParseError, match=r"curve\.csv:\d+"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=rf"curve\.csv:{where}"):
             load_injury_curve(path)
 
     @pytest.mark.parametrize("body", ['{"intercept": -4.0}',
