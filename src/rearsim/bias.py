@@ -10,7 +10,6 @@ onto the injury-database selection so the two become comparable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import table
 from .errors import FitError, ParseError, ValidationError
+from .manifest import read_json
 from .outcome import DEFAULT_BIN_WIDTH_KMH, DeltaVDistribution, align_bins
 
 DEFAULT_P_PDO = 0.7
@@ -196,8 +196,6 @@ def augment_reference(injury_dist: DeltaVDistribution, pdo: PdoModel,
                       p_pdo: float = DEFAULT_P_PDO) -> DeltaVDistribution:
     """Mix the fitted PDO shape under the injury-only reference so the PDO
     mass fraction of the result equals p_pdo."""
-    if not injury_dist.normalized:
-        raise ValidationError("injury distribution must be normalized")
     if not 0 <= p_pdo < 1:
         raise ValidationError("p_pdo must be in [0, 1)")
     if p_pdo == 0:
@@ -265,8 +263,6 @@ def fit_transfer(with_pdo: DeltaVDistribution,
 def apply_transfer(dist: DeltaVDistribution, tf: TransferFunction) -> DeltaVDistribution:
     """Censor an all-severity histogram like the injury database: multiply
     each bin by P(dv) and renormalize."""
-    if not dist.normalized:
-        raise ValidationError("distribution must be normalized")
     weights = dist.weights * tf(dist.centers)
     total = weights.sum()
     if total <= 0:
@@ -296,15 +292,6 @@ def load_occupants(path: str | Path) -> list[OccupantRecord]:
                     chunk.indices("mais", 7).tolist(), chunk["role"]))
 
 
-def _load_params(path: str | Path, names: tuple[str, ...]) -> list[float]:
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        return [float(raw[name]) for name in names]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: expected numeric {' and '.join(names)}: "
-                         f"{exc!r}") from exc
-
-
 def load_transfer(path: str | Path) -> TransferFunction:
-    return TransferFunction(*_load_params(path, ("C1", "C2")))
+    raw = read_json(path, "transfer function", {"C1": float, "C2": float})
+    return TransferFunction(float(raw["C1"]), float(raw["C2"]))

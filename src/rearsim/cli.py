@@ -34,7 +34,7 @@ from .engine import (
     save_matrices,
 )
 from .errors import FitError, ModelUndefinedError, RearsimError, ValidationError
-from .manifest import write_json, write_manifest
+from .manifest import check_json, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     DeltaVDistribution,
@@ -184,8 +184,8 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
 def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
     """simulate's summary.json in `sim_dir`, and the no-response fraction
     it records: weight, validate and assess-dms all mix in that share."""
-    with open(sim_dir / "summary.json") as fh:
-        sim_summary = json.load(fh)
+    sim_summary = read_json(sim_dir / "summary.json", "simulate summary",
+                            {"no_response_fraction": float}, required=False)
     return sim_summary, float(sim_summary.get("no_response_fraction", 0.0))
 
 
@@ -481,14 +481,8 @@ def cmd_validate(args) -> int:
             table.texts(sid for sid, _ in ordered),
             [table.quote(v) if isinstance(v, str) else repr(float(v))
              for _, v in ordered]]])
-        rep_path = write_json(out / "percentile_report.json", {
-            "n_bins": rep.n_bins,
-            "counts": rep.counts.tolist(),
-            "below_min": rep.below_min,
-            "above_max": rep.above_max,
-            "chi2": rep.chi2,
-            "p_value": rep.p_value,
-        })
+        rep_path = write_json(out / "percentile_report.json",
+                              {**vars(rep), "counts": rep.counts.tolist()})
         outputs += [pct_path, rep_path]
         inputs["samples"] = args.samples
         inputs["seeds_summary"] = args.seeds_summary
@@ -606,6 +600,22 @@ def _labeled(pairs: list[str]) -> list[tuple[str, str]]:
     return out
 
 
+def _load_percentile_report(path: str) -> PercentileReport:
+    """The percentile_report.json that validate wrote."""
+    kinds = {"n_bins": int, "counts": list, "below_min": int, "above_max": int,
+             "chi2": float, "p_value": float}
+    raw = read_json(path, "percentile report", kinds)
+    return PercentileReport(**{**{key: raw[key] for key in kinds},
+                               "counts": np.array(raw["counts"])})
+
+
+def _load_assessment_cuts(path: str) -> list[dict]:
+    """The rows of each cut in the assess.json that assess-dms wrote."""
+    return [check_json(row, f"{path}: assessment cut", {
+        "cut_at_s": (float, None), "avoidance_rate": float})
+        for row in read_json(path, "assessment", {"cuts": list})["cuts"]]
+
+
 def cmd_report(args) -> int:
     out = _out_dir(args.out)
     outputs = []
@@ -631,21 +641,16 @@ def cmd_report(args) -> int:
     if args.percentiles:
         reps = []
         for label, path in _labeled(args.percentiles):
-            with open(path) as fh:
-                raw = json.load(fh)
-            reps.append((label, PercentileReport(
-                raw["n_bins"], np.array(raw["counts"]), raw["below_min"],
-                raw["above_max"], raw["chi2"], raw["p_value"])))
+            reps.append((label, _load_percentile_report(path)))
             inputs[f"percentiles_{label}"] = path
         svg = out / "percentiles.svg"
         report.percentile_svg(reps, "Seed percentile uniformity", svg)
         outputs.append(svg)
 
     if args.assess:
-        with open(args.assess) as fh:
-            assess = json.load(fh)
-        labels = [f"cut {row['cut_at_s'] or 'none'}s" for row in assess["cuts"]]
-        values = [row["avoidance_rate"] for row in assess["cuts"]]
+        cuts = _load_assessment_cuts(args.assess)
+        labels = [f"cut {row['cut_at_s'] or 'none'}s" for row in cuts]
+        values = [row["avoidance_rate"] for row in cuts]
         svg = out / "avoidance.svg"
         report.bar_svg(labels, values, "Crash avoidance rate",
                        "avoidance rate", svg)

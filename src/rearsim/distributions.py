@@ -8,7 +8,6 @@ from the binned off-road part.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from .errors import ParseError, ValidationError
 GLANCE_BIN_WIDTH = 0.1   # s
 DECEL_BIN_WIDTH = 1.5    # m/s^2
 DECELS_CSV_HEADER = ("d_max_ms2", "probability")
+GLANCES_CSV_HEADER = ("duration_s", "probability")
 
 
 def _duration_to_bin(duration: float) -> int:
@@ -98,11 +98,10 @@ class OvershootDistribution:
 
 @dataclass(eq=False)
 class DecelDistribution:
-    """Maximum-deceleration magnitudes binned at fixed width."""
+    """Maximum-deceleration magnitudes on bins DECEL_BIN_WIDTH wide."""
 
     d_values: np.ndarray  # m/s^2, bin centers
     probs: np.ndarray
-    bin_width: float = DECEL_BIN_WIDTH
 
     def __post_init__(self):
         self.d_values = np.asarray(self.d_values, dtype=float)
@@ -162,34 +161,25 @@ def cut_glances(g: GlanceDistribution, cut_at: float) -> GlanceDistribution:
 
 def load_glances(path: str | Path) -> GlanceDistribution:
     """A glance distribution from a CSV file: an ``on_road_mass,<value>``
-    row, then ``duration_s,probability`` and one row per off-road bin. It
-    is read with ``csv``, not ``table``, because of that first row, and a
-    malformed file raises ParseError naming the path but not the line."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            tag, value = next(reader)
-            if tag != "on_road_mass":
-                raise ParseError(f"{path}: first row must be on_road_mass,<value>")
-            on_road = float(value)
-            header = next(reader)
-            if header != ["duration_s", "probability"]:
-                raise ParseError(f"{path}: expected duration_s,probability header")
-            rows = [(float(a), float(b)) for a, b in reader]
-    except (ValueError, StopIteration) as exc:
-        raise ParseError(f"{path}: malformed glance distribution: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no off-road bins")
-    durations, probs = zip(*rows)
-    return GlanceDistribution(on_road, np.array(durations), np.array(probs))
+    row, then the header ``duration_s,probability`` and one row per
+    off-road bin. A malformed row, or a file without bins, raises
+    ParseError naming ``path:line``."""
+    chunk = table.read_csv(path, GLANCES_CSV_HEADER, preamble=1)
+    if not chunk.n_rows:
+        raise ParseError(f"{path}:2: no off-road bins")
+    row = chunk.preamble[0]
+    if row[:1] != ["on_road_mass"] or len(row) != 2 or not table.is_float(row[1]):
+        raise ParseError(f"{path}:1: expected on_road_mass,<number>, got "
+                         f"{','.join(row)!r}")
+    return GlanceDistribution(float(row[1]), chunk.floats("duration_s"),
+                              chunk.floats("probability"))
 
 
-def load_decels(path: str | Path, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistribution:
+def load_decels(path: str | Path) -> DecelDistribution:
     """A deceleration distribution from a ``d_max_ms2,probability`` CSV
     file. A row with the wrong number of fields, a field that is not a
     number, or a file without bins raises ParseError naming ``path:line``."""
     chunk = table.read_csv(path, DECELS_CSV_HEADER)
     if not chunk.n_rows:
         raise ParseError(f"{path}:1: no bins")
-    return DecelDistribution(chunk.floats("d_max_ms2"), chunk.floats("probability"),
-                             bin_width)
+    return DecelDistribution(chunk.floats("d_max_ms2"), chunk.floats("probability"))

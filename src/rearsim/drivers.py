@@ -31,8 +31,8 @@ class CbmConfig:
 
     inv_tau_threshold: float = 0.2   # 1/s, glance anchor level
     response_delay: float = 0.5      # s, look-back to brake onset
-    jerk_mean: float = -23.04        # m/s^3, brake ramp-up
-    jerk_sd: float = 0.74            # m/s^3, measured spread (not sampled)
+    jerk_mean: float = -23.04        # m/s^3, brake ramp-up; the measured
+                                     # SD of 0.74 is not sampled
     no_response_fraction: float = 0.10
 
     def __post_init__(self):

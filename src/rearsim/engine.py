@@ -1,10 +1,11 @@
 """Forward simulation of counterfactual cases and the per-seed parameter
 sweep.
 
-The kernel integrates the follower with semi-implicit Euler on the seed's
-10 ms grid: deceleration is evaluated at the step start, the speed update
-is applied, then position advances with the new speed. Impact time and
-speeds are interpolated linearly inside the crossing step.
+The kernel integrates the follower with semi-implicit Euler on the seeds'
+10 ms grid, `scenario.DT_NOMINAL`, and rejects a seed on any other step:
+deceleration is evaluated at the step start, the speed update is applied,
+then position advances with the new speed. Impact time and speeds are
+interpolated linearly inside the crossing step.
 
 Each seed's no-response run (the follower never brakes) is integrated once
 over the whole horizon. A braking case moves exactly like it up to its
@@ -35,10 +36,9 @@ matrices.csv.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,10 @@ from .drivers import (
 )
 from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
+from .manifest import read_json
 from .scenario import (
     DEFAULT_HORIZON_EXTENSION,
+    DT_NOMINAL,
     LEAD_BRAKING,
     CounterfactualSeed,
     SeedCrash,
@@ -74,6 +76,11 @@ BLOCK_ELEMENTS = 2**14
 
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
+
+_CAMPAIGN_KINDS = {"model": str, "cbm": dict, "reaction_m": float,
+                   "reaction_v": float, "horizon_extension": float,
+                   "glance_file": (str, None), "decel_file": (str, None),
+                   "glance_cut_at": (float, None)}
 
 MATRIX_CSV_HEADER = ["seed_id", "axis1_index", "decel_index", "crashed",
                      "v1", "v2", "max_severity"]
@@ -96,15 +103,14 @@ NO_CRASH = SimOutcome(False)
 class SeedKinematics:
     """One counterfactual seed's arrays and its no-response run."""
 
-    def __init__(self, cf: CounterfactualSeed, dt: float):
-        if abs(cf.dt - dt) > 1e-9:
-            raise ValidationError(
-                f"simulation dt {dt} does not match the seed grid {cf.dt}")
+    def __init__(self, cf: CounterfactualSeed):
+        if abs(cf.dt - DT_NOMINAL) > 1e-9:
+            raise ValidationError(f"seed {cf.id}: step {cf.dt} s is not the "
+                                  f"simulation step {DT_NOMINAL} s")
         if cf.gap()[0] <= 0:
             raise ValidationError(f"seed {cf.id}: vehicles overlap at start")
         self.id = cf.id
         self.t = cf.lead.t
-        self.dt = dt
         self.lead_pos = cf.lead.pos
         self.lead_speed = cf.lead.speed
         self.v0 = cf.follower_speed
@@ -114,7 +120,7 @@ class SeedKinematics:
         n = len(self.t)
         self.v_free = max(self.v0, 0.0)
         self.reach = np.zeros(n)  # distance covered without braking
-        np.cumsum(np.full(n - 1, self.v_free * dt), out=self.reach[1:])
+        np.cumsum(np.full(n - 1, self.v_free * DT_NOMINAL), out=self.reach[1:])
         self.free_gap = self.lead_pos - (self.x0 + self.reach)
         below = np.flatnonzero(self.free_gap <= 0)
         # a case braking from step k_live on is the no-response outcome
@@ -138,7 +144,7 @@ class SeedKinematics:
         v1 = v_a + alpha * (v_b - v_a)
         ls = self.lead_speed
         v2 = ls[k - 1] + alpha * (ls[k] - ls[k - 1])
-        return v1 > v2, self.t[k - 1] + alpha * self.dt, v1, v2
+        return v1 > v2, self.t[k - 1] + alpha * DT_NOMINAL, v1, v2
 
     def run(self, onsets: np.ndarray, d_max: np.ndarray,
             jerk: float) -> dict[str, np.ndarray]:
@@ -146,7 +152,7 @@ class SeedKinematics:
         up to each plateau in `d_max`, integrated as one block: crashed, v1,
         v2 (NaN where no crash) and max_severity, each of shape
         (len(onsets), len(d_max))."""
-        t, dt, n = self.t, self.dt, len(self.t)
+        t, n = self.t, len(self.t)
         shape = (len(onsets), len(d_max))
         crashed = np.zeros(shape[0] * shape[1], dtype=bool)
         v1, v2 = np.full(crashed.size, np.nan), np.full(crashed.size, np.nan)
@@ -174,13 +180,13 @@ class SeedKinematics:
                                    d[cell, None])
             acc = np.empty((cell.size, q - p + 1))
             acc[:, 0] = lost
-            np.multiply(v, dt, out=acc[:, 1:])
+            np.multiply(v, DT_NOMINAL, out=acc[:, 1:])
             acc.cumsum(axis=1, out=acc)
             lost = acc[:, -1].copy()
             np.subtract(self.v0, acc[:, 1:], out=v)  # speeds at steps p+1..q
             np.maximum(v, 0.0, out=v)
             acc[:, 0] = reach
-            np.multiply(v, dt, out=acc[:, 1:])
+            np.multiply(v, DT_NOMINAL, out=acc[:, 1:])
             acc.cumsum(axis=1, out=acc)
             reach = acc[:, -1].copy()
             gap = np.add(self.x0, acc[:, 1:], out=acc[:, 1:])
@@ -267,20 +273,18 @@ class OutcomeMatrix:
 
 
 def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
-               jerk: float, exhaustive: bool = False) -> OutcomeMatrix:
+               jerk: float) -> OutcomeMatrix:
     """Sweep the (axis1 x deceleration) grid for one seed.
 
     `onsets` holds the brake onset per axis1 value, in any order (math.inf
     marks never-responding rows). A row whose first braking step is at or
     past the no-response impact step is the no-response outcome in every
-    cell; the other rows are integrated as one block. `exhaustive` sends
-    every row to the block, which tests use as the oracle. Kernel calls
+    cell; the other rows are integrated as one block. Kernel calls
     count the seed's no-response run as one, plus one per integrated cell.
     """
     onsets = np.asarray(onsets, dtype=float)
     shape = grid.shape
-    live = np.full(shape[0], True) if exhaustive else (
-        kin.t.searchsorted(onsets, "right") < kin.k_live)
+    live = kin.t.searchsorted(onsets, "right") < kin.k_live
     nr = kin.no_response
     arrays = dict(crashed=np.full(shape, nr.crashed),
                   v1=np.full(shape, nr.v1 if nr.crashed else np.nan),
@@ -302,7 +306,6 @@ class CampaignConfig:
     cbm: CbmConfig = field(default_factory=CbmConfig)
     reaction_m: float = DEFAULT_REACTION_M
     reaction_v: float = DEFAULT_REACTION_V
-    dt: float = 0.010
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION
     glance_file: str | None = None
     decel_file: str | None = None
@@ -310,29 +313,32 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        """The defaults, with the keys of the JSON object in `path` in their
+        place; a bad key or value raises ValidationError naming both."""
+        raw = read_json(path, "campaign config", _CAMPAIGN_KINDS, required=False)
+        cbm = raw.pop("cbm", {})
+        unknown = [*raw.keys() - _CAMPAIGN_KINDS,
+                   *cbm.keys() - {item.name for item in fields(CbmConfig)}]
+        if unknown:
+            raise ValidationError(f"{path}: campaign config has no key "
+                                  f"{min(unknown)!r}")
         try:
-            cfg = cls(cbm=CbmConfig(**raw.pop("cbm", {})))
-        except (TypeError, ValidationError) as exc:  # an unknown key or a bad value
+            cfg = cls(cbm=CbmConfig(**cbm), **raw)
+        except ValidationError as exc:
             raise ValidationError(f"{path}: campaign config cbm: {exc}") from exc
-        for key, value in raw.items():
-            if not hasattr(cfg, key):
-                raise ValidationError(f"unknown campaign config key: {key}")
-            setattr(cfg, key, value)
-        for key in ("reaction_m", "reaction_v", "dt", "horizon_extension"):
+        for key in ("reaction_m", "reaction_v", "horizon_extension"):
             value = getattr(cfg, key)
-            if type(value) not in (int, float) or not -np.inf < value < np.inf:
+            if not -np.inf < value < np.inf:
                 raise ValidationError(f"{path}: campaign config {key} must be a "
                                       f"finite number, got {value!r}")
-        if cfg.dt <= 0 or cfg.horizon_extension < 0:
-            raise ValidationError(
-                f"{path}: campaign config needs dt > 0 and horizon_extension "
-                f">= 0, got {cfg.dt!r} and {cfg.horizon_extension!r}")
+        if cfg.horizon_extension < 0:
+            raise ValidationError(f"{path}: campaign config horizon_extension "
+                                  f"must be >= 0, got {cfg.horizon_extension!r}")
         if cfg.model not in (MODEL_CBM, MODEL_BLOM):
-            raise ValidationError(f"unknown model {cfg.model!r}")
+            raise ValidationError(f"{path}: unknown model {cfg.model!r}")
         if cfg.model == MODEL_CBM and not cfg.glance_file:
-            raise ValidationError("campaign config needs glance_file for the cbm model")
+            raise ValidationError(f"{path}: campaign config needs glance_file "
+                                  f"for the cbm model")
         return cfg
 
 
@@ -408,14 +414,14 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
 
 
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
-                  grid: CampaignGrid, exhaustive: bool) -> SeedResult:
+                  grid: CampaignGrid) -> SeedResult:
     if isinstance(seed, SeedRef):
         ref, seed = seed, load_seed(seed.path)
         if seed.id != ref.id:
             raise ParseError(f"{ref.path}: seed {seed.id!r} was listed as "
                              f"{ref.id!r}")
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
-    kin = SeedKinematics(cf, cfg.dt)
+    kin = SeedKinematics(cf)
     anchor, excluded = None, False
     n1, n2 = grid.shape
     if cfg.model == MODEL_BLOM:
@@ -428,8 +434,8 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
         theoretical = (n1 - 1) * n2
         anchor = find_anchor(looming_series(cf), cfg.cbm.inv_tau_threshold)
         onsets = cbm_onsets(anchor, grid.axis1, cfg.cbm)
-    matrix = None if excluded else sweep_seed(
-        kin, grid, onsets, cfg.cbm.jerk_mean, exhaustive)
+    matrix = None if excluded else sweep_seed(kin, grid, onsets,
+                                              cfg.cbm.jerk_mean)
     return SeedResult(seed.id, matrix, kin.no_response, anchor,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
@@ -437,22 +443,10 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                       anchor_absent=cfg.model == MODEL_CBM and anchor is None)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(cfg, grid, exhaustive):
-    _WORKER_STATE.update(cfg=cfg, grid=grid, exhaustive=exhaustive)
-
-
-def _worker_run(seed):
-    s = _WORKER_STATE
-    return _run_one_seed(seed, s["cfg"], s["grid"], s["exhaustive"])
-
-
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
                  glance: GlanceDistribution | None = None,
                  decels: DecelDistribution | None = None,
-                 workers: int = 1, exhaustive: bool = False) -> CampaignResult:
+                 workers: int = 1) -> CampaignResult:
     """Run one simulation set over all seeds, loaded or as refs whose
     trajectories each worker loads. Output is ordered by seed id and
     identical for any worker count; every matrix points to the result's
@@ -469,17 +463,15 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
     grid = CampaignGrid(*axes, decels.d_values, decels.probs)
 
     ordered = sorted(seeds, key=lambda s: s.id)
+    run = partial(_run_one_seed, cfg=cfg, grid=grid)
     if workers > 1 and len(ordered) > 1:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(cfg, grid, exhaustive)) as pool:
-            results = list(pool.map(_worker_run, ordered, chunksize=4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, ordered, chunksize=4))
         for r in results:
             if r.matrix is not None:
                 r.matrix.grid = grid  # not the worker's copy
     else:
-        results = [_run_one_seed(seed, cfg, grid, exhaustive)
-                   for seed in ordered]
+        results = list(map(run, ordered))
 
     if cfg.model == MODEL_BLOM and all(r.excluded for r in results):
         raise ModelUndefinedError(

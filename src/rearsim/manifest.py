@@ -10,6 +10,12 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .errors import ParseError
+
+# the JSON values of each kind, and its name: a float is any number but a flag
+_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+          str: ((str,), "a string"), list: ((list,), "a list"),
+          dict: ((dict,), "an object"), None: ((type(None),), "null")}
 
 
 def file_digest(path: str | Path) -> str:
@@ -53,6 +59,35 @@ def write_json(path: str | Path, payload: dict) -> Path:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return Path(path)
+
+
+def check_json(value, where: str, kinds: dict | None = None,
+               required: bool = True) -> dict:
+    """`value` if it is a JSON object in which each key of `kinds` holds a
+    value of its kind (see _KINDS) or of a kind in its tuple, and holds all
+    of them if `required`; else ParseError naming `where` and the key."""
+    if type(value) is not dict:
+        raise ParseError(f"{where} must be a JSON object, got a "
+                         f"{type(value).__name__}")
+    for key, kind in (kinds or {}).items():
+        kind = kind if isinstance(kind, tuple) else (kind,)
+        if required and key not in value:
+            raise ParseError(f"{where} lacks key {key!r}")
+        if key in value and not any(type(value[key]) in _KINDS[k][0] for k in kind):
+            raise ParseError(f"{where} {key} must be "
+                             f"{' or '.join(_KINDS[k][1] for k in kind)}, "
+                             f"got {value[key]!r}")
+    return value
+
+
+def read_json(path: str | Path, what: str, kinds: dict | None = None,
+              required: bool = True) -> dict:
+    """The JSON object in `path`, a `what`, checked by `check_json`."""
+    with open(path) as fh:
+        try:
+            return check_json(json.load(fh), f"{path}: {what}", kinds, required)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {what} is not JSON: {exc}") from exc
 
 
 def write_manifest(out_dir: str | Path, command: str,

@@ -24,7 +24,8 @@ HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 
 @dataclass(eq=False)
 class DeltaVDistribution:
-    """Weighted delta-v histogram on fixed-width bins starting at 0.
+    """Weighted delta-v histogram on fixed-width bins starting at 0. Its
+    weights always sum to 1: construction rejects any other total.
 
     `mean` is computed from the unbinned weighted samples where available;
     transforms that only see bins fall back to the bin-center mean.
@@ -36,16 +37,14 @@ class DeltaVDistribution:
     weights: np.ndarray
     mean: float
     count: int
-    normalized: bool = True
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if np.any(self.weights < 0):
             raise ValidationError("histogram weights must be >= 0")
-        if self.normalized and self.weights.size:
-            total = self.weights.sum()
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"normalized histogram sums to {total}")
+        total = self.weights.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"histogram weights sum to {total}, not 1")
 
     @property
     def centers(self) -> np.ndarray:
@@ -185,8 +184,6 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
     """Blend the sub-model histogram with the no-response (sleepy driver)
     delta-vs: (1-fraction) of the mass stays with `base`, `fraction` goes
     to the normalized no-response histogram (one delta-v per seed)."""
-    if not base.normalized:
-        raise ValidationError("base histogram must be normalized")
     if not 0 <= fraction <= 1:
         raise ValidationError("fraction must be in [0, 1]")
     no_resp_dvs = [float(d) for d in no_resp_dvs]
@@ -213,11 +210,15 @@ def save_histogram(h: DeltaVDistribution, path: str | Path) -> None:
 
 def load_histogram(h_path: str | Path, mean: float | None = None,
                    count: int = 1) -> DeltaVDistribution:
+    """A histogram CSV file; one without bins, or whose weights do not sum
+    to 1 (a histogram of counts), raises ParseError naming the file."""
     chunk = table.read_csv(h_path, HISTOGRAM_CSV_HEADER)
     if not chunk.n_rows:
         raise ParseError(f"{h_path}: empty histogram")
     low, high, weights = (chunk.floats(name) for name in HISTOGRAM_CSV_HEADER)
-    dist = DeltaVDistribution(float(high[0] - low[0]), weights, 0.0, count,
-                              normalized=abs(weights.sum() - 1.0) <= 1e-9)
+    try:
+        dist = DeltaVDistribution(float(high[0] - low[0]), weights, 0.0, count)
+    except ValidationError as exc:
+        raise ParseError(f"{h_path}: {exc}") from exc
     dist.mean = dist.binned_mean() if mean is None else mean
     return dist

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import table
 from .errors import GenerationError, ParseError, ValidationError
-from .manifest import write_json
+from .manifest import read_json, write_json
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
 DT_TOLERANCE = 1e-6           # s, allowed jitter on the step
@@ -83,10 +83,6 @@ class SeedCrash:
     lead_meta: VehicleMeta
     follower_meta: VehicleMeta
     seed_delta_v_kmh: float | None = None
-
-    @property
-    def dt(self) -> float:
-        return float(self.lead.t[1] - self.lead.t[0])
 
     @property
     def duration(self) -> float:
@@ -164,14 +160,12 @@ def delta_v(v1, v2, m1: float, m2: float):
     return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 
-def _sustained_decel_onset(t: np.ndarray, acc: np.ndarray,
-                           threshold: float = DECEL_ONSET_THRESHOLD,
-                           hold: float = DECEL_ONSET_HOLD) -> int | None:
-    """Index of the first sample opening a window of >= `hold` seconds with
-    acceleration at or below `threshold`. None if no such window exists."""
+def _sustained_decel_onset(t: np.ndarray, acc: np.ndarray) -> int | None:
+    """Index of the first sample opening a window of >= DECEL_ONSET_HOLD s
+    at or below DECEL_ONSET_THRESHOLD. None if no such window exists."""
     dt = float(t[1] - t[0])
-    win = max(1, int(round(hold / dt)))
-    below = acc <= threshold
+    win = max(1, int(round(DECEL_ONSET_HOLD / dt)))
+    below = acc <= DECEL_ONSET_THRESHOLD
     if len(below) < win:
         return None
     # rolling all-true over windows of length `win`
@@ -383,12 +377,11 @@ class SynthesisConfig:
         """The defaults, with the keys of a JSON object in `path` in their
         place. An unknown key, or a value of a wrong type or out of range,
         raises ValidationError naming the file and the key."""
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json(path, "synthesis config")
         cfg = cls()
         for key, value in raw.items():
             if key not in {item.name for item in fields(cls)}:
-                raise ValidationError(f"unknown synthesis config key: {key}")
+                raise ValidationError(f"{path}: synthesis config has no key {key!r}")
             ranged = isinstance(getattr(cfg, key), tuple)
             rule, check = _RANGE_RULE if ranged else _SYNTHESIS_RULES[key]
             if not check(value):

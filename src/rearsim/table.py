@@ -114,11 +114,13 @@ class Chunk:
     """Consecutive data rows of a file, held as text columns."""
 
     def __init__(self, path: Path, header: Sequence[str], first_row: int,
-                 fields: list[str]):
+                 fields: list[str], preamble: Sequence[list[str]] = ()):
         """`fields` holds the chunk's rows one after another, each as wide
-        as `header`."""
+        as `header`; `preamble`, the file's rows before its header."""
         self.path = path
-        self.first_row = first_row  # index of the first row among data rows
+        # the index of the first row among the rows after the file's first
+        self.first_row = first_row
+        self.preamble = preamble
         width = len(header)
         self.n_rows = len(fields) // width
         self._columns = {name: fields[k::width] for k, name in enumerate(header)}
@@ -154,7 +156,7 @@ class Chunk:
                                    count=len(fields))
             return np.fromiter(map(float, fields), dtype=float, count=len(fields))
         except ValueError:
-            bad = next(i for i, text in enumerate(fields) if not _is_float(text))
+            bad = next(i for i, text in enumerate(fields) if not is_float(text))
             row = bad if rows is None else int(rows[bad])
             raise self.error(row, f"{name}: not a number: {fields[bad]!r}") from None
 
@@ -204,7 +206,7 @@ def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:
     return [order[bounds[k]:bounds[k + 1]] for k in range(n)]
 
 
-def _is_float(text: str) -> bool:
+def is_float(text: str) -> bool:
     try:
         float(text)
     except ValueError:
@@ -213,15 +215,17 @@ def _is_float(text: str) -> bool:
 
 
 def read_chunks(path: str | Path, header: Sequence[str],
-                rows: int | None = CHUNK_ROWS) -> Iterator[Chunk]:
-    """The data rows of a CSV file whose first row is `header`, in chunks of
-    at most `rows` rows (None: the whole file in one chunk)."""
+                rows: int | None = CHUNK_ROWS, preamble: int = 0) -> Iterator[Chunk]:
+    """The data rows of a CSV file with `header` after `preamble` rows, in
+    chunks of at most `rows` rows (None: the whole file in one chunk)."""
     path = Path(path)
     with open(path, newline="") as fh:
         try:
-            if next(csv.reader(fh), None) != list(header):
-                raise ParseError(f"{path}:1: expected header {','.join(header)}")
-            first, width = 0, len(header)
+            head = list(itertools.islice(csv.reader(fh), preamble + 1))
+            if head[preamble:] != [list(header)]:
+                raise ParseError(f"{path}:{preamble + 1}: expected header "
+                                 f"{','.join(header)}")
+            first, width = preamble, len(header)
             while True:
                 lines = list(itertools.islice(fh, rows))
                 if not lines:
@@ -244,7 +248,7 @@ def read_chunks(path: str | Path, header: Sequence[str],
                         raise _width_error(path, first, width, (
                             line.count(",") + 1 for line in lines))
                     fields = ",".join(lines).split(",") if lines else []
-                chunk = Chunk(path, header, first, fields)
+                chunk = Chunk(path, header, first, fields, head[:preamble])
                 yield chunk
                 first += chunk.n_rows
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -259,10 +263,10 @@ def _width_error(path: Path, first_row: int, width: int,
     return row_error(path, first_row + bad, f"expected {width} fields, got {size}")
 
 
-def read_csv(path: str | Path, header: Sequence[str]) -> Chunk:
-    """Every data row of a small CSV file as one chunk."""
-    whole = list(read_chunks(path, header, rows=None))
-    return whole[0] if whole else Chunk(Path(path), header, 0, [])
+def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chunk:
+    """Every data row of a small CSV file as one chunk; without rows, no preamble."""
+    whole = list(read_chunks(path, header, None, preamble))
+    return whole[0] if whole else Chunk(Path(path), header, preamble, [])
 
 
 def row_error(path: str | Path, row: int, message: str) -> ParseError:

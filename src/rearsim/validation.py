@@ -3,7 +3,6 @@ injury-risk integration, and crash-avoidance rates."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,6 +12,7 @@ import numpy as np
 from . import table
 from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
+from .manifest import read_json
 from .outcome import DeltaVDistribution, align_bins
 
 CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
@@ -191,9 +191,7 @@ class InjuryRiskCurve:
 
 def injury_risk(h: DeltaVDistribution, curve: InjuryRiskCurve) -> float:
     """Expected injured proportion: the risk curve integrated against the
-    normalized delta-v histogram."""
-    if not h.normalized:
-        raise ValidationError("histogram must be normalized")
+    delta-v histogram."""
     return float((curve(h.centers) * h.weights).sum())
 
 
@@ -230,15 +228,9 @@ def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskC
     ``path:line``."""
     path = Path(path)
     if path.suffix == ".json":
-        with open(path) as fh:
-            raw = json.load(fh)
-        try:
-            logistic = (float(raw["intercept"]), float(raw["slope"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: expected numeric intercept and slope: "
-                             f"{exc!r}") from exc
-        return InjuryRiskCurve(level=raw.get("level", level or path.stem),
-                               logistic=logistic)
+        raw = read_json(path, "injury curve", {"intercept": float, "slope": float})
+        return InjuryRiskCurve(raw.get("level", level or path.stem), logistic=(
+            float(raw["intercept"]), float(raw["slope"])))
     chunk = table.read_csv(path, CURVE_CSV_HEADER)
     if not chunk.n_rows:
         raise ParseError(f"{path}:1: no curve points after the header")

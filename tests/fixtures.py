@@ -18,6 +18,7 @@ from rearsim.distributions import (
     GlanceDistribution,
     _duration_to_bin,
 )
+from rearsim.engine import CampaignGrid, OutcomeMatrix, SeedKinematics
 from rearsim.errors import ValidationError
 from rearsim.scenario import SeedCrash, SynthesisConfig, synthesize_seeds
 
@@ -66,7 +67,7 @@ def bin_decels(d_values, bin_width: float = DECEL_BIN_WIDTH) -> DecelDistributio
     counts = np.bincount(idx, minlength=n).astype(float)
     centers = lo + bin_width * (np.arange(n) + 0.5)
     keep = counts > 0
-    return DecelDistribution(centers[keep], counts[keep] / counts.sum(), bin_width)
+    return DecelDistribution(centers[keep], counts[keep] / counts.sum())
 
 
 def save_glances(g: GlanceDistribution, path: str | Path) -> None:
@@ -124,6 +125,16 @@ def seed_set(n: int, rng_seed: int = 42, mix: tuple | None = None) -> tuple[Seed
     if mix is not None:
         cfg.lead_mix = dict(mix)
     return tuple(synthesize_seeds(cfg, rng_seed))
+
+
+def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
+                     jerk: float) -> OutcomeMatrix:
+    """The oracle for `engine.sweep_seed`: every row of the grid goes
+    through the kernel, none is taken as the seed's no-response outcome. It
+    counts one kernel call for the no-response run plus one per cell."""
+    n1, n2 = grid.shape
+    cells = kin.run(np.asarray(onsets, dtype=float), grid.decels, jerk)
+    return OutcomeMatrix(kin.id, grid, **cells, kernel_calls=1 + n1 * n2)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

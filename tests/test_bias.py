@@ -19,9 +19,14 @@ from rearsim.bias import (
     load_occupants,
     load_transfer,
 )
-from rearsim.errors import ValidationError
+from rearsim.errors import ParseError, ValidationError
 from rearsim.manifest import write_json
-from rearsim.outcome import DeltaVDistribution, align_bins, build_histogram
+from rearsim.outcome import (
+    DeltaVDistribution,
+    align_bins,
+    build_histogram,
+    load_histogram,
+)
 from rearsim.validation import compare
 
 from fixtures import save_occupants
@@ -312,12 +317,15 @@ class TestApplyTransfer:
         cdf_out = np.cumsum(out.weights)
         assert np.all(cdf_out <= cdf_in + 1e-12)
 
-    def test_requires_normalized_input(self):
-        h = build_histogram([(4.0, 1.0)], BIN_W)
-        h.normalized = False
-        h.weights = h.weights * 2
-        with pytest.raises(ValidationError):
-            apply_transfer(h, TransferFunction(-4.15, 0.388))
+    def test_histogram_of_counts_is_rejected_at_load(self, tmp_path):
+        """Every histogram sums to 1, so one of counts never reaches the
+        transfer: loading it raises ParseError naming the file."""
+        path = tmp_path / "counts.csv"
+        path.write_text("bin_low_kmh,bin_high_kmh,weight\n0.0,2.0,3.0\n2.0,4.0,5.0\n")
+        with pytest.raises(ParseError, match=r"counts\.csv: histogram weights sum to 8\.0"):
+            load_histogram(path)
+        with pytest.raises(ValidationError, match="sum to 2.0, not 1"):
+            DeltaVDistribution(BIN_W, [1.0, 1.0], 0.0, 2)
 
 
 @pytest.mark.parametrize("delta_v", [math.nan, math.inf, -1.0])

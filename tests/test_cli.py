@@ -19,6 +19,8 @@ from rearsim import table
 from rearsim.bias import OccupantRecord, load_occupants, load_transfer
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
+    _load_assessment_cuts,
+    _load_percentile_report,
     _load_samples,
     _load_seeds_summary,
     _per_seed_percentiles,
@@ -32,7 +34,7 @@ from rearsim.errors import ParseError, ValidationError
 from rearsim.manifest import digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
-from rearsim.distributions import cut_glances, load_decels
+from rearsim.distributions import cut_glances, load_decels, load_glances
 
 from fixtures import (
     save_decels,
@@ -303,6 +305,30 @@ def test_traced_layers_resolve():
                                 name, None)), f"{module}.{name}"
 
 
+CONFIG_CLASSES = ("CampaignConfig", "CbmConfig", "SynthesisConfig")
+
+
+def test_every_config_field_is_read():
+    """Each field of the config classes is read as an attribute somewhere
+    in rearsim outside those classes: a field that nothing reads is a
+    setting without effect."""
+    fields, reads = {}, set()
+    for path in sorted(Path(rearsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                fields[node.name] = [item.target.id for item in node.body
+                                     if isinstance(item, ast.AnnAssign)]
+                inside |= set(map(id, ast.walk(node)))
+        reads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load) and id(node) not in inside}
+    assert sorted(fields) == sorted(CONFIG_CLASSES)
+    assert [f"{cls}.{name}" for cls, names in fields.items()
+            for name in names if name not in reads] == []
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(rearsim.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -500,6 +526,17 @@ _VALIDATE = ["validate", "--model-hist", "out_apply/transformed.csv",
              "--reference", "out_synth/seeds", "--samples",
              "out_weight/samples.csv", "--seeds-summary",
              "out_simulate/seeds_summary.csv", "--out", "bad_validate"]
+_VALIDATE_HIST = ["validate", "--model-hist", "out_weight/hist.csv",
+                  "--reference", "out_synth/seeds", "--out", "bad_validate"]
+_ASSESS = ["assess-dms", "--config", "inputs/campaign.json", "--baseline",
+           "out_simulate", "--cuts", "2.0", "--out", "bad_assess"]
+_REPORT_HIST = ["report", "--hist", "model=out_weight/hist.csv", "--out",
+                "bad_report"]
+_REPORT_PERCENTILES = ["report", "--percentiles",
+                       "cbm=out_validate/percentile_report.json", "--out",
+                       "bad_report"]
+_REPORT_ASSESS = ["report", "--assess", "out_assess/assess.json", "--out",
+                  "bad_report"]
 
 def _edit_first_row(predicate, edit):
     """Text edit: apply `edit` to the fields of the first CSV line whose
@@ -513,6 +550,14 @@ def _edit_first_row(predicate, edit):
 
 def _set_json(**changes):
     return lambda text: json.dumps(dict(json.loads(text), **changes))
+
+
+def _as_counts(text: str) -> str:
+    """Text edit: a histogram CSV's weights as counts out of 1000."""
+    header, *rows = text.split("\r\n")
+    bins = [row.rsplit(",", 1) for row in rows if row]
+    return "\r\n".join([header] + [f"{edges},{round(1000 * float(weight))}.0"
+                                   for edges, weight in bins]) + "\r\n"
 
 
 def _load_matrices(path: Path):
@@ -531,6 +576,17 @@ def _bad_delta_v(value):
 def _bad_occupants(edit, where):
     return ("inputs/occupants.csv", load_occupants, edit,
             rf"occupants\.csv:{where}", (_FIT_BIAS,))
+
+
+def _bad_glances(edit, where):
+    return ("inputs/glances.csv", load_glances, edit, rf"glances\.csv:{where}",
+            (_SIMULATE, _ASSESS))
+
+
+def _bad_summary(edit, where):
+    return ("out_simulate/summary.json", lambda path: _simulate_summary(path.parent),
+            edit, rf"summary\.json: simulate summary {where}",
+            (_WEIGHT, _VALIDATE, _ASSESS))
 
 
 def _bad_decels(edit, where):
@@ -561,12 +617,31 @@ MALFORMED_INPUTS = {
     "occupants_empty": _bad_occupants(lambda text: "", "1: expected header"),
     "occupants_header_only": _bad_occupants(
         lambda text: text[:text.index("\r\n") + 2], "1: no occupant records"),
+    # the step is the seeds' 10 ms grid, and the brake jerk's spread is not
+    # sampled: neither is a setting
+    **{f"campaign_{name}": (
+        "inputs/campaign.json", CampaignConfig.from_json, edit,
+        rf"campaign\.json: campaign config has no key '{key}'", (_SIMULATE,),
+        ValidationError)
+       for name, key, edit in (("dt", "dt", _set_json(dt=0.01)),
+                               ("cbm_jerk_sd", "jerk_sd",
+                                _set_json(cbm={"jerk_sd": 0.74})))},
     **{f"campaign_{key}_{name}": _bad_config(
         "campaign.json", CampaignConfig.from_json, _SIMULATE, key, value)
-       for key, name, value in (("dt", "text", "x"), ("dt", "nan", math.nan),
-                                ("dt", "zero", 0.0), ("dt", "flag", True),
-                                ("horizon_extension", "negative", -40),
-                                ("horizon_extension", "infinite", math.inf))},
+       for key, name, value in (("horizon_extension", "negative", -40),
+                                ("horizon_extension", "infinite", math.inf),
+                                ("glance_cut_at", "text", "abc"),
+                                ("glance_cut_at", "flag", True),
+                                ("decel_file", "number", 123),
+                                ("glance_file", "number", 5))},
+    "campaign_not_an_object": (
+        "inputs/campaign.json", CampaignConfig.from_json, lambda text: "[1, 2]",
+        r"campaign\.json: campaign config must be a JSON object", (_SIMULATE, _ASSESS)),
+    "synth_not_an_object": (
+        "inputs/synth.json", SynthesisConfig.from_json, lambda text: "[1, 2]",
+        r"synth\.json: synthesis config must be a JSON object", (_SYNTH,)),
+    "synth_unknown_key": _bad_config(
+        "synth.json", SynthesisConfig.from_json, _SYNTH, "bogus_key", 1),
     **{f"campaign_{key}_{name}": _bad_config(
         "blom.json", CampaignConfig.from_json, _SIMULATE_BLOM, key, value)
        for key, name, value in (("reaction_m", "text", "a"),
@@ -592,6 +667,31 @@ MALFORMED_INPUTS = {
     "decels_empty": _bad_decels(lambda text: "", "1: expected header"),
     "decels_header_only": _bad_decels(
         lambda text: text[:text.index("\r\n") + 2], "1: no bins"),
+    "glances_short_row": _bad_glances(_edit_row(4, lambda f: f[:-1]),
+                                      "4: expected 2 fields, got 1"),
+    "glances_non_numeric": _bad_glances(_edit_row(3, _set_field(1, "x")),
+                                        "3: probability"),
+    "glances_on_road_mass_text": _bad_glances(_edit_row(1, _set_field(1, "x")),
+                                              "1: expected on_road_mass"),
+    "summary_not_an_object": _bad_summary(lambda text: "[]",
+                                          "must be a JSON object"),
+    "summary_not_json": _bad_summary(lambda text: text[:-3], "is not JSON"),
+    "summary_no_response_fraction_text": _bad_summary(
+        _set_json(no_response_fraction="abc"), "no_response_fraction must be a number"),
+    "percentile_report_empty": (
+        "out_validate/percentile_report.json", _load_percentile_report,
+        lambda text: "{}", r"percentile_report\.json: percentile report lacks key",
+        (_REPORT_PERCENTILES,)),
+    "assessment_empty": (
+        "out_assess/assess.json", _load_assessment_cuts, lambda text: "{}",
+        r"assess\.json: assessment lacks key 'cuts'", (_REPORT_ASSESS,)),
+    "assessment_cut_without_rate": (
+        "out_assess/assess.json", _load_assessment_cuts,
+        lambda text: json.dumps({"cuts": [{"cut_at_s": 2.0}]}),
+        r"assess\.json: assessment cut lacks key 'avoidance_rate'", (_REPORT_ASSESS,)),
+    "histogram_of_counts": (
+        "out_weight/hist.csv", load_histogram, _as_counts,
+        r"hist\.csv: histogram weights sum to", (_APPLY, _VALIDATE_HIST, _REPORT_HIST)),
     "seed_short_row": (
         "out_synth/seeds/s0000.csv", load_seed,
         _edit_row(3, lambda f: f[:-1]), r"s0000\.csv:3:", (_SIMULATE,)),
@@ -693,8 +793,8 @@ def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):
     monkeypatch.setattr(table, "read_csv", no_csv)
     got, read = _reference_histogram(str(seeds_dir), DEFAULT_BIN_WIDTH_KMH)
     assert got.weights.tobytes() == want.weights.tobytes()
-    assert (got.bin_width, got.mean, got.count, got.normalized) == (
-        want.bin_width, want.mean, want.count, want.normalized)
+    assert (got.bin_width, got.mean, got.count) == (
+        want.bin_width, want.mean, want.count)
     assert read == sorted(seeds_dir.glob("*.json"))
 
 

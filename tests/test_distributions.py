@@ -10,7 +10,7 @@ from rearsim.distributions import (
     load_glances,
     overshoot_transform,
 )
-from rearsim.errors import ValidationError
+from rearsim.errors import ParseError, ValidationError
 
 from fixtures import (
     bin_decels,
@@ -167,7 +167,7 @@ class TestCutGlances:
 class TestBinDecels:
     def test_six_bins_at_published_scale(self, decels):
         assert decels.n_bins == 6
-        assert decels.bin_width == 1.5
+        assert np.allclose(np.diff(decels.d_values), 1.5, rtol=0, atol=1e-12)
         assert abs(decels.probs.sum() - 1.0) <= 1e-12
 
     def test_all_equal_values(self):
@@ -208,10 +208,34 @@ class TestFileRoundTrips:
         assert np.array_equal(loaded.durations, glances.durations)
         assert np.array_equal(loaded.probs, glances.probs)
 
+    def test_glance_csv_with_a_trailing_blank_line(self, tmp_path, glances):
+        path = tmp_path / "g.csv"
+        save_glances(glances, path)
+        path.write_bytes(path.read_bytes() + b"\r\n")
+        loaded = load_glances(path)
+        assert loaded.on_road_mass == glances.on_road_mass
+        assert loaded.probs.tobytes() == glances.probs.tobytes()
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("0.2,0.05", "0.2", r"4: expected 2 fields, got 1"),
+        ("0.15", "x", r"3: probability: not a number"),
+        ("duration_s", "seconds", r"2: expected header"),
+        ("0.1,0.15\r\n0.2,0.05\r\n", "", r"2: no off-road bins"),
+        ("on_road_mass,0.8", "on_road_mass,x", r"1: expected on_road_mass"),
+        ("on_road_mass,0.8", "on_road,0.8", r"1: expected on_road_mass"),
+        ("on_road_mass,0.8", "on_road_mass,0.8,1", r"1: expected on_road_mass"),
+    ])
+    def test_malformed_glance_csv_names_the_line(self, tmp_path, old, new, where):
+        path = tmp_path / "g.csv"
+        text = "on_road_mass,0.8\r\nduration_s,probability\r\n0.1,0.15\r\n0.2,0.05\r\n"
+        path.write_text(text.replace(old, new), newline="")
+        with pytest.raises(ParseError, match=rf"g\.csv:{where}"):
+            load_glances(path)
+
     def test_decel_csv(self, tmp_path, decels):
         path = tmp_path / "d.csv"
         save_decels(decels, path)
-        loaded = load_decels(path, 1.5)
+        loaded = load_decels(path)
         assert np.array_equal(loaded.d_values, decels.d_values)
         assert np.array_equal(loaded.probs, decels.probs)
 

@@ -192,7 +192,6 @@ class TestCbmConfig:
         assert cfg.inv_tau_threshold == 0.2
         assert cfg.response_delay == 0.5
         assert cfg.jerk_mean == -23.04
-        assert cfg.jerk_sd == 0.74
         assert cfg.no_response_fraction == 0.10
 
     def test_validation(self):
@@ -204,7 +203,7 @@ class TestCbmConfig:
             CbmConfig(no_response_fraction=1.0)
 
     @pytest.mark.parametrize("key", ["inv_tau_threshold", "response_delay",
-                                     "jerk_mean", "jerk_sd", "no_response_fraction"])
+                                     "jerk_mean", "no_response_fraction"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", True])
     def test_every_field_must_be_a_finite_number(self, key, value):
         # NaN would pass every range check, as each comparison with it is False
