@@ -293,5 +293,5 @@ def load_occupants(path: str | Path) -> list[OccupantRecord]:
 
 
 def load_transfer(path: str | Path) -> TransferFunction:
-    raw = read_json(path, "transfer function", {"C1": float, "C2": float})
+    raw = read_json(path, "transfer function", {"C1": "float", "C2": "float"})
     return TransferFunction(float(raw["C1"]), float(raw["C2"]))

@@ -33,7 +33,7 @@ from .engine import (
     run_campaign,
     save_matrices,
 )
-from .errors import FitError, ModelUndefinedError, RearsimError, ValidationError
+from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, ValidationError
 from .manifest import check_json, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
@@ -184,9 +184,14 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
 def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
     """simulate's summary.json in `sim_dir`, and the no-response fraction
     it records: weight, validate and assess-dms all mix in that share."""
-    sim_summary = read_json(sim_dir / "summary.json", "simulate summary",
-                            {"no_response_fraction": float}, required=False)
-    return sim_summary, float(sim_summary.get("no_response_fraction", 0.0))
+    path = sim_dir / "summary.json"
+    sim_summary = read_json(path, "simulate summary",
+                            {"no_response_fraction": "number"}, required=False)
+    fraction = sim_summary.get("no_response_fraction", 0.0)
+    if not 0 <= fraction < 1:
+        raise ParseError(f"{path}: simulate summary no_response_fraction must "
+                         f"be in [0, 1), got {fraction!r}")
+    return sim_summary, float(fraction)
 
 
 def _simulated_matrices(sim_dir: Path, sim_summary: dict):
@@ -203,8 +208,6 @@ def cmd_simulate(args) -> int:
     if not refs:
         raise ValidationError(f"no seeds found in {args.seeds}")
     glance = load_glances(cfg.glance_file) if cfg.model == MODEL_CBM else None
-    if not cfg.decel_file:
-        raise ValidationError("campaign config needs decel_file")
     decels = load_decels(cfg.decel_file)
     if glance is not None and cfg.glance_cut_at is not None:
         glance = cut_glances(glance, float(cfg.glance_cut_at))
@@ -602,18 +605,23 @@ def _labeled(pairs: list[str]) -> list[tuple[str, str]]:
 
 def _load_percentile_report(path: str) -> PercentileReport:
     """The percentile_report.json that validate wrote."""
-    kinds = {"n_bins": int, "counts": list, "below_min": int, "above_max": int,
-             "chi2": float, "p_value": float}
+    kinds = {"n_bins": "int", "counts": "list", "below_min": "int",
+             "above_max": "int", "chi2": "number", "p_value": "number"}
     raw = read_json(path, "percentile report", kinds)
+    counts = raw["counts"]
+    if len(counts) != raw["n_bins"] or not all(type(c) is int and c >= 0
+                                               for c in counts):
+        raise ParseError(f"{path}: percentile report counts must be "
+                         f"{raw['n_bins']} integers >= 0, got {counts!r}")
     return PercentileReport(**{**{key: raw[key] for key in kinds},
-                               "counts": np.array(raw["counts"])})
+                               "counts": np.array(counts)})
 
 
 def _load_assessment_cuts(path: str) -> list[dict]:
     """The rows of each cut in the assess.json that assess-dms wrote."""
     return [check_json(row, f"{path}: assessment cut", {
-        "cut_at_s": (float, None), "avoidance_rate": float})
-        for row in read_json(path, "assessment", {"cuts": list})["cuts"]]
+        "cut_at_s": "float | None", "avoidance_rate": "float"})
+        for row in read_json(path, "assessment", {"cuts": "list"})["cuts"]]
 
 
 def cmd_report(args) -> int:
@@ -673,14 +681,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize seed crashes")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True,
+                   help="a JSON object of SynthesisConfig fields; an unknown "
+                        "key or a bad value exits 2")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a simulation campaign")
     p.add_argument("--seeds", required=True)
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True,
+                   help="a JSON object of CampaignConfig fields, with the "
+                        "CbmConfig fields under 'cbm'; an unknown key or a "
+                        "bad value exits 2")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
@@ -731,8 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--config", required=True,
-                   help="the campaign config the baseline was simulated with; "
-                        "only its glance file is read")
+                   help="the CampaignConfig JSON the baseline was simulated "
+                        "with; only its glance file is used, and an unknown "
+                        "key or a bad value exits 2")
     p.add_argument("--baseline", required=True,
                    help="simulate output directory for the uncut baseline")
     p.add_argument("--cuts", type=float, nargs="+", required=True)

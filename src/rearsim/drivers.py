@@ -11,12 +11,13 @@ definitions; no other module restates them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import GlanceDistribution, overshoot_transform
 from .errors import ModelUndefinedError, ValidationError
+from .manifest import check_fields
 
 REACTION_BIN_STEP = 0.2    # s
 REACTION_BIN_FIRST = 0.2   # s, lowest bin center
@@ -36,11 +37,7 @@ class CbmConfig:
     no_response_fraction: float = 0.10
 
     def __post_init__(self):
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ValidationError(f"{item.name} must be a finite number, "
-                                      f"got {value!r}")
+        check_fields(self)
         if self.response_delay < 0:
             raise ValidationError("response_delay must be >= 0")
         if self.jerk_mean >= 0:

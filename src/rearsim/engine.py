@@ -57,7 +57,7 @@ from .drivers import (
 )
 from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
-from .manifest import read_json
+from .manifest import check_fields, read_config
 from .scenario import (
     DEFAULT_HORIZON_EXTENSION,
     DT_NOMINAL,
@@ -76,11 +76,6 @@ BLOCK_ELEMENTS = 2**14
 
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
-
-_CAMPAIGN_KINDS = {"model": str, "cbm": dict, "reaction_m": float,
-                   "reaction_v": float, "horizon_extension": float,
-                   "glance_file": (str, None), "decel_file": (str, None),
-                   "glance_cut_at": (float, None)}
 
 MATRIX_CSV_HEADER = ["seed_id", "axis1_index", "decel_index", "crashed",
                      "v1", "v2", "max_severity"]
@@ -311,31 +306,25 @@ class CampaignConfig:
     decel_file: str | None = None
     glance_cut_at: float | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+        cut = self.glance_cut_at
+        for key, ok, rule in (
+                ("model", self.model in (MODEL_CBM, MODEL_BLOM), "cbm or blom"),
+                ("horizon_extension", self.horizon_extension >= 0, ">= 0"),
+                ("reaction_m", self.reaction_m > 0, "> 0"),
+                ("reaction_v", self.reaction_v > 0, "> 0"),
+                ("glance_cut_at", cut is None or cut > 0, "> 0 or null")):
+            if not ok:
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":
-        """The defaults, with the keys of the JSON object in `path` in their
-        place; a bad key or value raises ValidationError naming both."""
-        raw = read_json(path, "campaign config", _CAMPAIGN_KINDS, required=False)
-        cbm = raw.pop("cbm", {})
-        unknown = [*raw.keys() - _CAMPAIGN_KINDS,
-                   *cbm.keys() - {item.name for item in fields(CbmConfig)}]
-        if unknown:
-            raise ValidationError(f"{path}: campaign config has no key "
-                                  f"{min(unknown)!r}")
-        try:
-            cfg = cls(cbm=CbmConfig(**cbm), **raw)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: campaign config cbm: {exc}") from exc
-        for key in ("reaction_m", "reaction_v", "horizon_extension"):
-            value = getattr(cfg, key)
-            if not -np.inf < value < np.inf:
-                raise ValidationError(f"{path}: campaign config {key} must be a "
-                                      f"finite number, got {value!r}")
-        if cfg.horizon_extension < 0:
-            raise ValidationError(f"{path}: campaign config horizon_extension "
-                                  f"must be >= 0, got {cfg.horizon_extension!r}")
-        if cfg.model not in (MODEL_CBM, MODEL_BLOM):
-            raise ValidationError(f"{path}: unknown model {cfg.model!r}")
+        """The config in `path` (see manifest.read_config). It must name
+        its decel_file, and its glance_file for the cbm model."""
+        cfg = read_config(cls, path, "campaign config")
+        if not cfg.decel_file:
+            raise ValidationError(f"{path}: campaign config needs decel_file")
         if cfg.model == MODEL_CBM and not cfg.glance_file:
             raise ValidationError(f"{path}: campaign config needs glance_file "
                                   f"for the cbm model")

@@ -40,8 +40,8 @@ class DeltaVDistribution:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValidationError("histogram weights must be >= 0")
+        if not np.all(self.weights >= 0):  # NaN fails this comparison too
+            raise ValidationError("histogram weights must be numbers >= 0")
         total = self.weights.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"histogram weights sum to {total}, not 1")

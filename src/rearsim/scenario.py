@@ -11,14 +11,14 @@ follower's speed change (delta-v) is m2*(v1 - v2)/(m1 + m2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import table
 from .errors import GenerationError, ParseError, ValidationError
-from .manifest import read_json, write_json
+from .manifest import check_fields, is_finite, read_config, write_json
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
 DT_TOLERANCE = 1e-6           # s, allowed jitter on the step
@@ -273,7 +273,7 @@ def _read_sidecar(json_path: Path) -> tuple[str, VehicleMeta, VehicleMeta,
         dv = meta.get("seed_delta_v_kmh")
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
-    if dv is not None and (type(dv) not in (int, float) or not 0 <= dv < np.inf):
+    if dv is not None and not (is_finite(dv) and dv >= 0):
         raise ParseError(f"{json_path}: seed_delta_v_kmh must be null or a "
                          f"finite number >= 0, got {dv!r}")
     return sid, lead_meta, foll_meta, None if dv is None else float(dv)
@@ -372,61 +372,38 @@ class SynthesisConfig:
     max_attempts: int = 500
     max_sim_time: float = 60.0                           # s
 
+    def __post_init__(self):
+        check_fields(self)
+        mix = self.lead_mix
+        for key, ok, rule in (
+                *((key, v[0] <= v[1], "a pair with low <= high")
+                  for key, v in vars(self).items() if type(v) is tuple),
+                ("n_seeds", self.n_seeds >= 1, ">= 1"),
+                ("max_attempts", self.max_attempts >= 1, ">= 1"),
+                ("follower_no_response_prob",
+                 0 <= self.follower_no_response_prob <= 1, "in [0, 1]"),
+                ("max_sim_time", self.max_sim_time > 0, "> 0"),
+                ("lead_mix", mix.keys() <= _LEAD_CLASS.keys() and sum(mix.values()) > 0
+                 and all(w >= 0 for w in mix.values()),
+                 f"weights >= 0, not all zero, keyed by {', '.join(_LEAD_CLASS)}")):
+            if not ok:
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthesisConfig":
-        """The defaults, with the keys of a JSON object in `path` in their
-        place. An unknown key, or a value of a wrong type or out of range,
-        raises ValidationError naming the file and the key."""
-        raw = read_json(path, "synthesis config")
-        cfg = cls()
-        for key, value in raw.items():
-            if key not in {item.name for item in fields(cls)}:
-                raise ValidationError(f"{path}: synthesis config has no key {key!r}")
-            ranged = isinstance(getattr(cfg, key), tuple)
-            rule, check = _RANGE_RULE if ranged else _SYNTHESIS_RULES[key]
-            if not check(value):
-                raise ValidationError(f"{path}: synthesis config {key} must be "
-                                      f"{rule}, got {value!r}")
-            setattr(cfg, key, tuple(map(float, value)) if ranged else value)
-        return cfg
-
-
-def _is_finite(value) -> bool:
-    """Whether a JSON value is a finite number (not a flag)."""
-    return type(value) in (int, float) and -np.inf < value < np.inf
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 1
+        """The config in `path` (see manifest.read_config)."""
+        return read_config(cls, path, "synthesis config")
 
 
 # lead_mix mode: the lead behavior class a seed of that mode must have
 _LEAD_CLASS = {"braking": LEAD_BRAKING, "non_braking": LEAD_NON_BRAKING,
                "standstill": LEAD_STANDSTILL}
 
-# (what a value must be, the test of its JSON value): every (low, high)
-# range, then each other key
-_RANGE_RULE = ("a [low, high] pair of finite numbers with low <= high",
-               lambda v: type(v) is list and len(v) == 2
-               and all(map(_is_finite, v)) and v[0] <= v[1])
-_SYNTHESIS_RULES = {
-    "n_seeds": ("an integer >= 1", _is_count),
-    "max_attempts": ("an integer >= 1", _is_count),
-    "follower_no_response_prob": ("a finite number in [0, 1]",
-                                  lambda v: _is_finite(v) and 0 <= v <= 1),
-    "max_sim_time": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
-    "lead_mix": (f"an object of finite weights >= 0 keyed by {', '.join(_LEAD_CLASS)}",
-                 lambda v: type(v) is dict and v.keys() <= _LEAD_CLASS.keys()
-                 and all(_is_finite(w) and w >= 0 for w in v.values())),
-}
-
 
 def _mode_counts(mix: dict[str, float], n: int) -> dict[str, int]:
     """Largest-remainder apportionment of n seeds over the behavior mix."""
     modes = sorted(mix)
     weights = np.array([float(mix[m]) for m in modes])
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValidationError("lead_mix weights must be non-negative, not all zero")
     if all(float(w).is_integer() for w in weights) and int(weights.sum()) == n:
         return {m: int(mix[m]) for m in modes}
     exact = weights / weights.sum() * n

@@ -12,7 +12,7 @@ import numpy as np
 from . import table
 from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
-from .manifest import read_json
+from .manifest import check_json, read_json
 from .outcome import DeltaVDistribution, align_bins
 
 CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
@@ -228,7 +228,8 @@ def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskC
     ``path:line``."""
     path = Path(path)
     if path.suffix == ".json":
-        raw = read_json(path, "injury curve", {"intercept": float, "slope": float})
+        raw = read_json(path, "injury curve", {"intercept": "float", "slope": "float"})
+        check_json(raw, f"{path}: injury curve", {"level": "str"}, required=False)
         return InjuryRiskCurve(raw.get("level", level or path.stem), logistic=(
             float(raw["intercept"]), float(raw["slope"])))
     chunk = table.read_csv(path, CURVE_CSV_HEADER)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -29,12 +30,14 @@ from rearsim.cli import (
     _simulated_matrices,
     main,
 )
+from rearsim.drivers import CbmConfig
 from rearsim.engine import CampaignConfig
 from rearsim.errors import ParseError, ValidationError
-from rearsim.manifest import digest_tree
+from rearsim.manifest import KINDS, digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
+from rearsim.validation import load_injury_curve
 
 from fixtures import (
     save_decels,
@@ -329,6 +332,73 @@ def test_every_config_field_is_read():
             for name in names if name not in reads] == []
 
 
+def test_every_config_field_has_a_known_kind():
+    """Each config field's annotation names a kind that manifest.KINDS
+    tests, so a field of another kind fails here instead of going
+    unchecked."""
+    classes = (CampaignConfig, CbmConfig, SynthesisConfig)
+    assert sorted(cls.__name__ for cls in classes) == sorted(CONFIG_CLASSES)
+    assert [f"{cls.__name__}.{item.name}: {item.type}" for cls in classes
+            for item in dataclasses.fields(cls) if item.type not in KINDS] == []
+
+
+# the keys a config file must hold besides its defaults
+CONFIG_FILE_NEEDS = {CampaignConfig: {"glance_file": "glances.csv",
+                                      "decel_file": "decels.csv"},
+                     SynthesisConfig: {}}
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_FILE_NEEDS), ids=lambda cls: cls.__name__)
+def test_config_file_of_every_default_loads_the_defaults(cls, tmp_path):
+    # every field written out, ranges as JSON lists and cbm as an object: no
+    # check rejects a value the program uses by default
+    needs = CONFIG_FILE_NEEDS[cls]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**dataclasses.asdict(cls()), **needs}))
+    assert cls.from_json(path) == cls(**needs)
+
+
+# values of another kind, by the annotation of the field they are given to
+WRONG_KINDS = {
+    "int": [2.5, "5", True, math.nan],
+    "float": [math.nan, math.inf, -math.inf, "0.5", True],
+    "float | None": [math.nan, math.inf, "0.5", True],
+    "str": [5, True, None],
+    "str | None": [5, True, ["a"]],
+    "tuple[float, float]": [[1.0, 2.0, 3.0], [math.nan, 1.0], [1.0, math.inf],
+                            ["1", "2"], [True, False], 1.0],
+    "dict[str, float]": [{"braking": math.nan}, {"braking": "1"},
+                         {"braking": True}, [1.0], 1.0],
+    "CbmConfig": [5, "cbm", True, [1.0]],
+}
+
+
+def _wrong_kinds():
+    for cls in (CampaignConfig, CbmConfig, SynthesisConfig):
+        for item in dataclasses.fields(cls):
+            for value in WRONG_KINDS[item.type]:
+                yield pytest.param(cls, item.name, value,
+                                   id=f"{cls.__name__}.{item.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, key, value", _wrong_kinds())
+def test_every_config_field_rejects_a_value_of_another_kind(cls, key, value,
+                                                           tmp_path):
+    """Built in Python and read from JSON alike, a value of another kind
+    than the field's annotation raises ValidationError naming the field.
+    The CbmConfig fields are read from the campaign config's cbm object."""
+    with pytest.raises(ValidationError, match=f"^{key} must be "):
+        cls(**{key: tuple(value) if type(value) is list else value})
+    path = tmp_path / "config.json"
+    nested = cls is CbmConfig
+    path.write_text(json.dumps({"cbm": {key: value}} if nested else {key: value}))
+    reader = SynthesisConfig if cls is SynthesisConfig else CampaignConfig
+    prefix = "cbm: " if nested else ""
+    with pytest.raises(ValidationError,
+                       match=rf"config\.json: \w+ config {prefix}{key} must be "):
+        reader.from_json(path)
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(rearsim.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -530,6 +600,7 @@ _VALIDATE_HIST = ["validate", "--model-hist", "out_weight/hist.csv",
                   "--reference", "out_synth/seeds", "--out", "bad_validate"]
 _ASSESS = ["assess-dms", "--config", "inputs/campaign.json", "--baseline",
            "out_simulate", "--cuts", "2.0", "--out", "bad_assess"]
+_CURVES = ["--curves", "inputs/mais1.json"]
 _REPORT_HIST = ["report", "--hist", "model=out_weight/hist.csv", "--out",
                 "bad_report"]
 _REPORT_PERCENTILES = ["report", "--percentiles",
@@ -587,6 +658,12 @@ def _bad_summary(edit, where):
     return ("out_simulate/summary.json", lambda path: _simulate_summary(path.parent),
             edit, rf"summary\.json: simulate summary {where}",
             (_WEIGHT, _VALIDATE, _ASSESS))
+
+
+def _bad_curve(edit, where):
+    return ("inputs/mais1.json", load_injury_curve, edit,
+            rf"mais1\.json: injury curve {where}",
+            (_VALIDATE_HIST + _CURVES, _ASSESS + _CURVES))
 
 
 def _bad_decels(edit, where):
@@ -733,6 +810,29 @@ MALFORMED_INPUTS = {
     "histogram_non_numeric_weight": (
         "out_weight/hist.csv", load_histogram,
         _edit_row(3, _set_field(2, "x")), r"hist\.csv:3:", (_APPLY,)),
+    "histogram_nan_weight": (
+        "out_weight/hist.csv", load_histogram, _edit_row(3, _set_field(2, "nan")),
+        r"hist\.csv: histogram weights must be numbers >= 0",
+        (_APPLY, _VALIDATE_HIST, _REPORT_HIST)),
+    "transfer_c1_nan": (
+        "out_fit/transfer.json", load_transfer, _set_json(C1=math.nan),
+        r"transfer\.json: transfer function C1 must be a finite number", (_APPLY,)),
+    "curve_intercept_nan": _bad_curve(_set_json(intercept=math.nan),
+                                      "intercept must be a finite number"),
+    "curve_level_not_a_string": _bad_curve(_set_json(level=[1]),
+                                           "level must be a string"),
+    "summary_no_response_fraction_nan": _bad_summary(
+        _set_json(no_response_fraction=math.nan),
+        r"no_response_fraction must be in \[0, 1\), got nan"),
+    "summary_no_response_fraction_one": _bad_summary(
+        _set_json(no_response_fraction=1.0),
+        r"no_response_fraction must be in \[0, 1\), got 1\.0"),
+    "percentile_report_counts_text": (
+        "out_validate/percentile_report.json", _load_percentile_report,
+        lambda text: json.dumps({**json.loads(text), "counts": list(
+            map(str, json.loads(text)["counts"]))}),
+        r"percentile_report\.json: percentile report counts must be 10 integers",
+        (_REPORT_PERCENTILES,)),
     "transfer_without_c2": (
         "out_fit/transfer.json", load_transfer,
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -236,13 +235,6 @@ class TestSynthesis:
         alpha = gap[-2] / (gap[-2] - gap[-1])
         t_cross = seed.lead.t[-2] + alpha * 0.01
         assert t_cross == pytest.approx(t_hit, abs=1e-6)
-
-    def test_config_file_of_every_default_loads_the_defaults(self, tmp_path):
-        # every field written out, ranges as JSON lists: no rule rejects a
-        # value the synthesizer uses by default
-        path = tmp_path / "synth.json"
-        path.write_text(json.dumps(dataclasses.asdict(SynthesisConfig())))
-        assert SynthesisConfig.from_json(path) == SynthesisConfig()
 
     def test_n_seeds_103(self, paper_mix_seeds):
         assert len(paper_mix_seeds) == 103
