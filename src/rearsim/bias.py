@@ -19,7 +19,12 @@ import numpy as np
 from . import table
 from .errors import FitError, ParseError, ValidationError
 from .manifest import read_json
-from .outcome import DEFAULT_BIN_WIDTH_KMH, DeltaVDistribution, align_bins
+from .outcome import (
+    DEFAULT_BIN_WIDTH_KMH,
+    DeltaVDistribution,
+    align_bins,
+    check_bin_width,
+)
 
 DEFAULT_P_PDO = 0.7
 DEFAULT_N_FILL_BINS = 6
@@ -137,6 +142,9 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
     """
     if not 0 < p_pdo < 1:
         raise ValidationError("p_pdo must be in (0, 1)")
+    if n_fill_bins < 1:
+        raise ValidationError(f"n_fill_bins must be >= 1, got {n_fill_bins}")
+    check_bin_width(bin_width)
     pdo_dvs = np.array([r.delta_v for r in records if r.mais == 0])
     n_injured = sum(1 for r in records if r.mais > 0)
     if pdo_dvs.size == 0 or n_injured == 0:

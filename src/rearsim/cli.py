@@ -25,9 +25,11 @@ from .distributions import cut_glances, load_decels, load_glances
 from .drivers import cbm_axes
 from .engine import (
     MODEL_CBM,
+    NO_CRASH,
     CampaignConfig,
     CampaignGrid,
     CampaignResult,
+    SimOutcome,
     load_matrices,
     reweight,
     run_campaign,
@@ -160,8 +162,8 @@ class _SeedSummary(NamedTuple):
     follower_mass: float
     lead_mass: float
     seed_delta_v: float | None
-    no_resp_crashed: bool
-    no_resp_dv: float  # NaN unless no_resp_crashed
+    no_response: SimOutcome  # without its impact time
+    no_resp_dv: float  # NaN unless the no-response run crashed
 
 
 def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
@@ -169,12 +171,18 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
     recorded = ~chunk.equals("seed_delta_v_kmh", "")
     seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
     nr_crashed = chunk.flags("no_resp_crashed")
+    # a no-response crash is at maximum severity: the follower never braked
+    nr = [SimOutcome(True, None, v1, v2, True) if crashed else NO_CRASH
+          for crashed, v1, v2 in zip(
+              nr_crashed.tolist(),
+              chunk.floats("no_resp_v1", where=nr_crashed).tolist(),
+              chunk.floats("no_resp_v2", where=nr_crashed).tolist())]
     columns = (
         chunk.flags("eligible").tolist(),
         chunk.floats("follower_mass_kg").tolist(),
         chunk.floats("lead_mass_kg").tolist(),
         [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
-        nr_crashed.tolist(),
+        nr,
         chunk.floats("no_resp_dv_kmh", where=nr_crashed).tolist(),
     )
     return {sid: _SeedSummary(*row)
@@ -195,10 +203,15 @@ def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
 
 
 def _simulated_matrices(sim_dir: Path, sim_summary: dict):
-    """The grid simulate recorded in `sim_dir`'s summary.json, and its
-    outcome matrices on that grid."""
+    """The grid simulate recorded in `sim_dir`'s summary.json, its outcome
+    matrices on that grid, and its seeds_summary.csv rows, whose
+    no-response outcomes fill the matrix rows matrices.csv does not
+    list."""
     grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
-    return grid, load_matrices(sim_dir / "matrices.csv", grid)
+    rows = _load_seeds_summary(sim_dir / "seeds_summary.csv")
+    no_response = {sid: row.no_response for sid, row in rows.items()
+                   if row.eligible}
+    return grid, load_matrices(sim_dir / "matrices.csv", grid, no_response), rows
 
 
 def cmd_simulate(args) -> int:
@@ -262,7 +275,7 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
     cells = weighted_crash_samples(matrices, masses, weights)
 
     nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
-               if row.no_resp_crashed and row.eligible]
+               if row.no_response.crashed and row.eligible]
     base = build_histogram(np.column_stack([cells.delta_v, cells.weight]),
                            bin_width)
     if fraction > 0:
@@ -297,17 +310,16 @@ def cmd_weight(args) -> int:
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
     sim_summary, fraction = _simulate_summary(sim_dir)
-    grid, matrices = _simulated_matrices(sim_dir, sim_summary)
+    grid, matrices, summary_rows = _simulated_matrices(sim_dir, sim_summary)
     # weight keeps the marginals the old matrices format gave back: the row
     # and column sums of the cell probabilities over their total. With the
     # exact ones, seeds whose crashes all tie with their own delta-v (mid-rank
     # percentile 50 up to rounding) change percentile bin on three input
-    # sets of perfbench's reference (ROADMAP, item 3).
+    # sets of perfbench's reference (ROADMAP, item 1).
     p, total = grid.p_cell, grid.p_cell.sum()
     recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
                              p.sum(axis=0) / total)
     matrices = [replace(m, grid=recovered) for m in matrices]
-    summary_rows = _load_seeds_summary(sim_dir / "seeds_summary.csv")
     samples, final, weights, diagnostics = _weight_pipeline(
         matrices, summary_rows, fraction, args.bin_width)
 
@@ -529,14 +541,14 @@ def cmd_assess_dms(args) -> int:
             or sim_summary.get("glance_cut_at") is not None):
         raise ValidationError(
             f"{baseline_dir}: the baseline must be an uncut cbm campaign")
-    grid, baseline_matrices = _simulated_matrices(baseline_dir, sim_summary)
+    grid, baseline_matrices, summary_rows = _simulated_matrices(baseline_dir,
+                                                                sim_summary)
     axis1, axis1_probs = cbm_axes(glance)
     if (axis1.tobytes() != grid.axis1.tobytes()
             or axis1_probs.tobytes() != grid.axis1_probs.tobytes()):
         raise ValidationError(
             f"{baseline_dir}: the baseline was not simulated with the glance "
             f"distribution of {cfg.glance_file}")
-    summary_rows = _load_seeds_summary(baseline_dir / "seeds_summary.csv")
     _, base_hist, _, _ = _weight_pipeline(
         baseline_matrices, summary_rows, fraction, args.bin_width)
 

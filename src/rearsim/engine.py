@@ -32,11 +32,15 @@ what speeds; the behaviour probabilities live once per campaign in a
 shared `CampaignGrid`. `reweight` changes only the probabilities, and
 `simulate` writes the grid to its summary.json and the outcomes to
 matrices.csv.
+
+matrices.csv is compact: it lists the cells of the integrated (live) rows
+only. Every other row holds the seed's no-response outcome, which
+simulate's seeds_summary.csv records, so `load_matrices` takes those
+outcomes and rebuilds the dense matrices bitwise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
@@ -259,6 +263,7 @@ class OutcomeMatrix:
     v1: np.ndarray             # NaN where not crashed
     v2: np.ndarray
     max_severity: np.ndarray   # bool
+    live: np.ndarray           # (n1,) bool: the rows the kernel integrated
     kernel_calls: int = 0
 
     @property
@@ -278,17 +283,30 @@ def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
     count the seed's no-response run as one, plus one per integrated cell.
     """
     onsets = np.asarray(onsets, dtype=float)
-    shape = grid.shape
     live = kin.t.searchsorted(onsets, "right") < kin.k_live
-    nr = kin.no_response
-    arrays = dict(crashed=np.full(shape, nr.crashed),
-                  v1=np.full(shape, nr.v1 if nr.crashed else np.nan),
-                  v2=np.full(shape, nr.v2 if nr.crashed else np.nan),
-                  max_severity=np.full(shape, nr.max_severity))
+    arrays = {name: cells[0] for name, cells
+              in _filled([kin.no_response], grid.shape).items()}
     for name, cells in kin.run(onsets[live], grid.decels, jerk).items():
         arrays[name][live] = cells
-    return OutcomeMatrix(kin.id, grid, **arrays,
-                         kernel_calls=1 + shape[1] * int(live.sum()))
+    return OutcomeMatrix(kin.id, grid, **arrays, live=live,
+                         kernel_calls=1 + grid.shape[1] * int(live.sum()))
+
+
+def _filled(outcomes: list[SimOutcome], shape: tuple[int, int]
+            ) -> dict[str, np.ndarray]:
+    """The outcome arrays of one `shape` matrix per outcome, stacked, with
+    the outcome in every cell: the matrix of a seed whose rows all take
+    its no-response outcome."""
+    crashed = [o.crashed for o in outcomes]
+    columns = dict(
+        crashed=np.array(crashed, dtype=bool),
+        v1=np.array([o.v1 if c else np.nan for o, c in zip(outcomes, crashed)],
+                    dtype=float),
+        v2=np.array([o.v2 if c else np.nan for o, c in zip(outcomes, crashed)],
+                    dtype=float),
+        max_severity=np.array([o.max_severity for o in outcomes], dtype=bool))
+    return {name: np.repeat(c, shape[0] * shape[1]).reshape(-1, *shape)
+            for name, c in columns.items()}
 
 
 # ---------------------------------------------------------------- campaign
@@ -399,7 +417,8 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     if any(m.grid is not grid for m in matrices):
         raise ValidationError("a matrix is not on the simulated grid")
     return [OutcomeMatrix(m.seed_id, target, m.crashed[rows], m.v1[rows],
-                          m.v2[rows], m.max_severity[rows]) for m in matrices]
+                          m.v2[rows], m.max_severity[rows], m.live[rows])
+            for m in matrices]
 
 
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
@@ -454,6 +473,9 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
     ordered = sorted(seeds, key=lambda s: s.id)
     run = partial(_run_one_seed, cfg=cfg, grid=grid)
     if workers > 1 and len(ordered) > 1:
+        # imported here: a stage that simulates on one worker, or not at
+        # all, does not pay for multiprocessing's import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, ordered, chunksize=4))
         for r in results:
@@ -471,30 +493,37 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
 # ---------------------------------------------------------------- file I/O
 
 def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
-    """Write the outcomes as one CSV row per cell, seed by seed, in
-    row-major cell order. Cells are named by their grid indices; the grid
-    itself is simulate's summary.json's."""
+    """Write the outcomes of each matrix's live rows, one CSV row per cell,
+    seed by seed, in row-major cell order. Cells are named by their grid
+    indices; the grid itself is simulate's summary.json's. A row not
+    listed holds the seed's no-response outcome (see `load_matrices`)."""
     def seed_columns():
-        index = {}  # the index columns of each grid shape, formatted once
         for m in matrices:
-            n1, n2 = shape = m.crashed.shape
-            if shape not in index:
-                index[shape] = ([str(i) for i in range(n1) for _ in range(n2)],
-                                [str(j) for j in range(n2)] * n1)
-            crashed = m.crashed.ravel()
-            yield ([table.quote(m.seed_id)] * crashed.size, *index[shape],
-                   table.flags(crashed), table.fmt(m.v1.ravel()),
-                   table.fmt(m.v2.ravel()), table.flags(m.max_severity.ravel()))
+            live, n2 = m.live, m.crashed.shape[1]
+            rows = np.flatnonzero(live)
+            yield ([table.quote(m.seed_id)] * (rows.size * n2),
+                   table.ints(np.repeat(rows, n2).tolist()),
+                   table.ints(list(range(n2)) * rows.size),
+                   table.flags(m.crashed[live].ravel()),
+                   table.fmt(m.v1[live].ravel()), table.fmt(m.v2[live].ravel()),
+                   table.flags(m.max_severity[live].ravel()))
 
     table.write_csv(path, MATRIX_CSV_HEADER, seed_columns())
 
 
-def load_matrices(path: str | Path, grid: CampaignGrid) -> list[OutcomeMatrix]:
-    """The per-seed outcome matrices on `grid` from the outcomes CSV, by
-    seed id; a seed's rows may come in any order. A malformed row, a flag
-    other than 0 or 1, a cell without a crash that has speeds or maximum
-    severity, an index outside the grid, or a seed without exactly one row
-    per cell raises ParseError naming path:line."""
+def load_matrices(path: str | Path, grid: CampaignGrid,
+                  no_response: dict[str, SimOutcome]) -> list[OutcomeMatrix]:
+    """The outcome matrices on `grid` of the swept seeds, which
+    `no_response` maps to their no-response outcomes, in seed id order.
+
+    Each matrix starts with its no-response outcome in every cell; the
+    rows the outcomes CSV lists, in any order, replace theirs and are the
+    matrix's live rows. So a seed the CSV does not list keeps the
+    no-response outcome throughout. A malformed row, a flag other than 0
+    or 1, a cell without a crash that has speeds or maximum severity, an
+    index outside the grid, a repeated cell, a listed row without exactly
+    one line per deceleration bin, or a seed not in `no_response` raises
+    ParseError naming path:line."""
     n1, n2 = grid.shape
     ids: dict[str, int] = {}
     parts = []
@@ -511,19 +540,35 @@ def load_matrices(path: str | Path, grid: CampaignGrid) -> list[OutcomeMatrix]:
             chunk.indices("axis1_index", n1) * n2 + chunk.indices("decel_index", n2),
             crashed, chunk.floats("v1", where=crashed),
             chunk.floats("v2", where=crashed), severity))
-    if not parts:
-        return []
-    code, cell, *columns = map(np.concatenate, zip(*parts))
-    key = code * (n1 * n2) + cell
-    counts = np.bincount(key, minlength=len(ids) * n1 * n2)
-    if np.any(counts != 1):
-        seed = int(np.argmax(counts != 1)) // (n1 * n2)
-        raise table.row_error(
-            path, int(np.flatnonzero(code == seed)[-1]),
-            f"seed {list(ids)[seed]} has not one row for each cell of the "
-            f"{n1} x {n2} grid")
-    source = np.empty_like(key)  # the row of each cell, seed by seed
-    source[key] = np.arange(key.size)
-    crashed, v1, v2, severity = (c[source].reshape(-1, n1, n2) for c in columns)
-    return [OutcomeMatrix(seed_id, grid, crashed[k], v1[k], v2[k], severity[k])
-            for seed_id, k in sorted(ids.items())]
+    swept = sorted(no_response)
+    position = {sid: k for k, sid in enumerate(swept)}
+    arrays = _filled([no_response[sid] for sid in swept], grid.shape)
+    live = np.zeros((len(swept), n1), dtype=bool)
+    if parts:
+        code, cell, *columns = map(np.concatenate, zip(*parts))
+        unswept = [sid for sid in ids if sid not in position]
+        if unswept:
+            raise table.row_error(path, int(np.argmax(code == ids[unswept[0]])),
+                                  f"seed {unswept[0]} was not swept")
+        seed = np.array([position[sid] for sid in ids], dtype=np.intp)[code]
+        key = seed * (n1 * n2) + cell
+        counts = np.bincount(key, minlength=len(swept) * n1 * n2)
+        if np.any(counts > 1):
+            repeat = int(np.argmax(counts > 1))
+            raise table.row_error(
+                path, int(np.flatnonzero(key == repeat)[1]),
+                f"seed {swept[repeat // (n1 * n2)]} repeats cell "
+                f"({repeat // n2 % n1}, {repeat % n2})")
+        listed = counts.reshape(-1, n2)  # one row per (seed, axis1 value)
+        short = listed.any(axis=1) & ~listed.all(axis=1)
+        if short.any():
+            row = int(np.argmax(short))
+            raise table.row_error(
+                path, int(np.flatnonzero(key // n2 == row)[-1]),
+                f"seed {swept[row // n1]} lists axis1 row {row % n1} without "
+                f"exactly one line for each of the {n2} deceleration bins")
+        np.put(live, key // n2, True)
+        for dense, values in zip(arrays.values(), columns):  # in field order
+            np.put(dense, key, values)
+    return [OutcomeMatrix(sid, grid, **{name: a[k] for name, a in arrays.items()},
+                          live=live[k]) for k, sid in enumerate(swept)]

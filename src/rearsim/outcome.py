@@ -59,9 +59,17 @@ class DeltaVDistribution:
         return float((self.centers * self.weights).sum() / w) if w else 0.0
 
 
+def check_bin_width(bin_width: float) -> None:
+    """Raise ValidationError unless `bin_width` is a finite number > 0."""
+    if not 0 < bin_width < math.inf:  # NaN fails this comparison too
+        raise ValidationError(f"bin width must be a finite number > 0, "
+                              f"got {bin_width!r}")
+
+
 def build_histogram(samples, bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
     """Weighted histogram of (delta_v, weight) pairs, a sequence or an
     (n, 2) array; the mean is taken on the unbinned samples."""
+    check_bin_width(bin_width)
     pairs = np.asarray(samples, dtype=float).reshape(-1, 2)
     if np.any(pairs[:, 1] < 0):
         raise ValidationError("weights must be >= 0")

@@ -21,8 +21,9 @@ bounded chunks of rows, so memory does not grow with the file;
 row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
 
-Cost. Tables repeat values (a seed's no-response outcome fills many
-cells, a sample's weight many rows), so the work follows what is distinct:
+Cost. Tables repeat values (a seed's id on every row of its seed, the
+no-response samples' weight on each of their rows), so the work follows
+what is distinct:
 
 - writing formats each distinct float bit pattern once and shares its
   text among the fields that hold it;

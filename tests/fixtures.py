@@ -134,7 +134,8 @@ def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
     counts one kernel call for the no-response run plus one per cell."""
     n1, n2 = grid.shape
     cells = kin.run(np.asarray(onsets, dtype=float), grid.decels, jerk)
-    return OutcomeMatrix(kin.id, grid, **cells, kernel_calls=1 + n1 * n2)
+    return OutcomeMatrix(kin.id, grid, **cells, live=np.ones(n1, dtype=bool),
+                         kernel_calls=1 + n1 * n2)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

@@ -17,7 +17,7 @@ import pytest
 
 import rearsim
 from rearsim import table
-from rearsim.bias import OccupantRecord, load_occupants, load_transfer
+from rearsim.bias import OccupantRecord, build_pdo, load_occupants, load_transfer
 from rearsim.cli import (
     SOURCE_NO_RESPONSE,
     _load_assessment_cuts,
@@ -31,7 +31,7 @@ from rearsim.cli import (
     main,
 )
 from rearsim.drivers import CbmConfig
-from rearsim.engine import CampaignConfig
+from rearsim.engine import CampaignConfig, run_campaign
 from rearsim.errors import ParseError, ValidationError
 from rearsim.manifest import KINDS, digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
@@ -210,6 +210,30 @@ class TestPipeline:
         assert first.keys() == second.keys()
         mismatched = [k for k in first if first[k] != second[k]]
         assert mismatched == []
+
+    def test_matrices_list_only_the_integrated_cells(self, pipeline):
+        """kernel_calls counts one call per swept seed's no-response run
+        plus one per integrated cell, and matrices.csv lists exactly those
+        cells. The matrices weight reads back, their other rows filled
+        from seeds_summary.csv, are the campaign's bitwise."""
+        root, paths, out = pipeline
+        sim = out["simulate"]
+        summary = json.loads((sim / "summary.json").read_text())
+        with open(sim / "matrices.csv", newline="") as fh:
+            n_lines = sum(1 for _ in fh) - 1
+        swept = summary["n_seeds"] - summary["n_excluded"]
+        assert n_lines == summary["kernel_calls"] - swept
+        with chdir(root):
+            cfg = CampaignConfig.from_json(paths["campaign"])
+            result = run_campaign(load_seed_refs("out_synth/seeds"), cfg,
+                                  glance=load_glances(cfg.glance_file),
+                                  decels=load_decels(cfg.decel_file))
+        _, loaded, _ = _simulated_matrices(sim, summary)
+        assert len(loaded) == len(result.matrices) == swept
+        for want, got in zip(result.matrices, loaded):
+            assert got.seed_id == want.seed_id
+            for name in ("crashed", "v1", "v2", "max_severity", "live"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_worker_count_does_not_change_output(self, pipeline, tmp_path):
         root, paths, out_first = pipeline
@@ -671,6 +695,14 @@ def _bad_decels(edit, where):
             (_SIMULATE,))
 
 
+def _bad_flag(flag, value, check, where, commands):
+    """A flag value out of range: no file is edited, and `check(value)` is
+    the call that rejects it."""
+    return ("inputs/campaign.json", lambda path: check(value), lambda text: text,
+            where, tuple(command + [flag, value] for command in commands),
+            ValidationError)
+
+
 def _bad_config(file, loader, command, key, value):
     return (f"inputs/{file}", loader, _set_json(**{key: value}),
             rf"{re.escape(file)}: \w+ config .*{key}", (command,), ValidationError)
@@ -833,6 +865,17 @@ MALFORMED_INPUTS = {
             map(str, json.loads(text)["counts"]))}),
         r"percentile_report\.json: percentile report counts must be 10 integers",
         (_REPORT_PERCENTILES,)),
+    **{f"bin_width_{name}": _bad_flag(
+        "--bin-width", value,
+        lambda value: build_histogram([(1.0, 1.0)], float(value)),
+        rf"bin width must be a finite number > 0, got {value}",
+        (_WEIGHT, _FIT_BIAS, _ASSESS))
+       for name, value in (("zero", "0"), ("negative", "-1"), ("nan", "nan"))},
+    **{f"n_fill_bins_{name}": _bad_flag(
+        "--n-fill-bins", value,
+        lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
+        rf"n_fill_bins must be >= 1, got {value}", (_FIT_BIAS,))
+       for name, value in (("zero", "0"), ("negative", "-2"))},
     "transfer_without_c2": (
         "out_fit/transfer.json", load_transfer,
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()

@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
-from rearsim.cli import main
+from rearsim.cli import SEEDS_SUMMARY_HEADER, _simulated_matrices, main
 from rearsim.engine import (
     NO_CRASH,
     CampaignConfig,
@@ -338,6 +340,13 @@ MATRIX_FIELDS = ("crashed", "v1", "v2", "max_severity")
 GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
 
 
+def swept(result) -> dict[str, SimOutcome]:
+    """The no-response outcome of each swept seed of a campaign result,
+    which fills the rows matrices.csv does not list."""
+    return {r.seed_id: r.no_response for r in result.results
+            if r.matrix is not None}
+
+
 def assert_bitwise(got, want, names):
     """Each named array of `got` has the dtype and bytes of `want`'s."""
     for name in names:
@@ -381,6 +390,48 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         want = exhaustive_sweep(kin, grid, onsets, cfg.cbm.jerk_mean)
         assert_bitwise(r.matrix, want, MATRIX_FIELDS)
         assert r.matrix.kernel_calls <= want.kernel_calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(rng_seed=st.integers(0, 2**32 - 1),
+       model=st.sampled_from(["cbm", "blom"]),
+       lead=st.sampled_from(["braking", "non_braking", "standstill"]),
+       v_lead=st.floats(0.0, 14.0), gap=st.floats(2.0, 60.0),
+       onset=st.floats(0.0, 3.0))
+def test_compact_matrices_expand_to_the_dense_ones_bitwise(
+        rng_seed, model, lead, v_lead, gap, onset):
+    """load_matrices(save_matrices(m)) gives back the dense matrices bit
+    for bit, the live rows included. Besides the campaign's seeds there are
+    three constructed ones on its grid: a follower that never responds (no
+    live row, and the no-response run crashes), one slower than its lead
+    (no live row, and no crash), and one braking from `onset` on."""
+    seeds = synthesize_seeds(SynthesisConfig(
+        n_seeds=2, lead_mix={"braking": 1, lead: 1}), rng_seed)
+    cfg = CampaignConfig(model=model)
+    result = run_campaign(seeds, cfg, glance=shrp2_like_glances(),
+                          decels=shrp2_like_decels())
+    grid, matrices, no_response = result.grid, result.matrices, swept(result)
+    for sid, v_foll, v_ahead, start in (("x_never", 20.0, v_lead, math.inf),
+                                        ("y_slow", v_lead, 20.0, onset),
+                                        ("z_brakes", 20.0, v_lead, onset)):
+        kin = SeedKinematics(make_cf(v_foll, v_ahead, gap, duration=12.0))
+        kin.id = sid
+        matrices.append(sweep_seed(kin, grid, start + grid.axis1,
+                                   cfg.cbm.jerk_mean))
+        no_response[sid] = kin.no_response
+    by_id = {m.seed_id: m for m in matrices}
+    assert not by_id["x_never"].live.any() and no_response["x_never"].crashed
+    assert not by_id["y_slow"].live.any() and not no_response["y_slow"].crashed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "matrices.csv"
+        save_matrices(matrices, path)
+        n_lines = len(path.read_text().splitlines()) - 1
+        loaded = load_matrices(path, grid, no_response)
+    assert n_lines == grid.shape[1] * sum(int(m.live.sum()) for m in matrices)
+    assert [m.seed_id for m in loaded] == sorted(by_id)
+    for got in loaded:
+        assert got.grid is grid
+        assert_bitwise(got, by_id[got.seed_id], MATRIX_FIELDS + ("live",))
 
 
 class TestCampaign:
@@ -459,12 +510,12 @@ class TestCampaign:
         save_matrices(result.matrices, path)
         grid = grid_round_trip(result.grid)
         assert_bitwise(grid, result.grid, GRID_FIELDS + ("p_cell",))
-        loaded = load_matrices(path, grid)
+        loaded = load_matrices(path, grid, swept(result))
         assert len(loaded) == 3
         for orig, back in zip(result.matrices, loaded, strict=True):
             assert orig.grid is result.grid and back.grid is grid
             assert back.seed_id == orig.seed_id
-            assert_bitwise(back, orig, MATRIX_FIELDS)
+            assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
             assert back.crash_mass == orig.crash_mass
 
 
@@ -476,7 +527,8 @@ def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
                           glance=glances, decels=decels)
     path = tmp_path_factory.mktemp("baseline") / "matrices.csv"
     save_matrices(result.matrices, path)
-    return result, load_matrices(path, grid_round_trip(result.grid))
+    return result, load_matrices(path, grid_round_trip(result.grid),
+                                 swept(result))
 
 
 def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
@@ -489,9 +541,9 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     path = tmp_path / "matrices.csv"
     save_matrices(result.matrices, path)
     data = path.read_bytes()
-    assert len(data) == 1919925
+    assert len(data) == 381009
     assert hashlib.sha256(data).hexdigest() == (
-        "f0b7c486b50f650b2151ff268512dd171c2c324615a96f14c9751160cc6ea6f9")
+        "29d3b7f6ba299c63a54c5fbc4f19f6c6247bee7ffc79fe724f6304f5a9a441b2")
 
 
 def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
@@ -501,7 +553,8 @@ def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     header, *rows = path.read_text().splitlines(keepends=True)
     order = np.random.default_rng(3).permutation(len(rows))
     path.write_text(header + "".join(rows[i] for i in order))
-    for want, got in zip(loaded, load_matrices(path, result.grid), strict=True):
+    for want, got in zip(loaded, load_matrices(path, result.grid, swept(result)),
+                         strict=True):
         assert got.seed_id == want.seed_id
         assert_bitwise(got, want, MATRIX_FIELDS)
 
@@ -524,7 +577,7 @@ class TestReweight:
         assert [m.seed_id for m in reweighted] == [m.seed_id for m in result.matrices]
         for want, got in zip(result.matrices, reweighted):
             assert got.grid is target
-            assert_bitwise(got, want, MATRIX_FIELDS)
+            assert_bitwise(got, want, MATRIX_FIELDS + ("live",))
             assert got.crash_mass == want.crash_mass
 
     def test_unsorted_decel_file_order_is_kept(self, paper_baseline,
@@ -540,7 +593,7 @@ class TestReweight:
         save_matrices(result.matrices, path)
         grid = grid_round_trip(result.grid)
         assert np.array_equal(grid.decels, flipped.d_values)
-        back = load_matrices(path, grid)
+        back = load_matrices(path, grid, swept(result))
         for orig, got, ascending in zip(result.matrices, back, loaded):
             assert got.seed_id == orig.seed_id == ascending.seed_id
             assert_bitwise(got, orig, MATRIX_FIELDS)
@@ -582,7 +635,19 @@ MATRIX_HEADER = "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\n"
 SMALL_GRID = {"axis1": [0.0, 0.1], "axis1_probs": [0.8, 0.2],
               "decels": [2.0, 3.5], "decel_probs": [0.5, 0.5]}
 FULL_GRID_ROWS = "s1,0,0,0,,,0\ns1,0,1,0,,,0\ns1,1,0,0,,,0\n"
-# name: (matrices.csv, the grid in summary.json)
+ROW_0 = "s1,0,0,0,,,0\ns1,0,1,0,,,0\n"
+
+
+def write_seeds_summary(path, eligible: dict[str, bool]) -> None:
+    """A seeds_summary.csv of seeds whose no-response runs never crash."""
+    path.write_text("".join(
+        [",".join(SEEDS_SUMMARY_HEADER) + "\n"]
+        + [f"{sid},{int(ok)},braking,,0,1500.0,1500.0,,0,,,,0,,0,0\n"
+           for sid, ok in eligible.items()]))
+
+
+# name: (matrices.csv, the grid in summary.json[, the eligible flag of each
+# seed in seeds_summary.csv, if not s1's alone])
 MALFORMED_MATRICES = {
     "empty": ("", SMALL_GRID),
     "bad_header": ("seed,axis1_index\n", SMALL_GRID),
@@ -607,6 +672,11 @@ MALFORMED_MATRICES = {
     "no_crash_at_max_severity": (MATRIX_HEADER + "s1,0,0,0,,,1\n", SMALL_GRID),
     "summary_without_grid": (
         MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,,0\n", None),
+    "partially_listed_row": (MATRIX_HEADER + ROW_0 + "s1,1,1,1,9.0,1.0,0\n",
+                             SMALL_GRID),
+    "seed_not_in_summary": (MATRIX_HEADER + ROW_0 + ROW_0.replace("s1", "s2"),
+                            SMALL_GRID),
+    "seed_excluded": (MATRIX_HEADER + ROW_0, SMALL_GRID, {"s1": False}),
 }
 
 
@@ -615,17 +685,17 @@ class TestLoadMatricesParseErrors:
     def test_malformed_file_raises_parse_error(self, name, tmp_path, capsys):
         """load_matrices (or the grid) raises ParseError naming the file,
         and weight exits 2 with the same error and no traceback."""
-        text, grid = MALFORMED_MATRICES[name]
+        text, grid, *eligible = MALFORMED_MATRICES[name]
         sim = tmp_path / "sim"
         sim.mkdir()
         (sim / "matrices.csv").write_text(text)
+        write_seeds_summary(sim / "seeds_summary.csv", *eligible or [{"s1": True}])
         summary = {"model": "cbm"} if grid is None else {"model": "cbm",
                                                          "grid": grid}
         write_json(sim / "summary.json", summary)
         where = r"summary\.json" if grid is None else r"matrices\.csv:\d+: "
         with pytest.raises(ParseError, match=where):
-            load_matrices(sim / "matrices.csv",
-                          CampaignGrid.from_json(summary, sim / "summary.json"))
+            _simulated_matrices(sim, summary)
         capsys.readouterr()
         assert main(["weight", "--simulate-out", str(sim),
                      "--out", str(tmp_path / "weight")]) == 2
@@ -636,4 +706,5 @@ class TestLoadMatricesParseErrors:
         path = tmp_path / "matrices.csv"
         path.write_text(MALFORMED_MATRICES["truncated_row"][0])
         with pytest.raises(ParseError, match=r"matrices\.csv:3:"):
-            load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)))
+            load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
+                          {"s1": NO_CRASH})

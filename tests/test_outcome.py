@@ -33,7 +33,7 @@ def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
     v2 = np.array([[5.0, np.nan]])
     grid = CampaignGrid([0.1], [1.0], [3.0, 6.0], [q, 1.0 - q])
     return OutcomeMatrix(seed_id, grid, crashed, v1, v2,
-                         np.array([[False, False]]))
+                         np.array([[False, False]]), np.array([True]))
 
 
 class TestDeltaV:
