@@ -69,7 +69,6 @@ from .scenario import (
     CounterfactualSeed,
     SeedCrash,
     SeedRef,
-    load_seed,
     remove_evasive_maneuver,
 )
 
@@ -424,10 +423,7 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                   grid: CampaignGrid) -> SeedResult:
     if isinstance(seed, SeedRef):
-        ref, seed = seed, load_seed(seed.path)
-        if seed.id != ref.id:
-            raise ParseError(f"{ref.path}: seed {seed.id!r} was listed as "
-                             f"{ref.id!r}")
+        seed = seed.load()
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
     kin = SeedKinematics(cf)
     anchor, excluded = None, False
@@ -461,6 +457,8 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
     grid."""
     if decels is None:
         raise ValidationError("a deceleration distribution is required")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     if cfg.model == MODEL_BLOM:
         reaction = discretize_reaction_time(cfg.reaction_m, cfg.reaction_v)
         axes = (reaction.centers, reaction.probs)
@@ -523,10 +521,20 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     or 1, a cell without a crash that has speeds or maximum severity, an
     index outside the grid, a repeated cell, a listed row without exactly
     one line per deceleration bin, or a seed not in `no_response` raises
-    ParseError naming path:line."""
+    ParseError naming path:line.
+
+    The CSV is read chunk by chunk straight into the dense matrices.
+    Besides them and one chunk, only a flag per cell (listed yet) and the
+    last line listing each row are held."""
     n1, n2 = grid.shape
-    ids: dict[str, int] = {}
-    parts = []
+    swept = sorted(no_response)
+    position = {sid: k for k, sid in enumerate(swept)}
+    arrays = _filled([no_response[sid] for sid in swept], grid.shape)
+    dense = [a.reshape(-1) for a in arrays.values()]  # views, in field order
+    seen = np.zeros(len(swept) * n1 * n2, dtype=bool)  # the cells listed
+    # per (seed, axis1 row), the last data row listing one of its cells
+    last = np.full(len(swept) * n1, -1, dtype=np.intp)
+    n_seen = 0
     for chunk in table.read_chunks(path, MATRIX_CSV_HEADER):
         crashed, severity = chunk.flags("crashed"), chunk.flags("max_severity")
         # a cell without a crash is written with no speeds and severity 0
@@ -535,40 +543,39 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
         if not clean.all():
             raise chunk.error(int(np.argmin(clean)), "a cell without a crash "
                               "must have empty v1 and v2 and max_severity 0")
-        parts.append((
-            chunk.codes("seed_id", ids),
-            chunk.indices("axis1_index", n1) * n2 + chunk.indices("decel_index", n2),
-            crashed, chunk.floats("v1", where=crashed),
-            chunk.floats("v2", where=crashed), severity))
-    swept = sorted(no_response)
-    position = {sid: k for k, sid in enumerate(swept)}
-    arrays = _filled([no_response[sid] for sid in swept], grid.shape)
-    live = np.zeros((len(swept), n1), dtype=bool)
-    if parts:
-        code, cell, *columns = map(np.concatenate, zip(*parts))
-        unswept = [sid for sid in ids if sid not in position]
-        if unswept:
-            raise table.row_error(path, int(np.argmax(code == ids[unswept[0]])),
-                                  f"seed {unswept[0]} was not swept")
-        seed = np.array([position[sid] for sid in ids], dtype=np.intp)[code]
-        key = seed * (n1 * n2) + cell
-        counts = np.bincount(key, minlength=len(swept) * n1 * n2)
-        if np.any(counts > 1):
-            repeat = int(np.argmax(counts > 1))
-            raise table.row_error(
-                path, int(np.flatnonzero(key == repeat)[1]),
-                f"seed {swept[repeat // (n1 * n2)]} repeats cell "
-                f"({repeat // n2 % n1}, {repeat % n2})")
-        listed = counts.reshape(-1, n2)  # one row per (seed, axis1 value)
-        short = listed.any(axis=1) & ~listed.all(axis=1)
-        if short.any():
-            row = int(np.argmax(short))
-            raise table.row_error(
-                path, int(np.flatnonzero(key // n2 == row)[-1]),
-                f"seed {swept[row // n1]} lists axis1 row {row % n1} without "
-                f"exactly one line for each of the {n2} deceleration bins")
-        np.put(live, key // n2, True)
-        for dense, values in zip(arrays.values(), columns):  # in field order
-            np.put(dense, key, values)
+        cell = (chunk.indices("axis1_index", n1) * n2
+                + chunk.indices("decel_index", n2))
+        v1 = chunk.floats("v1", where=crashed)
+        v2 = chunk.floats("v2", where=crashed)
+        sids = chunk["seed_id"]
+        for sid in dict.fromkeys(sids):
+            if sid not in position:
+                raise chunk.error(sids.index(sid), f"seed {sid} was not swept")
+        key = np.fromiter(map(position.__getitem__, sids), dtype=np.intp,
+                          count=chunk.n_rows) * (n1 * n2) + cell
+        before = seen[key]
+        seen[key] = True
+        n_seen += chunk.n_rows
+        if np.count_nonzero(seen) != n_seen:
+            # a cell listed in an earlier chunk, or twice in this one
+            _, first = np.unique(key, return_index=True)
+            again = np.ones(chunk.n_rows, dtype=bool)
+            again[first] = before[first]
+            row = int(np.argmax(again))
+            raise chunk.error(row, f"seed {swept[key[row] // (n1 * n2)]} "
+                                   f"repeats cell ({cell[row] // n2}, "
+                                   f"{cell[row] % n2})")
+        np.maximum.at(last, key // n2, chunk.first_row + np.arange(chunk.n_rows))
+        for values, column in zip(dense, (crashed, v1, v2, severity)):
+            values[key] = column
+    listed = seen.reshape(-1, n2)  # one row per (seed, axis1 value)
+    short = listed.any(axis=1) & ~listed.all(axis=1)
+    if short.any():
+        row = int(np.argmax(short))
+        raise table.row_error(
+            path, int(last[row]),
+            f"seed {swept[row // n1]} lists axis1 row {row % n1} without "
+            f"exactly one line for each of the {n2} deceleration bins")
+    live = listed.any(axis=1).reshape(len(swept), n1)
     return [OutcomeMatrix(sid, grid, **{name: a[k] for name, a in arrays.items()},
                           live=live[k]) for k, sid in enumerate(swept)]

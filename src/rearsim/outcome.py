@@ -66,17 +66,23 @@ def check_bin_width(bin_width: float) -> None:
                               f"got {bin_width!r}")
 
 
-def build_histogram(samples, bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
-    """Weighted histogram of (delta_v, weight) pairs, a sequence or an
-    (n, 2) array; the mean is taken on the unbinned samples."""
+def build_histogram(delta_v, weights,
+                    bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
+    """Weighted histogram of the samples `delta_v` (km/h) with `weights`,
+    two equally long sequences; the mean is taken on the unbinned samples.
+    Samples of weight 0 are dropped, but count."""
     check_bin_width(bin_width)
-    pairs = np.asarray(samples, dtype=float).reshape(-1, 2)
-    if np.any(pairs[:, 1] < 0):
+    dvs = np.asarray(delta_v, dtype=float).reshape(-1)
+    ws = np.asarray(weights, dtype=float).reshape(-1)
+    if dvs.shape != ws.shape:
+        raise ValidationError(f"{dvs.size} delta-v for {ws.size} weights")
+    if np.any(ws < 0):
         raise ValidationError("weights must be >= 0")
-    pairs = pairs[pairs[:, 1] > 0]
-    if not len(pairs):
+    positive = ws > 0
+    if not positive.all():
+        dvs, ws = dvs[positive], ws[positive]
+    if not ws.size:
         raise ValidationError("no samples with positive weight")
-    dvs, ws = pairs[:, 0], pairs[:, 1]
     if np.any(dvs < 0):
         raise ValidationError("delta-v must be >= 0")
     # canonical accumulation order makes the histogram exactly invariant
@@ -84,10 +90,13 @@ def build_histogram(samples, bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaV
     order = np.lexsort((ws, dvs))
     dvs, ws = dvs[order], ws[order]
     total = ws.sum()
-    idx = np.floor(dvs / bin_width).astype(int)
-    weights = np.bincount(idx, weights=ws, minlength=int(idx.max()) + 1)
-    return DeltaVDistribution(
-        bin_width, weights / total, float((dvs * ws).sum() / total), len(samples))
+    # the order's buffer takes the products, then the bin indices
+    mean = float(np.multiply(dvs, ws, out=order.view(float)).sum() / total)
+    np.floor(np.divide(dvs, bin_width, out=dvs), out=dvs)
+    idx = order
+    np.copyto(idx, dvs, casting="unsafe")
+    counts = np.bincount(idx, weights=ws, minlength=int(idx.max()) + 1)
+    return DeltaVDistribution(bin_width, counts / total, mean, len(positive))
 
 
 def align_bins(p: DeltaVDistribution, q: DeltaVDistribution):
@@ -170,21 +179,22 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
     the prevalence weights applied; the weights are renormalized to sum to
     1. `masses` maps seed id to (follower, lead) mass in kg."""
     w_by_seed = {w.seed_id: w.w for w in weights}
-    seed_ids, dvs, ws = [], [np.zeros(0)], [np.zeros(0)]
-    for m in matrices:
-        if m.seed_id not in w_by_seed:
-            continue
+    weighted = [m for m in matrices if m.seed_id in w_by_seed]
+    counts = [int(np.count_nonzero(m.crashed)) for m in weighted]
+    dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
+    start = 0
+    for m, n in zip(weighted, counts):
         m1, m2 = masses[m.seed_id]
-        seed_ids.append(m.seed_id)
-        dvs.append(delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2))
-        ws.append(w_by_seed[m.seed_id] * m.grid.p_cell[m.crashed])
-    w = np.concatenate(ws)
+        cells = slice(start, start + n)
+        dvs[cells] = delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2)
+        np.multiply(w_by_seed[m.seed_id], m.grid.p_cell[m.crashed], out=w[cells])
+        start += n
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0
     if total <= 0:
         raise ValidationError("no weighted crash samples")
-    return CrashSamples(seed_ids, [len(dv) for dv in dvs[1:]],
-                        np.concatenate(dvs), w / total)
+    w /= total
+    return CrashSamples([m.seed_id for m in weighted], counts, dvs, w)
 
 
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
@@ -200,7 +210,7 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
     if fraction == 0:
         return DeltaVDistribution(base.bin_width, base.weights.copy(),
                                   base.mean, base.count)
-    nr = build_histogram([(dv, 1.0) for dv in no_resp_dvs], base.bin_width)
+    nr = build_histogram(no_resp_dvs, np.ones(len(no_resp_dvs)), base.bin_width)
     bw, nw = align_bins(base, nr)
     mixed = (1.0 - fraction) * bw + fraction * nw
     mean = (1.0 - fraction) * base.mean + fraction * nr.mean
@@ -219,13 +229,29 @@ def save_histogram(h: DeltaVDistribution, path: str | Path) -> None:
 def load_histogram(h_path: str | Path, mean: float | None = None,
                    count: int = 1) -> DeltaVDistribution:
     """A histogram CSV file; one without bins, or whose weights do not sum
-    to 1 (a histogram of counts), raises ParseError naming the file."""
+    to 1 (a histogram of counts), raises ParseError naming the file. The
+    first row's width must be a finite number > 0, and row k must span
+    [k w, (k + 1) w] within 1e-9 w; a row that does not raises ParseError
+    naming path:line."""
     chunk = table.read_csv(h_path, HISTOGRAM_CSV_HEADER)
     if not chunk.n_rows:
         raise ParseError(f"{h_path}: empty histogram")
     low, high, weights = (chunk.floats(name) for name in HISTOGRAM_CSV_HEADER)
+    width = float(high[0] - low[0])
     try:
-        dist = DeltaVDistribution(float(high[0] - low[0]), weights, 0.0, count)
+        check_bin_width(width)
+    except ValidationError as exc:
+        raise chunk.error(0, str(exc)) from None
+    edges = width * np.arange(chunk.n_rows + 1)
+    off = ~((np.abs(low - edges[:-1]) <= 1e-9 * width)
+            & (np.abs(high - edges[1:]) <= 1e-9 * width))  # NaN is off too
+    if off.any():
+        k = int(np.argmax(off))
+        raise chunk.error(k, f"bin {k} spans [{float(low[k])!r}, "
+                             f"{float(high[k])!r}], not [{float(edges[k])!r}, "
+                             f"{float(edges[k + 1])!r}]")
+    try:
+        dist = DeltaVDistribution(width, weights, 0.0, count)
     except ValidationError as exc:
         raise ParseError(f"{h_path}: {exc}") from exc
     dist.mean = dist.binned_mean() if mean is None else mean

@@ -11,6 +11,7 @@ follower's speed change (delta-v) is m2*(v1 - v2)/(m1 + m2).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,18 +251,26 @@ def remove_evasive_maneuver(
 @dataclass(frozen=True)
 class SeedRef:
     """A seed as its JSON sidecar lists it: its id, the path of its
-    trajectory CSV and the delta-v it records (None if it records none)."""
+    trajectory CSV, its vehicle records and the delta-v it records (None
+    if it records none)."""
 
     id: str
     path: Path
+    lead_meta: VehicleMeta
+    follower_meta: VehicleMeta
     seed_delta_v_kmh: float | None
 
+    def load(self) -> SeedCrash:
+        """The seed, its trajectories read from `path` and its records
+        taken from this ref, so the sidecar is not read again."""
+        return _seed(_read_trajectories(self.path), self)
 
-def _read_sidecar(json_path: Path) -> tuple[str, VehicleMeta, VehicleMeta,
-                                             float | None]:
-    """A seed's id, lead and follower records and recorded delta-v, from
-    its JSON sidecar. The delta-v is absent, null or a finite number >= 0;
-    anything else raises ParseError naming the sidecar."""
+
+def _read_sidecar(csv_path: Path) -> SeedRef:
+    """The ref of the seed whose trajectory CSV is `csv_path`, from its
+    JSON sidecar. The recorded delta-v is absent, null or a finite number
+    >= 0; anything else raises ParseError naming the sidecar."""
+    json_path = csv_path.with_suffix(".json")
     if not json_path.exists():
         raise ParseError(f"seed sidecar not found: {json_path}")
     try:
@@ -276,32 +285,40 @@ def _read_sidecar(json_path: Path) -> tuple[str, VehicleMeta, VehicleMeta,
     if dv is not None and not (is_finite(dv) and dv >= 0):
         raise ParseError(f"{json_path}: seed_delta_v_kmh must be null or a "
                          f"finite number >= 0, got {dv!r}")
-    return sid, lead_meta, foll_meta, None if dv is None else float(dv)
+    return SeedRef(sid, csv_path, lead_meta, foll_meta,
+                   None if dv is None else float(dv))
+
+
+def _read_trajectories(csv_path: Path) -> list[np.ndarray]:
+    """The columns of a seed's trajectory CSV, in SEED_CSV_HEADER order."""
+    if not csv_path.exists():
+        raise ParseError(f"seed file not found: {csv_path}")
+    chunk = table.read_csv(csv_path, SEED_CSV_HEADER)
+    if not chunk.n_rows:
+        raise ParseError(f"{csv_path}: no samples")
+    return [chunk.floats(name) for name in SEED_CSV_HEADER]
+
+
+def _seed(data: list[np.ndarray], ref: SeedRef) -> SeedCrash:
+    """The validated seed of trajectory columns `data` and sidecar `ref`."""
+    seed = SeedCrash(
+        id=ref.id,
+        lead=Trajectory(*data[:4]),
+        follower=Trajectory(data[0], *data[4:]),
+        lead_meta=ref.lead_meta,
+        follower_meta=ref.follower_meta,
+        seed_delta_v_kmh=ref.seed_delta_v_kmh,
+    )
+    seed.validate()
+    return seed
 
 
 def load_seed(pcm_file: str | Path) -> SeedCrash:
     """Load a seed from a trajectory CSV plus its JSON sidecar and validate
     all record invariants."""
     csv_path = Path(pcm_file)
-    if not csv_path.exists():
-        raise ParseError(f"seed file not found: {csv_path}")
-
-    chunk = table.read_csv(csv_path, SEED_CSV_HEADER)
-    if not chunk.n_rows:
-        raise ParseError(f"{csv_path}: no samples")
-    data = [chunk.floats(name) for name in SEED_CSV_HEADER]
-
-    sid, lead_meta, foll_meta, dv = _read_sidecar(csv_path.with_suffix(".json"))
-    seed = SeedCrash(
-        id=sid,
-        lead=Trajectory(*data[:4]),
-        follower=Trajectory(data[0], *data[4:]),
-        lead_meta=lead_meta,
-        follower_meta=foll_meta,
-        seed_delta_v_kmh=dv,
-    )
-    seed.validate()
-    return seed
+    data = _read_trajectories(csv_path)
+    return _seed(data, _read_sidecar(csv_path))
 
 
 def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
@@ -325,12 +342,10 @@ def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
 
 def load_seed_refs(directory: str | Path) -> list[SeedRef]:
     """Every seed CSV in a directory as its sidecar lists it, ordered by
-    id. Only the JSON sidecars are read; two sidecars with one id raise
-    ParseError naming both."""
-    refs = []
-    for csv_path in sorted(Path(directory).glob("*.csv")):
-        sid, _, _, dv = _read_sidecar(csv_path.with_suffix(".json"))
-        refs.append(SeedRef(sid, csv_path, dv))
+    id. Only the JSON sidecars are read, each once; two sidecars with one
+    id raise ParseError naming both."""
+    refs = [_read_sidecar(csv_path)
+            for csv_path in sorted(Path(directory).glob("*.csv"))]
     refs.sort(key=lambda r: r.id)
     for a, b in zip(refs, refs[1:]):
         if a.id == b.id:
@@ -457,9 +472,11 @@ def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
     return t[: k + 1], lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc, k
 
 
-def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
-    """Generate colliding seed scenarios by rejection sampling. Deterministic
-    for a given (config, rng_seed)."""
+def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> Iterator[SeedCrash]:
+    """Generate colliding seed scenarios by rejection sampling, one at a
+    time, so a caller that writes each seed holds one seed at a time.
+    Deterministic for a given (config, rng_seed); a seed that cannot be
+    made raises GenerationError when its turn comes."""
     rng = np.random.default_rng(rng_seed)
     counts = _mode_counts(config.lead_mix, config.n_seeds)
     modes: list[str] = []
@@ -469,7 +486,6 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
 
     dt = DT_NOMINAL
     window = int(round(5.0 / dt))  # keep at most the last 5 s before impact
-    seeds = []
     for index, mode in enumerate(modes):
         seed = None
         for _ in range(config.max_attempts):
@@ -541,5 +557,4 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> list[SeedCrash]:
                 f"could not synthesize a colliding '{mode}' seed within "
                 f"{config.max_attempts} attempts; widen the config ranges"
             )
-        seeds.append(seed)
-    return seeds
+        yield seed

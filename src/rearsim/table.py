@@ -30,6 +30,13 @@ what is distinct:
 - reading splits a chunk without quotes once, as one text, after checking
   that every line holds one comma fewer than the header has names; a chunk
   with quotes goes through ``csv.reader`` row by row.
+
+Memory. ``read_chunks`` holds one chunk at a time, ``CHUNK_ROWS`` rows:
+its lines, their joined text and one Python string per field. Those are
+dropped when the caller moves to the next chunk, so what a reader keeps
+per file is only what it builds from each chunk, such as numeric columns.
+``write_csv`` holds the formatted fields of one chunk of columns at a
+time, so a writer that yields its columns in pieces holds one piece.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 
 from .errors import ParseError
 
-CHUNK_ROWS = 8192
+CHUNK_ROWS = 2048
 _PROBE_ROWS = 1024
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
 
@@ -197,14 +204,6 @@ class Chunk:
         """Whether each field of column `name` is exactly `text`."""
         return np.fromiter(map(text.__eq__, self._columns[name]), dtype=bool,
                            count=self.n_rows)
-
-
-def group_rows(codes: np.ndarray, n: int) -> list[np.ndarray]:
-    """For each code 0 .. n-1, the indices of the rows that carry it, in
-    row order."""
-    order = np.argsort(codes, kind="stable")
-    bounds = np.searchsorted(codes[order], np.arange(n + 1))
-    return [order[bounds[k]:bounds[k + 1]] for k in range(n)]
 
 
 def is_float(text: str) -> bool:

@@ -5,6 +5,7 @@ CLI reads. Everything is deterministic."""
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -143,3 +144,15 @@ def paper_mix_seed_set() -> tuple[SeedCrash, ...]:
     leads, mirroring the published case mix."""
     return seed_set(103, 42, mix=(("braking", 68), ("non_braking", 15),
                                   ("standstill", 20)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """`fn(*args, **kwargs)` and the peak of the memory that Python and
+    NumPy allocated while it ran, in bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,7 @@ from rearsim.outcome import (
 )
 from rearsim.validation import compare
 
-from fixtures import save_occupants
+from fixtures import save_occupants, traced_peak
 
 TARGET_B1 = 0.137
 TARGET_B2 = 0.27
@@ -69,7 +68,7 @@ def folksam_like_records(rng_seed=55, n=912):
 def all_severity_histogram(rng_seed=9, n=30_000):
     rng = np.random.default_rng(rng_seed)
     dvs = rng.gamma(1.6, 7.0, n)
-    return build_histogram([(float(min(d, 59.9)), 1.0) for d in dvs], BIN_W)
+    return build_histogram(np.minimum(dvs, 59.9), np.ones(len(dvs)), BIN_W)
 
 
 def censored(dist: DeltaVDistribution, tf: TransferFunction) -> DeltaVDistribution:
@@ -128,8 +127,8 @@ class TestBuildPdo:
 class TestAugmentReference:
     def reference(self):
         rng = np.random.default_rng(1)
-        return build_histogram(
-            [(float(min(d, 69.0)), 1.0) for d in rng.gamma(5.0, 3.6, 103)], BIN_W)
+        return build_histogram(np.minimum(rng.gamma(5.0, 3.6, 103), 69.0),
+                               np.ones(103), BIN_W)
 
     def test_p_zero_is_identity(self):
         ref = self.reference()
@@ -284,18 +283,13 @@ class TestFitTransferBits:
         rng = np.random.default_rng(6)
         with_pdo, original = histogram(rng.random(36)), histogram(rng.random(36))
         grid_bytes = len(bias.C2_GRID) * 36 * 8
-        tracemalloc.start()
-        try:
-            fit_transfer(with_pdo, original)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(fit_transfer, with_pdo, original)
         assert peak <= 2.5 * grid_bytes, peak / grid_bytes
 
 
 class TestApplyTransfer:
     def test_flat_transfer_cancels_under_renormalization(self):
-        h = build_histogram([(4.0, 0.5), (8.0, 0.5)], BIN_W)
+        h = build_histogram([4.0, 8.0], [0.5, 0.5], BIN_W)
         tf = TransferFunction(-1.0, 0.001)  # nearly constant over 4-8 km/h
         out = apply_transfer(h, tf)
         assert np.allclose(out.weights, h.weights, atol=1e-3)

@@ -10,28 +10,40 @@ import re
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rearsim
-from rearsim import table
+from rearsim import scenario, table
 from rearsim.bias import OccupantRecord, build_pdo, load_occupants, load_transfer
 from rearsim.cli import (
+    SAMPLES_CSV_HEADER,
+    SOURCE_CELL,
     SOURCE_NO_RESPONSE,
+    SYNTH_BATCH,
     _load_assessment_cuts,
     _load_percentile_report,
     _load_samples,
     _load_seeds_summary,
     _per_seed_percentiles,
     _reference_histogram,
+    _SeedSummary,
     _simulate_summary,
     _simulated_matrices,
+    _weight_pipeline,
     main,
 )
 from rearsim.drivers import CbmConfig
-from rearsim.engine import CampaignConfig, run_campaign
+from rearsim.engine import (
+    CampaignConfig,
+    CampaignGrid,
+    OutcomeMatrix,
+    SimOutcome,
+    run_campaign,
+)
 from rearsim.errors import ParseError, ValidationError
 from rearsim.manifest import KINDS, digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
@@ -45,6 +57,7 @@ from fixtures import (
     save_occupants,
     shrp2_like_decels,
     shrp2_like_glances,
+    traced_peak,
 )
 from test_bias import folksam_like_records
 
@@ -846,6 +859,15 @@ MALFORMED_INPUTS = {
         "out_weight/hist.csv", load_histogram, _edit_row(3, _set_field(2, "nan")),
         r"hist\.csv: histogram weights must be numbers >= 0",
         (_APPLY, _VALIDATE_HIST, _REPORT_HIST)),
+    "histogram_zero_width": (
+        "out_weight/hist.csv", load_histogram, _edit_row(2, _set_field(0, "2.0")),
+        r"hist\.csv:2: bin width must be a finite number > 0, got 0\.0",
+        (_APPLY, _VALIDATE_HIST, _REPORT_HIST)),
+    "histogram_bins_not_adjacent": (
+        "out_weight/hist.csv", load_histogram,
+        _edit_row(3, lambda f: ["7.0", "9.0"] + f[2:]),
+        r"hist\.csv:3: bin 1 spans \[7\.0, 9\.0\], not \[2\.0, 4\.0\]",
+        (_APPLY, _VALIDATE_HIST, _REPORT_HIST)),
     "transfer_c1_nan": (
         "out_fit/transfer.json", load_transfer, _set_json(C1=math.nan),
         r"transfer\.json: transfer function C1 must be a finite number", (_APPLY,)),
@@ -867,10 +889,16 @@ MALFORMED_INPUTS = {
         (_REPORT_PERCENTILES,)),
     **{f"bin_width_{name}": _bad_flag(
         "--bin-width", value,
-        lambda value: build_histogram([(1.0, 1.0)], float(value)),
+        lambda value: build_histogram([1.0], [1.0], float(value)),
         rf"bin width must be a finite number > 0, got {value}",
         (_WEIGHT, _FIT_BIAS, _ASSESS))
        for name, value in (("zero", "0"), ("negative", "-1"), ("nan", "nan"))},
+    **{f"workers_{name}": _bad_flag(
+        "--workers", value,
+        lambda value: run_campaign([], CampaignConfig(), decels=shrp2_like_decels(),
+                                   workers=int(value)),
+        rf"workers must be >= 1, got {value}", (_SIMULATE,))
+       for name, value in (("zero", "0"), ("negative", "-3"))},
     **{f"n_fill_bins_{name}": _bad_flag(
         "--n-fill-bins", value,
         lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
@@ -922,13 +950,116 @@ def test_malformed_seed_fails_simulate_from_a_worker(pipeline, tmp_path, capfd):
     assert "Traceback" not in err
 
 
+def test_simulate_opens_each_sidecar_once(pipeline, monkeypatch, tmp_path):
+    """The seed refs carry the vehicle records, so building a seed does not
+    open its sidecar again; the outputs are those of the pipeline."""
+    root, paths, out = pipeline
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "open", counted_open, raising=False)
+    with chdir(root):
+        assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
+                     paths["campaign"], "--out", str(tmp_path)]) == 0
+    sidecars = sorted(p.name for p in (root / "out_synth" / "seeds").glob("*.json"))
+    assert sorted(name for name in opened if name.endswith(".json")) == sidecars
+    for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (out["simulate"] / name).read_bytes()
+
+
+def test_synth_memory_does_not_grow_with_seeds(tmp_path):
+    """Seeds are written a batch at a time as they are made, so four
+    batches of seeds take about the memory of one."""
+    def synth(n, out):
+        config = tmp_path / f"synth{n}.json"
+        config.write_text(json.dumps({"n_seeds": n}))
+        assert main(["synth", "--config", str(config),
+                     "--out", str(tmp_path / out), "--seed", "5"]) == 0
+
+    synth(SYNTH_BATCH, "warm")  # first-call allocations are not per seed
+    _, one = traced_peak(synth, SYNTH_BATCH, "one")
+    _, four = traced_peak(synth, 4 * SYNTH_BATCH, "four")
+    assert four <= 1.2 * one, four / one
+
+
+def test_load_samples_memory_follows_what_it_returns(tmp_path):
+    """Only one chunk of text and the returned columns are held: no
+    file-wide key, sort or copy."""
+    rng = np.random.default_rng(8)
+    n_seeds, n_cells = 300, 400
+    path = tmp_path / "samples.csv"
+    table.write_csv(path, SAMPLES_CSV_HEADER, [
+        *(([f"s{k:03d}"] * n_cells, table.reprs(rng.uniform(0, 60, n_cells)),
+           table.reprs(rng.random(n_cells)), [SOURCE_CELL] * n_cells)
+          for k in range(n_seeds)),
+        ([f"s{k:03d}" for k in range(n_seeds)], table.reprs(rng.uniform(0, 60, n_seeds)),
+         table.reprs(np.full(n_seeds, 0.1 / n_seeds)), [SOURCE_NO_RESPONSE] * n_seeds)])
+    samples, peak = traced_peak(_load_samples, path)
+    held = sum(a.nbytes for entry in samples.values()
+               for columns in entry.values() for a in columns)
+    assert held == 2 * 8 * n_seeds * (n_cells + 1)
+    assert peak <= 3 * held, peak / held
+
+
+def test_load_samples_is_chunk_independent(pipeline, monkeypatch, tmp_path):
+    """Runs of one seed and source that chunks split, or that lie apart in
+    the file, are joined in file order."""
+    _, _, out = pipeline
+    path = out["weight"] / "samples.csv"
+    want = _load_samples(path)
+    header, *rows = path.read_text().splitlines()
+    # every other row first: each seed and source lies in two places
+    interleaved = tmp_path / "interleaved.csv"
+    interleaved.write_text("\n".join([header, *rows[0::2], *rows[1::2]]) + "\n")
+    for chunk_rows, file in ((7, path), (None, interleaved), (5, interleaved)):
+        with monkeypatch.context() as mp:
+            mp.setattr(table, "read_chunks", partial(table.read_chunks,
+                                                     rows=chunk_rows))
+            got = _load_samples(file)
+        assert got.keys() == want.keys()
+        for sid, entry in want.items():
+            for source, columns in entry.items():
+                (a, b), (c, d) = columns, got[sid][source]
+                if file is path:
+                    assert (a.tobytes(), b.tobytes()) == (c.tobytes(), d.tobytes())
+                else:  # the same rows, in the interleaved file's order
+                    assert sorted(zip(a, b)) == sorted(zip(c, d))
+
+
+def test_weight_pipeline_memory_follows_its_samples():
+    """The crash samples are filled once, and the histogram sorts them
+    without an (n, 2) copy or a list of per-seed parts."""
+    rng = np.random.default_rng(9)
+    n1, n2 = 68, 6
+    p1, p2 = rng.random(n1), rng.random(n2)
+    grid = CampaignGrid(0.1 * np.arange(n1), p1 / p1.sum(),
+                        1.5 * np.arange(1, n2 + 1), p2 / p2.sum())
+    matrices, summary = [], {}
+    for k in range(200):
+        crashed = rng.random((n1, n2)) < 0.6
+        v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
+        v1 = v2 + rng.uniform(0, 10, (n1, n2))
+        sid = f"s{k:03d}"
+        matrices.append(OutcomeMatrix(sid, grid, crashed, v1, v2, crashed & (v2 < 1),
+                                      np.ones(n1, dtype=bool)))
+        summary[sid] = _SeedSummary(True, 1500.0, 1200.0, 10.0,
+                                    SimOutcome(True, None, 20.0, 5.0, True), 30.0)
+    (cells, *_), peak = traced_peak(_weight_pipeline, matrices, summary, 0.1, 2.0)
+    held = cells.delta_v.nbytes + cells.weight.nbytes
+    assert len(cells) == sum(int(m.crashed.sum()) for m in matrices)
+    assert peak <= 4 * held, peak / held
+
+
 def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):
     """The reference from a seeds directory is the histogram of the loaded
     seeds' delta-v, bitwise, and no trajectory CSV is read for it."""
     root, _, _ = pipeline
     seeds_dir = root / "out_synth" / "seeds"
-    want = build_histogram([(s.seed_delta_v_kmh, 1.0)
-                            for s in load_seed_dir(seeds_dir)], DEFAULT_BIN_WIDTH_KMH)
+    dvs = [s.seed_delta_v_kmh for s in load_seed_dir(seeds_dir)]
+    want = build_histogram(dvs, np.ones(len(dvs)), DEFAULT_BIN_WIDTH_KMH)
 
     def no_csv(path, header):
         raise AssertionError(f"read {path}")

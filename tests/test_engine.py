@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from dataclasses import astuple, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearsim import engine
+from rearsim import engine, table
 from rearsim.distributions import DecelDistribution, cut_glances
 from rearsim.cli import SEEDS_SUMMARY_HEADER, _simulated_matrices, main
 from rearsim.engine import (
@@ -32,7 +33,6 @@ from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
 from rearsim.scenario import (
     DT_NOMINAL,
-    SeedRef,
     SynthesisConfig,
     load_seed_refs,
     remove_evasive_maneuver,
@@ -372,7 +372,7 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
     synth = SynthesisConfig(n_seeds=2, follower_speed=(speed, speed + 2.0),
                             headway_time=(headway, headway + 0.2),
                             lead_mix={"braking": 1, lead: 1})
-    seeds = synthesize_seeds(synth, rng_seed)
+    seeds = list(synthesize_seeds(synth, rng_seed))
     glance, decels = shrp2_like_glances(), shrp2_like_decels()
     cfg = CampaignConfig(model=model)
     reduced = run_campaign(seeds, cfg, glance=glance, decels=decels)
@@ -405,8 +405,8 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
     three constructed ones on its grid: a follower that never responds (no
     live row, and the no-response run crashes), one slower than its lead
     (no live row, and no crash), and one braking from `onset` on."""
-    seeds = synthesize_seeds(SynthesisConfig(
-        n_seeds=2, lead_mix={"braking": 1, lead: 1}), rng_seed)
+    seeds = list(synthesize_seeds(SynthesisConfig(
+        n_seeds=2, lead_mix={"braking": 1, lead: 1}), rng_seed))
     cfg = CampaignConfig(model=model)
     result = run_campaign(seeds, cfg, glance=shrp2_like_glances(),
                           decels=shrp2_like_decels())
@@ -461,7 +461,7 @@ class TestCampaign:
 
     def test_blom_all_standstill_is_model_undefined(self, decels):
         cfg_synth = SynthesisConfig(n_seeds=3, lead_mix={"standstill": 3})
-        seeds = synthesize_seeds(cfg_synth, 11)
+        seeds = list(synthesize_seeds(cfg_synth, 11))
         with pytest.raises(ModelUndefinedError):
             run_campaign(seeds, CampaignConfig(model="blom"), decels=decels)
 
@@ -498,9 +498,6 @@ class TestCampaign:
                     b.seed_id, b.anchor, b.no_response, b.seed_delta_v_kmh,
                     b.follower_mass, b.lead_mass)
                 assert_bitwise(a.matrix, b.matrix, MATRIX_FIELDS)
-        wrong = SeedRef("other", refs[0].path, refs[0].seed_delta_v_kmh)
-        with pytest.raises(ParseError, match="listed as 'other'"):
-            run_campaign([wrong], cfg, glance=glances, decels=decels)
 
     def test_matrix_csv_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
@@ -517,6 +514,14 @@ class TestCampaign:
             assert back.seed_id == orig.seed_id
             assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
             assert back.crash_mass == orig.crash_mass
+        # chunks that split seeds and axis1 rows fill the same matrices
+        read_chunks = table.read_chunks
+        for rows in (1, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(table, "read_chunks", partial(read_chunks, rows=rows))
+                chunked = load_matrices(path, grid, swept(result))
+            for orig, back in zip(loaded, chunked, strict=True):
+                assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
 
 
 @pytest.fixture(scope="module")
@@ -701,6 +706,30 @@ class TestLoadMatricesParseErrors:
                      "--out", str(tmp_path / "weight")]) == 2
         err = capsys.readouterr().err
         assert re.search(f"error: .*{where}", err) and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (_, grid, *_) in MALFORMED_MATRICES.items() if grid))
+    def test_chunk_size_changes_no_error(self, name, tmp_path, monkeypatch):
+        """load_matrices checks each chunk against the cells listed before
+        it: with one or two rows a chunk, it raises the error one chunk
+        gives, path:line included."""
+        text, grid, *eligible = MALFORMED_MATRICES[name]
+        path = tmp_path / "matrices.csv"
+        path.write_text(text)
+        grid = grid_round_trip(CampaignGrid(**grid))
+        no_response = {sid: NO_CRASH for sid, ok
+                       in (eligible or [{"s1": True}])[0].items() if ok}
+
+        def error() -> str:
+            with pytest.raises(ParseError) as info:
+                load_matrices(path, grid, no_response)
+            return str(info.value)
+
+        want = error()
+        for rows in (1, 2):
+            monkeypatch.setattr(table, "read_chunks",
+                                partial(table.read_chunks, rows=rows))
+            assert error() == want
 
     def test_truncated_row_names_its_line(self, tmp_path):
         path = tmp_path / "matrices.csv"

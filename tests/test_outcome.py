@@ -161,26 +161,25 @@ class TestPrevalenceWeights:
 
 class TestBuildHistogram:
     def test_single_sample(self):
-        h = build_histogram([(7.3, 1.0)])
+        h = build_histogram([7.3], [1.0])
         assert h.mean == pytest.approx(7.3)
         assert h.weights.sum() == pytest.approx(1.0)
         assert len(h.weights) == 4  # bins up to the 6-8 bin
 
     def test_two_equal_weight_samples(self):
-        h = build_histogram([(10.0, 0.5), (20.0, 0.5)])
+        h = build_histogram([10.0, 20.0], [0.5, 0.5])
         assert h.mean == pytest.approx(15.0)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(3)
-        samples = [(float(d), float(w)) for d, w in
-                   zip(rng.uniform(0, 40, 50), rng.random(50))]
-        h1 = build_histogram(samples)
-        h2 = build_histogram(list(reversed(samples)))
+        dvs, ws = rng.uniform(0, 40, 50), rng.random(50)
+        h1 = build_histogram(dvs, ws)
+        h2 = build_histogram(dvs[::-1], ws[::-1])
         assert np.array_equal(h1.weights, h2.weights)
         assert h1.mean == pytest.approx(h2.mean, rel=1e-12)
 
     def test_round_trip(self, tmp_path):
-        h = build_histogram([(3.0, 0.25), (11.0, 0.75)])
+        h = build_histogram([3.0, 11.0], [0.25, 0.75])
         path = tmp_path / "h.csv"
         save_histogram(h, path)
         back = load_histogram(path, mean=h.mean, count=h.count)
@@ -191,7 +190,7 @@ class TestBuildHistogram:
 
 class TestMixNoResponse:
     def base(self):
-        return build_histogram([(5.0, 0.5), (15.0, 0.5)])
+        return build_histogram([5.0, 15.0], [0.5, 0.5])
 
     def test_fraction_zero_is_identity(self):
         base = self.base()
@@ -218,7 +217,7 @@ class TestMixNoResponse:
         m1 = mix_no_response(base, nr, 0.1)
         m2 = mix_no_response(base, nr, 0.2)
         lhs = m2.weights - m1.weights
-        nr_hist = build_histogram([(v, 1.0) for v in nr], base.bin_width)
+        nr_hist = build_histogram(nr, np.ones(len(nr)), base.bin_width)
         pad = np.pad(nr_hist.weights, (0, len(lhs) - len(nr_hist.weights)))
         base_pad = np.pad(base.weights, (0, len(lhs) - len(base.weights)))
         assert np.allclose(lhs, 0.1 * (pad - base_pad), atol=1e-12)

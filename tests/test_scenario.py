@@ -207,8 +207,8 @@ class TestRemoveEvasiveManeuver:
 class TestSynthesis:
     def test_deterministic(self):
         cfg = SynthesisConfig(n_seeds=5)
-        a = synthesize_seeds(cfg, 7)
-        b = synthesize_seeds(cfg, 7)
+        a = list(synthesize_seeds(cfg, 7))
+        b = list(synthesize_seeds(cfg, 7))
         for s1, s2 in zip(a, b):
             assert s1.id == s2.id
             assert np.array_equal(s1.lead.pos, s2.lead.pos)
@@ -225,7 +225,7 @@ class TestSynthesis:
             follower_no_response_prob=1.0,
             lead_mix={"standstill": 1},
         )
-        seed = synthesize_seeds(cfg, 1)[0]
+        (seed,) = synthesize_seeds(cfg, 1)
         t_hit = 50.0 / 15.0
         expected_end = math.ceil(t_hit / 0.01 - 1e-9) * 0.01
         # the seed window is the last 5 s, so its duration equals the raw
@@ -249,7 +249,7 @@ class TestSynthesis:
             follower_no_response_prob=1.0, lead_mix={"standstill": 1},
             max_sim_time=5.0, max_attempts=20)
         with pytest.raises(GenerationError, match="standstill"):
-            synthesize_seeds(cfg, 3)
+            list(synthesize_seeds(cfg, 3))
 
     def test_exact_mix_counts(self, paper_mix_seeds):
         from rearsim.scenario import classify_lead_behavior

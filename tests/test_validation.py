@@ -202,7 +202,7 @@ class TestInjuryRisk:
         assert injury_risk(h, curve) == pytest.approx(0.37, abs=1e-12)
 
     def test_point_mass_returns_curve_value(self):
-        h = build_histogram([(11.0, 1.0)], 2.0)
+        h = build_histogram([11.0], [1.0], 2.0)
         curve = InjuryRiskCurve("mais2+", logistic=(-5.0, 0.3))
         assert injury_risk(h, curve) == pytest.approx(curve(11.0), abs=1e-12)
 
