@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,6 +41,7 @@ from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, Val
 from .manifest import check_json, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
+    CrashSamples,
     DeltaVDistribution,
     build_histogram,
     load_histogram,
@@ -74,10 +76,6 @@ EXIT_FIT_FAILURE = 4
 # making and writing seed by seed took about 10% longer
 SYNTH_BATCH = 16
 
-SOURCE_CELL = "cell"
-SOURCE_NO_RESPONSE = "no_response"
-
-SAMPLES_CSV_HEADER = ["seed_id", "delta_v_kmh", "weight", "source"]
 SEEDS_SUMMARY_HEADER = [
     "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
     "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
@@ -115,16 +113,31 @@ def cmd_synth(args) -> int:
     cfg = SynthesisConfig.from_json(args.config)
     rng_seed = args.seed if args.seed is not None else 0
     seeds_dir = out / "seeds"
-    seeds_dir.mkdir(exist_ok=True)
-    seed_ids, outputs = [], []
-    seeds = synthesize_seeds(cfg, rng_seed)
-    while batch := list(itertools.islice(seeds, SYNTH_BATCH)):
-        for seed in batch:
-            csv_path = seeds_dir / f"{seed.id}.csv"
-            save_seed(seed, csv_path)
-            seed_ids.append(seed.id)
-            outputs += [csv_path, csv_path.with_suffix(".json")]
-        del batch  # written: dropped before the next one is made
+    manifest = out / "manifest.json"
+    if seeds_dir.exists() and not (manifest.is_file() and read_json(
+            manifest, "manifest").get("command") == "synth"):
+        raise ValidationError(f"{seeds_dir} exists, and {out} holds no synth "
+                              f"manifest: not replacing it")
+    # the seeds go to a fresh sibling directory that replaces seeds/ only
+    # once the last seed is written; one left by a killed run is dropped
+    partial = out / "seeds.partial"
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir()
+    seed_ids = []
+    try:
+        seeds = synthesize_seeds(cfg, rng_seed)
+        while batch := list(itertools.islice(seeds, SYNTH_BATCH)):
+            for seed in batch:
+                save_seed(seed, partial / f"{seed.id}.csv")
+                seed_ids.append(seed.id)
+            del batch  # written: dropped before the next one is made
+        if seeds_dir.exists():
+            shutil.rmtree(seeds_dir)
+        partial.rename(seeds_dir)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
+    outputs = [seeds_dir / f"{sid}{ext}" for sid in seed_ids
+               for ext in (".csv", ".json")]
     summary = write_json(out / "summary.json", {
         "n_seeds": len(seed_ids),
         "rng_seed": rng_seed,
@@ -172,6 +185,7 @@ class _SeedSummary(NamedTuple):
     seed_delta_v: float | None
     no_response: SimOutcome  # without its impact time
     no_resp_dv: float  # NaN unless the no-response run crashed
+    kernel_calls: float
 
 
 def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
@@ -192,6 +206,7 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
         [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
         nr,
         chunk.floats("no_resp_dv_kmh", where=nr_crashed).tolist(),
+        chunk.floats("kernel_calls").tolist(),
     )
     return {sid: _SeedSummary(*row)
             for sid, row in zip(chunk["seed_id"], zip(*columns))}
@@ -202,8 +217,8 @@ def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
     it records: weight, validate and assess-dms all mix in that share."""
     path = sim_dir / "summary.json"
     sim_summary = read_json(path, "simulate summary",
-                            {"no_response_fraction": "number"}, required=False)
-    fraction = sim_summary.get("no_response_fraction", 0.0)
+                            {"no_response_fraction": "number", "n_seeds": "int"})
+    fraction = sim_summary["no_response_fraction"]
     if not 0 <= fraction < 1:
         raise ParseError(f"{path}: simulate summary no_response_fraction must "
                          f"be in [0, 1), got {fraction!r}")
@@ -214,12 +229,44 @@ def _simulated_matrices(sim_dir: Path, sim_summary: dict):
     """The grid simulate recorded in `sim_dir`'s summary.json, its outcome
     matrices on that grid, and its seeds_summary.csv rows, whose
     no-response outcomes fill the matrix rows matrices.csv does not
-    list."""
+    list. seeds_summary.csv must hold summary.json's n_seeds seeds, and
+    matrices.csv must list kernel_calls - 1 lines of each swept seed (one
+    per integrated cell); otherwise ParseError names the file."""
     grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
-    rows = _load_seeds_summary(sim_dir / "seeds_summary.csv")
+    summary_path = sim_dir / "seeds_summary.csv"
+    rows = _load_seeds_summary(summary_path)
+    if len(rows) != sim_summary["n_seeds"]:
+        raise ParseError(f"{summary_path}: {len(rows)} seeds, not the "
+                         f"{sim_summary['n_seeds']} summary.json records")
     no_response = {sid: row.no_response for sid, row in rows.items()
                    if row.eligible}
-    return grid, load_matrices(sim_dir / "matrices.csv", grid, no_response), rows
+    matrices_path = sim_dir / "matrices.csv"
+    matrices = load_matrices(matrices_path, grid, no_response)
+    for m in matrices:
+        lines = grid.shape[1] * int(m.live.sum())
+        if lines != rows[m.seed_id].kernel_calls - 1:
+            raise ParseError(
+                f"{matrices_path}: seed {m.seed_id} lists {lines} lines, not "
+                f"its kernel_calls - 1 = {rows[m.seed_id].kernel_calls - 1:g} "
+                f"from seeds_summary.csv")
+    return grid, matrices, rows
+
+
+def _load_simulated(sim_dir: Path):
+    """simulate's outputs in `sim_dir` as weight and validate read them:
+    the outcome matrices, the seeds_summary.csv rows and the no-response
+    fraction."""
+    sim_summary, fraction = _simulate_summary(sim_dir)
+    grid, matrices, rows = _simulated_matrices(sim_dir, sim_summary)
+    # the matrices keep the marginals the old matrices format gave back:
+    # the row and column sums of the cell probabilities over their total.
+    # With the exact ones, seeds whose crashes all tie with their own
+    # delta-v (mid-rank percentile 50 up to rounding) change percentile bin
+    # on three input sets of perfbench's reference (ROADMAP, item 1).
+    p, total = grid.p_cell, grid.p_cell.sum()
+    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
+                             p.sum(axis=0) / total)
+    return [replace(m, grid=recovered) for m in matrices], rows, fraction
 
 
 def cmd_simulate(args) -> int:
@@ -271,6 +318,25 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ weight
 
+def _crash_samples(matrices, summary: dict[str, _SeedSummary]):
+    """The prevalence-weighted crash samples of `matrices`, whose weights
+    sum to 1, with the seed weights and the seeds without crashes."""
+    weights, zero_crash = prevalence_weights(matrices)
+    masses = {sid: (row.follower_mass, row.lead_mass)
+              for sid, row in summary.items()}
+    return weighted_crash_samples(matrices, masses, weights), weights, zero_crash
+
+
+def _crash_shares(cells: CrashSamples, fraction: float):
+    """(seed id, delta-v, weight, their sum) of each seed's crash samples,
+    the weights scaled to the 1 - `fraction` share of the mix they carry."""
+    for sid, dv, w in cells.by_seed():
+        w = (1.0 - fraction) * w
+        # a sequential sum: np.sum adds pairwise, which can differ in the
+        # last bit
+        yield sid, dv, w, np.cumsum(w)[-1]
+
+
 def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
                      fraction: float, bin_width: float):
     """Prevalence weighting + no-response mixing; returns (crash samples,
@@ -279,10 +345,7 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
     mass. The no-response samples are (seed id, delta-v) pairs, one per
     eligible seed whose no-response run crashed, which share `fraction`;
     with a `fraction` of 0 there are none."""
-    weights, zero_crash = prevalence_weights(matrices)
-    masses = {sid: (row.follower_mass, row.lead_mass)
-              for sid, row in summary.items()}
-    cells = weighted_crash_samples(matrices, masses, weights)
+    cells, weights, zero_crash = _crash_samples(matrices, summary)
 
     nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
                if row.no_response.crashed and row.eligible]
@@ -310,39 +373,11 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
 def cmd_weight(args) -> int:
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    sim_summary, fraction = _simulate_summary(sim_dir)
-    grid, matrices, summary_rows = _simulated_matrices(sim_dir, sim_summary)
-    # weight keeps the marginals the old matrices format gave back: the row
-    # and column sums of the cell probabilities over their total. With the
-    # exact ones, seeds whose crashes all tie with their own delta-v (mid-rank
-    # percentile 50 up to rounding) change percentile bin on three input
-    # sets of perfbench's reference (ROADMAP, item 1).
-    p, total = grid.p_cell, grid.p_cell.sum()
-    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
-                             p.sum(axis=0) / total)
-    matrices = [replace(m, grid=recovered) for m in matrices]
+    matrices, summary_rows, fraction = _load_simulated(sim_dir)
     cells, nr_rows, final, weights, diagnostics = _weight_pipeline(
         matrices, summary_rows, fraction, args.bin_width)
-
-    contributions = {}
-
-    def sample_columns():
-        """One chunk per seed's crash samples, scaled to their share of the
-        mix, then one of the no-response samples."""
-        for sid, dv, w in cells.by_seed():
-            w = (1.0 - fraction) * w
-            # a sequential sum, as the rows are added up one by one
-            contributions[sid] = float(np.cumsum(w)[-1])
-            yield ([table.quote(sid)] * len(w), table.reprs(dv), table.reprs(w),
-                   [SOURCE_CELL] * len(w))
-        if nr_rows:
-            yield (table.texts(sid for sid, _ in nr_rows),
-                   table.reprs([dv for _, dv in nr_rows]),
-                   table.reprs(np.full(len(nr_rows), fraction / len(nr_rows))),
-                   [SOURCE_NO_RESPONSE] * len(nr_rows))
-
-    samples_path = out / "samples.csv"
-    table.write_csv(samples_path, SAMPLES_CSV_HEADER, sample_columns())
+    contributions = {sid: float(mass)
+                     for sid, _, _, mass in _crash_shares(cells, fraction)}
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
                                    "w_trimmed", "contribution"], [[
@@ -361,7 +396,7 @@ def cmd_weight(args) -> int:
         **diagnostics,
     })
     write_manifest(out, "weight", {"simulate_out": str(sim_dir)},
-                   [samples_path, weights_path, hist_path, summary],
+                   [weights_path, hist_path, summary],
                    {"bin_width": args.bin_width})
     print(f"weight: mean delta-v {final.mean:.2f} km/h over "
           f"{diagnostics['n_weighted_seeds']} seeds "
@@ -428,64 +463,26 @@ def cmd_apply_bias(args) -> int:
 
 # ---------------------------------------------------------------- validate
 
-def _load_samples(path: Path) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Per seed and source, the (delta-v, weight) columns in file order.
-
-    Per chunk, the reader holds the chunk's text and its seed and source
-    keys. Per file it keeps only each chunk's delta-v and weight arrays,
-    split into runs of rows of one seed and source; the returned columns
-    are views of them. weight writes a seed's crash samples as one run, so
-    only a seed and source whose rows span a chunk boundary, or lie apart
-    in the file, is copied into one array."""
-    ids: dict[str, int] = {}
-    runs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for chunk in table.read_chunks(path, SAMPLES_CSV_HEADER):
-        no_response = chunk.equals("source", SOURCE_NO_RESPONSE)
-        known = no_response | chunk.equals("source", SOURCE_CELL)
-        if not known.all():
-            bad = int(np.argmin(known))
-            raise chunk.error(bad, f"source: expected {SOURCE_CELL} or "
-                                   f"{SOURCE_NO_RESPONSE}, got {chunk['source'][bad]!r}")
-        key = 2 * chunk.codes("seed_id", ids) + no_response
-        starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-        for k, dv, w in zip(key[np.r_[0, starts]].tolist(),
-                            np.split(chunk.floats("delta_v_kmh"), starts),
-                            np.split(chunk.floats("weight"), starts)):
-            runs.setdefault(k, []).append((dv, w))
-
-    def columns(key: int) -> tuple[np.ndarray, np.ndarray]:
-        parts = runs.get(key, [])
-        if len(parts) == 1:
-            return parts[0]
-        return (np.concatenate([np.zeros(0), *(dv for dv, _ in parts)]),
-                np.concatenate([np.zeros(0), *(w for _, w in parts)]))
-
-    return {sid: {SOURCE_CELL: columns(2 * k), SOURCE_NO_RESPONSE: columns(2 * k + 1)}
-            for sid, k in ids.items()}
-
-
-def _per_seed_percentiles(per_seed_samples, summary: dict[str, _SeedSummary],
-                          fraction: float):
+def _per_seed_percentiles(cells: CrashSamples,
+                          summary: dict[str, _SeedSummary], fraction: float):
     """Percentile of each seed's own delta-v inside its generated crashes,
-    with the no-response share mixed in per seed."""
+    with the no-response share mixed in per seed: when `fraction` > 0 and
+    the seed's no-response run crashed, its no-response delta-v carries
+    `fraction` and its crash samples the rest."""
+    crash = {sid: (dv, w, mass) for sid, dv, w, mass in _crash_shares(cells, fraction)}
+    none = (np.zeros(0), np.zeros(0), 0.0)
     out = {}
     for sid, row in sorted(summary.items()):
         if not row.eligible or row.seed_delta_v is None:
             continue
-        entry = per_seed_samples.get(sid)
-        if entry is None:
-            continue
-        dvs, cell_w = entry[SOURCE_CELL]
-        nr = entry[SOURCE_NO_RESPONSE][0]
-        # a sequential sum, as the rows are added up one by one
-        cell_mass = np.cumsum(cell_w)[-1] if cell_w.size else 0.0
-        f = fraction if nr.size else 0.0
+        dvs, cell_w, cell_mass = crash.get(sid, none)
+        nr = fraction > 0 and row.no_response.crashed
+        f = fraction if nr else 0.0
         weights = (1.0 - f) * cell_w / cell_mass if cell_mass else np.zeros(0)
-        if nr.size and cell_mass:
-            dvs = np.concatenate([dvs, nr])
-            weights = np.concatenate([weights, np.full(nr.size, f / nr.size)])
-        elif nr.size:
-            dvs, weights = nr, np.full(nr.size, 1.0 / nr.size)
+        if nr and cell_mass:
+            dvs, weights = np.append(dvs, row.no_resp_dv), np.append(weights, f)
+        elif nr:
+            dvs, weights = np.array([row.no_resp_dv]), np.ones(1)
         if not dvs.size:
             continue
         out[sid] = seed_percentile(row.seed_delta_v, dvs, weights)
@@ -507,14 +504,11 @@ def cmd_validate(args) -> int:
     outputs.append(comparison)
 
     inputs = {"model_hist": args.model_hist, "reference": reference_read}
-    if args.samples:
-        if not args.seeds_summary:
-            raise ValidationError("--samples requires --seeds-summary")
-        per_seed = _load_samples(Path(args.samples))
-        seeds_summary = Path(args.seeds_summary)
-        summary_rows = _load_seeds_summary(seeds_summary)
-        _, fraction = _simulate_summary(seeds_summary.parent)
-        percentiles = _per_seed_percentiles(per_seed, summary_rows, fraction)
+    if args.seeds_summary:
+        sim_dir = Path(args.seeds_summary).parent
+        matrices, summary_rows, fraction = _load_simulated(sim_dir)
+        cells, _, _ = _crash_samples(matrices, summary_rows)
+        percentiles = _per_seed_percentiles(cells, summary_rows, fraction)
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
         ordered = sorted(percentiles.items())
@@ -525,8 +519,7 @@ def cmd_validate(args) -> int:
         rep_path = write_json(out / "percentile_report.json",
                               {**vars(rep), "counts": rep.counts.tolist()})
         outputs += [pct_path, rep_path]
-        inputs["samples"] = args.samples
-        inputs["seeds_summary"] = args.seeds_summary
+        inputs["simulate_out"] = str(sim_dir)
 
     if args.curves:
         risks = {}
@@ -766,10 +759,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "the JSON sidecars are read")
     p.add_argument("--out", required=True)
     p.add_argument("--samples", default=None,
-                   help="weighted samples CSV for percentile analysis")
+                   help="unused; accepted so existing command lines still run")
     p.add_argument("--seeds-summary", default=None,
-                   help="simulate's seeds_summary.csv; the no-response "
-                        "fraction is read from the summary.json beside it")
+                   help="simulate's seeds_summary.csv: each seed's percentile "
+                        "is built from the simulate output directory that "
+                        "holds it (summary.json, seeds_summary.csv and "
+                        "matrices.csv)")
     p.add_argument("--curves", nargs="*", default=None)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)

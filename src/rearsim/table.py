@@ -1,5 +1,5 @@
 """Column-at-a-time CSV files: seed trajectories, outcome matrices,
-weighted delta-v samples, per-seed summaries and histograms.
+per-seed summaries, weights and histograms.
 
 Dialect. A file holds what ``csv.writer`` writes in its default dialect,
 and reads back as ``csv.reader`` reads it:
@@ -22,8 +22,8 @@ row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
 
 Cost. Tables repeat values (a seed's id on every row of its seed, the
-no-response samples' weight on each of their rows), so the work follows
-what is distinct:
+empty speeds of each outcome-matrix cell without a crash), so the work
+follows what is distinct:
 
 - writing formats each distinct float bit pattern once and shares its
   text among the fields that hold it;

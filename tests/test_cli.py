@@ -2,7 +2,9 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -10,24 +12,21 @@ import re
 import shutil
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rearsim
-from rearsim import scenario, table
+from rearsim import cli, scenario, table
 from rearsim.bias import OccupantRecord, build_pdo, load_occupants, load_transfer
 from rearsim.cli import (
-    SAMPLES_CSV_HEADER,
-    SOURCE_CELL,
-    SOURCE_NO_RESPONSE,
     SYNTH_BATCH,
+    _crash_samples,
     _load_assessment_cuts,
     _load_percentile_report,
-    _load_samples,
     _load_seeds_summary,
+    _load_simulated,
     _per_seed_percentiles,
     _reference_histogram,
     _SeedSummary,
@@ -44,7 +43,7 @@ from rearsim.engine import (
     SimOutcome,
     run_campaign,
 )
-from rearsim.errors import ParseError, ValidationError
+from rearsim.errors import GenerationError, ParseError, ValidationError
 from rearsim.manifest import KINDS, digest_tree
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
@@ -122,6 +121,8 @@ def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
         assert main(["apply-bias", "--hist", "out_weight/hist.csv",
                      "--transfer", "out_fit/transfer.json",
                      "--out", "out_apply"]) == 0
+        # perfbench's command line: --samples names a file that no stage
+        # writes any more, and validate does not read it
         assert main(["validate", "--model-hist", "out_apply/transformed.csv",
                      "--reference", seeds_dir,
                      "--samples", "out_weight/samples.csv",
@@ -140,6 +141,11 @@ def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
                      "--assess", "out_assess/assess.json",
                      "--out", "out_report"]) == 0
     return out
+
+
+def _column(path: Path, name: str) -> list[float]:
+    with open(path, newline="") as fh:
+        return [float(row[name]) for row in csv.DictReader(fh)]
 
 
 def tree_bytes(paths: dict) -> dict:
@@ -173,7 +179,6 @@ class TestPipeline:
             out["simulate"] / "matrices.csv",
             out["simulate"] / "seeds_summary.csv",
             out["weight"] / "hist.csv",
-            out["weight"] / "samples.csv",
             out["weight"] / "weights.csv",
             out["fit"] / "pdo.json",
             out["fit"] / "transfer.json",
@@ -192,17 +197,32 @@ class TestPipeline:
             assert path.is_file(), path
         for out_dir in out.values():
             assert (Path(out_dir) / "manifest.json").is_file()
+        assert not (out["weight"] / "samples.csv").exists()
 
     def test_no_response_mass_is_ten_percent(self, pipeline):
+        """The crash samples carry 0.90 of the mix, the no-response
+        samples the remaining 0.10."""
         _, _, out = pipeline
-        total = 0.0
-        with open(out["weight"] / "samples.csv") as fh:
-            next(fh)
-            for line in fh:
-                sid, dv, w, source = line.strip().split(",")
-                if source == "no_response":
-                    total += float(w)
-        assert total == pytest.approx(0.10, abs=1e-9)
+        weighted = json.loads((out["weight"] / "summary.json").read_text())
+        crash_mass = sum(_column(out["weight"] / "weights.csv", "contribution"))
+        assert weighted["no_response_fraction"] == 0.10
+        assert weighted["n_no_response"] > 0
+        assert crash_mass == pytest.approx(0.90, abs=1e-9)
+
+    def test_percentile_artifacts_are_pinned(self, pipeline):
+        """The per-seed percentiles and the weights are the bytes they were
+        when validate read its samples from weight's samples.csv."""
+        _, _, out = pipeline
+        pinned = {
+            out["validate"] / "percentiles.csv":
+                "22c05f35b52a7ae631da9a2a8518c4cbd138db9f045c32d5cc9dcf1014f8f102",
+            out["validate"] / "percentile_report.json":
+                "cd9c9c42c675e922285b3e80e77d9790ff29ed1d941fa1c5848a1e447bf61fc7",
+            out["weight"] / "weights.csv":
+                "e690394cb329f3052edb6ea8c58f97f94cd3820e814feaa4679cfcfae6284603",
+        }
+        for path, digest in pinned.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
     def test_avoidance_rates_ordered(self, pipeline):
         _, _, out = pipeline
@@ -547,21 +567,19 @@ def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
                      "--out", "weight_f25"]) == 0
         assert main(["validate", "--model-hist", "out_apply/transformed.csv",
                      "--reference", "out_synth/seeds",
-                     "--samples", "weight_f25/samples.csv",
                      "--seeds-summary", "sim_f25/seeds_summary.csv",
                      "--out", "validate_f25"]) == 0
         weighted = json.loads(Path("weight_f25/summary.json").read_text())
-        samples = _load_samples(Path("weight_f25/samples.csv"))
-        rows = _load_seeds_summary(Path("sim_f25/seeds_summary.csv"))
+        crash_mass = sum(_column(Path("weight_f25/weights.csv"), "contribution"))
+        matrices, rows, fraction = _load_simulated(Path("sim_f25"))
+        cells, _, _ = _crash_samples(matrices, rows)
         with open("validate_f25/percentiles.csv", newline="") as fh:
             got = {row["seed_id"]: row["percentile"] for row in csv.DictReader(fh)}
-    nr_mass = sum(float(np.cumsum(entry[SOURCE_NO_RESPONSE][1])[-1])
-                  for entry in samples.values() if entry[SOURCE_NO_RESPONSE][1].size)
-    assert weighted["no_response_fraction"] == 0.25
-    assert nr_mass == pytest.approx(0.25, abs=1e-9)
-    want = _per_seed_percentiles(samples, rows, 0.25)
+    assert weighted["no_response_fraction"] == fraction == 0.25
+    assert crash_mass == pytest.approx(0.75, abs=1e-9)
+    want = _per_seed_percentiles(cells, rows, 0.25)
     assert got == {sid: repr(float(v)) for sid, v in want.items()}
-    assert want != _per_seed_percentiles(samples, rows, 0.10)
+    assert want != _per_seed_percentiles(cells, rows, 0.10)
 
 
 def test_blom_exclusion_warning_is_printed_once(pipeline):
@@ -630,8 +648,7 @@ _FIT_BIAS = ["fit-bias", "--occupants", "inputs/occupants.csv",
 _APPLY = ["apply-bias", "--hist", "out_weight/hist.csv",
           "--transfer", "out_fit/transfer.json", "--out", "bad_apply"]
 _VALIDATE = ["validate", "--model-hist", "out_apply/transformed.csv",
-             "--reference", "out_synth/seeds", "--samples",
-             "out_weight/samples.csv", "--seeds-summary",
+             "--reference", "out_synth/seeds", "--seeds-summary",
              "out_simulate/seeds_summary.csv", "--out", "bad_validate"]
 _VALIDATE_HIST = ["validate", "--model-hist", "out_weight/hist.csv",
                   "--reference", "out_synth/seeds", "--out", "bad_validate"]
@@ -670,6 +687,13 @@ def _as_counts(text: str) -> str:
 
 def _load_matrices(path: Path):
     return _simulated_matrices(path.parent, _simulate_summary(path.parent)[0])
+
+
+def _drop_first_listed_seed(text: str) -> str:
+    """Text edit: matrices.csv without the lines of the first seed it lists."""
+    header, first, *rows = text.split("\r\n")
+    sid = first.split(",")[0]
+    return "\r\n".join([header] + [row for row in rows if row.split(",")[0] != sid])
 
 
 _SEEDS_DIR = (_SIMULATE, _FIT_BIAS, _VALIDATE)  # every stage that reads seeds
@@ -800,6 +824,10 @@ MALFORMED_INPUTS = {
     "summary_not_json": _bad_summary(lambda text: text[:-3], "is not JSON"),
     "summary_no_response_fraction_text": _bad_summary(
         _set_json(no_response_fraction="abc"), "no_response_fraction must be a number"),
+    "summary_no_response_fraction_missing": _bad_summary(
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "no_response_fraction"}),
+        "lacks key 'no_response_fraction'"),
     "percentile_report_empty": (
         "out_validate/percentile_report.json", _load_percentile_report,
         lambda text: "{}", r"percentile_report\.json: percentile report lacks key",
@@ -834,20 +862,19 @@ MALFORMED_INPUTS = {
         _edit_first_row(lambda f: f[3:] == ["0", "", "", "0"],
                         lambda f: f[:4] + ["abc", "xyz", "1"]),
         r"matrices\.csv:\d+: a cell without a crash", (_WEIGHT,)),
-    "samples_unknown_source": (
-        "out_weight/samples.csv", _load_samples,
-        _edit_row(2, _set_field(3, "other")), r"samples\.csv:2:", (_VALIDATE,)),
-    "samples_non_numeric_weight": (
-        "out_weight/samples.csv", _load_samples,
-        _edit_row(4, _set_field(2, "heavy")), r"samples\.csv:4:", (_VALIDATE,)),
-    "samples_truncated_last_row": (
-        "out_weight/samples.csv", _load_samples,
-        lambda text: text[:text.rstrip("\r\n").rindex(",")],
-        r"samples\.csv:\d+: expected 4 fields, got 3", (_VALIDATE,)),
+    "matrices_seed_dropped": (
+        "out_simulate/matrices.csv", _load_matrices, _drop_first_listed_seed,
+        r"matrices\.csv: seed s\d+ lists 0 lines, not its kernel_calls - 1 = "
+        r"[1-9]\d*", (_WEIGHT, _VALIDATE, _ASSESS)),
+    "seeds_summary_row_dropped": (
+        "out_simulate/seeds_summary.csv", _load_matrices,
+        lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],
+        r"seeds_summary\.csv: 7 seeds, not the 8 summary\.json records",
+        (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_non_numeric_mass": (
         "out_simulate/seeds_summary.csv", _load_seeds_summary,
         _edit_row(2, _set_field(5, "heavy")), r"seeds_summary\.csv:2:",
-        (_WEIGHT,)),
+        (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_eligible_not_a_flag": (
         "out_simulate/seeds_summary.csv", _load_seeds_summary,
         _edit_row(2, _set_field(1, "yes")), r"seeds_summary\.csv:2: eligible",
@@ -985,48 +1012,62 @@ def test_synth_memory_does_not_grow_with_seeds(tmp_path):
     assert four <= 1.2 * one, four / one
 
 
-def test_load_samples_memory_follows_what_it_returns(tmp_path):
-    """Only one chunk of text and the returned columns are held: no
-    file-wide key, sort or copy."""
-    rng = np.random.default_rng(8)
-    n_seeds, n_cells = 300, 400
-    path = tmp_path / "samples.csv"
-    table.write_csv(path, SAMPLES_CSV_HEADER, [
-        *(([f"s{k:03d}"] * n_cells, table.reprs(rng.uniform(0, 60, n_cells)),
-           table.reprs(rng.random(n_cells)), [SOURCE_CELL] * n_cells)
-          for k in range(n_seeds)),
-        ([f"s{k:03d}" for k in range(n_seeds)], table.reprs(rng.uniform(0, 60, n_seeds)),
-         table.reprs(np.full(n_seeds, 0.1 / n_seeds)), [SOURCE_NO_RESPONSE] * n_seeds)])
-    samples, peak = traced_peak(_load_samples, path)
-    held = sum(a.nbytes for entry in samples.values()
-               for columns in entry.values() for a in columns)
-    assert held == 2 * 8 * n_seeds * (n_cells + 1)
-    assert peak <= 3 * held, peak / held
+def _synth(root: Path, n_seeds: int, out: str = "synth") -> int:
+    config = root / f"synth{n_seeds}.json"
+    config.write_text(json.dumps({"n_seeds": n_seeds}))
+    return main(["synth", "--config", str(config), "--out", str(root / out),
+                 "--seed", "5"])
 
 
-def test_load_samples_is_chunk_independent(pipeline, monkeypatch, tmp_path):
-    """Runs of one seed and source that chunks split, or that lie apart in
-    the file, are joined in file order."""
-    _, _, out = pipeline
-    path = out["weight"] / "samples.csv"
-    want = _load_samples(path)
-    header, *rows = path.read_text().splitlines()
-    # every other row first: each seed and source lies in two places
-    interleaved = tmp_path / "interleaved.csv"
-    interleaved.write_text("\n".join([header, *rows[0::2], *rows[1::2]]) + "\n")
-    for chunk_rows, file in ((7, path), (None, interleaved), (5, interleaved)):
-        with monkeypatch.context() as mp:
-            mp.setattr(table, "read_chunks", partial(table.read_chunks,
-                                                     rows=chunk_rows))
-            got = _load_samples(file)
-        assert got.keys() == want.keys()
-        for sid, entry in want.items():
-            for source, columns in entry.items():
-                (a, b), (c, d) = columns, got[sid][source]
-                if file is path:
-                    assert (a.tobytes(), b.tobytes()) == (c.tobytes(), d.tobytes())
-                else:  # the same rows, in the interleaved file's order
-                    assert sorted(zip(a, b)) == sorted(zip(c, d))
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSynthWritesWhole:
+    def test_rerun_replaces_the_seeds(self, tmp_path):
+        """A rerun into the same --out leaves only the new run's seeds."""
+        assert _synth(tmp_path, 5) == 0
+        assert _synth(tmp_path, 3) == 0
+        assert _synth(tmp_path, 3, "fresh") == 0
+        got, want = _files(tmp_path / "synth"), _files(tmp_path / "fresh")
+        got.pop("manifest.json"), want.pop("manifest.json")
+        assert got == want and len(want) == 2 * 3 + 1
+        assert sorted(p.name for p in (tmp_path / "synth").iterdir()) == [
+            "manifest.json", "seeds", "summary.json"]
+
+    def test_failure_leaves_the_old_output(self, tmp_path, monkeypatch, capsys):
+        """A GenerationError after some seeds were written keeps the old
+        seeds, summary and manifest, and leaves no partial directory."""
+        assert _synth(tmp_path, 5) == 0
+        before = _files(tmp_path / "synth")
+
+        def failing(config, rng_seed):
+            yield from itertools.islice(scenario.synthesize_seeds(config, rng_seed), 2)
+            raise GenerationError("could not synthesize a colliding seed")
+
+        monkeypatch.setattr(cli, "synthesize_seeds", failing)
+        capsys.readouterr()
+        assert _synth(tmp_path, 5) == 2
+        assert capsys.readouterr().err.startswith("error: could not synthesize")
+        assert _files(tmp_path / "synth") == before
+        assert sorted(p.name for p in (tmp_path / "synth").iterdir()) == [
+            "manifest.json", "seeds", "summary.json"]
+
+    @pytest.mark.parametrize("manifest", [None, {"command": "simulate"}])
+    def test_refuses_seeds_it_did_not_write(self, tmp_path, manifest, capsys):
+        """An existing seeds/ is replaced only under a synth manifest."""
+        seeds = tmp_path / "synth" / "seeds"
+        seeds.mkdir(parents=True)
+        (seeds / "mine.csv").write_text("keep\n")
+        if manifest is not None:
+            (tmp_path / "synth" / "manifest.json").write_text(json.dumps(manifest))
+        before = _files(tmp_path / "synth")
+        capsys.readouterr()
+        assert _synth(tmp_path, 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no synth manifest" in err, err
+        assert _files(tmp_path / "synth") == before
 
 
 def test_weight_pipeline_memory_follows_its_samples():
@@ -1046,7 +1087,8 @@ def test_weight_pipeline_memory_follows_its_samples():
         matrices.append(OutcomeMatrix(sid, grid, crashed, v1, v2, crashed & (v2 < 1),
                                       np.ones(n1, dtype=bool)))
         summary[sid] = _SeedSummary(True, 1500.0, 1200.0, 10.0,
-                                    SimOutcome(True, None, 20.0, 5.0, True), 30.0)
+                                    SimOutcome(True, None, 20.0, 5.0, True), 30.0,
+                                    1 + n1 * n2)
     (cells, *_), peak = traced_peak(_weight_pipeline, matrices, summary, 0.1, 2.0)
     held = cells.delta_v.nbytes + cells.weight.nbytes
     assert len(cells) == sum(int(m.crashed.sum()) for m in matrices)

@@ -695,8 +695,10 @@ class TestLoadMatricesParseErrors:
         sim.mkdir()
         (sim / "matrices.csv").write_text(text)
         write_seeds_summary(sim / "seeds_summary.csv", *eligible or [{"s1": True}])
-        summary = {"model": "cbm"} if grid is None else {"model": "cbm",
-                                                         "grid": grid}
+        summary = {"model": "cbm", "no_response_fraction": 0.0,
+                   "n_seeds": len((eligible or [{"s1": True}])[0])}
+        if grid is not None:
+            summary["grid"] = grid
         write_json(sim / "summary.json", summary)
         where = r"summary\.json" if grid is None else r"matrices\.csv:\d+: "
         with pytest.raises(ParseError, match=where):
