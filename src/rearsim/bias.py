@@ -11,6 +11,8 @@ onto the injury-database selection so the two become comparable.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,6 +221,14 @@ def augment_reference(injury_dist: DeltaVDistribution, pdo: PdoModel,
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def fit_transfer(with_pdo: DeltaVDistribution,
                  original: DeltaVDistribution) -> tuple[TransferFunction, dict]:
     """Exhaustive grid search for the logistic (C1, C2) minimizing the
@@ -226,38 +236,74 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     `with_pdo`, the latter rescaled to the original's total mass before
     differencing. Ties resolve to the smallest C1, then C2.
 
-    Each C1 row runs the ufuncs of the formula in one (n_c2, n_bins) work
-    buffer, allocated once. The result is byte-identical to evaluating
-    ``1 / (1 + exp(-(c1 + C2*x)))`` with a new array per step: the same
-    operations run in the same order, and each row's sum still runs over
-    one C-contiguous row, so NumPy's pairwise summation order is
-    unchanged. The one rewrite, ``-(c1 + C2*x)`` as ``(-c1) + (-(C2*x))``,
-    is exact: round-to-nearest is symmetric under negation, and the sign
-    of an exact zero, the only possible difference, leaves exp at 1."""
+    The C2 grid is split into one contiguous block of rows per usable CPU,
+    and one thread per block runs every C1 row over it; with one CPU no
+    thread is started. The blocks share one (n_c2, n_bins) work buffer,
+    allocated once, so memory does not depend on the thread count. A
+    block keeps, per C1 row, its minimum cost and that cost's index; the
+    first block holding a row's minimum gives np.argmin's answer over the
+    whole row, and the strict-< scan over the C1 rows picks the fit.
+
+    The result is byte-identical to evaluating
+    ``1 / (1 + exp(-(c1 + C2*x)))`` with a new array per step over the
+    whole grid: every step is elementwise, and each row's sum still runs
+    over one C-contiguous row of unchanged length, so NumPy's pairwise
+    summation order is unchanged. The one rewrite, ``-(c1 + C2*x)`` as
+    ``(-c1) + ((-C2)*x)``, is exact: round-to-nearest is symmetric under
+    negation, and the sign of an exact zero, the only possible difference,
+    leaves exp at 1."""
     wp, orig = align_bins(with_pdo, original)
     centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
     orig_mass = orig.sum()
     if orig_mass <= 0 or wp.sum() <= 0:
         raise FitError("both histograms need positive mass")
 
+    n_c2 = len(C2_GRID)
+    neg_c2 = -C2_GRID[:, None]
+    work = np.empty((n_c2, len(wp)))
+    scale, cost = np.empty(n_c2), np.empty(n_c2)
+    n_blocks = min(_usable_cpus(), n_c2)
+    edges = [n_c2 * b // n_blocks for b in range(n_blocks + 1)]
+    block_min = np.empty((n_blocks, len(C1_GRID)))
+    block_arg = np.empty((n_blocks, len(C1_GRID)), dtype=np.intp)
+    failures = []
+
+    def search(b: int) -> None:
+        lo, hi = edges[b], edges[b + 1]
+        w, s, c = work[lo:hi], scale[lo:hi], cost[lo:hi]
+        try:
+            for r, c1 in enumerate(C1_GRID):
+                np.multiply(neg_c2[lo:hi], centers, out=w)             # -(C2 * x)
+                np.exp(np.add(-c1, w, out=w), out=w)
+                np.divide(1.0, np.add(1.0, w, out=w), out=w)           # p
+                np.multiply(w, wp, out=w)                              # t = p * wp
+                np.divide(orig_mass, np.sum(w, axis=1, out=s), out=s)
+                np.multiply(s[:, None], w, out=w)
+                np.sum(np.abs(np.subtract(orig, w, out=w), out=w), axis=1, out=c)
+                k = int(np.argmin(c))
+                block_min[b, r], block_arg[b, r] = c[k], lo + k
+        except Exception as exc:  # raised again in the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=search, args=(b,))
+               for b in range(1, n_blocks)]
+    for thread in threads:
+        thread.start()
+    search(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+
+    first = np.argmin(block_min, axis=0)
+    rows = np.arange(len(C1_GRID))
+    cost_by_c1, c2_index = block_min[first, rows], block_arg[first, rows]
     best_cost = math.inf
     best = (C1_GRID[0], C2_GRID[0])
-    cost_by_c1 = np.empty(len(C1_GRID))
-    nzx = -np.outer(C2_GRID, centers)
-    work = np.empty_like(nzx)
-    scale, cost = np.empty(len(C2_GRID)), np.empty(len(C2_GRID))
     for r, c1 in enumerate(C1_GRID):
-        np.exp(np.add(-c1, nzx, out=work), out=work)
-        np.divide(1.0, np.add(1.0, work, out=work), out=work)   # p
-        np.multiply(work, wp, out=work)                          # t = p * wp
-        np.divide(orig_mass, np.sum(work, axis=1, out=scale), out=scale)
-        np.multiply(scale[:, None], work, out=work)
-        np.sum(np.abs(np.subtract(orig, work, out=work), out=work), axis=1, out=cost)
-        k = int(np.argmin(cost))
-        cost_by_c1[r] = cost[k]
-        if cost[k] < best_cost:
-            best_cost = float(cost[k])
-            best = (float(c1), float(C2_GRID[k]))
+        if cost_by_c1[r] < best_cost:
+            best_cost = float(cost_by_c1[r])
+            best = (float(c1), float(C2_GRID[c2_index[r]]))
     tf = TransferFunction(*best)
     # a fit pinned to the grid edge usually means the inputs already share
     # a selection process (P saturates toward 1 over the whole support)

@@ -18,25 +18,11 @@ import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import bias, report, table
-from .distributions import cut_glances, load_decels, load_glances
-from .drivers import cbm_axes
-from .engine import (
-    MODEL_CBM,
-    NO_CRASH,
-    CampaignConfig,
-    CampaignGrid,
-    CampaignResult,
-    SimOutcome,
-    load_matrices,
-    reweight,
-    run_campaign,
-    save_matrices,
-)
+from . import bias, table
 from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, ValidationError
 from .manifest import check_json, read_json, write_json, write_manifest
 from .outcome import (
@@ -57,15 +43,12 @@ from .scenario import (
     save_seed,
     synthesize_seeds,
 )
-from .validation import (
-    PercentileReport,
-    compare,
-    crash_avoidance_rate,
-    injury_risk,
-    load_injury_curve,
-    percentile_histogram,
-    seed_percentile,
-)
+
+# a stage imports the modules only it runs: fit-bias and apply-bias load
+# neither the engine, the driver models nor the validation code
+if TYPE_CHECKING:
+    from .engine import CampaignResult, SimOutcome
+    from .validation import PercentileReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -189,6 +172,7 @@ class _SeedSummary(NamedTuple):
 
 
 def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
+    from .engine import NO_CRASH, SimOutcome
     chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
     recorded = ~chunk.equals("seed_delta_v_kmh", "")
     seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
@@ -232,6 +216,7 @@ def _simulated_matrices(sim_dir: Path, sim_summary: dict):
     list. seeds_summary.csv must hold summary.json's n_seeds seeds, and
     matrices.csv must list kernel_calls - 1 lines of each swept seed (one
     per integrated cell); otherwise ParseError names the file."""
+    from .engine import CampaignGrid, load_matrices
     grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
     summary_path = sim_dir / "seeds_summary.csv"
     rows = _load_seeds_summary(summary_path)
@@ -256,6 +241,7 @@ def _load_simulated(sim_dir: Path):
     """simulate's outputs in `sim_dir` as weight and validate read them:
     the outcome matrices, the seeds_summary.csv rows and the no-response
     fraction."""
+    from .engine import CampaignGrid
     sim_summary, fraction = _simulate_summary(sim_dir)
     grid, matrices, rows = _simulated_matrices(sim_dir, sim_summary)
     # the matrices keep the marginals the old matrices format gave back:
@@ -270,6 +256,8 @@ def _load_simulated(sim_dir: Path):
 
 
 def cmd_simulate(args) -> int:
+    from .distributions import cut_glances, load_decels, load_glances
+    from .engine import MODEL_CBM, CampaignConfig, run_campaign, save_matrices
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     refs = load_seed_refs(args.seeds)  # the workers load the trajectories
@@ -469,6 +457,7 @@ def _per_seed_percentiles(cells: CrashSamples,
     with the no-response share mixed in per seed: when `fraction` > 0 and
     the seed's no-response run crashed, its no-response delta-v carries
     `fraction` and its crash samples the rest."""
+    from .validation import seed_percentile
     crash = {sid: (dv, w, mass) for sid, dv, w, mass in _crash_shares(cells, fraction)}
     none = (np.zeros(0), np.zeros(0), 0.0)
     out = {}
@@ -490,6 +479,7 @@ def _per_seed_percentiles(cells: CrashSamples,
 
 
 def cmd_validate(args) -> int:
+    from .validation import compare, injury_risk, load_injury_curve, percentile_histogram
     out = _out_dir(args.out)
     model_hist = load_histogram(args.model_hist)
     reference, reference_read = _reference_histogram(args.reference,
@@ -548,6 +538,10 @@ def cmd_assess_dms(args) -> int:
     simulated, so --seeds and --workers are unused. The deceleration bins
     and their marginal come from the baseline's summary.json; the config's
     glance file must give the baseline's overshoot axis and marginal."""
+    from .distributions import cut_glances, load_glances
+    from .drivers import cbm_axes
+    from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, reweight
+    from .validation import crash_avoidance_rate, injury_risk, load_injury_curve
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
@@ -577,19 +571,19 @@ def cmd_assess_dms(args) -> int:
     rows = []
     outputs = []
     for cut in args.cuts:
-        target = grid if math.isinf(cut) else CampaignGrid(
+        target = grid if cut == math.inf else CampaignGrid(
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
         matrices = reweight(baseline_matrices, grid, target)
         rate, per_seed = crash_avoidance_rate(baseline_matrices, matrices)
         zero_crash = [m.seed_id for m in matrices if m.crash_mass <= 0]
         _, _, cut_hist, _, _ = _weight_pipeline(
             matrices, summary_rows, fraction, args.bin_width)
-        label = "inf" if math.isinf(cut) else f"{cut:g}"
+        label = "inf" if cut == math.inf else f"{cut:g}"
         hist_path = out / f"hist_cut_{label}.csv"
         save_histogram(cut_hist, hist_path)
         outputs.append(hist_path)
         row = {
-            "cut_at_s": None if math.isinf(cut) else cut,
+            "cut_at_s": None if cut == math.inf else cut,
             "avoidance_rate": rate,
             "mean_dv_kmh": cut_hist.mean,
             "mean_dv_delta_kmh": cut_hist.mean - base_hist.mean,
@@ -612,7 +606,7 @@ def cmd_assess_dms(args) -> int:
                    {"config": args.config, "glances": cfg.glance_file,
                     "baseline": args.baseline},
                    outputs + [assess],
-                   {"cuts": [None if math.isinf(c) else c for c in args.cuts]})
+                   {"cuts": [None if c == math.inf else c for c in args.cuts]})
     for row in rows:
         cut = row["cut_at_s"]
         print(f"assess-dms: cut {'none' if cut is None else cut}: "
@@ -636,6 +630,7 @@ def _labeled(pairs: list[str]) -> list[tuple[str, str]]:
 
 def _load_percentile_report(path: str) -> PercentileReport:
     """The percentile_report.json that validate wrote."""
+    from .validation import PercentileReport
     kinds = {"n_bins": "int", "counts": "list", "below_min": "int",
              "above_max": "int", "chi2": "number", "p_value": "number"}
     raw = read_json(path, "percentile report", kinds)
@@ -656,6 +651,8 @@ def _load_assessment_cuts(path: str) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    from . import report
+    from .validation import compare
     out = _out_dir(args.out)
     outputs = []
     inputs: dict[str, str] = {}
@@ -782,7 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "key or a bad value exits 2")
     p.add_argument("--baseline", required=True,
                    help="simulate output directory for the uncut baseline")
-    p.add_argument("--cuts", type=float, nargs="+", required=True)
+    p.add_argument("--cuts", type=float, nargs="+", required=True,
+                   help="glance cuts in seconds, each > 0; inf is the uncut "
+                        "baseline")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="unused; accepted so existing command lines still run")

@@ -146,8 +146,8 @@ def cut_glances(g: GlanceDistribution, cut_at: float) -> GlanceDistribution:
     """Remove glances longer than `cut_at` (an idealized driver monitoring
     system) and rescale what remains to the original off-road mass; the
     on-road point mass is unchanged."""
-    if cut_at <= 0:
-        raise ValidationError("cut_at must be positive")
+    if not cut_at > 0:
+        raise ValidationError(f"cut_at must be > 0, got {cut_at!r}")
     keep = g.durations <= cut_at + 1e-9
     if not np.any(keep):
         raise ValidationError(

@@ -8,13 +8,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import table
-from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
 from .scenario import delta_v
+
+if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
+    from .engine import OutcomeMatrix
 
 DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0

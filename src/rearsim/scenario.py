@@ -49,10 +49,14 @@ class VehicleMeta:
     id: str = ""
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.width > 0 and self.length > 0):
-            raise ValidationError(
-                f"vehicle {self.id!r}: mass/width/length must be positive"
-            )
+        try:
+            check_fields(self)
+            for name in ("mass", "width", "length"):
+                if not getattr(self, name) > 0:
+                    raise ValidationError(
+                        f"{name} must be > 0, got {getattr(self, name)!r}")
+        except ValidationError as exc:
+            raise ValidationError(f"vehicle {self.id!r}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -268,8 +272,9 @@ class SeedRef:
 
 def _read_sidecar(csv_path: Path) -> SeedRef:
     """The ref of the seed whose trajectory CSV is `csv_path`, from its
-    JSON sidecar. The recorded delta-v is absent, null or a finite number
-    >= 0; anything else raises ParseError naming the sidecar."""
+    JSON sidecar. Each vehicle's mass, width and length are finite numbers
+    > 0, and the recorded delta-v is absent, null or a finite number >= 0;
+    anything else raises ParseError naming the sidecar."""
     json_path = csv_path.with_suffix(".json")
     if not json_path.exists():
         raise ParseError(f"seed sidecar not found: {json_path}")
@@ -282,6 +287,8 @@ def _read_sidecar(csv_path: Path) -> SeedRef:
         dv = meta.get("seed_delta_v_kmh")
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
+    except ValidationError as exc:
+        raise ParseError(f"{json_path}: {exc}") from exc
     if dv is not None and not (is_finite(dv) and dv >= 0):
         raise ParseError(f"{json_path}: seed_delta_v_kmh must be null or a "
                          f"finite number >= 0, got {dv!r}")

@@ -6,14 +6,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import table
-from .engine import OutcomeMatrix
 from .errors import ParseError, ValidationError
 from .manifest import check_json, read_json
 from .outcome import DeltaVDistribution, align_bins
+
+if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
+    from .engine import OutcomeMatrix
 
 CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
 BELOW_MIN = "below-min"

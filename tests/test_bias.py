@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -255,36 +256,73 @@ MASSES = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
 C1_ROWS = np.concatenate([bias.C1_GRID[::10], bias.C1_GRID[-1:]])
 
 
+def usable_cpus(n: int):
+    """fit_transfer sees `n` usable CPUs, so it searches `n` blocks of C2
+    rows, `n` - 1 of them in threads."""
+    return mock.patch.object(bias.os, "sched_getaffinity",
+                             lambda pid: set(range(n)), create=True)
+
+
+# three and seven CPUs split the 5,000 C2 rows into uneven blocks
+CPUS = [1, 2, 3, 7]
+
+
 class TestFitTransferBits:
     # 1-140 bins cross NumPy's 8- and 128-element pairwise-sum blocks
+    @pytest.mark.parametrize("cpus", CPUS)
     @given(MASSES, MASSES, st.booleans())
     @example([1.0], [0.0, 1.0], False)
     @example([0.5] * 8, [0.25] * 9, False)
     @example([1.0] + [0.0] * 127, [0.0, 1.0] * 64 + [1.0], False)
     @example([float(k % 7) + 1.0 for k in range(140)], [1.0], True)
     @settings(max_examples=20, deadline=None)
-    def test_equals_the_reference_bitwise(self, with_pdo, original, identical):
+    def test_equals_the_reference_bitwise(self, cpus, with_pdo, original,
+                                          identical):
         with_pdo = histogram(with_pdo)
         original = with_pdo if identical else histogram(original)
-        with mock.patch.object(bias, "C1_GRID", C1_ROWS):
+        with mock.patch.object(bias, "C1_GRID", C1_ROWS), usable_cpus(cpus):
             assert fit_bits(fit_transfer(with_pdo, original)) == fit_bits(
                 reference_fit_transfer(with_pdo, original))
 
-    def test_equals_the_reference_on_the_whole_grid(self):
+    @pytest.fixture(scope="class")
+    def whole_grid(self):
         records = folksam_like_records()
         injury = histogram(np.random.default_rng(4).gamma(5.0, 1.8, 36))
         model, _, _ = build_pdo(records, bin_width=BIN_W)
         with_pdo = augment_reference(injury, model)
-        assert fit_bits(fit_transfer(with_pdo, injury)) == fit_bits(
-            reference_fit_transfer(with_pdo, injury))
+        return with_pdo, injury, fit_bits(reference_fit_transfer(with_pdo, injury))
 
-    def test_peak_memory_is_about_two_grids(self):
-        """One work buffer and the grid of C2 * dv: no array per step."""
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_equals_the_reference_on_the_whole_grid(self, cpus, whole_grid):
+        with_pdo, injury, want = whole_grid
+        with usable_cpus(cpus):
+            assert fit_bits(fit_transfer(with_pdo, injury)) == want
+
+    def test_threads_switching_often_keep_every_bit(self, whole_grid):
+        """More threads than this host has cores, handing the interpreter
+        over every microsecond: a block that read or wrote another's rows
+        would change the result."""
+        with_pdo, injury, want = whole_grid
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(bias, "C1_GRID", C1_ROWS), usable_cpus(7):
+                got = fit_bits(fit_transfer(with_pdo, injury))
+        finally:
+            sys.setswitchinterval(interval)
+        with mock.patch.object(bias, "C1_GRID", C1_ROWS):
+            assert got == fit_bits(reference_fit_transfer(with_pdo, injury))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_peak_memory_is_about_one_grid(self, cpus):
+        """One work buffer that every thread shares: no grid of C2 * dv, no
+        buffer per thread and no array per step."""
         rng = np.random.default_rng(6)
         with_pdo, original = histogram(rng.random(36)), histogram(rng.random(36))
         grid_bytes = len(bias.C2_GRID) * 36 * 8
-        _, peak = traced_peak(fit_transfer, with_pdo, original)
-        assert peak <= 2.5 * grid_bytes, peak / grid_bytes
+        with usable_cpus(cpus):
+            _, peak = traced_peak(fit_transfer, with_pdo, original)
+        assert peak <= 1.5 * grid_bytes, peak / grid_bytes
 
 
 class TestApplyTransfer:

@@ -456,6 +456,26 @@ def test_every_config_field_rejects_a_value_of_another_kind(cls, key, value,
         reader.from_json(path)
 
 
+def test_cli_import_loads_only_what_every_stage_runs():
+    """Each stage imports the modules only it runs: importing the CLI
+    loads neither the engine, the driver models, the glance and
+    deceleration distributions, the validation code nor the reports."""
+    src = str(Path(rearsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    stage_only = ["engine", "looming", "drivers", "distributions", "validation",
+                  "report"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rearsim.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith('rearsim.')))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    assert "rearsim.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[1] in stage_only], loaded
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(rearsim.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -705,6 +725,16 @@ def _bad_delta_v(value):
             _SEEDS_DIR)
 
 
+def _bad_vehicle(role, field, value):
+    """A seed sidecar whose `role` vehicle records `value` as `field`."""
+    def edit(text):
+        meta = json.loads(text)
+        return json.dumps({**meta, role: {**meta[role], field: value}})
+    return ("out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+            edit, rf"s0000\.json: vehicle 's0000/{role}': {field} must be",
+            _SEEDS_DIR)
+
+
 def _bad_occupants(edit, where):
     return ("inputs/occupants.csv", load_occupants, edit,
             rf"occupants\.csv:{where}", (_FIT_BIAS,))
@@ -854,6 +884,13 @@ MALFORMED_INPUTS = {
     **{f"seed_delta_v_{name}": _bad_delta_v(value)
        for name, value in (("text", "abc"), ("nan", math.nan),
                            ("infinite", math.inf), ("negative", -5.0))},
+    # an infinite mass passes a bare > 0 check, and simulate would write an
+    # empty no-response delta-v that weight then rejects
+    **{f"seed_{role}_{field}_{name}": _bad_vehicle(role, field, value)
+       for role, field, name, value in (("lead", "mass", "infinite", math.inf),
+                                        ("follower", "width", "nan", math.nan),
+                                        ("lead", "length", "flag", True),
+                                        ("follower", "mass", "zero", 0))},
     "matrices_crashed_not_a_flag": (
         "out_simulate/matrices.csv", _load_matrices,
         _edit_row(2, _set_field(3, "2")), r"matrices\.csv:2: crashed", (_WEIGHT,)),
@@ -931,6 +968,15 @@ MALFORMED_INPUTS = {
         lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
         rf"n_fill_bins must be >= 1, got {value}", (_FIT_BIAS,))
        for name, value in (("zero", "0"), ("negative", "-2"))},
+    **{f"cuts_{name}": _bad_flag(
+        "--cuts", value, lambda value: cut_glances(shrp2_like_glances(), float(value)),
+        rf"cut_at must be > 0, got {value}", (_ASSESS,))
+       for name, value in (("nan", "nan"), ("zero", "0.0"), ("negative", "-1.0"))},
+    # only +inf is the uncut baseline; argparse takes -inf only after "="
+    "cuts_negative_infinite": (
+        "inputs/campaign.json", lambda path: cut_glances(shrp2_like_glances(), -math.inf),
+        lambda text: text, r"cut_at must be > 0, got -inf", (_ASSESS + ["--cuts=-inf"],),
+        ValidationError),
     "transfer_without_c2": (
         "out_fit/transfer.json", load_transfer,
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()

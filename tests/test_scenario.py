@@ -140,6 +140,23 @@ class TestSeedRefs:
             with pytest.raises(ParseError, match=r"a\.json: seed_delta_v_kmh"):
                 load(tmp_path)
 
+    @pytest.mark.parametrize("role", ["lead", "follower"])
+    @pytest.mark.parametrize("field, value", [
+        ("mass", "Infinity"), ("mass", "-Infinity"), ("width", "NaN"),
+        ("length", "true"), ("mass", "false"), ("width", '"1.8"'),
+        ("mass", "0"), ("length", "-4.5"), ("width", "null")])
+    def test_vehicle_fields_must_be_finite_and_positive(self, role, field, value,
+                                                        tmp_path):
+        self._write(tmp_path, [("a", "a")])
+        sidecar = tmp_path / "a.json"
+        meta = json.loads(sidecar.read_text())
+        meta[role][field] = json.loads(value)
+        sidecar.write_text(json.dumps(meta))
+        where = rf"a\.json: vehicle 'a/{role}': {field} must be"
+        for load in (load_seed_refs, lambda d: load_seed(d / "a.csv")):
+            with pytest.raises(ParseError, match=where):
+                load(tmp_path)
+
     @pytest.mark.parametrize("value, want", [("null", None), ("0", 0.0),
                                              ("12", 12.0), ("7.5", 7.5)])
     def test_recorded_delta_v_accepted(self, value, want, tmp_path):
