@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bias, table
 from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, ValidationError
-from .manifest import check_json, read_json, write_json, write_manifest
+from .manifest import check_json, digest_tree, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     CrashSamples,
@@ -74,10 +74,11 @@ def _out_dir(path: str) -> Path:
 
 
 def _reference_histogram(path: str, bin_width: float
-                         ) -> tuple[DeltaVDistribution, str | list[Path]]:
+                         ) -> tuple[DeltaVDistribution, str | dict[str, str]]:
     """Reference delta-v histogram: a histogram CSV, or built from the
     delta-v a seed directory's JSON sidecars record. Also returns what was
-    read, for the manifest: the CSV, or the list of sidecars."""
+    read, for the manifest: the CSV, or the digest of each sidecar parsed,
+    by file name."""
     p = Path(path)
     if p.is_dir():
         refs = load_seed_refs(p)
@@ -85,7 +86,7 @@ def _reference_histogram(path: str, bin_width: float
         if not dvs:
             raise ValidationError(f"{p}: seeds carry no reference delta-v")
         return (build_histogram(dvs, np.ones(len(dvs)), bin_width),
-                [r.path.with_suffix(".json") for r in refs])
+                {r.path.with_suffix(".json").name: r.digest for r in refs})
     return load_histogram(p), path
 
 
@@ -287,7 +288,14 @@ def cmd_simulate(args) -> int:
         "glance_cut_at": cfg.glance_cut_at,
         "grid": result.grid.to_json(),
     })
-    inputs = {"seeds": args.seeds, "config": args.config,
+    # the seed files parsed are digested from the bytes parsed; any other
+    # file under --seeds is read for its digest
+    csv_digests = {r.seed_id: r.digest for r in result.results}
+    parsed = {}
+    for ref in refs:
+        parsed[ref.path.name] = csv_digests[ref.id]
+        parsed[ref.path.with_suffix(".json").name] = ref.digest
+    inputs = {"seeds": digest_tree(args.seeds, parsed), "config": args.config,
               "decels": cfg.decel_file}
     if cfg.glance_file:
         inputs["glances"] = cfg.glance_file

@@ -350,7 +350,8 @@ class CampaignConfig:
 
 @dataclass(eq=False)
 class SeedResult:
-    """Per-seed campaign output next to its outcome matrix."""
+    """Per-seed campaign output next to its outcome matrix. A seed loaded
+    from its ref carries the digest of the trajectory bytes parsed."""
 
     seed_id: str
     matrix: OutcomeMatrix | None
@@ -363,6 +364,7 @@ class SeedResult:
     seed_delta_v_kmh: float | None
     theoretical_cells: int
     anchor_absent: bool = False
+    digest: str | None = None
 
 
 @dataclass(eq=False)
@@ -422,8 +424,9 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
 
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                   grid: CampaignGrid) -> SeedResult:
+    digest = None
     if isinstance(seed, SeedRef):
-        seed = seed.load()
+        seed, digest = seed.load()
     cf = remove_evasive_maneuver(seed, cfg.horizon_extension)
     kin = SeedKinematics(cf)
     anchor, excluded = None, False
@@ -444,7 +447,8 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
                       seed.seed_delta_v_kmh, theoretical,
-                      anchor_absent=cfg.model == MODEL_CBM and anchor is None)
+                      anchor_absent=cfg.model == MODEL_CBM and anchor is None,
+                      digest=digest)
 
 
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,

@@ -41,16 +41,22 @@ KINDS = {
 }
 
 
+def bytes_digest(data: bytes, name: str) -> str:
+    """The digest of a file named `name` that holds `data`, as
+    `file_digest` computes it."""
+    if name == "manifest.json":
+        # manifests feed other manifests' input digests; the timestamp is
+        # informational and must never influence a digest
+        payload = json.loads(data.decode())
+        payload.pop("timestamp", None)
+        data = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def file_digest(path: str | Path) -> str:
     path = Path(path)
     if path.name == "manifest.json":
-        # manifests feed other manifests' input digests; the timestamp is
-        # informational and must never influence a digest
-        with open(path) as fh:
-            payload = json.load(fh)
-        payload.pop("timestamp", None)
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return bytes_digest(path.read_bytes(), path.name)
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -58,16 +64,22 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def digest_tree(path: str | Path | list[Path]) -> dict[str, str]:
-    """Digests for a file, for every file under a directory, or for a list
-    of files in one directory, each named by its file name."""
-    if isinstance(path, list):
-        return {p.name: file_digest(p) for p in path}
+def digest_tree(path: str | Path, known: dict[str, str] | None = None
+                ) -> dict[str, str]:
+    """Digests for a file, or for every file under a directory, each named
+    by its path relative to the directory. A name in `known` takes its
+    digest from there: the digest of the bytes a stage parsed, so the file
+    is not read again."""
     path = Path(path)
     if path.is_file():
         return {path.name: file_digest(path)}
-    return {str(p.relative_to(path)): file_digest(p)
-            for p in sorted(path.rglob("*")) if p.is_file()}
+    known = known or {}
+    digests = {}
+    for p in sorted(path.rglob("*")):
+        if p.is_file():
+            name = str(p.relative_to(path))
+            digests[name] = known.get(name) or file_digest(p)
+    return digests
 
 
 def config_digest(obj) -> str:
@@ -145,14 +157,19 @@ def _config(cls, raw: dict, where: str, prefix: str):
 
 
 def write_manifest(out_dir: str | Path, command: str,
-                   inputs: dict[str, str | Path | list[Path]],
+                   inputs: dict[str, str | Path | dict[str, str]],
                    outputs: list[str | Path],
                    config: dict | None = None) -> Path:
+    """Write `out_dir`/manifest.json. Each input is a file or a directory,
+    digested with `digest_tree`, or a prepared {relative name: digest}
+    mapping, such as the digests of the bytes a stage parsed; each output
+    is a file, digested with `file_digest`."""
     out_dir = Path(out_dir)
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "inputs": {name: digest_tree(p) for name, p in sorted(inputs.items())},
+        "inputs": {name: p if isinstance(p, dict) else digest_tree(p)
+                   for name, p in sorted(inputs.items())},
         "outputs": {Path(p).name: file_digest(p) for p in sorted(map(str, outputs))},
         "config_digest": config_digest(config or {}),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import table
 from .errors import GenerationError, ParseError, ValidationError
-from .manifest import check_fields, is_finite, read_config, write_json
+from .manifest import bytes_digest, check_fields, is_finite, read_config, write_json
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
 DT_TOLERANCE = 1e-6           # s, allowed jitter on the step
@@ -98,6 +98,15 @@ class SeedCrash:
 
     def validate(self) -> None:
         lead, foll = self.lead, self.follower
+        for name, values in zip(SEED_CSV_HEADER, (
+                lead.t, lead.pos, lead.speed, lead.acc,
+                foll.pos, foll.speed, foll.acc)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValidationError(
+                    f"seed {self.id}: {name} in data row {k + 1} is "
+                    f"{float(values[k])!r}, not a finite number")
         n = len(lead)
         if n < 2:
             raise ValidationError(f"seed {self.id}: needs at least 2 samples")
@@ -255,37 +264,43 @@ def remove_evasive_maneuver(
 @dataclass(frozen=True)
 class SeedRef:
     """A seed as its JSON sidecar lists it: its id, the path of its
-    trajectory CSV, its vehicle records and the delta-v it records (None
-    if it records none)."""
+    trajectory CSV, its vehicle records, the delta-v it records (None if
+    it records none) and the digest of the sidecar bytes it was parsed
+    from."""
 
     id: str
     path: Path
     lead_meta: VehicleMeta
     follower_meta: VehicleMeta
     seed_delta_v_kmh: float | None
+    digest: str
 
-    def load(self) -> SeedCrash:
+    def load(self) -> tuple[SeedCrash, str]:
         """The seed, its trajectories read from `path` and its records
-        taken from this ref, so the sidecar is not read again."""
-        return _seed(_read_trajectories(self.path), self)
+        taken from this ref, so the sidecar is not read again; and the
+        digest of the trajectory bytes that were parsed."""
+        data, digest = _read_trajectories(self.path)
+        return _seed(data, self), digest
 
 
 def _read_sidecar(csv_path: Path) -> SeedRef:
     """The ref of the seed whose trajectory CSV is `csv_path`, from its
-    JSON sidecar. Each vehicle's mass, width and length are finite numbers
-    > 0, and the recorded delta-v is absent, null or a finite number >= 0;
-    anything else raises ParseError naming the sidecar."""
+    JSON sidecar, read once: the ref's digest is that of the bytes parsed.
+    Each vehicle's mass, width and length are finite numbers > 0, and the
+    recorded delta-v is absent, null or a finite number >= 0; anything
+    else raises ParseError naming the sidecar."""
     json_path = csv_path.with_suffix(".json")
     if not json_path.exists():
         raise ParseError(f"seed sidecar not found: {json_path}")
+    with open(json_path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(json_path) as fh:
-            meta = json.load(fh)
+        meta = json.loads(data.decode())
         sid = str(meta["id"])
         lead_meta = VehicleMeta(id=sid + "/lead", **meta["lead"])
         foll_meta = VehicleMeta(id=sid + "/follower", **meta["follower"])
         dv = meta.get("seed_delta_v_kmh")
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors
         raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
     except ValidationError as exc:
         raise ParseError(f"{json_path}: {exc}") from exc
@@ -293,17 +308,22 @@ def _read_sidecar(csv_path: Path) -> SeedRef:
         raise ParseError(f"{json_path}: seed_delta_v_kmh must be null or a "
                          f"finite number >= 0, got {dv!r}")
     return SeedRef(sid, csv_path, lead_meta, foll_meta,
-                   None if dv is None else float(dv))
+                   None if dv is None else float(dv),
+                   bytes_digest(data, json_path.name))
 
 
-def _read_trajectories(csv_path: Path) -> list[np.ndarray]:
-    """The columns of a seed's trajectory CSV, in SEED_CSV_HEADER order."""
+def _read_trajectories(csv_path: Path) -> tuple[list[np.ndarray], str]:
+    """The columns of a seed's trajectory CSV, in SEED_CSV_HEADER order,
+    and the digest of the bytes they were parsed from. The file is read
+    once, and every column is a float (see `table.read_floats`)."""
     if not csv_path.exists():
         raise ParseError(f"seed file not found: {csv_path}")
-    chunk = table.read_csv(csv_path, SEED_CSV_HEADER)
-    if not chunk.n_rows:
+    with open(csv_path, "rb") as fh:
+        data = fh.read()
+    columns = table.read_floats(csv_path, SEED_CSV_HEADER, data)
+    if not columns[0].size:
         raise ParseError(f"{csv_path}: no samples")
-    return [chunk.floats(name) for name in SEED_CSV_HEADER]
+    return columns, bytes_digest(data, csv_path.name)
 
 
 def _seed(data: list[np.ndarray], ref: SeedRef) -> SeedCrash:
@@ -324,7 +344,7 @@ def load_seed(pcm_file: str | Path) -> SeedCrash:
     """Load a seed from a trajectory CSV plus its JSON sidecar and validate
     all record invariants."""
     csv_path = Path(pcm_file)
-    data = _read_trajectories(csv_path)
+    data, _ = _read_trajectories(csv_path)
     return _seed(data, _read_sidecar(csv_path))
 
 
@@ -359,11 +379,6 @@ def load_seed_refs(directory: str | Path) -> list[SeedRef]:
             raise ParseError(f"seed id {a.id!r} in both {a.path.with_suffix('.json')} "
                              f"and {b.path.with_suffix('.json')}")
     return refs
-
-
-def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
-    """Load every seed CSV in a directory, ordered by id."""
-    return [load_seed(ref.path) for ref in load_seed_refs(directory)]
 
 
 # --------------------------------------------------------------- synthesis

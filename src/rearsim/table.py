@@ -21,6 +21,13 @@ bounded chunks of rows, so memory does not grow with the file;
 row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
 
+``read_floats`` reads a file whose every column is a float, such as a seed
+trajectory, from bytes the caller has read: after the header line, NumPy's
+C parser reads the rest. The Python reader, ``read_csv`` and
+``Chunk.floats``, is its oracle, and it takes over whenever the C parser
+rejects the file or might read it differently. So ``read_floats`` gives
+the same bits, and raises the same ParseError, as the Python reader.
+
 Cost. Tables repeat values (a seed's id on every row of its seed, the
 empty speeds of each outcome-matrix cell without a crash), so the work
 follows what is distinct:
@@ -29,7 +36,16 @@ follows what is distinct:
   text among the fields that hold it;
 - reading splits a chunk without quotes once, as one text, after checking
   that every line holds one comma fewer than the header has names; a chunk
-  with quotes goes through ``csv.reader`` row by row.
+  with quotes goes through ``csv.reader`` row by row;
+- ``read_floats`` makes no Python object per field. NumPy's parser takes
+  the body of a file whose first line is the header, ended by CRLF or LF.
+  The Python reader takes over on any other first line; on a body that is
+  empty or holds only line ends (NumPy would warn that it holds no data);
+  on a byte from 0x1C to 0x1F, which NumPy skips as whitespace around a
+  number and ``float`` rejects; on a ValueError, a UnicodeDecodeError
+  included (a non-ASCII byte, a quote, a CR-only line end, ``0_0.0``, a
+  short or long row); and on rows that are all as wide as each other but
+  not as the header.
 
 Memory. ``read_chunks`` holds one chunk at a time, ``CHUNK_ROWS`` rows:
 its lines, their joined text and one Python string per field. Those are
@@ -37,11 +53,14 @@ dropped when the caller moves to the next chunk, so what a reader keeps
 per file is only what it builds from each chunk, such as numeric columns.
 ``write_csv`` holds the formatted fields of one chunk of columns at a
 time, so a writer that yields its columns in pieces holds one piece.
+``read_floats`` holds the file's bytes, which its caller read whole, and
+its numbers twice while it lays them out column by column.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
@@ -53,6 +72,8 @@ from .errors import ParseError
 CHUNK_ROWS = 2048
 _PROBE_ROWS = 1024
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
+# bytes NumPy's float parser skips as whitespace and ``float`` rejects
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 # ----------------------------------------------------------------- writing
@@ -267,6 +288,31 @@ def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chun
     """Every data row of a small CSV file as one chunk; without rows, no preamble."""
     whole = list(read_chunks(path, header, None, preamble))
     return whole[0] if whole else Chunk(Path(path), header, preamble, [])
+
+
+def read_floats(path: str | Path, header: Sequence[str],
+                data: bytes) -> list[np.ndarray]:
+    """The columns of a CSV file with `header` whose every column is a
+    float, in header order, from `data`, the bytes of `path`: what
+    ``read_csv(path, header).floats(name)`` gives for each name, bit for
+    bit, and the same ParseError where that raises one. NumPy's C parser
+    reads the body; whatever it rejects, or might read differently, the
+    Python reader reads from `path` (see the module docstring)."""
+    head, _, body = data.partition(b"\n")
+    if (head.removesuffix(b"\r") == ",".join(map(quote, header)).encode()
+            and body.strip(b"\r\n")
+            and not any(c in body for c in _NUMPY_ONLY_SPACE)):
+        try:
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                              dtype=float, ndmin=2, encoding="ascii")
+        except ValueError:  # UnicodeDecodeError is one
+            pass
+        else:
+            if rows.shape[1] == len(header):
+                # one contiguous array per column, as the Python reader gives
+                return list(np.ascontiguousarray(rows.T))
+    chunk = read_csv(path, header)
+    return [chunk.floats(name) for name in header]
 
 
 def row_error(path: str | Path, row: int, message: str) -> ParseError:

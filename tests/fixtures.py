@@ -21,7 +21,13 @@ from rearsim.distributions import (
 )
 from rearsim.engine import CampaignGrid, OutcomeMatrix, SeedKinematics
 from rearsim.errors import ValidationError
-from rearsim.scenario import SeedCrash, SynthesisConfig, synthesize_seeds
+from rearsim.scenario import (
+    SeedCrash,
+    SynthesisConfig,
+    load_seed,
+    load_seed_refs,
+    synthesize_seeds,
+)
 
 N_GLANCES = 4604
 N_GLANCE_BINS = 67
@@ -126,6 +132,11 @@ def seed_set(n: int, rng_seed: int = 42, mix: tuple | None = None) -> tuple[Seed
     if mix is not None:
         cfg.lead_mix = dict(mix)
     return tuple(synthesize_seeds(cfg, rng_seed))
+
+
+def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
+    """Load every seed CSV in a directory, ordered by id."""
+    return [load_seed(ref.path) for ref in load_seed_refs(directory)]
 
 
 def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,

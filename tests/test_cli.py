@@ -44,13 +44,14 @@ from rearsim.engine import (
     run_campaign,
 )
 from rearsim.errors import GenerationError, ParseError, ValidationError
-from rearsim.manifest import KINDS, digest_tree
+from rearsim.manifest import KINDS, digest_tree, file_digest
 from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
-from rearsim.scenario import SynthesisConfig, load_seed, load_seed_dir, load_seed_refs
+from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
 from rearsim.validation import load_injury_curve
 
 from fixtures import (
+    load_seed_dir,
     save_decels,
     save_glances,
     save_occupants,
@@ -224,6 +225,30 @@ class TestPipeline:
         for path, digest in pinned.items():
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
+    def test_simulate_artifacts_are_pinned(self, pipeline):
+        """simulate's outputs from the seed files on disk, and its manifest
+        without the timestamp, are the bytes they were when every seed was
+        parsed field by field and the manifest read each seed file again
+        for its digest."""
+        _, _, out = pipeline
+        sim = out["simulate"]
+        manifest = json.loads((sim / "manifest.json").read_bytes())
+        manifest.pop("timestamp")
+        blobs = {name: (sim / name).read_bytes()
+                 for name in ("matrices.csv", "seeds_summary.csv", "summary.json")}
+        blobs["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+        assert {name: hashlib.sha256(blob).hexdigest()
+                for name, blob in blobs.items()} == {
+            "matrices.csv":
+                "bb1eeaae252d961fc685d3fe23c2d5b7ada83964c93dca6c37f3a83565a59784",
+            "seeds_summary.csv":
+                "c6279bb622505460be2285b8899c85f22fa367f4f4414d95205eb4aa9048d90f",
+            "summary.json":
+                "2956131a709432582946168aacc955c8fe791e4dd2f399a08985a3cb774e80ca",
+            "manifest.json":
+                "4a16e8a8f6d8cd774413ade7e473ed727e4f5a4d8e1a8c0af8c9c6eddccc09c5",
+        }
+
     def test_avoidance_rates_ordered(self, pipeline):
         _, _, out = pipeline
         with open(out["assess"] / "assess.json") as fh:
@@ -278,6 +303,12 @@ class TestPipeline:
         for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
             a = (out_first["simulate"] / name).read_bytes()
             assert (sim_out / name).read_bytes() == a, name
+        # the workers hand back the digests of the seed files they parsed
+        manifests = [json.loads((d / "manifest.json").read_text())
+                     for d in (out_first["simulate"], sim_out)]
+        for manifest in manifests:
+            manifest.pop("timestamp")
+        assert manifests[0] == manifests[1]
 
 
 class TestExitCodes:
@@ -353,16 +384,22 @@ class TestExitCodes:
 
 def test_traced_layers_resolve():
     """Every (module, function) the benchmark's tracer wraps exists in
-    rearsim, so moving a traced layer fails here instead of reading 0."""
+    rearsim, so moving a traced layer fails here instead of reading 0.
+    The one exception is `load_seed_dir`: no stage called it, so its span
+    read 0 already, and it moved to tests/fixtures.py. The tracer reports
+    it as missing until the benchmark stops wrapping it; it must stay
+    gone from rearsim."""
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text())
     wrapped = next(ast.literal_eval(node.value) for node in tree.body
                    if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["WRAPPED"])
     assert len(wrapped) == 22
+    moved = {("scenario", "load_seed_dir")}
     for module, name in wrapped:
-        assert callable(getattr(importlib.import_module(f"rearsim.{module}"),
-                                name, None)), f"{module}.{name}"
+        found = callable(getattr(importlib.import_module(f"rearsim.{module}"),
+                                 name, None))
+        assert found is ((module, name) not in moved), f"{module}.{name}"
 
 
 CONFIG_CLASSES = ("CampaignConfig", "CbmConfig", "SynthesisConfig")
@@ -878,6 +915,19 @@ MALFORMED_INPUTS = {
     "seed_extra_field": (
         "out_synth/seeds/s0000.csv", load_seed,
         _edit_row(3, lambda f: f + ["0.0"]), r"s0000\.csv:3:", (_SIMULATE,)),
+    # a non-finite sample passes every range check of a seed, since NaN
+    # compares false; 1e400 reads as inf
+    **{f"seed_{column}_{name}": (
+        "out_synth/seeds/s0000.csv", load_seed,
+        _edit_row(50, _set_field(scenario.SEED_CSV_HEADER.index(column), value)),
+        rf"seed s0000: {column} in data row 49 is {shown}, not a finite number",
+        (_SIMULATE,), ValidationError)
+       for column, name, value, shown in (
+           *((column, "nan", "nan", "nan") for column in scenario.SEED_CSV_HEADER),
+           *((column, name, value, shown) for column in ("lead_pos", "foll_speed")
+             for name, value, shown in (("inf", "inf", "inf"),
+                                        ("negative_inf", "-inf", "-inf"),
+                                        ("overflow", "1e400", "inf"))))},
     "seed_duplicate_id": (
         "out_synth/seeds/s0001.json", lambda path: load_seed_refs(path.parent),
         _set_json(id="s0000"), r"s0000\.json and \S*s0001\.json", _SEEDS_DIR),
@@ -1025,7 +1075,9 @@ def test_malformed_seed_fails_simulate_from_a_worker(pipeline, tmp_path, capfd):
 
 def test_simulate_opens_each_sidecar_once(pipeline, monkeypatch, tmp_path):
     """The seed refs carry the vehicle records, so building a seed does not
-    open its sidecar again; the outputs are those of the pipeline."""
+    open its sidecar again, and the manifest takes each seed file's digest
+    from the bytes parsed: simulate opens every seed file once. The
+    outputs are those of the pipeline."""
     root, paths, out = pipeline
     opened = []
 
@@ -1033,12 +1085,14 @@ def test_simulate_opens_each_sidecar_once(pipeline, monkeypatch, tmp_path):
         opened.append(Path(file).name)
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(scenario, "open", counted_open, raising=False)
+    for module in (scenario, rearsim.manifest):
+        monkeypatch.setattr(module, "open", counted_open, raising=False)
     with chdir(root):
         assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
                      paths["campaign"], "--out", str(tmp_path)]) == 0
-    sidecars = sorted(p.name for p in (root / "out_synth" / "seeds").glob("*.json"))
-    assert sorted(name for name in opened if name.endswith(".json")) == sidecars
+    seed_files = sorted(p.name for p in (root / "out_synth" / "seeds").iterdir())
+    assert len(seed_files) == 16
+    assert sorted(name for name in opened if name in seed_files) == seed_files
     for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == (out["simulate"] / name).read_bytes()
 
@@ -1143,21 +1197,23 @@ def test_weight_pipeline_memory_follows_its_samples():
 
 def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):
     """The reference from a seeds directory is the histogram of the loaded
-    seeds' delta-v, bitwise, and no trajectory CSV is read for it."""
+    seeds' delta-v, bitwise, and no trajectory CSV is read for it. What it
+    read is each sidecar's digest, taken from the bytes it parsed."""
     root, _, _ = pipeline
     seeds_dir = root / "out_synth" / "seeds"
     dvs = [s.seed_delta_v_kmh for s in load_seed_dir(seeds_dir)]
     want = build_histogram(dvs, np.ones(len(dvs)), DEFAULT_BIN_WIDTH_KMH)
 
-    def no_csv(path, header):
+    def no_csv(path, header, *args):
         raise AssertionError(f"read {path}")
 
     monkeypatch.setattr(table, "read_csv", no_csv)
+    monkeypatch.setattr(table, "read_floats", no_csv)
     got, read = _reference_histogram(str(seeds_dir), DEFAULT_BIN_WIDTH_KMH)
     assert got.weights.tobytes() == want.weights.tobytes()
     assert (got.bin_width, got.mean, got.count) == (
         want.bin_width, want.mean, want.count)
-    assert read == sorted(seeds_dir.glob("*.json"))
+    assert read == {p.name: file_digest(p) for p in sorted(seeds_dir.glob("*.json"))}
 
 
 def test_seeds_directory_manifests_digest_what_the_stage_read(pipeline):

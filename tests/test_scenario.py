@@ -14,12 +14,13 @@ from rearsim.scenario import (
     Trajectory,
     VehicleMeta,
     load_seed,
-    load_seed_dir,
     load_seed_refs,
     remove_evasive_maneuver,
     save_seed,
     synthesize_seeds,
 )
+
+from fixtures import load_seed_dir
 
 META = VehicleMeta(mass=1500.0, width=1.8, length=4.5)
 

@@ -176,3 +176,174 @@ def test_malformed_table_names_path_and_line(name, tmp_path):
     with pytest.raises(ParseError, match=message):
         for chunk in table.read_chunks(path, ["a", "b"], rows=rows[0] if rows else 1):
             chunk.floats("b")
+
+
+# ------------------------------------------------ read_floats, the C path
+
+SEED_HEADER = ["t", "lead_pos", "lead_speed", "lead_acc",
+               "foll_pos", "foll_speed", "foll_acc"]
+HEADER_LINE = ",".join(SEED_HEADER)
+# texts both readers take as numbers, and texts one or both reject
+SPELLINGS = ["nan", "NaN", "-nan", "+nan", "NAN", "inf", "-inf", "+inf", "Inf",
+             "Infinity", "-Infinity", "infinity", "iNfInItY", "1e400", "-1e400",
+             "5e-324", "-5e-324", "4.9e-324", "2e-324", "2.2250738585072009e-308",
+             "-0.0", "-0", "+0", ".5", "5.", "1e5", "1E-5", " 1", "1\t", "\x0b1\x0c"]
+ODD = ["0_0.0", "1_000", "0x10", "1d5", "nan(1)", "", " ", "abc", "#", "#1",
+       "١٢", "１", "\u00a01", "1\x00", "\x001", "\x1c1", "1\x1f", '"1.5"',
+       '"nan"', "1,2", "1\r2"]
+number = st.one_of(st.floats().map(repr), st.sampled_from(SPELLINGS))
+odd_line = st.sampled_from(["", "", " ", "\t", "#", "# x", "\x00", ",,,,,,"])
+ending = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def seed_files(draw) -> bytes:
+    """A seed trajectory CSV: rows of numbers, written well half of the
+    time; otherwise with a few edits that either reader may reject or read
+    in its own way."""
+    rows = draw(st.lists(st.lists(number, min_size=7, max_size=7), max_size=10))
+    lines = [",".join(fields) for fields in rows]
+    if not draw(st.booleans()):
+        return "".join(text + "\r\n" for text in [HEADER_LINE] + lines).replace(
+            "\r\n", draw(st.sampled_from(["\r\n", "\n"]))).encode()
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        kind = draw(st.sampled_from(["odd", "short", "long", "trailing", "line"]))
+        if kind == "odd":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD))
+        elif kind == "short":
+            fields = fields[:draw(st.integers(1, 6))]
+        elif kind == "long":
+            fields.append(draw(number))
+        elif kind == "trailing":
+            fields.append("")
+        lines[k] = ",".join(fields)
+        if kind == "line":
+            lines.insert(k, draw(odd_line))
+    head = draw(st.sampled_from([HEADER_LINE] * 4 + [
+        '"t",' + HEADER_LINE[2:], HEADER_LINE + ",", "\ufeff" + HEADER_LINE]))
+    if draw(st.booleans()):
+        ends = [draw(ending)] * (len(lines) + 1)  # one line end throughout
+    else:
+        ends = draw(st.lists(ending, min_size=len(lines) + 1,
+                             max_size=len(lines) + 1))
+    text = head + "".join(end + text for end, text in zip(ends, lines))
+    if draw(st.booleans()):
+        text += ends[-1]
+    data = text.encode()
+    if draw(st.integers(0, 9)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def python_reader(path) -> list[np.ndarray] | str:
+    """The oracle: the Python reader's columns, or its error."""
+    try:
+        chunk = table.read_csv(path, SEED_HEADER)
+        return [chunk.floats(name) for name in SEED_HEADER]
+    except ParseError as exc:
+        return str(exc)
+
+
+def c_reader(path, data: bytes) -> list[np.ndarray] | str:
+    try:
+        return table.read_floats(path, SEED_HEADER, data)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_reading(path, data: bytes) -> None:
+    path.write_bytes(data)
+    want, got = python_reader(path), c_reader(path, data)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want) == len(SEED_HEADER)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # every bit, NaN sign included
+
+
+def clean_seed(ending: str = "\r\n", rows: int = 3, edit=str, extra: str = "") -> str:
+    """A seed file: the header, then `rows` rows of numbers, each line
+    ended by `ending`; `edit` changes the text of each row, and `extra`
+    follows them."""
+    lines = [",".join(repr(0.01 * k + j) for j in range(7)) for k in range(rows)]
+    return "".join(text + ending for text in [HEADER_LINE] + list(map(edit, lines))) + extra
+
+
+def first_field(text: str):
+    """An edit: the first field of a row becomes `text`, its number in `{}`."""
+    return lambda row: text.format(row.split(",", 1)[0]) + "," + row.split(",", 1)[1]
+
+
+# name: the file's text; each case is one that the C path must reject or
+# read exactly as the Python reader does
+READ_FLOATS_CASES = {
+    "crlf": clean_seed("\r\n"),
+    "lf": clean_seed("\n"),
+    "cr_only": clean_seed("\r"),
+    "no_final_line_end": clean_seed().rstrip("\r\n"),
+    "blank_lines": clean_seed(edit=lambda row: row + "\r\n"),
+    "whitespace_only_line": clean_seed(extra=" \r\n1,2,3,4,5,6,7\r\n"),
+    "tab_only_line": clean_seed(extra="\t\r\n"),
+    "quoted_number": clean_seed(edit=first_field('"{}"')),
+    "spellings": clean_seed(rows=0, extra=",".join(
+        ["nan", "-nan", "Infinity", "-inf", "iNf", "1e400", "-1e400"]) + "\r\n"),
+    "subnormals": clean_seed(rows=0, extra=",".join(
+        ["5e-324", "-5e-324", "2e-324", "4.9e-324", "2.2250738585072009e-308",
+         "-0.0", "1e-400"]) + "\r\n"),
+    "underscore": clean_seed(edit=first_field("0_{}")),
+    "padded": clean_seed(edit=lambda row: row.replace(",", " ,\t")),
+    "numpy_only_space": clean_seed(edit=first_field("{}\x1c")),
+    "numpy_only_space_before": clean_seed(edit=first_field("\x1f{}")),
+    "non_ascii_digit": clean_seed(edit=first_field("١")),
+    "no_break_space": clean_seed(edit=first_field("\u00a0{}")),
+    "nul": clean_seed(edit=first_field("{}\x00")),
+    "nul_line": clean_seed(extra="\x00\r\n"),
+    "comment_line": clean_seed(extra="# x\r\n"),
+    "comment_field": clean_seed(edit=first_field("#{}")),
+    "short_row": clean_seed(extra="1,2,3\r\n"),
+    "long_row": clean_seed(extra=",".join(["1"] * 8) + "\r\n"),
+    "all_rows_short": clean_seed(rows=0, extra="1,2\r\n3,4\r\n"),
+    "trailing_comma": clean_seed(edit=lambda row: row + ","),
+    "empty_body": clean_seed(rows=0),
+    "only_line_ends": clean_seed(rows=0, extra="\r\n\n\r\n"),
+    "header_only_no_line_end": HEADER_LINE,
+    "empty_file": "",
+    "quoted_header": '"t",' + clean_seed()[2:],
+    "other_header": clean_seed().replace("foll_acc", "foll_jerk", 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(READ_FLOATS_CASES))
+def test_read_floats_equals_the_python_reader_on_each_case(name, tmp_path):
+    assert_same_reading(tmp_path / "s.csv", READ_FLOATS_CASES[name].encode())
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(data=seed_files())
+def test_read_floats_equals_the_python_reader(tmp_path_factory, data):
+    """Both readers give the same bits, or raise the same ParseError, and
+    NumPy warns of nothing."""
+    assert_same_reading(tmp_path_factory.mktemp("floats") / "s.csv", data)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\n"])
+def test_read_floats_reads_a_clean_file_without_the_python_reader(
+        ending, tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_bytes(clean_seed(ending, rows=5).encode())
+    want = python_reader(path)
+
+    def python_path(*args):
+        raise AssertionError("fell back to the Python reader")
+
+    monkeypatch.setattr(table, "read_csv", python_path)
+    got = table.read_floats(path, SEED_HEADER, path.read_bytes())
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all(a.flags.c_contiguous for a in got)
