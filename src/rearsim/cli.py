@@ -173,26 +173,36 @@ class _SeedSummary(NamedTuple):
 
 
 def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
+    """The rows of simulate's seeds_summary.csv at `path`. A mass that is
+    not a finite number > 0, or a no-response crash whose speeds or
+    delta-v are not finite, raises ParseError naming path:line."""
     from .engine import NO_CRASH, SimOutcome
     chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
     recorded = ~chunk.equals("seed_delta_v_kmh", "")
     seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
     nr_crashed = chunk.flags("no_resp_crashed")
+
+    def checked(name: str, rule: str, ok, where=None) -> list[float]:
+        values = chunk.floats(name, where=where)
+        bad = ~ok(values) if where is None else where & ~ok(values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise chunk.error(k, f"{name} must be {rule}, got {float(values[k])!r}")
+        return values.tolist()
+
+    m1, m2 = (checked(name, "a finite number > 0",
+                      lambda v: (v > 0) & (v < math.inf))
+              for name in ("follower_mass_kg", "lead_mass_kg"))
+    v1, v2, nr_dv = (checked(name, "a finite number where no_resp_crashed is 1",
+                             np.isfinite, nr_crashed)
+                     for name in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh"))
     # a no-response crash is at maximum severity: the follower never braked
-    nr = [SimOutcome(True, None, v1, v2, True) if crashed else NO_CRASH
-          for crashed, v1, v2 in zip(
-              nr_crashed.tolist(),
-              chunk.floats("no_resp_v1", where=nr_crashed).tolist(),
-              chunk.floats("no_resp_v2", where=nr_crashed).tolist())]
+    nr = [SimOutcome(True, None, a, b, True) if crashed else NO_CRASH
+          for crashed, a, b in zip(nr_crashed.tolist(), v1, v2)]
     columns = (
-        chunk.flags("eligible").tolist(),
-        chunk.floats("follower_mass_kg").tolist(),
-        chunk.floats("lead_mass_kg").tolist(),
+        chunk.flags("eligible").tolist(), m1, m2,
         [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
-        nr,
-        chunk.floats("no_resp_dv_kmh", where=nr_crashed).tolist(),
-        chunk.floats("kernel_calls").tolist(),
-    )
+        nr, nr_dv, chunk.floats("kernel_calls").tolist())
     return {sid: _SeedSummary(*row)
             for sid, row in zip(chunk["seed_id"], zip(*columns))}
 
@@ -213,10 +223,10 @@ def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
 def _simulated_matrices(sim_dir: Path, sim_summary: dict):
     """The grid simulate recorded in `sim_dir`'s summary.json, its outcome
     matrices on that grid, and its seeds_summary.csv rows, whose
-    no-response outcomes fill the matrix rows matrices.csv does not
-    list. seeds_summary.csv must hold summary.json's n_seeds seeds, and
-    matrices.csv must list kernel_calls - 1 lines of each swept seed (one
-    per integrated cell); otherwise ParseError names the file."""
+    no-response outcomes fill the matrix rows matrices.npy holds no record
+    of. seeds_summary.csv must hold summary.json's n_seeds seeds, and the
+    records of each swept seed in matrices.npy must hold kernel_calls - 1
+    cells (one per integrated cell); otherwise ParseError names the file."""
     from .engine import CampaignGrid, load_matrices
     grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
     summary_path = sim_dir / "seeds_summary.csv"
@@ -226,13 +236,13 @@ def _simulated_matrices(sim_dir: Path, sim_summary: dict):
                          f"{sim_summary['n_seeds']} summary.json records")
     no_response = {sid: row.no_response for sid, row in rows.items()
                    if row.eligible}
-    matrices_path = sim_dir / "matrices.csv"
+    matrices_path = sim_dir / "matrices.npy"
     matrices = load_matrices(matrices_path, grid, no_response)
     for m in matrices:
-        lines = grid.shape[1] * int(m.live.sum())
-        if lines != rows[m.seed_id].kernel_calls - 1:
+        cells = grid.shape[1] * int(m.live.sum())
+        if cells != rows[m.seed_id].kernel_calls - 1:
             raise ParseError(
-                f"{matrices_path}: seed {m.seed_id} lists {lines} lines, not "
+                f"{matrices_path}: seed {m.seed_id} lists {cells} cells, not "
                 f"its kernel_calls - 1 = {rows[m.seed_id].kernel_calls - 1:g} "
                 f"from seeds_summary.csv")
     return grid, matrices, rows
@@ -271,8 +281,8 @@ def cmd_simulate(args) -> int:
     result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
 
-    matrices_path = out / "matrices.csv"
-    save_matrices(result.matrices, matrices_path)
+    matrices_path = out / "matrices.npy"
+    save_matrices(result.matrices, result.grid, matrices_path)
     seeds_summary = out / "seeds_summary.csv"
     _write_seeds_summary(result, seeds_summary)
     summary = write_json(out / "summary.json", {
@@ -550,6 +560,9 @@ def cmd_assess_dms(args) -> int:
     from .drivers import cbm_axes
     from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, reweight
     from .validation import crash_avoidance_rate, injury_risk, load_injury_curve
+    repeated = sorted({f"{cut:g}" for cut in args.cuts if args.cuts.count(cut) > 1})
+    if repeated:
+        raise ValidationError(f"--cuts repeats {', '.join(repeated)}")
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
@@ -693,7 +706,8 @@ def cmd_report(args) -> int:
 
     if args.assess:
         cuts = _load_assessment_cuts(args.assess)
-        labels = [f"cut {row['cut_at_s'] or 'none'}s" for row in cuts]
+        labels = ["no cut" if row["cut_at_s"] is None else f"cut {row['cut_at_s']}s"
+                  for row in cuts]
         values = [row["avoidance_rate"] for row in cuts]
         svg = out / "avoidance.svg"
         report.bar_svg(labels, values, "Crash avoidance rate",
@@ -769,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulate's seeds_summary.csv: each seed's percentile "
                         "is built from the simulate output directory that "
                         "holds it (summary.json, seeds_summary.csv and "
-                        "matrices.csv)")
+                        "matrices.npy)")
     p.add_argument("--curves", nargs="*", default=None)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)

@@ -31,23 +31,24 @@ seed's physics, whether each (axis1, max deceleration) cell crashes and at
 what speeds; the behaviour probabilities live once per campaign in a
 shared `CampaignGrid`. `reweight` changes only the probabilities, and
 `simulate` writes the grid to its summary.json and the outcomes to
-matrices.csv.
+matrices.npy.
 
-matrices.csv is compact: it lists the cells of the integrated (live) rows
-only. Every other row holds the seed's no-response outcome, which
-simulate's seeds_summary.csv records, so `load_matrices` takes those
+matrices.npy is compact: one binary record per integrated (live) row,
+holding its cells. Every other row holds the seed's no-response outcome,
+which simulate's seeds_summary.csv records, so `load_matrices` takes those
 outcomes and rebuilds the dense matrices bitwise.
 """
 
 from __future__ import annotations
 
+import tokenize
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
-from . import table
 from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
     DEFAULT_REACTION_M,
@@ -80,8 +81,7 @@ BLOCK_ELEMENTS = 2**14
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
 
-MATRIX_CSV_HEADER = ["seed_id", "axis1_index", "decel_index", "crashed",
-                     "v1", "v2", "max_severity"]
+OUTCOME_FIELDS = ("crashed", "v1", "v2", "max_severity")
 
 
 @dataclass(frozen=True)
@@ -494,23 +494,32 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
 
 # ---------------------------------------------------------------- file I/O
 
-def save_matrices(matrices: list[OutcomeMatrix], path: str | Path) -> None:
-    """Write the outcomes of each matrix's live rows, one CSV row per cell,
-    seed by seed, in row-major cell order. Cells are named by their grid
-    indices; the grid itself is simulate's summary.json's. A row not
-    listed holds the seed's no-response outcome (see `load_matrices`)."""
-    def seed_columns():
-        for m in matrices:
-            live, n2 = m.live, m.crashed.shape[1]
-            rows = np.flatnonzero(live)
-            yield ([table.quote(m.seed_id)] * (rows.size * n2),
-                   table.ints(np.repeat(rows, n2).tolist()),
-                   table.ints(list(range(n2)) * rows.size),
-                   table.flags(m.crashed[live].ravel()),
-                   table.fmt(m.v1[live].ravel()), table.fmt(m.v2[live].ravel()),
-                   table.flags(m.max_severity[live].ravel()))
+def _record_dtype(id_length: int, n2: int) -> np.dtype:
+    """One matrices.npy record: a live row's cells over the `n2`
+    deceleration bins, little-endian whatever the host."""
+    return np.dtype([("seed_id", f"<U{id_length}"), ("axis1_index", "<i8"),
+                     ("crashed", "u1", (n2,)), ("v1", "<f8", (n2,)),
+                     ("v2", "<f8", (n2,)), ("max_severity", "u1", (n2,))])
 
-    table.write_csv(path, MATRIX_CSV_HEADER, seed_columns())
+
+def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
+                  path: str | Path) -> None:
+    """Write one record per live row of each matrix on `grid` to the .npy
+    file `path`: seed by seed, rows ascending, each with its cells in the
+    grid's deceleration order (v1 and v2 NaN where no crash). The grid
+    itself is simulate's summary.json's. A row without a record holds the
+    seed's no-response outcome (see `load_matrices`)."""
+    rows = [np.flatnonzero(m.live) for m in matrices]
+    records = np.zeros(sum(r.size for r in rows), dtype=_record_dtype(
+        max((len(m.seed_id) for m in matrices), default=1), grid.shape[1]))
+    # each matrix's records, as views into `records`
+    blocks = np.split(records, np.cumsum([r.size for r in rows])[:-1])
+    for m, r, block in zip(matrices, rows, blocks):
+        block["seed_id"], block["axis1_index"] = m.seed_id, r
+        for name in OUTCOME_FIELDS:
+            block[name] = getattr(m, name)[r]
+    with open(path, "wb") as fh:
+        np.save(fh, records, allow_pickle=False)
 
 
 def load_matrices(path: str | Path, grid: CampaignGrid,
@@ -519,67 +528,65 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     `no_response` maps to their no-response outcomes, in seed id order.
 
     Each matrix starts with its no-response outcome in every cell; the
-    rows the outcomes CSV lists, in any order, replace theirs and are the
-    matrix's live rows. So a seed the CSV does not list keeps the
-    no-response outcome throughout. A malformed row, a flag other than 0
-    or 1, a cell without a crash that has speeds or maximum severity, an
-    index outside the grid, a repeated cell, a listed row without exactly
-    one line per deceleration bin, or a seed not in `no_response` raises
-    ParseError naming path:line.
-
-    The CSV is read chunk by chunk straight into the dense matrices.
-    Besides them and one chunk, only a flag per cell (listed yet) and the
-    last line listing each row are held."""
+    rows the records of `path` hold, in any order, replace theirs and are
+    the matrix's live rows. So a seed without records keeps the
+    no-response outcome throughout. ParseError names the path if the file
+    is not a whole .npy file of records without pickled objects, or not a
+    1-D array of exactly `save_matrices`'s fields on the grid's
+    deceleration bins. It names the path and the record if a flag is not
+    0 or 1, a cell without a crash has speeds or maximum severity, a crash
+    does not have finite speeds with v1 > v2 (the kernel counts no other
+    crash), a row index is outside the grid, a seed is not in
+    `no_response`, or a (seed, row) pair repeats."""
     n1, n2 = grid.shape
-    swept = sorted(no_response)
-    position = {sid: k for k, sid in enumerate(swept)}
+    try:
+        # NumPy raises or warns on a corrupt header; MemoryError: a huge shape
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, MemoryError) as exc:
+        raise ParseError(f"{path}: not a .npy file of outcome records: {exc}") from exc
+    if trailing:
+        raise ParseError(f"{path}: bytes follow the records")
+    dtype = records.dtype
+    fields = records.ndim == 1 and dtype.names == _record_dtype(1, n2).names
+    # any seed id length; the cells on the grid's deceleration bins
+    want = _record_dtype(dtype["seed_id"].itemsize // 4 if fields else 1, n2)
+    if not fields or dtype != want:
+        raise ParseError(f"{path}: expected a 1-D array of records {want} on the "
+                         f"grid's {n2} deceleration bins, got a {records.ndim}-D "
+                         f"array of {dtype}")
+    ids, row = records["seed_id"], records["axis1_index"]
+
+    def check(bad: np.ndarray, message: str) -> None:
+        """Raise `message` for the first record that `bad` marks."""
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParseError(f"{path}: record {k} (seed {ids[k]}, axis1 row "
+                             f"{row[k]}): {message}")
+
+    for name in ("crashed", "max_severity"):
+        check((records[name] > 1).any(axis=1), f"{name} holds a byte other than 0 or 1")
+    crashed, v1, v2 = records["crashed"] == 1, records["v1"], records["v2"]
+    check((~crashed & ~(np.isnan(v1) & np.isnan(v2)
+                        & (records["max_severity"] == 0))).any(axis=1),
+          "a cell without a crash must have NaN v1 and v2 and max_severity 0")
+    check((crashed & ~((v1 > v2) & np.isfinite(v1) & np.isfinite(v2))).any(axis=1),
+          "a crash must have finite speeds with v1 > v2")
+    check((row < 0) | (row >= n1), f"the grid has {n1} axis1 rows")
+    swept = {sid: k for k, sid in enumerate(sorted(no_response))}  # id: position
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    position = np.array([swept.get(sid, -1) for sid in distinct.tolist()],
+                        dtype=np.intp)[inverse]
+    check(position < 0, "the seed was not swept")
+    key = position * n1 + row  # one per (seed, axis1 row)
+    again = np.ones(key.size, dtype=bool)
+    again[np.unique(key, return_index=True)[1]] = False
+    check(again, "an earlier record holds the same row")
     arrays = _filled([no_response[sid] for sid in swept], grid.shape)
-    dense = [a.reshape(-1) for a in arrays.values()]  # views, in field order
-    seen = np.zeros(len(swept) * n1 * n2, dtype=bool)  # the cells listed
-    # per (seed, axis1 row), the last data row listing one of its cells
-    last = np.full(len(swept) * n1, -1, dtype=np.intp)
-    n_seen = 0
-    for chunk in table.read_chunks(path, MATRIX_CSV_HEADER):
-        crashed, severity = chunk.flags("crashed"), chunk.flags("max_severity")
-        # a cell without a crash is written with no speeds and severity 0
-        clean = (crashed | (chunk.equals("v1", "") & chunk.equals("v2", "")
-                            & ~severity))
-        if not clean.all():
-            raise chunk.error(int(np.argmin(clean)), "a cell without a crash "
-                              "must have empty v1 and v2 and max_severity 0")
-        cell = (chunk.indices("axis1_index", n1) * n2
-                + chunk.indices("decel_index", n2))
-        v1 = chunk.floats("v1", where=crashed)
-        v2 = chunk.floats("v2", where=crashed)
-        sids = chunk["seed_id"]
-        for sid in dict.fromkeys(sids):
-            if sid not in position:
-                raise chunk.error(sids.index(sid), f"seed {sid} was not swept")
-        key = np.fromiter(map(position.__getitem__, sids), dtype=np.intp,
-                          count=chunk.n_rows) * (n1 * n2) + cell
-        before = seen[key]
-        seen[key] = True
-        n_seen += chunk.n_rows
-        if np.count_nonzero(seen) != n_seen:
-            # a cell listed in an earlier chunk, or twice in this one
-            _, first = np.unique(key, return_index=True)
-            again = np.ones(chunk.n_rows, dtype=bool)
-            again[first] = before[first]
-            row = int(np.argmax(again))
-            raise chunk.error(row, f"seed {swept[key[row] // (n1 * n2)]} "
-                                   f"repeats cell ({cell[row] // n2}, "
-                                   f"{cell[row] % n2})")
-        np.maximum.at(last, key // n2, chunk.first_row + np.arange(chunk.n_rows))
-        for values, column in zip(dense, (crashed, v1, v2, severity)):
-            values[key] = column
-    listed = seen.reshape(-1, n2)  # one row per (seed, axis1 value)
-    short = listed.any(axis=1) & ~listed.all(axis=1)
-    if short.any():
-        row = int(np.argmax(short))
-        raise table.row_error(
-            path, int(last[row]),
-            f"seed {swept[row // n1]} lists axis1 row {row % n1} without "
-            f"exactly one line for each of the {n2} deceleration bins")
-    live = listed.any(axis=1).reshape(len(swept), n1)
+    for name, values in arrays.items():
+        values.reshape(-1, n2)[key] = records[name]
+    live = np.bincount(key, minlength=len(swept) * n1).reshape(len(swept), n1) > 0
     return [OutcomeMatrix(sid, grid, **{name: a[k] for name, a in arrays.items()},
                           live=live[k]) for k, sid in enumerate(swept)]

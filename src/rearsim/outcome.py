@@ -86,8 +86,8 @@ def build_histogram(delta_v, weights,
         dvs, ws = dvs[positive], ws[positive]
     if not ws.size:
         raise ValidationError("no samples with positive weight")
-    if np.any(dvs < 0):
-        raise ValidationError("delta-v must be >= 0")
+    if not np.all((dvs >= 0) & (dvs < math.inf)):  # NaN fails too
+        raise ValidationError("delta-v must be a finite number >= 0")
     # canonical accumulation order makes the histogram exactly invariant
     # to sample permutations
     order = np.lexsort((ws, dvs))
@@ -180,18 +180,24 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
                            weights: list[SeedWeight]) -> CrashSamples:
     """Crash cells, in row-major order per seed, as delta-v samples with
     the prevalence weights applied; the weights are renormalized to sum to
-    1. `masses` maps seed id to (follower, lead) mass in kg."""
+    1. `masses` maps seed id to (follower, lead) mass in kg. A delta-v that
+    is not finite raises ValidationError naming the seed."""
     w_by_seed = {w.seed_id: w.w for w in weights}
     weighted = [m for m in matrices if m.seed_id in w_by_seed]
     counts = [int(np.count_nonzero(m.crashed)) for m in weighted]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
-    for m, n in zip(weighted, counts):
-        m1, m2 = masses[m.seed_id]
-        cells = slice(start, start + n)
-        dvs[cells] = delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2)
-        np.multiply(w_by_seed[m.seed_id], m.grid.p_cell[m.crashed], out=w[cells])
-        start += n
+    with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
+        for m, n in zip(weighted, counts):
+            m1, m2 = masses[m.seed_id]
+            cells = slice(start, start + n)
+            dvs[cells] = delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2)
+            np.multiply(w_by_seed[m.seed_id], m.grid.p_cell[m.crashed], out=w[cells])
+            start += n
+    finite = np.isfinite(dvs)
+    if not finite.all():
+        m = weighted[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
+        raise ValidationError(f"seed {m.seed_id}: a crash's delta-v is not finite")
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0
     if total <= 0:

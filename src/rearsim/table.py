@@ -1,5 +1,5 @@
-"""Column-at-a-time CSV files: seed trajectories, outcome matrices,
-per-seed summaries, weights and histograms.
+"""Column-at-a-time CSV files: seed trajectories, per-seed summaries,
+weights and histograms.
 
 Dialect. A file holds what ``csv.writer`` writes in its default dialect,
 and reads back as ``csv.reader`` reads it:
@@ -15,9 +15,8 @@ and reads back as ``csv.reader`` reads it:
   double quotes, with each double quote doubled (``csv.QUOTE_MINIMAL``).
 
 Reading accepts every file ``csv.reader`` parses: quoted fields, any line
-ending, and blank lines, which are skipped. ``read_chunks`` works through
-bounded chunks of rows, so memory does not grow with the file;
-``read_csv`` reads a small file whole. A missing or different header, a
+ending, and blank lines, which are skipped. ``read_csv`` reads a file
+whole, as one ``Chunk`` of text columns. A missing or different header, a
 row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
 
@@ -28,14 +27,14 @@ C parser reads the rest. The Python reader, ``read_csv`` and
 rejects the file or might read it differently. So ``read_floats`` gives
 the same bits, and raises the same ParseError, as the Python reader.
 
-Cost. Tables repeat values (a seed's id on every row of its seed, the
-empty speeds of each outcome-matrix cell without a crash), so the work
-follows what is distinct:
+Cost. Tables repeat values (a seed's lead behaviour, the empty fields of
+each seed whose no-response run did not crash), so the work follows what
+is distinct:
 
 - writing formats each distinct float bit pattern once and shares its
   text among the fields that hold it;
-- reading splits a chunk without quotes once, as one text, after checking
-  that every line holds one comma fewer than the header has names; a chunk
+- reading splits a file without quotes once, as one text, after checking
+  that every line holds one comma fewer than the header has names; a file
   with quotes goes through ``csv.reader`` row by row;
 - ``read_floats`` makes no Python object per field. NumPy's parser takes
   the body of a file whose first line is the header, ended by CRLF or LF.
@@ -47,12 +46,11 @@ follows what is distinct:
   short or long row); and on rows that are all as wide as each other but
   not as the header.
 
-Memory. ``read_chunks`` holds one chunk at a time, ``CHUNK_ROWS`` rows:
-its lines, their joined text and one Python string per field. Those are
-dropped when the caller moves to the next chunk, so what a reader keeps
-per file is only what it builds from each chunk, such as numeric columns.
-``write_csv`` holds the formatted fields of one chunk of columns at a
-time, so a writer that yields its columns in pieces holds one piece.
+Memory. ``read_csv`` holds the file's lines, their joined text and one
+Python string per field until its caller drops the chunk; the files it
+reads have a row per seed, bin or occupant. ``write_csv`` holds the
+formatted fields of one chunk of columns at a time, so a writer that
+yields its columns in pieces holds one piece.
 ``read_floats`` holds the file's bytes, which its caller read whole, and
 its numbers twice while it lays them out column by column.
 """
@@ -62,14 +60,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 
-CHUNK_ROWS = 2048
 _PROBE_ROWS = 1024
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
 # bytes NumPy's float parser skips as whitespace and ``float`` rejects
@@ -140,15 +137,13 @@ def write_csv(path: str | Path, header: Sequence[str],
 # ----------------------------------------------------------------- reading
 
 class Chunk:
-    """Consecutive data rows of a file, held as text columns."""
+    """The data rows of a file, held as text columns."""
 
-    def __init__(self, path: Path, header: Sequence[str], first_row: int,
-                 fields: list[str], preamble: Sequence[list[str]] = ()):
-        """`fields` holds the chunk's rows one after another, each as wide
-        as `header`; `preamble`, the file's rows before its header."""
+    def __init__(self, path: Path, header: Sequence[str], fields: list[str],
+                 preamble: Sequence[list[str]]):
+        """`fields` holds the file's data rows one after another, each as
+        wide as `header`; `preamble`, the file's rows before its header."""
         self.path = path
-        # the index of the first row among the rows after the file's first
-        self.first_row = first_row
         self.preamble = preamble
         width = len(header)
         self.n_rows = len(fields) // width
@@ -158,7 +153,8 @@ class Chunk:
         return self._columns[name]
 
     def error(self, row: int, message: str) -> ParseError:
-        return row_error(self.path, self.first_row + row, message)
+        # row_error counts the rows after the file's first
+        return row_error(self.path, len(self.preamble) + row, message)
 
     def floats(self, name: str, where: np.ndarray | None = None) -> np.ndarray:
         """Column `name` converted with ``float``; with `where`, only the
@@ -212,15 +208,6 @@ class Chunk:
                                   f"{self._columns[name][bad]!r}")
         return ones
 
-    def codes(self, name: str, index: dict[str, int]) -> np.ndarray:
-        """Column `name` as integer codes from `index`, which gains a new
-        code for each text it does not hold yet."""
-        column = self._columns[name]
-        for text in dict.fromkeys(column):
-            index.setdefault(text, len(index))
-        return np.fromiter(map(index.__getitem__, column), dtype=np.intp,
-                           count=self.n_rows)
-
     def equals(self, name: str, text: str) -> np.ndarray:
         """Whether each field of column `name` is exactly `text`."""
         return np.fromiter(map(text.__eq__, self._columns[name]), dtype=bool,
@@ -235,10 +222,9 @@ def is_float(text: str) -> bool:
     return True
 
 
-def read_chunks(path: str | Path, header: Sequence[str],
-                rows: int | None = CHUNK_ROWS, preamble: int = 0) -> Iterator[Chunk]:
-    """The data rows of a CSV file with `header` after `preamble` rows, in
-    chunks of at most `rows` rows (None: the whole file in one chunk)."""
+def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chunk:
+    """Every data row of a CSV file with `header` after `preamble` rows,
+    as one chunk."""
     path = Path(path)
     with open(path, newline="") as fh:
         try:
@@ -246,34 +232,26 @@ def read_chunks(path: str | Path, header: Sequence[str],
             if head[preamble:] != [list(header)]:
                 raise ParseError(f"{path}:{preamble + 1}: expected header "
                                  f"{','.join(header)}")
-            first, width = preamble, len(header)
-            while True:
-                lines = list(itertools.islice(fh, rows))
-                if not lines:
-                    return
-                if '"' in "".join(lines):
-                    # quoted fields may span lines: csv.reader takes one
-                    # row per line of the chunk, and more lines as it needs
-                    batch = list(filter(None, itertools.islice(
-                        csv.reader(itertools.chain(lines, fh)), len(lines))))
-                    if set(map(len, batch)) - {width}:
-                        raise _width_error(path, first, width, map(len, batch))
-                    fields = list(itertools.chain.from_iterable(batch))
-                else:
-                    # without quotes a line is a row and a comma a separator:
-                    # once every line holds width - 1 commas, the chunk
-                    # splits as one text
-                    lines = list(filter(None, map(str.rstrip, lines,
-                                                  itertools.repeat("\r\n"))))
-                    if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
-                        raise _width_error(path, first, width, (
-                            line.count(",") + 1 for line in lines))
-                    fields = ",".join(lines).split(",") if lines else []
-                chunk = Chunk(path, header, first, fields, head[:preamble])
-                yield chunk
-                first += chunk.n_rows
+            width, lines = len(header), fh.readlines()
+            if '"' in "".join(lines):
+                # quoted fields may span lines: csv.reader parses the rows
+                rows = list(filter(None, csv.reader(lines)))
+                if set(map(len, rows)) - {width}:
+                    raise _width_error(path, preamble, width, map(len, rows))
+                fields = list(itertools.chain.from_iterable(rows))
+            else:
+                # without quotes a line is a row and a comma a separator:
+                # once every line holds width - 1 commas, the file splits
+                # as one text
+                lines = list(filter(None, map(str.rstrip, lines,
+                                              itertools.repeat("\r\n"))))
+                if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
+                    raise _width_error(path, preamble, width, (
+                        line.count(",") + 1 for line in lines))
+                fields = ",".join(lines).split(",") if lines else []
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
+    return Chunk(path, header, fields, head[:preamble])
 
 
 def _width_error(path: Path, first_row: int, width: int,
@@ -282,12 +260,6 @@ def _width_error(path: Path, first_row: int, width: int,
     `width`; the rows are counted from data row `first_row`."""
     bad, size = next((i, n) for i, n in enumerate(sizes) if n != width)
     return row_error(path, first_row + bad, f"expected {width} fields, got {size}")
-
-
-def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chunk:
-    """Every data row of a small CSV file as one chunk; without rows, no preamble."""
-    whole = list(read_chunks(path, header, None, preamble))
-    return whole[0] if whole else Chunk(Path(path), header, preamble, [])
 
 
 def read_floats(path: str | Path, header: Sequence[str],

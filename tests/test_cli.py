@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib
+import io
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ import rearsim
 from rearsim import cli, scenario, table
 from rearsim.bias import OccupantRecord, build_pdo, load_occupants, load_transfer
 from rearsim.cli import (
+    SEEDS_SUMMARY_HEADER,
     SYNTH_BATCH,
     _crash_samples,
     _load_assessment_cuts,
@@ -177,7 +179,7 @@ class TestPipeline:
     def test_all_artifacts_exist(self, pipeline):
         _, _, out = pipeline
         expected = [
-            out["simulate"] / "matrices.csv",
+            out["simulate"] / "matrices.npy",
             out["simulate"] / "seeds_summary.csv",
             out["weight"] / "hist.csv",
             out["weight"] / "weights.csv",
@@ -235,18 +237,18 @@ class TestPipeline:
         manifest = json.loads((sim / "manifest.json").read_bytes())
         manifest.pop("timestamp")
         blobs = {name: (sim / name).read_bytes()
-                 for name in ("matrices.csv", "seeds_summary.csv", "summary.json")}
+                 for name in ("matrices.npy", "seeds_summary.csv", "summary.json")}
         blobs["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
         assert {name: hashlib.sha256(blob).hexdigest()
                 for name, blob in blobs.items()} == {
-            "matrices.csv":
-                "bb1eeaae252d961fc685d3fe23c2d5b7ada83964c93dca6c37f3a83565a59784",
+            "matrices.npy":
+                "d9bfc49e4ed905eeed774638f3c656ba87d6cd8c119d3621bb77519751663400",
             "seeds_summary.csv":
                 "c6279bb622505460be2285b8899c85f22fa367f4f4414d95205eb4aa9048d90f",
             "summary.json":
                 "2956131a709432582946168aacc955c8fe791e4dd2f399a08985a3cb774e80ca",
             "manifest.json":
-                "4a16e8a8f6d8cd774413ade7e473ed727e4f5a4d8e1a8c0af8c9c6eddccc09c5",
+                "1a82e7d9c291d26d54e17165c10131f18fee6ac816320cdc0d0aad4e2528c40f",
         }
 
     def test_avoidance_rates_ordered(self, pipeline):
@@ -258,6 +260,15 @@ class TestPipeline:
         assert by_cut[None] == 0.0
         assert assess["cuts"][-1]["mean_dv_delta_kmh"] == 0.0
         assert by_cut[2.0] >= by_cut[3.0] >= by_cut[None]
+
+    def test_avoidance_chart_labels_the_uncut_row(self, pipeline):
+        """Each cut's bar is labeled with its length, the uncut baseline's
+        "no cut"."""
+        _, _, out = pipeline
+        svg = (out["report"] / "avoidance.svg").read_text()
+        labels = re.findall(r'font-size="11">(cut [^<]*|no cut)</text>', svg)
+        assert labels == ["cut 3.0s", "cut 2.0s", "no cut"]
+        assert "none" not in svg
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         root, _, out_first = pipeline
@@ -271,16 +282,16 @@ class TestPipeline:
 
     def test_matrices_list_only_the_integrated_cells(self, pipeline):
         """kernel_calls counts one call per swept seed's no-response run
-        plus one per integrated cell, and matrices.csv lists exactly those
-        cells. The matrices weight reads back, their other rows filled
-        from seeds_summary.csv, are the campaign's bitwise."""
+        plus one per integrated cell, and matrices.npy holds exactly those
+        cells, a record per integrated row. The matrices weight reads back,
+        their other rows filled from seeds_summary.csv, are the campaign's
+        bitwise."""
         root, paths, out = pipeline
         sim = out["simulate"]
         summary = json.loads((sim / "summary.json").read_text())
-        with open(sim / "matrices.csv", newline="") as fh:
-            n_lines = sum(1 for _ in fh) - 1
+        n_cells = np.load(sim / "matrices.npy")["crashed"].size
         swept = summary["n_seeds"] - summary["n_excluded"]
-        assert n_lines == summary["kernel_calls"] - swept
+        assert n_cells == summary["kernel_calls"] - swept
         with chdir(root):
             cfg = CampaignConfig.from_json(paths["campaign"])
             result = run_campaign(load_seed_refs("out_synth/seeds"), cfg,
@@ -300,7 +311,7 @@ class TestPipeline:
             assert main(["simulate", "--seeds", "out_synth/seeds",
                          "--config", paths["campaign"],
                          "--out", str(sim_out), "--workers", "2"]) == 0
-        for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
+        for name in ("matrices.npy", "seeds_summary.csv", "summary.json"):
             a = (out_first["simulate"] / name).read_bytes()
             assert (sim_out / name).read_bytes() == a, name
         # the workers hand back the digests of the seed files they parsed
@@ -573,7 +584,7 @@ class TestAssessDmsRejectsMismatchedBaseline:
         root, paths, out = pipeline
         with chdir(root):
             shutil.copytree(out["simulate"], "sim_truncated")
-            matrices = Path("sim_truncated/matrices.csv")
+            matrices = Path("sim_truncated/matrices.npy")
             data = matrices.read_bytes()
             matrices.write_bytes(data[:len(data) // 2])
             assert _assess(paths, "sim_truncated") == 2
@@ -746,11 +757,73 @@ def _load_matrices(path: Path):
     return _simulated_matrices(path.parent, _simulate_summary(path.parent)[0])
 
 
-def _drop_first_listed_seed(text: str) -> str:
-    """Text edit: matrices.csv without the lines of the first seed it lists."""
-    header, first, *rows = text.split("\r\n")
-    sid = first.split(",")[0]
-    return "\r\n".join([header] + [row for row in rows if row.split(",")[0] != sid])
+def _crash_samples_of(path: Path):
+    return _crash_samples(*_load_simulated(path.parent)[:2])
+
+
+def _edit_records(edit):
+    """Record edit: matrices.npy with its records (a writable copy) as
+    `edit` returns them."""
+    def apply(data: bytes) -> bytes:
+        records = edit(np.load(io.BytesIO(data)).copy())
+        out = io.BytesIO()
+        np.save(out, records, allow_pickle=records.dtype.hasobject)
+        return out.getvalue()
+    return apply
+
+
+def _drop_first_listed_seed(records):
+    return records[records["seed_id"] != records["seed_id"][0]]
+
+
+def _set_first_cell(flag: int, **values):
+    """Record edit: the fields of the first cell whose crashed flag is
+    `flag` set to `values`."""
+    def edit(records):
+        k, j = np.argwhere(records["crashed"] == flag)[0]
+        for field, value in values.items():
+            records[field][k, j] = value
+        return records
+    return _edit_records(edit)
+
+
+def _retyped(**changes):
+    """Record edit: the records with each named field as its (format,
+    shape) in `changes`, or without it where None."""
+    def edit(records):
+        spec = {name: (records.dtype[name].base.str, records.dtype[name].shape)
+                for name in records.dtype.names}
+        spec.update(changes)
+        out = np.zeros(records.shape, [(name, *rest) for name, rest in spec.items()
+                                       if rest is not None])
+        for name in out.dtype.names:
+            shape = out.dtype[name].shape
+            out[name] = records[name][:, :shape[0]] if shape else records[name]
+        return out
+    return _edit_records(edit)
+
+
+def _bad_matrices(edit, where):
+    """matrices.npy after `edit`, of its bytes or of its records."""
+    return ("out_simulate/matrices.npy", _load_matrices, edit,
+            rf"matrices\.npy: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
+
+
+def _bad_crash_speed(value):
+    return _bad_matrices(
+        _set_first_cell(1, v1=value),
+        r"record \d+ \(seed s\d+, axis1 row \d+\): a crash must have finite "
+        r"speeds with v1 > v2")
+
+
+def _bad_seeds_summary(field: str, value: str, rule: str):
+    """seeds_summary.csv with `value` as `field` of the first eligible seed
+    whose no-response run crashed."""
+    k = SEEDS_SUMMARY_HEADER.index(field)
+    return ("out_simulate/seeds_summary.csv", _load_seeds_summary,
+            _edit_first_row(lambda f: f[1] == f[8] == "1", _set_field(k, value)),
+            rf"seeds_summary\.csv:\d+: {field} must be {rule}, got {value}",
+            (_WEIGHT, _VALIDATE, _ASSESS))
 
 
 _SEEDS_DIR = (_SIMULATE, _FIT_BIAS, _VALIDATE)  # every stage that reads seeds
@@ -941,18 +1014,52 @@ MALFORMED_INPUTS = {
                                         ("follower", "width", "nan", math.nan),
                                         ("lead", "length", "flag", True),
                                         ("follower", "mass", "zero", 0))},
-    "matrices_crashed_not_a_flag": (
-        "out_simulate/matrices.csv", _load_matrices,
-        _edit_row(2, _set_field(3, "2")), r"matrices\.csv:2: crashed", (_WEIGHT,)),
-    "matrices_no_crash_with_fields": (
-        "out_simulate/matrices.csv", _load_matrices,
-        _edit_first_row(lambda f: f[3:] == ["0", "", "", "0"],
-                        lambda f: f[:4] + ["abc", "xyz", "1"]),
-        r"matrices\.csv:\d+: a cell without a crash", (_WEIGHT,)),
-    "matrices_seed_dropped": (
-        "out_simulate/matrices.csv", _load_matrices, _drop_first_listed_seed,
-        r"matrices\.csv: seed s\d+ lists 0 lines, not its kernel_calls - 1 = "
-        r"[1-9]\d*", (_WEIGHT, _VALIDATE, _ASSESS)),
+    "matrices_crashed_not_a_flag": _bad_matrices(
+        _set_first_cell(1, crashed=2), r"record \d+ .*: crashed holds a byte "
+                                       r"other than 0 or 1"),
+    "matrices_no_crash_with_fields": _bad_matrices(
+        _set_first_cell(0, v1=1.0, v2=0.5, max_severity=1),
+        r"record \d+ .*: a cell without a crash must have NaN v1 and v2"),
+    "matrices_seed_dropped": _bad_matrices(
+        _edit_records(_drop_first_listed_seed),
+        r"seed s\d+ lists 0 cells, not its kernel_calls - 1 = [1-9]\d*"),
+    **{f"matrices_truncated_{name}": _bad_matrices(
+        lambda data, stop=stop: data[:stop], r"not a \.npy file of outcome records")
+       for name, stop in (("in_magic", 3), ("in_header", 20), ("by_one_byte", -1))},
+    "matrices_object_dtype": _bad_matrices(
+        _edit_records(lambda r: np.array([None], dtype=object)),
+        r"not a \.npy file of outcome records: Object arrays"),
+    "matrices_two_dimensional": _bad_matrices(
+        _edit_records(lambda r: np.stack([r, r])),
+        r"expected a 1-D array of records .*, got a 2-D"),
+    "matrices_fortran_order": _bad_matrices(
+        _edit_records(lambda r: np.asfortranarray(np.stack([r, r], axis=1))),
+        r"expected a 1-D array of records .*, got a 2-D"),
+    "matrices_missing_field": _bad_matrices(
+        _retyped(max_severity=None), r"expected a 1-D array of records .*, got a 1-D"),
+    "matrices_wrong_dtype": _bad_matrices(
+        _retyped(v1=("<f4", (6,))), r"expected a 1-D array of records .*, got a 1-D"),
+    "matrices_other_n2": _bad_matrices(
+        _retyped(**{name: ("u1" if name in ("crashed", "max_severity") else "<f8", (5,))
+                    for name in ("crashed", "v1", "v2", "max_severity")}),
+        r"expected .* on the grid's 6 deceleration bins, got .*'crashed', 'u1', "
+        r"\(5,\)"),
+    **{f"matrices_v1_{name}": _bad_crash_speed(value)
+       for name, value in (("nan", math.nan), ("infinite", math.inf),
+                           ("below_v2", -1.0))},
+    # finite speeds whose delta-v overflows
+    "matrices_v1_overflow": (
+        "out_simulate/matrices.npy", _crash_samples_of, _set_first_cell(1, v1=1e308),
+        r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
+        ValidationError),
+    **{f"seeds_summary_{field}_{name}": _bad_seeds_summary(field, value, rule)
+       for field, name, value, rule in (
+           ("follower_mass_kg", "nan", "nan", "a finite number > 0"),
+           ("follower_mass_kg", "zero", "0.0", "a finite number > 0"),
+           ("lead_mass_kg", "nan", "nan", "a finite number > 0"),
+           ("lead_mass_kg", "infinite", "inf", "a finite number > 0"),
+           *((field, "nan", "nan", "a finite number where no_resp_crashed is 1")
+             for field in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh")))},
     "seeds_summary_row_dropped": (
         "out_simulate/seeds_summary.csv", _load_matrices,
         lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],
@@ -1043,7 +1150,10 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
     file, loader, edit, where, commands, *error = MALFORMED_INPUTS[name]
     path = copy / file
-    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    # a .npy file is edited as bytes or records, any other as text
+    data = path.read_bytes()
+    path.write_bytes(edit(data) if path.suffix == ".npy"
+                     else edit(data.decode()).encode())
     with pytest.raises(error[0] if error else ParseError, match=where):
         loader(path)
     for command in commands:
@@ -1053,6 +1163,39 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(where, err), (command[0], err)
         assert "Traceback" not in err
+
+
+def test_simulate_output_without_matrices_npy_exits_two(pipeline, tmp_path, capsys):
+    """A simulate directory written before matrices.npy, with its
+    matrices.csv, is refused by every stage that reads it, naming the
+    missing file."""
+    root, _, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
+    (copy / "out_simulate" / "matrices.npy").unlink()
+    (copy / "out_simulate" / "matrices.csv").write_text(
+        "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\r\n")
+    for command in (_WEIGHT, _VALIDATE, _ASSESS):
+        capsys.readouterr()
+        with chdir(copy):
+            assert main(command) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "matrices.npy" in err, err
+        assert "Traceback" not in err
+
+
+def test_assess_dms_rejects_a_repeated_cut(pipeline, tmp_path, capsys):
+    """A cut given twice, even spelled differently, exits 2 naming it, and
+    nothing is written."""
+    root, paths, _ = pipeline
+    capsys.readouterr()
+    with chdir(root):
+        assert main(["assess-dms", "--config", paths["campaign"], "--baseline",
+                     "out_simulate", "--cuts", "3", "2", "3.0", "inf", "inf",
+                     "--out", str(tmp_path / "assess")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cuts repeats 3, inf"), err
+    assert "Traceback" not in err and not (tmp_path / "assess").exists()
 
 
 def test_malformed_seed_fails_simulate_from_a_worker(pipeline, tmp_path, capfd):
@@ -1093,7 +1236,7 @@ def test_simulate_opens_each_sidecar_once(pipeline, monkeypatch, tmp_path):
     seed_files = sorted(p.name for p in (root / "out_synth" / "seeds").iterdir())
     assert len(seed_files) == 16
     assert sorted(name for name in opened if name in seed_files) == seed_files
-    for name in ("matrices.csv", "seeds_summary.csv", "summary.json"):
+    for name in ("matrices.npy", "seeds_summary.csv", "summary.json"):
         assert (tmp_path / name).read_bytes() == (out["simulate"] / name).read_bytes()
 
 

@@ -1,11 +1,12 @@
 import copy
 import hashlib
+import io
 import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import astuple, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearsim import engine, table
+from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
 from rearsim.cli import SEEDS_SUMMARY_HEADER, _simulated_matrices, main
 from rearsim.engine import (
@@ -342,7 +343,7 @@ GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
 
 def swept(result) -> dict[str, SimOutcome]:
     """The no-response outcome of each swept seed of a campaign result,
-    which fills the rows matrices.csv does not list."""
+    which fills the rows matrices.npy holds no record of."""
     return {r.seed_id: r.no_response for r in result.results
             if r.matrix is not None}
 
@@ -423,11 +424,11 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
     assert not by_id["x_never"].live.any() and no_response["x_never"].crashed
     assert not by_id["y_slow"].live.any() and not no_response["y_slow"].crashed
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "matrices.csv"
-        save_matrices(matrices, path)
-        n_lines = len(path.read_text().splitlines()) - 1
+        path = Path(tmp) / "matrices.npy"
+        save_matrices(matrices, grid, path)
+        n_records = len(np.load(path))
         loaded = load_matrices(path, grid, no_response)
-    assert n_lines == grid.shape[1] * sum(int(m.live.sum()) for m in matrices)
+    assert n_records == sum(int(m.live.sum()) for m in matrices)
     assert [m.seed_id for m in loaded] == sorted(by_id)
     for got in loaded:
         assert got.grid is grid
@@ -472,8 +473,8 @@ class TestCampaign:
         for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
             result = run_campaign(list(small_seeds), cfg, glance=glances,
                                   decels=decels, workers=workers)
-            path = tmp_path / f"{tag}.csv"
-            save_matrices(result.matrices, path)
+            path = tmp_path / f"{tag}.npy"
+            save_matrices(result.matrices, result.grid, path)
             paths.append(path)
         blob = paths[0].read_bytes()
         assert paths[1].read_bytes() == blob
@@ -499,12 +500,12 @@ class TestCampaign:
                     b.follower_mass, b.lead_mass)
                 assert_bitwise(a.matrix, b.matrix, MATRIX_FIELDS)
 
-    def test_matrix_csv_round_trip(self, small_seeds, glances, decels, tmp_path):
+    def test_matrices_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
         result = run_campaign(list(small_seeds[:3]), cfg, glance=glances,
                               decels=decels, workers=2)
-        path = tmp_path / "m.csv"
-        save_matrices(result.matrices, path)
+        path = tmp_path / "m.npy"
+        save_matrices(result.matrices, result.grid, path)
         grid = grid_round_trip(result.grid)
         assert_bitwise(grid, result.grid, GRID_FIELDS + ("p_cell",))
         loaded = load_matrices(path, grid, swept(result))
@@ -514,24 +515,36 @@ class TestCampaign:
             assert back.seed_id == orig.seed_id
             assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
             assert back.crash_mass == orig.crash_mass
-        # chunks that split seeds and axis1 rows fill the same matrices
-        read_chunks = table.read_chunks
-        for rows in (1, 5):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(table, "read_chunks", partial(read_chunks, rows=rows))
-                chunked = load_matrices(path, grid, swept(result))
-            for orig, back in zip(loaded, chunked, strict=True):
-                assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
+        # one little-endian record per live row, seed by seed, rows ascending
+        records = np.load(path)
+        assert records.dtype == np.dtype([
+            ("seed_id", "<U5"), ("axis1_index", "<i8"), ("crashed", "u1", (6,)),
+            ("v1", "<f8", (6,)), ("v2", "<f8", (6,)), ("max_severity", "u1", (6,))])
+        assert list(zip(records["seed_id"].tolist(), records["axis1_index"].tolist())) == [
+            (m.seed_id, row) for m in result.matrices
+            for row in np.flatnonzero(m.live).tolist()]
+
+    def test_matrices_without_live_rows_write_no_record(self, small_seeds, glances,
+                                                        decels, tmp_path):
+        result = run_campaign(list(small_seeds[:2]), CampaignConfig(), glance=glances,
+                              decels=decels)
+        dead = [replace(m, live=np.zeros_like(m.live)) for m in result.matrices]
+        path = tmp_path / "m.npy"
+        save_matrices(dead, result.grid, path)
+        assert np.load(path).shape == (0,)
+        assert np.load(path).dtype["crashed"].shape == (6,)
+        for m in load_matrices(path, result.grid, swept(result)):
+            assert not m.live.any()
 
 
 @pytest.fixture(scope="module")
 def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
     """The uncut paper-mix campaign, in memory and after a round trip of
-    its grid through JSON and its matrices through CSV."""
+    its grid through JSON and its matrices through matrices.npy."""
     result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
                           glance=glances, decels=decels)
-    path = tmp_path_factory.mktemp("baseline") / "matrices.csv"
-    save_matrices(result.matrices, path)
+    path = tmp_path_factory.mktemp("baseline") / "matrices.npy"
+    save_matrices(result.matrices, result.grid, path)
     return result, load_matrices(path, grid_round_trip(result.grid),
                                  swept(result))
 
@@ -543,21 +556,20 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     result, _ = paper_baseline
     assert (result.kernel_calls, result.theoretical_cells,
             result.crash_cells) == (9799, 41406, 39167)
-    path = tmp_path / "matrices.csv"
-    save_matrices(result.matrices, path)
+    path = tmp_path / "matrices.npy"
+    save_matrices(result.matrices, result.grid, path)
     data = path.read_bytes()
-    assert len(data) == 381009
+    assert len(data) == 220032
     assert hashlib.sha256(data).hexdigest() == (
-        "29d3b7f6ba299c63a54c5fbc4f19f6c6247bee7ffc79fe724f6304f5a9a441b2")
+        "b100d5215f0818dfac6ad840efbedf83b749eb9373e016ba5e9398def96cf283")
 
 
 def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     result, loaded = paper_baseline
-    path = tmp_path / "matrices.csv"
-    save_matrices(result.matrices, path)
-    header, *rows = path.read_text().splitlines(keepends=True)
-    order = np.random.default_rng(3).permutation(len(rows))
-    path.write_text(header + "".join(rows[i] for i in order))
+    path = tmp_path / "matrices.npy"
+    save_matrices(result.matrices, result.grid, path)
+    records = np.load(path)
+    np.save(path, records[np.random.default_rng(3).permutation(len(records))])
     for want, got in zip(loaded, load_matrices(path, result.grid, swept(result)),
                          strict=True):
         assert got.seed_id == want.seed_id
@@ -589,13 +601,13 @@ class TestReweight:
                                                paper_mix_seeds, glances,
                                                decels, tmp_path):
         """A campaign under the reversed deceleration file keeps that
-        order through summary.json and matrices.csv."""
+        order through summary.json and matrices.npy."""
         _, loaded = paper_baseline
         flipped = DecelDistribution(decels.d_values[::-1], decels.probs[::-1])
         result = run_campaign(list(paper_mix_seeds[:8]), CampaignConfig(),
                               glance=glances, decels=flipped)
-        path = tmp_path / "matrices.csv"
-        save_matrices(result.matrices, path)
+        path = tmp_path / "matrices.npy"
+        save_matrices(result.matrices, result.grid, path)
         grid = grid_round_trip(result.grid)
         assert np.array_equal(grid.decels, flipped.d_values)
         back = load_matrices(path, grid, swept(result))
@@ -636,11 +648,68 @@ class TestReweight:
             assert got.grid is tilted
 
 
-MATRIX_HEADER = "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\n"
 SMALL_GRID = {"axis1": [0.0, 0.1], "axis1_probs": [0.8, 0.2],
               "decels": [2.0, 3.5], "decel_probs": [0.5, 0.5]}
-FULL_GRID_ROWS = "s1,0,0,0,,,0\ns1,0,1,0,,,0\ns1,1,0,0,,,0\n"
-ROW_0 = "s1,0,0,0,,,0\ns1,0,1,0,,,0\n"
+# the record of a live row on SMALL_GRID: save_matrices's format
+RECORD = [("seed_id", "<U2"), ("axis1_index", "<i8"), ("crashed", "u1", (2,)),
+          ("v1", "<f8", (2,)), ("v2", "<f8", (2,)), ("max_severity", "u1", (2,))]
+NAN2 = (math.nan, math.nan)
+
+
+def record(sid="s1", row=0, crashed=(0, 0), v1=NAN2, v2=NAN2, severity=(0, 0)):
+    """One record's fields; by default seed s1's row 0 without a crash."""
+    return sid, row, crashed, v1, v2, severity
+
+
+def records(*rows) -> np.ndarray:
+    return np.array(list(rows) or [record()], dtype=RECORD)
+
+
+def record_type(**changes) -> np.dtype:
+    """RECORD with the named fields' (format[, shape]) replaced, dropped
+    where None, or added at the end."""
+    spec = {name: tuple(rest) for name, *rest in RECORD}
+    spec.update(changes)
+    return np.dtype([(name, *rest) for name, rest in spec.items() if rest is not None])
+
+
+def recast(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """`array`'s records as `dtype`, field by field by name; a new field
+    is zero."""
+    out = np.zeros(array.shape, dtype=dtype)
+    for name in set(dtype.names) & set(array.dtype.names):
+        out[name] = array[name]
+    return out
+
+
+def npy(array: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=array.dtype.hasobject)
+    return buf.getvalue()
+
+
+def header(shape="(1,)", descr=repr(np.lib.format.dtype_to_descr(np.dtype(RECORD)))):
+    """The text of a .npy header: by default that of one RECORD."""
+    return f"{{'descr': {descr}, 'fortran_order': False, 'shape': {shape}, }}"
+
+
+def raw_npy(text: str) -> bytes:
+    """A version 1.0 .npy file with the header `text`, padded as NumPy
+    pads it, and one record."""
+    text += " " * (-(11 + len(text)) % 64) + "\n"
+    return (b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode()
+            + records().tobytes())
+
+
+def _unpickled():
+    raise AssertionError("load_matrices unpickled an object")
+
+
+class _PickleBomb:
+    """An object whose unpickling fails the test."""
+
+    def __reduce__(self):
+        return _unpickled, ()
 
 
 def write_seeds_summary(path, eligible: dict[str, bool]) -> None:
@@ -651,37 +720,97 @@ def write_seeds_summary(path, eligible: dict[str, bool]) -> None:
            for sid, ok in eligible.items()]))
 
 
-# name: (matrices.csv, the grid in summary.json[, the eligible flag of each
-# seed in seeds_summary.csv, if not s1's alone])
+GOOD = npy(records(record(), record(row=1)))
+CRASH = record(crashed=(1, 0), v1=(9.0, math.nan), v2=(1.0, math.nan))
+RECORD_1 = r"matrices\.npy: record 1 \(seed s1, axis1 row 0\): "
+UNREADABLE = r"matrices\.npy: not a \.npy file of outcome records: "
+# any other shape or record type
+OTHER = (r"matrices\.npy: expected a 1-D array of records .* on the grid's 2 "
+         r"deceleration bins, got a ")
+# name: (matrices.npy, the grid in summary.json, the error[, the eligible
+# flag of each seed in seeds_summary.csv, if not s1's alone])
 MALFORMED_MATRICES = {
-    "empty": ("", SMALL_GRID),
-    "bad_header": ("seed,axis1_index\n", SMALL_GRID),
-    "truncated_row": (MATRIX_HEADER + "s1,0,0,0,,,0\ns1,0,1,0\n", SMALL_GRID),
-    "non_numeric": (MATRIX_HEADER + "s1,0,0,1,fast,1.0,0\n", SMALL_GRID),
-    "crash_without_speed": (MATRIX_HEADER + "s1,0,0,1,,,0\n", SMALL_GRID),
-    "incomplete_grid": (MATRIX_HEADER + FULL_GRID_ROWS, SMALL_GRID),
-    "repeated_cell": (MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,0,0,,,0\n",
-                      SMALL_GRID),
-    "extra_field": (MATRIX_HEADER + "s1,0,0,0,,,0,7\n", SMALL_GRID),
-    "index_out_of_range": (
-        MATRIX_HEADER + FULL_GRID_ROWS + "s1,2,1,0,,,0\n", SMALL_GRID),
-    "index_not_integer": (
-        MATRIX_HEADER + FULL_GRID_ROWS + "s1,1.0,1,0,,,0\n", SMALL_GRID),
-    "crashed_not_a_flag": (MATRIX_HEADER + "s1,0,0,2,,,0\n", SMALL_GRID),
-    "severity_not_a_flag": (MATRIX_HEADER + "s1,0,0,1,9.0,1.0,yes\n",
-                            SMALL_GRID),
-    "no_crash_with_fields": (MATRIX_HEADER + "s1,0,0,0,abc,xyz,1\n",
-                             SMALL_GRID),
-    "no_crash_with_speed": (MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,1.0,0\n",
-                            SMALL_GRID),
-    "no_crash_at_max_severity": (MATRIX_HEADER + "s1,0,0,0,,,1\n", SMALL_GRID),
-    "summary_without_grid": (
-        MATRIX_HEADER + FULL_GRID_ROWS + "s1,1,1,0,,,0\n", None),
-    "partially_listed_row": (MATRIX_HEADER + ROW_0 + "s1,1,1,1,9.0,1.0,0\n",
-                             SMALL_GRID),
-    "seed_not_in_summary": (MATRIX_HEADER + ROW_0 + ROW_0.replace("s1", "s2"),
-                            SMALL_GRID),
-    "seed_excluded": (MATRIX_HEADER + ROW_0, SMALL_GRID, {"s1": False}),
+    "empty": (b"", SMALL_GRID, UNREADABLE + "EOF"),
+    "bad_header": (b"seed,axis1_index\n", SMALL_GRID, UNREADABLE + "the magic"),
+    "truncated_in_magic": (GOOD[:3], SMALL_GRID, UNREADABLE + "EOF"),
+    "truncated_in_header": (GOOD[:20], SMALL_GRID, UNREADABLE + "EOF"),
+    "truncated_row": (GOOD[:-1], SMALL_GRID, UNREADABLE + "Failed to read"),
+    # a header that declares more records than memory can hold
+    "shape_beyond_memory": (raw_npy(header(shape="(10000000000000,)")), SMALL_GRID,
+                            UNREADABLE + "Unable to allocate"),
+    # headers on which NumPy's parser raises other than ValueError
+    "header_not_a_dict": (raw_npy("^" + header()[1:]), SMALL_GRID,
+                          UNREADABLE + r"\('EOF in multi-line statement"),
+    "header_keys_not_text": (raw_npy(header().replace("'descr'", "b'descr'")),
+                             SMALL_GRID, UNREADABLE + "'<' not supported"),
+    "descr_not_a_dtype": (raw_npy(header().replace("'|u1'", "'|01'", 1)), SMALL_GRID,
+                          UNREADABLE + "leading zeros"),
+    "bytes_after_records": (GOOD + b"\0", SMALL_GRID,
+                            r"matrices\.npy: bytes follow the records"),
+    "object_dtype": (npy(np.array([_PickleBomb()], dtype=object)), SMALL_GRID,
+                     UNREADABLE + "Object arrays"),
+    "two_dimensional": (npy(np.stack([records(), records()])), SMALL_GRID,
+                        OTHER + "2-D"),
+    "fortran_order": (npy(np.asfortranarray(np.stack(
+        [records(record(), record(row=1))] * 2, axis=1))),
+                      SMALL_GRID, OTHER + "2-D"),
+    "not_records": (npy(np.zeros(3)), SMALL_GRID, OTHER + "1-D"),
+    "missing_field": (npy(recast(records(), record_type(max_severity=None))),
+                      SMALL_GRID, OTHER + "1-D"),
+    "extra_field": (npy(recast(records(), record_type(note=("<U3",)))),
+                    SMALL_GRID, OTHER + "1-D"),
+    "seed_id_as_bytes": (npy(recast(records(), record_type(seed_id=("S2",)))),
+                         SMALL_GRID, OTHER + "1-D"),
+    "non_numeric": (npy(recast(records(CRASH), record_type(v1=("<U4", (2,))))),
+                    SMALL_GRID, OTHER + "1-D"),
+    "index_not_integer": (npy(recast(records(), record_type(axis1_index=("<f8",)))),
+                          SMALL_GRID, OTHER + "1-D"),
+    "flag_as_bool": (npy(recast(records(), record_type(crashed=("?", (2,))))),
+                     SMALL_GRID, OTHER + "1-D"),
+    "big_endian": (npy(recast(records(CRASH), record_type(v1=(">f8", (2,))))),
+                   SMALL_GRID, OTHER + "1-D"),
+    "other_n2": (npy(np.array([record(crashed=(0, 0, 0), v1=NAN2 + NAN2[:1],
+                                      v2=NAN2 + NAN2[:1], severity=(0, 0, 0))],
+                              dtype=record_type(**{name: (fmt, (3,)) for name, fmt, *_
+                                                   in RECORD[2:]}))),
+                 SMALL_GRID, OTHER + r"1-D array of .*'crashed', 'u1', \(3,\)"),
+    "crashed_not_a_flag": (npy(records(record(row=1), record(crashed=(2, 0)))),
+                           SMALL_GRID, RECORD_1 + "crashed holds a byte other"),
+    "severity_not_a_flag": (npy(records(record(row=1), CRASH[:-1] + ((2, 0),))),
+                            SMALL_GRID, RECORD_1 + "max_severity holds a byte"),
+    "crash_without_speed": (npy(records(record(row=1), record(crashed=(1, 0)))),
+                            SMALL_GRID, RECORD_1 + "a crash must have finite"),
+    "crash_infinite_speed": (
+        npy(records(record(row=1), record(crashed=(1, 0), v1=(math.inf, math.nan),
+                                          v2=(1.0, math.nan)))),
+        SMALL_GRID, RECORD_1 + "a crash must have finite speeds"),
+    "crash_not_faster": (
+        npy(records(record(row=1), record(crashed=(0, 1), v1=(math.nan, 2.0),
+                                          v2=(math.nan, 2.0)))),
+        SMALL_GRID, RECORD_1 + r"a crash must have finite speeds with v1 > v2"),
+    "no_crash_with_fields": (
+        npy(records(record(row=1), record(v1=(1.0, math.nan), v2=(0.5, math.nan),
+                                          severity=(1, 0)))),
+        SMALL_GRID, RECORD_1 + "a cell without a crash"),
+    "no_crash_with_speed": (npy(records(record(row=1), record(v2=(math.nan, 1.0)))),
+                            SMALL_GRID, RECORD_1 + "a cell without a crash"),
+    "no_crash_at_max_severity": (npy(records(record(row=1), record(severity=(0, 1)))),
+                                 SMALL_GRID, RECORD_1 + "a cell without a crash"),
+    "repeated_cell": (npy(records(record(row=1), record(), record())), SMALL_GRID,
+                      r"matrices\.npy: record 2 \(seed s1, axis1 row 0\): an "
+                      r"earlier record holds the same row"),
+    "index_out_of_range": (npy(records(record(row=1), record(row=2))), SMALL_GRID,
+                           r"matrices\.npy: record 1 \(seed s1, axis1 row 2\): "
+                           r"the grid has 2 axis1 rows"),
+    "negative_index": (npy(records(record(row=1), record(row=-1))), SMALL_GRID,
+                       r"matrices\.npy: record 1 \(seed s1, axis1 row -1\)"),
+    "summary_without_grid": (GOOD, None, r"summary\.json: no campaign grid"),
+    "seed_not_in_summary": (npy(records(record(), record("s2"))), SMALL_GRID,
+                            r"matrices\.npy: record 1 \(seed s2, axis1 row 0\): "
+                            r"the seed was not swept"),
+    "seed_excluded": (GOOD, SMALL_GRID, r"matrices\.npy: record 0 \(seed s1, "
+                                        r"axis1 row 0\): the seed was not swept",
+                      {"s1": False}),
 }
 
 
@@ -689,53 +818,57 @@ class TestLoadMatricesParseErrors:
     @pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
     def test_malformed_file_raises_parse_error(self, name, tmp_path, capsys):
         """load_matrices (or the grid) raises ParseError naming the file,
-        and weight exits 2 with the same error and no traceback."""
-        text, grid, *eligible = MALFORMED_MATRICES[name]
+        and the record where one is at fault, without unpickling; weight
+        exits 2 with the same error and no traceback."""
+        data, grid, error, *eligible = MALFORMED_MATRICES[name]
+        eligible = eligible[0] if eligible else {"s1": True}
         sim = tmp_path / "sim"
         sim.mkdir()
-        (sim / "matrices.csv").write_text(text)
-        write_seeds_summary(sim / "seeds_summary.csv", *eligible or [{"s1": True}])
+        (sim / "matrices.npy").write_bytes(data)
+        write_seeds_summary(sim / "seeds_summary.csv", eligible)
         summary = {"model": "cbm", "no_response_fraction": 0.0,
-                   "n_seeds": len((eligible or [{"s1": True}])[0])}
+                   "n_seeds": len(eligible)}
         if grid is not None:
             summary["grid"] = grid
         write_json(sim / "summary.json", summary)
-        where = r"summary\.json" if grid is None else r"matrices\.csv:\d+: "
-        with pytest.raises(ParseError, match=where):
+        with pytest.raises(ParseError, match=error):
             _simulated_matrices(sim, summary)
         capsys.readouterr()
         assert main(["weight", "--simulate-out", str(sim),
                      "--out", str(tmp_path / "weight")]) == 2
         err = capsys.readouterr().err
-        assert re.search(f"error: .*{where}", err) and "Traceback" not in err
+        assert err.startswith("error: ") and re.search(error, err)
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name", sorted(
-        name for name, (_, grid, *_) in MALFORMED_MATRICES.items() if grid))
-    def test_chunk_size_changes_no_error(self, name, tmp_path, monkeypatch):
-        """load_matrices checks each chunk against the cells listed before
-        it: with one or two rows a chunk, it raises the error one chunk
-        gives, path:line included."""
-        text, grid, *eligible = MALFORMED_MATRICES[name]
-        path = tmp_path / "matrices.csv"
-        path.write_text(text)
-        grid = grid_round_trip(CampaignGrid(**grid))
-        no_response = {sid: NO_CRASH for sid, ok
-                       in (eligible or [{"s1": True}])[0].items() if ok}
+    def test_good_file_loads(self, tmp_path):
+        """The file the malformed cases edit is well formed: its two rows
+        are seed s1's live rows, without crashes."""
+        path = tmp_path / "matrices.npy"
+        path.write_bytes(GOOD)
+        (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
+                             {"s1": NO_CRASH})
+        assert m.live.all() and not m.crashed.any() and np.isnan(m.v1).all()
 
-        def error() -> str:
-            with pytest.raises(ParseError) as info:
-                load_matrices(path, grid, no_response)
-            return str(info.value)
-
-        want = error()
-        for rows in (1, 2):
-            monkeypatch.setattr(table, "read_chunks",
-                                partial(table.read_chunks, rows=rows))
-            assert error() == want
+    def test_python_2_header_loads_without_a_warning(self, tmp_path):
+        """NumPy warns that it parsed a header with a Python 2 long, but
+        the records are well formed."""
+        path = tmp_path / "matrices.npy"
+        path.write_bytes(raw_npy(header(shape="(1L,)")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
+                                 {"s1": NO_CRASH})
+        assert m.live.tolist() == [True, False]
 
     def test_truncated_row_names_its_line(self, tmp_path):
-        path = tmp_path / "matrices.csv"
-        path.write_text(MALFORMED_MATRICES["truncated_row"][0])
-        with pytest.raises(ParseError, match=r"matrices\.csv:3:"):
-            load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
-                          {"s1": NO_CRASH})
+        """A file cut inside its last record is refused whole; an error in
+        one record names its index among the records."""
+        path = tmp_path / "matrices.npy"
+        grid = grid_round_trip(CampaignGrid(**SMALL_GRID))
+        path.write_bytes(GOOD[:-1])
+        with pytest.raises(ParseError, match=r"matrices\.npy: .*Failed to read"):
+            load_matrices(path, grid, {"s1": NO_CRASH})
+        path.write_bytes(npy(records(record(), record(row=1), CRASH)))
+        with pytest.raises(ParseError, match=r"matrices\.npy: record 2 \(seed s1, "
+                                             r"axis1 row 0\): an earlier record"):
+            load_matrices(path, grid, {"s1": NO_CRASH})

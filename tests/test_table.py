@@ -53,26 +53,24 @@ def same_floats(a: np.ndarray, b) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=rows, rows_per_chunk=st.integers(1, 7), read_rows=st.integers(1, 7))
+@given(data=rows, rows_per_chunk=st.integers(1, 7))
 def test_writer_matches_csv_writer_and_reads_back(tmp_path_factory, data,
-                                                  rows_per_chunk, read_rows):
+                                                  rows_per_chunk):
     path = tmp_path_factory.mktemp("table") / "t.csv"
     write_table(path, data, rows_per_chunk)
     assert path.read_bytes() == csv_writer_bytes(data)
 
     # a row of five empty fields is four commas, never a skipped blank line
-    parts = list(table.read_chunks(path, HEADER, rows=read_rows))
-    assert sum(c.n_rows for c in parts) == len(data)
+    chunk = table.read_csv(path, HEADER)
+    assert chunk.n_rows == len(data)
     if not data:
         return
-    got_ids = [s for c in parts for s in c["id"]]
-    value = np.concatenate([c.floats("value") for c in parts])
-    maybe = np.concatenate([c.floats("maybe", where=~c.equals("maybe", ""))
-                            for c in parts])
-    count = [int(s) for c in parts for s in c["count"]]
-    flag = np.concatenate([c.equals("flag", "1") for c in parts])
+    value = chunk.floats("value")
+    maybe = chunk.floats("maybe", where=~chunk.equals("maybe", ""))
+    count = [int(s) for s in chunk["count"]]
+    flag = chunk.equals("flag", "1")
     sid, want_value, want_maybe, want_count, want_flag = zip(*data)
-    assert got_ids == list(sid)
+    assert chunk["id"] == list(sid)
     assert same_floats(value, want_value)
     assert same_floats(maybe, want_maybe)
     assert count == list(want_count)
@@ -81,13 +79,13 @@ def test_writer_matches_csv_writer_and_reads_back(tmp_path_factory, data,
 
 def test_reader_accepts_what_csv_reader_accepts(tmp_path):
     # LF and CR line ends, a blank line, a quoted field over two lines and
-    # a quoted number, read two lines at a time
+    # a quoted number
     path = tmp_path / "t.csv"
     path.write_text('a,b\n1,2.5\r\n\n"x\ny",3\r"4",-0.0\n5,1_0\n',
                     newline="")
-    parts = list(table.read_chunks(path, ["a", "b"], rows=2))
-    assert [s for c in parts for s in c["a"]] == ["1", "x\ny", "4", "5"]
-    b = np.concatenate([c.floats("b") for c in parts])
+    chunk = table.read_csv(path, ["a", "b"])
+    assert chunk["a"] == ["1", "x\ny", "4", "5"]
+    b = chunk.floats("b")
     assert b.tolist() == [2.5, 3.0, -0.0, 10.0]
     assert np.signbit(b[2])
 
@@ -144,13 +142,13 @@ def test_signed_zeros_and_nans_keep_their_text():
 def test_chunk_of_blank_lines_holds_no_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n\n\r\n3,4\n\n", newline="")
-    parts = list(table.read_chunks(path, ["a", "b"], rows=1))
-    assert [c.n_rows for c in parts] == [1, 0, 0, 1, 0]
-    assert [(c["a"], c["b"]) for c in parts] == [
-        (["1"], ["2"]), ([], []), ([], []), (["3"], ["4"]), ([], [])]
+    chunk = table.read_csv(path, ["a", "b"])
+    assert (chunk.n_rows, chunk["a"], chunk["b"]) == (2, ["1", "3"], ["2", "4"])
+    path.write_text("a,b\n\n\r\n", newline="")
+    assert table.read_csv(path, ["a", "b"]).n_rows == 0
 
 
-# name: (text, error; optionally the rows per chunk, 1 if not given)
+# name: (text, error)
 MALFORMED_TABLES = {
     "empty": ("", r"t\.csv:1:"),
     "other_header": ("a,c\n1,2\n", r"t\.csv:1:"),
@@ -159,23 +157,21 @@ MALFORMED_TABLES = {
     "non_numeric": ("a,b\n1,2\n\n3,x\n", r"t\.csv:4: b: not a number: 'x'"),
     "after_quoted_lines": ('a,b\n"1\n2",2\n3,x\n', r"t\.csv:4: b:"),
     "empty_number": ("a,b\n1,\n", r"t\.csv:2: b:"),
-    # the chunk holds as many commas as two good rows: a count over the
-    # whole chunk would pass it
+    # the file holds as many commas as two good rows: a count over the
+    # whole file would pass it
     "long_then_short_row": ("a,b\n1,2,3\n4\n",
-                            r"t\.csv:2: expected 2 fields, got 3", None),
-    "quoted_short_row": ('a,b\n"1",2\n3\n', r"t\.csv:3: expected 2 fields, got 1",
-                         None),
+                            r"t\.csv:2: expected 2 fields, got 3"),
+    "quoted_short_row": ('a,b\n"1",2\n3\n', r"t\.csv:3: expected 2 fields, got 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
 def test_malformed_table_names_path_and_line(name, tmp_path):
-    body, message, *rows = MALFORMED_TABLES[name]
+    body, message = MALFORMED_TABLES[name]
     path = tmp_path / "t.csv"
     path.write_text(body, newline="")
     with pytest.raises(ParseError, match=message):
-        for chunk in table.read_chunks(path, ["a", "b"], rows=rows[0] if rows else 1):
-            chunk.floats("b")
+        table.read_csv(path, ["a", "b"]).floats("b")
 
 
 # ------------------------------------------------ read_floats, the C path
