@@ -141,7 +141,7 @@ def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
     m = [r.matrix for r in rows]
     nr_dv = [delta_v(o.v1, o.v2, r.follower_mass, r.lead_mass) if o.crashed
              else None for o, r in zip(nr, rows)]
-    table.write_csv(path, SEEDS_SUMMARY_HEADER, [[
+    table.write_csv(path, SEEDS_SUMMARY_HEADER, [
         table.texts([r.seed_id for r in rows]),
         table.flags([not r.excluded for r in rows]),
         table.texts([r.lead_behavior for r in rows]),
@@ -157,7 +157,7 @@ def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
         table.fmt([x.crash_mass if x is not None else None for x in m]),
         table.ints(x.kernel_calls if x is not None else 0 for x in m),
         table.ints(r.theoretical_cells for r in rows),
-    ]])
+    ])
 
 
 class _SeedSummary(NamedTuple):
@@ -174,8 +174,10 @@ class _SeedSummary(NamedTuple):
 
 def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
     """The rows of simulate's seeds_summary.csv at `path`. A mass that is
-    not a finite number > 0, or a no-response crash whose speeds or
-    delta-v are not finite, raises ParseError naming path:line."""
+    not a finite number > 0, or a no-response crash whose speeds are not
+    finite with no_resp_v1 > no_resp_v2 or whose delta-v is not the one
+    `delta_v` gives for its speeds and masses, raises ParseError naming
+    path:line."""
     from .engine import NO_CRASH, SimOutcome
     chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
     recorded = ~chunk.equals("seed_delta_v_kmh", "")
@@ -196,6 +198,14 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
     v1, v2, nr_dv = (checked(name, "a finite number where no_resp_crashed is 1",
                              np.isfinite, nr_crashed)
                      for name in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh"))
+    for k in np.flatnonzero(nr_crashed).tolist():
+        if not v1[k] > v2[k]:
+            raise chunk.error(k, f"no_resp_v1 must be > no_resp_v2 where "
+                                 f"no_resp_crashed is 1, got {v1[k]!r} and {v2[k]!r}")
+        dv = delta_v(v1[k], v2[k], m1[k], m2[k])
+        if dv.hex() != nr_dv[k].hex():  # bit for bit, as simulate wrote it
+            raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
+                                 f"the row's speeds and masses, got {nr_dv[k]!r}")
     # a no-response crash is at maximum severity: the follower never braked
     nr = [SimOutcome(True, None, a, b, True) if crashed else NO_CRASH
           for crashed, a, b in zip(nr_crashed.tolist(), v1, v2)]
@@ -386,13 +396,13 @@ def cmd_weight(args) -> int:
                      for sid, _, _, mass in _crash_shares(cells, fraction)}
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
-                                   "w_trimmed", "contribution"], [[
+                                   "w_trimmed", "contribution"], [
         table.texts(w.seed_id for w in weights),
         table.reprs([w.q_raw for w in weights]),
         table.reprs([w.q_norm for w in weights]),
         table.reprs([w.w_untrimmed for w in weights]),
         table.reprs([w.w for w in weights]),
-        table.reprs([contributions.get(w.seed_id, 0.0) for w in weights])]])
+        table.reprs([contributions.get(w.seed_id, 0.0) for w in weights])])
     hist_path = out / "hist.csv"
     save_histogram(final, hist_path)
     summary = write_json(out / "summary.json", {
@@ -431,8 +441,8 @@ def cmd_fit_bias(args) -> int:
     pdo_hist_path = out / "pdo_hist.csv"
     save_histogram(pdo_hist, pdo_hist_path)
     residual_path = out / "residual_curve.csv"
-    table.write_csv(residual_path, ["c1", "min_cost_over_c2"], [[
-        table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])]])
+    table.write_csv(residual_path, ["c1", "min_cost_over_c2"], [
+        table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])])
     write_manifest(out, "fit-bias",
                    {"occupants": args.occupants, "injury_hist": injury_read},
                    [pdo_path, tf_path, ref_path, pdo_hist_path, residual_path],
@@ -520,10 +530,10 @@ def cmd_validate(args) -> int:
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
         ordered = sorted(percentiles.items())
-        table.write_csv(pct_path, ["seed_id", "percentile"], [[
+        table.write_csv(pct_path, ["seed_id", "percentile"], [
             table.texts(sid for sid, _ in ordered),
             [table.quote(v) if isinstance(v, str) else repr(float(v))
-             for _, v in ordered]]])
+             for _, v in ordered]])
         rep_path = write_json(out / "percentile_report.json",
                               {**vars(rep), "counts": rep.counts.tolist()})
         outputs += [pct_path, rep_path]
@@ -690,9 +700,9 @@ def cmd_report(args) -> int:
             stats_path = out / "stats.csv"
             ref_label, ref = series[0]
             stats = [vars(compare(dist, ref)) for _, dist in series[1:]]
-            table.write_csv(stats_path, ["pair", *stats[0]], [[
+            table.write_csv(stats_path, ["pair", *stats[0]], [
                 table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
-                *(table.reprs([s[name] for s in stats]) for name in stats[0])]])
+                *(table.reprs([s[name] for s in stats]) for name in stats[0])])
             outputs.append(stats_path)
 
     if args.percentiles:

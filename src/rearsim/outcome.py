@@ -231,8 +231,8 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
 
 def save_histogram(h: DeltaVDistribution, path: str | Path) -> None:
     edges = h.edges
-    table.write_csv(path, HISTOGRAM_CSV_HEADER, [[
-        table.reprs(edges[:-1]), table.reprs(edges[1:]), table.reprs(h.weights)]])
+    table.write_csv(path, HISTOGRAM_CSV_HEADER, [
+        table.reprs(edges[:-1]), table.reprs(edges[1:]), table.reprs(h.weights)])
 
 
 def load_histogram(h_path: str | Path, mean: float | None = None,

@@ -352,8 +352,8 @@ def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
     """Write a seed as the CSV + JSON sidecar pair read by load_seed."""
     csv_path = Path(csv_path)
     lead, foll = seed.lead, seed.follower
-    table.write_csv(csv_path, SEED_CSV_HEADER, [[table.reprs(x) for x in (
-        lead.t, lead.pos, lead.speed, lead.acc, foll.pos, foll.speed, foll.acc)]])
+    table.write_csv(csv_path, SEED_CSV_HEADER, [table.reprs(x) for x in (
+        lead.t, lead.pos, lead.speed, lead.acc, foll.pos, foll.speed, foll.acc)])
     meta = {
         "id": seed.id,
         "lead": {"mass": seed.lead_meta.mass, "width": seed.lead_meta.width,

@@ -14,10 +14,11 @@ and reads back as ``csv.reader`` reads it:
 - a text field that holds a comma, a double quote, CR or LF is enclosed in
   double quotes, with each double quote doubled (``csv.QUOTE_MINIMAL``).
 
-Reading accepts every file ``csv.reader`` parses: quoted fields, any line
-ending, and blank lines, which are skipped. ``read_csv`` reads a file
-whole, as one ``Chunk`` of text columns. A missing or different header, a
-row with the wrong number of fields, or a field that does not convert
+``read_csv`` reads a file whole, in one ``csv.reader`` pass, as a ``Chunk``
+of text columns: it accepts every file ``csv.reader`` parses (quoted
+fields, any line ending) and skips blank lines. For each data row the pass
+records the line on which the row ends, so a missing or different header,
+a row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``.
 
 ``read_floats`` reads a file whose every column is a float, such as a seed
@@ -28,29 +29,20 @@ rejects the file or might read it differently. So ``read_floats`` gives
 the same bits, and raises the same ParseError, as the Python reader.
 
 Cost. Tables repeat values (a seed's lead behaviour, the empty fields of
-each seed whose no-response run did not crash), so the work follows what
-is distinct:
+each seed whose no-response run did not crash), so writing formats each
+distinct float bit pattern once and shares its text among the fields that
+hold it. ``read_floats`` makes no Python object per field. NumPy's parser takes the
+body of a file whose first line is the header, ended by CRLF or LF. The
+Python reader takes over on any other first line; on a body that is empty
+or holds only line ends (NumPy would warn that it holds no data); on a
+byte from 0x1C to 0x1F, which NumPy skips as whitespace around a number
+and ``float`` rejects; on a ValueError, a UnicodeDecodeError included (a
+non-ASCII byte, a quote, a CR-only line end, ``0_0.0``, a short or long
+row); and on rows that are all as wide as each other but not as the
+header.
 
-- writing formats each distinct float bit pattern once and shares its
-  text among the fields that hold it;
-- reading splits a file without quotes once, as one text, after checking
-  that every line holds one comma fewer than the header has names; a file
-  with quotes goes through ``csv.reader`` row by row;
-- ``read_floats`` makes no Python object per field. NumPy's parser takes
-  the body of a file whose first line is the header, ended by CRLF or LF.
-  The Python reader takes over on any other first line; on a body that is
-  empty or holds only line ends (NumPy would warn that it holds no data);
-  on a byte from 0x1C to 0x1F, which NumPy skips as whitespace around a
-  number and ``float`` rejects; on a ValueError, a UnicodeDecodeError
-  included (a non-ASCII byte, a quote, a CR-only line end, ``0_0.0``, a
-  short or long row); and on rows that are all as wide as each other but
-  not as the header.
-
-Memory. ``read_csv`` holds the file's lines, their joined text and one
-Python string per field until its caller drops the chunk; the files it
-reads have a row per seed, bin or occupant. ``write_csv`` holds the
-formatted fields of one chunk of columns at a time, so a writer that
-yields its columns in pieces holds one piece.
+Memory. ``read_csv`` holds one Python string per field until its caller
+drops the chunk; the files it reads have a row per seed, bin or occupant.
 ``read_floats`` holds the file's bytes, which its caller read whole, and
 its numbers twice while it lays them out column by column.
 """
@@ -60,14 +52,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 
-_PROBE_ROWS = 1024
 _NEEDS_QUOTES = (",", '"', "\r", "\n")
 # bytes NumPy's float parser skips as whitespace and ``float`` rejects
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -114,24 +105,19 @@ def quote(text: str) -> str:
 
 
 def texts(values) -> list[str]:
-    """Each text quoted as ``quote`` does; each distinct text once."""
-    values = list(values)
-    quoted = {text: quote(text) for text in dict.fromkeys(values)}
-    return list(map(quoted.__getitem__, values))
+    """Each text quoted as ``quote`` does."""
+    return list(map(quote, values))
 
 
 def write_csv(path: str | Path, header: Sequence[str],
-              chunks: Iterable[Sequence[Sequence[str]]]) -> None:
-    """Write `header`, then each chunk: a sequence of equally long columns
-    of formatted fields, one column per header name."""
+              columns: Sequence[Sequence[str]]) -> None:
+    """Write `header`, then `columns`: equally long columns of formatted
+    fields, one column per header name."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} names")
+    lines = [",".join(map(quote, header)), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(quote, header)) + "\r\n")
-        for columns in chunks:
-            if len(columns) != len(header):
-                raise ValueError(f"{len(columns)} columns for {len(header)} names")
-            lines = "\r\n".join(map(",".join, zip(*columns)))
-            if lines:
-                fh.write(lines + "\r\n")
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ----------------------------------------------------------------- reading
@@ -140,50 +126,40 @@ class Chunk:
     """The data rows of a file, held as text columns."""
 
     def __init__(self, path: Path, header: Sequence[str], fields: list[str],
-                 preamble: Sequence[list[str]]):
+                 preamble: Sequence[list[str]], lines: list[int]):
         """`fields` holds the file's data rows one after another, each as
-        wide as `header`; `preamble`, the file's rows before its header."""
+        wide as `header`, and `lines` the line on which each row ends;
+        `preamble`, the file's rows before its header."""
         self.path = path
         self.preamble = preamble
+        self.n_rows = len(lines)
+        self._lines = lines
         width = len(header)
-        self.n_rows = len(fields) // width
         self._columns = {name: fields[k::width] for k, name in enumerate(header)}
 
     def __getitem__(self, name: str) -> list[str]:
         return self._columns[name]
 
     def error(self, row: int, message: str) -> ParseError:
-        # row_error counts the rows after the file's first
-        return row_error(self.path, len(self.preamble) + row, message)
+        """A ParseError naming the line on which data row `row` ends."""
+        return ParseError(f"{self.path}:{self._lines[row]}: {message}")
 
     def floats(self, name: str, where: np.ndarray | None = None) -> np.ndarray:
         """Column `name` converted with ``float``; with `where`, only the
         rows it marks are converted and the others read NaN."""
         column = self._columns[name]
-        if where is not None:
-            out = np.full(self.n_rows, np.nan)
-            out[where] = self._floats(name, list(itertools.compress(
-                column, where.tolist())), np.flatnonzero(where))
-            return out
-        return self._floats(name, column)
-
-    def _floats(self, name: str, fields: list[str],
-                rows: np.ndarray | None = None) -> np.ndarray:
-        """`fields` of column `name`, from the chunk's `rows` (all rows if
-        None), converted with ``float``."""
+        rows = range(self.n_rows) if where is None else np.flatnonzero(where).tolist()
         try:
-            # a column that repeats a few values converts each distinct
-            # text once
-            probe = fields[:_PROBE_ROWS]
-            if 2 * len(set(probe)) <= len(probe):
-                value = {text: float(text) for text in dict.fromkeys(fields)}
-                return np.fromiter(map(value.__getitem__, fields), dtype=float,
-                                   count=len(fields))
-            return np.fromiter(map(float, fields), dtype=float, count=len(fields))
+            values = np.fromiter(map(float, map(column.__getitem__, rows)),
+                                 dtype=float, count=len(rows))
         except ValueError:
-            bad = next(i for i, text in enumerate(fields) if not is_float(text))
-            row = bad if rows is None else int(rows[bad])
-            raise self.error(row, f"{name}: not a number: {fields[bad]!r}") from None
+            bad = next(k for k in rows if not is_float(column[k]))
+            raise self.error(bad, f"{name}: not a number: {column[bad]!r}") from None
+        if where is None:
+            return values
+        out = np.full(self.n_rows, np.nan)
+        out[rows] = values
+        return out
 
     def indices(self, name: str, n: int) -> np.ndarray:
         """Column `name` as integers, each the decimal digits of one of
@@ -225,41 +201,24 @@ def is_float(text: str) -> bool:
 def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chunk:
     """Every data row of a CSV file with `header` after `preamble` rows,
     as one chunk."""
-    path = Path(path)
+    path, width = Path(path), len(header)
+    fields, lines = [], []
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            head = list(itertools.islice(csv.reader(fh), preamble + 1))
+            head = list(itertools.islice(reader, preamble + 1))
             if head[preamble:] != [list(header)]:
                 raise ParseError(f"{path}:{preamble + 1}: expected header "
                                  f"{','.join(header)}")
-            width, lines = len(header), fh.readlines()
-            if '"' in "".join(lines):
-                # quoted fields may span lines: csv.reader parses the rows
-                rows = list(filter(None, csv.reader(lines)))
-                if set(map(len, rows)) - {width}:
-                    raise _width_error(path, preamble, width, map(len, rows))
-                fields = list(itertools.chain.from_iterable(rows))
-            else:
-                # without quotes a line is a row and a comma a separator:
-                # once every line holds width - 1 commas, the file splits
-                # as one text
-                lines = list(filter(None, map(str.rstrip, lines,
-                                              itertools.repeat("\r\n"))))
-                if set(map(str.count, lines, itertools.repeat(","))) - {width - 1}:
-                    raise _width_error(path, preamble, width, (
-                        line.count(",") + 1 for line in lines))
-                fields = ",".join(lines).split(",") if lines else []
+            for row in filter(None, reader):
+                if len(row) != width:
+                    raise ParseError(f"{path}:{reader.line_num}: expected "
+                                     f"{width} fields, got {len(row)}")
+                fields += row
+                lines.append(reader.line_num)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
-    return Chunk(path, header, fields, head[:preamble])
-
-
-def _width_error(path: Path, first_row: int, width: int,
-                 sizes: Iterable[int]) -> ParseError:
-    """The error for the first row whose field count in `sizes` is not
-    `width`; the rows are counted from data row `first_row`."""
-    bad, size = next((i, n) for i, n in enumerate(sizes) if n != width)
-    return row_error(path, first_row + bad, f"expected {width} fields, got {size}")
+    return Chunk(path, header, fields, head[:preamble], lines)
 
 
 def read_floats(path: str | Path, header: Sequence[str],
@@ -285,15 +244,3 @@ def read_floats(path: str | Path, header: Sequence[str],
                 return list(np.ascontiguousarray(rows.T))
     chunk = read_csv(path, header)
     return [chunk.floats(name) for name in header]
-
-
-def row_error(path: str | Path, row: int, message: str) -> ParseError:
-    """A ParseError naming the line on which data row `row` (0-based, blank
-    rows not counted) of `path` ends, as csv.reader counts lines."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for index, _ in enumerate(r for r in reader if r):
-            if index == row:
-                break
-        return ParseError(f"{path}:{reader.line_num}: {message}")

@@ -72,8 +72,8 @@ def seed_percentile(seed_dv: float, dvs, weights) -> float | str:
     """Mid-rank percentile of the seed's delta-v inside its generated
     crashes: 100 * (mass strictly below + half the mass equal). Seeds
     outside the generated support return a marker instead."""
-    dvs = np.asarray(list(dvs), dtype=float)
-    weights = np.asarray(list(weights), dtype=float)
+    dvs = np.asarray(dvs, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if dvs.size == 0 or weights.sum() <= 0:
         raise ValidationError("generated samples must be non-empty")
     if np.any(weights < 0):

@@ -536,6 +536,21 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_table_imports_csv():
+    """The CSV dialect lives in one module: no other module of the package
+    imports csv."""
+    package = Path(rearsim.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     and not node.level else [])
+            if any(name.split(".")[0] == "csv" for name in names):
+                importers.append(path.stem)
+    assert set(importers) == {"table"}, importers
+
+
 def _assess(paths: dict, baseline: str) -> int:
     return main(["assess-dms", "--config", paths["campaign"],
                  "--baseline", baseline, "--cuts", "2.0", "inf",
@@ -826,6 +841,26 @@ def _bad_seeds_summary(field: str, value: str, rule: str):
             (_WEIGHT, _VALIDATE, _ASSESS))
 
 
+def _bad_no_response_crash(edit, where):
+    """seeds_summary.csv with `edit` applied to the fields of the first
+    eligible seed whose no-response run crashed."""
+    return ("out_simulate/seeds_summary.csv", _load_seeds_summary,
+            _edit_first_row(lambda f: f[1] == f[8] == "1", edit),
+            rf"seeds_summary\.csv:\d+: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
+
+
+def _swap_no_response_speeds(fields):
+    v1, v2 = (SEEDS_SUMMARY_HEADER.index(name) for name in ("no_resp_v1", "no_resp_v2"))
+    fields[v1], fields[v2] = fields[v2], fields[v1]
+    return fields
+
+
+def _no_response_dv_up_one_ulp(fields):
+    k = SEEDS_SUMMARY_HEADER.index("no_resp_dv_kmh")
+    fields[k] = repr(math.nextafter(float(fields[k]), math.inf))
+    return fields
+
+
 _SEEDS_DIR = (_SIMULATE, _FIT_BIAS, _VALIDATE)  # every stage that reads seeds
 
 
@@ -1060,6 +1095,12 @@ MALFORMED_INPUTS = {
            ("lead_mass_kg", "infinite", "inf", "a finite number > 0"),
            *((field, "nan", "nan", "a finite number where no_resp_crashed is 1")
              for field in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh")))},
+    "seeds_summary_no_resp_speeds_swapped": _bad_no_response_crash(
+        _swap_no_response_speeds, r"no_resp_v1 must be > no_resp_v2 where "
+                                  r"no_resp_crashed is 1, got \S+ and \S+"),
+    "seeds_summary_no_resp_dv_off_by_one_ulp": _bad_no_response_crash(
+        _no_response_dv_up_one_ulp, r"no_resp_dv_kmh must be \S+, the delta-v "
+                                    r"of the row's speeds and masses, got \S+"),
     "seeds_summary_row_dropped": (
         "out_simulate/seeds_summary.csv", _load_matrices,
         lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],

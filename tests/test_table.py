@@ -20,6 +20,7 @@ floats = st.one_of(
                      1e308, -1e308, 0.1, 1e16, 1e-5]))
 rows = st.lists(st.tuples(ids, floats, floats, st.integers(-10**20, 10**20),
                           st.booleans()), max_size=30)
+ending = st.sampled_from(["\r\n", "\n", "\r"])
 
 
 def csv_writer_bytes(data) -> bytes:
@@ -34,14 +35,11 @@ def csv_writer_bytes(data) -> bytes:
     return buf.getvalue().encode()
 
 
-def write_table(path, data, rows_per_chunk: int) -> None:
-    def chunks():
-        for start in range(0, len(data), rows_per_chunk):
-            part = data[start:start + rows_per_chunk]
-            sid, value, maybe, count, flag = zip(*part)
-            yield (table.texts(sid), table.reprs(value), table.fmt(maybe),
-                   table.ints(count), table.flags(flag))
-    table.write_csv(path, HEADER, chunks())
+def write_table(path, data) -> None:
+    sid, value, maybe, count, flag = zip(*data) if data else ((),) * 5
+    table.write_csv(path, HEADER, [table.texts(sid), table.reprs(value),
+                                   table.fmt(maybe), table.ints(count),
+                                   table.flags(flag)])
 
 
 def same_floats(a: np.ndarray, b) -> bool:
@@ -53,11 +51,10 @@ def same_floats(a: np.ndarray, b) -> bool:
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=rows, rows_per_chunk=st.integers(1, 7))
-def test_writer_matches_csv_writer_and_reads_back(tmp_path_factory, data,
-                                                  rows_per_chunk):
+@given(data=rows)
+def test_writer_matches_csv_writer_and_reads_back(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("table") / "t.csv"
-    write_table(path, data, rows_per_chunk)
+    write_table(path, data)
     assert path.read_bytes() == csv_writer_bytes(data)
 
     # a row of five empty fields is four commas, never a skipped blank line
@@ -88,6 +85,53 @@ def test_reader_accepts_what_csv_reader_accepts(tmp_path):
     b = chunk.floats("b")
     assert b.tolist() == [2.5, 3.0, -0.0, 10.0]
     assert np.signbit(b[2])
+
+
+@st.composite
+def quoted_files(draw):
+    """A CSV file: an optional preamble row, a header and data rows whose
+    fields may hold commas, quotes and line ends, with blank lines among
+    the rows and each line ended by CR, LF or CRLF. Returns the text, the
+    preamble's row count and the header."""
+    width = draw(st.integers(2, 4))
+    header = draw(st.lists(ids, min_size=width, max_size=width, unique=True))
+    data = draw(st.lists(st.lists(ids, min_size=width, max_size=width), max_size=8))
+    preamble = draw(st.lists(st.lists(ids, min_size=1, max_size=3), max_size=1))
+    lines = [",".join(map(table.quote, row)) for row in [*preamble, header]]
+    for row in data:
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(map(table.quote, row))]
+    ends = draw(st.lists(ending, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return text, len(preamble), header
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=quoted_files())
+def test_one_reader_pass_reads_and_counts_lines_as_csv_reader(tmp_path_factory,
+                                                              case):
+    """read_csv's columns are csv.reader's non-blank rows after the header,
+    and chunk.error(k, ...) names the line_num at which csv.reader
+    returned data row k."""
+    text, preamble, header = case
+    path = tmp_path_factory.mktemp("quoted") / "t.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        head = [next(reader) for _ in range(preamble + 1)]
+        want, lines = [], []
+        for row in reader:
+            if row:
+                want.append(row)
+                lines.append(reader.line_num)
+    chunk = table.read_csv(path, header, preamble=preamble)
+    assert head[preamble] == header and chunk.preamble == head[:preamble]
+    assert chunk.n_rows == len(want)
+    for j, name in enumerate(header):
+        assert chunk[name] == [row[j] for row in want]
+    for k, line in enumerate(lines):
+        assert str(chunk.error(k, "here")) == f"{path}:{line}: here"
 
 
 def test_repeated_column_converts_like_float(tmp_path):
@@ -189,7 +233,6 @@ ODD = ["0_0.0", "1_000", "0x10", "1d5", "nan(1)", "", " ", "abc", "#", "#1",
        '"nan"', "1,2", "1\r2"]
 number = st.one_of(st.floats().map(repr), st.sampled_from(SPELLINGS))
 odd_line = st.sampled_from(["", "", " ", "\t", "#", "# x", "\x00", ",,,,,,"])
-ending = st.sampled_from(["\r\n", "\n", "\r"])
 
 
 @st.composite
