@@ -221,7 +221,7 @@ def augment_reference(injury_dist: DeltaVDistribution, pdo: PdoModel,
     return out
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
@@ -262,7 +262,7 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     neg_c2 = -C2_GRID[:, None]
     work = np.empty((n_c2, len(wp)))
     scale, cost = np.empty(n_c2), np.empty(n_c2)
-    n_blocks = min(_usable_cpus(), n_c2)
+    n_blocks = min(usable_cpus(), n_c2)
     edges = [n_c2 * b // n_blocks for b in range(n_blocks + 1)]
     block_min = np.empty((n_blocks, len(C1_GRID)))
     block_arg = np.empty((n_blocks, len(C1_GRID)), dtype=np.intp)

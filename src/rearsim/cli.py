@@ -48,7 +48,7 @@ from .scenario import (
 # neither the engine, the driver models nor the validation code
 if TYPE_CHECKING:
     from .engine import CampaignResult, SimOutcome
-    from .validation import PercentileReport
+    from .validation import InjuryRiskCurve, PercentileReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,6 +58,9 @@ EXIT_FIT_FAILURE = 4
 # synth makes and writes this many seeds at a time, so it holds one batch;
 # making and writing seed by seed took about 10% longer
 SYNTH_BATCH = 16
+
+CURVES_HELP = ("injury-risk curves, each a CSV table (delta_v_kmh,risk) or a JSON "
+               "logistic, of distinct levels: its 'level' key, else its file stem")
 
 SEEDS_SUMMARY_HEADER = [
     "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
@@ -71,6 +74,20 @@ def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _load_curves(paths: list[str] | None) -> list[tuple[str, InjuryRiskCurve]]:
+    """(path, curve) of each --curves file; two of one level raise
+    ValidationError naming the level and both files."""
+    from .validation import load_injury_curve
+    curves: dict[str, tuple[str, InjuryRiskCurve]] = {}
+    for path in paths or []:
+        curve = load_injury_curve(path)
+        if curve.level in curves:
+            raise ValidationError(f"--curves repeats level {curve.level!r}: "
+                                  f"{curves[curve.level][0]} and {path}")
+        curves[curve.level] = path, curve
+    return list(curves.values())
 
 
 def _reference_histogram(path: str, bin_width: float
@@ -249,12 +266,11 @@ def _simulated_matrices(sim_dir: Path, sim_summary: dict):
     matrices_path = sim_dir / "matrices.npy"
     matrices = load_matrices(matrices_path, grid, no_response)
     for m in matrices:
-        cells = grid.shape[1] * int(m.live.sum())
-        if cells != rows[m.seed_id].kernel_calls - 1:
+        if m.kernel_calls != rows[m.seed_id].kernel_calls:
             raise ParseError(
-                f"{matrices_path}: seed {m.seed_id} lists {cells} cells, not "
-                f"its kernel_calls - 1 = {rows[m.seed_id].kernel_calls - 1:g} "
-                f"from seeds_summary.csv")
+                f"{matrices_path}: seed {m.seed_id} lists {m.kernel_calls - 1} "
+                f"cells, not its kernel_calls - 1 = "
+                f"{rows[m.seed_id].kernel_calls - 1:g} from seeds_summary.csv")
     return grid, matrices, rows
 
 
@@ -365,13 +381,9 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
 
     nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
                if row.no_response.crashed and row.eligible]
-    base = build_histogram(cells.delta_v, cells.weight, bin_width)
-    if fraction > 0:
-        if not nr_rows:
-            raise ValidationError("no no-response crashes to mix in")
-        final = mix_no_response(base, [dv for _, dv in nr_rows], fraction)
-    else:
-        final = base
+    # at a fraction of 0, mix_no_response gives the base histogram back
+    final = mix_no_response(build_histogram(cells.delta_v, cells.weight, bin_width),
+                            [dv for _, dv in nr_rows], fraction)
 
     w_unt = np.array([w.w_untrimmed for w in weights])
     w_trim = np.array([w.w for w in weights])
@@ -493,13 +505,11 @@ def _per_seed_percentiles(cells: CrashSamples,
         if not row.eligible or row.seed_delta_v is None:
             continue
         dvs, cell_w, cell_mass = crash.get(sid, none)
-        nr = fraction > 0 and row.no_response.crashed
-        f = fraction if nr else 0.0
-        weights = (1.0 - f) * cell_w / cell_mass if cell_mass else np.zeros(0)
-        if nr and cell_mass:
+        f = fraction if row.no_response.crashed else 0.0
+        weights = (1.0 - f) * cell_w / cell_mass if cell_mass else cell_w
+        if f > 0:
+            # [f] alone normalizes to exactly [1.0] in seed_percentile
             dvs, weights = np.append(dvs, row.no_resp_dv), np.append(weights, f)
-        elif nr:
-            dvs, weights = np.array([row.no_resp_dv]), np.ones(1)
         if not dvs.size:
             continue
         out[sid] = seed_percentile(row.seed_delta_v, dvs, weights)
@@ -507,7 +517,8 @@ def _per_seed_percentiles(cells: CrashSamples,
 
 
 def cmd_validate(args) -> int:
-    from .validation import compare, injury_risk, load_injury_curve, percentile_histogram
+    from .validation import compare, injury_risk, percentile_histogram
+    curves = _load_curves(args.curves)
     out = _out_dir(args.out)
     model_hist = load_histogram(args.model_hist)
     reference, reference_read = _reference_histogram(args.reference,
@@ -539,10 +550,9 @@ def cmd_validate(args) -> int:
         outputs += [pct_path, rep_path]
         inputs["simulate_out"] = str(sim_dir)
 
-    if args.curves:
+    if curves:
         risks = {}
-        for curve_path in args.curves:
-            curve = load_injury_curve(curve_path)
+        for curve_path, curve in curves:
             risks[curve.level] = {
                 "model": injury_risk(model_hist, curve),
                 "reference": injury_risk(reference, curve),
@@ -569,10 +579,11 @@ def cmd_assess_dms(args) -> int:
     from .distributions import cut_glances, load_glances
     from .drivers import cbm_axes
     from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, reweight
-    from .validation import crash_avoidance_rate, injury_risk, load_injury_curve
+    from .validation import crash_avoidance_rate, injury_risk
     repeated = sorted({f"{cut:g}" for cut in args.cuts if args.cuts.count(cut) > 1})
     if repeated:
         raise ValidationError(f"--cuts repeats {', '.join(repeated)}")
+    curves = [curve for _, curve in _load_curves(args.curves)]
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
@@ -596,7 +607,6 @@ def cmd_assess_dms(args) -> int:
     _, _, base_hist, _, _ = _weight_pipeline(
         baseline_matrices, summary_rows, fraction, args.bin_width)
 
-    curves = [load_injury_curve(p) for p in (args.curves or [])]
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
 
     rows = []
@@ -606,8 +616,7 @@ def cmd_assess_dms(args) -> int:
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
         matrices = reweight(baseline_matrices, grid, target)
         rate, per_seed = crash_avoidance_rate(baseline_matrices, matrices)
-        zero_crash = [m.seed_id for m in matrices if m.crash_mass <= 0]
-        _, _, cut_hist, _, _ = _weight_pipeline(
+        _, _, cut_hist, _, diagnostics = _weight_pipeline(
             matrices, summary_rows, fraction, args.bin_width)
         label = "inf" if cut == math.inf else f"{cut:g}"
         hist_path = out / f"hist_cut_{label}.csv"
@@ -618,7 +627,7 @@ def cmd_assess_dms(args) -> int:
             "avoidance_rate": rate,
             "mean_dv_kmh": cut_hist.mean,
             "mean_dv_delta_kmh": cut_hist.mean - base_hist.mean,
-            "seeds_without_crashes": len(zero_crash),
+            "seeds_without_crashes": len(diagnostics["zero_crash_seeds"]),
             "min_per_seed_avoidance": min(per_seed.values()),
         }
         if curves:
@@ -794,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "is built from the simulate output directory that "
                         "holds it (summary.json, seeds_summary.csv and "
                         "matrices.npy)")
-    p.add_argument("--curves", nargs="*", default=None)
+    p.add_argument("--curves", nargs="*", default=None, help=CURVES_HELP)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)
 
@@ -818,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
-    p.add_argument("--curves", nargs="*", default=None)
+    p.add_argument("--curves", nargs="*", default=None, help=CURVES_HELP)
     p.set_defaults(func=cmd_assess_dms)
 
     p = sub.add_parser("report", help="emit SVG charts and stats tables")

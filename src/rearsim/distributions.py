@@ -80,23 +80,6 @@ class GlanceDistribution:
 
 
 @dataclass(eq=False)
-class OvershootDistribution:
-    """Glance overshoot past the looming anchor; the carried on-road mass
-    is the overshoot-zero point (attentive driver)."""
-
-    on_road_mass: float
-    overshoots: np.ndarray  # s, positive multiples of 0.1
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.overshoots = np.asarray(self.overshoots, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        total = self.on_road_mass + self.probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"overshoot masses must sum to 1 (got {total})")
-
-
-@dataclass(eq=False)
 class DecelDistribution:
     """Maximum-deceleration magnitudes on bins DECEL_BIN_WIDTH wide."""
 
@@ -120,14 +103,14 @@ class DecelDistribution:
         return len(self.d_values)
 
 
-def overshoot_transform(g: GlanceDistribution) -> OvershootDistribution:
-    """Convert glance durations into anchor overshoots.
+def overshoot_transform(g: GlanceDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Convert glance durations into anchor overshoots and their masses.
 
     A glance occupying bin k can overshoot the anchor by 1..k bins, each
     equally likely, so it contributes p(k)/k to every overshoot bin j <= k.
-    The off-road part is rescaled to the source off-road mass (the
-    transform preserves it up to rounding) and the on-road point mass is
-    carried through as overshoot zero.
+    The masses are rescaled to the source off-road mass, so with the
+    on-road mass as overshoot zero they sum to 1 as `g`'s do (`g` checks
+    its total), up to rounding.
     """
     k_max = _duration_to_bin(g.max_duration)
     out = np.zeros(k_max)
@@ -139,7 +122,7 @@ def overshoot_transform(g: GlanceDistribution) -> OvershootDistribution:
         out *= g.off_road_mass / total
     overshoots = GLANCE_BIN_WIDTH * np.arange(1, k_max + 1)
     keep = out > 0
-    return OvershootDistribution(g.on_road_mass, overshoots[keep], out[keep])
+    return overshoots[keep], out[keep]
 
 
 def cut_glances(g: GlanceDistribution, cut_at: float) -> GlanceDistribution:

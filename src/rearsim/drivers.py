@@ -62,10 +62,9 @@ def brake_deceleration(t: np.ndarray, onset: float, jerk: float,
 def cbm_axes(glance: GlanceDistribution) -> tuple[np.ndarray, np.ndarray]:
     """The glance-based model's axis 1 and its marginal: overshoot 0 (the
     attentive driver) with the on-road mass, then the off-road overshoots."""
-    over = overshoot_transform(glance)
-    axis1 = np.concatenate([[0.0], over.overshoots])
-    probs = np.concatenate([[over.on_road_mass], over.probs])
-    return axis1, probs
+    overshoots, probs = overshoot_transform(glance)
+    return (np.concatenate([[0.0], overshoots]),
+            np.concatenate([[glance.on_road_mass], probs]))
 
 
 def cbm_onsets(anchor: float | None, overshoots: np.ndarray,

@@ -49,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bias import usable_cpus
 from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
     DEFAULT_REACTION_M,
@@ -263,7 +264,11 @@ class OutcomeMatrix:
     v2: np.ndarray
     max_severity: np.ndarray   # bool
     live: np.ndarray           # (n1,) bool: the rows the kernel integrated
-    kernel_calls: int = 0
+
+    @property
+    def kernel_calls(self) -> int:
+        """The seed's no-response run, plus one call per integrated cell."""
+        return 1 + self.grid.shape[1] * int(self.live.sum())
 
     @property
     def crash_mass(self) -> float:
@@ -278,8 +283,7 @@ def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
     `onsets` holds the brake onset per axis1 value, in any order (math.inf
     marks never-responding rows). A row whose first braking step is at or
     past the no-response impact step is the no-response outcome in every
-    cell; the other rows are integrated as one block. Kernel calls
-    count the seed's no-response run as one, plus one per integrated cell.
+    cell; the other rows are integrated as one block.
     """
     onsets = np.asarray(onsets, dtype=float)
     live = kin.t.searchsorted(onsets, "right") < kin.k_live
@@ -287,8 +291,7 @@ def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
               in _filled([kin.no_response], grid.shape).items()}
     for name, cells in kin.run(onsets[live], grid.decels, jerk).items():
         arrays[name][live] = cells
-    return OutcomeMatrix(kin.id, grid, **arrays, live=live,
-                         kernel_calls=1 + grid.shape[1] * int(live.sum()))
+    return OutcomeMatrix(kin.id, grid, **arrays, live=live)
 
 
 def _filled(outcomes: list[SimOutcome], shape: tuple[int, int]
@@ -474,7 +477,9 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
 
     ordered = sorted(seeds, key=lambda s: s.id)
     run = partial(_run_one_seed, cfg=cfg, grid=grid)
-    if workers > 1 and len(ordered) > 1:
+    # a pool starts all its processes at its first task
+    workers = min(workers, usable_cpus(), len(ordered))
+    if workers > 1:
         # imported here: a stage that simulates on one worker, or not at
         # all, does not pay for multiprocessing's import
         from concurrent.futures import ProcessPoolExecutor

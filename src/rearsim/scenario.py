@@ -166,11 +166,9 @@ class CounterfactualSeed:
 def delta_v(v1, v2, m1: float, m2: float):
     """Follower speed change over the collision, km/h. v1/v2 are the
     follower/lead speeds at first overlap (m/s), as floats or arrays, and
-    m1/m2 their masses."""
-    if m1 <= 0 or m2 <= 0:
-        raise ValidationError("masses must be positive")
-    if np.any(np.less(v1, v2)):
-        raise ValidationError("follower must be at least as fast as the lead")
+    m1/m2 their masses. Unchecked: masses are read as finite and > 0, a crash
+    has v1 > v2 (`engine.SeedKinematics._impact`; `load_matrices` and
+    `_load_seeds_summary` require it), and synthesis rejects v1 < v2."""
     return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 
@@ -438,11 +436,10 @@ _LEAD_CLASS = {"braking": LEAD_BRAKING, "non_braking": LEAD_NON_BRAKING,
 
 
 def _mode_counts(mix: dict[str, float], n: int) -> dict[str, int]:
-    """Largest-remainder apportionment of n seeds over the behavior mix."""
+    """Largest-remainder apportionment of n seeds over the behavior mix; integer
+    weights w summing to n stay exact, as each w / n * n is within 2**-51 * n of w."""
     modes = sorted(mix)
     weights = np.array([float(mix[m]) for m in modes])
-    if all(float(w).is_integer() for w in weights) and int(weights.sum()) == n:
-        return {m: int(mix[m]) for m in modes}
     exact = weights / weights.sum() * n
     counts = np.floor(exact).astype(int)
     remainder = exact - counts
@@ -460,7 +457,8 @@ def _trapezoid_positions(x0: float, speed: np.ndarray, dt: float) -> np.ndarray:
 
 def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
     """Forward-simulate one candidate scenario. Returns sampled arrays up to
-    and including the first collision sample, or None if no collision."""
+    and including the first collision sample k, then k and the follower and
+    lead speeds at first overlap; None if nothing collides."""
     n = int(round(max_time / dt)) + 1
     t = dt * np.arange(n)
 
@@ -491,7 +489,13 @@ def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
     k = int(hit[0])
     if k < 1 or foll_speed[k] <= lead_speed[k]:
         return None  # degenerate or grazing start
-    return t[: k + 1], lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc, k
+    alpha = gap[k - 1] / (gap[k - 1] - gap[k])
+    v1 = foll_speed[k - 1] + alpha * (foll_speed[k] - foll_speed[k - 1])
+    v2 = lead_speed[k - 1] + alpha * (lead_speed[k] - lead_speed[k - 1])
+    if v1 < v2:
+        return None  # the lead is the faster at first overlap
+    return (t[: k + 1], lead_pos, lead_speed, lead_acc, foll_pos, foll_speed,
+            foll_acc, k, v1, v2)
 
 
 def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> Iterator[SeedCrash]:
@@ -540,7 +544,7 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> Iterator[SeedCra
             raw = _simulate_raw(mode, params, dt, config.max_sim_time)
             if raw is None:
                 continue
-            t, lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc, k = raw
+            t, lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc, k, v1, v2 = raw
             lo = max(0, k - window)
             sl = slice(lo, k + 1)
             tt = t[sl] - t[lo]
@@ -557,18 +561,14 @@ def synthesize_seeds(config: SynthesisConfig, rng_seed: int) -> Iterator[SeedCra
                                     u(config.length), f"{sid}/follower")
             lead_meta = VehicleMeta(u(config.mass), u(config.width),
                                     u(config.length), f"{sid}/lead")
-            # reference delta-v the way the source database would report it:
-            # momentum exchange at the impact relative speed
-            gap = lead_pos - foll_pos
-            alpha = gap[k - 1] / (gap[k - 1] - gap[k])
-            v1 = foll_speed[k - 1] + alpha * (foll_speed[k] - foll_speed[k - 1])
-            v2 = lead_speed[k - 1] + alpha * (lead_speed[k] - lead_speed[k - 1])
             seed = SeedCrash(
                 id=sid,
                 lead=lead_tr,
                 follower=foll_tr,
                 lead_meta=lead_meta,
                 follower_meta=foll_meta,
+                # reference delta-v the way the source database would report
+                # it: momentum exchange at the impact relative speed
                 seed_delta_v_kmh=float(delta_v(v1, v2, foll_meta.mass,
                                                lead_meta.mass)),
             )

@@ -42,7 +42,9 @@ def compare(p: DeltaVDistribution, q: DeltaVDistribution) -> ComparisonStats:
     The KL divergence cannot handle empty bins, so each histogram is
     rescaled to its effective crash count, half a count is added to every
     bin, and the result renormalized; weights for the weighted mean
-    absolute difference are the average of the two bins' masses.
+    absolute difference are the average of the two bins' masses. The count
+    is the histogram's `count`, at least 1: `validate` reads its model with
+    `load_histogram`, at count 1, so it smooths the model as one crash.
     """
     pw, qw = align_bins(p, q)
     diff = np.abs(pw - qw)

@@ -144,10 +144,9 @@ def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
     """The oracle for `engine.sweep_seed`: every row of the grid goes
     through the kernel, none is taken as the seed's no-response outcome. It
     counts one kernel call for the no-response run plus one per cell."""
-    n1, n2 = grid.shape
     cells = kin.run(np.asarray(onsets, dtype=float), grid.decels, jerk)
-    return OutcomeMatrix(kin.id, grid, **cells, live=np.ones(n1, dtype=bool),
-                         kernel_calls=1 + n1 * n2)
+    return OutcomeMatrix(kin.id, grid, **cells,
+                         live=np.ones(grid.shape[0], dtype=bool))
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

@@ -47,7 +47,12 @@ from rearsim.engine import (
 )
 from rearsim.errors import GenerationError, ParseError, ValidationError
 from rearsim.manifest import KINDS, digest_tree, file_digest
-from rearsim.outcome import DEFAULT_BIN_WIDTH_KMH, build_histogram, load_histogram
+from rearsim.outcome import (
+    DEFAULT_BIN_WIDTH_KMH,
+    CrashSamples,
+    build_histogram,
+    load_histogram,
+)
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
 from rearsim.validation import load_injury_curve
@@ -251,6 +256,27 @@ class TestPipeline:
                 "1a82e7d9c291d26d54e17165c10131f18fee6ac816320cdc0d0aad4e2528c40f",
         }
 
+    def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
+        """weight's histogram and assess-dms's outputs, each mixing in the
+        no-response share, are the bytes they were when weight checked for
+        no-response crashes itself and assess-dms counted each cut's seeds
+        without crashes from their crash mass."""
+        _, _, out = pipeline
+        pinned = {
+            out["weight"] / "hist.csv":
+                "fe7869f8007070722161816fecb1836d6aa1f8a5250e51fa0e5aaad8cbf114d2",
+            out["assess"] / "assess.json":
+                "3206512985d7b1158975f94d8813e63ff6e61fc5e974b371a1643c411b348c94",
+            out["assess"] / "hist_cut_3.csv":
+                "2ab1b3a3d9816c32dbc05a92328c506f7f468c4700f6335a6532260110e66712",
+            out["assess"] / "hist_cut_2.csv":
+                "fa8d004c469fe76ed1eadad1b849fb24366b7f1c3921701a88a2fcb91de0e6f5",
+            out["assess"] / "hist_cut_inf.csv":
+                "22951846aacf7da5e7ca45ee728a0bd10a44ae63a8852a2e62be73ba5264e60f",
+        }
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in pinned} == {path.name: d for path, d in pinned.items()}
+
     def test_avoidance_rates_ordered(self, pipeline):
         _, _, out = pipeline
         with open(out["assess"] / "assess.json") as fh:
@@ -303,6 +329,7 @@ class TestPipeline:
             assert got.seed_id == want.seed_id
             for name in ("crashed", "v1", "v2", "max_severity", "live"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.kernel_calls == want.kernel_calls
 
     def test_worker_count_does_not_change_output(self, pipeline, tmp_path):
         root, paths, out_first = pipeline
@@ -663,6 +690,40 @@ def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
     want = _per_seed_percentiles(cells, rows, 0.25)
     assert got == {sid: repr(float(v)) for sid, v in want.items()}
     assert want != _per_seed_percentiles(cells, rows, 0.10)
+
+
+def test_blom_weight_and_validate_are_pinned(pipeline):
+    """simulate -> weight -> validate under the brake-light model, whose
+    campaign mixes in no no-response share: the outputs are the bytes they
+    were when weight and validate skipped the mix at a share of 0."""
+    root, paths, _ = pipeline
+    with chdir(root):
+        assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
+                     paths["blom"], "--out", "sim_blom_pinned"]) == 0
+        assert main(["weight", "--simulate-out", "sim_blom_pinned",
+                     "--out", "weight_blom_pinned"]) == 0
+        assert main(["validate", "--model-hist", "weight_blom_pinned/hist.csv",
+                     "--reference", "out_synth/seeds",
+                     "--seeds-summary", "sim_blom_pinned/seeds_summary.csv",
+                     "--out", "validate_blom_pinned"]) == 0
+        got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in ("weight_blom_pinned/hist.csv",
+                            "weight_blom_pinned/weights.csv",
+                            "weight_blom_pinned/summary.json",
+                            "validate_blom_pinned/percentiles.csv",
+                            "validate_blom_pinned/percentile_report.json")}
+    assert got == {
+        "weight_blom_pinned/hist.csv":
+            "f368b4cea2e61d4cd335f38e6225128de8c27cda3872b37647e1e325bb6a22db",
+        "weight_blom_pinned/weights.csv":
+            "64d1e64aed4460815e7867df6e9b1ac59062c59913536109d0a1f51f491189c8",
+        "weight_blom_pinned/summary.json":
+            "63a9bb3490b3616ee4b37f1c8816cf65255d122da738e2e03fe3a5dfa2ff5cb3",
+        "validate_blom_pinned/percentiles.csv":
+            "7e33e2ffbe7d643f2af02c8f79990e18cdfb0a9d4151b3f7b1b80b7a63c1be76",
+        "validate_blom_pinned/percentile_report.json":
+            "964ba187c6038cd1e350af4394a4dc831bbfc62cdad65d971ac7a3ee9c8fec36",
+    }
 
 
 def test_blom_exclusion_warning_is_printed_once(pipeline):
@@ -1239,6 +1300,32 @@ def test_assess_dms_rejects_a_repeated_cut(pipeline, tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "assess").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "--model-hist", "out_apply/transformed.csv",
+     "--reference", "out_synth/seeds"],
+    ["assess-dms", "--config", "inputs/campaign.json",
+     "--baseline", "out_simulate", "--cuts", "3.0", "inf"]])
+def test_two_curves_of_one_level_exit_two(command, pipeline, tmp_path, capsys):
+    """Two --curves files without a level key and with one file stem give
+    one level: validate and assess-dms exit 2 naming it and both files,
+    and write nothing."""
+    root, _, _ = pipeline
+    curves = []
+    for name in ("c2", "c3"):
+        path = tmp_path / name / "curve.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"intercept": -4.0, "slope": 0.2}))
+        curves.append(str(path))
+    capsys.readouterr()
+    with chdir(root):
+        assert main(command + ["--curves", *curves,
+                               "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --curves repeats level 'curve': "
+                          f"{curves[0]} and {curves[1]}"), err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_malformed_seed_fails_simulate_from_a_worker(pipeline, tmp_path, capfd):
     """Workers parse the seeds, and a worker's ParseError still exits 2
     naming path:line."""
@@ -1377,6 +1464,46 @@ def test_weight_pipeline_memory_follows_its_samples():
     held = cells.delta_v.nbytes + cells.weight.nbytes
     assert len(cells) == sum(int(m.crashed.sum()) for m in matrices)
     assert peak <= 4 * held, peak / held
+
+
+def _one_seed(crashed_cell: bool, nr_crashed: bool, seed_dv: float = 20.0):
+    """One eligible seed's 1 x 2 matrix, crashing in cell (0, 0) or in
+    none, and its seeds_summary.csv row, whose no-response run crashed,
+    recorded at a delta-v of 20 km/h, or did not crash."""
+    grid = CampaignGrid([0.0], [1.0], [3.0, 6.0], [0.5, 0.5])
+    crashed = np.array([[crashed_cell, False]])
+    v1, v2 = (np.where(crashed, v, np.nan) for v in (10.0, 5.0))
+    matrix = OutcomeMatrix("a", grid, crashed, v1, v2, np.zeros((1, 2), bool),
+                           np.ones(1, bool))
+    nr = SimOutcome(True, None, 12.0, 5.0, True)
+    row = _SeedSummary(True, 1500.0, 1500.0, seed_dv, nr if nr_crashed else
+                       SimOutcome(False), 20.0 if nr_crashed else math.nan, 3.0)
+    return [matrix], {"a": row}
+
+
+@pytest.mark.parametrize("seed_dv,want", [(20.0, 50.0), (19.0, "below-min"),
+                                          (21.0, "above-max")])
+def test_seed_with_only_its_no_response_crash(seed_dv, want):
+    """A seed without crash cells whose no-response run crashed is placed
+    in that one sample: it carries the weight f, which seed_percentile
+    normalizes to exactly 1."""
+    _, summary = _one_seed(False, True, seed_dv)
+    cells = CrashSamples([], [], np.zeros(0), np.zeros(0))
+    assert _per_seed_percentiles(cells, summary, 0.1) == {"a": want}
+    assert _per_seed_percentiles(cells, summary, 0.0) == {}
+
+
+def test_mixing_without_a_no_response_crash():
+    """A positive no-response fraction needs a no-response crash to mix
+    in, and mix_no_response rejects a mix without one (exit 2). At a
+    fraction of 0 the histogram is the crash samples' own."""
+    matrices, summary = _one_seed(True, False)
+    with pytest.raises(ValidationError, match="no-response delta-vs required"):
+        _weight_pipeline(matrices, summary, 0.1, 2.0)
+    *_, final, _, diagnostics = _weight_pipeline(matrices, summary, 0.0, 2.0)
+    assert diagnostics["n_no_response"] == 0
+    assert (final.mean, final.count) == (
+        scenario.delta_v(10.0, 5.0, 1500.0, 1500.0), 1)
 
 
 def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):

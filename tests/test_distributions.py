@@ -10,6 +10,7 @@ from rearsim.distributions import (
     load_glances,
     overshoot_transform,
 )
+from rearsim.drivers import cbm_axes
 from rearsim.errors import ParseError, ValidationError
 
 from fixtures import (
@@ -78,35 +79,35 @@ class TestBinGlances:
 class TestOvershootTransform:
     def test_thirds_example(self):
         g = GlanceDistribution(0.0, np.array([0.3]), np.array([1.0]))
-        over = overshoot_transform(g)
-        assert np.allclose(over.overshoots, [0.1, 0.2, 0.3])
-        assert np.allclose(over.probs, [1 / 3, 1 / 3, 1 / 3])
+        overshoots, probs = overshoot_transform(g)
+        assert np.allclose(overshoots, [0.1, 0.2, 0.3])
+        assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3])
 
     def test_single_bin_glance(self):
         g = GlanceDistribution(0.0, np.array([0.1]), np.array([1.0]))
-        over = overshoot_transform(g)
-        assert list(over.overshoots) == [pytest.approx(0.1)]
-        assert over.probs[0] == pytest.approx(1.0)
+        overshoots, probs = overshoot_transform(g)
+        assert list(overshoots) == [pytest.approx(0.1)]
+        assert probs[0] == pytest.approx(1.0)
 
     def test_two_glance_example(self):
         g = GlanceDistribution(0.0, np.array([0.2, 0.4]), np.array([0.5, 0.5]))
-        over = overshoot_transform(g)
-        assert np.allclose(over.probs, [0.375, 0.375, 0.125, 0.125], atol=1e-15)
+        _, probs = overshoot_transform(g)
+        assert np.allclose(probs, [0.375, 0.375, 0.125, 0.125], atol=1e-15)
 
     def test_carries_on_road_mass(self):
+        """cbm_axes carries the on-road mass as overshoot zero."""
         g = bin_glances([0.3, 0.5], 0.8)
-        over = overshoot_transform(g)
-        assert over.on_road_mass == 0.8
-        assert over.probs.sum() == pytest.approx(0.2, abs=1e-12)
+        axis1, probs = cbm_axes(g)
+        assert axis1[0] == 0.0 and probs[0] == 0.8
+        assert probs[1:].sum() == pytest.approx(0.2, abs=1e-12)
 
     def test_matches_enumeration_on_random_distributions(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             g = random_glance_dist(rng)
-            over = overshoot_transform(g)
             oracle = overshoot_by_enumeration(g)
             got = {int(round(o / 0.1)): p
-                   for o, p in zip(over.overshoots, over.probs)}
+                   for o, p in zip(*overshoot_transform(g))}
             assert set(got) == set(oracle)
             for j, p in oracle.items():
                 assert got[j] == pytest.approx(p, abs=1e-12)
@@ -115,25 +116,25 @@ class TestOvershootTransform:
         rng = np.random.default_rng(11)
         for _ in range(100):
             g = random_glance_dist(rng)
-            over = overshoot_transform(g)
-            total = over.on_road_mass + over.probs.sum()
+            overshoots, probs = overshoot_transform(g)
+            total = g.on_road_mass + probs.sum()
             assert abs(total - 1.0) <= 1e-12
-            assert over.overshoots.max() <= g.max_duration + 1e-9
+            assert overshoots.max() <= g.max_duration + 1e-9
 
     def test_pointwise_nonincreasing(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             g = random_glance_dist(rng)
-            over = overshoot_transform(g)
-            k_max = int(round(over.overshoots.max() / 0.1))
+            overshoots, probs = overshoot_transform(g)
+            k_max = int(round(overshoots.max() / 0.1))
             dense = np.zeros(k_max + 1)
-            for o, p in zip(over.overshoots, over.probs):
+            for o, p in zip(overshoots, probs):
                 dense[int(round(o / 0.1))] = p
             assert np.all(np.diff(dense[1:]) <= 1e-15)
 
     def test_enumeration_uses_many_more_cells(self):
         g = bin_glances(glance_durations(), 0.8)
-        n_transform = len(overshoot_transform(g).overshoots)
+        n_transform = len(overshoot_transform(g)[0])
         assert enumeration_cells(g) >= 10 * n_transform
 
 
@@ -199,6 +200,14 @@ def test_negative_decel_probability_rejected():
         DecelDistribution([2.0, 3.5, 5.0], [0.6, 0.6, -0.2])
 
 
+@pytest.mark.parametrize("probs", [[0.1, 0.05], [0.1, 0.2]])
+def test_glance_masses_must_sum_to_one(probs):
+    """The overshoot masses and cbm_axes's marginal sum to 1 because the
+    glance distribution does; nothing downstream checks it again."""
+    with pytest.raises(ValidationError, match="glance masses must sum to 1"):
+        GlanceDistribution(0.8, [0.1, 0.2], probs)
+
+
 class TestFileRoundTrips:
     def test_glance_csv(self, tmp_path, glances):
         path = tmp_path / "g.csv"
@@ -252,6 +261,6 @@ def test_overshoot_mass_preservation_property(data):
     probs = raw / raw.sum() * (1.0 - on_road)
     order = np.argsort(bins)
     g = GlanceDistribution(on_road, np.array(sorted(bins)) * 0.1, probs[order])
-    over = overshoot_transform(g)
-    assert abs(over.on_road_mass + over.probs.sum() - 1.0) <= 1e-12
-    assert over.overshoots.max() <= g.max_duration + 1e-9
+    overshoots, probs = overshoot_transform(g)
+    assert abs(g.on_road_mass + probs.sum() - 1.0) <= 1e-12
+    assert overshoots.max() <= g.max_duration + 1e-9

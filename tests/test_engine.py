@@ -393,6 +393,26 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         assert r.matrix.kernel_calls <= want.kernel_calls
 
 
+@settings(max_examples=100, deadline=None)
+@given(v_lead=st.floats(0.0, 30.0), closing=st.floats(0.05, 5.0),
+       error=st.floats(-2.0, 5.0), gap=st.floats(0.1, 20.0),
+       onset=st.floats(0.0, 3.0))
+def test_every_crash_closes(v_lead, closing, error, gap, onset):
+    """Every crash cell of sweep_seed, and every crashing no-response
+    outcome, has v1 > v2, so its delta-v is > 0: `scenario.delta_v` relies
+    on it and checks nothing. The lead's recorded speed is off its motion
+    by `error`, as a reconstruction's can be, so some first overlaps find
+    the lead the faster."""
+    cf = make_cf(v_lead + closing, v_lead, gap, duration=8.0)
+    cf.lead.speed = np.maximum(cf.lead.speed + error, 0.0)
+    kin = SeedKinematics(cf)
+    grid = TestSweep.grid(21, decels=(1.0, 3.0, 6.0, 9.0))
+    m = sweep_seed(kin, grid, onset + grid.axis1, -23.04)
+    assert np.all(m.v1[m.crashed] > m.v2[m.crashed])
+    nr = kin.no_response
+    assert not nr.crashed or nr.v1 > nr.v2
+
+
 @settings(max_examples=30, deadline=None)
 @given(rng_seed=st.integers(0, 2**32 - 1),
        model=st.sampled_from(["cbm", "blom"]),
@@ -479,6 +499,39 @@ class TestCampaign:
         blob = paths[0].read_bytes()
         assert paths[1].read_bytes() == blob
         assert paths[2].read_bytes() == blob
+
+    @pytest.mark.parametrize("cpus,n_seeds", [(None, 12), (3, 12), (64, 2), (1, 12)])
+    def test_pool_is_no_larger_than_the_cpus_or_the_seeds(
+            self, cpus, n_seeds, small_seeds, glances, decels, monkeypatch):
+        """A pool starts all its processes at its first task, so 64 workers
+        asked for get min(64, usable CPUs, seeds), and one gets no pool.
+        The pool is a stand-in that records its size and starts no
+        process; cpus None keeps this host's usable CPUs."""
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        if cpus is not None:
+            monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        seeds = list(small_seeds[:n_seeds])
+        want = min(64, engine.usable_cpus(), n_seeds)
+        result = run_campaign(seeds, CampaignConfig(), glance=glances,
+                              decels=decels, workers=64)
+        assert sizes == ([want] if want > 1 else [])
+        assert [r.seed_id for r in result.results] == sorted(s.id for s in seeds)
 
     def test_seed_refs_give_the_results_of_loaded_seeds(
             self, small_seeds, glances, decels, tmp_path):
@@ -596,6 +649,8 @@ class TestReweight:
             assert got.grid is target
             assert_bitwise(got, want, MATRIX_FIELDS + ("live",))
             assert got.crash_mass == want.crash_mass
+            # loaded and reweighted, a matrix still counts its kernel calls
+            assert got.kernel_calls == want.kernel_calls
 
     def test_unsorted_decel_file_order_is_kept(self, paper_baseline,
                                                paper_mix_seeds, glances,
@@ -805,6 +860,10 @@ MALFORMED_MATRICES = {
     "negative_index": (npy(records(record(row=1), record(row=-1))), SMALL_GRID,
                        r"matrices\.npy: record 1 \(seed s1, axis1 row -1\)"),
     "summary_without_grid": (GOOD, None, r"summary\.json: no campaign grid"),
+    # a finite grid gives every seed a finite crash mass, so prevalence
+    # weighting and assess-dms agree on the seeds without crashes
+    "grid_not_finite": (GOOD, {**SMALL_GRID, "decel_probs": [math.nan, 0.5]},
+                        r"summary\.json: malformed campaign grid"),
     "seed_not_in_summary": (npy(records(record(), record("s2"))), SMALL_GRID,
                             r"matrices\.npy: record 1 \(seed s2, axis1 row 0\): "
                             r"the seed was not swept"),

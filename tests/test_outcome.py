@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
-from rearsim.errors import ValidationError
 from rearsim.outcome import (
     build_histogram,
     load_histogram,
@@ -66,12 +65,6 @@ class TestDeltaV:
         base = delta_v(22.0, 7.0, 1200.0, 1800.0)
         scaled = delta_v(22.0, 7.0, 1200.0 * scale, 1800.0 * scale)
         assert scaled == pytest.approx(base, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            delta_v(5.0, 10.0, 1000.0, 1000.0)
-        with pytest.raises(ValidationError):
-            delta_v(10.0, 5.0, -1.0, 1000.0)
 
 
 class TestPrevalenceWeights:

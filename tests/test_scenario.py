@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rearsim.errors import GenerationError, ParseError, ValidationError
 from rearsim.scenario import (
@@ -13,6 +15,8 @@ from rearsim.scenario import (
     SynthesisConfig,
     Trajectory,
     VehicleMeta,
+    _mode_counts,
+    _simulate_raw,
     load_seed,
     load_seed_refs,
     remove_evasive_maneuver,
@@ -275,3 +279,30 @@ class TestSynthesis:
         assert classes.count(LEAD_BRAKING) == 68
         assert classes.count(LEAD_NON_BRAKING) == 15
         assert classes.count(LEAD_STANDSTILL) == 20
+
+    @pytest.mark.parametrize("gap0,kept", [(1e-6, False), (1e-3, True)])
+    def test_candidate_with_a_faster_lead_at_first_overlap_is_rejected(
+            self, gap0, kept):
+        """A lead 0.01 m/s faster than the follower brakes at 100 m/s^2
+        from the start: the gap closes in the first step, and at first
+        overlap the follower is the faster only if the gap took long enough
+        to close. Rejecting the other candidate keeps every recorded delta-v
+        >= 0, which `delta_v` does not check."""
+        params = {"lead_v0": 20.01, "gap0": gap0, "lead_onset": 0.0,
+                  "lead_decel": 100.0, "foll_v0": 20.0, "foll_onset": None,
+                  "foll_decel": 1.0}
+        raw = _simulate_raw("braking", params, 0.01, 1.0)
+        assert (raw is not None) == kept
+        if kept:
+            *_, k, v1, v2 = raw
+            assert k == 1 and v1 > v2
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 3000), min_size=1, max_size=3).filter(
+    lambda c: 1 <= sum(c) <= 6000))
+def test_integer_mix_summing_to_n_gives_its_counts(counts):
+    """Largest remainder keeps integer weights that sum to n as they are,
+    which SynthesisConfig documents as exact counts."""
+    mix = dict(zip(("braking", "non_braking", "standstill"), counts))
+    assert _mode_counts(mix, sum(counts)) == mix
