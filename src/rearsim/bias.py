@@ -26,6 +26,7 @@ from .outcome import (
     DeltaVDistribution,
     align_bins,
     check_bin_width,
+    check_bins,
 )
 
 DEFAULT_P_PDO = 0.7
@@ -88,7 +89,9 @@ class TransferFunction:
 
 
 def _counts_histogram(dvs: np.ndarray, bin_width: float, n_bins: int) -> np.ndarray:
-    idx = np.floor(dvs / bin_width).astype(int)
+    bins = np.floor(dvs / bin_width)
+    check_bins(bins.max(initial=0.0), bin_width)
+    idx = bins.astype(int)
     n = max(n_bins, (int(idx.max()) + 1) if idx.size else 0)
     return np.bincount(idx, minlength=n).astype(float)
 

@@ -110,9 +110,11 @@ def _reference_histogram(path: str, bin_width: float
 # ------------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
+    rng_seed = args.seed
+    if rng_seed < 0:  # NumPy's generators take no negative seed
+        raise ValidationError(f"--seed must be >= 0, got {rng_seed}")
     out = _out_dir(args.out)
     cfg = SynthesisConfig.from_json(args.config)
-    rng_seed = args.seed if args.seed is not None else 0
     seeds_dir = out / "seeds"
     manifest = out / "manifest.json"
     if seeds_dir.exists() and not (manifest.is_file() and read_json(
@@ -170,7 +172,7 @@ def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
         table.flags([o.crashed for o in nr]),
         table.fmt([o.v1 for o in nr]), table.fmt([o.v2 for o in nr]),
         table.fmt(nr_dv),
-        table.ints(x.crashed.sum() if x is not None else 0 for x in m),
+        table.ints(x.n_crash_cells if x is not None else 0 for x in m),
         table.fmt([x.crash_mass if x is not None else None for x in m]),
         table.ints(x.kernel_calls if x is not None else 0 for x in m),
         table.ints(r.theoretical_cells for r in rows),
@@ -184,7 +186,7 @@ class _SeedSummary(NamedTuple):
     follower_mass: float
     lead_mass: float
     seed_delta_v: float | None
-    no_response: SimOutcome  # without its impact time
+    no_response: SimOutcome
     no_resp_dv: float  # NaN unless the no-response run crashed
     kernel_calls: float
 
@@ -224,7 +226,7 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
             raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
                                  f"the row's speeds and masses, got {nr_dv[k]!r}")
     # a no-response crash is at maximum severity: the follower never braked
-    nr = [SimOutcome(True, None, a, b, True) if crashed else NO_CRASH
+    nr = [SimOutcome(True, a, b, True) if crashed else NO_CRASH
           for crashed, a, b in zip(nr_crashed.tolist(), v1, v2)]
     columns = (
         chunk.flags("eligible").tolist(), m1, m2,
@@ -250,8 +252,8 @@ def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
 def _simulated_matrices(sim_dir: Path, sim_summary: dict):
     """The grid simulate recorded in `sim_dir`'s summary.json, its outcome
     matrices on that grid, and its seeds_summary.csv rows, whose
-    no-response outcomes fill the matrix rows matrices.npy holds no record
-    of. seeds_summary.csv must hold summary.json's n_seeds seeds, and the
+    no-response outcomes the matrix rows without a record in matrices.npy
+    take. seeds_summary.csv must hold summary.json's n_seeds seeds, and the
     records of each swept seed in matrices.npy must hold kernel_calls - 1
     cells (one per integrated cell); otherwise ParseError names the file."""
     from .engine import CampaignGrid, load_matrices
@@ -379,9 +381,10 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
     with a `fraction` of 0 there are none."""
     cells, weights, zero_crash = _crash_samples(matrices, summary)
 
+    # the no-response samples mixed in: none at a fraction of 0, where
+    # mix_no_response gives the base histogram back
     nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
-               if row.no_response.crashed and row.eligible]
-    # at a fraction of 0, mix_no_response gives the base histogram back
+               if fraction > 0 and row.no_response.crashed and row.eligible]
     final = mix_no_response(build_histogram(cells.delta_v, cells.weight, bin_width),
                             [dv for _, dv in nr_rows], fraction)
 
@@ -395,7 +398,7 @@ def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
         "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
         "no_response_fraction": fraction,
     }
-    return cells, nr_rows if fraction > 0 else [], final, weights, diagnostics
+    return cells, nr_rows, final, weights, diagnostics
 
 
 def cmd_weight(args) -> int:
@@ -754,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a JSON object of SynthesisConfig fields; an unknown "
                         "key or a bad value exits 2")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", help="run a simulation campaign")

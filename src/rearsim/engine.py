@@ -33,10 +33,10 @@ shared `CampaignGrid`. `reweight` changes only the probabilities, and
 `simulate` writes the grid to its summary.json and the outcomes to
 matrices.npy.
 
-matrices.npy is compact: one binary record per integrated (live) row,
-holding its cells. Every other row holds the seed's no-response outcome,
-which simulate's seeds_summary.csv records, so `load_matrices` takes those
-outcomes and rebuilds the dense matrices bitwise.
+A matrix holds the cells of its integrated (live) rows and the seed's
+no-response outcome, which every other row takes, in memory as on disk.
+Only sums over cells expand a field over the grid (`OutcomeMatrix.cells`):
+they keep their bits in row-major order alone.
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ class SimOutcome:
     """Result of one simulated case."""
 
     crashed: bool
-    impact_time: float | None = None
     v1: float | None = None  # follower speed at first overlap, m/s
     v2: float | None = None  # lead speed at first overlap, m/s
     max_severity: bool = False  # response never began before impact
@@ -127,23 +126,21 @@ class SeedKinematics:
         self.no_response = NO_CRASH
         if below.size:
             k = self.k_live
-            crashed, t_impact, v1, v2 = self._impact(
-                k, self.free_gap[k - 1], self.free_gap[k], self.v_free,
-                self.v_free)
+            crashed, v1, v2 = self._impact(k, self.free_gap[k - 1], self.free_gap[k],
+                                           self.v_free, self.v_free)
             if crashed:
-                self.no_response = SimOutcome(True, float(t_impact), float(v1),
-                                              float(v2), True)
+                self.no_response = SimOutcome(True, float(v1), float(v2), True)
 
     def _impact(self, k, gap_a, gap_b, v_a, v_b):
-        """Whether first overlaps at steps k are crashes, with their impact
-        times and follower and lead speeds, interpolated from the gaps and
-        follower speeds at steps k - 1 (a) and k (b). A grazing contact
-        (v1 <= v2) counts as avoidance."""
+        """Whether first overlaps at steps k are crashes, with their
+        follower and lead speeds, interpolated from the gaps and follower
+        speeds at steps k - 1 (a) and k (b). A grazing contact (v1 <= v2)
+        counts as avoidance."""
         alpha = gap_a / (gap_a - gap_b)
         v1 = v_a + alpha * (v_b - v_a)
         ls = self.lead_speed
         v2 = ls[k - 1] + alpha * (ls[k] - ls[k - 1])
-        return v1 > v2, self.t[k - 1] + alpha * DT_NOMINAL, v1, v2
+        return v1 > v2, v1, v2
 
     def run(self, onsets: np.ndarray, d_max: np.ndarray,
             jerk: float) -> dict[str, np.ndarray]:
@@ -195,7 +192,7 @@ class SeedKinematics:
             hit = over[np.arange(cell.size), m]
             h, m = np.flatnonzero(hit), m[hit]
             inside = m > 0  # else the step before is the last chunk's
-            crash, _, hv1, hv2 = self._impact(
+            crash, hv1, hv2 = self._impact(
                 p + 1 + m, np.where(inside, gap[h, m - 1], gap_prev[h]),
                 gap[h, m], np.where(inside, v[h, m - 1], v_prev[h]), v[h, m])
             c, k = cell[h[crash]], p + m[crash]  # k: the step before impact
@@ -254,26 +251,45 @@ class CampaignGrid:
 
 @dataclass(eq=False)
 class OutcomeMatrix:
-    """One seed's outcomes over its campaign grid (axis1 x max
-    deceleration). The cell probabilities come from the shared grid."""
+    """One seed's outcomes on its campaign grid (axis1 x max deceleration):
+    the live rows' cells, and the no-response outcome of the others."""
 
     seed_id: str
     grid: CampaignGrid
-    crashed: np.ndarray        # (n1, n2) bool
+    rows: np.ndarray           # (k,) the live rows' axis1 indices, ascending
+    crashed: np.ndarray        # (k, n2) bool
     v1: np.ndarray             # NaN where not crashed
     v2: np.ndarray
     max_severity: np.ndarray   # bool
-    live: np.ndarray           # (n1,) bool: the rows the kernel integrated
+    no_response: SimOutcome
 
     @property
     def kernel_calls(self) -> int:
         """The seed's no-response run, plus one call per integrated cell."""
-        return 1 + self.grid.shape[1] * int(self.live.sum())
+        return 1 + self.grid.shape[1] * len(self.rows)
+
+    def cells(self, name: str) -> np.ndarray:
+        """Field `name` over the whole grid: the live rows' cells, and the
+        no-response outcome in every other row (NaN for its None speeds)."""
+        out = np.full(self.grid.shape, getattr(self.no_response, name),
+                      dtype=getattr(self, name).dtype)
+        out[self.rows] = getattr(self, name)
+        return out
+
+    @property
+    def n_crash_cells(self) -> int:
+        return int(np.count_nonzero(self.cells("crashed")))
+
+    def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v1, v2 and probability of each crashing cell of the grid, in
+        row-major order: the order that sums over the cells keep."""
+        c = self.cells("crashed")
+        return self.cells("v1")[c], self.cells("v2")[c], self.grid.p_cell[c]
 
     @property
     def crash_mass(self) -> float:
         """Summed probability of the crashing cells (q_i of the seed)."""
-        return float(self.grid.p_cell[self.crashed].sum())
+        return float(self.grid.p_cell[self.cells("crashed")].sum())
 
 
 def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
@@ -286,29 +302,10 @@ def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
     cell; the other rows are integrated as one block.
     """
     onsets = np.asarray(onsets, dtype=float)
-    live = kin.t.searchsorted(onsets, "right") < kin.k_live
-    arrays = {name: cells[0] for name, cells
-              in _filled([kin.no_response], grid.shape).items()}
-    for name, cells in kin.run(onsets[live], grid.decels, jerk).items():
-        arrays[name][live] = cells
-    return OutcomeMatrix(kin.id, grid, **arrays, live=live)
-
-
-def _filled(outcomes: list[SimOutcome], shape: tuple[int, int]
-            ) -> dict[str, np.ndarray]:
-    """The outcome arrays of one `shape` matrix per outcome, stacked, with
-    the outcome in every cell: the matrix of a seed whose rows all take
-    its no-response outcome."""
-    crashed = [o.crashed for o in outcomes]
-    columns = dict(
-        crashed=np.array(crashed, dtype=bool),
-        v1=np.array([o.v1 if c else np.nan for o, c in zip(outcomes, crashed)],
-                    dtype=float),
-        v2=np.array([o.v2 if c else np.nan for o, c in zip(outcomes, crashed)],
-                    dtype=float),
-        max_severity=np.array([o.max_severity for o in outcomes], dtype=bool))
-    return {name: np.repeat(c, shape[0] * shape[1]).reshape(-1, *shape)
-            for name, c in columns.items()}
+    rows = np.flatnonzero(kin.t.searchsorted(onsets, "right") < kin.k_live)
+    return OutcomeMatrix(kin.id, grid, rows,
+                         **kin.run(onsets[rows], grid.decels, jerk),
+                         no_response=kin.no_response)
 
 
 # ---------------------------------------------------------------- campaign
@@ -390,13 +387,11 @@ class CampaignResult:
 
     @property
     def kernel_calls(self) -> int:
-        return sum(r.matrix.kernel_calls for r in self.results
-                   if r.matrix is not None)
+        return sum(m.kernel_calls for m in self.matrices)
 
     @property
     def crash_cells(self) -> int:
-        return int(sum(r.matrix.crashed.sum() for r in self.results
-                       if r.matrix is not None))
+        return sum(m.n_crash_cells for m in self.matrices)
 
 
 def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
@@ -420,9 +415,13 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
             "grid's, or its deceleration bins differ from the grid's")
     if any(m.grid is not grid for m in matrices):
         raise ValidationError("a matrix is not on the simulated grid")
-    return [OutcomeMatrix(m.seed_id, target, m.crashed[rows], m.v1[rows],
-                          m.v2[rows], m.max_severity[rows], m.live[rows])
-            for m in matrices]
+    out = []
+    for m in matrices:
+        live = np.isin(rows, m.rows)  # the target rows the kernel integrated
+        block = m.rows.searchsorted(np.compress(live, rows))
+        out.append(OutcomeMatrix(m.seed_id, target, np.flatnonzero(live), *(
+            getattr(m, name)[block] for name in OUTCOME_FIELDS), m.no_response))
+    return out
 
 
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
@@ -512,17 +511,16 @@ def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     """Write one record per live row of each matrix on `grid` to the .npy
     file `path`: seed by seed, rows ascending, each with its cells in the
     grid's deceleration order (v1 and v2 NaN where no crash). The grid
-    itself is simulate's summary.json's. A row without a record holds the
-    seed's no-response outcome (see `load_matrices`)."""
-    rows = [np.flatnonzero(m.live) for m in matrices]
-    records = np.zeros(sum(r.size for r in rows), dtype=_record_dtype(
+    goes to simulate's summary.json, and the no-response outcome that a
+    seed's other rows take to its seeds_summary.csv row."""
+    records = np.zeros(sum(len(m.rows) for m in matrices), dtype=_record_dtype(
         max((len(m.seed_id) for m in matrices), default=1), grid.shape[1]))
     # each matrix's records, as views into `records`
-    blocks = np.split(records, np.cumsum([r.size for r in rows])[:-1])
-    for m, r, block in zip(matrices, rows, blocks):
-        block["seed_id"], block["axis1_index"] = m.seed_id, r
+    blocks = np.split(records, np.cumsum([len(m.rows) for m in matrices])[:-1])
+    for m, block in zip(matrices, blocks):
+        block["seed_id"], block["axis1_index"] = m.seed_id, m.rows
         for name in OUTCOME_FIELDS:
-            block[name] = getattr(m, name)[r]
+            block[name] = getattr(m, name)
     with open(path, "wb") as fh:
         np.save(fh, records, allow_pickle=False)
 
@@ -532,17 +530,16 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     """The outcome matrices on `grid` of the swept seeds, which
     `no_response` maps to their no-response outcomes, in seed id order.
 
-    Each matrix starts with its no-response outcome in every cell; the
-    rows the records of `path` hold, in any order, replace theirs and are
-    the matrix's live rows. So a seed without records keeps the
-    no-response outcome throughout. ParseError names the path if the file
-    is not a whole .npy file of records without pickled objects, or not a
-    1-D array of exactly `save_matrices`'s fields on the grid's
-    deceleration bins. It names the path and the record if a flag is not
-    0 or 1, a cell without a crash has speeds or maximum severity, a crash
-    does not have finite speeds with v1 > v2 (the kernel counts no other
-    crash), a row index is outside the grid, a seed is not in
-    `no_response`, or a (seed, row) pair repeats."""
+    The records of `path`, in any order, are the matrices' live rows; every
+    other row takes its seed's no-response outcome, so a seed without
+    records has no live row. ParseError names the path if the file is not
+    a whole .npy file of records without pickled objects, or not a 1-D
+    array of exactly `save_matrices`'s fields on the grid's deceleration
+    bins. It names the path and the record if a flag is not 0 or 1, a cell
+    without a crash has speeds or maximum severity, a crash does not have
+    finite speeds with v1 > v2 (the kernel counts no other crash), a row
+    index is outside the grid, a seed is not in `no_response`, or a (seed,
+    row) pair repeats."""
     n1, n2 = grid.shape
     try:
         # NumPy raises or warns on a corrupt header; MemoryError: a huge shape
@@ -586,12 +583,11 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
                         dtype=np.intp)[inverse]
     check(position < 0, "the seed was not swept")
     key = position * n1 + row  # one per (seed, axis1 row)
-    again = np.ones(key.size, dtype=bool)
-    again[np.unique(key, return_index=True)[1]] = False
+    order = np.argsort(key, kind="stable")  # by seed, then row, then record
+    key, again = key[order], np.empty(key.size, dtype=bool)
+    again[order] = np.diff(key, prepend=-1) == 0  # every key is >= 0
     check(again, "an earlier record holds the same row")
-    arrays = _filled([no_response[sid] for sid in swept], grid.shape)
-    for name, values in arrays.items():
-        values.reshape(-1, n2)[key] = records[name]
-    live = np.bincount(key, minlength=len(swept) * n1).reshape(len(swept), n1) > 0
-    return [OutcomeMatrix(sid, grid, **{name: a[k] for name, a in arrays.items()},
-                          live=live[k]) for k, sid in enumerate(swept)]
+    arrays = [a[order] for a in (row, crashed, v1, v2, records["max_severity"] == 1)]
+    bounds = key.searchsorted(n1 * np.arange(len(swept) + 1)).tolist()
+    return [OutcomeMatrix(sid, grid, *(a[start:stop] for a in arrays), no_response[sid])
+            for sid, start, stop in zip(swept, bounds, bounds[1:])]

@@ -23,6 +23,7 @@ DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
+MAX_BINS = 10**6  # a histogram is a dense array: a wider one is refused
 
 
 @dataclass(eq=False)
@@ -69,6 +70,14 @@ def check_bin_width(bin_width: float) -> None:
                               f"got {bin_width!r}")
 
 
+def check_bins(top: float, bin_width: float) -> None:
+    """Raise ValidationError naming `bin_width` unless the floored bin
+    index `top` leaves the histogram at most MAX_BINS bins wide."""
+    if not top < MAX_BINS:  # an overflow to inf fails this comparison too
+        raise ValidationError(f"bin width {bin_width!r} km/h makes a histogram "
+                              f"of more than {MAX_BINS} bins")
+
+
 def build_histogram(delta_v, weights,
                     bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
     """Weighted histogram of the samples `delta_v` (km/h) with `weights`,
@@ -96,6 +105,7 @@ def build_histogram(delta_v, weights,
     # the order's buffer takes the products, then the bin indices
     mean = float(np.multiply(dvs, ws, out=order.view(float)).sum() / total)
     np.floor(np.divide(dvs, bin_width, out=dvs), out=dvs)
+    check_bins(dvs[-1], bin_width)  # the samples are sorted by delta-v
     idx = order
     np.copyto(idx, dvs, casting="unsafe")
     counts = np.bincount(idx, weights=ws, minlength=int(idx.max()) + 1)
@@ -184,15 +194,16 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
     is not finite raises ValidationError naming the seed."""
     w_by_seed = {w.seed_id: w.w for w in weights}
     weighted = [m for m in matrices if m.seed_id in w_by_seed]
-    counts = [int(np.count_nonzero(m.crashed)) for m in weighted]
+    counts = [m.n_crash_cells for m in weighted]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
     with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
         for m, n in zip(weighted, counts):
             m1, m2 = masses[m.seed_id]
+            v1, v2, p = m.crashes()
             cells = slice(start, start + n)
-            dvs[cells] = delta_v(m.v1[m.crashed], m.v2[m.crashed], m1, m2)
-            np.multiply(w_by_seed[m.seed_id], m.grid.p_cell[m.crashed], out=w[cells])
+            dvs[cells] = delta_v(v1, v2, m1, m2)
+            np.multiply(w_by_seed[m.seed_id], p, out=w[cells])
             start += n
     finite = np.isfinite(dvs)
     if not finite.all():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import tracemalloc
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,11 +20,18 @@ from rearsim.distributions import (
     GlanceDistribution,
     _duration_to_bin,
 )
-from rearsim.engine import CampaignGrid, OutcomeMatrix, SeedKinematics
+from rearsim.engine import (
+    NO_CRASH,
+    CampaignGrid,
+    OutcomeMatrix,
+    SeedKinematics,
+)
 from rearsim.errors import ValidationError
+from rearsim.outcome import CrashSamples, SeedWeight
 from rearsim.scenario import (
     SeedCrash,
     SynthesisConfig,
+    delta_v,
     load_seed,
     load_seed_refs,
     synthesize_seeds,
@@ -139,14 +147,63 @@ def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
     return [load_seed(ref.path) for ref in load_seed_refs(directory)]
 
 
+@dataclass(eq=False)
+class DenseMatrix:
+    """The oracle for `engine.OutcomeMatrix`: one seed's outcomes in every
+    cell of its grid, (n1, n2) arrays, whatever the kernel integrated."""
+
+    seed_id: str
+    grid: CampaignGrid
+    crashed: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    max_severity: np.ndarray
+
+    @property
+    def kernel_calls(self) -> int:
+        """The no-response run, plus one call per cell."""
+        return 1 + self.crashed.size
+
+    @property
+    def crash_mass(self) -> float:
+        return float(self.grid.p_cell[self.crashed].sum())
+
+    def at(self, rows, target: CampaignGrid) -> "DenseMatrix":
+        """The matrix's `rows` under `target`'s probabilities: the oracle
+        for `engine.reweight`."""
+        return DenseMatrix(self.seed_id, target, self.crashed[rows], self.v1[rows],
+                           self.v2[rows], self.max_severity[rows])
+
+
 def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
-                     jerk: float) -> OutcomeMatrix:
+                     jerk: float) -> DenseMatrix:
     """The oracle for `engine.sweep_seed`: every row of the grid goes
-    through the kernel, none is taken as the seed's no-response outcome. It
-    counts one kernel call for the no-response run plus one per cell."""
+    through the kernel, none is taken as the seed's no-response outcome."""
     cells = kin.run(np.asarray(onsets, dtype=float), grid.decels, jerk)
-    return OutcomeMatrix(kin.id, grid, **cells,
-                         live=np.ones(grid.shape[0], dtype=bool))
+    return DenseMatrix(kin.id, grid, **cells)
+
+
+def dense_crash_samples(matrices: list[DenseMatrix],
+                        masses: dict[str, tuple[float, float]],
+                        weights: list[SeedWeight]) -> CrashSamples:
+    """The oracle for `outcome.weighted_crash_samples`: each seed's crash
+    cells in row-major order of its dense arrays, weighted by the seed's
+    weight and the cell's probability, over their sequential total."""
+    w_by_seed = {w.seed_id: w.w for w in weights}
+    weighted = [m for m in matrices if m.seed_id in w_by_seed]
+    dvs = [delta_v(m.v1[m.crashed], m.v2[m.crashed], *masses[m.seed_id])
+           for m in weighted]
+    w = np.concatenate([w_by_seed[m.seed_id] * m.grid.p_cell[m.crashed]
+                        for m in weighted])
+    return CrashSamples([m.seed_id for m in weighted], [len(d) for d in dvs],
+                        np.concatenate(dvs), w / np.cumsum(w)[-1])
+
+
+def all_live(seed_id: str, grid: CampaignGrid, crashed, v1, v2,
+             max_severity) -> OutcomeMatrix:
+    """A matrix whose every row is live, with the (n1, n2) cells given."""
+    return OutcomeMatrix(seed_id, grid, np.arange(len(crashed)), crashed, v1,
+                         v2, max_severity, NO_CRASH)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

@@ -41,7 +41,6 @@ from rearsim.drivers import CbmConfig
 from rearsim.engine import (
     CampaignConfig,
     CampaignGrid,
-    OutcomeMatrix,
     SimOutcome,
     run_campaign,
 )
@@ -49,6 +48,7 @@ from rearsim.errors import GenerationError, ParseError, ValidationError
 from rearsim.manifest import KINDS, digest_tree, file_digest
 from rearsim.outcome import (
     DEFAULT_BIN_WIDTH_KMH,
+    HISTOGRAM_CSV_HEADER,
     CrashSamples,
     build_histogram,
     load_histogram,
@@ -58,6 +58,7 @@ from rearsim.distributions import cut_glances, load_decels, load_glances
 from rearsim.validation import load_injury_curve
 
 from fixtures import (
+    all_live,
     load_seed_dir,
     save_decels,
     save_glances,
@@ -310,8 +311,8 @@ class TestPipeline:
         """kernel_calls counts one call per swept seed's no-response run
         plus one per integrated cell, and matrices.npy holds exactly those
         cells, a record per integrated row. The matrices weight reads back,
-        their other rows filled from seeds_summary.csv, are the campaign's
-        bitwise."""
+        with the no-response outcomes of seeds_summary.csv, are the
+        campaign's bitwise."""
         root, paths, out = pipeline
         sim = out["simulate"]
         summary = json.loads((sim / "summary.json").read_text())
@@ -326,8 +327,8 @@ class TestPipeline:
         _, loaded, _ = _simulated_matrices(sim, summary)
         assert len(loaded) == len(result.matrices) == swept
         for want, got in zip(result.matrices, loaded):
-            assert got.seed_id == want.seed_id
-            for name in ("crashed", "v1", "v2", "max_severity", "live"):
+            assert (got.seed_id, got.no_response) == (want.seed_id, want.no_response)
+            for name in ("rows", "crashed", "v1", "v2", "max_severity"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.kernel_calls == want.kernel_calls
 
@@ -695,7 +696,8 @@ def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
 def test_blom_weight_and_validate_are_pinned(pipeline):
     """simulate -> weight -> validate under the brake-light model, whose
     campaign mixes in no no-response share: the outputs are the bytes they
-    were when weight and validate skipped the mix at a share of 0."""
+    were when weight and validate skipped the mix at a share of 0, except
+    that summary.json counts no no-response sample (n_no_response 0)."""
     root, paths, _ = pipeline
     with chdir(root):
         assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
@@ -718,7 +720,7 @@ def test_blom_weight_and_validate_are_pinned(pipeline):
         "weight_blom_pinned/weights.csv":
             "64d1e64aed4460815e7867df6e9b1ac59062c59913536109d0a1f51f491189c8",
         "weight_blom_pinned/summary.json":
-            "63a9bb3490b3616ee4b37f1c8816cf65255d122da738e2e03fe3a5dfa2ff5cb3",
+            "c707b278abe58f14270d0b31bc5dca7ebdf431b6f6bbad83ea21d1b692292b36",
         "validate_blom_pinned/percentiles.csv":
             "7e33e2ffbe7d643f2af02c8f79990e18cdfb0a9d4151b3f7b1b80b7a63c1be76",
         "validate_blom_pinned/percentile_report.json":
@@ -1216,6 +1218,27 @@ MALFORMED_INPUTS = {
         rf"bin width must be a finite number > 0, got {value}",
         (_WEIGHT, _FIT_BIAS, _ASSESS))
        for name, value in (("zero", "0"), ("negative", "-1"), ("nan", "nan"))},
+    # a bin index past int64's range, and a histogram of hundreds of GiB
+    **{f"bin_width_{name}": _bad_flag(
+        "--bin-width", value,
+        lambda value: build_histogram([50.0], [1.0], float(value)),
+        rf"bin width {value} km/h makes a histogram of more than 1000000 bins",
+        (_WEIGHT, _FIT_BIAS, _ASSESS))
+       for name, value in (("tiny", "1e-300"), ("too_fine", "1e-09"))},
+    # the PDO histogram's bins, with a reference that is a histogram file
+    "pdo_bin_width_too_fine": _bad_flag(
+        "--bin-width", "1e-09",
+        lambda value: build_pdo(folksam_like_records(n=400), bin_width=float(value)),
+        r"bin width 1e-09 km/h makes a histogram of more than 1000000 bins",
+        ([*_FIT_BIAS[:4], "out_weight/hist.csv", *_FIT_BIAS[5:]],)),
+    # validate takes its bin width from the model histogram
+    "model_hist_bin_width_too_fine": (
+        "out_weight/hist.csv",
+        lambda path: _reference_histogram(str(path.parents[1] / "out_synth" / "seeds"),
+                                          load_histogram(path).bin_width),
+        lambda text: ",".join(HISTOGRAM_CSV_HEADER) + "\r\n0.0,1e-09,1.0\r\n",
+        r"bin width 1e-09 km/h makes a histogram of more than 1000000 bins",
+        (_VALIDATE_HIST,), ValidationError),
     **{f"workers_{name}": _bad_flag(
         "--workers", value,
         lambda value: run_campaign([], CampaignConfig(), decels=shrp2_like_decels(),
@@ -1425,6 +1448,19 @@ class TestSynthWritesWhole:
         assert sorted(p.name for p in (tmp_path / "synth").iterdir()) == [
             "manifest.json", "seeds", "summary.json"]
 
+    def test_negative_seed_exits_two_before_writing(self, tmp_path, capsys):
+        """NumPy's generators take no negative seed: synth refuses one
+        before it creates the seeds directory."""
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"n_seeds": 2}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out",
+                     str(tmp_path / "synth"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must be >= 0, got -1"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "synth").exists()
+
     @pytest.mark.parametrize("manifest", [None, {"command": "simulate"}])
     def test_refuses_seeds_it_did_not_write(self, tmp_path, manifest, capsys):
         """An existing seeds/ is replaced only under a synth manifest."""
@@ -1455,10 +1491,9 @@ def test_weight_pipeline_memory_follows_its_samples():
         v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
         v1 = v2 + rng.uniform(0, 10, (n1, n2))
         sid = f"s{k:03d}"
-        matrices.append(OutcomeMatrix(sid, grid, crashed, v1, v2, crashed & (v2 < 1),
-                                      np.ones(n1, dtype=bool)))
+        matrices.append(all_live(sid, grid, crashed, v1, v2, crashed & (v2 < 1)))
         summary[sid] = _SeedSummary(True, 1500.0, 1200.0, 10.0,
-                                    SimOutcome(True, None, 20.0, 5.0, True), 30.0,
+                                    SimOutcome(True, 20.0, 5.0, True), 30.0,
                                     1 + n1 * n2)
     (cells, *_), peak = traced_peak(_weight_pipeline, matrices, summary, 0.1, 2.0)
     held = cells.delta_v.nbytes + cells.weight.nbytes
@@ -1473,9 +1508,8 @@ def _one_seed(crashed_cell: bool, nr_crashed: bool, seed_dv: float = 20.0):
     grid = CampaignGrid([0.0], [1.0], [3.0, 6.0], [0.5, 0.5])
     crashed = np.array([[crashed_cell, False]])
     v1, v2 = (np.where(crashed, v, np.nan) for v in (10.0, 5.0))
-    matrix = OutcomeMatrix("a", grid, crashed, v1, v2, np.zeros((1, 2), bool),
-                           np.ones(1, bool))
-    nr = SimOutcome(True, None, 12.0, 5.0, True)
+    matrix = all_live("a", grid, crashed, v1, v2, np.zeros((1, 2), bool))
+    nr = SimOutcome(True, 12.0, 5.0, True)
     row = _SeedSummary(True, 1500.0, 1500.0, seed_dv, nr if nr_crashed else
                        SimOutcome(False), 20.0 if nr_crashed else math.nan, 3.0)
     return [matrix], {"a": row}
@@ -1504,6 +1538,15 @@ def test_mixing_without_a_no_response_crash():
     assert diagnostics["n_no_response"] == 0
     assert (final.mean, final.count) == (
         scenario.delta_v(10.0, 5.0, 1500.0, 1500.0), 1)
+
+
+@pytest.mark.parametrize("fraction,mixed", [(0.0, 0), (0.1, 1)])
+def test_no_response_count_is_the_samples_mixed_in(fraction, mixed):
+    """A crashing no-response run counts in n_no_response and n_samples
+    only where the fraction mixes it in."""
+    matrices, summary = _one_seed(True, True)
+    _, nr_rows, _, _, diagnostics = _weight_pipeline(matrices, summary, fraction, 2.0)
+    assert diagnostics["n_no_response"] == len(nr_rows) == mixed
 
 
 def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):

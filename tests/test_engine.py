@@ -21,6 +21,7 @@ from rearsim.engine import (
     NO_CRASH,
     CampaignConfig,
     CampaignGrid,
+    OutcomeMatrix,
     SeedKinematics,
     SimOutcome,
     load_matrices,
@@ -32,6 +33,7 @@ from rearsim.engine import (
 from rearsim.drivers import CbmConfig, blom_onsets, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
+from rearsim.outcome import prevalence_weights, weighted_crash_samples
 from rearsim.scenario import (
     DT_NOMINAL,
     SynthesisConfig,
@@ -41,7 +43,14 @@ from rearsim.scenario import (
     synthesize_seeds,
 )
 
-from fixtures import exhaustive_sweep, shrp2_like_decels, shrp2_like_glances
+from fixtures import (
+    DenseMatrix,
+    dense_crash_samples,
+    exhaustive_sweep,
+    shrp2_like_decels,
+    shrp2_like_glances,
+    traced_peak,
+)
 from test_looming import make_cf
 
 
@@ -58,13 +67,12 @@ def stopping_distance(v0: float, jerk: float, d_max: float) -> float:
 
 
 def cell(out: dict, i: int, j: int) -> SimOutcome:
-    """Cell (i, j) of a block the kernel returned, as an outcome without
-    impact time."""
+    """Cell (i, j) of a block the kernel returned, as an outcome."""
     if not out["crashed"][i, j]:
         assert np.isnan(out["v1"][i, j]) and np.isnan(out["v2"][i, j])
         return NO_CRASH
-    return SimOutcome(True, None, float(out["v1"][i, j]),
-                      float(out["v2"][i, j]), bool(out["max_severity"][i, j]))
+    return SimOutcome(True, float(out["v1"][i, j]), float(out["v2"][i, j]),
+                      bool(out["max_severity"][i, j]))
 
 
 def run_case(kin: SeedKinematics, onset: float, d_max: float,
@@ -81,7 +89,7 @@ class TestSimulate:
         kin = SeedKinematics(cf)
         out = run_case(kin, math.inf, 5.0, -23.04)
         assert out.crashed
-        assert kin.no_response.impact_time == pytest.approx(3.0, abs=1e-9)
+        assert kin.t[kin.k_live] == pytest.approx(3.0, abs=1e-9)  # first overlap
         assert out.v1 == pytest.approx(10.0, abs=1e-12)
         assert out.v2 == pytest.approx(0.0, abs=1e-12)
         assert out.max_severity
@@ -120,9 +128,8 @@ class TestSimulate:
         result = run_campaign(list(small_seeds[:4]), cfg, glance=glances,
                               decels=decels)
         for r in result.results:
-            m = r.matrix
-            crashed = m.crashed
-            assert np.all(m.v1[crashed] > m.v2[crashed])
+            v1, v2, _ = r.matrix.crashes()
+            assert np.all(v1 > v2)
 
     def test_no_response_flagged_max_severity(self, small_seeds):
         for seed in small_seeds:
@@ -147,8 +154,8 @@ class TestSimulate:
         cf = remove_evasive_maneuver(small_seeds[0])
         kin = SeedKinematics(cf)
         nr = kin.no_response
-        late = run_case(kin, nr.impact_time + 1.0, 5.0, -23.04)
-        assert bits(late) == bits(replace(nr, impact_time=None))
+        late = run_case(kin, kin.t[kin.k_live] + 1.0, 5.0, -23.04)
+        assert bits(late) == bits(nr)
 
 
 def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
@@ -173,13 +180,12 @@ def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
         return NO_CRASH
     k = int(np.argmax(below))
     alpha = gap[k - 1] / (gap[k - 1] - gap[k])
-    t_impact = float(t[k - 1] + alpha * dt)
     v1 = float(v[k - 1] + alpha * (v[k] - v[k - 1]))
     v2 = float(kin.lead_speed[k - 1]
                + alpha * (kin.lead_speed[k] - kin.lead_speed[k - 1]))
     if v1 <= v2:
         return NO_CRASH
-    return SimOutcome(True, t_impact, v1, v2, not bool((a[:k] > 0).any()))
+    return SimOutcome(True, v1, v2, not bool((a[:k] > 0).any()))
 
 
 def bits(out: SimOutcome) -> tuple:
@@ -199,7 +205,7 @@ def kernel_onsets(kin: SeedKinematics, source_duration: float) -> list[float]:
         k = kin.k_live
         onsets += [float(kin.t[k - 2]), float(kin.t[k - 1]) - 1e-9,
                    float(kin.t[k - 1]), float(kin.t[k]) + 2e-3,
-                   kin.no_response.impact_time + 1.0]
+                   float(kin.t[k]) + 1.0]
     return onsets + [t_end, t_end + 5.0, math.inf]
 
 
@@ -217,8 +223,7 @@ class TestWindowedKernel:
         for i, onset in enumerate(onsets):
             for j, d_max in enumerate(self.DECELS):
                 want = full_horizon_run(kin, onset, d_max, -23.04)
-                assert bits(cell(got, i, j)) == bits(
-                    replace(want, impact_time=None)), (cf.id, onset, d_max)
+                assert bits(cell(got, i, j)) == bits(want), (cf.id, onset, d_max)
 
     # a first chunk of one step puts chunk boundaries at every power of two
     @pytest.mark.parametrize("first_chunk", [1, engine.FIRST_CHUNK])
@@ -253,8 +258,7 @@ class TestWindowedKernel:
         # stopped at about 12 m by t = 2.3 s, overlapped at about t = 10.9 s
         got = run_case(kin, 0.5, 8.0, -23.04)
         assert got.crashed and got.v1 == 0.0 and got.v2 == -5e-10
-        assert bits(got) == bits(replace(
-            full_horizon_run(kin, 0.5, 8.0, -23.04), impact_time=None))
+        assert bits(got) == bits(full_horizon_run(kin, 0.5, 8.0, -23.04))
         self._check(cf, 5.0)
 
 
@@ -285,7 +289,7 @@ class TestSweep:
             if anchor is None:
                 continue
             reduced, exhaustive, n_live = self._sweep_pair(cf, anchor)
-            assert_bitwise(reduced, exhaustive, MATRIX_FIELDS)
+            assert_cells(reduced, exhaustive)
             # one call for the no-response run, one per integrated cell
             n1, n2 = exhaustive.crashed.shape
             assert reduced.kernel_calls == 1 + n2 * n_live
@@ -296,7 +300,7 @@ class TestSweep:
         grid = self.grid(32, decels=(9.0,))
         m = sweep_seed(SeedKinematics(cf), grid,
                        cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert not m.crashed.any()
+        assert not m.cells("crashed").any()
         # the no-response run never overlaps, so no row is live
         assert m.kernel_calls == 1
 
@@ -306,8 +310,8 @@ class TestSweep:
         grid = self.grid(16)
         m = sweep_seed(SeedKinematics(cf), grid,
                        cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert m.crashed.all()
-        assert m.max_severity.all()
+        assert m.cells("crashed").all()
+        assert m.cells("max_severity").all()
         # every onset is past the no-response impact, so no row is live
         assert m.kernel_calls == 1
 
@@ -355,6 +359,22 @@ def assert_bitwise(got, want, names):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def assert_cells(got, want: DenseMatrix):
+    """Each outcome field of `got` over its whole grid has the dtype and
+    bytes of the dense oracle's."""
+    for name in MATRIX_FIELDS:
+        a, b = got.cells(name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_same_matrix(got, want):
+    """`got` holds `want`'s seed, live rows, their cells and no-response
+    outcome, bit for bit."""
+    assert got.seed_id == want.seed_id
+    assert_bitwise(got, want, ("rows",) + MATRIX_FIELDS)
+    assert bits(got.no_response) == bits(want.no_response)
+
+
 def grid_round_trip(grid: CampaignGrid) -> CampaignGrid:
     """`grid` written to and read from summary.json's JSON."""
     summary = json.loads(json.dumps({"grid": grid.to_json()}))
@@ -365,20 +385,33 @@ def grid_round_trip(grid: CampaignGrid) -> CampaignGrid:
 @given(rng_seed=st.integers(0, 2**32 - 1),
        model=st.sampled_from(["cbm", "blom"]),
        speed=st.floats(5.0, 35.0), headway=st.floats(0.3, 3.0),
-       lead=st.sampled_from(["braking", "non_braking", "standstill"]))
+       lead=st.sampled_from(["braking", "non_braking", "standstill"]),
+       n_decels=st.integers(1, 6), cut_at=st.one_of(st.none(), st.floats(0.5, 7.0)),
+       reweight_cut=st.floats(0.1, 7.0))
 def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
-                                                 headway, lead):
+                                                 headway, lead, n_decels, cut_at,
+                                                 reweight_cut):
     """Pruned rows and the block of live rows together give exactly the
-    cells of integrating every row."""
+    cells of integrating every row, on grids of 1 to 6 deceleration bins
+    and, for the cbm model, glance distributions cut at `cut_at`. The sums
+    over cells, which expand the live rows over the grid, keep every bit of
+    the dense oracle's: the crash masses, the weighted crash samples, and
+    both under a glance cut at `reweight_cut` (every other reaction time
+    for the blom model)."""
     synth = SynthesisConfig(n_seeds=2, follower_speed=(speed, speed + 2.0),
                             headway_time=(headway, headway + 0.2),
                             lead_mix={"braking": 1, lead: 1})
     seeds = list(synthesize_seeds(synth, rng_seed))
-    glance, decels = shrp2_like_glances(), shrp2_like_decels()
+    glance, all_decels = shrp2_like_glances(), shrp2_like_decels()
+    if cut_at is not None:
+        glance = cut_glances(glance, cut_at)
+    probs = all_decels.probs[:n_decels]
+    decels = DecelDistribution(all_decels.d_values[:n_decels], probs / probs.sum())
     cfg = CampaignConfig(model=model)
     reduced = run_campaign(seeds, cfg, glance=glance, decels=decels)
     grid = reduced.grid
     assert len(reduced.matrices) >= 1
+    dense = []
     for seed, r in zip(sorted(seeds, key=lambda s: s.id), reduced.results,
                        strict=True):
         cf = remove_evasive_maneuver(seed)
@@ -389,8 +422,34 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         onsets = (blom_onsets(cf.lead_brake_onset, grid.axis1) if model == "blom"
                   else cbm_onsets(r.anchor, grid.axis1, cfg.cbm))
         want = exhaustive_sweep(kin, grid, onsets, cfg.cbm.jerk_mean)
-        assert_bitwise(r.matrix, want, MATRIX_FIELDS)
+        assert_cells(r.matrix, want)
         assert r.matrix.kernel_calls <= want.kernel_calls
+        assert r.matrix.n_crash_cells == np.count_nonzero(want.crashed)
+        dense.append(want)
+    if model == "blom":
+        rows = list(range(0, grid.shape[0], 2))
+        p = grid.axis1_probs[rows]
+        target = CampaignGrid(grid.axis1[rows], p / p.sum(), grid.decels,
+                              grid.decel_probs)
+    else:
+        target = CampaignGrid(*cbm_axes(cut_glances(glance, reweight_cut)),
+                              grid.decels, grid.decel_probs)
+        rows = [grid.axis1.tolist().index(x) for x in target.axis1.tolist()]
+    masses = {s.id: (s.follower_meta.mass, s.lead_meta.mass) for s in seeds}
+    for got, want in ((reduced.matrices, dense),
+                      (reweight(reduced.matrices, grid, target),
+                       [m.at(rows, target) for m in dense])):
+        for m, d in zip(got, want, strict=True):
+            assert_cells(m, d)
+            assert m.crash_mass.hex() == d.crash_mass.hex()
+        if not any(d.crashed.any() for d in want):
+            continue
+        weights, _ = prevalence_weights(got)
+        samples = weighted_crash_samples(got, masses, weights)
+        oracle = dense_crash_samples(want, masses, weights)
+        assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
+        assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()
+        assert samples.weight.tobytes() == oracle.weight.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,11 +480,12 @@ def test_every_crash_closes(v_lead, closing, error, gap, onset):
        onset=st.floats(0.0, 3.0))
 def test_compact_matrices_expand_to_the_dense_ones_bitwise(
         rng_seed, model, lead, v_lead, gap, onset):
-    """load_matrices(save_matrices(m)) gives back the dense matrices bit
-    for bit, the live rows included. Besides the campaign's seeds there are
-    three constructed ones on its grid: a follower that never responds (no
-    live row, and the no-response run crashes), one slower than its lead
-    (no live row, and no crash), and one braking from `onset` on."""
+    """load_matrices(save_matrices(m)) gives back the matrices bit for bit:
+    their live rows, cells and no-response outcomes. Besides the campaign's
+    seeds there are three constructed ones on its grid: a follower that
+    never responds (no live row, and the no-response run crashes), one
+    slower than its lead (no live row, and no crash), and one braking from
+    `onset` on."""
     seeds = list(synthesize_seeds(SynthesisConfig(
         n_seeds=2, lead_mix={"braking": 1, lead: 1}), rng_seed))
     cfg = CampaignConfig(model=model)
@@ -441,18 +501,39 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
                                    cfg.cbm.jerk_mean))
         no_response[sid] = kin.no_response
     by_id = {m.seed_id: m for m in matrices}
-    assert not by_id["x_never"].live.any() and no_response["x_never"].crashed
-    assert not by_id["y_slow"].live.any() and not no_response["y_slow"].crashed
+    assert not len(by_id["x_never"].rows) and no_response["x_never"].crashed
+    assert not len(by_id["y_slow"].rows) and not no_response["y_slow"].crashed
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "matrices.npy"
         save_matrices(matrices, grid, path)
         n_records = len(np.load(path))
         loaded = load_matrices(path, grid, no_response)
-    assert n_records == sum(int(m.live.sum()) for m in matrices)
+    assert n_records == sum(len(m.rows) for m in matrices)
     assert [m.seed_id for m in loaded] == sorted(by_id)
     for got in loaded:
         assert got.grid is grid
-        assert_bitwise(got, by_id[got.seed_id], MATRIX_FIELDS + ("live",))
+        assert_same_matrix(got, by_id[got.seed_id])
+
+
+def test_load_matrices_memory_follows_its_records(tmp_path):
+    """load_matrices holds the records' cells, not a dense matrix per
+    seed: 200 seeds with one live row each take as much memory on a grid of
+    2 rows as on one of 1,000, whose dense arrays would take 21.6 MB."""
+    n2, peaks = 6, {}
+    for n1 in (2, 1000):
+        grid = CampaignGrid(0.1 * np.arange(n1), np.full(n1, 1 / n1),
+                            1.5 * np.arange(1, n2 + 1), np.full(n2, 1 / n2))
+        crashed = np.ones((1, n2), dtype=bool)
+        v1, v2 = np.full((1, n2), 9.0), np.full((1, n2), 1.0)
+        matrices = [OutcomeMatrix(f"s{k:03d}", grid, np.array([1]), crashed, v1, v2,
+                                  crashed, NO_CRASH) for k in range(200)]
+        path = tmp_path / f"{n1}.npy"
+        save_matrices(matrices, grid, path)
+        loaded, peaks[n1] = traced_peak(load_matrices, path, grid,
+                                        {m.seed_id: NO_CRASH for m in matrices})
+        assert len(loaded) == 200 and loaded[0].cells("crashed").shape == (n1, n2)
+    assert peaks[1000] <= 1.05 * peaks[2], peaks
+    assert peaks[1000] < 200 * 1000 * n2 * (1 + 8 + 8 + 1) / 20, peaks
 
 
 class TestCampaign:
@@ -551,7 +632,7 @@ class TestCampaign:
                         a.follower_mass, a.lead_mass) == (
                     b.seed_id, b.anchor, b.no_response, b.seed_delta_v_kmh,
                     b.follower_mass, b.lead_mass)
-                assert_bitwise(a.matrix, b.matrix, MATRIX_FIELDS)
+                assert_same_matrix(a.matrix, b.matrix)
 
     def test_matrices_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
@@ -565,8 +646,7 @@ class TestCampaign:
         assert len(loaded) == 3
         for orig, back in zip(result.matrices, loaded, strict=True):
             assert orig.grid is result.grid and back.grid is grid
-            assert back.seed_id == orig.seed_id
-            assert_bitwise(back, orig, MATRIX_FIELDS + ("live",))
+            assert_same_matrix(back, orig)
             assert back.crash_mass == orig.crash_mass
         # one little-endian record per live row, seed by seed, rows ascending
         records = np.load(path)
@@ -574,20 +654,22 @@ class TestCampaign:
             ("seed_id", "<U5"), ("axis1_index", "<i8"), ("crashed", "u1", (6,)),
             ("v1", "<f8", (6,)), ("v2", "<f8", (6,)), ("max_severity", "u1", (6,))])
         assert list(zip(records["seed_id"].tolist(), records["axis1_index"].tolist())) == [
-            (m.seed_id, row) for m in result.matrices
-            for row in np.flatnonzero(m.live).tolist()]
+            (m.seed_id, row) for m in result.matrices for row in m.rows.tolist()]
 
     def test_matrices_without_live_rows_write_no_record(self, small_seeds, glances,
                                                         decels, tmp_path):
         result = run_campaign(list(small_seeds[:2]), CampaignConfig(), glance=glances,
                               decels=decels)
-        dead = [replace(m, live=np.zeros_like(m.live)) for m in result.matrices]
+        dead = [replace(m, rows=m.rows[:0], **{name: getattr(m, name)[:0]
+                                               for name in MATRIX_FIELDS})
+                for m in result.matrices]
         path = tmp_path / "m.npy"
         save_matrices(dead, result.grid, path)
         assert np.load(path).shape == (0,)
         assert np.load(path).dtype["crashed"].shape == (6,)
-        for m in load_matrices(path, result.grid, swept(result)):
-            assert not m.live.any()
+        for m, want in zip(load_matrices(path, result.grid, swept(result)), dead,
+                           strict=True):
+            assert_same_matrix(m, want)
 
 
 @pytest.fixture(scope="module")
@@ -625,8 +707,7 @@ def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     np.save(path, records[np.random.default_rng(3).permutation(len(records))])
     for want, got in zip(loaded, load_matrices(path, result.grid, swept(result)),
                          strict=True):
-        assert got.seed_id == want.seed_id
-        assert_bitwise(got, want, MATRIX_FIELDS)
+        assert_same_matrix(got, want)
 
 
 class TestReweight:
@@ -647,7 +728,7 @@ class TestReweight:
         assert [m.seed_id for m in reweighted] == [m.seed_id for m in result.matrices]
         for want, got in zip(result.matrices, reweighted):
             assert got.grid is target
-            assert_bitwise(got, want, MATRIX_FIELDS + ("live",))
+            assert_same_matrix(got, want)
             assert got.crash_mass == want.crash_mass
             # loaded and reweighted, a matrix still counts its kernel calls
             assert got.kernel_calls == want.kernel_calls
@@ -667,10 +748,11 @@ class TestReweight:
         assert np.array_equal(grid.decels, flipped.d_values)
         back = load_matrices(path, grid, swept(result))
         for orig, got, ascending in zip(result.matrices, back, loaded):
-            assert got.seed_id == orig.seed_id == ascending.seed_id
-            assert_bitwise(got, orig, MATRIX_FIELDS)
-            assert np.array_equal(got.crashed, ascending.crashed[:, ::-1])
-            assert np.array_equal(got.v1, ascending.v1[:, ::-1], equal_nan=True)
+            assert got.seed_id == ascending.seed_id
+            assert_same_matrix(got, orig)
+            for name in MATRIX_FIELDS:
+                assert np.array_equal(got.cells(name), ascending.cells(name)[:, ::-1],
+                                      equal_nan=True), name
 
     def test_other_glance_distribution_rejected(self, paper_baseline):
         """An overshoot axis that is not a bitwise subset of the grid's."""
@@ -699,7 +781,7 @@ class TestReweight:
         tilted = CampaignGrid(grid.axis1, grid.axis1_probs, grid.decels,
                               grid.decel_probs[::-1])
         for want, got in zip(loaded, reweight(loaded, grid, tilted)):
-            assert_bitwise(got, want, MATRIX_FIELDS)
+            assert_same_matrix(got, want)
             assert got.grid is tilted
 
 
@@ -906,7 +988,8 @@ class TestLoadMatricesParseErrors:
         path.write_bytes(GOOD)
         (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
                              {"s1": NO_CRASH})
-        assert m.live.all() and not m.crashed.any() and np.isnan(m.v1).all()
+        assert m.rows.tolist() == [0, 1] and not m.crashed.any()
+        assert np.isnan(m.v1).all()
 
     def test_python_2_header_loads_without_a_warning(self, tmp_path):
         """NumPy warns that it parsed a header with a Python 2 long, but
@@ -917,7 +1000,7 @@ class TestLoadMatricesParseErrors:
             warnings.simplefilter("error")
             (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
                                  {"s1": NO_CRASH})
-        assert m.live.tolist() == [True, False]
+        assert m.rows.tolist() == [0]
 
     def test_truncated_row_names_its_line(self, tmp_path):
         """A file cut inside its last record is refused whole; an error in

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
+
+from fixtures import all_live
 from rearsim.outcome import (
     build_histogram,
     load_histogram,
@@ -31,8 +33,7 @@ def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
     v1 = np.array([[10.0, np.nan]])
     v2 = np.array([[5.0, np.nan]])
     grid = CampaignGrid([0.1], [1.0], [3.0, 6.0], [q, 1.0 - q])
-    return OutcomeMatrix(seed_id, grid, crashed, v1, v2,
-                         np.array([[False, False]]), np.array([True]))
+    return all_live(seed_id, grid, crashed, v1, v2, np.array([[False, False]]))
 
 
 class TestDeltaV:
@@ -137,9 +138,10 @@ class TestPrevalenceWeights:
         for m in matrices:
             if m.seed_id in w_by_seed:
                 m1, m2 = masses[m.seed_id]
-                for i, j in zip(*np.nonzero(m.crashed)):
+                v1, v2 = m.cells("v1"), m.cells("v2")
+                for i, j in zip(*np.nonzero(m.cells("crashed"))):
                     rows.append((m.seed_id,
-                                 delta_v(float(m.v1[i, j]), float(m.v2[i, j]), m1, m2),
+                                 delta_v(float(v1[i, j]), float(v2[i, j]), m1, m2),
                                  w_by_seed[m.seed_id] * float(m.grid.p_cell[i, j])))
         total = 0.0
         for _, _, w in rows:
