@@ -34,6 +34,10 @@ DEFAULT_N_FILL_BINS = 6
 
 C1_GRID = np.round(np.arange(-10.0, -0.1 + 1e-9, 0.05), 10)
 C2_GRID = np.round(np.arange(0.001, 5.0 + 1e-9, 0.001), 10)
+# the transfer fit's work buffer is len(C2_GRID) x bins float64, 164 MB at
+# this cap, which admits bins 100 times finer than the 2 km/h that makes the
+# benchmark's delta-v references 26-38 bins wide
+MAX_FIT_BINS = 4096
 
 OCCUPANTS_CSV_HEADER = ["delta_v_kmh", "mais", "role"]
 
@@ -90,7 +94,7 @@ class TransferFunction:
 
 def _counts_histogram(dvs: np.ndarray, bin_width: float, n_bins: int) -> np.ndarray:
     bins = np.floor(dvs / bin_width)
-    check_bins(bins.max(initial=0.0), bin_width)
+    check_bins(bins.max(initial=0.0), f"bin width {bin_width!r} km/h")
     idx = bins.astype(int)
     n = max(n_bins, (int(idx.max()) + 1) if idx.size else 0)
     return np.bincount(idx, minlength=n).astype(float)
@@ -149,6 +153,7 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
         raise ValidationError("p_pdo must be in (0, 1)")
     if n_fill_bins < 1:
         raise ValidationError(f"n_fill_bins must be >= 1, got {n_fill_bins}")
+    check_bins(n_fill_bins - 1, f"n_fill_bins {n_fill_bins}")
     check_bin_width(bin_width)
     pdo_dvs = np.array([r.delta_v for r in records if r.mais == 0])
     n_injured = sum(1 for r in records if r.mais > 0)
@@ -208,13 +213,8 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
 def augment_reference(injury_dist: DeltaVDistribution, pdo: PdoModel,
                       p_pdo: float = DEFAULT_P_PDO) -> DeltaVDistribution:
     """Mix the fitted PDO shape under the injury-only reference so the PDO
-    mass fraction of the result equals p_pdo."""
-    if not 0 <= p_pdo < 1:
-        raise ValidationError("p_pdo must be in [0, 1)")
-    if p_pdo == 0:
-        return DeltaVDistribution(injury_dist.bin_width,
-                                  injury_dist.weights.copy(),
-                                  injury_dist.mean, injury_dist.count)
+    mass fraction of the result equals p_pdo. Unchecked: `build_pdo`, which
+    fits `pdo` first, requires 0 < p_pdo < 1."""
     shape = pdo.density(injury_dist.centers)
     shape = shape / shape.sum()
     weights = p_pdo * shape + (1.0 - p_pdo) * injury_dist.weights
@@ -254,8 +254,13 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     summation order is unchanged. The one rewrite, ``-(c1 + C2*x)`` as
     ``(-c1) + ((-C2)*x)``, is exact: round-to-nearest is symmetric under
     negation, and the sign of an exact zero, the only possible difference,
-    leaves exp at 1."""
+    leaves exp at 1. Histograms over MAX_FIT_BINS bins wide raise
+    ValidationError before the buffer is allocated."""
     wp, orig = align_bins(with_pdo, original)
+    if len(wp) > MAX_FIT_BINS:
+        raise ValidationError(
+            f"bin width {with_pdo.bin_width!r} km/h makes the transfer fit "
+            f"{len(wp)} bins wide, more than {MAX_FIT_BINS}")
     centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
     orig_mass = orig.sum()
     if orig_mass <= 0 or wp.sum() <= 0:

@@ -499,7 +499,8 @@ def _per_seed_percentiles(cells: CrashSamples,
     """Percentile of each seed's own delta-v inside its generated crashes,
     with the no-response share mixed in per seed: when `fraction` > 0 and
     the seed's no-response run crashed, its no-response delta-v carries
-    `fraction` and its crash samples the rest."""
+    `fraction` and its crash samples the rest. A seed whose generated
+    crashes carry no weight (none, or all underflowed to 0) is left out."""
     from .validation import seed_percentile
     crash = {sid: (dv, w, mass) for sid, dv, w, mass in _crash_shares(cells, fraction)}
     none = (np.zeros(0), np.zeros(0), 0.0)
@@ -513,7 +514,7 @@ def _per_seed_percentiles(cells: CrashSamples,
         if f > 0:
             # [f] alone normalizes to exactly [1.0] in seed_percentile
             dvs, weights = np.append(dvs, row.no_resp_dv), np.append(weights, f)
-        if not dvs.size:
+        if not weights.any():
             continue
         out[sid] = seed_percentile(row.seed_delta_v, dvs, weights)
     return out

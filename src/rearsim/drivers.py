@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GlanceDistribution, overshoot_transform
-from .errors import ModelUndefinedError, ValidationError
+from .errors import ValidationError
 from .manifest import check_fields
 
 REACTION_BIN_STEP = 0.2    # s
@@ -77,14 +77,11 @@ def cbm_onsets(anchor: float | None, overshoots: np.ndarray,
         cfg.response_delay)
 
 
-def blom_onsets(brake_light_onset: float | None,
+def blom_onsets(brake_light_onset: float,
                 reaction_times: np.ndarray) -> np.ndarray:
     """Brake onset per reaction time: lead brake-light onset + reaction
-    time."""
-    if brake_light_onset is None:
-        raise ModelUndefinedError(
-            "brake-light model is undefined when the lead vehicle never "
-            "brakes or stands still for the whole event")
+    time. The campaign calls it only for a lead classified as braking,
+    which `classify_lead_behavior` always returns with its onset."""
     return brake_light_onset + reaction_times
 
 
@@ -111,9 +108,8 @@ def discretize_reaction_time(m: float = DEFAULT_REACTION_M,
     """Discretize the log-normal with mean m and variance v into 25 bins of
     0.2 s (centers 0.2..5.0). Bin mass is the density integrated over
     center +/- 0.1 s; the last bin is truncated at 5 s, and everything cut
-    away is recovered by renormalization."""
-    if m <= 0 or v <= 0:
-        raise ValidationError("reaction-time m and v must be positive")
+    away is recovered by renormalization. Unchecked: `CampaignConfig`
+    requires m and v to be finite numbers > 0."""
     mu = math.log(m * m / math.sqrt(v + m * m))
     sigma = math.sqrt(math.log(v / (m * m) + 1.0))
 

@@ -71,6 +71,7 @@ from .scenario import (
     CounterfactualSeed,
     SeedCrash,
     SeedRef,
+    overlap_speeds,
     remove_evasive_maneuver,
 )
 
@@ -136,10 +137,8 @@ class SeedKinematics:
         follower and lead speeds, interpolated from the gaps and follower
         speeds at steps k - 1 (a) and k (b). A grazing contact (v1 <= v2)
         counts as avoidance."""
-        alpha = gap_a / (gap_a - gap_b)
-        v1 = v_a + alpha * (v_b - v_a)
         ls = self.lead_speed
-        v2 = ls[k - 1] + alpha * (ls[k] - ls[k - 1])
+        v1, v2 = overlap_speeds(gap_a, gap_b, v_a, v_b, ls[k - 1], ls[k])
         return v1 > v2, v1, v2
 
     def run(self, onsets: np.ndarray, d_max: np.ndarray,
@@ -246,6 +245,8 @@ class CampaignGrid:
         if (any(a.ndim != 1 or not a.size or not np.isfinite(a).all()
                 for a in arrays) or grid.p_cell.shape != grid.shape):
             raise ParseError(f"{path}: malformed campaign grid")
+        if min(grid.axis1_probs.min(), grid.decel_probs.min()) < 0:
+            raise ParseError(f"{path}: campaign grid probabilities must be >= 0")
         return grid
 
 
@@ -278,7 +279,11 @@ class OutcomeMatrix:
 
     @property
     def n_crash_cells(self) -> int:
-        return int(np.count_nonzero(self.cells("crashed")))
+        """The live rows' crashing cells, plus every cell of the other rows
+        if the no-response run crashed."""
+        n1, n2 = self.grid.shape
+        return (int(np.count_nonzero(self.crashed))
+                + (n1 - len(self.rows)) * n2 * self.no_response.crashed)
 
     def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """v1, v2 and probability of each crashing cell of the grid, in
@@ -404,17 +409,16 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     are a bitwise subset of the grid's and whose deceleration bins equal
     the grid's, each matrix is its rows at the target's axis1 values under
     the target's marginals. A glance cut is such a target: its overshoots
-    come from the same 0.1 s grid, and a cut only drops glance mass. Any
-    other target, or a matrix on another grid, raises ValidationError.
+    come from the same 0.1 s grid, and a cut only drops glance mass. An
+    overshoot whose mass underflows to 0 only without the cut is on the
+    target's axis alone, which raises ValidationError. Unchecked: the
+    matrices are on `grid`, the target on its deceleration bins (assess-dms).
     """
     index = {x: k for k, x in enumerate(grid.axis1.view(np.int64).tolist())}
     rows = [index.get(x) for x in target.axis1.view(np.int64).tolist()]
-    if None in rows or target.decels.tobytes() != grid.decels.tobytes():
-        raise ValidationError(
-            "the target's axis1 values are not a subset of the simulated "
-            "grid's, or its deceleration bins differ from the grid's")
-    if any(m.grid is not grid for m in matrices):
-        raise ValidationError("a matrix is not on the simulated grid")
+    if None in rows:
+        raise ValidationError("the target's axis1 values are not a subset of "
+                              "the simulated grid's")
     out = []
     for m in matrices:
         live = np.isin(rows, m.rows)  # the target rows the kernel integrated
@@ -454,22 +458,18 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
 
 
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
-                 glance: GlanceDistribution | None = None,
-                 decels: DecelDistribution | None = None,
-                 workers: int = 1) -> CampaignResult:
+                 glance: GlanceDistribution | None = None, *,
+                 decels: DecelDistribution, workers: int = 1) -> CampaignResult:
     """Run one simulation set over all seeds, loaded or as refs whose
     trajectories each worker loads. Output is ordered by seed id and
     identical for any worker count; every matrix points to the result's
-    grid."""
-    if decels is None:
-        raise ValidationError("a deceleration distribution is required")
+    grid. Unchecked: `glance` is given for the cbm model, whose config
+    names a glance_file (`CampaignConfig.from_json`)."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if cfg.model == MODEL_BLOM:
         reaction = discretize_reaction_time(cfg.reaction_m, cfg.reaction_v)
         axes = (reaction.centers, reaction.probs)
-    elif glance is None:
-        raise ValidationError("the glance-based model needs a glance distribution")
     else:
         axes = cbm_axes(glance)
     grid = CampaignGrid(*axes, decels.d_values, decels.probs)

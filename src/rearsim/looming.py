@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .scenario import CounterfactualSeed
 
 
@@ -28,13 +27,10 @@ class LoomingSeries:
 
 
 def optical_angle(range_m, lead_width: float):
-    """Angle subtended by the lead vehicle's width at the given range."""
-    range_m = np.asarray(range_m, dtype=float)
-    if np.any(range_m <= 0):
-        raise ValidationError("optical_angle: range must be positive (vehicles overlap)")
-    if lead_width <= 0:
-        raise ValidationError("optical_angle: lead width must be positive")
-    out = 2.0 * np.arctan(lead_width / (2.0 * range_m))
+    """Angle subtended by the lead vehicle's width at the given range.
+    Unchecked: `looming_series` passes only the ranges before the first
+    overlap, all > 0, and `VehicleMeta` requires a width > 0."""
+    out = 2.0 * np.arctan(lead_width / (2.0 * np.asarray(range_m, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -56,12 +52,10 @@ def looming_series(cf: CounterfactualSeed) -> LoomingSeries:
 
 def find_anchor(series: LoomingSeries, threshold: float = 0.2) -> float | None:
     """Time of the first upward crossing of inv_tau through `threshold`,
-    linearly interpolated between samples. None if never crossed."""
-    if threshold <= 0:
-        raise ValidationError("find_anchor: threshold must be positive")
+    linearly interpolated between samples. None if never crossed.
+    Unchecked: `CbmConfig` requires a finite threshold > 0, and the series
+    is not empty: `SeedKinematics` first rejects an overlap at the start."""
     y = series.inv_tau
-    if len(y) == 0:
-        return None
     if y[0] >= threshold:
         return float(series.t[0])
     above = y >= threshold

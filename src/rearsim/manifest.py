@@ -74,8 +74,8 @@ def digest_tree(path: str | Path, known: dict[str, str] | None = None
     if path.is_file():
         return {path.name: file_digest(path)}
     known = known or {}
-    digests = {}
-    for p in sorted(path.rglob("*")):
+    digests = {}  # in no order: write_json sorts the keys
+    for p in path.rglob("*"):
         if p.is_file():
             name = str(p.relative_to(path))
             digests[name] = known.get(name) or file_digest(p)

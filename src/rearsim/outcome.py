@@ -70,33 +70,27 @@ def check_bin_width(bin_width: float) -> None:
                               f"got {bin_width!r}")
 
 
-def check_bins(top: float, bin_width: float) -> None:
-    """Raise ValidationError naming `bin_width` unless the floored bin
-    index `top` leaves the histogram at most MAX_BINS bins wide."""
+def check_bins(top: float, cause: str) -> None:
+    """Raise ValidationError naming `cause` unless the highest bin index
+    `top` leaves the histogram at most MAX_BINS bins wide."""
     if not top < MAX_BINS:  # an overflow to inf fails this comparison too
-        raise ValidationError(f"bin width {bin_width!r} km/h makes a histogram "
-                              f"of more than {MAX_BINS} bins")
+        raise ValidationError(f"{cause} makes a histogram of more than "
+                              f"{MAX_BINS} bins")
 
 
 def build_histogram(delta_v, weights,
                     bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> DeltaVDistribution:
-    """Weighted histogram of the samples `delta_v` (km/h) with `weights`,
-    two equally long sequences; the mean is taken on the unbinned samples.
-    Samples of weight 0 are dropped, but count."""
+    """Weighted histogram of the samples `delta_v` (km/h) with `weights`;
+    the mean is taken on the unbinned samples. Samples of weight 0 are
+    dropped, but count. Unchecked: equally many finite delta-v >= 0 and
+    finite weights >= 0, some > 0, as sidecars, seeds_summary.csv and
+    `weighted_crash_samples` give them (a crash has v1 > v2)."""
     check_bin_width(bin_width)
     dvs = np.asarray(delta_v, dtype=float).reshape(-1)
     ws = np.asarray(weights, dtype=float).reshape(-1)
-    if dvs.shape != ws.shape:
-        raise ValidationError(f"{dvs.size} delta-v for {ws.size} weights")
-    if np.any(ws < 0):
-        raise ValidationError("weights must be >= 0")
     positive = ws > 0
     if not positive.all():
         dvs, ws = dvs[positive], ws[positive]
-    if not ws.size:
-        raise ValidationError("no samples with positive weight")
-    if not np.all((dvs >= 0) & (dvs < math.inf)):  # NaN fails too
-        raise ValidationError("delta-v must be a finite number >= 0")
     # canonical accumulation order makes the histogram exactly invariant
     # to sample permutations
     order = np.lexsort((ws, dvs))
@@ -105,7 +99,7 @@ def build_histogram(delta_v, weights,
     # the order's buffer takes the products, then the bin indices
     mean = float(np.multiply(dvs, ws, out=order.view(float)).sum() / total)
     np.floor(np.divide(dvs, bin_width, out=dvs), out=dvs)
-    check_bins(dvs[-1], bin_width)  # the samples are sorted by delta-v
+    check_bins(dvs[-1], f"bin width {bin_width!r} km/h")  # sorted by delta-v
     idx = order
     np.copyto(idx, dvs, casting="unsafe")
     counts = np.bincount(idx, weights=ws, minlength=int(idx.max()) + 1)
@@ -191,7 +185,8 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
     """Crash cells, in row-major order per seed, as delta-v samples with
     the prevalence weights applied; the weights are renormalized to sum to
     1. `masses` maps seed id to (follower, lead) mass in kg. A delta-v that
-    is not finite raises ValidationError naming the seed."""
+    is not finite raises ValidationError naming the seed, and weights whose
+    sum is not a finite number > 0 raise ValidationError."""
     w_by_seed = {w.seed_id: w.w for w in weights}
     weighted = [m for m in matrices if m.seed_id in w_by_seed]
     counts = [m.n_crash_cells for m in weighted]
@@ -211,8 +206,9 @@ def weighted_crash_samples(matrices: list[OutcomeMatrix],
         raise ValidationError(f"seed {m.seed_id}: a crash's delta-v is not finite")
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0
-    if total <= 0:
-        raise ValidationError("no weighted crash samples")
+    if not 0 < total < math.inf:  # NaN fails too: an overflowed seed weight
+        raise ValidationError(f"the crash samples' weights sum to {total}, "
+                              f"not a finite number > 0")
     w /= total
     return CrashSamples([m.seed_id for m in weighted], counts, dvs, w)
 
@@ -221,9 +217,8 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
                     fraction: float) -> DeltaVDistribution:
     """Blend the sub-model histogram with the no-response (sleepy driver)
     delta-vs: (1-fraction) of the mass stays with `base`, `fraction` goes
-    to the normalized no-response histogram (one delta-v per seed)."""
-    if not 0 <= fraction <= 1:
-        raise ValidationError("fraction must be in [0, 1]")
+    to the normalized no-response histogram (one delta-v per seed).
+    Unchecked: `_simulate_summary` reads the fraction as in [0, 1)."""
     no_resp_dvs = [float(d) for d in no_resp_dvs]
     if fraction > 0 and not no_resp_dvs:
         raise ValidationError("no-response delta-vs required when fraction > 0")

@@ -172,6 +172,14 @@ def delta_v(v1, v2, m1: float, m2: float):
     return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 
+def overlap_speeds(gap_a, gap_b, foll_a, foll_b, lead_a, lead_b):
+    """Follower and lead speeds at the first overlap, interpolated linearly
+    between samples a and a + 1 (gap_a > 0 >= gap_b) of floats or arrays;
+    synthesis and the engine's kernel both call it."""
+    alpha = gap_a / (gap_a - gap_b)
+    return foll_a + alpha * (foll_b - foll_a), lead_a + alpha * (lead_b - lead_a)
+
+
 def _sustained_decel_onset(t: np.ndarray, acc: np.ndarray) -> int | None:
     """Index of the first sample opening a window of >= DECEL_ONSET_HOLD s
     at or below DECEL_ONSET_THRESHOLD. None if no such window exists."""
@@ -369,8 +377,8 @@ def load_seed_refs(directory: str | Path) -> list[SeedRef]:
     """Every seed CSV in a directory as its sidecar lists it, ordered by
     id. Only the JSON sidecars are read, each once; two sidecars with one
     id raise ParseError naming both."""
-    refs = [_read_sidecar(csv_path)
-            for csv_path in sorted(Path(directory).glob("*.csv"))]
+    refs = [_read_sidecar(csv_path) for csv_path in sorted(
+        Path(directory).glob("*.csv"), key=lambda path: path.name)]
     refs.sort(key=lambda r: r.id)
     for a, b in zip(refs, refs[1:]):
         if a.id == b.id:
@@ -489,9 +497,8 @@ def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
     k = int(hit[0])
     if k < 1 or foll_speed[k] <= lead_speed[k]:
         return None  # degenerate or grazing start
-    alpha = gap[k - 1] / (gap[k - 1] - gap[k])
-    v1 = foll_speed[k - 1] + alpha * (foll_speed[k] - foll_speed[k - 1])
-    v2 = lead_speed[k - 1] + alpha * (lead_speed[k] - lead_speed[k - 1])
+    v1, v2 = overlap_speeds(gap[k - 1], gap[k], foll_speed[k - 1], foll_speed[k],
+                            lead_speed[k - 1], lead_speed[k])
     if v1 < v2:
         return None  # the lead is the faster at first overlap
     return (t[: k + 1], lead_pos, lead_speed, lead_acc, foll_pos, foll_speed,

@@ -73,13 +73,11 @@ def compare(p: DeltaVDistribution, q: DeltaVDistribution) -> ComparisonStats:
 def seed_percentile(seed_dv: float, dvs, weights) -> float | str:
     """Mid-rank percentile of the seed's delta-v inside its generated
     crashes: 100 * (mass strictly below + half the mass equal). Seeds
-    outside the generated support return a marker instead."""
+    outside the generated support return a marker instead. Unchecked: the
+    weights are finite numbers >= 0, one per delta-v, and some weight is
+    > 0; `cli._per_seed_percentiles` passes only such seeds."""
     dvs = np.asarray(dvs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if dvs.size == 0 or weights.sum() <= 0:
-        raise ValidationError("generated samples must be non-empty")
-    if np.any(weights < 0):
-        raise ValidationError("weights must be >= 0")
     keep = weights > 0
     dvs, weights = dvs[keep], weights[keep]
     weights = weights / weights.sum()
@@ -99,9 +97,8 @@ def chi2_sf(x: float, df: int) -> float:
     Q(m, y) = sum_{k<m} e^-y y^k / k!, and odd df = 2m+1 gives
     Q(m+1/2, y) = erfc(sqrt y) + sum_{k=1..m} e^-y y^(k-1/2) / Gamma(k+1/2).
     Every term is positive and computed in log space, so a deep tail
-    underflows quietly to 0.0."""
-    if df < 1:
-        raise ValidationError("chi-square degrees of freedom must be >= 1")
+    underflows quietly to 0.0. Unchecked: df >= 1, since
+    `percentile_histogram` requires at least two bins."""
     if x <= 0:
         return 1.0
     y = 0.5 * x
@@ -206,11 +203,10 @@ def crash_avoidance_rate(baseline: list[OutcomeMatrix],
 
     Seeds are matched by id; a treatment seed that no longer crashes at
     all scores 1. Raw ratios are reported (no clamping), and baseline
-    seeds with zero crash probability are skipped."""
+    seeds with zero crash probability are skipped. Unchecked: `reweight`
+    maps every baseline seed, and `prevalence_weights`, which assess-dms
+    runs first, refuses a baseline without crash probability."""
     treat = {m.seed_id: m for m in treatment}
-    missing = [m.seed_id for m in baseline if m.seed_id not in treat]
-    if missing:
-        raise ValidationError(f"treatment is missing seeds: {missing[:5]}")
     per_seed: dict[str, float] = {}
     for m in baseline:
         p_base = m.crash_mass
@@ -218,8 +214,6 @@ def crash_avoidance_rate(baseline: list[OutcomeMatrix],
             continue
         p_treat = treat[m.seed_id].crash_mass
         per_seed[m.seed_id] = 1.0 - p_treat / p_base
-    if not per_seed:
-        raise ValidationError("no baseline seed has crash probability > 0")
     rate = float(np.mean(list(per_seed.values())))
     return rate, per_seed
 

@@ -131,11 +131,6 @@ class TestAugmentReference:
         return build_histogram(np.minimum(rng.gamma(5.0, 3.6, 103), 69.0),
                                np.ones(103), BIN_W)
 
-    def test_p_zero_is_identity(self):
-        ref = self.reference()
-        out = augment_reference(ref, PdoModel(0.137, 0.27), 0.0)
-        assert np.array_equal(out.weights, ref.weights)
-
     def test_pdo_mass_fraction(self):
         ref = self.reference()
         model = PdoModel(0.137, 0.27)

@@ -20,7 +20,13 @@ import pytest
 
 import rearsim
 from rearsim import cli, scenario, table
-from rearsim.bias import OccupantRecord, build_pdo, load_occupants, load_transfer
+from rearsim.bias import (
+    OccupantRecord,
+    build_pdo,
+    fit_transfer,
+    load_occupants,
+    load_transfer,
+)
 from rearsim.cli import (
     SEEDS_SUMMARY_HEADER,
     SYNTH_BATCH,
@@ -55,7 +61,7 @@ from rearsim.outcome import (
 )
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
-from rearsim.validation import load_injury_curve
+from rearsim.validation import load_injury_curve, percentile_histogram
 
 from fixtures import (
     all_live,
@@ -970,6 +976,13 @@ def _bad_decels(edit, where):
             (_SIMULATE,))
 
 
+def _negative_axis1_probability(text: str) -> str:
+    """Text edit: simulate's summary.json with a grid probability < 0."""
+    summary = json.loads(text)
+    summary["grid"]["axis1_probs"][0] = -0.05
+    return json.dumps(summary)
+
+
 def _bad_flag(flag, value, check, where, commands):
     """A flag value out of range: no file is edited, and `check(value)` is
     the call that rejects it."""
@@ -1018,6 +1031,14 @@ MALFORMED_INPUTS = {
                                 ("glance_cut_at", "flag", True),
                                 ("decel_file", "number", 123),
                                 ("glance_file", "number", 5))},
+    # run_campaign takes the distributions the config names unchecked
+    **{f"campaign_without_{key}": (
+        "inputs/campaign.json", CampaignConfig.from_json,
+        lambda text, key=key: json.dumps({k: v for k, v in json.loads(text).items()
+                                          if k != key}),
+        rf"campaign\.json: campaign config needs {key}", (_SIMULATE, _ASSESS),
+        ValidationError)
+       for key in ("glance_file", "decel_file")},
     "campaign_not_an_object": (
         "inputs/campaign.json", CampaignConfig.from_json, lambda text: "[1, 2]",
         r"campaign\.json: campaign config must be a JSON object", (_SIMULATE, _ASSESS)),
@@ -1029,11 +1050,20 @@ MALFORMED_INPUTS = {
     **{f"campaign_{key}_{name}": _bad_config(
         "blom.json", CampaignConfig.from_json, _SIMULATE_BLOM, key, value)
        for key, name, value in (("reaction_m", "text", "a"),
-                                ("reaction_v", "infinite", math.inf))},
+                                ("reaction_v", "infinite", math.inf),
+                                # discretize_reaction_time takes them unchecked
+                                ("reaction_m", "zero", 0),
+                                ("reaction_v", "zero", 0.0))},
     **{f"campaign_cbm_{key}_nan": (
         "inputs/campaign.json", CampaignConfig.from_json, _set_json(cbm={key: math.nan}),
         rf"campaign\.json: campaign config cbm: {key}", (_SIMULATE,), ValidationError)
        for key in ("response_delay", "inv_tau_threshold", "jerk_mean")},
+    # find_anchor takes the threshold unchecked
+    "campaign_cbm_inv_tau_threshold_zero": (
+        "inputs/campaign.json", CampaignConfig.from_json,
+        _set_json(cbm={"inv_tau_threshold": 0}),
+        r"campaign\.json: campaign config cbm: inv_tau_threshold must be positive",
+        (_SIMULATE,), ValidationError),
     **{f"synth_{key}_{name}": _bad_config(
         "synth.json", SynthesisConfig.from_json, _SYNTH, key, value)
        for key, name, value in (("n_seeds", "text", "5"), ("n_seeds", "zero", 0),
@@ -1111,7 +1141,9 @@ MALFORMED_INPUTS = {
        for role, field, name, value in (("lead", "mass", "infinite", math.inf),
                                         ("follower", "width", "nan", math.nan),
                                         ("lead", "length", "flag", True),
-                                        ("follower", "mass", "zero", 0))},
+                                        ("follower", "mass", "zero", 0),
+                                        # optical_angle takes it unchecked
+                                        ("lead", "width", "zero", 0))},
     "matrices_crashed_not_a_flag": _bad_matrices(
         _set_first_cell(1, crashed=2), r"record \d+ .*: crashed holds a byte "
                                        r"other than 0 or 1"),
@@ -1203,6 +1235,14 @@ MALFORMED_INPUTS = {
     "summary_no_response_fraction_nan": _bad_summary(
         _set_json(no_response_fraction=math.nan),
         r"no_response_fraction must be in \[0, 1\), got nan"),
+    # build_histogram takes the crash samples' weights, cell probabilities
+    # times seed weights, as >= 0 unchecked
+    "summary_grid_probability_negative": (
+        "out_simulate/summary.json",
+        lambda path: CampaignGrid.from_json(json.loads(path.read_text()), path),
+        _negative_axis1_probability,
+        r"summary\.json: campaign grid probabilities must be >= 0",
+        (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_no_response_fraction_one": _bad_summary(
         _set_json(no_response_fraction=1.0),
         r"no_response_fraction must be in \[0, 1\), got 1\.0"),
@@ -1250,6 +1290,27 @@ MALFORMED_INPUTS = {
         lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
         rf"n_fill_bins must be >= 1, got {value}", (_FIT_BIAS,))
        for name, value in (("zero", "0"), ("negative", "-2"))},
+    "n_fill_bins_huge": _bad_flag(
+        "--n-fill-bins", "1000000000000",
+        lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
+        r"n_fill_bins 1000000000000 makes a histogram of more than 1000000 bins",
+        (_FIT_BIAS,)),
+    # the transfer fit's work buffer: 5000 x bins float64
+    "bin_width_fit_too_fine": _bad_flag(
+        "--bin-width", "0.001",
+        lambda value: fit_transfer(*[build_histogram([50.0], [1.0], float(value))] * 2),
+        r"bin width 0\.001 km/h makes the transfer fit \d+ bins wide, more than 4096",
+        (_FIT_BIAS,)),
+    # augment_reference takes p_pdo unchecked
+    **{f"p_pdo_{name}": _bad_flag(
+        "--p-pdo", value,
+        lambda value: build_pdo(folksam_like_records(n=400), p_pdo=float(value)),
+        r"p_pdo must be in \(0, 1\)", (_FIT_BIAS,))
+       for name, value in (("zero", "0"), ("one", "1"))},
+    # chi2_sf takes n_bins - 1 degrees of freedom unchecked
+    "n_bins_one": _bad_flag(
+        "--n-bins", "1", lambda value: percentile_histogram([50.0], int(value)),
+        r"n_bins must be >= 2", (_VALIDATE,)),
     **{f"cuts_{name}": _bad_flag(
         "--cuts", value, lambda value: cut_glances(shrp2_like_glances(), float(value)),
         rf"cut_at must be > 0, got {value}", (_ASSESS,))
@@ -1321,6 +1382,31 @@ def test_assess_dms_rejects_a_repeated_cut(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --cuts repeats 3, inf"), err
     assert "Traceback" not in err and not (tmp_path / "assess").exists()
+
+
+def test_cut_with_overshoots_the_baseline_lacks_exits_two(pipeline, tmp_path,
+                                                         capsys):
+    """Subnormal glance masses can vanish from the uncut overshoot axis
+    and not from the cut one: 5e-324 / 3 rounds to 0, but the cut at
+    0.2 s doubles the 0.2 s glance's mass, and 1e-323 / 2 does not. The
+    baseline then has overshoot 0 only, and reweight refuses the cut."""
+    root, paths, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
+    with chdir(copy):
+        Path("inputs/glances.csv").write_text(
+            "on_road_mass,0.99999999999\r\nduration_s,probability\r\n"
+            "0.1,0\r\n0.2,5e-324\r\n0.3,5e-324\r\n")
+        assert main(_SIMULATE[:-1] + ["sub_simulate"]) == 0
+        assert json.loads(Path("sub_simulate/summary.json").read_text())[
+            "grid"]["axis1"] == [0.0]
+        capsys.readouterr()
+        assert main(["assess-dms", "--config", paths["campaign"], "--baseline",
+                     "sub_simulate", "--cuts", "0.2", "--out", "sub_assess"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the target's axis1 values are not a subset "
+                          "of the simulated grid's"), err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [
@@ -1525,6 +1611,15 @@ def test_seed_with_only_its_no_response_crash(seed_dv, want):
     cells = CrashSamples([], [], np.zeros(0), np.zeros(0))
     assert _per_seed_percentiles(cells, summary, 0.1) == {"a": want}
     assert _per_seed_percentiles(cells, summary, 0.0) == {}
+
+
+def test_seed_whose_crash_weights_underflowed_has_no_percentile():
+    """seed_percentile takes weights with a positive sum unchecked: a seed
+    whose crash samples all carry weight 0, as after an underflow, is left
+    out like a seed without samples."""
+    _, summary = _one_seed(True, False)
+    cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
+    assert _per_seed_percentiles(cells, summary, 0.1) == {}
 
 
 def test_mixing_without_a_no_response_crash():

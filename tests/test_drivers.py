@@ -12,7 +12,13 @@ from rearsim.drivers import (
     cbm_onsets,
     discretize_reaction_time,
 )
-from rearsim.errors import ModelUndefinedError, ValidationError
+from rearsim.errors import ValidationError
+from rearsim.scenario import (
+    DT_NOMINAL,
+    LEAD_BRAKING,
+    Trajectory,
+    classify_lead_behavior,
+)
 
 
 def cbm_onset(anchor, overshoot, cfg):
@@ -66,9 +72,19 @@ class TestBlomOnset:
         assert onsets[0] == pytest.approx(1.2)
         assert np.all(np.diff(onsets) > 0)
 
-    def test_undefined_without_brake_light(self):
-        with pytest.raises(ModelUndefinedError):
-            blom_onsets(None, np.array([1.0]))
+    @given(st.integers(0, 60), st.integers(0, 40), st.floats(-8.0, 0.0),
+           st.floats(0.0, 30.0))
+    def test_braking_lead_always_has_an_onset(self, start, length, level, v0):
+        """The campaign calls blom_onsets for exactly the leads classified
+        as braking, so none of its onsets is None. The lead holds `level`
+        from sample `start` for `length` samples."""
+        acc = np.zeros(80)
+        acc[start:start + length] = level
+        t = DT_NOMINAL * np.arange(len(acc))
+        speed = np.maximum(v0 + np.cumsum(acc) * DT_NOMINAL, 0.0)
+        lead = Trajectory(t, np.cumsum(speed) * DT_NOMINAL, speed, acc)
+        behavior, onset = classify_lead_behavior(lead)
+        assert (behavior == LEAD_BRAKING) == (onset is not None)
 
 
 class TestReactionTimeDistribution:
@@ -117,12 +133,6 @@ class TestReactionTimeDistribution:
         peak = int(np.argmax(dist.probs))
         assert np.all(np.diff(dist.probs[: peak + 1]) >= 0)
         assert np.all(np.diff(dist.probs[peak:]) <= 0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValidationError):
-            discretize_reaction_time(0.0, 0.36)
-        with pytest.raises(ValidationError):
-            discretize_reaction_time(1.0, -1.0)
 
 
 class TestBrakeProfile:
@@ -201,6 +211,10 @@ class TestCbmConfig:
             CbmConfig(jerk_mean=1.0)
         with pytest.raises(ValidationError):
             CbmConfig(no_response_fraction=1.0)
+        # find_anchor takes the threshold unchecked
+        for threshold in (0.0, -0.2):
+            with pytest.raises(ValidationError, match="inv_tau_threshold"):
+                CbmConfig(inv_tau_threshold=threshold)
 
     @pytest.mark.parametrize("key", ["inv_tau_threshold", "response_delay",
                                      "jerk_mean", "no_response_fraction"])

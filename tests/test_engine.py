@@ -36,7 +36,10 @@ from rearsim.manifest import write_json
 from rearsim.outcome import prevalence_weights, weighted_crash_samples
 from rearsim.scenario import (
     DT_NOMINAL,
+    SeedCrash,
     SynthesisConfig,
+    Trajectory,
+    VehicleMeta,
     load_seed_refs,
     remove_evasive_maneuver,
     save_seed,
@@ -149,6 +152,18 @@ class TestSimulate:
         seed.validate()
         with pytest.raises(ValidationError, match="is not the simulation step"):
             SeedKinematics(remove_evasive_maneuver(seed))
+
+    def test_seed_overlapping_at_its_first_sample_is_rejected(self, glances, decels):
+        """Vehicles that touch at the first sample pass the seed validator;
+        the campaign rejects the seed before find_anchor, which takes a
+        looming series of at least one sample unchecked."""
+        t = DT_NOMINAL * np.arange(3)
+        still = Trajectory(t, np.full(3, 10.0), np.zeros(3), np.zeros(3))
+        meta = VehicleMeta(1500.0, 1.8, 4.5)
+        seed = SeedCrash("s0", still, copy.deepcopy(still), meta, meta)
+        seed.validate()
+        with pytest.raises(ValidationError, match="vehicles overlap at start"):
+            run_campaign([seed], CampaignConfig(), glance=glances, decels=decels)
 
     def test_late_onset_equals_no_response_bitwise(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
@@ -765,19 +780,11 @@ class TestReweight:
                                   grid.decels, grid.decel_probs)
             with pytest.raises(ValidationError):
                 reweight(loaded, grid, target)
-        # a matrix on another grid, even an equal one
-        with pytest.raises(ValidationError):
-            reweight(loaded, grid_round_trip(grid), grid)
 
-    def test_other_decel_distribution_rejected(self, paper_baseline):
+    def test_other_decel_probabilities_reweight_the_same_outcomes(
+            self, paper_baseline):
         _, loaded = paper_baseline
         grid = loaded[0].grid
-        for decels in (grid.decels + 0.1, grid.decels[::-1]):
-            target = CampaignGrid(grid.axis1, grid.axis1_probs, decels,
-                                  grid.decel_probs)
-            with pytest.raises(ValidationError):
-                reweight(loaded, grid, target)
-        # other probabilities on the same bins reweight the same outcomes
         tilted = CampaignGrid(grid.axis1, grid.axis1_probs, grid.decels,
                               grid.decel_probs[::-1])
         for want, got in zip(loaded, reweight(loaded, grid, tilted)):

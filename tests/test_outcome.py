@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
 
 from fixtures import all_live
+from rearsim.errors import ValidationError
 from rearsim.outcome import (
     build_histogram,
     load_histogram,
@@ -88,6 +91,26 @@ class TestPrevalenceWeights:
         contrib_a = by_id["a"].w * by_id["a"].q_norm
         contrib_b = by_id["b"].w * by_id["b"].q_norm
         assert contrib_a == pytest.approx(contrib_b)
+
+    def test_crash_free_matrices_are_refused(self):
+        """crash_avoidance_rate takes a baseline with crash mass unchecked,
+        because assess-dms weights the baseline first."""
+        m = matrix_with_q("dead", 0.5)
+        m.crashed[:] = False
+        with pytest.raises(ValidationError, match="no seed produced any crash cell"):
+            prevalence_weights([m])
+
+    def test_weights_without_a_finite_sum_are_refused(self):
+        """A crash mass of 5e-324 has an infinite inverse, and with two
+        seeds trimming keeps it: build_histogram, which takes finite weights
+        unchecked, never sees the samples."""
+        matrices = [matrix_with_q("a", 5e-324), matrix_with_q("b", 0.7)]
+        with np.errstate(over="ignore"):
+            weights, _ = prevalence_weights(matrices)
+        assert weights[0].w == math.inf
+        with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
+            weighted_crash_samples(matrices, {"a": (1e3, 2e3), "b": (1e3, 1e3)},
+                                   weights)
 
     def test_zero_crash_seed_excluded_and_reported(self):
         m = matrix_with_q("dead", 0.5)

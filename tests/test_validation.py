@@ -105,10 +105,6 @@ class TestSeedPercentile:
         b = seed_percentile(18.0, dvs, w * 137.0)
         assert a == pytest.approx(b)
 
-    def test_empty_generated_rejected(self):
-        with pytest.raises(ValidationError):
-            seed_percentile(10.0, [], [])
-
 
 class TestPercentileHistogram:
     def test_uniform_self_draws_pass(self):
@@ -257,7 +253,3 @@ class TestCrashAvoidance:
         rate, _ = crash_avoidance_rate(base, base)
         assert rate == pytest.approx(0.0)
 
-    def test_missing_seed_rejected(self):
-        with pytest.raises(ValidationError):
-            crash_avoidance_rate([matrix_with_q("a", 0.4)],
-                                 [matrix_with_q("b", 0.4)])
