@@ -225,8 +225,7 @@ def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
         if dv.hex() != nr_dv[k].hex():  # bit for bit, as simulate wrote it
             raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
                                  f"the row's speeds and masses, got {nr_dv[k]!r}")
-    # a no-response crash is at maximum severity: the follower never braked
-    nr = [SimOutcome(True, a, b, True) if crashed else NO_CRASH
+    nr = [SimOutcome(True, a, b) if crashed else NO_CRASH
           for crashed, a, b in zip(nr_crashed.tolist(), v1, v2)]
     columns = (
         chunk.flags("eligible").tolist(), m1, m2,
@@ -295,7 +294,7 @@ def _load_simulated(sim_dir: Path):
 
 
 def cmd_simulate(args) -> int:
-    from .distributions import cut_glances, load_decels, load_glances
+    from .distributions import load_decels, load_glances
     from .engine import MODEL_CBM, CampaignConfig, run_campaign, save_matrices
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
@@ -304,8 +303,6 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"no seeds found in {args.seeds}")
     glance = load_glances(cfg.glance_file) if cfg.model == MODEL_CBM else None
     decels = load_decels(cfg.decel_file)
-    if glance is not None and cfg.glance_cut_at is not None:
-        glance = cut_glances(glance, float(cfg.glance_cut_at))
     result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
 
@@ -323,7 +320,6 @@ def cmd_simulate(args) -> int:
         "crash_cells": result.crash_cells,
         "no_response_fraction": (cfg.cbm.no_response_fraction
                                  if cfg.model == MODEL_CBM else 0.0),
-        "glance_cut_at": cfg.glance_cut_at,
         "grid": result.grid.to_json(),
     })
     # the seed files parsed are digested from the bytes parsed; any other
@@ -596,10 +592,8 @@ def cmd_assess_dms(args) -> int:
 
     baseline_dir = Path(args.baseline)
     sim_summary, fraction = _simulate_summary(baseline_dir)
-    if (sim_summary.get("model") != MODEL_CBM
-            or sim_summary.get("glance_cut_at") is not None):
-        raise ValidationError(
-            f"{baseline_dir}: the baseline must be an uncut cbm campaign")
+    if sim_summary.get("model") != MODEL_CBM:
+        raise ValidationError(f"{baseline_dir}: the baseline must be a cbm campaign")
     grid, baseline_matrices, summary_rows = _simulated_matrices(baseline_dir,
                                                                 sim_summary)
     axis1, axis1_probs = cbm_axes(glance)
@@ -608,8 +602,9 @@ def cmd_assess_dms(args) -> int:
         raise ValidationError(
             f"{baseline_dir}: the baseline was not simulated with the glance "
             f"distribution of {cfg.glance_file}")
-    _, _, base_hist, _, _ = _weight_pipeline(
+    _, _, base_hist, base_weights, _ = _weight_pipeline(
         baseline_matrices, summary_rows, fraction, args.bin_width)
+    base_q = {w.seed_id: w.q_raw for w in base_weights}
 
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
 
@@ -619,9 +614,10 @@ def cmd_assess_dms(args) -> int:
         target = grid if cut == math.inf else CampaignGrid(
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
         matrices = reweight(baseline_matrices, grid, target)
-        rate, per_seed = crash_avoidance_rate(baseline_matrices, matrices)
-        _, _, cut_hist, _, diagnostics = _weight_pipeline(
+        _, _, cut_hist, weights, diagnostics = _weight_pipeline(
             matrices, summary_rows, fraction, args.bin_width)
+        rate, per_seed = crash_avoidance_rate(
+            base_q, {w.seed_id: w.q_raw for w in weights})
         label = "inf" if cut == math.inf else f"{cut:g}"
         hist_path = out / f"hist_cut_{label}.csv"
         save_histogram(cut_hist, hist_path)

@@ -27,16 +27,27 @@ reduced sweep equals exhaustive simulation, which tests check over
 generated seeds.
 
 Outcomes and probabilities are kept apart. An `OutcomeMatrix` holds one
-seed's physics, whether each (axis1, max deceleration) cell crashes and at
-what speeds; the behaviour probabilities live once per campaign in a
+seed's physics; the behaviour probabilities live once per campaign in a
 shared `CampaignGrid`. `reweight` changes only the probabilities, and
 `simulate` writes the grid to its summary.json and the outcomes to
 matrices.npy.
 
+An (axis1, max deceleration) cell is its two speeds at first overlap,
+follower v1 and lead v2: both finite with v1 > v2 where the cell crashes,
+both NaN where it does not. Whether it crashes is `~isnan(v1)`, and its
+delta-v follows from the speeds and the masses. No cell records whether
+the follower had begun to brake: a live row brakes from a step before the
+no-response impact step, up to which it moves like the no-response run,
+which does not overlap before that step. So its first overlap comes after
+its brake onset, with the follower braking. The no-response outcome that
+the other rows take is the only crash without braking.
+
 A matrix holds the cells of its integrated (live) rows and the seed's
 no-response outcome, which every other row takes, in memory as on disk.
-Only sums over cells expand a field over the grid (`OutcomeMatrix.cells`):
-they keep their bits in row-major order alone.
+Each matrices.npy record is one live row: (seed_id, axis1_index, v1, v2),
+the speeds over the grid's deceleration bins. Only sums over cells expand
+a field over the grid (`OutcomeMatrix.cells`): they keep their bits in
+row-major order alone.
 """
 
 from __future__ import annotations
@@ -83,7 +94,8 @@ BLOCK_ELEMENTS = 2**14
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
 
-OUTCOME_FIELDS = ("crashed", "v1", "v2", "max_severity")
+# the fields of a cell, in OutcomeMatrix and in a matrices.npy record
+OUTCOME_FIELDS = ("v1", "v2")
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,6 @@ class SimOutcome:
     crashed: bool
     v1: float | None = None  # follower speed at first overlap, m/s
     v2: float | None = None  # lead speed at first overlap, m/s
-    max_severity: bool = False  # response never began before impact
 
 
 NO_CRASH = SimOutcome(False)
@@ -130,7 +141,7 @@ class SeedKinematics:
             crashed, v1, v2 = self._impact(k, self.free_gap[k - 1], self.free_gap[k],
                                            self.v_free, self.v_free)
             if crashed:
-                self.no_response = SimOutcome(True, float(v1), float(v2), True)
+                self.no_response = SimOutcome(True, float(v1), float(v2))
 
     def _impact(self, k, gap_a, gap_b, v_a, v_b):
         """Whether first overlaps at steps k are crashes, with their
@@ -144,16 +155,13 @@ class SeedKinematics:
     def run(self, onsets: np.ndarray, d_max: np.ndarray,
             jerk: float) -> dict[str, np.ndarray]:
         """The outcomes of braking from each of `onsets` (math.inf: never)
-        up to each plateau in `d_max`, integrated as one block: crashed, v1,
-        v2 (NaN where no crash) and max_severity, each of shape
-        (len(onsets), len(d_max))."""
+        up to each plateau in `d_max`, integrated as one block: v1 and v2,
+        each of shape (len(onsets), len(d_max)), finite with v1 > v2 where
+        the case crashes and both NaN where it does not."""
         t, n = self.t, len(self.t)
         shape = (len(onsets), len(d_max))
-        crashed = np.zeros(shape[0] * shape[1], dtype=bool)
-        v1, v2 = np.full(crashed.size, np.nan), np.full(crashed.size, np.nan)
-        severity = np.zeros(crashed.size, dtype=bool)
-        out = dict(crashed=crashed.reshape(shape), v1=v1.reshape(shape),
-                   v2=v2.reshape(shape), max_severity=severity.reshape(shape))
+        out = {name: np.full(shape, np.nan) for name in OUTCOME_FIELDS}
+        v1, v2 = (a.reshape(-1) for a in out.values())  # flat views
         # the earliest first braking step, and at the latest the step before
         # the no-response impact, which the cases braking later share
         p = min(int(t.searchsorted(onsets, "right").min(initial=n)),
@@ -161,7 +169,7 @@ class SeedKinematics:
         if p < 0:
             return out  # the no-response run never overlaps, so no case does
         onset, d = np.repeat(onsets, shape[1]), np.tile(d_max, shape[0])
-        cell = np.arange(crashed.size)  # the cells still in the block
+        cell = np.arange(v1.size)  # the cells still in the block
         lost = np.zeros(cell.size)  # running speed loss and distance
         reach = np.full(cell.size, self.reach[p])
         gap_prev = np.full(cell.size, self.free_gap[p])
@@ -194,9 +202,8 @@ class SeedKinematics:
             crash, hv1, hv2 = self._impact(
                 p + 1 + m, np.where(inside, gap[h, m - 1], gap_prev[h]),
                 gap[h, m], np.where(inside, v[h, m - 1], v_prev[h]), v[h, m])
-            c, k = cell[h[crash]], p + m[crash]  # k: the step before impact
-            crashed[c], v1[c], v2[c] = True, hv1[crash], hv2[crash]
-            severity[c] = ~(brake_deceleration(t[k], onset[c], jerk, d[c]) > 0)
+            c = cell[h[crash]]
+            v1[c], v2[c] = hv1[crash], hv2[crash]
             # stopped for good short of the lead: no crash
             stopped = (v[:, -1] == 0.0) & (self.x0 + reach < self.lead_floor[q])
             keep = ~(hit | stopped)
@@ -253,16 +260,21 @@ class CampaignGrid:
 @dataclass(eq=False)
 class OutcomeMatrix:
     """One seed's outcomes on its campaign grid (axis1 x max deceleration):
-    the live rows' cells, and the no-response outcome of the others."""
+    the live rows' cells, and the no-response outcome of the others. A cell
+    is its speeds, finite with v1 > v2 where it crashes, both NaN where it
+    does not."""
 
     seed_id: str
     grid: CampaignGrid
-    rows: np.ndarray           # (k,) the live rows' axis1 indices, ascending
-    crashed: np.ndarray        # (k, n2) bool
-    v1: np.ndarray             # NaN where not crashed
-    v2: np.ndarray
-    max_severity: np.ndarray   # bool
+    rows: np.ndarray  # (k,) the live rows' axis1 indices, ascending
+    v1: np.ndarray    # (k, n2) follower speed at first overlap, m/s
+    v2: np.ndarray    # (k, n2) lead speed at first overlap, m/s
     no_response: SimOutcome
+
+    @property
+    def crashed(self) -> np.ndarray:
+        """Whether each live cell crashes."""
+        return ~np.isnan(self.v1)
 
     @property
     def kernel_calls(self) -> int:
@@ -272,9 +284,9 @@ class OutcomeMatrix:
     def cells(self, name: str) -> np.ndarray:
         """Field `name` over the whole grid: the live rows' cells, and the
         no-response outcome in every other row (NaN for its None speeds)."""
-        out = np.full(self.grid.shape, getattr(self.no_response, name),
-                      dtype=getattr(self, name).dtype)
-        out[self.rows] = getattr(self, name)
+        live = getattr(self, name)
+        out = np.full(self.grid.shape, getattr(self.no_response, name), dtype=live.dtype)
+        out[self.rows] = live
         return out
 
     @property
@@ -288,8 +300,9 @@ class OutcomeMatrix:
     def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """v1, v2 and probability of each crashing cell of the grid, in
         row-major order: the order that sums over the cells keep."""
-        c = self.cells("crashed")
-        return self.cells("v1")[c], self.cells("v2")[c], self.grid.p_cell[c]
+        v1 = self.cells("v1")
+        c = ~np.isnan(v1)
+        return v1[c], self.cells("v2")[c], self.grid.p_cell[c]
 
     @property
     def crash_mass(self) -> float:
@@ -326,17 +339,14 @@ class CampaignConfig:
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION
     glance_file: str | None = None
     decel_file: str | None = None
-    glance_cut_at: float | None = None
 
     def __post_init__(self):
         check_fields(self)
-        cut = self.glance_cut_at
         for key, ok, rule in (
                 ("model", self.model in (MODEL_CBM, MODEL_BLOM), "cbm or blom"),
                 ("horizon_extension", self.horizon_extension >= 0, ">= 0"),
                 ("reaction_m", self.reaction_m > 0, "> 0"),
-                ("reaction_v", self.reaction_v > 0, "> 0"),
-                ("glance_cut_at", cut is None or cut > 0, "> 0 or null")):
+                ("reaction_v", self.reaction_v > 0, "> 0")):
             if not ok:
                 raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
@@ -499,20 +509,21 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
 # ---------------------------------------------------------------- file I/O
 
 def _record_dtype(id_length: int, n2: int) -> np.dtype:
-    """One matrices.npy record: a live row's cells over the `n2`
-    deceleration bins, little-endian whatever the host."""
+    """One matrices.npy record, (seed_id, axis1_index, v1, v2): a live
+    row's speeds over the `n2` deceleration bins, little-endian whatever
+    the host."""
     return np.dtype([("seed_id", f"<U{id_length}"), ("axis1_index", "<i8"),
-                     ("crashed", "u1", (n2,)), ("v1", "<f8", (n2,)),
-                     ("v2", "<f8", (n2,)), ("max_severity", "u1", (n2,))])
+                     *((name, "<f8", (n2,)) for name in OUTCOME_FIELDS)])
 
 
 def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
                   path: str | Path) -> None:
-    """Write one record per live row of each matrix on `grid` to the .npy
-    file `path`: seed by seed, rows ascending, each with its cells in the
-    grid's deceleration order (v1 and v2 NaN where no crash). The grid
-    goes to simulate's summary.json, and the no-response outcome that a
-    seed's other rows take to its seeds_summary.csv row."""
+    """Write one record (seed_id, axis1_index, v1, v2) per live row of
+    each matrix on `grid` to the .npy file `path`: seed by seed, rows
+    ascending, the speeds in the grid's deceleration order (both NaN where
+    a cell does not crash). The grid goes to simulate's summary.json, and
+    the no-response outcome that a seed's other rows take to its
+    seeds_summary.csv row."""
     records = np.zeros(sum(len(m.rows) for m in matrices), dtype=_record_dtype(
         max((len(m.seed_id) for m in matrices), default=1), grid.shape[1]))
     # each matrix's records, as views into `records`
@@ -534,12 +545,12 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     other row takes its seed's no-response outcome, so a seed without
     records has no live row. ParseError names the path if the file is not
     a whole .npy file of records without pickled objects, or not a 1-D
-    array of exactly `save_matrices`'s fields on the grid's deceleration
-    bins. It names the path and the record if a flag is not 0 or 1, a cell
-    without a crash has speeds or maximum severity, a crash does not have
-    finite speeds with v1 > v2 (the kernel counts no other crash), a row
-    index is outside the grid, a seed is not in `no_response`, or a (seed,
-    row) pair repeats."""
+    array of exactly `save_matrices`'s fields (seed_id, axis1_index, v1,
+    v2) on the grid's deceleration bins. It names the path and the record
+    if a cell's speeds are neither both NaN (no crash) nor both finite with
+    v1 > v2 (a crash; the kernel counts no other), a row index is outside
+    the grid, a seed is not in `no_response`, or a (seed, row) pair
+    repeats."""
     n1, n2 = grid.shape
     try:
         # NumPy raises or warns on a corrupt header; MemoryError: a huge shape
@@ -568,14 +579,11 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
             raise ParseError(f"{path}: record {k} (seed {ids[k]}, axis1 row "
                              f"{row[k]}): {message}")
 
-    for name in ("crashed", "max_severity"):
-        check((records[name] > 1).any(axis=1), f"{name} holds a byte other than 0 or 1")
-    crashed, v1, v2 = records["crashed"] == 1, records["v1"], records["v2"]
-    check((~crashed & ~(np.isnan(v1) & np.isnan(v2)
-                        & (records["max_severity"] == 0))).any(axis=1),
-          "a cell without a crash must have NaN v1 and v2 and max_severity 0")
-    check((crashed & ~((v1 > v2) & np.isfinite(v1) & np.isfinite(v2))).any(axis=1),
-          "a crash must have finite speeds with v1 > v2")
+    v1, v2 = records["v1"], records["v2"]
+    check(~((np.isnan(v1) & np.isnan(v2))
+            | (np.isfinite(v1) & np.isfinite(v2) & (v1 > v2))).all(axis=1),
+          "a cell's v1 and v2 must be both NaN (no crash) or both finite "
+          "with v1 > v2 (a crash)")
     check((row < 0) | (row >= n1), f"the grid has {n1} axis1 rows")
     swept = {sid: k for k, sid in enumerate(sorted(no_response))}  # id: position
     distinct, inverse = np.unique(ids, return_inverse=True)
@@ -587,7 +595,7 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     key, again = key[order], np.empty(key.size, dtype=bool)
     again[order] = np.diff(key, prepend=-1) == 0  # every key is >= 0
     check(again, "an earlier record holds the same row")
-    arrays = [a[order] for a in (row, crashed, v1, v2, records["max_severity"] == 1)]
+    arrays = [a[order] for a in (row, v1, v2)]
     bounds = key.searchsorted(n1 * np.arange(len(swept) + 1)).tolist()
     return [OutcomeMatrix(sid, grid, *(a[start:stop] for a in arrays), no_response[sid])
             for sid, start, stop in zip(swept, bounds, bounds[1:])]

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -14,9 +13,6 @@ from . import table
 from .errors import ParseError, ValidationError
 from .manifest import check_json, read_json
 from .outcome import DeltaVDistribution, align_bins
-
-if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
-    from .engine import OutcomeMatrix
 
 CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
 BELOW_MIN = "below-min"
@@ -197,25 +193,16 @@ def injury_risk(h: DeltaVDistribution, curve: InjuryRiskCurve) -> float:
     return float((curve(h.centers) * h.weights).sum())
 
 
-def crash_avoidance_rate(baseline: list[OutcomeMatrix],
-                         treatment: list[OutcomeMatrix]) -> tuple[float, dict[str, float]]:
-    """Per-seed avoidance 1 - P_treatment/P_baseline and their mean.
-
-    Seeds are matched by id; a treatment seed that no longer crashes at
-    all scores 1. Raw ratios are reported (no clamping), and baseline
-    seeds with zero crash probability are skipped. Unchecked: `reweight`
-    maps every baseline seed, and `prevalence_weights`, which assess-dms
-    runs first, refuses a baseline without crash probability."""
-    treat = {m.seed_id: m for m in treatment}
-    per_seed: dict[str, float] = {}
-    for m in baseline:
-        p_base = m.crash_mass
-        if p_base <= 0:
-            continue
-        p_treat = treat[m.seed_id].crash_mass
-        per_seed[m.seed_id] = 1.0 - p_treat / p_base
-    rate = float(np.mean(list(per_seed.values())))
-    return rate, per_seed
+def crash_avoidance_rate(baseline: dict[str, float],
+                         treatment: dict[str, float]) -> tuple[float, dict[str, float]]:
+    """Per-seed avoidance 1 - q_treatment/q_baseline and their mean, from
+    each seed's crash probability q by seed id (`SeedWeight.q_raw`), in
+    the baseline's order. A seed missing from `treatment` no longer crashes
+    at all and scores 1. Raw ratios are reported (no clamping). Unchecked:
+    every baseline q is > 0, as `prevalence_weights` keeps only such
+    seeds, and refuses a baseline without one."""
+    per_seed = {sid: 1.0 - treatment.get(sid, 0.0) / q for sid, q in baseline.items()}
+    return float(np.mean(list(per_seed.values()))), per_seed
 
 
 # ---------------------------------------------------------------- file I/O

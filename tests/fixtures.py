@@ -154,15 +154,17 @@ class DenseMatrix:
 
     seed_id: str
     grid: CampaignGrid
-    crashed: np.ndarray
-    v1: np.ndarray
+    v1: np.ndarray  # NaN where no crash
     v2: np.ndarray
-    max_severity: np.ndarray
+
+    @property
+    def crashed(self) -> np.ndarray:
+        return ~np.isnan(self.v1)
 
     @property
     def kernel_calls(self) -> int:
         """The no-response run, plus one call per cell."""
-        return 1 + self.crashed.size
+        return 1 + self.v1.size
 
     @property
     def crash_mass(self) -> float:
@@ -171,8 +173,7 @@ class DenseMatrix:
     def at(self, rows, target: CampaignGrid) -> "DenseMatrix":
         """The matrix's `rows` under `target`'s probabilities: the oracle
         for `engine.reweight`."""
-        return DenseMatrix(self.seed_id, target, self.crashed[rows], self.v1[rows],
-                           self.v2[rows], self.max_severity[rows])
+        return DenseMatrix(self.seed_id, target, self.v1[rows], self.v2[rows])
 
 
 def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
@@ -199,11 +200,9 @@ def dense_crash_samples(matrices: list[DenseMatrix],
                         np.concatenate(dvs), w / np.cumsum(w)[-1])
 
 
-def all_live(seed_id: str, grid: CampaignGrid, crashed, v1, v2,
-             max_severity) -> OutcomeMatrix:
-    """A matrix whose every row is live, with the (n1, n2) cells given."""
-    return OutcomeMatrix(seed_id, grid, np.arange(len(crashed)), crashed, v1,
-                         v2, max_severity, NO_CRASH)
+def all_live(seed_id: str, grid: CampaignGrid, v1, v2) -> OutcomeMatrix:
+    """A matrix whose every row is live, with the (n1, n2) speeds given."""
+    return OutcomeMatrix(seed_id, grid, np.arange(len(v1)), v1, v2, NO_CRASH)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

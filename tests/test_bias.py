@@ -346,13 +346,20 @@ class TestApplyTransfer:
 
     def test_histogram_of_counts_is_rejected_at_load(self, tmp_path):
         """Every histogram sums to 1, so one of counts never reaches the
-        transfer: loading it raises ParseError naming the file."""
+        transfer: loading it raises ParseError naming the file. Nor does one
+        without mass, which fit_transfer and binned_mean take unchecked:
+        construction refuses a total of 0, and align_bins only pads the
+        weights with zeros."""
         path = tmp_path / "counts.csv"
         path.write_text("bin_low_kmh,bin_high_kmh,weight\n0.0,2.0,3.0\n2.0,4.0,5.0\n")
         with pytest.raises(ParseError, match=r"counts\.csv: histogram weights sum to 8\.0"):
             load_histogram(path)
-        with pytest.raises(ValidationError, match="sum to 2.0, not 1"):
-            DeltaVDistribution(BIN_W, [1.0, 1.0], 0.0, 2)
+        for weights, total in (([1.0, 1.0], "2.0"), ([0.0, 0.0], "0.0")):
+            with pytest.raises(ValidationError, match=f"sum to {total}, not 1"):
+                DeltaVDistribution(BIN_W, weights, 0.0, 2)
+        h = DeltaVDistribution(BIN_W, [0.25, 0.75], 0.0, 4)
+        padded, _ = align_bins(h, DeltaVDistribution(BIN_W, [0.0, 0.0, 1.0], 0.0, 1))
+        assert padded.tolist() == [0.25, 0.75, 0.0]
 
 
 @pytest.mark.parametrize("delta_v", [math.nan, math.inf, -1.0])

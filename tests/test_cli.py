@@ -241,9 +241,10 @@ class TestPipeline:
 
     def test_simulate_artifacts_are_pinned(self, pipeline):
         """simulate's outputs from the seed files on disk, and its manifest
-        without the timestamp, are the bytes they were when every seed was
-        parsed field by field and the manifest read each seed file again
-        for its digest."""
+        without the timestamp. seeds_summary.csv is the bytes it was when
+        every seed was parsed field by field; matrices.npy holds the speeds
+        of those cells without their crashed and max_severity flags, and
+        summary.json has no glance_cut_at key."""
         _, _, out = pipeline
         sim = out["simulate"]
         manifest = json.loads((sim / "manifest.json").read_bytes())
@@ -254,13 +255,13 @@ class TestPipeline:
         assert {name: hashlib.sha256(blob).hexdigest()
                 for name, blob in blobs.items()} == {
             "matrices.npy":
-                "d9bfc49e4ed905eeed774638f3c656ba87d6cd8c119d3621bb77519751663400",
+                "5ff87f48c73c55e441becb28d0c152a61d9b1c4cab2e3e5d7cec5785bba823da",
             "seeds_summary.csv":
                 "c6279bb622505460be2285b8899c85f22fa367f4f4414d95205eb4aa9048d90f",
             "summary.json":
-                "2956131a709432582946168aacc955c8fe791e4dd2f399a08985a3cb774e80ca",
+                "9d1737179e61def7a3982ef6f68515b351efecb50841a775937f5eccb9b5fe10",
             "manifest.json":
-                "1a82e7d9c291d26d54e17165c10131f18fee6ac816320cdc0d0aad4e2528c40f",
+                "796bae6da467b0652b2829ba6ebdc9f63304060454766be6f7689ff2ef425158",
         }
 
     def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
@@ -322,7 +323,7 @@ class TestPipeline:
         root, paths, out = pipeline
         sim = out["simulate"]
         summary = json.loads((sim / "summary.json").read_text())
-        n_cells = np.load(sim / "matrices.npy")["crashed"].size
+        n_cells = np.load(sim / "matrices.npy")["v1"].size
         swept = summary["n_seeds"] - summary["n_excluded"]
         assert n_cells == summary["kernel_calls"] - swept
         with chdir(root):
@@ -334,7 +335,7 @@ class TestPipeline:
         assert len(loaded) == len(result.matrices) == swept
         for want, got in zip(result.matrices, loaded):
             assert (got.seed_id, got.no_response) == (want.seed_id, want.no_response)
-            for name in ("rows", "crashed", "v1", "v2", "max_severity"):
+            for name in ("rows", "v1", "v2"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.kernel_calls == want.kernel_calls
 
@@ -622,13 +623,6 @@ class TestAssessDmsRejectsMismatchedBaseline:
                                f"sim_{name}_glances")
                 assert _assess(paths, f"sim_{name}_glances") == 2, name
 
-    def test_already_cut_baseline(self, pipeline):
-        root, paths, _ = pipeline
-        with chdir(root):
-            campaign = json.loads(Path(paths["campaign"]).read_text())
-            self._simulate(dict(campaign, glance_cut_at=3.0), "sim_cut")
-            assert _assess(paths, "sim_cut") == 2
-
     def test_truncated_matrices(self, pipeline):
         root, paths, out = pipeline
         with chdir(root):
@@ -860,11 +854,11 @@ def _drop_first_listed_seed(records):
     return records[records["seed_id"] != records["seed_id"][0]]
 
 
-def _set_first_cell(flag: int, **values):
-    """Record edit: the fields of the first cell whose crashed flag is
-    `flag` set to `values`."""
+def _set_first_cell(crashed: bool, **values):
+    """Record edit: the fields of the first cell that crashes, or of the
+    first that does not, set to `values`."""
     def edit(records):
-        k, j = np.argwhere(records["crashed"] == flag)[0]
+        k, j = np.argwhere(~np.isnan(records["v1"]) == crashed)[0]
         for field, value in values.items():
             records[field][k, j] = value
         return records
@@ -893,11 +887,27 @@ def _bad_matrices(edit, where):
             rf"matrices\.npy: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
 
 
-def _bad_crash_speed(value):
+def _bad_speeds(crashed: bool, **values):
+    """matrices.npy with the speeds of its first cell that crashes, or of
+    its first that does not, set to `values`."""
     return _bad_matrices(
-        _set_first_cell(1, v1=value),
-        r"record \d+ \(seed s\d+, axis1 row \d+\): a crash must have finite "
-        r"speeds with v1 > v2")
+        _set_first_cell(crashed, **values),
+        r"record \d+ \(seed s\d+, axis1 row \d+\): a cell's v1 and v2 must be "
+        r"both NaN \(no crash\) or both finite with v1 > v2 \(a crash\)")
+
+
+def _flagged_layout(records):
+    """The records in the layout whose cells carried a crashed and a
+    max_severity flag beside their speeds."""
+    n2 = records.dtype["v1"].shape[0]
+    out = np.zeros(records.shape, [
+        ("seed_id", records.dtype["seed_id"]), ("axis1_index", "<i8"),
+        ("crashed", "u1", (n2,)), ("v1", "<f8", (n2,)), ("v2", "<f8", (n2,)),
+        ("max_severity", "u1", (n2,))])
+    for name in records.dtype.names:
+        out[name] = records[name]
+    out["crashed"] = ~np.isnan(records["v1"])
+    return out
 
 
 def _bad_seeds_summary(field: str, value: str, rule: str):
@@ -1023,12 +1033,15 @@ MALFORMED_INPUTS = {
        for name, key, edit in (("dt", "dt", _set_json(dt=0.01)),
                                ("cbm_jerk_sd", "jerk_sd",
                                 _set_json(cbm={"jerk_sd": 0.74})))},
+    # a glance cut is assess-dms's: simulate runs the glance file uncut
+    "campaign_glance_cut_at": (
+        "inputs/campaign.json", CampaignConfig.from_json, _set_json(glance_cut_at=3.0),
+        r"campaign\.json: campaign config has no key 'glance_cut_at'",
+        (_SIMULATE, _ASSESS), ValidationError),
     **{f"campaign_{key}_{name}": _bad_config(
         "campaign.json", CampaignConfig.from_json, _SIMULATE, key, value)
        for key, name, value in (("horizon_extension", "negative", -40),
                                 ("horizon_extension", "infinite", math.inf),
-                                ("glance_cut_at", "text", "abc"),
-                                ("glance_cut_at", "flag", True),
                                 ("decel_file", "number", 123),
                                 ("glance_file", "number", 5))},
     # run_campaign takes the distributions the config names unchecked
@@ -1144,12 +1157,11 @@ MALFORMED_INPUTS = {
                                         ("follower", "mass", "zero", 0),
                                         # optical_angle takes it unchecked
                                         ("lead", "width", "zero", 0))},
-    "matrices_crashed_not_a_flag": _bad_matrices(
-        _set_first_cell(1, crashed=2), r"record \d+ .*: crashed holds a byte "
-                                       r"other than 0 or 1"),
-    "matrices_no_crash_with_fields": _bad_matrices(
-        _set_first_cell(0, v1=1.0, v2=0.5, max_severity=1),
-        r"record \d+ .*: a cell without a crash must have NaN v1 and v2"),
+    "matrices_flagged_layout": _bad_matrices(
+        _edit_records(_flagged_layout),
+        r"expected a 1-D array of records \[\('seed_id', '<U\d+'\), \('axis1_index', "
+        r"'<i8'\), \('v1', '<f8', \(6,\)\), \('v2', '<f8', \(6,\)\)\] on the grid's "
+        r"6 deceleration bins, got a 1-D array of .*'crashed', 'u1'"),
     "matrices_seed_dropped": _bad_matrices(
         _edit_records(_drop_first_listed_seed),
         r"seed s\d+ lists 0 cells, not its kernel_calls - 1 = [1-9]\d*"),
@@ -1166,20 +1178,24 @@ MALFORMED_INPUTS = {
         _edit_records(lambda r: np.asfortranarray(np.stack([r, r], axis=1))),
         r"expected a 1-D array of records .*, got a 2-D"),
     "matrices_missing_field": _bad_matrices(
-        _retyped(max_severity=None), r"expected a 1-D array of records .*, got a 1-D"),
+        _retyped(v2=None), r"expected a 1-D array of records .*, got a 1-D"),
     "matrices_wrong_dtype": _bad_matrices(
         _retyped(v1=("<f4", (6,))), r"expected a 1-D array of records .*, got a 1-D"),
     "matrices_other_n2": _bad_matrices(
-        _retyped(**{name: ("u1" if name in ("crashed", "max_severity") else "<f8", (5,))
-                    for name in ("crashed", "v1", "v2", "max_severity")}),
-        r"expected .* on the grid's 6 deceleration bins, got .*'crashed', 'u1', "
-        r"\(5,\)"),
-    **{f"matrices_v1_{name}": _bad_crash_speed(value)
-       for name, value in (("nan", math.nan), ("infinite", math.inf),
-                           ("below_v2", -1.0))},
+        _retyped(**{name: ("<f8", (5,)) for name in ("v1", "v2")}),
+        r"expected .* on the grid's 6 deceleration bins, got .*'v1', '<f8', \(5,\)"),
+    **{f"matrices_{name}": _bad_speeds(crashed, **values)
+       for name, crashed, values in (
+           ("v1_nan", True, dict(v1=math.nan)),
+           ("v2_nan", True, dict(v2=math.nan)),
+           ("v1_infinite", True, dict(v1=math.inf)),
+           ("v1_below_v2", True, dict(v1=-1.0)),
+           ("v1_equal_v2", True, dict(v1=0.0, v2=0.0)),
+           ("no_crash_with_v1", False, dict(v1=1.0)),
+           ("no_crash_with_v2", False, dict(v2=1.0)))},
     # finite speeds whose delta-v overflows
     "matrices_v1_overflow": (
-        "out_simulate/matrices.npy", _crash_samples_of, _set_first_cell(1, v1=1e308),
+        "out_simulate/matrices.npy", _crash_samples_of, _set_first_cell(True, v1=1e308),
         r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
         ValidationError),
     **{f"seeds_summary_{field}_{name}": _bad_seeds_summary(field, value, rule)
@@ -1577,9 +1593,9 @@ def test_weight_pipeline_memory_follows_its_samples():
         v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
         v1 = v2 + rng.uniform(0, 10, (n1, n2))
         sid = f"s{k:03d}"
-        matrices.append(all_live(sid, grid, crashed, v1, v2, crashed & (v2 < 1)))
+        matrices.append(all_live(sid, grid, v1, v2))
         summary[sid] = _SeedSummary(True, 1500.0, 1200.0, 10.0,
-                                    SimOutcome(True, 20.0, 5.0, True), 30.0,
+                                    SimOutcome(True, 20.0, 5.0), 30.0,
                                     1 + n1 * n2)
     (cells, *_), peak = traced_peak(_weight_pipeline, matrices, summary, 0.1, 2.0)
     held = cells.delta_v.nbytes + cells.weight.nbytes
@@ -1594,8 +1610,8 @@ def _one_seed(crashed_cell: bool, nr_crashed: bool, seed_dv: float = 20.0):
     grid = CampaignGrid([0.0], [1.0], [3.0, 6.0], [0.5, 0.5])
     crashed = np.array([[crashed_cell, False]])
     v1, v2 = (np.where(crashed, v, np.nan) for v in (10.0, 5.0))
-    matrix = all_live("a", grid, crashed, v1, v2, np.zeros((1, 2), bool))
-    nr = SimOutcome(True, 12.0, 5.0, True)
+    matrix = all_live("a", grid, v1, v2)
+    nr = SimOutcome(True, 12.0, 5.0)
     row = _SeedSummary(True, 1500.0, 1500.0, seed_dv, nr if nr_crashed else
                        SimOutcome(False), 20.0 if nr_crashed else math.nan, 3.0)
     return [matrix], {"a": row}

@@ -6,7 +6,7 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +71,11 @@ def stopping_distance(v0: float, jerk: float, d_max: float) -> float:
 
 def cell(out: dict, i: int, j: int) -> SimOutcome:
     """Cell (i, j) of a block the kernel returned, as an outcome."""
-    if not out["crashed"][i, j]:
-        assert np.isnan(out["v1"][i, j]) and np.isnan(out["v2"][i, j])
+    v1, v2 = float(out["v1"][i, j]), float(out["v2"][i, j])
+    if math.isnan(v1):
+        assert math.isnan(v2)
         return NO_CRASH
-    return SimOutcome(True, float(out["v1"][i, j]), float(out["v2"][i, j]),
-                      bool(out["max_severity"][i, j]))
+    return SimOutcome(True, v1, v2)
 
 
 def run_case(kin: SeedKinematics, onset: float, d_max: float,
@@ -95,7 +95,6 @@ class TestSimulate:
         assert kin.t[kin.k_live] == pytest.approx(3.0, abs=1e-9)  # first overlap
         assert out.v1 == pytest.approx(10.0, abs=1e-12)
         assert out.v2 == pytest.approx(0.0, abs=1e-12)
-        assert out.max_severity
 
     def test_strong_early_braking_avoids(self):
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=100.0, duration=30.0)
@@ -134,12 +133,11 @@ class TestSimulate:
             v1, v2, _ = r.matrix.crashes()
             assert np.all(v1 > v2)
 
-    def test_no_response_flagged_max_severity(self, small_seeds):
+    def test_no_response_run_crashes(self, small_seeds):
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
             out = run_case(SeedKinematics(cf), math.inf, 5.0, -23.04)
             assert out.crashed  # counterfactual seeds collide untreated
-            assert out.max_severity
             assert out.v1 >= out.v2
 
     def test_seed_off_the_simulation_step_is_rejected(self, small_seeds):
@@ -173,10 +171,10 @@ class TestSimulate:
         assert bits(late) == bits(nr)
 
 
-def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
-                     jerk: float) -> SimOutcome:
-    """The kernel as one integration of one case over the whole horizon:
-    the oracle for the block SeedKinematics.run."""
+def full_horizon_path(kin: SeedKinematics, onset: float, d_max: float,
+                      jerk: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The deceleration, speed and gap at each step of one case, integrated
+    over the whole horizon."""
     t, dt = kin.t, DT_NOMINAL
     if math.isinf(onset):
         a = np.zeros(len(t))
@@ -189,7 +187,14 @@ def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
     x = np.empty(len(t))
     x[0] = kin.x0
     x[1:] = kin.x0 + np.cumsum(v[1:] * dt)
-    gap = kin.lead_pos - x
+    return a, v, kin.lead_pos - x
+
+
+def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
+                     jerk: float) -> SimOutcome:
+    """The kernel as one integration of one case over the whole horizon:
+    the oracle for the block SeedKinematics.run."""
+    a, v, gap = full_horizon_path(kin, onset, d_max, jerk)
     below = gap <= 0
     if not below.any():
         return NO_CRASH
@@ -200,7 +205,7 @@ def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
                + alpha * (kin.lead_speed[k] - kin.lead_speed[k - 1]))
     if v1 <= v2:
         return NO_CRASH
-    return SimOutcome(True, v1, v2, not bool((a[:k] > 0).any()))
+    return SimOutcome(True, v1, v2)
 
 
 def bits(out: SimOutcome) -> tuple:
@@ -276,6 +281,27 @@ class TestWindowedKernel:
         assert bits(got) == bits(full_horizon_run(kin, 0.5, 8.0, -23.04))
         self._check(cf, 5.0)
 
+    def test_live_rows_overlap_while_braking(self, small_seeds):
+        """A row braking from a step before the no-response impact step
+        moves like the no-response run up to that step, so its first
+        overlap comes with the follower braking. No crash of a live row is
+        at maximum severity; the no-response outcome, which the other rows
+        take, is the only crash without braking."""
+        n_overlaps = 0
+        for seed in small_seeds:
+            cf = remove_evasive_maneuver(seed)
+            kin = SeedKinematics(cf)
+            for onset in kernel_onsets(kin, cf.source_duration):
+                if kin.t.searchsorted(onset, "right") >= kin.k_live:
+                    continue  # not a live row
+                for d_max in self.DECELS:
+                    a, _, gap = full_horizon_path(kin, onset, d_max, -23.04)
+                    below = np.flatnonzero(gap <= 0)
+                    if below.size:
+                        n_overlaps += 1
+                        assert a[below[0] - 1] > 0, (cf.id, onset, d_max)
+        assert n_overlaps > 0
+
 
 class TestSweep:
     @staticmethod
@@ -319,14 +345,13 @@ class TestSweep:
         # the no-response run never overlaps, so no row is live
         assert m.kernel_calls == 1
 
-    def test_all_max_severity_row(self):
+    def test_every_row_brakes_too_late(self):
         # tiny gap: even the attentive response is too late for any decel
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=3.0, duration=10.0)
         grid = self.grid(16)
         m = sweep_seed(SeedKinematics(cf), grid,
                        cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
         assert m.cells("crashed").all()
-        assert m.cells("max_severity").all()
         # every onset is past the no-response impact, so no row is live
         assert m.kernel_calls == 1
 
@@ -356,7 +381,21 @@ class TestSweep:
                 assert np.all(np.diff(row) <= 1e-9)
 
 
-MATRIX_FIELDS = ("crashed", "v1", "v2", "max_severity")
+MATRIX_FIELDS = ("v1", "v2")
+
+
+def test_a_cell_is_its_two_speeds_everywhere():
+    """The kernel's block, OutcomeMatrix's per-cell arrays and a
+    matrices.npy record's data fields name one outcome, OUTCOME_FIELDS. A
+    per-cell field added to one of them but not the others fails here,
+    instead of being written and never read."""
+    matrix = tuple(f.name for f in fields(OutcomeMatrix)
+                   if f.name not in ("seed_id", "grid", "rows", "no_response"))
+    record = tuple(name for name in engine._record_dtype(2, 3).names
+                   if name not in ("seed_id", "axis1_index"))
+    kin = SeedKinematics(make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=10.0))
+    kernel = tuple(kin.run(np.array([0.5, math.inf]), np.array([2.0, 8.0]), -23.04))
+    assert engine.OUTCOME_FIELDS == matrix == record == kernel == MATRIX_FIELDS
 GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
 
 
@@ -533,22 +572,21 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
 def test_load_matrices_memory_follows_its_records(tmp_path):
     """load_matrices holds the records' cells, not a dense matrix per
     seed: 200 seeds with one live row each take as much memory on a grid of
-    2 rows as on one of 1,000, whose dense arrays would take 21.6 MB."""
+    2 rows as on one of 1,000, whose dense arrays would take 19.2 MB."""
     n2, peaks = 6, {}
     for n1 in (2, 1000):
         grid = CampaignGrid(0.1 * np.arange(n1), np.full(n1, 1 / n1),
                             1.5 * np.arange(1, n2 + 1), np.full(n2, 1 / n2))
-        crashed = np.ones((1, n2), dtype=bool)
         v1, v2 = np.full((1, n2), 9.0), np.full((1, n2), 1.0)
-        matrices = [OutcomeMatrix(f"s{k:03d}", grid, np.array([1]), crashed, v1, v2,
-                                  crashed, NO_CRASH) for k in range(200)]
+        matrices = [OutcomeMatrix(f"s{k:03d}", grid, np.array([1]), v1, v2, NO_CRASH)
+                    for k in range(200)]
         path = tmp_path / f"{n1}.npy"
         save_matrices(matrices, grid, path)
         loaded, peaks[n1] = traced_peak(load_matrices, path, grid,
                                         {m.seed_id: NO_CRASH for m in matrices})
         assert len(loaded) == 200 and loaded[0].cells("crashed").shape == (n1, n2)
     assert peaks[1000] <= 1.05 * peaks[2], peaks
-    assert peaks[1000] < 200 * 1000 * n2 * (1 + 8 + 8 + 1) / 20, peaks
+    assert peaks[1000] < 200 * 1000 * n2 * (8 + 8) / 20, peaks
 
 
 class TestCampaign:
@@ -666,8 +704,8 @@ class TestCampaign:
         # one little-endian record per live row, seed by seed, rows ascending
         records = np.load(path)
         assert records.dtype == np.dtype([
-            ("seed_id", "<U5"), ("axis1_index", "<i8"), ("crashed", "u1", (6,)),
-            ("v1", "<f8", (6,)), ("v2", "<f8", (6,)), ("max_severity", "u1", (6,))])
+            ("seed_id", "<U5"), ("axis1_index", "<i8"), ("v1", "<f8", (6,)),
+            ("v2", "<f8", (6,))])
         assert list(zip(records["seed_id"].tolist(), records["axis1_index"].tolist())) == [
             (m.seed_id, row) for m in result.matrices for row in m.rows.tolist()]
 
@@ -681,7 +719,7 @@ class TestCampaign:
         path = tmp_path / "m.npy"
         save_matrices(dead, result.grid, path)
         assert np.load(path).shape == (0,)
-        assert np.load(path).dtype["crashed"].shape == (6,)
+        assert np.load(path).dtype["v1"].shape == (6,)
         for m, want in zip(load_matrices(path, result.grid, swept(result)), dead,
                            strict=True):
             assert_same_matrix(m, want)
@@ -709,9 +747,9 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     path = tmp_path / "matrices.npy"
     save_matrices(result.matrices, result.grid, path)
     data = path.read_bytes()
-    assert len(data) == 220032
+    assert len(data) == 200576
     assert hashlib.sha256(data).hexdigest() == (
-        "b100d5215f0818dfac6ad840efbedf83b749eb9373e016ba5e9398def96cf283")
+        "c263d5e5773b4dccd3e5db7984001370e89d02ba2093caad636e58a87a8065e3")
 
 
 def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
@@ -795,14 +833,17 @@ class TestReweight:
 SMALL_GRID = {"axis1": [0.0, 0.1], "axis1_probs": [0.8, 0.2],
               "decels": [2.0, 3.5], "decel_probs": [0.5, 0.5]}
 # the record of a live row on SMALL_GRID: save_matrices's format
-RECORD = [("seed_id", "<U2"), ("axis1_index", "<i8"), ("crashed", "u1", (2,)),
-          ("v1", "<f8", (2,)), ("v2", "<f8", (2,)), ("max_severity", "u1", (2,))]
+RECORD = [("seed_id", "<U2"), ("axis1_index", "<i8"), ("v1", "<f8", (2,)),
+          ("v2", "<f8", (2,))]
+# the record before a cell was its speeds alone
+FLAGGED_RECORD = [("seed_id", "<U2"), ("axis1_index", "<i8"), ("crashed", "u1", (2,)),
+                  ("v1", "<f8", (2,)), ("v2", "<f8", (2,)), ("max_severity", "u1", (2,))]
 NAN2 = (math.nan, math.nan)
 
 
-def record(sid="s1", row=0, crashed=(0, 0), v1=NAN2, v2=NAN2, severity=(0, 0)):
+def record(sid="s1", row=0, v1=NAN2, v2=NAN2):
     """One record's fields; by default seed s1's row 0 without a crash."""
-    return sid, row, crashed, v1, v2, severity
+    return sid, row, v1, v2
 
 
 def records(*rows) -> np.ndarray:
@@ -865,12 +906,14 @@ def write_seeds_summary(path, eligible: dict[str, bool]) -> None:
 
 
 GOOD = npy(records(record(), record(row=1)))
-CRASH = record(crashed=(1, 0), v1=(9.0, math.nan), v2=(1.0, math.nan))
+CRASH = record(v1=(9.0, math.nan), v2=(1.0, math.nan))
 RECORD_1 = r"matrices\.npy: record 1 \(seed s1, axis1 row 0\): "
 UNREADABLE = r"matrices\.npy: not a \.npy file of outcome records: "
 # any other shape or record type
 OTHER = (r"matrices\.npy: expected a 1-D array of records .* on the grid's 2 "
          r"deceleration bins, got a ")
+# a cell whose speeds are neither both NaN nor a crash's
+SPEEDS = RECORD_1 + r"a cell's v1 and v2 must be both NaN \(no crash\) or both finite"
 # name: (matrices.npy, the grid in summary.json, the error[, the eligible
 # flag of each seed in seeds_summary.csv, if not s1's alone])
 MALFORMED_MATRICES = {
@@ -887,7 +930,7 @@ MALFORMED_MATRICES = {
                           UNREADABLE + r"\('EOF in multi-line statement"),
     "header_keys_not_text": (raw_npy(header().replace("'descr'", "b'descr'")),
                              SMALL_GRID, UNREADABLE + "'<' not supported"),
-    "descr_not_a_dtype": (raw_npy(header().replace("'|u1'", "'|01'", 1)), SMALL_GRID,
+    "descr_not_a_dtype": (raw_npy(header().replace("'<f8'", "'<08'", 1)), SMALL_GRID,
                           UNREADABLE + "leading zeros"),
     "bytes_after_records": (GOOD + b"\0", SMALL_GRID,
                             r"matrices\.npy: bytes follow the records"),
@@ -899,7 +942,7 @@ MALFORMED_MATRICES = {
         [records(record(), record(row=1))] * 2, axis=1))),
                       SMALL_GRID, OTHER + "2-D"),
     "not_records": (npy(np.zeros(3)), SMALL_GRID, OTHER + "1-D"),
-    "missing_field": (npy(recast(records(), record_type(max_severity=None))),
+    "missing_field": (npy(recast(records(), record_type(v2=None))),
                       SMALL_GRID, OTHER + "1-D"),
     "extra_field": (npy(recast(records(), record_type(note=("<U3",)))),
                     SMALL_GRID, OTHER + "1-D"),
@@ -909,37 +952,29 @@ MALFORMED_MATRICES = {
                     SMALL_GRID, OTHER + "1-D"),
     "index_not_integer": (npy(recast(records(), record_type(axis1_index=("<f8",)))),
                           SMALL_GRID, OTHER + "1-D"),
-    "flag_as_bool": (npy(recast(records(), record_type(crashed=("?", (2,))))),
-                     SMALL_GRID, OTHER + "1-D"),
+    "flagged_layout": (npy(recast(records(CRASH), np.dtype(FLAGGED_RECORD))), SMALL_GRID,
+                       r"matrices\.npy: expected a 1-D array of records \[\('seed_id', "
+                       r"'<U\d+'\), \('axis1_index', '<i8'\), \('v1', '<f8', \(2,\)\), "
+                       r"\('v2', '<f8', \(2,\)\)\] on the grid's 2 deceleration bins, "
+                       r"got a 1-D array of .*'crashed', 'u1'.*'max_severity', 'u1'"),
     "big_endian": (npy(recast(records(CRASH), record_type(v1=(">f8", (2,))))),
                    SMALL_GRID, OTHER + "1-D"),
-    "other_n2": (npy(np.array([record(crashed=(0, 0, 0), v1=NAN2 + NAN2[:1],
-                                      v2=NAN2 + NAN2[:1], severity=(0, 0, 0))],
+    "other_n2": (npy(np.array([record(v1=NAN2 + NAN2[:1], v2=NAN2 + NAN2[:1])],
                               dtype=record_type(**{name: (fmt, (3,)) for name, fmt, *_
                                                    in RECORD[2:]}))),
-                 SMALL_GRID, OTHER + r"1-D array of .*'crashed', 'u1', \(3,\)"),
-    "crashed_not_a_flag": (npy(records(record(row=1), record(crashed=(2, 0)))),
-                           SMALL_GRID, RECORD_1 + "crashed holds a byte other"),
-    "severity_not_a_flag": (npy(records(record(row=1), CRASH[:-1] + ((2, 0),))),
-                            SMALL_GRID, RECORD_1 + "max_severity holds a byte"),
-    "crash_without_speed": (npy(records(record(row=1), record(crashed=(1, 0)))),
-                            SMALL_GRID, RECORD_1 + "a crash must have finite"),
-    "crash_infinite_speed": (
-        npy(records(record(row=1), record(crashed=(1, 0), v1=(math.inf, math.nan),
-                                          v2=(1.0, math.nan)))),
-        SMALL_GRID, RECORD_1 + "a crash must have finite speeds"),
-    "crash_not_faster": (
-        npy(records(record(row=1), record(crashed=(0, 1), v1=(math.nan, 2.0),
-                                          v2=(math.nan, 2.0)))),
-        SMALL_GRID, RECORD_1 + r"a crash must have finite speeds with v1 > v2"),
-    "no_crash_with_fields": (
-        npy(records(record(row=1), record(v1=(1.0, math.nan), v2=(0.5, math.nan),
-                                          severity=(1, 0)))),
-        SMALL_GRID, RECORD_1 + "a cell without a crash"),
-    "no_crash_with_speed": (npy(records(record(row=1), record(v2=(math.nan, 1.0)))),
-                            SMALL_GRID, RECORD_1 + "a cell without a crash"),
-    "no_crash_at_max_severity": (npy(records(record(row=1), record(severity=(0, 1)))),
-                                 SMALL_GRID, RECORD_1 + "a cell without a crash"),
+                 SMALL_GRID, OTHER + r"1-D array of .*'v1', '<f8', \(3,\)"),
+    # a cell's speeds break the rule in the second cell, after a crash or
+    # a cell without one
+    **{f"speeds_{name}": (npy(records(record(row=1), record(v1=v1, v2=v2))),
+                          SMALL_GRID, SPEEDS)
+       for name, v1, v2 in (
+           ("v1_nan_v2_finite", NAN2, (math.nan, 1.0)),
+           ("v1_finite_v2_nan", (9.0, 1.0), (1.0, math.nan)),
+           ("equal", (9.0, 2.0), (1.0, 2.0)),
+           ("v1_below_v2", (math.nan, 1.0), (math.nan, 2.0)),
+           ("v1_infinite", (9.0, math.inf), (1.0, 2.0)),
+           ("v2_negative_infinite", (math.nan, 2.0), (math.nan, -math.inf)),
+           ("both_infinite", (math.nan, math.inf), (math.nan, math.inf)))},
     "repeated_cell": (npy(records(record(row=1), record(), record())), SMALL_GRID,
                       r"matrices\.npy: record 2 \(seed s1, axis1 row 0\): an "
                       r"earlier record holds the same row"),
@@ -990,13 +1025,19 @@ class TestLoadMatricesParseErrors:
 
     def test_good_file_loads(self, tmp_path):
         """The file the malformed cases edit is well formed: its two rows
-        are seed s1's live rows, without crashes."""
+        are seed s1's live rows, without crashes. A crash in one cell
+        beside a cell without one is well formed too."""
         path = tmp_path / "matrices.npy"
         path.write_bytes(GOOD)
         (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
                              {"s1": NO_CRASH})
         assert m.rows.tolist() == [0, 1] and not m.crashed.any()
         assert np.isnan(m.v1).all()
+        path.write_bytes(npy(records(CRASH)))
+        (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
+                             {"s1": NO_CRASH})
+        assert m.crashed.tolist() == [[True, False]]
+        assert m.crashes()[0].tolist() == [9.0] and m.n_crash_cells == 1
 
     def test_python_2_header_loads_without_a_warning(self, tmp_path):
         """NumPy warns that it parsed a header with a Python 2 long, but

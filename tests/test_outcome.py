@@ -32,11 +32,10 @@ def momentum_oracle(v1, v2, m1, m2):
 
 def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
     """Minimal 1x2 matrix whose crash mass is exactly q."""
-    crashed = np.array([[True, False]])
     v1 = np.array([[10.0, np.nan]])
     v2 = np.array([[5.0, np.nan]])
     grid = CampaignGrid([0.1], [1.0], [3.0, 6.0], [q, 1.0 - q])
-    return all_live(seed_id, grid, crashed, v1, v2, np.array([[False, False]]))
+    return all_live(seed_id, grid, v1, v2)
 
 
 class TestDeltaV:
@@ -96,7 +95,7 @@ class TestPrevalenceWeights:
         """crash_avoidance_rate takes a baseline with crash mass unchecked,
         because assess-dms weights the baseline first."""
         m = matrix_with_q("dead", 0.5)
-        m.crashed[:] = False
+        m.v1[:] = m.v2[:] = np.nan
         with pytest.raises(ValidationError, match="no seed produced any crash cell"):
             prevalence_weights([m])
 
@@ -114,7 +113,7 @@ class TestPrevalenceWeights:
 
     def test_zero_crash_seed_excluded_and_reported(self):
         m = matrix_with_q("dead", 0.5)
-        m.crashed[:] = False
+        m.v1[:] = m.v2[:] = np.nan
         weights, excluded = prevalence_weights([m, matrix_with_q("live", 0.5)])
         assert excluded == ["dead"]
         assert [w.seed_id for w in weights] == ["live"]

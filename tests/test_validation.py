@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from rearsim.errors import ParseError, ValidationError
-from rearsim.outcome import DeltaVDistribution, build_histogram
+from rearsim.outcome import DeltaVDistribution, build_histogram, prevalence_weights
 from rearsim.validation import (
     ABOVE_MAX,
     BELOW_MIN,
@@ -233,23 +233,30 @@ class TestInjuryRisk:
         assert curve2(20.0) == pytest.approx(0.5)
 
 
+def q_raw(matrices) -> dict[str, float]:
+    """Each seed's crash probability, as assess-dms passes it."""
+    return {w.seed_id: w.q_raw for w in prevalence_weights(matrices)[0]}
+
+
 class TestCrashAvoidance:
     def test_ratio_definition(self):
-        base = [matrix_with_q("a", 0.4)]
-        treat = [matrix_with_q("a", 0.2)]
-        rate, per_seed = crash_avoidance_rate(base, treat)
+        rate, per_seed = crash_avoidance_rate(q_raw([matrix_with_q("a", 0.4)]),
+                                              q_raw([matrix_with_q("a", 0.2)]))
         assert rate == pytest.approx(0.5)
         assert per_seed["a"] == pytest.approx(0.5)
 
     def test_fully_avoided_seed_scores_one(self):
-        base = [matrix_with_q("a", 0.4)]
-        t = matrix_with_q("a", 0.4)
-        t.crashed[:] = False
-        rate, _ = crash_avoidance_rate(base, [t])
-        assert rate == pytest.approx(1.0)
+        """A seed that no longer crashes has no crash probability in the
+        treatment's map (prevalence_weights lists it without crashes)."""
+        base = [matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)]
+        treat = [matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)]
+        treat[0].v1[:] = treat[0].v2[:] = np.nan
+        assert "a" not in q_raw(treat)
+        rate, per_seed = crash_avoidance_rate(q_raw(base), q_raw(treat))
+        assert per_seed == {"a": 1.0, "b": 0.0}
+        assert rate == pytest.approx(0.5)
 
     def test_identity_treatment_scores_zero(self):
-        base = [matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)]
+        base = q_raw([matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)])
         rate, _ = crash_avoidance_rate(base, base)
         assert rate == pytest.approx(0.0)
-
