@@ -564,8 +564,10 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
         raise ParseError(f"{path}: bytes follow the records")
     dtype = records.dtype
     fields = records.ndim == 1 and dtype.names == _record_dtype(1, n2).names
-    # any seed id length; the cells on the grid's deceleration bins
-    want = _record_dtype(dtype["seed_id"].itemsize // 4 if fields else 1, n2)
+    # the file's seed id length, so a refusal names the layout's fields; the
+    # cells on the grid's deceleration bins
+    width = dtype["seed_id"].itemsize // 4 if "seed_id" in (dtype.names or ()) else 1
+    want = _record_dtype(width, n2)
     if not fields or dtype != want:
         raise ParseError(f"{path}: expected a 1-D array of records {want} on the "
                          f"grid's {n2} deceleration bins, got a {records.ndim}-D "

@@ -1159,7 +1159,7 @@ MALFORMED_INPUTS = {
                                         ("lead", "width", "zero", 0))},
     "matrices_flagged_layout": _bad_matrices(
         _edit_records(_flagged_layout),
-        r"expected a 1-D array of records \[\('seed_id', '<U\d+'\), \('axis1_index', "
+        r"expected a 1-D array of records \[\('seed_id', '<U5'\), \('axis1_index', "
         r"'<i8'\), \('v1', '<f8', \(6,\)\), \('v2', '<f8', \(6,\)\)\] on the grid's "
         r"6 deceleration bins, got a 1-D array of .*'crashed', 'u1'"),
     "matrices_seed_dropped": _bad_matrices(

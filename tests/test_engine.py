@@ -954,7 +954,7 @@ MALFORMED_MATRICES = {
                           SMALL_GRID, OTHER + "1-D"),
     "flagged_layout": (npy(recast(records(CRASH), np.dtype(FLAGGED_RECORD))), SMALL_GRID,
                        r"matrices\.npy: expected a 1-D array of records \[\('seed_id', "
-                       r"'<U\d+'\), \('axis1_index', '<i8'\), \('v1', '<f8', \(2,\)\), "
+                       r"'<U2'\), \('axis1_index', '<i8'\), \('v1', '<f8', \(2,\)\), "
                        r"\('v2', '<f8', \(2,\)\)\] on the grid's 2 deceleration bins, "
                        r"got a 1-D array of .*'crashed', 'u1'.*'max_severity', 'u1'"),
     "big_endian": (npy(recast(records(CRASH), record_type(v1=(">f8", (2,))))),
@@ -1038,6 +1038,23 @@ class TestLoadMatricesParseErrors:
                              {"s1": NO_CRASH})
         assert m.crashed.tolist() == [[True, False]]
         assert m.crashes()[0].tolist() == [9.0] and m.n_crash_cells == 1
+
+    @pytest.mark.parametrize("width", [2, 12])
+    def test_any_seed_id_width(self, width, tmp_path):
+        """A record's seed id may be stored at any width: the records load,
+        and the flagged layout at that width is refused with the expected
+        record at the file's own width."""
+        path, grid = tmp_path / "matrices.npy", grid_round_trip(CampaignGrid(**SMALL_GRID))
+        path.write_bytes(npy(recast(records(CRASH), record_type(seed_id=(f"<U{width}",)))))
+        (m,) = load_matrices(path, grid, {"s1": NO_CRASH})
+        assert m.crashed.tolist() == [[True, False]]
+        flagged = [("seed_id", f"<U{width}") if field[0] == "seed_id" else field
+                   for field in FLAGGED_RECORD]
+        path.write_bytes(npy(recast(records(CRASH), np.dtype(flagged))))
+        with pytest.raises(ParseError, match=re.escape(
+                f"records [('seed_id', '<U{width}'), ('axis1_index', '<i8'), "
+                "('v1', '<f8', (2,)), ('v2', '<f8', (2,))] on the grid's 2")):
+            load_matrices(path, grid, {"s1": NO_CRASH})
 
     def test_python_2_header_loads_without_a_warning(self, tmp_path):
         """NumPy warns that it parsed a header with a Python 2 long, but

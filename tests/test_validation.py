@@ -260,3 +260,21 @@ class TestCrashAvoidance:
         base = q_raw([matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)])
         rate, _ = crash_avoidance_rate(base, base)
         assert rate == pytest.approx(0.0)
+
+    def test_maps_give_the_matrix_walk_bitwise(self):
+        """The ratios from the q_raw maps are the floats, in the order, that
+        a walk over the baseline's and the cut's matrices gives: 1 -
+        crash_mass ratio for each baseline seed that crashes."""
+        rng = np.random.default_rng(5)
+        ids = [f"s{k}" for k in range(40)]
+        base = [matrix_with_q(sid, q) for sid, q in zip(ids, rng.uniform(0.01, 1.0, 40))]
+        treat = [matrix_with_q(sid, q) for sid, q in zip(ids, rng.uniform(0.0, 1.0, 40))]
+        base[3].v1[:] = base[3].v2[:] = np.nan  # never crashes: no ratio
+        treat[7].v1[:] = treat[7].v2[:] = np.nan  # fully avoided
+        mass = {m.seed_id: m.crash_mass for m in treat}
+        walk = {m.seed_id: 1.0 - mass[m.seed_id] / m.crash_mass
+                for m in base if m.crash_mass > 0}
+        rate, per_seed = crash_avoidance_rate(q_raw(base), q_raw(treat))
+        assert list(per_seed.items()) == list(walk.items())
+        assert per_seed["s7"] == 1.0 and "s3" not in per_seed
+        assert rate == float(np.mean(list(walk.values())))
