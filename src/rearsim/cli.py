@@ -18,7 +18,7 @@ import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .outcome import (
 )
 from .scenario import (
     SynthesisConfig,
-    delta_v,
     load_seed_refs,
     save_seed,
     synthesize_seeds,
@@ -47,7 +46,7 @@ from .scenario import (
 # a stage imports the modules only it runs: fit-bias and apply-bias load
 # neither the engine, the driver models nor the validation code
 if TYPE_CHECKING:
-    from .engine import CampaignResult, SimOutcome
+    from .engine import CampaignResult
     from .validation import InjuryRiskCurve, PercentileReport
 
 EXIT_OK = 0
@@ -61,13 +60,6 @@ SYNTH_BATCH = 16
 
 CURVES_HELP = ("injury-risk curves, each a CSV table (delta_v_kmh,risk) or a JSON "
                "logistic, of distinct levels: its 'level' key, else its file stem")
-
-SEEDS_SUMMARY_HEADER = [
-    "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
-    "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
-    "no_resp_crashed", "no_resp_v1", "no_resp_v2", "no_resp_dv_kmh",
-    "n_crash_cells", "q_raw", "kernel_calls", "theoretical_cells",
-]
 
 
 def _out_dir(path: str) -> Path:
@@ -154,148 +146,9 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _write_seeds_summary(result: CampaignResult, path: Path) -> None:
-    rows = result.results
-    nr = [r.no_response for r in rows]
-    m = [r.matrix for r in rows]
-    nr_dv = [delta_v(o.v1, o.v2, r.follower_mass, r.lead_mass) if o.crashed
-             else None for o, r in zip(nr, rows)]
-    table.write_csv(path, SEEDS_SUMMARY_HEADER, [
-        table.texts([r.seed_id for r in rows]),
-        table.flags([not r.excluded for r in rows]),
-        table.texts([r.lead_behavior for r in rows]),
-        table.fmt([r.anchor for r in rows]),
-        table.flags([r.anchor_absent for r in rows]),
-        table.fmt([r.follower_mass for r in rows]),
-        table.fmt([r.lead_mass for r in rows]),
-        table.fmt([r.seed_delta_v_kmh for r in rows]),
-        table.flags([o.crashed for o in nr]),
-        table.fmt([o.v1 for o in nr]), table.fmt([o.v2 for o in nr]),
-        table.fmt(nr_dv),
-        table.ints(x.n_crash_cells if x is not None else 0 for x in m),
-        table.fmt([x.crash_mass if x is not None else None for x in m]),
-        table.ints(x.kernel_calls if x is not None else 0 for x in m),
-        table.ints(r.theoretical_cells for r in rows),
-    ])
-
-
-class _SeedSummary(NamedTuple):
-    """The seeds_summary.csv fields that weighting and validation read."""
-
-    eligible: bool
-    follower_mass: float
-    lead_mass: float
-    seed_delta_v: float | None
-    no_response: SimOutcome
-    no_resp_dv: float  # NaN unless the no-response run crashed
-    kernel_calls: float
-
-
-def _load_seeds_summary(path: Path) -> dict[str, _SeedSummary]:
-    """The rows of simulate's seeds_summary.csv at `path`. A mass that is
-    not a finite number > 0, or a no-response crash whose speeds are not
-    finite with no_resp_v1 > no_resp_v2 or whose delta-v is not the one
-    `delta_v` gives for its speeds and masses, raises ParseError naming
-    path:line."""
-    from .engine import NO_CRASH, SimOutcome
-    chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
-    recorded = ~chunk.equals("seed_delta_v_kmh", "")
-    seed_dv = chunk.floats("seed_delta_v_kmh", where=recorded).tolist()
-    nr_crashed = chunk.flags("no_resp_crashed")
-
-    def checked(name: str, rule: str, ok, where=None) -> list[float]:
-        values = chunk.floats(name, where=where)
-        bad = ~ok(values) if where is None else where & ~ok(values)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise chunk.error(k, f"{name} must be {rule}, got {float(values[k])!r}")
-        return values.tolist()
-
-    m1, m2 = (checked(name, "a finite number > 0",
-                      lambda v: (v > 0) & (v < math.inf))
-              for name in ("follower_mass_kg", "lead_mass_kg"))
-    v1, v2, nr_dv = (checked(name, "a finite number where no_resp_crashed is 1",
-                             np.isfinite, nr_crashed)
-                     for name in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh"))
-    for k in np.flatnonzero(nr_crashed).tolist():
-        if not v1[k] > v2[k]:
-            raise chunk.error(k, f"no_resp_v1 must be > no_resp_v2 where "
-                                 f"no_resp_crashed is 1, got {v1[k]!r} and {v2[k]!r}")
-        dv = delta_v(v1[k], v2[k], m1[k], m2[k])
-        if dv.hex() != nr_dv[k].hex():  # bit for bit, as simulate wrote it
-            raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
-                                 f"the row's speeds and masses, got {nr_dv[k]!r}")
-    nr = [SimOutcome(True, a, b) if crashed else NO_CRASH
-          for crashed, a, b in zip(nr_crashed.tolist(), v1, v2)]
-    columns = (
-        chunk.flags("eligible").tolist(), m1, m2,
-        [dv if ok else None for dv, ok in zip(seed_dv, recorded.tolist())],
-        nr, nr_dv, chunk.floats("kernel_calls").tolist())
-    return {sid: _SeedSummary(*row)
-            for sid, row in zip(chunk["seed_id"], zip(*columns))}
-
-
-def _simulate_summary(sim_dir: Path) -> tuple[dict, float]:
-    """simulate's summary.json in `sim_dir`, and the no-response fraction
-    it records: weight, validate and assess-dms all mix in that share."""
-    path = sim_dir / "summary.json"
-    sim_summary = read_json(path, "simulate summary",
-                            {"no_response_fraction": "number", "n_seeds": "int"})
-    fraction = sim_summary["no_response_fraction"]
-    if not 0 <= fraction < 1:
-        raise ParseError(f"{path}: simulate summary no_response_fraction must "
-                         f"be in [0, 1), got {fraction!r}")
-    return sim_summary, float(fraction)
-
-
-def _simulated_matrices(sim_dir: Path, sim_summary: dict):
-    """The grid simulate recorded in `sim_dir`'s summary.json, its outcome
-    matrices on that grid, and its seeds_summary.csv rows, whose
-    no-response outcomes the matrix rows without a record in matrices.npy
-    take. seeds_summary.csv must hold summary.json's n_seeds seeds, and the
-    records of each swept seed in matrices.npy must hold kernel_calls - 1
-    cells (one per integrated cell); otherwise ParseError names the file."""
-    from .engine import CampaignGrid, load_matrices
-    grid = CampaignGrid.from_json(sim_summary, sim_dir / "summary.json")
-    summary_path = sim_dir / "seeds_summary.csv"
-    rows = _load_seeds_summary(summary_path)
-    if len(rows) != sim_summary["n_seeds"]:
-        raise ParseError(f"{summary_path}: {len(rows)} seeds, not the "
-                         f"{sim_summary['n_seeds']} summary.json records")
-    no_response = {sid: row.no_response for sid, row in rows.items()
-                   if row.eligible}
-    matrices_path = sim_dir / "matrices.npy"
-    matrices = load_matrices(matrices_path, grid, no_response)
-    for m in matrices:
-        if m.kernel_calls != rows[m.seed_id].kernel_calls:
-            raise ParseError(
-                f"{matrices_path}: seed {m.seed_id} lists {m.kernel_calls - 1} "
-                f"cells, not its kernel_calls - 1 = "
-                f"{rows[m.seed_id].kernel_calls - 1:g} from seeds_summary.csv")
-    return grid, matrices, rows
-
-
-def _load_simulated(sim_dir: Path):
-    """simulate's outputs in `sim_dir` as weight and validate read them:
-    the outcome matrices, the seeds_summary.csv rows and the no-response
-    fraction."""
-    from .engine import CampaignGrid
-    sim_summary, fraction = _simulate_summary(sim_dir)
-    grid, matrices, rows = _simulated_matrices(sim_dir, sim_summary)
-    # the matrices keep the marginals the old matrices format gave back:
-    # the row and column sums of the cell probabilities over their total.
-    # With the exact ones, seeds whose crashes all tie with their own
-    # delta-v (mid-rank percentile 50 up to rounding) change percentile bin
-    # on three input sets of perfbench's reference (ROADMAP, item 1).
-    p, total = grid.p_cell, grid.p_cell.sum()
-    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
-                             p.sum(axis=0) / total)
-    return [replace(m, grid=recovered) for m in matrices], rows, fraction
-
-
 def cmd_simulate(args) -> int:
     from .distributions import load_decels, load_glances
-    from .engine import MODEL_CBM, CampaignConfig, run_campaign, save_matrices
+    from .engine import MODEL_CBM, CampaignConfig, run_campaign, save_campaign
     out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     refs = load_seed_refs(args.seeds)  # the workers load the trajectories
@@ -305,23 +158,7 @@ def cmd_simulate(args) -> int:
     decels = load_decels(cfg.decel_file)
     result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
-
-    matrices_path = out / "matrices.npy"
-    save_matrices(result.matrices, result.grid, matrices_path)
-    seeds_summary = out / "seeds_summary.csv"
-    _write_seeds_summary(result, seeds_summary)
-    summary = write_json(out / "summary.json", {
-        "model": result.model,
-        "n_seeds": len(result.results),
-        "n_excluded": len(result.excluded_ids),
-        "excluded_ids": result.excluded_ids,
-        "theoretical_cells": result.theoretical_cells,
-        "kernel_calls": result.kernel_calls,
-        "crash_cells": result.crash_cells,
-        "no_response_fraction": (cfg.cbm.no_response_fraction
-                                 if cfg.model == MODEL_CBM else 0.0),
-        "grid": result.grid.to_json(),
-    })
+    outputs = save_campaign(result, out)
     # the seed files parsed are digested from the bytes parsed; any other
     # file under --seeds is read for its digest
     csv_digests = {r.seed_id: r.digest for r in result.results}
@@ -333,8 +170,7 @@ def cmd_simulate(args) -> int:
               "decels": cfg.decel_file}
     if cfg.glance_file:
         inputs["glances"] = cfg.glance_file
-    write_manifest(out, "simulate", inputs,
-                   [matrices_path, seeds_summary, summary],
+    write_manifest(out, "simulate", inputs, outputs,
                    {"model": cfg.model, "workers_independent": True})
     if result.excluded_ids:
         print(f"simulate: warning: {len(result.excluded_ids)} seeds excluded "
@@ -348,13 +184,26 @@ def cmd_simulate(args) -> int:
 
 # ------------------------------------------------------------------ weight
 
-def _crash_samples(matrices, summary: dict[str, _SeedSummary]):
-    """The prevalence-weighted crash samples of `matrices`, whose weights
+def _recovered(campaign: CampaignResult) -> CampaignResult:
+    """`campaign` on the marginals the old matrices format gave back: the
+    row and column sums of its cell probabilities over their total. With
+    the exact ones, seeds whose crashes all tie with their own delta-v
+    (mid-rank percentile 50 up to rounding) change percentile bin on three
+    input sets of perfbench's reference (ROADMAP, item 1)."""
+    from .engine import CampaignGrid
+    grid = campaign.grid
+    p, total = grid.p_cell, grid.p_cell.sum()
+    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
+                             p.sum(axis=0) / total)
+    return campaign.with_matrices(
+        recovered, [replace(m, grid=recovered) for m in campaign.matrices])
+
+
+def _crash_samples(campaign: CampaignResult):
+    """The prevalence-weighted crash samples of `campaign`, whose weights
     sum to 1, with the seed weights and the seeds without crashes."""
-    weights, zero_crash = prevalence_weights(matrices)
-    masses = {sid: (row.follower_mass, row.lead_mass)
-              for sid, row in summary.items()}
-    return weighted_crash_samples(matrices, masses, weights), weights, zero_crash
+    weights, zero_crash = prevalence_weights(campaign.matrices)
+    return weighted_crash_samples(campaign.results, weights), weights, zero_crash
 
 
 def _crash_shares(cells: CrashSamples, fraction: float):
@@ -367,44 +216,42 @@ def _crash_shares(cells: CrashSamples, fraction: float):
         yield sid, dv, w, np.cumsum(w)[-1]
 
 
-def _weight_pipeline(matrices, summary: dict[str, _SeedSummary],
-                     fraction: float, bin_width: float):
+def _weight_pipeline(campaign: CampaignResult, bin_width: float):
     """Prevalence weighting + no-response mixing; returns (crash samples,
-    no-response samples, final histogram, weights, diagnostics). The crash
-    samples' weights sum to 1; in the mix they carry 1 - `fraction` of the
-    mass. The no-response samples are (seed id, delta-v) pairs, one per
-    eligible seed whose no-response run crashed, which share `fraction`;
-    with a `fraction` of 0 there are none."""
-    cells, weights, zero_crash = _crash_samples(matrices, summary)
+    final histogram, weights, diagnostics). The crash samples' weights sum
+    to 1. The campaign's no-response fraction of the mix goes to one
+    delta-v per eligible seed whose no-response run crashed, if > 0."""
+    fraction = campaign.no_response_fraction
+    cells, weights, zero_crash = _crash_samples(campaign)
 
     # the no-response samples mixed in: none at a fraction of 0, where
     # mix_no_response gives the base histogram back
-    nr_rows = [(sid, row.no_resp_dv) for sid, row in sorted(summary.items())
-               if fraction > 0 and row.no_response.crashed and row.eligible]
+    nr_dvs = [r.no_response_dv for r in campaign.results if fraction > 0
+              and not r.excluded and not math.isnan(r.no_response_dv)]
     final = mix_no_response(build_histogram(cells.delta_v, cells.weight, bin_width),
-                            [dv for _, dv in nr_rows], fraction)
+                            nr_dvs, fraction)
 
     w_unt = np.array([w.w_untrimmed for w in weights])
     w_trim = np.array([w.w for w in weights])
     diagnostics = {
         "zero_crash_seeds": zero_crash,
         "n_weighted_seeds": len(weights),
-        "n_no_response": len(nr_rows),
+        "n_no_response": len(nr_dvs),
         "weight_span_untrimmed": float(w_unt.max() / w_unt.min()),
         "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
         "no_response_fraction": fraction,
     }
-    return cells, nr_rows, final, weights, diagnostics
+    return cells, final, weights, diagnostics
 
 
 def cmd_weight(args) -> int:
+    from .engine import load_campaign
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    matrices, summary_rows, fraction = _load_simulated(sim_dir)
-    cells, nr_rows, final, weights, diagnostics = _weight_pipeline(
-        matrices, summary_rows, fraction, args.bin_width)
-    contributions = {sid: float(mass)
-                     for sid, _, _, mass in _crash_shares(cells, fraction)}
+    campaign = _recovered(load_campaign(sim_dir))
+    cells, final, weights, diagnostics = _weight_pipeline(campaign, args.bin_width)
+    contributions = {sid: float(mass) for sid, _, _, mass in
+                     _crash_shares(cells, campaign.no_response_fraction)}
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
                                    "w_trimmed", "contribution"], [
@@ -419,7 +266,7 @@ def cmd_weight(args) -> int:
     summary = write_json(out / "summary.json", {
         "mean_kmh": final.mean,
         "count": final.count,
-        "n_samples": len(cells) + len(nr_rows),
+        "n_samples": len(cells) + diagnostics["n_no_response"],
         **diagnostics,
     })
     write_manifest(out, "weight", {"simulate_out": str(sim_dir)},
@@ -490,33 +337,36 @@ def cmd_apply_bias(args) -> int:
 
 # ---------------------------------------------------------------- validate
 
-def _per_seed_percentiles(cells: CrashSamples,
-                          summary: dict[str, _SeedSummary], fraction: float):
+def _per_seed_percentiles(cells: CrashSamples, campaign: CampaignResult):
     """Percentile of each seed's own delta-v inside its generated crashes,
-    with the no-response share mixed in per seed: when `fraction` > 0 and
-    the seed's no-response run crashed, its no-response delta-v carries
-    `fraction` and its crash samples the rest. A seed whose generated
-    crashes carry no weight (none, or all underflowed to 0) is left out."""
+    with the no-response share mixed in per seed: when the campaign's
+    fraction is > 0 and the seed's no-response run crashed, its
+    no-response delta-v carries the fraction and its crash samples the
+    rest. A seed whose generated crashes carry no weight (none, or all
+    underflowed to 0) is left out."""
     from .validation import seed_percentile
+    fraction = campaign.no_response_fraction
     crash = {sid: (dv, w, mass) for sid, dv, w, mass in _crash_shares(cells, fraction)}
     none = (np.zeros(0), np.zeros(0), 0.0)
     out = {}
-    for sid, row in sorted(summary.items()):
-        if not row.eligible or row.seed_delta_v is None:
+    for r in campaign.results:
+        if r.excluded or r.seed_delta_v_kmh is None:
             continue
-        dvs, cell_w, cell_mass = crash.get(sid, none)
-        f = fraction if row.no_response.crashed else 0.0
+        dvs, cell_w, cell_mass = crash.get(r.seed_id, none)
+        nr_dv = r.no_response_dv
+        f = 0.0 if math.isnan(nr_dv) else fraction
         weights = (1.0 - f) * cell_w / cell_mass if cell_mass else cell_w
         if f > 0:
             # [f] alone normalizes to exactly [1.0] in seed_percentile
-            dvs, weights = np.append(dvs, row.no_resp_dv), np.append(weights, f)
+            dvs, weights = np.append(dvs, nr_dv), np.append(weights, f)
         if not weights.any():
             continue
-        out[sid] = seed_percentile(row.seed_delta_v, dvs, weights)
+        out[r.seed_id] = seed_percentile(r.seed_delta_v_kmh, dvs, weights)
     return out
 
 
 def cmd_validate(args) -> int:
+    from .engine import load_campaign
     from .validation import compare, injury_risk, percentile_histogram
     curves = _load_curves(args.curves)
     out = _out_dir(args.out)
@@ -535,9 +385,9 @@ def cmd_validate(args) -> int:
     inputs = {"model_hist": args.model_hist, "reference": reference_read}
     if args.seeds_summary:
         sim_dir = Path(args.seeds_summary).parent
-        matrices, summary_rows, fraction = _load_simulated(sim_dir)
-        cells, _, _ = _crash_samples(matrices, summary_rows)
-        percentiles = _per_seed_percentiles(cells, summary_rows, fraction)
+        campaign = _recovered(load_campaign(sim_dir))
+        cells, _, _ = _crash_samples(campaign)
+        percentiles = _per_seed_percentiles(cells, campaign)
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
         ordered = sorted(percentiles.items())
@@ -578,7 +428,7 @@ def cmd_assess_dms(args) -> int:
     glance file must give the baseline's overshoot axis and marginal."""
     from .distributions import cut_glances, load_glances
     from .drivers import cbm_axes
-    from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, reweight
+    from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, load_campaign, reweight
     from .validation import crash_avoidance_rate, injury_risk
     repeated = sorted({f"{cut:g}" for cut in args.cuts if args.cuts.count(cut) > 1})
     if repeated:
@@ -591,19 +441,17 @@ def cmd_assess_dms(args) -> int:
     glance = load_glances(cfg.glance_file)
 
     baseline_dir = Path(args.baseline)
-    sim_summary, fraction = _simulate_summary(baseline_dir)
-    if sim_summary.get("model") != MODEL_CBM:
+    baseline = load_campaign(baseline_dir)
+    if baseline.model != MODEL_CBM:
         raise ValidationError(f"{baseline_dir}: the baseline must be a cbm campaign")
-    grid, baseline_matrices, summary_rows = _simulated_matrices(baseline_dir,
-                                                                sim_summary)
+    grid = baseline.grid
     axis1, axis1_probs = cbm_axes(glance)
     if (axis1.tobytes() != grid.axis1.tobytes()
             or axis1_probs.tobytes() != grid.axis1_probs.tobytes()):
         raise ValidationError(
             f"{baseline_dir}: the baseline was not simulated with the glance "
             f"distribution of {cfg.glance_file}")
-    _, _, base_hist, base_weights, _ = _weight_pipeline(
-        baseline_matrices, summary_rows, fraction, args.bin_width)
+    _, base_hist, base_weights, _ = _weight_pipeline(baseline, args.bin_width)
     base_q = {w.seed_id: w.q_raw for w in base_weights}
 
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
@@ -613,9 +461,10 @@ def cmd_assess_dms(args) -> int:
     for cut in args.cuts:
         target = grid if cut == math.inf else CampaignGrid(
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
-        matrices = reweight(baseline_matrices, grid, target)
-        _, _, cut_hist, weights, diagnostics = _weight_pipeline(
-            matrices, summary_rows, fraction, args.bin_width)
+        cut_campaign = baseline.with_matrices(
+            target, reweight(baseline.matrices, grid, target))
+        _, cut_hist, weights, diagnostics = _weight_pipeline(cut_campaign,
+                                                             args.bin_width)
         rate, per_seed = crash_avoidance_rate(
             base_q, {w.seed_id: w.q_raw for w in weights})
         label = "inf" if cut == math.inf else f"{cut:g}"
@@ -658,14 +507,18 @@ def cmd_assess_dms(args) -> int:
 
 # ------------------------------------------------------------------ report
 
-def _labeled(pairs: list[str]) -> list[tuple[str, str]]:
-    out = []
-    for pair in pairs:
+def _labeled(pairs: list[str] | None, flag: str) -> list[tuple[str, str]]:
+    """(label, path) of each label=path of `flag`; a repeated label raises
+    ValidationError naming it."""
+    out: dict[str, str] = {}
+    for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"expected label=path, got {pair!r}")
         label, path = pair.split("=", 1)
-        out.append((label, path))
-    return out
+        if label in out:
+            raise ValidationError(f"{flag} repeats label {label!r}")
+        out[label] = path
+    return list(out.items())
 
 
 def _load_percentile_report(path: str) -> PercentileReport:
@@ -693,13 +546,15 @@ def _load_assessment_cuts(path: str) -> list[dict]:
 def cmd_report(args) -> int:
     from . import report
     from .validation import compare
+    hists = _labeled(args.hist, "--hist")
+    percentiles = _labeled(args.percentiles, "--percentiles")
     out = _out_dir(args.out)
     outputs = []
     inputs: dict[str, str] = {}
 
-    if args.hist:
+    if hists:
         series = []
-        for label, path in _labeled(args.hist):
+        for label, path in hists:
             series.append((label, load_histogram(path)))
             inputs[f"hist_{label}"] = path
         svg = out / "delta_v.svg"
@@ -714,9 +569,9 @@ def cmd_report(args) -> int:
                 *(table.reprs([s[name] for s in stats]) for name in stats[0])])
             outputs.append(stats_path)
 
-    if args.percentiles:
+    if percentiles:
         reps = []
-        for label, path in _labeled(args.percentiles):
+        for label, path in percentiles:
             reps.append((label, _load_percentile_report(path)))
             inputs[f"percentiles_{label}"] = path
         svg = out / "percentiles.svg"

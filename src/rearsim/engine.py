@@ -28,9 +28,7 @@ generated seeds.
 
 Outcomes and probabilities are kept apart. An `OutcomeMatrix` holds one
 seed's physics; the behaviour probabilities live once per campaign in a
-shared `CampaignGrid`. `reweight` changes only the probabilities, and
-`simulate` writes the grid to its summary.json and the outcomes to
-matrices.npy.
+shared `CampaignGrid`. `reweight` changes only the probabilities.
 
 An (axis1, max deceleration) cell is its two speeds at first overlap,
 follower v1 and lead v2: both finite with v1 > v2 where the cell crashes,
@@ -40,7 +38,8 @@ the follower had begun to brake: a live row brakes from a step before the
 no-response impact step, up to which it moves like the no-response run,
 which does not overlap before that step. So its first overlap comes after
 its brake onset, with the follower braking. The no-response outcome that
-the other rows take is the only crash without braking.
+the other rows take is the only crash without braking. It is a cell too,
+the pair (v1, v2).
 
 A matrix holds the cells of its integrated (live) rows and the seed's
 no-response outcome, which every other row takes, in memory as on disk.
@@ -48,18 +47,24 @@ Each matrices.npy record is one live row: (seed_id, axis1_index, v1, v2),
 the speeds over the grid's deceleration bins. Only sums over cells expand
 a field over the grid (`OutcomeMatrix.cells`): they keep their bits in
 row-major order alone.
+
+`save_campaign` is the one writer of simulate's three artifacts
+(summary.json, seeds_summary.csv and matrices.npy), and `load_campaign`
+the one reader, which gives back the `CampaignResult` written.
 """
 
 from __future__ import annotations
 
+import math
 import tokenize
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
+from . import table
 from .bias import usable_cpus
 from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
@@ -74,7 +79,7 @@ from .drivers import (
 )
 from .errors import ModelUndefinedError, ParseError, ValidationError
 from .looming import find_anchor, looming_series
-from .manifest import check_fields, read_config
+from .manifest import check_fields, read_config, read_json, write_json
 from .scenario import (
     DEFAULT_HORIZON_EXTENSION,
     DT_NOMINAL,
@@ -82,6 +87,7 @@ from .scenario import (
     CounterfactualSeed,
     SeedCrash,
     SeedRef,
+    delta_v,
     overlap_speeds,
     remove_evasive_maneuver,
 )
@@ -97,17 +103,12 @@ MODEL_BLOM = "blom"
 # the fields of a cell, in OutcomeMatrix and in a matrices.npy record
 OUTCOME_FIELDS = ("v1", "v2")
 
-
-@dataclass(frozen=True)
-class SimOutcome:
-    """Result of one simulated case."""
-
-    crashed: bool
-    v1: float | None = None  # follower speed at first overlap, m/s
-    v2: float | None = None  # lead speed at first overlap, m/s
-
-
-NO_CRASH = SimOutcome(False)
+SEEDS_SUMMARY_HEADER = [
+    "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
+    "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
+    "no_resp_crashed", "no_resp_v1", "no_resp_v2", "no_resp_dv_kmh",
+    "n_crash_cells", "q_raw", "kernel_calls", "theoretical_cells",
+]
 
 
 class SeedKinematics:
@@ -135,13 +136,13 @@ class SeedKinematics:
         below = np.flatnonzero(self.free_gap <= 0)
         # a case braking from step k_live on is the no-response outcome
         self.k_live = int(below[0]) if below.size else 0
-        self.no_response = NO_CRASH
+        self.no_response = (math.nan, math.nan)  # the cell (v1, v2)
         if below.size:
             k = self.k_live
             crashed, v1, v2 = self._impact(k, self.free_gap[k - 1], self.free_gap[k],
                                            self.v_free, self.v_free)
             if crashed:
-                self.no_response = SimOutcome(True, float(v1), float(v2))
+                self.no_response = (float(v1), float(v2))
 
     def _impact(self, k, gap_a, gap_b, v_a, v_b):
         """Whether first overlaps at steps k are crashes, with their
@@ -269,7 +270,7 @@ class OutcomeMatrix:
     rows: np.ndarray  # (k,) the live rows' axis1 indices, ascending
     v1: np.ndarray    # (k, n2) follower speed at first overlap, m/s
     v2: np.ndarray    # (k, n2) lead speed at first overlap, m/s
-    no_response: SimOutcome
+    no_response: tuple[float, float]  # the cell (v1, v2) of the other rows
 
     @property
     def crashed(self) -> np.ndarray:
@@ -283,10 +284,9 @@ class OutcomeMatrix:
 
     def cells(self, name: str) -> np.ndarray:
         """Field `name` over the whole grid: the live rows' cells, and the
-        no-response outcome in every other row (NaN for its None speeds)."""
-        live = getattr(self, name)
-        out = np.full(self.grid.shape, getattr(self.no_response, name), dtype=live.dtype)
-        out[self.rows] = live
+        no-response outcome in every other row."""
+        out = np.full(self.grid.shape, self.no_response[OUTCOME_FIELDS.index(name)])
+        out[self.rows] = getattr(self, name)
         return out
 
     @property
@@ -295,7 +295,7 @@ class OutcomeMatrix:
         if the no-response run crashed."""
         n1, n2 = self.grid.shape
         return (int(np.count_nonzero(self.crashed))
-                + (n1 - len(self.rows)) * n2 * self.no_response.crashed)
+                + (n1 - len(self.rows)) * n2 * (not math.isnan(self.no_response[0])))
 
     def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """v1, v2 and probability of each crashing cell of the grid, in
@@ -307,7 +307,7 @@ class OutcomeMatrix:
     @property
     def crash_mass(self) -> float:
         """Summed probability of the crashing cells (q_i of the seed)."""
-        return float(self.grid.p_cell[self.cells("crashed")].sum())
+        return float(self.grid.p_cell[~np.isnan(self.cells("v1"))].sum())
 
 
 def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
@@ -370,7 +370,7 @@ class SeedResult:
 
     seed_id: str
     matrix: OutcomeMatrix | None
-    no_response: SimOutcome
+    no_response: tuple[float, float]  # the cell (v1, v2)
     anchor: float | None
     lead_behavior: str
     excluded: bool
@@ -378,19 +378,36 @@ class SeedResult:
     lead_mass: float
     seed_delta_v_kmh: float | None
     theoretical_cells: int
-    anchor_absent: bool = False
     digest: str | None = None
+
+    @property
+    def no_response_dv(self) -> float:
+        """The no-response crash's delta-v, km/h: NaN where the no-response
+        run does not crash."""
+        return delta_v(*self.no_response, self.follower_mass, self.lead_mass)
 
 
 @dataclass(eq=False)
 class CampaignResult:
+    """Seed results in seed id order, the grid their matrices share, and
+    the no-response share mixed into the campaign's delta-v."""
+
     model: str
     grid: CampaignGrid
     results: list[SeedResult]
+    no_response_fraction: float
 
     @property
     def matrices(self) -> list[OutcomeMatrix]:
         return [r.matrix for r in self.results if r.matrix is not None]
+
+    def with_matrices(self, grid: CampaignGrid,
+                      matrices: list[OutcomeMatrix]) -> "CampaignResult":
+        """This campaign on `grid` with `matrices`, one per swept seed."""
+        given = iter(matrices)
+        return replace(self, grid=grid, results=[
+            r if r.matrix is None else replace(r, matrix=next(given))
+            for r in self.results])
 
     @property
     def excluded_ids(self) -> list[str]:
@@ -462,9 +479,7 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
     return SeedResult(seed.id, matrix, kin.no_response, anchor,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
-                      seed.seed_delta_v_kmh, theoretical,
-                      anchor_absent=cfg.model == MODEL_CBM and anchor is None,
-                      digest=digest)
+                      seed.seed_delta_v_kmh, theoretical, digest)
 
 
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
@@ -503,7 +518,8 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
     if cfg.model == MODEL_BLOM and all(r.excluded for r in results):
         raise ModelUndefinedError(
             "brake-light model is undefined for every seed in this set")
-    return CampaignResult(cfg.model, grid, results)
+    return CampaignResult(cfg.model, grid, results, cfg.cbm.no_response_fraction
+                          if cfg.model == MODEL_CBM else 0.0)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -521,9 +537,8 @@ def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     """Write one record (seed_id, axis1_index, v1, v2) per live row of
     each matrix on `grid` to the .npy file `path`: seed by seed, rows
     ascending, the speeds in the grid's deceleration order (both NaN where
-    a cell does not crash). The grid goes to simulate's summary.json, and
-    the no-response outcome that a seed's other rows take to its
-    seeds_summary.csv row."""
+    a cell does not crash). `save_campaign` writes the grid and the
+    no-response outcome that a seed's other rows take."""
     records = np.zeros(sum(len(m.rows) for m in matrices), dtype=_record_dtype(
         max((len(m.seed_id) for m in matrices), default=1), grid.shape[1]))
     # each matrix's records, as views into `records`
@@ -537,7 +552,7 @@ def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
 
 
 def load_matrices(path: str | Path, grid: CampaignGrid,
-                  no_response: dict[str, SimOutcome]) -> list[OutcomeMatrix]:
+                  no_response: dict[str, tuple[float, float]]) -> list[OutcomeMatrix]:
     """The outcome matrices on `grid` of the swept seeds, which
     `no_response` maps to their no-response outcomes, in seed id order.
 
@@ -601,3 +616,126 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     bounds = key.searchsorted(n1 * np.arange(len(swept) + 1)).tolist()
     return [OutcomeMatrix(sid, grid, *(a[start:stop] for a in arrays), no_response[sid])
             for sid, start, stop in zip(swept, bounds, bounds[1:])]
+
+
+def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
+    """Write `result` to the directory `out` as simulate's matrices.npy,
+    seeds_summary.csv and summary.json, and return their paths."""
+    matrices_path = out / "matrices.npy"
+    save_matrices(result.matrices, result.grid, matrices_path)
+    rows = result.results
+    m = [r.matrix for r in rows]
+    seeds_summary = out / "seeds_summary.csv"
+    table.write_csv(seeds_summary, SEEDS_SUMMARY_HEADER, [
+        table.texts([r.seed_id for r in rows]),
+        table.flags([not r.excluded for r in rows]),
+        table.texts([r.lead_behavior for r in rows]),
+        table.fmt([r.anchor for r in rows]),
+        table.flags([r.anchor is None and result.model == MODEL_CBM for r in rows]),
+        table.fmt([r.follower_mass for r in rows]),
+        table.fmt([r.lead_mass for r in rows]),
+        table.fmt([r.seed_delta_v_kmh for r in rows]),
+        table.flags([not math.isnan(r.no_response[0]) for r in rows]),
+        *(table.fmt([r.no_response[k] for r in rows]) for k in range(2)),
+        table.fmt([r.no_response_dv for r in rows]),
+        table.ints(x.n_crash_cells if x is not None else 0 for x in m),
+        table.fmt([x.crash_mass if x is not None else None for x in m]),
+        table.ints(x.kernel_calls if x is not None else 0 for x in m),
+        table.ints(r.theoretical_cells for r in rows),
+    ])
+    summary = write_json(out / "summary.json", {
+        "model": result.model,
+        "n_seeds": len(rows),
+        "n_excluded": len(result.excluded_ids),
+        "excluded_ids": result.excluded_ids,
+        "theoretical_cells": result.theoretical_cells,
+        "kernel_calls": result.kernel_calls,
+        "crash_cells": result.crash_cells,
+        "no_response_fraction": result.no_response_fraction,
+        "grid": result.grid.to_json(),
+    })
+    return [matrices_path, seeds_summary, summary]
+
+
+def load_campaign(sim_dir: str | Path) -> CampaignResult:
+    """The campaign `save_campaign` wrote to `sim_dir`, without the seed
+    files' digests; a repeated seed id in seeds_summary.csv is its last row.
+    ParseError names path:line for a row whose masses are not finite and
+    > 0, or whose no-response fields are not empty exactly where
+    no_resp_crashed is 0, with finite speeds, v1 > v2 and their `delta_v`
+    elsewhere. It names the file for a summary.json without an integer
+    n_seeds, a no_response_fraction in [0, 1) and a grid, another seed
+    count, a refused matrices.npy (`load_matrices`), or a swept seed whose
+    records there hold other than its kernel_calls - 1 cells."""
+    summary_path = Path(sim_dir) / "summary.json"
+    summary = read_json(summary_path, "simulate summary",
+                        {"no_response_fraction": "number", "n_seeds": "int"})
+    fraction = summary["no_response_fraction"]
+    if not 0 <= fraction < 1:
+        raise ParseError(f"{summary_path}: simulate summary no_response_fraction must "
+                         f"be in [0, 1), got {fraction!r}")
+    grid = CampaignGrid.from_json(summary, summary_path)
+    path = summary_path.with_name("seeds_summary.csv")
+    chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
+
+    def optional(name: str) -> list[float | None]:
+        """Column `name`, None where a field is empty."""
+        given = ~chunk.equals(name, "")
+        return [x if ok else None for x, ok in
+                zip(chunk.floats(name, where=given).tolist(), given.tolist())]
+
+    def checked(name: str, rule: str, ok, where=None) -> list[float]:
+        values = chunk.floats(name, where=where)
+        bad = ~ok(values) if where is None else where & ~ok(values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise chunk.error(k, f"{name} must be {rule}, got {float(values[k])!r}")
+        return values.tolist()
+
+    seed_dv = optional("seed_delta_v_kmh")
+    nr_crashed = chunk.flags("no_resp_crashed")
+    m1, m2 = (checked(name, "a finite number > 0",
+                      lambda v: (v > 0) & (v < math.inf))
+              for name in ("follower_mass_kg", "lead_mass_kg"))
+    nr_fields = ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh")
+    for name in nr_fields:
+        stray = ~(nr_crashed | chunk.equals(name, ""))
+        if stray.any():
+            k = int(np.argmax(stray))
+            raise chunk.error(k, f"{name} must be empty where no_resp_crashed "
+                                 f"is 0, got {chunk[name][k]!r}")
+    v1, v2, nr_dv = (checked(name, "a finite number where no_resp_crashed is 1",
+                             np.isfinite, nr_crashed) for name in nr_fields)
+    for k in np.flatnonzero(nr_crashed).tolist():
+        if not v1[k] > v2[k]:
+            raise chunk.error(k, f"no_resp_v1 must be > no_resp_v2 where "
+                                 f"no_resp_crashed is 1, got {v1[k]!r} and {v2[k]!r}")
+        dv = delta_v(v1[k], v2[k], m1[k], m2[k])
+        if dv.hex() != nr_dv[k].hex():  # bit for bit, as simulate wrote it
+            raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
+                                 f"the row's speeds and masses, got {nr_dv[k]!r}")
+    no_response = list(zip(v1, v2))
+    eligible = chunk.flags("eligible").tolist()
+    kernel_calls = chunk.floats("kernel_calls").tolist()
+    columns = (chunk["lead_behavior"], optional("anchor_time_s"),
+               chunk.indices("theoretical_cells", grid.p_cell.size + 1).tolist())
+    last = {sid: k for k, sid in enumerate(chunk["seed_id"])}
+    if len(last) != summary["n_seeds"]:
+        raise ParseError(f"{path}: {len(last)} seeds, not the "
+                         f"{summary['n_seeds']} summary.json records")
+    matrices_path = path.with_name("matrices.npy")
+    matrices = iter(load_matrices(matrices_path, grid, {
+        sid: no_response[k] for sid, k in last.items() if eligible[k]}))
+    results = []
+    for sid in sorted(last):
+        k = last[sid]
+        m = next(matrices) if eligible[k] else None
+        if m is not None and m.kernel_calls != kernel_calls[k]:
+            raise ParseError(f"{matrices_path}: seed {sid} lists {m.kernel_calls - 1} "
+                             f"cells, not its kernel_calls - 1 = "
+                             f"{kernel_calls[k] - 1:g} from seeds_summary.csv")
+        behavior, anchor, theoretical = (c[k] for c in columns)
+        results.append(SeedResult(sid, m, no_response[k], anchor, behavior,
+                                  not eligible[k], m1[k], m2[k], seed_dv[k],
+                                  theoretical))
+    return CampaignResult(summary.get("model"), grid, results, float(fraction))

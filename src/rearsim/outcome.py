@@ -17,7 +17,7 @@ from .errors import ParseError, ValidationError
 from .scenario import delta_v
 
 if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
-    from .engine import OutcomeMatrix
+    from .engine import OutcomeMatrix, SeedResult
 
 DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0
@@ -180,38 +180,36 @@ class CrashSamples:
             yield sid, self.delta_v[start:stop], self.weight[start:stop]
 
 
-def weighted_crash_samples(matrices: list[OutcomeMatrix],
-                           masses: dict[str, tuple[float, float]],
+def weighted_crash_samples(seeds: list[SeedResult],
                            weights: list[SeedWeight]) -> CrashSamples:
-    """Crash cells, in row-major order per seed, as delta-v samples with
-    the prevalence weights applied; the weights are renormalized to sum to
-    1. `masses` maps seed id to (follower, lead) mass in kg. A delta-v that
-    is not finite raises ValidationError naming the seed, and weights whose
-    sum is not a finite number > 0 raise ValidationError."""
+    """Crash cells of the weighted seeds' matrices, in row-major order per
+    seed, as delta-v samples from the seed's masses with the prevalence
+    weights applied; the weights are renormalized to sum to 1. A delta-v
+    that is not finite raises ValidationError naming the seed, and weights
+    whose sum is not a finite number > 0 raise ValidationError."""
     w_by_seed = {w.seed_id: w.w for w in weights}
-    weighted = [m for m in matrices if m.seed_id in w_by_seed]
-    counts = [m.n_crash_cells for m in weighted]
+    weighted = [r for r in seeds if r.seed_id in w_by_seed]
+    counts = [r.matrix.n_crash_cells for r in weighted]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
     with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
-        for m, n in zip(weighted, counts):
-            m1, m2 = masses[m.seed_id]
-            v1, v2, p = m.crashes()
+        for r, n in zip(weighted, counts):
+            v1, v2, p = r.matrix.crashes()
             cells = slice(start, start + n)
-            dvs[cells] = delta_v(v1, v2, m1, m2)
-            np.multiply(w_by_seed[m.seed_id], p, out=w[cells])
+            dvs[cells] = delta_v(v1, v2, r.follower_mass, r.lead_mass)
+            np.multiply(w_by_seed[r.seed_id], p, out=w[cells])
             start += n
     finite = np.isfinite(dvs)
     if not finite.all():
-        m = weighted[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
-        raise ValidationError(f"seed {m.seed_id}: a crash's delta-v is not finite")
+        r = weighted[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
+        raise ValidationError(f"seed {r.seed_id}: a crash's delta-v is not finite")
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0
     if not 0 < total < math.inf:  # NaN fails too: an overflowed seed weight
         raise ValidationError(f"the crash samples' weights sum to {total}, "
                               f"not a finite number > 0")
     w /= total
-    return CrashSamples([m.seed_id for m in weighted], counts, dvs, w)
+    return CrashSamples([r.seed_id for r in weighted], counts, dvs, w)
 
 
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
@@ -219,7 +217,7 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
     """Blend the sub-model histogram with the no-response (sleepy driver)
     delta-vs: (1-fraction) of the mass stays with `base`, `fraction` goes
     to the normalized no-response histogram (one delta-v per seed).
-    Unchecked: `_simulate_summary` reads the fraction as in [0, 1)."""
+    Unchecked: `engine.load_campaign` reads the fraction as in [0, 1)."""
     no_resp_dvs = [float(d) for d in no_resp_dvs]
     if fraction > 0 and not no_resp_dvs:
         raise ValidationError("no-response delta-vs required when fraction > 0")

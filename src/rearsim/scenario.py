@@ -168,7 +168,7 @@ def delta_v(v1, v2, m1: float, m2: float):
     follower/lead speeds at first overlap (m/s), as floats or arrays, and
     m1/m2 their masses. Unchecked: masses are read as finite and > 0, a crash
     has v1 > v2 (`engine.SeedKinematics._impact`; `load_matrices` and
-    `_load_seeds_summary` require it), and synthesis rejects v1 < v2."""
+    `load_campaign` require it), and synthesis rejects v1 < v2."""
     return m2 * (v1 - v2) / (m1 + m2) * MS_TO_KMH
 
 

@@ -5,10 +5,12 @@ CLI reads. Everything is deterministic."""
 from __future__ import annotations
 
 import csv
+import math
 import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +23,10 @@ from rearsim.distributions import (
     _duration_to_bin,
 )
 from rearsim.engine import (
-    NO_CRASH,
     CampaignGrid,
     OutcomeMatrix,
     SeedKinematics,
+    SeedResult,
 )
 from rearsim.errors import ValidationError
 from rearsim.outcome import CrashSamples, SeedWeight
@@ -200,9 +202,36 @@ def dense_crash_samples(matrices: list[DenseMatrix],
                         np.concatenate(dvs), w / np.cumsum(w)[-1])
 
 
-def all_live(seed_id: str, grid: CampaignGrid, v1, v2) -> OutcomeMatrix:
-    """A matrix whose every row is live, with the (n1, n2) speeds given."""
-    return OutcomeMatrix(seed_id, grid, np.arange(len(v1)), v1, v2, NO_CRASH)
+class Outcome(NamedTuple):
+    """One case's cell, as the engine holds a no-response outcome: its
+    speeds, both NaN where it does not crash."""
+
+    v1: float
+    v2: float
+
+    @property
+    def crashed(self) -> bool:
+        return not math.isnan(self.v1)
+
+
+NO_CRASH = Outcome(math.nan, math.nan)
+
+
+def all_live(seed_id: str, grid: CampaignGrid, v1, v2,
+             no_response: tuple[float, float] = NO_CRASH) -> OutcomeMatrix:
+    """A matrix whose every row is live, with the (n1, n2) speeds and the
+    no-response outcome given."""
+    return OutcomeMatrix(seed_id, grid, np.arange(len(v1)), v1, v2, no_response)
+
+
+def swept_result(matrix: OutcomeMatrix, follower_mass: float,
+                 lead_mass: float, seed_delta_v_kmh: float | None = None
+                 ) -> SeedResult:
+    """An eligible seed's result with `matrix`, whose no-response outcome
+    it shares, and the masses and recorded delta-v given."""
+    return SeedResult(matrix.seed_id, matrix, matrix.no_response, None,
+                      "braking", False, follower_mass, lead_mass,
+                      seed_delta_v_kmh, matrix.grid.p_cell.size)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

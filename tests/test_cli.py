@@ -28,26 +28,23 @@ from rearsim.bias import (
     load_transfer,
 )
 from rearsim.cli import (
-    SEEDS_SUMMARY_HEADER,
     SYNTH_BATCH,
     _crash_samples,
     _load_assessment_cuts,
     _load_percentile_report,
-    _load_seeds_summary,
-    _load_simulated,
     _per_seed_percentiles,
+    _recovered,
     _reference_histogram,
-    _SeedSummary,
-    _simulate_summary,
-    _simulated_matrices,
     _weight_pipeline,
     main,
 )
 from rearsim.drivers import CbmConfig
 from rearsim.engine import (
+    SEEDS_SUMMARY_HEADER,
     CampaignConfig,
     CampaignGrid,
-    SimOutcome,
+    CampaignResult,
+    load_campaign,
     run_campaign,
 )
 from rearsim.errors import GenerationError, ParseError, ValidationError
@@ -64,6 +61,7 @@ from rearsim.distributions import cut_glances, load_decels, load_glances
 from rearsim.validation import load_injury_curve, percentile_histogram
 
 from fixtures import (
+    Outcome,
     all_live,
     load_seed_dir,
     save_decels,
@@ -71,6 +69,7 @@ from fixtures import (
     save_occupants,
     shrp2_like_decels,
     shrp2_like_glances,
+    swept_result,
     traced_peak,
 )
 from test_bias import folksam_like_records
@@ -331,10 +330,12 @@ class TestPipeline:
             result = run_campaign(load_seed_refs("out_synth/seeds"), cfg,
                                   glance=load_glances(cfg.glance_file),
                                   decels=load_decels(cfg.decel_file))
-        _, loaded, _ = _simulated_matrices(sim, summary)
+        loaded = load_campaign(sim).matrices
         assert len(loaded) == len(result.matrices) == swept
         for want, got in zip(result.matrices, loaded):
-            assert (got.seed_id, got.no_response) == (want.seed_id, want.no_response)
+            assert got.seed_id == want.seed_id
+            assert ([x.hex() for x in got.no_response]
+                    == [x.hex() for x in want.no_response])
             for name in ("rows", "v1", "v2"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.kernel_calls == want.kernel_calls
@@ -682,15 +683,16 @@ def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
                      "--out", "validate_f25"]) == 0
         weighted = json.loads(Path("weight_f25/summary.json").read_text())
         crash_mass = sum(_column(Path("weight_f25/weights.csv"), "contribution"))
-        matrices, rows, fraction = _load_simulated(Path("sim_f25"))
-        cells, _, _ = _crash_samples(matrices, rows)
+        campaign = _recovered(load_campaign("sim_f25"))
+        cells, _, _ = _crash_samples(campaign)
         with open("validate_f25/percentiles.csv", newline="") as fh:
             got = {row["seed_id"]: row["percentile"] for row in csv.DictReader(fh)}
-    assert weighted["no_response_fraction"] == fraction == 0.25
+    assert weighted["no_response_fraction"] == campaign.no_response_fraction == 0.25
     assert crash_mass == pytest.approx(0.75, abs=1e-9)
-    want = _per_seed_percentiles(cells, rows, 0.25)
+    want = _per_seed_percentiles(cells, campaign)
     assert got == {sid: repr(float(v)) for sid, v in want.items()}
-    assert want != _per_seed_percentiles(cells, rows, 0.10)
+    assert want != _per_seed_percentiles(
+        cells, dataclasses.replace(campaign, no_response_fraction=0.10))
 
 
 def test_blom_weight_and_validate_are_pinned(pipeline):
@@ -831,12 +833,13 @@ def _as_counts(text: str) -> str:
                                    for edges, weight in bins]) + "\r\n"
 
 
-def _load_matrices(path: Path):
-    return _simulated_matrices(path.parent, _simulate_summary(path.parent)[0])
+def _load_campaign_of(path: Path):
+    """The campaign in the simulate output directory that holds `path`."""
+    return load_campaign(path.parent)
 
 
 def _crash_samples_of(path: Path):
-    return _crash_samples(*_load_simulated(path.parent)[:2])
+    return _crash_samples(_recovered(load_campaign(path.parent)))
 
 
 def _edit_records(edit):
@@ -883,7 +886,7 @@ def _retyped(**changes):
 
 def _bad_matrices(edit, where):
     """matrices.npy after `edit`, of its bytes or of its records."""
-    return ("out_simulate/matrices.npy", _load_matrices, edit,
+    return ("out_simulate/matrices.npy", _load_campaign_of, edit,
             rf"matrices\.npy: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
 
 
@@ -914,7 +917,7 @@ def _bad_seeds_summary(field: str, value: str, rule: str):
     """seeds_summary.csv with `value` as `field` of the first eligible seed
     whose no-response run crashed."""
     k = SEEDS_SUMMARY_HEADER.index(field)
-    return ("out_simulate/seeds_summary.csv", _load_seeds_summary,
+    return ("out_simulate/seeds_summary.csv", _load_campaign_of,
             _edit_first_row(lambda f: f[1] == f[8] == "1", _set_field(k, value)),
             rf"seeds_summary\.csv:\d+: {field} must be {rule}, got {value}",
             (_WEIGHT, _VALIDATE, _ASSESS))
@@ -923,7 +926,7 @@ def _bad_seeds_summary(field: str, value: str, rule: str):
 def _bad_no_response_crash(edit, where):
     """seeds_summary.csv with `edit` applied to the fields of the first
     eligible seed whose no-response run crashed."""
-    return ("out_simulate/seeds_summary.csv", _load_seeds_summary,
+    return ("out_simulate/seeds_summary.csv", _load_campaign_of,
             _edit_first_row(lambda f: f[1] == f[8] == "1", edit),
             rf"seeds_summary\.csv:\d+: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
 
@@ -970,8 +973,7 @@ def _bad_glances(edit, where):
 
 
 def _bad_summary(edit, where):
-    return ("out_simulate/summary.json", lambda path: _simulate_summary(path.parent),
-            edit, rf"summary\.json: simulate summary {where}",
+    return ("out_simulate/summary.json", _load_campaign_of, edit, rf"summary\.json: simulate summary {where}",
             (_WEIGHT, _VALIDATE, _ASSESS))
 
 
@@ -1212,17 +1214,25 @@ MALFORMED_INPUTS = {
     "seeds_summary_no_resp_dv_off_by_one_ulp": _bad_no_response_crash(
         _no_response_dv_up_one_ulp, r"no_resp_dv_kmh must be \S+, the delta-v "
                                     r"of the row's speeds and masses, got \S+"),
+    # no_resp_crashed is 1 exactly where the no-response speeds and delta-v
+    # are given: a 0 beside them used to read as a crash-free run
+    "seeds_summary_no_resp_speeds_without_crash": _bad_no_response_crash(
+        _set_field(SEEDS_SUMMARY_HEADER.index("no_resp_crashed"), "0"),
+        r"no_resp_v1 must be empty where no_resp_crashed is 0, got '\S+'"),
+    "seeds_summary_no_resp_crash_without_speeds": _bad_no_response_crash(
+        lambda fields: fields[:9] + ["", "", ""] + fields[12:],
+        r"no_resp_v1: not a number: ''"),
     "seeds_summary_row_dropped": (
-        "out_simulate/seeds_summary.csv", _load_matrices,
+        "out_simulate/seeds_summary.csv", _load_campaign_of,
         lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],
         r"seeds_summary\.csv: 7 seeds, not the 8 summary\.json records",
         (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_non_numeric_mass": (
-        "out_simulate/seeds_summary.csv", _load_seeds_summary,
+        "out_simulate/seeds_summary.csv", _load_campaign_of,
         _edit_row(2, _set_field(5, "heavy")), r"seeds_summary\.csv:2:",
         (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_eligible_not_a_flag": (
-        "out_simulate/seeds_summary.csv", _load_seeds_summary,
+        "out_simulate/seeds_summary.csv", _load_campaign_of,
         _edit_row(2, _set_field(1, "yes")), r"seeds_summary\.csv:2: eligible",
         (_WEIGHT,)),
     "histogram_non_numeric_weight": (
@@ -1254,9 +1264,7 @@ MALFORMED_INPUTS = {
     # build_histogram takes the crash samples' weights, cell probabilities
     # times seed weights, as >= 0 unchecked
     "summary_grid_probability_negative": (
-        "out_simulate/summary.json",
-        lambda path: CampaignGrid.from_json(json.loads(path.read_text()), path),
-        _negative_axis1_probability,
+        "out_simulate/summary.json", _load_campaign_of, _negative_axis1_probability,
         r"summary\.json: campaign grid probabilities must be >= 0",
         (_WEIGHT, _VALIDATE, _ASSESS)),
     "summary_no_response_fraction_one": _bad_summary(
@@ -1398,6 +1406,23 @@ def test_assess_dms_rejects_a_repeated_cut(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --cuts repeats 3, inf"), err
     assert "Traceback" not in err and not (tmp_path / "assess").exists()
+
+
+@pytest.mark.parametrize("flag,pairs", [
+    ("--hist", ["m=out_weight/hist.csv", "m=out_apply/transformed.csv"]),
+    ("--percentiles", ["cbm=out_validate/percentile_report.json"] * 2)])
+def test_report_rejects_a_repeated_label(flag, pairs, pipeline, tmp_path, capsys):
+    """A label given twice exits 2 naming it, and nothing is written: the
+    manifest would list one of its two files, and stats.csv would compare
+    the label with itself."""
+    root, _, _ = pipeline
+    capsys.readouterr()
+    with chdir(root):
+        assert main(["report", flag, *pairs, "--out", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} repeats label "), err
+    assert re.search(rf"{flag} repeats label '{pairs[0].split('=')[0]}'", err), err
+    assert "Traceback" not in err and not (tmp_path / "report").exists()
 
 
 def test_cut_with_overshoots_the_baseline_lacks_exits_two(pipeline, tmp_path,
@@ -1587,34 +1612,34 @@ def test_weight_pipeline_memory_follows_its_samples():
     p1, p2 = rng.random(n1), rng.random(n2)
     grid = CampaignGrid(0.1 * np.arange(n1), p1 / p1.sum(),
                         1.5 * np.arange(1, n2 + 1), p2 / p2.sum())
-    matrices, summary = [], {}
+    results = []
     for k in range(200):
         crashed = rng.random((n1, n2)) < 0.6
         v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
         v1 = v2 + rng.uniform(0, 10, (n1, n2))
-        sid = f"s{k:03d}"
-        matrices.append(all_live(sid, grid, v1, v2))
-        summary[sid] = _SeedSummary(True, 1500.0, 1200.0, 10.0,
-                                    SimOutcome(True, 20.0, 5.0), 30.0,
-                                    1 + n1 * n2)
-    (cells, *_), peak = traced_peak(_weight_pipeline, matrices, summary, 0.1, 2.0)
+        matrix = all_live(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0))
+        results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
+    campaign = CampaignResult("cbm", grid, results, 0.1)
+    (cells, *_), peak = traced_peak(_weight_pipeline, campaign, 2.0)
     held = cells.delta_v.nbytes + cells.weight.nbytes
-    assert len(cells) == sum(int(m.crashed.sum()) for m in matrices)
+    assert len(cells) == sum(int(m.crashed.sum()) for m in campaign.matrices)
     assert peak <= 4 * held, peak / held
 
 
-def _one_seed(crashed_cell: bool, nr_crashed: bool, seed_dv: float = 20.0):
-    """One eligible seed's 1 x 2 matrix, crashing in cell (0, 0) or in
-    none, and its seeds_summary.csv row, whose no-response run crashed,
-    recorded at a delta-v of 20 km/h, or did not crash."""
+def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
+              seed_dv: float = 20.0) -> CampaignResult:
+    """A campaign of one eligible seed, mixing in a no-response share of
+    `fraction`: its 1 x 2 matrix crashes in cell (0, 0) or in none, and its
+    no-response run crashes at a delta-v of exactly 20 km/h or does not
+    crash."""
     grid = CampaignGrid([0.0], [1.0], [3.0, 6.0], [0.5, 0.5])
     crashed = np.array([[crashed_cell, False]])
     v1, v2 = (np.where(crashed, v, np.nan) for v in (10.0, 5.0))
-    matrix = all_live("a", grid, v1, v2)
-    nr = SimOutcome(True, 12.0, 5.0)
-    row = _SeedSummary(True, 1500.0, 1500.0, seed_dv, nr if nr_crashed else
-                       SimOutcome(False), 20.0 if nr_crashed else math.nan, 3.0)
-    return [matrix], {"a": row}
+    nr = Outcome(17.5, 5.0) if nr_crashed else Outcome(math.nan, math.nan)
+    matrix = all_live("a", grid, v1, v2, nr)
+    seed = swept_result(matrix, 1500.0, 1200.0, seed_dv)
+    assert math.isnan(seed.no_response_dv) or seed.no_response_dv == 20.0
+    return CampaignResult("cbm", grid, [seed], fraction)
 
 
 @pytest.mark.parametrize("seed_dv,want", [(20.0, 50.0), (19.0, "below-min"),
@@ -1623,41 +1648,39 @@ def test_seed_with_only_its_no_response_crash(seed_dv, want):
     """A seed without crash cells whose no-response run crashed is placed
     in that one sample: it carries the weight f, which seed_percentile
     normalizes to exactly 1."""
-    _, summary = _one_seed(False, True, seed_dv)
     cells = CrashSamples([], [], np.zeros(0), np.zeros(0))
-    assert _per_seed_percentiles(cells, summary, 0.1) == {"a": want}
-    assert _per_seed_percentiles(cells, summary, 0.0) == {}
+    assert _per_seed_percentiles(cells, _one_seed(False, True, 0.1, seed_dv)) == {
+        "a": want}
+    assert _per_seed_percentiles(cells, _one_seed(False, True, 0.0, seed_dv)) == {}
 
 
 def test_seed_whose_crash_weights_underflowed_has_no_percentile():
     """seed_percentile takes weights with a positive sum unchecked: a seed
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
-    _, summary = _one_seed(True, False)
     cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    assert _per_seed_percentiles(cells, summary, 0.1) == {}
+    assert _per_seed_percentiles(cells, _one_seed(True, False, 0.1)) == {}
 
 
 def test_mixing_without_a_no_response_crash():
     """A positive no-response fraction needs a no-response crash to mix
     in, and mix_no_response rejects a mix without one (exit 2). At a
     fraction of 0 the histogram is the crash samples' own."""
-    matrices, summary = _one_seed(True, False)
     with pytest.raises(ValidationError, match="no-response delta-vs required"):
-        _weight_pipeline(matrices, summary, 0.1, 2.0)
-    *_, final, _, diagnostics = _weight_pipeline(matrices, summary, 0.0, 2.0)
+        _weight_pipeline(_one_seed(True, False, 0.1), 2.0)
+    _, final, _, diagnostics = _weight_pipeline(_one_seed(True, False, 0.0), 2.0)
     assert diagnostics["n_no_response"] == 0
     assert (final.mean, final.count) == (
-        scenario.delta_v(10.0, 5.0, 1500.0, 1500.0), 1)
+        scenario.delta_v(10.0, 5.0, 1500.0, 1200.0), 1)
 
 
 @pytest.mark.parametrize("fraction,mixed", [(0.0, 0), (0.1, 1)])
 def test_no_response_count_is_the_samples_mixed_in(fraction, mixed):
     """A crashing no-response run counts in n_no_response and n_samples
     only where the fraction mixes it in."""
-    matrices, summary = _one_seed(True, True)
-    _, nr_rows, _, _, diagnostics = _weight_pipeline(matrices, summary, fraction, 2.0)
-    assert diagnostics["n_no_response"] == len(nr_rows) == mixed
+    _, final, _, diagnostics = _weight_pipeline(_one_seed(True, True, fraction), 2.0)
+    assert diagnostics["n_no_response"] == mixed
+    assert final.count == 1 + mixed
 
 
 def test_reference_histogram_reads_only_the_sidecars(pipeline, monkeypatch):

@@ -6,7 +6,7 @@ import math
 import re
 import tempfile
 import warnings
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +16,19 @@ from hypothesis import strategies as st
 
 from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
-from rearsim.cli import SEEDS_SUMMARY_HEADER, _simulated_matrices, main
+from rearsim.cli import main
 from rearsim.engine import (
-    NO_CRASH,
+    SEEDS_SUMMARY_HEADER,
     CampaignConfig,
     CampaignGrid,
     OutcomeMatrix,
     SeedKinematics,
-    SimOutcome,
+    SeedResult,
+    load_campaign,
     load_matrices,
     reweight,
     run_campaign,
+    save_campaign,
     save_matrices,
     sweep_seed,
 )
@@ -47,11 +49,14 @@ from rearsim.scenario import (
 )
 
 from fixtures import (
+    NO_CRASH,
     DenseMatrix,
+    Outcome,
     dense_crash_samples,
     exhaustive_sweep,
     shrp2_like_decels,
     shrp2_like_glances,
+    swept_result,
     traced_peak,
 )
 from test_looming import make_cf
@@ -69,17 +74,17 @@ def stopping_distance(v0: float, jerk: float, d_max: float) -> float:
     return d_ramp + v_ramp_end**2 / (2 * d_max)
 
 
-def cell(out: dict, i: int, j: int) -> SimOutcome:
+def cell(out: dict, i: int, j: int) -> Outcome:
     """Cell (i, j) of a block the kernel returned, as an outcome."""
     v1, v2 = float(out["v1"][i, j]), float(out["v2"][i, j])
     if math.isnan(v1):
         assert math.isnan(v2)
         return NO_CRASH
-    return SimOutcome(True, v1, v2)
+    return Outcome(v1, v2)
 
 
 def run_case(kin: SeedKinematics, onset: float, d_max: float,
-             jerk: float) -> SimOutcome:
+             jerk: float) -> Outcome:
     """One case through the kernel, as a block of one cell."""
     return cell(kin.run(np.array([onset]), np.array([d_max]), jerk), 0, 0)
 
@@ -191,7 +196,7 @@ def full_horizon_path(kin: SeedKinematics, onset: float, d_max: float,
 
 
 def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
-                     jerk: float) -> SimOutcome:
+                     jerk: float) -> Outcome:
     """The kernel as one integration of one case over the whole horizon:
     the oracle for the block SeedKinematics.run."""
     a, v, gap = full_horizon_path(kin, onset, d_max, jerk)
@@ -205,11 +210,12 @@ def full_horizon_run(kin: SeedKinematics, onset: float, d_max: float,
                + alpha * (kin.lead_speed[k] - kin.lead_speed[k - 1]))
     if v1 <= v2:
         return NO_CRASH
-    return SimOutcome(True, v1, v2)
+    return Outcome(v1, v2)
 
 
-def bits(out: SimOutcome) -> tuple:
-    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(out))
+def bits(out: tuple[float, float]) -> tuple:
+    """A cell's speeds as their bits: NaN reads 'nan'."""
+    return tuple(float(x).hex() for x in out)
 
 
 def kernel_onsets(kin: SeedKinematics, source_duration: float) -> list[float]:
@@ -221,7 +227,7 @@ def kernel_onsets(kin: SeedKinematics, source_duration: float) -> list[float]:
     onsets = [t0 - 1.0, t0 - 1e-3, t0, float(kin.t[1]), float(kin.t[7]) + 3e-3]
     onsets += list(rng.uniform(t0, source_duration, 12))
     onsets += list(rng.uniform(t0, t_end, 6))
-    if kin.no_response.crashed:
+    if Outcome(*kin.no_response).crashed:
         k = kin.k_live
         onsets += [float(kin.t[k - 2]), float(kin.t[k - 1]) - 1e-9,
                    float(kin.t[k - 1]), float(kin.t[k]) + 2e-3,
@@ -341,7 +347,7 @@ class TestSweep:
         grid = self.grid(32, decels=(9.0,))
         m = sweep_seed(SeedKinematics(cf), grid,
                        cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert not m.cells("crashed").any()
+        assert np.isnan(m.cells("v1")).all()
         # the no-response run never overlaps, so no row is live
         assert m.kernel_calls == 1
 
@@ -351,7 +357,7 @@ class TestSweep:
         grid = self.grid(16)
         m = sweep_seed(SeedKinematics(cf), grid,
                        cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert m.cells("crashed").all()
+        assert not np.isnan(m.cells("v1")).any()
         # every onset is past the no-response impact, so no row is live
         assert m.kernel_calls == 1
 
@@ -399,7 +405,7 @@ def test_a_cell_is_its_two_speeds_everywhere():
 GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
 
 
-def swept(result) -> dict[str, SimOutcome]:
+def swept(result) -> dict[str, tuple[float, float]]:
     """The no-response outcome of each swept seed of a campaign result,
     which fills the rows matrices.npy holds no record of."""
     return {r.seed_id: r.no_response for r in result.results
@@ -499,7 +505,8 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         if not any(d.crashed.any() for d in want):
             continue
         weights, _ = prevalence_weights(got)
-        samples = weighted_crash_samples(got, masses, weights)
+        samples = weighted_crash_samples(
+            [swept_result(m, *masses[m.seed_id]) for m in got], weights)
         oracle = dense_crash_samples(want, masses, weights)
         assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
         assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()
@@ -522,7 +529,7 @@ def test_every_crash_closes(v_lead, closing, error, gap, onset):
     grid = TestSweep.grid(21, decels=(1.0, 3.0, 6.0, 9.0))
     m = sweep_seed(kin, grid, onset + grid.axis1, -23.04)
     assert np.all(m.v1[m.crashed] > m.v2[m.crashed])
-    nr = kin.no_response
+    nr = Outcome(*kin.no_response)
     assert not nr.crashed or nr.v1 > nr.v2
 
 
@@ -555,8 +562,8 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
                                    cfg.cbm.jerk_mean))
         no_response[sid] = kin.no_response
     by_id = {m.seed_id: m for m in matrices}
-    assert not len(by_id["x_never"].rows) and no_response["x_never"].crashed
-    assert not len(by_id["y_slow"].rows) and not no_response["y_slow"].crashed
+    assert not len(by_id["x_never"].rows) and Outcome(*no_response["x_never"]).crashed
+    assert not len(by_id["y_slow"].rows) and not Outcome(*no_response["y_slow"]).crashed
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "matrices.npy"
         save_matrices(matrices, grid, path)
@@ -567,6 +574,42 @@ def test_compact_matrices_expand_to_the_dense_ones_bitwise(
     for got in loaded:
         assert got.grid is grid
         assert_same_matrix(got, by_id[got.seed_id])
+
+
+@pytest.mark.parametrize("model", ["cbm", "blom"])
+def test_campaign_round_trip(model, tmp_path):
+    """load_campaign gives back the campaign save_campaign wrote: its model,
+    no-response fraction and grid, and every field of every seed result but
+    the digest, its matrix included, bit for bit. The cbm campaign mixes in
+    a no-response share of 0.1 and the blom campaign excludes seeds; each
+    has a seed whose no-response run does not crash, with no live row."""
+    seeds = list(synthesize_seeds(SynthesisConfig(
+        n_seeds=6, lead_mix={"braking": 1, "standstill": 1}), 3))
+    result = run_campaign(seeds, CampaignConfig(model=model),
+                          glance=shrp2_like_glances(), decels=shrp2_like_decels())
+    kin = SeedKinematics(make_cf(10.0, 20.0, 15.0, duration=12.0))
+    kin.id = "y_slow"
+    slow = sweep_seed(kin, result.grid, 1.0 + result.grid.axis1, -23.04)
+    assert bits(kin.no_response) == ("nan", "nan") and not len(slow.rows)
+    result.results.append(SeedResult("y_slow", slow, kin.no_response, None,
+                                     "braking", False, 1500.0, 1400.0, None, 0))
+    assert result.excluded_ids if model == "blom" else result.no_response_fraction == 0.1
+
+    save_campaign(result, tmp_path)
+    got = load_campaign(tmp_path)
+    assert (got.model, got.no_response_fraction) == (model, result.no_response_fraction)
+    assert_bitwise(got.grid, result.grid, GRID_FIELDS)
+    assert len(got.results) == len(result.results)
+    for a, b in zip(got.results, result.results):
+        assert (a.matrix is None) == (b.matrix is None)
+        if a.matrix is not None:
+            assert a.matrix.grid is got.grid
+            assert_same_matrix(a.matrix, b.matrix)
+        for f in fields(SeedResult):
+            if f.name not in ("matrix", "digest"):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert (bits(x) == bits(y) if f.name == "no_response" else
+                        x.hex() == y.hex() if isinstance(y, float) else x == y), f.name
 
 
 def test_load_matrices_memory_follows_its_records(tmp_path):
@@ -584,7 +627,7 @@ def test_load_matrices_memory_follows_its_records(tmp_path):
         save_matrices(matrices, grid, path)
         loaded, peaks[n1] = traced_peak(load_matrices, path, grid,
                                         {m.seed_id: NO_CRASH for m in matrices})
-        assert len(loaded) == 200 and loaded[0].cells("crashed").shape == (n1, n2)
+        assert len(loaded) == 200 and loaded[0].cells("v1").shape == (n1, n2)
     assert peaks[1000] <= 1.05 * peaks[2], peaks
     assert peaks[1000] < 200 * 1000 * n2 * (8 + 8) / 20, peaks
 
@@ -681,9 +724,9 @@ class TestCampaign:
             got = run_campaign(refs, cfg, glance=glances, decels=decels,
                                workers=workers)
             for a, b in zip(got.results, want.results, strict=True):
-                assert (a.seed_id, a.anchor, a.no_response, a.seed_delta_v_kmh,
+                assert (a.seed_id, a.anchor, bits(a.no_response), a.seed_delta_v_kmh,
                         a.follower_mass, a.lead_mass) == (
-                    b.seed_id, b.anchor, b.no_response, b.seed_delta_v_kmh,
+                    b.seed_id, b.anchor, bits(b.no_response), b.seed_delta_v_kmh,
                     b.follower_mass, b.lead_mass)
                 assert_same_matrix(a.matrix, b.matrix)
 
@@ -1015,7 +1058,7 @@ class TestLoadMatricesParseErrors:
             summary["grid"] = grid
         write_json(sim / "summary.json", summary)
         with pytest.raises(ParseError, match=error):
-            _simulated_matrices(sim, summary)
+            load_campaign(sim)
         capsys.readouterr()
         assert main(["weight", "--simulate-out", str(sim),
                      "--out", str(tmp_path / "weight")]) == 2

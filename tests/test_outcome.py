@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
 
-from fixtures import all_live
+from fixtures import all_live, swept_result
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
     build_histogram,
@@ -108,8 +108,8 @@ class TestPrevalenceWeights:
             weights, _ = prevalence_weights(matrices)
         assert weights[0].w == math.inf
         with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
-            weighted_crash_samples(matrices, {"a": (1e3, 2e3), "b": (1e3, 1e3)},
-                                   weights)
+            weighted_crash_samples([swept_result(matrices[0], 1e3, 2e3),
+                                    swept_result(matrices[1], 1e3, 1e3)], weights)
 
     def test_zero_crash_seed_excluded_and_reported(self):
         m = matrix_with_q("dead", 0.5)
@@ -139,8 +139,9 @@ class TestPrevalenceWeights:
     def test_weighted_samples_total_mass_one(self):
         matrices = [matrix_with_q("a", 0.2), matrix_with_q("b", 0.7)]
         weights, _ = prevalence_weights(matrices)
-        masses = {"a": (1000.0, 2000.0), "b": (1500.0, 1500.0)}
-        samples = weighted_crash_samples(matrices, masses, weights)
+        samples = weighted_crash_samples([swept_result(matrices[0], 1000.0, 2000.0),
+                                          swept_result(matrices[1], 1500.0, 1500.0)],
+                                         weights)
         assert samples.weight.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(samples) == sum(samples.counts) == len(samples.weight)
         assert samples.delta_v[0] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
@@ -161,7 +162,7 @@ class TestPrevalenceWeights:
             if m.seed_id in w_by_seed:
                 m1, m2 = masses[m.seed_id]
                 v1, v2 = m.cells("v1"), m.cells("v2")
-                for i, j in zip(*np.nonzero(m.cells("crashed"))):
+                for i, j in zip(*np.nonzero(~np.isnan(v1))):
                     rows.append((m.seed_id,
                                  delta_v(float(v1[i, j]), float(v2[i, j]), m1, m2),
                                  w_by_seed[m.seed_id] * float(m.grid.p_cell[i, j])))
@@ -169,7 +170,7 @@ class TestPrevalenceWeights:
         for _, _, w in rows:
             total += w
 
-        samples = weighted_crash_samples(matrices, masses, weights)
+        samples = weighted_crash_samples(result.results, weights)
         assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
                 for _ in range(n)] == [sid for sid, _, _ in rows]
         assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
