@@ -31,6 +31,8 @@ from .outcome import (
 
 DEFAULT_P_PDO = 0.7
 DEFAULT_N_FILL_BINS = 6
+PDO_MAX_ITER = 100  # build_pdo's allocation-and-fit rounds, at most
+PDO_TOL = 1e-10     # ... until no fill bin moves more than this x max(deficit, 1)
 
 C1_GRID = np.round(np.arange(-10.0, -0.1 + 1e-9, 0.05), 10)
 C2_GRID = np.round(np.arange(0.001, 5.0 + 1e-9, 0.001), 10)
@@ -135,8 +137,7 @@ def _allocate(deficit: float, present: np.ndarray, target: np.ndarray) -> np.nda
 
 def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
               n_fill_bins: int = DEFAULT_N_FILL_BINS,
-              bin_width: float = DEFAULT_BIN_WIDTH_KMH,
-              max_iter: int = 100, tol: float = 1e-10):
+              bin_width: float = DEFAULT_BIN_WIDTH_KMH):
     """Complete the censored PDO data and fit the exponential shape.
 
     The complete occupant set must be `p_pdo` PDO, so the PDO total is
@@ -181,7 +182,7 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
         alloc[fill] = deficit / n_fill_bins  # flat start, reshaped below
     model = _fit_exponential(centers, (present + alloc) * to_density)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PDO_MAX_ITER + 1):
         if deficit == 0:
             break
         target_counts = model.density(centers[fill]) / to_density
@@ -189,7 +190,7 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
         change = np.abs(new_fill - alloc[fill]).max()
         alloc[fill] = new_fill
         model = _fit_exponential(centers, (present + alloc) * to_density)
-        if change <= tol * max(deficit, 1.0):
+        if change <= PDO_TOL * max(deficit, 1.0):
             break
 
     full = present + alloc

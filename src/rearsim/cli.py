@@ -27,14 +27,11 @@ from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, Val
 from .manifest import check_json, digest_tree, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
-    CrashSamples,
     DeltaVDistribution,
     build_histogram,
     load_histogram,
-    mix_no_response,
-    prevalence_weights,
     save_histogram,
-    weighted_crash_samples,
+    weigh,
 )
 from .scenario import (
     SynthesisConfig,
@@ -199,59 +196,13 @@ def _recovered(campaign: CampaignResult) -> CampaignResult:
         recovered, [replace(m, grid=recovered) for m in campaign.matrices])
 
 
-def _crash_samples(campaign: CampaignResult):
-    """The prevalence-weighted crash samples of `campaign`, whose weights
-    sum to 1, with the seed weights and the seeds without crashes."""
-    weights, zero_crash = prevalence_weights(campaign.matrices)
-    return weighted_crash_samples(campaign.results, weights), weights, zero_crash
-
-
-def _crash_shares(cells: CrashSamples, fraction: float):
-    """(seed id, delta-v, weight, their sum) of each seed's crash samples,
-    the weights scaled to the 1 - `fraction` share of the mix they carry."""
-    for sid, dv, w in cells.by_seed():
-        w = (1.0 - fraction) * w
-        # a sequential sum: np.sum adds pairwise, which can differ in the
-        # last bit
-        yield sid, dv, w, np.cumsum(w)[-1]
-
-
-def _weight_pipeline(campaign: CampaignResult, bin_width: float):
-    """Prevalence weighting + no-response mixing; returns (crash samples,
-    final histogram, weights, diagnostics). The crash samples' weights sum
-    to 1. The campaign's no-response fraction of the mix goes to one
-    delta-v per eligible seed whose no-response run crashed, if > 0."""
-    fraction = campaign.no_response_fraction
-    cells, weights, zero_crash = _crash_samples(campaign)
-
-    # the no-response samples mixed in: none at a fraction of 0, where
-    # mix_no_response gives the base histogram back
-    nr_dvs = [r.no_response_dv for r in campaign.results if fraction > 0
-              and not r.excluded and not math.isnan(r.no_response_dv)]
-    final = mix_no_response(build_histogram(cells.delta_v, cells.weight, bin_width),
-                            nr_dvs, fraction)
-
-    w_unt = np.array([w.w_untrimmed for w in weights])
-    w_trim = np.array([w.w for w in weights])
-    diagnostics = {
-        "zero_crash_seeds": zero_crash,
-        "n_weighted_seeds": len(weights),
-        "n_no_response": len(nr_dvs),
-        "weight_span_untrimmed": float(w_unt.max() / w_unt.min()),
-        "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
-        "no_response_fraction": fraction,
-    }
-    return cells, final, weights, diagnostics
-
-
 def cmd_weight(args) -> int:
     from .engine import load_campaign
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    campaign = _recovered(load_campaign(sim_dir))
-    cells, final, weights, diagnostics = _weight_pipeline(campaign, args.bin_width)
-    contributions = {sid: float(mass) for sid, _, _, mass in
-                     _crash_shares(cells, campaign.no_response_fraction)}
+    weighting = weigh(_recovered(load_campaign(sim_dir)))
+    final = weighting.histogram(args.bin_width)
+    weights = weighting.weights
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
                                    "w_trimmed", "contribution"], [
@@ -260,21 +211,27 @@ def cmd_weight(args) -> int:
         table.reprs([w.q_norm for w in weights]),
         table.reprs([w.w_untrimmed for w in weights]),
         table.reprs([w.w for w in weights]),
-        table.reprs([contributions.get(w.seed_id, 0.0) for w in weights])])
+        table.reprs([float(mass) for *_, mass in weighting.shares()])])
     hist_path = out / "hist.csv"
     save_histogram(final, hist_path)
+    w_unt = np.array([w.w_untrimmed for w in weights])
+    w_trim = np.array([w.w for w in weights])
     summary = write_json(out / "summary.json", {
         "mean_kmh": final.mean,
         "count": final.count,
-        "n_samples": len(cells) + diagnostics["n_no_response"],
-        **diagnostics,
+        "n_samples": len(weighting.samples) + len(weighting.no_response_dvs),
+        "zero_crash_seeds": weighting.zero_crash_seeds,
+        "n_weighted_seeds": len(weights),
+        "n_no_response": len(weighting.no_response_dvs),
+        "weight_span_untrimmed": float(w_unt.max() / w_unt.min()),
+        "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
+        "no_response_fraction": weighting.campaign.no_response_fraction,
     })
     write_manifest(out, "weight", {"simulate_out": str(sim_dir)},
                    [weights_path, hist_path, summary],
                    {"bin_width": args.bin_width})
-    print(f"weight: mean delta-v {final.mean:.2f} km/h over "
-          f"{diagnostics['n_weighted_seeds']} seeds "
-          f"({len(diagnostics['zero_crash_seeds'])} without crashes)")
+    print(f"weight: mean delta-v {final.mean:.2f} km/h over {len(weights)} "
+          f"seeds ({len(weighting.zero_crash_seeds)} without crashes)")
     return EXIT_OK
 
 
@@ -337,37 +294,9 @@ def cmd_apply_bias(args) -> int:
 
 # ---------------------------------------------------------------- validate
 
-def _per_seed_percentiles(cells: CrashSamples, campaign: CampaignResult):
-    """Percentile of each seed's own delta-v inside its generated crashes,
-    with the no-response share mixed in per seed: when the campaign's
-    fraction is > 0 and the seed's no-response run crashed, its
-    no-response delta-v carries the fraction and its crash samples the
-    rest. A seed whose generated crashes carry no weight (none, or all
-    underflowed to 0) is left out."""
-    from .validation import seed_percentile
-    fraction = campaign.no_response_fraction
-    crash = {sid: (dv, w, mass) for sid, dv, w, mass in _crash_shares(cells, fraction)}
-    none = (np.zeros(0), np.zeros(0), 0.0)
-    out = {}
-    for r in campaign.results:
-        if r.excluded or r.seed_delta_v_kmh is None:
-            continue
-        dvs, cell_w, cell_mass = crash.get(r.seed_id, none)
-        nr_dv = r.no_response_dv
-        f = 0.0 if math.isnan(nr_dv) else fraction
-        weights = (1.0 - f) * cell_w / cell_mass if cell_mass else cell_w
-        if f > 0:
-            # [f] alone normalizes to exactly [1.0] in seed_percentile
-            dvs, weights = np.append(dvs, nr_dv), np.append(weights, f)
-        if not weights.any():
-            continue
-        out[r.seed_id] = seed_percentile(r.seed_delta_v_kmh, dvs, weights)
-    return out
-
-
 def cmd_validate(args) -> int:
     from .engine import load_campaign
-    from .validation import compare, injury_risk, percentile_histogram
+    from .validation import compare, injury_risk, percentile_histogram, seed_percentiles
     curves = _load_curves(args.curves)
     out = _out_dir(args.out)
     model_hist = load_histogram(args.model_hist)
@@ -385,16 +314,13 @@ def cmd_validate(args) -> int:
     inputs = {"model_hist": args.model_hist, "reference": reference_read}
     if args.seeds_summary:
         sim_dir = Path(args.seeds_summary).parent
-        campaign = _recovered(load_campaign(sim_dir))
-        cells, _, _ = _crash_samples(campaign)
-        percentiles = _per_seed_percentiles(cells, campaign)
+        percentiles = seed_percentiles(weigh(_recovered(load_campaign(sim_dir))))
         rep = percentile_histogram(percentiles.values(), args.n_bins)
         pct_path = out / "percentiles.csv"
-        ordered = sorted(percentiles.items())
         table.write_csv(pct_path, ["seed_id", "percentile"], [
-            table.texts(sid for sid, _ in ordered),
+            table.texts(percentiles),
             [table.quote(v) if isinstance(v, str) else repr(float(v))
-             for _, v in ordered]])
+             for v in percentiles.values()]])
         rep_path = write_json(out / "percentile_report.json",
                               {**vars(rep), "counts": rep.counts.tolist()})
         outputs += [pct_path, rep_path]
@@ -451,8 +377,9 @@ def cmd_assess_dms(args) -> int:
         raise ValidationError(
             f"{baseline_dir}: the baseline was not simulated with the glance "
             f"distribution of {cfg.glance_file}")
-    _, base_hist, base_weights, _ = _weight_pipeline(baseline, args.bin_width)
-    base_q = {w.seed_id: w.q_raw for w in base_weights}
+    weighting = weigh(baseline)  # each cut's weighting takes its place
+    base_hist = weighting.histogram(args.bin_width)
+    base_q = {w.seed_id: w.q_raw for w in weighting.weights}
 
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
 
@@ -463,10 +390,10 @@ def cmd_assess_dms(args) -> int:
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
         cut_campaign = baseline.with_matrices(
             target, reweight(baseline.matrices, grid, target))
-        _, cut_hist, weights, diagnostics = _weight_pipeline(cut_campaign,
-                                                             args.bin_width)
+        weighting = weigh(cut_campaign)
+        cut_hist = weighting.histogram(args.bin_width)
         rate, per_seed = crash_avoidance_rate(
-            base_q, {w.seed_id: w.q_raw for w in weights})
+            base_q, {w.seed_id: w.q_raw for w in weighting.weights})
         label = "inf" if cut == math.inf else f"{cut:g}"
         hist_path = out / f"hist_cut_{label}.csv"
         save_histogram(cut_hist, hist_path)
@@ -476,7 +403,7 @@ def cmd_assess_dms(args) -> int:
             "avoidance_rate": rate,
             "mean_dv_kmh": cut_hist.mean,
             "mean_dv_delta_kmh": cut_hist.mean - base_hist.mean,
-            "seeds_without_crashes": len(diagnostics["zero_crash_seeds"]),
+            "seeds_without_crashes": len(weighting.zero_crash_seeds),
             "min_per_seed_avoidance": min(per_seed.values()),
         }
         if curves:

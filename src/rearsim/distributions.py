@@ -24,9 +24,8 @@ GLANCES_CSV_HEADER = ("duration_s", "probability")
 
 
 def _duration_to_bin(duration: float) -> int:
-    """Bin index (1-based) for a positive glance duration."""
-    if duration <= 0:
-        raise ValidationError("glance durations must be positive")
+    """Bin index (1-based) for a glance duration. Unchecked: it is > 0, as
+    `GlanceDistribution` checks the durations `overshoot_transform` passes."""
     x = duration / GLANCE_BIN_WIDTH
     nearest = round(x)
     if abs(x - nearest) < 1e-9 and nearest >= 1:

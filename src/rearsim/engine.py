@@ -659,14 +659,14 @@ def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
 
 def load_campaign(sim_dir: str | Path) -> CampaignResult:
     """The campaign `save_campaign` wrote to `sim_dir`, without the seed
-    files' digests; a repeated seed id in seeds_summary.csv is its last row.
-    ParseError names path:line for a row whose masses are not finite and
-    > 0, or whose no-response fields are not empty exactly where
-    no_resp_crashed is 0, with finite speeds, v1 > v2 and their `delta_v`
-    elsewhere. It names the file for a summary.json without an integer
-    n_seeds, a no_response_fraction in [0, 1) and a grid, another seed
-    count, a refused matrices.npy (`load_matrices`), or a swept seed whose
-    records there hold other than its kernel_calls - 1 cells."""
+    files' digests. ParseError names path:line for a row whose masses are
+    not finite and > 0, whose seed id an earlier row holds, or whose
+    no-response fields are not empty exactly where no_resp_crashed is 0,
+    with finite speeds, v1 > v2 and their `delta_v` elsewhere. It names the
+    file for a summary.json without an integer n_seeds, a
+    no_response_fraction in [0, 1) and a grid, another seed count, a
+    refused matrices.npy (`load_matrices`), or a swept seed whose records
+    there hold other than its kernel_calls - 1 cells."""
     summary_path = Path(sim_dir) / "summary.json"
     summary = read_json(summary_path, "simulate summary",
                         {"no_response_fraction": "number", "n_seeds": "int"})
@@ -719,16 +719,19 @@ def load_campaign(sim_dir: str | Path) -> CampaignResult:
     kernel_calls = chunk.floats("kernel_calls").tolist()
     columns = (chunk["lead_behavior"], optional("anchor_time_s"),
                chunk.indices("theoretical_cells", grid.p_cell.size + 1).tolist())
-    last = {sid: k for k, sid in enumerate(chunk["seed_id"])}
-    if len(last) != summary["n_seeds"]:
-        raise ParseError(f"{path}: {len(last)} seeds, not the "
+    rows = {}  # seed id: its row
+    for k, sid in enumerate(chunk["seed_id"]):
+        if rows.setdefault(sid, k) != k:
+            raise chunk.error(k, f"seed_id {sid!r} repeats an earlier row's")
+    if len(rows) != summary["n_seeds"]:
+        raise ParseError(f"{path}: {len(rows)} seeds, not the "
                          f"{summary['n_seeds']} summary.json records")
     matrices_path = path.with_name("matrices.npy")
     matrices = iter(load_matrices(matrices_path, grid, {
-        sid: no_response[k] for sid, k in last.items() if eligible[k]}))
+        sid: no_response[k] for sid, k in rows.items() if eligible[k]}))
     results = []
-    for sid in sorted(last):
-        k = last[sid]
+    for sid in sorted(rows):
+        k = rows[sid]
         m = next(matrices) if eligible[k] else None
         if m is not None and m.kernel_calls != kernel_calls[k]:
             raise ParseError(f"{matrices_path}: seed {sid} lists {m.kernel_calls - 1} "

@@ -1,6 +1,9 @@
-"""Prevalence weighting with trimming, no-response mixing, and histogram
-construction. Each crash cell becomes a delta-v sample through
-`scenario.delta_v`.
+"""The weighting of a campaign (`weigh`) and delta-v histograms. Each
+crash cell becomes a delta-v sample through `scenario.delta_v`, weighted by
+its probability and its seed's trimmed prevalence weight, and the
+no-response ("sleepy driver") delta-vs are mixed in at the campaign's
+fraction. Every sum over samples is sequential (`np.cumsum`) in seed and
+cell order, never pairwise: validate's tied percentiles depend on its bits.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import ParseError, ValidationError
 from .scenario import delta_v
 
 if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
-    from .engine import OutcomeMatrix, SeedResult
+    from .engine import CampaignResult, OutcomeMatrix, SeedResult
 
 DEFAULT_BIN_WIDTH_KMH = 2.0
 TRIM_LOW_PCT = 5.0
@@ -84,8 +87,9 @@ def build_histogram(delta_v, weights,
     """Weighted histogram of the samples `delta_v` (km/h) with `weights`;
     the mean is taken on the unbinned samples. Samples of weight 0 are
     dropped, but count. Unchecked: equally many finite delta-v >= 0 and
-    finite weights >= 0, some > 0, as sidecars, seeds_summary.csv and
-    `weighted_crash_samples` give them (a crash has v1 > v2)."""
+    finite weights >= 0, some > 0, as the seed sidecars, the crash samples
+    of `weighted_crash_samples` and the no-response delta-vs of
+    `CampaignWeighting` give them (a crash has v1 > v2)."""
     check_bin_width(bin_width)
     dvs = np.asarray(delta_v, dtype=float).reshape(-1)
     ws = np.asarray(weights, dtype=float).reshape(-1)
@@ -173,35 +177,27 @@ class CrashSamples:
     def __len__(self) -> int:
         return len(self.delta_v)
 
-    def by_seed(self):
-        """(seed_id, delta_v, weight) of each seed's samples."""
-        bounds = np.cumsum([0] + self.counts).tolist()
-        for sid, start, stop in zip(self.seed_ids, bounds, bounds[1:]):
-            yield sid, self.delta_v[start:stop], self.weight[start:stop]
-
 
 def weighted_crash_samples(seeds: list[SeedResult],
                            weights: list[SeedWeight]) -> CrashSamples:
-    """Crash cells of the weighted seeds' matrices, in row-major order per
-    seed, as delta-v samples from the seed's masses with the prevalence
-    weights applied; the weights are renormalized to sum to 1. A delta-v
-    that is not finite raises ValidationError naming the seed, and weights
-    whose sum is not a finite number > 0 raise ValidationError."""
-    w_by_seed = {w.seed_id: w.w for w in weights}
-    weighted = [r for r in seeds if r.seed_id in w_by_seed]
-    counts = [r.matrix.n_crash_cells for r in weighted]
+    """Crash cells of `seeds`' matrices, in row-major order per seed, as
+    delta-v samples from the seed's masses, weighted by `weights[k]` for
+    seed k (unchecked: `weigh` pairs them) and renormalized to sum to 1. A
+    delta-v that is not finite raises ValidationError naming the seed, and
+    weights whose sum is not a finite number > 0 raise ValidationError."""
+    counts = [r.matrix.n_crash_cells for r in seeds]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
     with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
-        for r, n in zip(weighted, counts):
+        for r, sw, n in zip(seeds, weights, counts):
             v1, v2, p = r.matrix.crashes()
             cells = slice(start, start + n)
             dvs[cells] = delta_v(v1, v2, r.follower_mass, r.lead_mass)
-            np.multiply(w_by_seed[r.seed_id], p, out=w[cells])
+            np.multiply(sw.w, p, out=w[cells])
             start += n
     finite = np.isfinite(dvs)
     if not finite.all():
-        r = weighted[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
+        r = seeds[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
         raise ValidationError(f"seed {r.seed_id}: a crash's delta-v is not finite")
     # a sequential sum, so each weight keeps its bits whatever the count
     total = np.cumsum(w)[-1] if w.size else 0.0
@@ -209,27 +205,70 @@ def weighted_crash_samples(seeds: list[SeedResult],
         raise ValidationError(f"the crash samples' weights sum to {total}, "
                               f"not a finite number > 0")
     w /= total
-    return CrashSamples([r.seed_id for r in weighted], counts, dvs, w)
+    return CrashSamples([r.seed_id for r in seeds], counts, dvs, w)
 
 
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
                     fraction: float) -> DeltaVDistribution:
     """Blend the sub-model histogram with the no-response (sleepy driver)
     delta-vs: (1-fraction) of the mass stays with `base`, `fraction` goes
-    to the normalized no-response histogram (one delta-v per seed).
-    Unchecked: `engine.load_campaign` reads the fraction as in [0, 1)."""
-    no_resp_dvs = [float(d) for d in no_resp_dvs]
+    to the normalized no-response histogram (one delta-v per seed); at a
+    fraction of 0 it is `base` itself. Unchecked: `engine.load_campaign`
+    reads the fraction as in [0, 1)."""
     if fraction > 0 and not no_resp_dvs:
         raise ValidationError("no-response delta-vs required when fraction > 0")
     if fraction == 0:
-        return DeltaVDistribution(base.bin_width, base.weights.copy(),
-                                  base.mean, base.count)
+        return base
     nr = build_histogram(no_resp_dvs, np.ones(len(no_resp_dvs)), base.bin_width)
     bw, nw = align_bins(base, nr)
     mixed = (1.0 - fraction) * bw + fraction * nw
     mean = (1.0 - fraction) * base.mean + fraction * nr.mean
     return DeltaVDistribution(base.bin_width, mixed, mean,
                               base.count + nr.count)
+
+
+@dataclass(frozen=True, eq=False)
+class CampaignWeighting:
+    """A campaign's weighting (`weigh`): the seed weights and the seeds
+    they weight, in seed order, the seeds without crashes, the crash
+    samples, and the no-response delta-vs mixed in: one per eligible seed
+    whose no-response run crashed, weighted or not, none at a fraction of 0."""
+
+    campaign: CampaignResult
+    weights: list[SeedWeight]
+    seeds: list[SeedResult]
+    zero_crash_seeds: list[str]
+    samples: CrashSamples
+    no_response_dvs: list[float]
+
+    def histogram(self, bin_width: float) -> DeltaVDistribution:
+        """The campaign's delta-v histogram: the crash samples' with the
+        no-response share mixed in."""
+        return mix_no_response(
+            build_histogram(self.samples.delta_v, self.samples.weight, bin_width),
+            self.no_response_dvs, self.campaign.no_response_fraction)
+
+    def shares(self):
+        """(seed, delta-v, weight, their sum) of each weighted seed's crash
+        samples, in seed order, the weights scaled to the 1 - fraction share
+        of the mix they carry."""
+        scale = 1.0 - self.campaign.no_response_fraction
+        bounds = np.cumsum([0] + self.samples.counts).tolist()
+        for r, start, stop in zip(self.seeds, bounds, bounds[1:]):
+            w = scale * self.samples.weight[start:stop]
+            yield r, self.samples.delta_v[start:stop], w, np.cumsum(w)[-1]
+
+
+def weigh(campaign: CampaignResult) -> CampaignWeighting:
+    """The prevalence weighting of `campaign` (`CampaignWeighting`)."""
+    weights, zero_crash = prevalence_weights(campaign.matrices)
+    swept = (r for r in campaign.results if r.matrix is not None)  # the weights' order
+    seeds = [next(r for r in swept if r.seed_id == w.seed_id) for w in weights]
+    nr_dvs = [r.no_response_dv for r in campaign.results
+              if campaign.no_response_fraction > 0 and not r.excluded
+              and not math.isnan(r.no_response_dv)]
+    return CampaignWeighting(campaign, weights, seeds, zero_crash,
+                             weighted_crash_samples(seeds, weights), nr_dvs)
 
 
 # ---------------------------------------------------------------- file I/O

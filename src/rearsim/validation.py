@@ -12,7 +12,7 @@ import numpy as np
 from . import table
 from .errors import ParseError, ValidationError
 from .manifest import check_json, read_json
-from .outcome import DeltaVDistribution, align_bins
+from .outcome import CampaignWeighting, DeltaVDistribution, align_bins
 
 CURVE_CSV_HEADER = ("delta_v_kmh", "risk")
 BELOW_MIN = "below-min"
@@ -71,7 +71,7 @@ def seed_percentile(seed_dv: float, dvs, weights) -> float | str:
     crashes: 100 * (mass strictly below + half the mass equal). Seeds
     outside the generated support return a marker instead. Unchecked: the
     weights are finite numbers >= 0, one per delta-v, and some weight is
-    > 0; `cli._per_seed_percentiles` passes only such seeds."""
+    > 0; `seed_percentiles` passes only such seeds."""
     dvs = np.asarray(dvs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     keep = weights > 0
@@ -84,6 +84,35 @@ def seed_percentile(seed_dv: float, dvs, weights) -> float | str:
     below = weights[dvs < seed_dv].sum()
     equal = weights[dvs == seed_dv].sum()
     return float(100.0 * (below + 0.5 * equal))
+
+
+def seed_percentiles(weighting: CampaignWeighting) -> dict[str, float | str]:
+    """`seed_percentile` of each eligible seed's own delta-v, by seed id in
+    seed order, with the no-response share mixed in per seed: a crashed
+    no-response run's delta-v carries the campaign's fraction, the crash
+    samples the rest. A seed without a delta-v of its own, or whose crash
+    samples carry no weight (none, or all underflowed), is left out."""
+    fraction = weighting.campaign.no_response_fraction
+    shares = weighting.shares()  # the weighted seeds, in the campaign's order
+    share = next(shares, None)
+    out = {}
+    for r in weighting.campaign.results:
+        dvs, cell_w, cell_mass = np.zeros(0), np.zeros(0), 0.0
+        if share is not None and share[0] is r:
+            _, dvs, cell_w, cell_mass = share
+            share = next(shares, None)
+        if r.excluded or r.seed_delta_v_kmh is None:
+            continue
+        nr_dv = r.no_response_dv
+        f = 0.0 if math.isnan(nr_dv) else fraction
+        weights = (1.0 - f) * cell_w / cell_mass if cell_mass else cell_w
+        if f > 0:
+            # [f] alone normalizes to exactly [1.0] in seed_percentile
+            dvs, weights = np.append(dvs, nr_dv), np.append(weights, f)
+        if not weights.any():
+            continue
+        out[r.seed_id] = seed_percentile(r.seed_delta_v_kmh, dvs, weights)
+    return out
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -153,7 +182,8 @@ def percentile_histogram(percentiles, n_bins: int = 10) -> PercentileReport:
 class InjuryRiskCurve:
     """Risk of at least one occupant reaching an injury level, as a
     nondecreasing function of delta-v. Either tabulated (linear
-    interpolation, clamped ends) or logistic."""
+    interpolation, clamped ends) or logistic. Unchecked: exactly one of the
+    two is given, as `load_injury_curve` passes the one its file holds."""
 
     level: str
     dv: np.ndarray | None = None
@@ -161,8 +191,6 @@ class InjuryRiskCurve:
     logistic: tuple[float, float] | None = None  # (intercept, slope)
 
     def __post_init__(self):
-        if (self.dv is None) == (self.logistic is None):
-            raise ValidationError("curve needs either a table or logistic parameters")
         if self.dv is not None:
             self.dv = np.asarray(self.dv, dtype=float)
             self.risk = np.asarray(self.risk, dtype=float)

@@ -29,13 +29,10 @@ from rearsim.bias import (
 )
 from rearsim.cli import (
     SYNTH_BATCH,
-    _crash_samples,
     _load_assessment_cuts,
     _load_percentile_report,
-    _per_seed_percentiles,
     _recovered,
     _reference_histogram,
-    _weight_pipeline,
     main,
 )
 from rearsim.drivers import CbmConfig
@@ -52,13 +49,15 @@ from rearsim.manifest import KINDS, digest_tree, file_digest
 from rearsim.outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     HISTOGRAM_CSV_HEADER,
+    CampaignWeighting,
     CrashSamples,
     build_histogram,
     load_histogram,
+    weigh,
 )
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
-from rearsim.validation import load_injury_curve, percentile_histogram
+from rearsim.validation import load_injury_curve, percentile_histogram, seed_percentiles
 
 from fixtures import (
     Outcome,
@@ -264,14 +263,16 @@ class TestPipeline:
         }
 
     def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
-        """weight's histogram and assess-dms's outputs, each mixing in the
-        no-response share, are the bytes they were when weight checked for
-        no-response crashes itself and assess-dms counted each cut's seeds
-        without crashes from their crash mass."""
+        """weight's histogram and summary and assess-dms's outputs, each
+        mixing in the no-response share, are the bytes they were when weight
+        checked for no-response crashes itself and assess-dms counted each
+        cut's seeds without crashes from their crash mass."""
         _, _, out = pipeline
         pinned = {
             out["weight"] / "hist.csv":
                 "fe7869f8007070722161816fecb1836d6aa1f8a5250e51fa0e5aaad8cbf114d2",
+            out["weight"] / "summary.json":
+                "7fd92b15b8e39c9edcbe0d572ee9a92952afd998a62abe4cf29dd26db6cd193d",
             out["assess"] / "assess.json":
                 "3206512985d7b1158975f94d8813e63ff6e61fc5e974b371a1643c411b348c94",
             out["assess"] / "hist_cut_3.csv":
@@ -684,15 +685,14 @@ def test_validate_mixes_the_simulated_no_response_fraction(pipeline):
         weighted = json.loads(Path("weight_f25/summary.json").read_text())
         crash_mass = sum(_column(Path("weight_f25/weights.csv"), "contribution"))
         campaign = _recovered(load_campaign("sim_f25"))
-        cells, _, _ = _crash_samples(campaign)
         with open("validate_f25/percentiles.csv", newline="") as fh:
             got = {row["seed_id"]: row["percentile"] for row in csv.DictReader(fh)}
     assert weighted["no_response_fraction"] == campaign.no_response_fraction == 0.25
     assert crash_mass == pytest.approx(0.75, abs=1e-9)
-    want = _per_seed_percentiles(cells, campaign)
+    want = seed_percentiles(weigh(campaign))
     assert got == {sid: repr(float(v)) for sid, v in want.items()}
-    assert want != _per_seed_percentiles(
-        cells, dataclasses.replace(campaign, no_response_fraction=0.10))
+    assert want != seed_percentiles(
+        weigh(dataclasses.replace(campaign, no_response_fraction=0.10)))
 
 
 def test_blom_weight_and_validate_are_pinned(pipeline):
@@ -838,8 +838,8 @@ def _load_campaign_of(path: Path):
     return load_campaign(path.parent)
 
 
-def _crash_samples_of(path: Path):
-    return _crash_samples(_recovered(load_campaign(path.parent)))
+def _weighting_of(path: Path):
+    return weigh(_recovered(load_campaign(path.parent)))
 
 
 def _edit_records(edit):
@@ -1197,7 +1197,7 @@ MALFORMED_INPUTS = {
            ("no_crash_with_v2", False, dict(v2=1.0)))},
     # finite speeds whose delta-v overflows
     "matrices_v1_overflow": (
-        "out_simulate/matrices.npy", _crash_samples_of, _set_first_cell(True, v1=1e308),
+        "out_simulate/matrices.npy", _weighting_of, _set_first_cell(True, v1=1e308),
         r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
         ValidationError),
     **{f"seeds_summary_{field}_{name}": _bad_seeds_summary(field, value, rule)
@@ -1222,6 +1222,11 @@ MALFORMED_INPUTS = {
     "seeds_summary_no_resp_crash_without_speeds": _bad_no_response_crash(
         lambda fields: fields[:9] + ["", "", ""] + fields[12:],
         r"no_resp_v1: not a number: ''"),
+    "seeds_summary_seed_id_repeated": (
+        "out_simulate/seeds_summary.csv", _load_campaign_of,
+        lambda text: text + text[text.rstrip("\r\n").rindex("\r\n") + 2:],
+        r"seeds_summary\.csv:10: seed_id 's0007' repeats an earlier row's",
+        (_WEIGHT, _VALIDATE, _ASSESS)),
     "seeds_summary_row_dropped": (
         "out_simulate/seeds_summary.csv", _load_campaign_of,
         lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],
@@ -1620,7 +1625,13 @@ def test_weight_pipeline_memory_follows_its_samples():
         matrix = all_live(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0))
         results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
     campaign = CampaignResult("cbm", grid, results, 0.1)
-    (cells, *_), peak = traced_peak(_weight_pipeline, campaign, 2.0)
+
+    def weigh_and_mix():
+        weighting = weigh(campaign)
+        weighting.histogram(2.0)
+        return weighting.samples
+
+    cells, peak = traced_peak(weigh_and_mix)
     held = cells.delta_v.nbytes + cells.weight.nbytes
     assert len(cells) == sum(int(m.crashed.sum()) for m in campaign.matrices)
     assert peak <= 4 * held, peak / held
@@ -1647,19 +1658,24 @@ def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
 def test_seed_with_only_its_no_response_crash(seed_dv, want):
     """A seed without crash cells whose no-response run crashed is placed
     in that one sample: it carries the weight f, which seed_percentile
-    normalizes to exactly 1."""
-    cells = CrashSamples([], [], np.zeros(0), np.zeros(0))
-    assert _per_seed_percentiles(cells, _one_seed(False, True, 0.1, seed_dv)) == {
+    normalizes to exactly 1. Such a seed is not weighted: in a campaign
+    of it alone, which weigh refuses, it has no crash samples."""
+    def unweighted(campaign):
+        return CampaignWeighting(campaign, [], [], ["a"], CrashSamples(
+            [], [], np.zeros(0), np.zeros(0)), [])
+
+    assert seed_percentiles(unweighted(_one_seed(False, True, 0.1, seed_dv))) == {
         "a": want}
-    assert _per_seed_percentiles(cells, _one_seed(False, True, 0.0, seed_dv)) == {}
+    assert seed_percentiles(unweighted(_one_seed(False, True, 0.0, seed_dv))) == {}
 
 
 def test_seed_whose_crash_weights_underflowed_has_no_percentile():
     """seed_percentile takes weights with a positive sum unchecked: a seed
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
+    weighting = weigh(_one_seed(True, False, 0.1))
     cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    assert _per_seed_percentiles(cells, _one_seed(True, False, 0.1)) == {}
+    assert seed_percentiles(dataclasses.replace(weighting, samples=cells)) == {}
 
 
 def test_mixing_without_a_no_response_crash():
@@ -1667,9 +1683,10 @@ def test_mixing_without_a_no_response_crash():
     in, and mix_no_response rejects a mix without one (exit 2). At a
     fraction of 0 the histogram is the crash samples' own."""
     with pytest.raises(ValidationError, match="no-response delta-vs required"):
-        _weight_pipeline(_one_seed(True, False, 0.1), 2.0)
-    _, final, _, diagnostics = _weight_pipeline(_one_seed(True, False, 0.0), 2.0)
-    assert diagnostics["n_no_response"] == 0
+        weigh(_one_seed(True, False, 0.1)).histogram(2.0)
+    weighting = weigh(_one_seed(True, False, 0.0))
+    final = weighting.histogram(2.0)
+    assert weighting.no_response_dvs == []
     assert (final.mean, final.count) == (
         scenario.delta_v(10.0, 5.0, 1500.0, 1200.0), 1)
 
@@ -1678,8 +1695,9 @@ def test_mixing_without_a_no_response_crash():
 def test_no_response_count_is_the_samples_mixed_in(fraction, mixed):
     """A crashing no-response run counts in n_no_response and n_samples
     only where the fraction mixes it in."""
-    _, final, _, diagnostics = _weight_pipeline(_one_seed(True, True, fraction), 2.0)
-    assert diagnostics["n_no_response"] == mixed
+    weighting = weigh(_one_seed(True, True, fraction))
+    final = weighting.histogram(2.0)
+    assert len(weighting.no_response_dvs) == mixed
     assert final.count == 1 + mixed
 
 

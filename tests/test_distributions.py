@@ -208,6 +208,14 @@ def test_glance_masses_must_sum_to_one(probs):
         GlanceDistribution(0.8, [0.1, 0.2], probs)
 
 
+@pytest.mark.parametrize("duration", [0.0, 0.04, 0.15])
+def test_glance_durations_are_positive_multiples_of_a_bin(duration):
+    """overshoot_transform bins a glance distribution's durations
+    unchecked: the distribution refuses any other."""
+    with pytest.raises(ValidationError, match="positive multiples of 0.1 s"):
+        GlanceDistribution(0.8, [0.1, duration], [0.1, 0.1])
+
+
 class TestFileRoundTrips:
     def test_glance_csv(self, tmp_path, glances):
         path = tmp_path / "g.csv"

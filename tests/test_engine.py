@@ -35,7 +35,7 @@ from rearsim.engine import (
 from rearsim.drivers import CbmConfig, blom_onsets, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
-from rearsim.outcome import prevalence_weights, weighted_crash_samples
+from rearsim.outcome import weigh
 from rearsim.scenario import (
     DT_NOMINAL,
     SeedCrash,
@@ -56,7 +56,6 @@ from fixtures import (
     exhaustive_sweep,
     shrp2_like_decels,
     shrp2_like_glances,
-    swept_result,
     traced_peak,
 )
 from test_looming import make_cf
@@ -496,18 +495,17 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
                               grid.decels, grid.decel_probs)
         rows = [grid.axis1.tolist().index(x) for x in target.axis1.tolist()]
     masses = {s.id: (s.follower_meta.mass, s.lead_meta.mass) for s in seeds}
-    for got, want in ((reduced.matrices, dense),
-                      (reweight(reduced.matrices, grid, target),
-                       [m.at(rows, target) for m in dense])):
-        for m, d in zip(got, want, strict=True):
+    reweighted = reduced.with_matrices(target, reweight(reduced.matrices, grid, target))
+    for campaign, want in ((reduced, dense),
+                           (reweighted, [m.at(rows, target) for m in dense])):
+        for m, d in zip(campaign.matrices, want, strict=True):
             assert_cells(m, d)
             assert m.crash_mass.hex() == d.crash_mass.hex()
         if not any(d.crashed.any() for d in want):
             continue
-        weights, _ = prevalence_weights(got)
-        samples = weighted_crash_samples(
-            [swept_result(m, *masses[m.seed_id]) for m in got], weights)
-        oracle = dense_crash_samples(want, masses, weights)
+        weighting = weigh(campaign)
+        samples = weighting.samples
+        oracle = dense_crash_samples(want, masses, weighting.weights)
         assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
         assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()
         assert samples.weight.tobytes() == oracle.weight.tobytes()

@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rearsim.engine import CampaignConfig, CampaignGrid, OutcomeMatrix, run_campaign
+from rearsim.engine import (
+    CampaignConfig,
+    CampaignGrid,
+    CampaignResult,
+    OutcomeMatrix,
+    run_campaign,
+)
 
 from fixtures import all_live, swept_result
 from rearsim.errors import ValidationError
@@ -14,6 +21,7 @@ from rearsim.outcome import (
     mix_no_response,
     prevalence_weights,
     save_histogram,
+    weigh,
     weighted_crash_samples,
 )
 from rearsim.scenario import delta_v
@@ -170,11 +178,53 @@ class TestPrevalenceWeights:
         for _, _, w in rows:
             total += w
 
-        samples = weighted_crash_samples(result.results, weights)
+        samples = weigh(result).samples
         assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
                 for _ in range(n)] == [sid for sid, _, _ in rows]
         assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
         assert samples.weight.tolist() == [w / total for _, _, w in rows]
+
+
+def mixed_campaign(fraction: float, seed_dvs=(None,) * 4) -> CampaignResult:
+    """Seeds a (weighted), b (swept, without crashes), c (excluded) and d
+    (weighted), with the recorded delta-vs given; only b's no-response run
+    crashes."""
+    dead = matrix_with_q("b", 0.5)
+    dead.v1[:] = dead.v2[:] = np.nan
+    dead.no_response = (17.5, 5.0)
+    masses = ((1000.0, 2000.0), (1500.0, 1200.0), (1000.0, 1000.0), (1500.0, 1500.0))
+    seeds = [swept_result(m, *mass, dv) for m, mass, dv in zip(
+        (matrix_with_q("a", 0.2), dead, matrix_with_q("c", 0.5),
+         matrix_with_q("d", 0.7)), masses, seed_dvs)]
+    seeds[2] = replace(seeds[2], matrix=None, excluded=True)
+    return CampaignResult("cbm", seeds[0].matrix.grid, seeds, fraction)
+
+
+class TestWeigh:
+    def test_pairs_each_weighted_seed_with_its_weight(self):
+        """The weighted seeds are the swept seeds with crashes, in seed
+        order; every eligible seed's no-response crash is mixed in."""
+        weighting = weigh(mixed_campaign(0.1))
+        assert [r.seed_id for r in weighting.seeds] == ["a", "d"]
+        assert [w.seed_id for w in weighting.weights] == ["a", "d"]
+        assert weighting.zero_crash_seeds == ["b"]
+        assert weighting.samples.delta_v.tolist() == [
+            delta_v(10.0, 5.0, 1000.0, 2000.0), delta_v(10.0, 5.0, 1500.0, 1500.0)]
+        assert weighting.no_response_dvs == [delta_v(17.5, 5.0, 1500.0, 1200.0)]
+        assert weigh(mixed_campaign(0.0)).no_response_dvs == []
+
+    def test_shares_carry_the_crash_samples_part_of_the_mix(self):
+        """Each weighted seed's share is its samples' weights times
+        1 - fraction, with their sequential sum; the shares add to
+        1 - fraction."""
+        weighting = weigh(mixed_campaign(0.25))
+        shares = list(weighting.shares())
+        assert [r.seed_id for r, *_ in shares] == ["a", "d"]
+        for k, (_, dv, w, total) in enumerate(shares):
+            assert dv.tolist() == [weighting.samples.delta_v[k]]
+            assert w.tolist() == [0.75 * weighting.samples.weight[k]]
+            assert total == w[0]
+        assert sum(total for *_, total in shares) == pytest.approx(0.75, abs=1e-15)
 
 
 class TestBuildHistogram:

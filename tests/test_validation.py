@@ -6,6 +6,8 @@ from scipy import stats
 
 from rearsim.errors import ParseError, ValidationError
 from rearsim.outcome import DeltaVDistribution, build_histogram, prevalence_weights
+from rearsim.outcome import weigh
+from rearsim.scenario import delta_v
 from rearsim.validation import (
     ABOVE_MAX,
     BELOW_MIN,
@@ -17,9 +19,10 @@ from rearsim.validation import (
     load_injury_curve,
     percentile_histogram,
     seed_percentile,
+    seed_percentiles,
 )
 
-from test_outcome import matrix_with_q
+from test_outcome import matrix_with_q, mixed_campaign
 
 
 def dist(weights, count=100):
@@ -104,6 +107,24 @@ class TestSeedPercentile:
         a = seed_percentile(18.0, dvs, w)
         b = seed_percentile(18.0, dvs, w * 137.0)
         assert a == pytest.approx(b)
+
+
+class TestSeedPercentiles:
+    def test_each_seed_is_placed_among_its_own_crashes(self):
+        """a and d are placed among their own one crash sample each; b,
+        without crash samples, only in its no-response crash where the
+        fraction mixes it in; c, excluded, nowhere."""
+        dv_a, dv_d = (delta_v(10.0, 5.0, *m) for m in ((1000.0, 2000.0),
+                                                       (1500.0, 1500.0)))
+        seed_dvs = (dv_a - 1.0, delta_v(17.5, 5.0, 1500.0, 1200.0), 5.0, dv_d)
+        for fraction, b in ((0.0, {}), (0.1, {"b": 50.0})):
+            got = seed_percentiles(weigh(mixed_campaign(fraction, seed_dvs)))
+            assert got == {"a": BELOW_MIN, **b, "d": 50.0}
+            assert list(got) == sorted(got)
+
+    def test_seed_without_a_delta_v_of_its_own_is_left_out(self):
+        weighting = weigh(mixed_campaign(0.1, (30.0, None, None, None)))
+        assert seed_percentiles(weighting) == {"a": ABOVE_MAX}
 
 
 class TestPercentileHistogram:
@@ -224,12 +245,13 @@ class TestInjuryRisk:
         path = tmp_path / "mais1.csv"
         path.write_text("delta_v_kmh,risk\n0.0,0.0\n20.0,0.5\n60.0,0.9\n")
         curve = load_injury_curve(path, level="mais1+")
+        assert curve.logistic is None  # a curve is a table or a logistic
         assert curve(20.0) == pytest.approx(0.5)
         assert curve(40.0) == pytest.approx(0.7)
         jpath = tmp_path / "mais2.json"
         jpath.write_text('{"level": "mais2+", "intercept": -5.0, "slope": 0.25}\n')
         curve2 = load_injury_curve(jpath)
-        assert curve2.level == "mais2+"
+        assert curve2.level == "mais2+" and curve2.dv is None
         assert curve2(20.0) == pytest.approx(0.5)
 
 
