@@ -11,8 +11,6 @@ onto the injury-database selection so the two become comparable.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +34,17 @@ PDO_TOL = 1e-10     # ... until no fill bin moves more than this x max(deficit, 
 
 C1_GRID = np.round(np.arange(-10.0, -0.1 + 1e-9, 0.05), 10)
 C2_GRID = np.round(np.arange(0.001, 5.0 + 1e-9, 0.001), 10)
-# the transfer fit's work buffer is len(C2_GRID) x bins float64, 164 MB at
-# this cap, which admits bins 100 times finer than the 2 km/h that makes the
-# benchmark's delta-v references 26-38 bins wide
+# the transfer fit's bins, at most: 100 times finer than the 2 km/h that
+# makes the benchmark's delta-v references 26-38 bins wide
 MAX_FIT_BINS = 4096
+# fit_transfer's bounded search: its blocks of C2 indices, coarse to fine;
+# the margin by which a block's lower bound must exceed a row's least cost
+# for the block to be dropped, as a share of the original's mass (256 times
+# the rounding bound that fit_transfer proves); and the grid points that one
+# step evaluates, at most
+FIT_BLOCKS = (1024, 128, 16)
+FIT_MARGIN = 2.0 ** -28
+FIT_CHUNK = 1024
 
 OCCUPANTS_CSV_HEADER = ["delta_v_kmh", "mais", "role"]
 
@@ -182,9 +187,8 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
         alloc[fill] = deficit / n_fill_bins  # flat start, reshaped below
     model = _fit_exponential(centers, (present + alloc) * to_density)
     iterations = 0
-    for iterations in range(1, PDO_MAX_ITER + 1):
-        if deficit == 0:
-            break
+    while deficit > 0 and iterations < PDO_MAX_ITER:
+        iterations += 1
         target_counts = model.density(centers[fill]) / to_density
         new_fill = _allocate(deficit, present[fill], target_counts)
         change = np.abs(new_fill - alloc[fill]).max()
@@ -225,41 +229,70 @@ def augment_reference(injury_dist: DeltaVDistribution, pdo: PdoModel,
     return out
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def fit_transfer(with_pdo: DeltaVDistribution,
                  original: DeltaVDistribution) -> tuple[TransferFunction, dict]:
-    """Exhaustive grid search for the logistic (C1, C2) minimizing the
-    summed absolute bin difference between `original` and the transformed
-    `with_pdo`, the latter rescaled to the original's total mass before
-    differencing. Ties resolve to the smallest C1, then C2.
+    """Grid search for the logistic (C1, C2) minimizing the summed absolute
+    bin difference between `original` and the transformed `with_pdo`, the
+    latter rescaled to the original's total mass M before differencing.
+    Ties resolve to the smallest C1, then C2. Each C1 row's minimum over C2
+    is exact, found by a bounded search that evaluates a few percent of the
+    grid on fit-bias's inputs.
 
-    The C2 grid is split into one contiguous block of rows per usable CPU,
-    and one thread per block runs every C1 row over it; with one CPU no
-    thread is started. The blocks share one (n_c2, n_bins) work buffer,
-    allocated once, so memory does not depend on the thread count. A
-    block keeps, per C1 row, its minimum cost and that cost's index; the
-    first block holding a row's minimum gives np.argmin's answer over the
-    whole row, and the strict-< scan over the C1 rows picks the fit.
+    Cost. At grid point (c1, c2), with bin centres x_k > 0: p_k =
+    sigmoid(c1 + c2 x_k), t_k = p_k with_pdo_k, T = sum_k t_k, y_k =
+    M t_k / T and cost = sum_k |orig_k - y_k|. A point's cost has the bits
+    of the exhaustive search: ``1 / (1 + exp((-c1) + (-c2)*x))``
+    elementwise, then each sum over one C-contiguous row of all the bins,
+    in NumPy's pairwise order. ``(-c1) + ((-c2)*x)`` for ``-(c1 + c2*x)``
+    is exact: round-to-nearest is symmetric under negation, and the sign of
+    an exact zero, the only possible difference, leaves exp at 1.
 
-    The result is byte-identical to evaluating
-    ``1 / (1 + exp(-(c1 + C2*x)))`` with a new array per step over the
-    whole grid: every step is elementwise, and each row's sum still runs
-    over one C-contiguous row of unchanged length, so NumPy's pairwise
-    summation order is unchanged. The one rewrite, ``-(c1 + C2*x)`` as
-    ``(-c1) + ((-C2)*x)``, is exact: round-to-nearest is symmetric under
-    negation, and the sign of an exact zero, the only possible difference,
-    leaves exp at 1. Histograms over MAX_FIT_BINS bins wide raise
-    ValidationError before the buffer is allocated. Unchecked: both
-    histograms have positive mass, since every DeltaVDistribution's
-    weights sum to 1 within 1e-9 (its constructor refuses any other total)
-    and `align_bins` only pads them with zeros."""
+    Lower bound. Every x_k > 0, so p_k, t_k and T rise with c2. On a block
+    of C2 indices [a, b], every y_k therefore lies in
+    [M t_k(a) / T(b), M t_k(b) / T(a)], and the block's lower bound is the
+    sum over k of the distance from orig_k to that interval.
+
+    Search. Level -1 is each row's whole C2 range; its two end points are
+    evaluated first. U, a row's least cost found so far, is attained by an
+    evaluated point. A block is kept while its lower bound is at most U + m,
+    with the margin m = FIT_MARGIN * M. A kept block is split into blocks
+    of the next FIT_BLOCKS size: only the new end points are evaluated, and
+    each child carries its end points' t and T, so no point is evaluated
+    twice. A kept block of the last size has its interior points
+    evaluated. Batches of blocks from all rows go through a stack, deepest
+    level first, so the stack holds at most one batch per level. A step
+    evaluates at most FIT_CHUNK points and stacks at most FIT_CHUNK / 4
+    blocks, so memory does not depend on how many blocks are kept. A row's
+    minimum is its least evaluated cost, at its lowest C2 index: a dropped
+    block holds no point whose computed cost is at most U (below), so every
+    point at the row's minimum is evaluated, as np.argmin's first-index
+    rule over the whole row needs. If no block can be dropped, as when the
+    transformed `with_pdo` barely changes shape with c2, every point is
+    evaluated once.
+
+    Rounding. Let u = 2**-53 and assume np.exp errs by less than 8 ulp.
+    Every c1 in C1_GRID is in [-10, 0], so rounding the exponent moves
+    ln p_k by at most 11u, and each computed t_k is within 2**-47 of t_k
+    relatively. At most MAX_FIT_BINS = 2**12 nonnegative terms sum within
+    2**-41 of their total in any order, so the computed T and scaled bins
+    are within 2**-40 of T and y_k. As sum_k y_k = M and the exact cost is
+    below 2.01 M, a computed cost is within 2**-38 M of the exact one. The
+    computed lower bound exceeds the exact one by at most 2**-38 M plus
+    2**-40 of itself: an interval end errs relatively by at most 2**-40, a
+    bin's distance by that times orig_k or the interval's low end, and the
+    low ends sum to M T(a) / T(b) <= M. So, with U below 2.01 M and the
+    sum U + m rounded, a computed bound above U + m keeps every computed
+    cost in its block above U whenever m >= 2**-36 M. That is the proven
+    rounding bound, and FIT_MARGIN = 2**-28 is 256 times it. Underflow,
+    which adds at most 2**-1074 per operation, is left out.
+
+    Histograms over MAX_FIT_BINS bins wide raise ValidationError.
+    Unchecked: both histograms have positive mass, since every
+    DeltaVDistribution's weights sum to 1 within 1e-9 (its constructor
+    refuses any other total) and `align_bins` only pads them with zeros.
+    The diagnostics hold the least cost, whether the fit sits on the
+    grid's edge, each row's minimum and the number of grid points
+    evaluated."""
     wp, orig = align_bins(with_pdo, original)
     if len(wp) > MAX_FIT_BINS:
         raise ValidationError(
@@ -267,47 +300,97 @@ def fit_transfer(with_pdo: DeltaVDistribution,
             f"{len(wp)} bins wide, more than {MAX_FIT_BINS}")
     centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
     orig_mass = orig.sum()
-
+    margin = FIT_MARGIN * orig_mass
     n_c2 = len(C2_GRID)
-    neg_c2 = -C2_GRID[:, None]
-    work = np.empty((n_c2, len(wp)))
-    scale, cost = np.empty(n_c2), np.empty(n_c2)
-    n_blocks = min(usable_cpus(), n_c2)
-    edges = [n_c2 * b // n_blocks for b in range(n_blocks + 1)]
-    block_min = np.empty((n_blocks, len(C1_GRID)))
-    block_arg = np.empty((n_blocks, len(C1_GRID)), dtype=np.intp)
-    failures = []
+    neg_c1, neg_c2 = -C1_GRID[:, None], -C2_GRID[:, None]
+    cost_by_c1 = np.full(len(C1_GRID), math.inf)
+    c2_index = np.full(len(C1_GRID), n_c2)
+    evaluated = 0
 
-    def search(b: int) -> None:
-        lo, hi = edges[b], edges[b + 1]
-        w, s, c = work[lo:hi], scale[lo:hi], cost[lo:hi]
-        try:
-            for r, c1 in enumerate(C1_GRID):
-                np.multiply(neg_c2[lo:hi], centers, out=w)             # -(C2 * x)
-                np.exp(np.add(-c1, w, out=w), out=w)
-                np.divide(1.0, np.add(1.0, w, out=w), out=w)           # p
-                np.multiply(w, wp, out=w)                              # t = p * wp
-                np.divide(orig_mass, np.sum(w, axis=1, out=s), out=s)
-                np.multiply(s[:, None], w, out=w)
-                np.sum(np.abs(np.subtract(orig, w, out=w), out=w), axis=1, out=c)
-                k = int(np.argmin(c))
-                block_min[b, r], block_arg[b, r] = c[k], lo + k
-        except Exception as exc:  # raised again in the calling thread
-            failures.append(exc)
+    def evaluate(row, idx, keep: bool = True):
+        """t = p * wp and T at the points (C1_GRID[row], C2_GRID[idx]),
+        whose costs lower their rows' minima; t only if `keep`."""
+        nonlocal evaluated
+        t = np.multiply(neg_c2[idx], centers)                    # -(C2 * x)
+        np.exp(np.add(neg_c1[row], t, out=t), out=t)
+        np.divide(1.0, np.add(1.0, t, out=t), out=t)             # p
+        np.multiply(t, wp, out=t)                                # t = p * wp
+        total = np.sum(t, axis=1)
+        y = np.multiply(np.divide(orig_mass, total)[:, None], t,
+                        out=None if keep else t)
+        cost = np.sum(np.abs(np.subtract(orig, y, out=y), out=y), axis=1)
+        # each row's least cost, at its lowest C2 index
+        c2_index[row[cost < cost_by_c1[row]]] = n_c2
+        np.minimum.at(cost_by_c1, row, cost)
+        hit = cost == cost_by_c1[row]
+        np.minimum.at(c2_index, row[hit], idx[hit])
+        evaluated += len(idx)
+        return t, total
 
-    threads = [threading.Thread(target=search, args=(b,))
-               for b in range(1, n_blocks)]
-    for thread in threads:
-        thread.start()
-    search(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
+    def push(level: int, row, a, b, t, total, ia, ib) -> None:
+        """Stack the blocks [a, b] of `level` that may hold their row's
+        minimum; t[ia] and t[ib] are their end points' t."""
+        lo, hi = t[ia], t[ib]
+        np.multiply(lo, np.divide(orig_mass, total[ib])[:, None], out=lo)
+        np.multiply(hi, np.divide(orig_mass, total[ia])[:, None], out=hi)
+        np.subtract(lo, orig, out=lo)
+        np.maximum(lo, np.subtract(orig, hi, out=hi), out=lo)
+        bound = np.sum(np.maximum(lo, 0.0, out=lo), axis=1)
+        kept = (bound <= cost_by_c1[row] + margin) & (b - a > 1)
+        if not kept.any():
+            return
+        row, a, b, ia, ib = row[kept], a[kept], b[kept], ia[kept], ib[kept]
+        if level + 1 < len(FIT_BLOCKS):
+            stack.append((level, row, a, b, t[ia], t[ib], total[ia], total[ib]))
+        else:  # the last level evaluates its interior points only
+            stack.append((level, row, a, b))
 
-    first = np.argmin(block_min, axis=0)
+    def split(level: int, row, a, b, ta, tb, total_a, total_b) -> None:
+        """Evaluate the points that split each block [a, b] of `level`
+        into blocks of the next level's size, and stack those."""
+        size = FIT_BLOCKS[level + 1]
+        n = len(row)
+        m = (b - a - 1) // size      # new points per block
+        k = np.repeat(np.arange(n), m + 1)
+        j = np.arange(len(k)) - np.repeat(np.cumsum(m + 1) - m - 1, m + 1)
+        # child j of block k starts at a new point, but for j = 0
+        start = a[k] + size * j
+        fresh = j > 0
+        t_new, total_new = evaluate(row[k][fresh], start[fresh])
+        last_new = 2 * n + np.cumsum(fresh) - 1
+        push(level + 1, row[k], start, np.minimum(start + size, b[k]),
+             np.concatenate([ta, tb, t_new]),
+             np.concatenate([total_a, total_b, total_new]),
+             np.where(fresh, last_new, k), np.where(j == m[k], n + k, last_new + 1))
+
+    def interiors(level: int, row, a, b) -> None:
+        """Evaluate every point inside each block [a, b]."""
+        width = b - a - 1
+        step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        evaluate(np.repeat(row, width), np.repeat(a + 1, width) + step, keep=False)
+
+    # level -1 holds one block per row, the whole C2 grid
     rows = np.arange(len(C1_GRID))
-    cost_by_c1, c2_index = block_min[first, rows], block_arg[first, rows]
+    ends = np.array([0, n_c2 - 1] if n_c2 > 1 else [0])
+    stack = []
+    push(-1, rows, np.zeros_like(rows), np.full_like(rows, n_c2 - 1),
+         *evaluate(np.repeat(rows, len(ends)), np.tile(ends, len(rows))),
+         len(ends) * rows, len(ends) * rows + len(ends) - 1)
+    while stack:
+        level, *batch = stack.pop()
+        # a step evaluates at most FIT_CHUNK points, and stacks at most a
+        # quarter as many blocks
+        if level + 1 < len(FIT_BLOCKS):
+            parent = FIT_BLOCKS[level] if level >= 0 else n_c2 - 1
+            work, per = split, FIT_CHUNK // 4 // -(-parent // FIT_BLOCKS[level + 1])
+        else:
+            work, per = interiors, FIT_CHUNK // FIT_BLOCKS[level]
+        per = max(per, 1)
+        if len(batch[0]) > per:
+            stack.append((level, *(x[per:] for x in batch)))
+            batch = [x[:per] for x in batch]
+        work(level, *batch)
+
     best_cost = math.inf
     best = (C1_GRID[0], C2_GRID[0])
     for r, c1 in enumerate(C1_GRID):
@@ -320,7 +403,8 @@ def fit_transfer(with_pdo: DeltaVDistribution,
     saturated = (best[0] == float(C1_GRID[-1])
                  or best[1] in (float(C2_GRID[0]), float(C2_GRID[-1])))
     diagnostics = {"cost": best_cost, "saturated": bool(saturated),
-                   "cost_by_c1": cost_by_c1.tolist()}
+                   "cost_by_c1": cost_by_c1.tolist(),
+                   "points_evaluated": evaluated}
     return tf, diagnostics
 
 

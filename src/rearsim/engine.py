@@ -56,6 +56,7 @@ the one reader, which gives back the `CampaignResult` written.
 from __future__ import annotations
 
 import math
+import os
 import tokenize
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -65,7 +66,6 @@ from pathlib import Path
 import numpy as np
 
 from . import table
-from .bias import usable_cpus
 from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
     DEFAULT_REACTION_M,
@@ -480,6 +480,14 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
                       seed.seed_delta_v_kmh, theoretical, digest)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,

@@ -1,5 +1,4 @@
 import math
-import sys
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from rearsim import bias
 from rearsim.bias import (
+    DEFAULT_N_FILL_BINS,
     OccupantRecord,
     PdoModel,
     TransferFunction,
@@ -95,6 +95,18 @@ class TestBuildPdo:
         _, _, diag = build_pdo(records, p_pdo=share, bin_width=BIN_W)
         assert diag["deficit"] == pytest.approx(0.0, abs=1e-6)
         assert sum(diag["allocation"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_no_deficit_runs_no_allocation_round(self):
+        """Equal PDO and injured counts at p_pdo 0.5 leave nothing to add,
+        so no allocation round runs."""
+        records = folksam_like_records(n=400)
+        n_injured = sum(1 for r in records if r.mais > 0)
+        pdo = [r for r in records if r.mais == 0]
+        records = [r for r in records if r.mais > 0] + (pdo * n_injured)[:n_injured]
+        _, _, diag = build_pdo(records, p_pdo=0.5, bin_width=BIN_W)
+        assert diag["deficit"] == 0.0
+        assert diag["iterations"] == 0
+        assert diag["allocation"] == [0.0] * DEFAULT_N_FILL_BINS
 
     def test_exceeding_target_is_error(self):
         records, share = exponential_fixture()
@@ -247,76 +259,110 @@ MASSES = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
 
 # C1 rows are independent of each other, so every tenth row and the last
 # one (where saturation is detected) run the same arithmetic as the whole
-# grid at a tenth of the cost; the C2 grid, the work buffer's rows, is whole
+# grid at a tenth of the cost
 C1_ROWS = np.concatenate([bias.C1_GRID[::10], bias.C1_GRID[-1:]])
 
 
-def usable_cpus(n: int):
-    """fit_transfer sees `n` usable CPUs, so it searches `n` blocks of C2
-    rows, `n` - 1 of them in threads."""
-    return mock.patch.object(bias.os, "sched_getaffinity",
-                             lambda pid: set(range(n)), create=True)
+def c2_grid(n: int):
+    """fit_transfer and its reference search the first `n` C2 values."""
+    return mock.patch.object(bias, "C2_GRID", bias.C2_GRID[:n])
 
 
-# three and seven CPUs split the 5,000 C2 rows into uneven blocks
-CPUS = [1, 2, 3, 7]
+# C2 grids of 1, 2 and 3 points hold no block or one without a split;
+# 2,049 points end one point past a first-level block; the whole grid last
+C2_LENGTHS = [1, 2, 3, 2049, len(bias.C2_GRID)]
+
+
+def row_costs(with_pdo: DeltaVDistribution, original: DeltaVDistribution,
+              c1: float) -> np.ndarray:
+    """Every C2 value's cost in the row of `c1`, as the reference computes it."""
+    wp, orig = align_bins(with_pdo, original)
+    centers = with_pdo.bin_width * (np.arange(len(wp)) + 0.5)
+    p = 1.0 / (1.0 + np.exp(-(c1 + np.outer(bias.C2_GRID, centers))))
+    t = p * wp
+    return np.abs(orig - (orig.sum() / t.sum(axis=1))[:, None] * t).sum(axis=1)
 
 
 class TestFitTransferBits:
     # 1-140 bins cross NumPy's 8- and 128-element pairwise-sum blocks
-    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("n_c2", C2_LENGTHS)
     @given(MASSES, MASSES, st.booleans())
     @example([1.0], [0.0, 1.0], False)
     @example([0.5] * 8, [0.25] * 9, False)
     @example([1.0] + [0.0] * 127, [0.0, 1.0] * 64 + [1.0], False)
     @example([float(k % 7) + 1.0 for k in range(140)], [1.0], True)
     @settings(max_examples=20, deadline=None)
-    def test_equals_the_reference_bitwise(self, cpus, with_pdo, original,
+    def test_equals_the_reference_bitwise(self, n_c2, with_pdo, original,
                                           identical):
         with_pdo = histogram(with_pdo)
         original = with_pdo if identical else histogram(original)
-        with mock.patch.object(bias, "C1_GRID", C1_ROWS), usable_cpus(cpus):
+        with mock.patch.object(bias, "C1_GRID", C1_ROWS), c2_grid(n_c2):
             assert fit_bits(fit_transfer(with_pdo, original)) == fit_bits(
                 reference_fit_transfer(with_pdo, original))
 
     @pytest.fixture(scope="class")
-    def whole_grid(self):
+    def fit_bias_inputs(self):
+        """fit-bias's pair: the PDO-augmented injury histogram against the
+        injury histogram."""
         records = folksam_like_records()
         injury = histogram(np.random.default_rng(4).gamma(5.0, 1.8, 36))
         model, _, _ = build_pdo(records, bin_width=BIN_W)
-        with_pdo = augment_reference(injury, model)
-        return with_pdo, injury, fit_bits(reference_fit_transfer(with_pdo, injury))
+        return augment_reference(injury, model), injury
 
-    @pytest.mark.parametrize("cpus", CPUS)
-    def test_equals_the_reference_on_the_whole_grid(self, cpus, whole_grid):
-        with_pdo, injury, want = whole_grid
-        with usable_cpus(cpus):
-            assert fit_bits(fit_transfer(with_pdo, injury)) == want
+    @pytest.mark.parametrize("n_c2", C2_LENGTHS)
+    def test_equals_the_reference_on_the_whole_grid(self, n_c2, fit_bias_inputs):
+        with c2_grid(n_c2):
+            assert fit_bits(fit_transfer(*fit_bias_inputs)) == fit_bits(
+                reference_fit_transfer(*fit_bias_inputs))
 
-    def test_threads_switching_often_keep_every_bit(self, whole_grid):
-        """More threads than this host has cores, handing the interpreter
-        over every microsecond: a block that read or wrote another's rows
-        would change the result."""
-        with_pdo, injury, want = whole_grid
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with mock.patch.object(bias, "C1_GRID", C1_ROWS), usable_cpus(7):
-                got = fit_bits(fit_transfer(with_pdo, injury))
-        finally:
-            sys.setswitchinterval(interval)
+    def test_equal_costs_resolve_to_the_first_c2(self):
+        """Mass only from 40 km/h up: once c2 makes every p round to 1.0,
+        each further C2 value gives the same bits, and the lowest index of
+        the row's least cost must win, as np.argmin's does."""
+        h = histogram([0.0] * 20 + [3.0, 1.0, 2.0])
+        tf, diag = fit_transfer(h, h)
+        assert fit_bits((tf, diag)) == fit_bits(reference_fit_transfer(h, h))
+        for r in (0, len(bias.C1_GRID) - 1):
+            costs = row_costs(h, h, bias.C1_GRID[r])
+            first = int(np.argmin(costs))
+            assert np.count_nonzero(costs == costs[first]) > 100
+            assert diag["cost_by_c1"][r] == costs[first]
+        k = int(np.flatnonzero(bias.C2_GRID == tf.C2)[0])
+        row = row_costs(h, h, tf.C1)
+        assert k == int(np.argmin(row)) and row[k + 1] == row[k]
+
+    def test_evaluates_a_few_percent_of_the_grid(self, fit_bias_inputs):
+        """The bounded search on fit-bias's pair evaluates under a tenth of
+        the grid's points, and the same number on every run."""
+        grid = len(bias.C1_GRID) * len(bias.C2_GRID)
+        counts = {fit_transfer(*fit_bias_inputs)[1]["points_evaluated"]
+                  for _ in range(2)}
+        assert len(counts) == 1 and counts.pop() < grid / 10
+
+    def test_a_flat_row_evaluates_each_point_once(self):
+        """One bin of with_pdo keeps every y at M whatever c2, so no block
+        can be dropped: every grid point is evaluated, and none twice."""
+        with_pdo = histogram([1.0])
+        original = histogram(np.random.default_rng(11).random(46))
         with mock.patch.object(bias, "C1_GRID", C1_ROWS):
-            assert got == fit_bits(reference_fit_transfer(with_pdo, injury))
+            fit = fit_transfer(with_pdo, original)
+            assert fit_bits(fit) == fit_bits(
+                reference_fit_transfer(with_pdo, original))
+        assert fit[1]["points_evaluated"] == len(C1_ROWS) * len(bias.C2_GRID)
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_peak_memory_is_about_one_grid(self, cpus):
-        """One work buffer that every thread shares: no grid of C2 * dv, no
-        buffer per thread and no array per step."""
+    @pytest.mark.parametrize("sizes", [(36, 36), (2, 46), (140, 140), None],
+                             ids=["36 bins", "2 vs 46 bins", "140 bins", "identical"])
+    def test_peak_memory_is_about_one_grid(self, sizes):
+        """No grid of C2 * dv and no array per step: a search that keeps
+        nearly every block, as on 2 vs 46 bins, stays in bounded chunks too."""
         rng = np.random.default_rng(6)
-        with_pdo, original = histogram(rng.random(36)), histogram(rng.random(36))
-        grid_bytes = len(bias.C2_GRID) * 36 * 8
-        with usable_cpus(cpus):
-            _, peak = traced_peak(fit_transfer, with_pdo, original)
+        if sizes is None:
+            with_pdo = original = all_severity_histogram(n=5000)
+        else:
+            with_pdo, original = (histogram(rng.random(n)) for n in sizes)
+        bins = len(align_bins(with_pdo, original)[0])
+        grid_bytes = len(bias.C2_GRID) * bins * 8
+        _, peak = traced_peak(fit_transfer, with_pdo, original)
         assert peak <= 1.5 * grid_bytes, peak / grid_bytes
 
 

@@ -1324,7 +1324,7 @@ MALFORMED_INPUTS = {
         lambda value: build_pdo(folksam_like_records(n=400), n_fill_bins=int(value)),
         r"n_fill_bins 1000000000000 makes a histogram of more than 1000000 bins",
         (_FIT_BIAS,)),
-    # the transfer fit's work buffer: 5000 x bins float64
+    # the transfer fit's bins, at most MAX_FIT_BINS
     "bin_width_fit_too_fine": _bad_flag(
         "--bin-width", "0.001",
         lambda value: fit_transfer(*[build_histogram([50.0], [1.0], float(value))] * 2),
