@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bias, table
+from . import table
 from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, ValidationError
 from .manifest import check_json, digest_tree, read_json, write_json, write_manifest
 from .outcome import (
@@ -41,7 +41,8 @@ from .scenario import (
 )
 
 # a stage imports the modules only it runs: fit-bias and apply-bias load
-# neither the engine, the driver models nor the validation code
+# neither the engine, the driver models nor the validation code, and no
+# other stage loads the bias correction
 if TYPE_CHECKING:
     from .engine import CampaignResult
     from .validation import InjuryRiskCurve, PercentileReport
@@ -50,6 +51,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_MODEL_UNDEFINED = 3
 EXIT_FIT_FAILURE = 4
+
+# fit-bias's defaults, equal to bias.DEFAULT_P_PDO and DEFAULT_N_FILL_BINS
+# (a test holds them so): here, building the parser imports no bias code
+DEFAULT_P_PDO = 0.7
+DEFAULT_N_FILL_BINS = 6
 
 # synth makes and writes this many seeds at a time, so it holds one batch;
 # making and writing seed by seed took about 10% longer
@@ -200,8 +206,8 @@ def cmd_weight(args) -> int:
     from .engine import load_campaign
     out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
-    weighting = weigh(_recovered(load_campaign(sim_dir)))
-    final = weighting.histogram(args.bin_width)
+    weighting = weigh(_recovered(load_campaign(sim_dir)), args.bin_width)
+    final = weighting.histogram()
     weights = weighting.weights
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
@@ -211,7 +217,7 @@ def cmd_weight(args) -> int:
         table.reprs([w.q_norm for w in weights]),
         table.reprs([w.w_untrimmed for w in weights]),
         table.reprs([w.w for w in weights]),
-        table.reprs([float(mass) for *_, mass in weighting.shares()])])
+        table.reprs(weighting.contributions())])
     hist_path = out / "hist.csv"
     save_histogram(final, hist_path)
     w_unt = np.array([w.w_untrimmed for w in weights])
@@ -219,7 +225,7 @@ def cmd_weight(args) -> int:
     summary = write_json(out / "summary.json", {
         "mean_kmh": final.mean,
         "count": final.count,
-        "n_samples": len(weighting.samples) + len(weighting.no_response_dvs),
+        "n_samples": final.count,
         "zero_crash_seeds": weighting.zero_crash_seeds,
         "n_weighted_seeds": len(weights),
         "n_no_response": len(weighting.no_response_dvs),
@@ -238,6 +244,7 @@ def cmd_weight(args) -> int:
 # ---------------------------------------------------------------- fit-bias
 
 def cmd_fit_bias(args) -> int:
+    from . import bias
     out = _out_dir(args.out)
     records = bias.load_occupants(args.occupants)
     injury, injury_read = _reference_histogram(args.injury_hist, args.bin_width)
@@ -274,6 +281,7 @@ def cmd_fit_bias(args) -> int:
 # --------------------------------------------------------------- apply-bias
 
 def cmd_apply_bias(args) -> int:
+    from . import bias
     out = _out_dir(args.out)
     dist = load_histogram(args.hist)
     tf = bias.load_transfer(args.transfer)
@@ -377,8 +385,8 @@ def cmd_assess_dms(args) -> int:
         raise ValidationError(
             f"{baseline_dir}: the baseline was not simulated with the glance "
             f"distribution of {cfg.glance_file}")
-    weighting = weigh(baseline)  # each cut's weighting takes its place
-    base_hist = weighting.histogram(args.bin_width)
+    weighting = weigh(baseline, args.bin_width)  # each cut's takes its place
+    base_hist = weighting.histogram()
     base_q = {w.seed_id: w.q_raw for w in weighting.weights}
 
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
@@ -390,8 +398,8 @@ def cmd_assess_dms(args) -> int:
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
         cut_campaign = baseline.with_matrices(
             target, reweight(baseline.matrices, grid, target))
-        weighting = weigh(cut_campaign)
-        cut_hist = weighting.histogram(args.bin_width)
+        weighting = weigh(cut_campaign, args.bin_width)
+        cut_hist = weighting.histogram()
         rate, per_seed = crash_avoidance_rate(
             base_q, {w.seed_id: w.q_raw for w in weighting.weights})
         label = "inf" if cut == math.inf else f"{cut:g}"
@@ -561,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="histogram CSV or a seeds directory, of which only "
                         "the JSON sidecars are read")
     p.add_argument("--out", required=True)
-    p.add_argument("--p-pdo", type=float, default=bias.DEFAULT_P_PDO)
-    p.add_argument("--n-fill-bins", type=int, default=bias.DEFAULT_N_FILL_BINS)
+    p.add_argument("--p-pdo", type=float, default=DEFAULT_P_PDO)
+    p.add_argument("--n-fill-bins", type=int, default=DEFAULT_N_FILL_BINS)
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
     p.set_defaults(func=cmd_fit_bias)
 

@@ -44,9 +44,14 @@ the pair (v1, v2).
 A matrix holds the cells of its integrated (live) rows and the seed's
 no-response outcome, which every other row takes, in memory as on disk.
 Each matrices.npy record is one live row: (seed_id, axis1_index, v1, v2),
-the speeds over the grid's deceleration bins. Only sums over cells expand
-a field over the grid (`OutcomeMatrix.cells`): they keep their bits in
-row-major order alone.
+the speeds over the grid's deceleration bins. The weighting sums a
+matrix's cells row by row (`outcome.row_statistics`): each live row over
+its deceleration bins, and the other rows as one no-response entry with
+their summed axis-1 mass, so it expands no field over the grid. Two sums
+keep row-major order over the grid's cells, which only an expanded field
+gives (`OutcomeMatrix.cells`): a seed's crash mass (`crash_mass`, its
+q_raw), from which its prevalence weight follows, and the per-cell crash
+samples (`crashes`) of validate's per-seed percentiles.
 
 `save_campaign` is the one writer of simulate's three artifacts
 (summary.json, seeds_summary.csv and matrices.npy), and `load_campaign`
@@ -299,7 +304,7 @@ class OutcomeMatrix:
 
     def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """v1, v2 and probability of each crashing cell of the grid, in
-        row-major order: the order that sums over the cells keep."""
+        row-major order: the order of the crash samples."""
         v1 = self.cells("v1")
         c = ~np.isnan(v1)
         return v1[c], self.cells("v2")[c], self.grid.p_cell[c]
@@ -433,25 +438,28 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
 
     A cell's outcome depends only on its axis1 value, which fixes the brake
     onset, and its maximum deceleration. So on a target whose axis1 values
-    are a bitwise subset of the grid's and whose deceleration bins equal
-    the grid's, each matrix is its rows at the target's axis1 values under
-    the target's marginals. A glance cut is such a target: its overshoots
-    come from the same 0.1 s grid, and a cut only drops glance mass. An
-    overshoot whose mass underflows to 0 only without the cut is on the
-    target's axis alone, which raises ValidationError. Unchecked: the
-    matrices are on `grid`, the target on its deceleration bins (assess-dms).
+    are a bitwise subset of the grid's, in the grid's order, and whose
+    deceleration bins equal the grid's, each matrix is its rows at the
+    target's axis1 values under the target's marginals. A glance cut is
+    such a target: its overshoots come from the same 0.1 s grid, ascending,
+    and a cut only drops glance mass. An overshoot whose mass underflows to
+    0 only without the cut is on the target's axis alone, which raises
+    ValidationError. Unchecked: the matrices are on `grid`, the target on
+    its deceleration bins (assess-dms).
     """
     index = {x: k for k, x in enumerate(grid.axis1.view(np.int64).tolist())}
     rows = [index.get(x) for x in target.axis1.view(np.int64).tolist()]
-    if None in rows:
+    if None in rows or rows != sorted(set(rows)):
         raise ValidationError("the target's axis1 values are not a subset of "
-                              "the simulated grid's")
+                              "the simulated grid's, in its order")
+    on_target = np.zeros(grid.shape[0], dtype=bool)
+    on_target[rows] = True
+    target_row = np.cumsum(on_target) - 1  # a grid row's index on the target
     out = []
     for m in matrices:
-        live = np.isin(rows, m.rows)  # the target rows the kernel integrated
-        block = m.rows.searchsorted(np.compress(live, rows))
-        out.append(OutcomeMatrix(m.seed_id, target, np.flatnonzero(live), *(
-            getattr(m, name)[block] for name in OUTCOME_FIELDS), m.no_response))
+        kept = on_target[m.rows]  # the live rows on the target
+        out.append(OutcomeMatrix(m.seed_id, target, target_row[m.rows[kept]], *(
+            getattr(m, name)[kept] for name in OUTCOME_FIELDS), m.no_response))
     return out
 
 

@@ -1,15 +1,36 @@
 """The weighting of a campaign (`weigh`) and delta-v histograms. Each
-crash cell becomes a delta-v sample through `scenario.delta_v`, weighted by
-its probability and its seed's trimmed prevalence weight, and the
-no-response ("sleepy driver") delta-vs are mixed in at the campaign's
-fraction. Every sum over samples is sequential (`np.cumsum`) in seed and
-cell order, never pairwise: validate's tied percentiles depend on its bits.
+crash cell is a delta-v sample through `scenario.delta_v`, weighted by its
+probability and its seed's trimmed prevalence weight, and the no-response
+("sleepy driver") delta-vs are mixed in at the campaign's fraction.
+
+A cell's probability is its row's axis-1 mass times its deceleration
+mass, so every sum over a seed's cells factors through its rows
+(`RowStatistics`). A live row sums its crashing cells over the
+deceleration bins: its crash mass, its mass-weighted delta-v and its
+crash mass in each histogram bin. The rows the kernel did not integrate
+all hold the no-response outcome, so one no-response entry stands for
+them with their summed axis-1 mass. The histogram, its mean and each
+seed's share of the crash mass are summed from these entries in one
+fixed order: seed by seed, a seed's live rows in ascending order and then
+its no-response entry, and within an entry its histogram bins in
+ascending order. Every sum runs sequentially (`np.cumsum`, `np.bincount`)
+in that order, and a row's sums over the deceleration bins in the bins'
+order, so the bits depend on the campaign alone.
+
+Two sums keep the per-cell order. `prevalence_weights` reads each seed's
+crash mass q from `OutcomeMatrix.crash_mass`, a sum over the seed's crash
+cells in row-major order. Validate's per-seed percentiles read the crash
+samples of `weighted_crash_samples`, one per crash cell in seed and
+row-major cell order, normalized by their sequential total; they are
+built only when `CampaignWeighting.shares` asks for them, and the tied
+percentiles depend on their bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,6 +48,9 @@ TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 MAX_BINS = 10**6  # a histogram is a dense array: a wider one is refused
+# seeds whose row statistics are built at a time, so that the weighting's
+# peak memory follows a block of seeds, not the campaign's crash cells
+ROW_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -87,9 +111,9 @@ def build_histogram(delta_v, weights,
     """Weighted histogram of the samples `delta_v` (km/h) with `weights`;
     the mean is taken on the unbinned samples. Samples of weight 0 are
     dropped, but count. Unchecked: equally many finite delta-v >= 0 and
-    finite weights >= 0, some > 0, as the seed sidecars, the crash samples
-    of `weighted_crash_samples` and the no-response delta-vs of
-    `CampaignWeighting` give them (a crash has v1 > v2)."""
+    finite weights >= 0, some > 0, as the seed sidecars and the
+    no-response delta-vs of `CampaignWeighting` give them (a crash has
+    v1 > v2)."""
     check_bin_width(bin_width)
     dvs = np.asarray(delta_v, dtype=float).reshape(-1)
     ws = np.asarray(weights, dtype=float).reshape(-1)
@@ -208,6 +232,105 @@ def weighted_crash_samples(seeds: list[SeedResult],
     return CrashSamples([r.seed_id for r in seeds], counts, dvs, w)
 
 
+@dataclass(frozen=True, eq=False)
+class RowStatistics:
+    """The row statistics of weighted seeds (`row_statistics`), one entry
+    per row, seed by seed: the seed's live rows in ascending order, then its
+    no-response entry, which stands for every other row. Every mass is a
+    sum of cell probabilities, each times its seed's weight."""
+
+    entries: np.ndarray   # (S,) each seed's entries: its live rows + 1
+    mass: np.ndarray      # (E,) each entry's crash mass
+    dv_mass: np.ndarray   # (E,) its mass-weighted delta-v, km/h
+    bins: np.ndarray      # (P,) the histogram bins of each entry's crashes, ascending
+    bin_mass: np.ndarray  # (P,) the entry's crash mass in each of them
+    cells: int            # the crash cells, each no-response row's included
+
+
+def _sequential_sum(a: np.ndarray) -> np.ndarray:
+    """`a` summed along its last axis, one element after the other."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def row_statistics(seeds: list[SeedResult], weights: list[SeedWeight],
+                   bin_width: float) -> RowStatistics:
+    """The row statistics of `seeds`' matrices, which share one grid, with
+    the seed weights `weights[k]` for seed k (unchecked: `weigh` pairs
+    them), vectorized over the seeds' rows. A cell's probability is its
+    row's axis-1 mass times its deceleration mass, so each sum over a row's
+    crashing cells runs over the deceleration bins, in their order. A cell
+    of weight 0 adds no bin. A delta-v that is not finite raises
+    ValidationError naming the seed."""
+    matrices = [r.matrix for r in seeds]
+    grid = matrices[0].grid
+    n1, n2 = grid.shape
+    p1, p2 = grid.axis1_probs, grid.decel_probs
+    live = np.array([len(m.rows) for m in matrices])
+    entries = live + 1
+    ends = np.cumsum(live)  # where each seed's no-response entry goes
+    rows = np.concatenate([m.rows for m in matrices])
+    v1, v2 = (np.insert(np.concatenate([getattr(m, name) for m in matrices]), ends,
+                        [[m.no_response[k]] for m in matrices], axis=0)
+              for k, name in enumerate(("v1", "v2")))
+    m1, m2 = (np.repeat([getattr(r, name) for r in seeds], entries)[:, None]
+              for name in ("follower_mass", "lead_mass"))
+    crashed = ~np.isnan(v1)
+    dvs = delta_v(v1, v2, m1, m2)
+    bad = crashed & ~np.isfinite(dvs)
+    if bad.any():
+        seed = np.searchsorted(np.cumsum(entries), np.argmax(bad.any(axis=1)), "right")
+        raise ValidationError(f"seed {seeds[seed].seed_id}: a crash's delta-v is "
+                              f"not finite")
+    is_live = np.zeros((len(seeds), n1), dtype=bool)
+    is_live[np.repeat(np.arange(len(seeds)), live), rows] = True
+    axis1 = (np.repeat([w.w for w in weights], entries)
+             * np.insert(p1[rows], ends, _sequential_sum(np.where(is_live, 0.0, p1))))
+    cells = np.count_nonzero(crashed, axis=1)
+    cells[ends + np.arange(len(seeds))] *= n1 - live  # the no-response rows
+    # the crashing cells of weight > 0, entry by entry, and their bins
+    e, j = np.nonzero(crashed & (p2 > 0) & (axis1 > 0)[:, None])
+    bins = np.floor(dvs[e, j] / bin_width)
+    check_bins(bins.max(initial=0.0), f"bin width {bin_width!r} km/h")
+    n_bins = int(bins.max(initial=0.0)) + 1
+    pairs, pair = np.unique(e * n_bins + bins.astype(np.int64), return_inverse=True)
+    return RowStatistics(
+        entries, axis1 * _sequential_sum(np.where(crashed, p2, 0.0)),
+        axis1 * _sequential_sum(np.where(crashed, p2 * dvs, 0.0)), pairs % n_bins,
+        axis1[pairs // n_bins] * np.bincount(pair, weights=p2[j]), int(cells.sum()))
+
+
+def sum_rows(seeds: list[SeedResult], weights: list[SeedWeight],
+             bin_width: float) -> tuple[DeltaVDistribution, np.ndarray]:
+    """The crash samples' histogram at `bin_width` and each seed's share
+    of their mass, in seed order, summed from the row statistics of
+    ROW_BLOCK seeds at a time, in seed, row and bin order. A crash mass that
+    is not a finite number > 0 (an overflowed seed weight) raises
+    ValidationError."""
+    check_bin_width(bin_width)
+    hist, entries, mass, dv_mass, count = np.zeros(0), [], [], [], 0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for start in range(0, len(seeds), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            rows = row_statistics(seeds[block], weights[block], bin_width)
+            n_bins = int(rows.bins.max(initial=-1)) + 1
+            if n_bins > len(hist):
+                hist = np.pad(hist, (0, n_bins - len(hist)))
+            np.add.at(hist, rows.bins, rows.bin_mass)  # in order, onto the blocks before
+            entries.append(rows.entries)
+            mass.append(rows.mass)
+            dv_mass.append(rows.dv_mass)
+            count += rows.cells
+        mass = np.concatenate(mass)
+        total = _sequential_sum(mass)
+    if not 0 < total < math.inf:  # NaN fails too
+        raise ValidationError(f"the crash samples' weights sum to {total}, "
+                              f"not a finite number > 0")
+    mean = _sequential_sum(np.concatenate(dv_mass)) / total
+    seed = np.repeat(np.arange(len(seeds)), np.concatenate(entries))
+    return (DeltaVDistribution(bin_width, hist / total, float(mean), count),
+            np.bincount(seed, weights=mass) / total)
+
+
 def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
                     fraction: float) -> DeltaVDistribution:
     """Blend the sub-model histogram with the no-response (sleepy driver)
@@ -229,24 +352,39 @@ def mix_no_response(base: DeltaVDistribution, no_resp_dvs,
 
 @dataclass(frozen=True, eq=False)
 class CampaignWeighting:
-    """A campaign's weighting (`weigh`): the seed weights and the seeds
-    they weight, in seed order, the seeds without crashes, the crash
-    samples, and the no-response delta-vs mixed in: one per eligible seed
-    whose no-response run crashed, weighted or not, none at a fraction of 0."""
+    """A campaign's weighting at a histogram bin width (`weigh`): the seed
+    weights and the seeds they weight, in seed order, the seeds without
+    crashes, and the no-response delta-vs mixed in: one per eligible seed
+    whose no-response run crashed, weighted or not, none at a fraction of
+    0. The row sums and the crash samples are built on first use."""
 
     campaign: CampaignResult
     weights: list[SeedWeight]
     seeds: list[SeedResult]
     zero_crash_seeds: list[str]
-    samples: CrashSamples
     no_response_dvs: list[float]
+    bin_width: float = DEFAULT_BIN_WIDTH_KMH
 
-    def histogram(self, bin_width: float) -> DeltaVDistribution:
+    @cached_property
+    def _sums(self) -> tuple[DeltaVDistribution, np.ndarray]:
+        return sum_rows(self.seeds, self.weights, self.bin_width)
+
+    @cached_property
+    def samples(self) -> CrashSamples:
+        """The weighted seeds' crash samples: only the per-seed percentiles
+        read them."""
+        return weighted_crash_samples(self.seeds, self.weights)
+
+    def histogram(self) -> DeltaVDistribution:
         """The campaign's delta-v histogram: the crash samples' with the
         no-response share mixed in."""
-        return mix_no_response(
-            build_histogram(self.samples.delta_v, self.samples.weight, bin_width),
-            self.no_response_dvs, self.campaign.no_response_fraction)
+        return mix_no_response(self._sums[0], self.no_response_dvs,
+                               self.campaign.no_response_fraction)
+
+    def contributions(self) -> list[float]:
+        """Each weighted seed's part of the mix, in seed order: its share of
+        the crash mass times 1 - fraction."""
+        return ((1.0 - self.campaign.no_response_fraction) * self._sums[1]).tolist()
 
     def shares(self):
         """(seed, delta-v, weight, their sum) of each weighted seed's crash
@@ -259,16 +397,17 @@ class CampaignWeighting:
             yield r, self.samples.delta_v[start:stop], w, np.cumsum(w)[-1]
 
 
-def weigh(campaign: CampaignResult) -> CampaignWeighting:
-    """The prevalence weighting of `campaign` (`CampaignWeighting`)."""
+def weigh(campaign: CampaignResult,
+          bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> CampaignWeighting:
+    """The prevalence weighting of `campaign` (`CampaignWeighting`), its
+    histogram at `bin_width`."""
     weights, zero_crash = prevalence_weights(campaign.matrices)
     swept = (r for r in campaign.results if r.matrix is not None)  # the weights' order
     seeds = [next(r for r in swept if r.seed_id == w.seed_id) for w in weights]
     nr_dvs = [r.no_response_dv for r in campaign.results
               if campaign.no_response_fraction > 0 and not r.excluded
               and not math.isnan(r.no_response_dv)]
-    return CampaignWeighting(campaign, weights, seeds, zero_crash,
-                             weighted_crash_samples(seeds, weights), nr_dvs)
+    return CampaignWeighting(campaign, weights, seeds, zero_crash, nr_dvs, bin_width)
 
 
 # ---------------------------------------------------------------- file I/O

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 import rearsim
-from rearsim import cli, scenario, table
+from rearsim import cli, outcome, scenario, table
 from rearsim.bias import (
+    DEFAULT_N_FILL_BINS,
+    DEFAULT_P_PDO,
     OccupantRecord,
     build_pdo,
     fit_transfer,
@@ -41,6 +43,7 @@ from rearsim.engine import (
     CampaignConfig,
     CampaignGrid,
     CampaignResult,
+    OutcomeMatrix,
     load_campaign,
     run_campaign,
 )
@@ -49,7 +52,7 @@ from rearsim.manifest import KINDS, digest_tree, file_digest
 from rearsim.outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     HISTOGRAM_CSV_HEADER,
-    CampaignWeighting,
+    ROW_BLOCK,
     CrashSamples,
     build_histogram,
     load_histogram,
@@ -156,6 +159,14 @@ def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
     return out
 
 
+def _split_last_column(path: Path) -> tuple[bytes, bytes]:
+    """The bytes of a CSV file without its last column, and of that column
+    alone, each line ended as in the file."""
+    lines = [line.rpartition(b",") for line in path.read_bytes().split(b"\r\n")]
+    return (b"\r\n".join(head for head, _, _ in lines),
+            b"\r\n".join(last for _, _, last in lines))
+
+
 def _column(path: Path, name: str) -> list[float]:
     with open(path, newline="") as fh:
         return [float(row[name]) for row in csv.DictReader(fh)]
@@ -223,19 +234,36 @@ class TestPipeline:
         assert crash_mass == pytest.approx(0.90, abs=1e-9)
 
     def test_percentile_artifacts_are_pinned(self, pipeline):
-        """The per-seed percentiles and the weights are the bytes they were
-        when validate read its samples from weight's samples.csv."""
+        """The per-seed percentiles and the seed weights (weights.csv but
+        its contribution column) are the bytes they were when validate read
+        its samples from weight's samples.csv. The contributions are the
+        bytes they became when weight summed them from the row statistics."""
         _, _, out = pipeline
-        pinned = {
-            out["validate"] / "percentiles.csv":
+        weights, contribution = _split_last_column(out["weight"] / "weights.csv")
+        blobs = {path.name: path.read_bytes() for path in (
+            out["validate"] / "percentiles.csv", out["validate"] / "percentile_report.json")}
+        blobs["weights.csv but contribution"] = weights
+        blobs["contribution"] = contribution
+        assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == {
+            "percentiles.csv":
                 "22c05f35b52a7ae631da9a2a8518c4cbd138db9f045c32d5cc9dcf1014f8f102",
-            out["validate"] / "percentile_report.json":
+            "percentile_report.json":
                 "cd9c9c42c675e922285b3e80e77d9790ff29ed1d941fa1c5848a1e447bf61fc7",
-            out["weight"] / "weights.csv":
-                "e690394cb329f3052edb6ea8c58f97f94cd3820e814feaa4679cfcfae6284603",
+            "weights.csv but contribution":
+                "6fe2e0a7822eb763fd1251332d9f203df60626bc0a007ded445e83d66d03c4ab",
+            "contribution":
+                "28cdc76bef290cf37e95d74161a1da8d49be334667e1805b96f8f1b042c993bd",
         }
-        for path, digest in pinned.items():
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+    def test_q_raw_is_the_crash_mass_weight_reads(self, pipeline):
+        """Each seed's q_raw is bitwise the crash mass of its matrix in the
+        campaign weight reads, and only seeds with crash mass are listed."""
+        _, _, out = pipeline
+        campaign = _recovered(load_campaign(out["simulate"]))
+        with open(out["weight"] / "weights.csv", newline="") as fh:
+            got = {row["seed_id"]: float(row["q_raw"]).hex() for row in csv.DictReader(fh)}
+        assert got == {m.seed_id: m.crash_mass.hex() for m in campaign.matrices
+                       if m.crash_mass > 0}
 
     def test_simulate_artifacts_are_pinned(self, pipeline):
         """simulate's outputs from the seed files on disk, and its manifest
@@ -264,23 +292,22 @@ class TestPipeline:
 
     def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
         """weight's histogram and summary and assess-dms's outputs, each
-        mixing in the no-response share, are the bytes they were when weight
-        checked for no-response crashes itself and assess-dms counted each
-        cut's seeds without crashes from their crash mass."""
+        mixing in the no-response share, are the bytes they became when the
+        histograms and their means were summed from the row statistics."""
         _, _, out = pipeline
         pinned = {
             out["weight"] / "hist.csv":
-                "fe7869f8007070722161816fecb1836d6aa1f8a5250e51fa0e5aaad8cbf114d2",
+                "b44655c6e767d2d73cb9afb4fb81af660e9a3bbb25aee97c6c8406fab8cb0adf",
             out["weight"] / "summary.json":
-                "7fd92b15b8e39c9edcbe0d572ee9a92952afd998a62abe4cf29dd26db6cd193d",
+                "bc32500e3dd187a1c45492b70565d32ca7075f0aa517b0cb9eb521f0f61f0155",
             out["assess"] / "assess.json":
-                "3206512985d7b1158975f94d8813e63ff6e61fc5e974b371a1643c411b348c94",
+                "9f642b5fba3e7bf3cd3b11242f7db41478926ad480e47617dfd206e805ffe57e",
             out["assess"] / "hist_cut_3.csv":
-                "2ab1b3a3d9816c32dbc05a92328c506f7f468c4700f6335a6532260110e66712",
+                "a40f44fd327f869770bd2ecb64afabb4f09f9b703bdfeabb86a6cfb7c562bd28",
             out["assess"] / "hist_cut_2.csv":
-                "fa8d004c469fe76ed1eadad1b849fb24366b7f1c3921701a88a2fcb91de0e6f5",
+                "c03de50eb79cbe7fd48174232c1dd152b9605872881def9d5590ecb5e480e6f2",
             out["assess"] / "hist_cut_inf.csv":
-                "22951846aacf7da5e7ca45ee728a0bd10a44ae63a8852a2e62be73ba5264e60f",
+                "43eb4a9345e966e7d37b1a9375f0ba56707119334d33e339daabdb8b9d1ed5f6",
         }
         assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in pinned} == {path.name: d for path, d in pinned.items()}
@@ -573,6 +600,32 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_weight_never_loads_the_bias_correction(pipeline, tmp_path):
+    """Only fit-bias and apply-bias import rearsim.bias: a weight process
+    runs without it. -X importtime lists every module the process imports."""
+    _, _, out = pipeline
+    src = str(Path(rearsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rearsim.cli", "weight",
+         "--simulate-out", str(out["simulate"]), "--out", str(tmp_path / "weight")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"rearsim.outcome", "rearsim.engine"} <= imported
+    assert "rearsim.bias" not in imported
+
+
+def test_fit_bias_defaults_are_the_bias_correction_defaults():
+    """The parser holds fit-bias's defaults without importing rearsim.bias,
+    and they are the ones build_pdo and augment_reference default to."""
+    args = cli.build_parser().parse_args(
+        ["fit-bias", "--occupants", "o.csv", "--injury-hist", "h.csv", "--out", "fit"])
+    assert (args.p_pdo, args.n_fill_bins) == (DEFAULT_P_PDO, DEFAULT_N_FILL_BINS)
+
+
 def test_only_table_imports_csv():
     """The CSV dialect lives in one module: no other module of the package
     imports csv."""
@@ -699,7 +752,9 @@ def test_blom_weight_and_validate_are_pinned(pipeline):
     """simulate -> weight -> validate under the brake-light model, whose
     campaign mixes in no no-response share: the outputs are the bytes they
     were when weight and validate skipped the mix at a share of 0, except
-    that summary.json counts no no-response sample (n_no_response 0)."""
+    that summary.json counts no no-response sample (n_no_response 0), and
+    weight's hist.csv and contribution column are the bytes they became
+    when weight summed them from the row statistics."""
     root, paths, _ = pipeline
     with chdir(root):
         assert main(["simulate", "--seeds", "out_synth/seeds", "--config",
@@ -718,9 +773,9 @@ def test_blom_weight_and_validate_are_pinned(pipeline):
                             "validate_blom_pinned/percentile_report.json")}
     assert got == {
         "weight_blom_pinned/hist.csv":
-            "f368b4cea2e61d4cd335f38e6225128de8c27cda3872b37647e1e325bb6a22db",
+            "5162c4238bef83ab61e68be7b42611926c141e910d4f1112c8c036868c40eaea",
         "weight_blom_pinned/weights.csv":
-            "64d1e64aed4460815e7867df6e9b1ac59062c59913536109d0a1f51f491189c8",
+            "d5d7f9df5d6f1ee8a439406cb620f68f9768e3de7c93ffe3022d22bdffda55f0",
         "weight_blom_pinned/summary.json":
             "c707b278abe58f14270d0b31bc5dca7ebdf431b6f6bbad83ea21d1b692292b36",
         "validate_blom_pinned/percentiles.csv":
@@ -838,8 +893,10 @@ def _load_campaign_of(path: Path):
     return load_campaign(path.parent)
 
 
-def _weighting_of(path: Path):
-    return weigh(_recovered(load_campaign(path.parent)))
+def _histogram_of(path: Path):
+    """weight's histogram of the campaign in the simulate output directory
+    that holds `path`."""
+    return weigh(_recovered(load_campaign(path.parent))).histogram()
 
 
 def _edit_records(edit):
@@ -1197,7 +1254,7 @@ MALFORMED_INPUTS = {
            ("no_crash_with_v2", False, dict(v2=1.0)))},
     # finite speeds whose delta-v overflows
     "matrices_v1_overflow": (
-        "out_simulate/matrices.npy", _weighting_of, _set_first_cell(True, v1=1e308),
+        "out_simulate/matrices.npy", _histogram_of, _set_first_cell(True, v1=1e308),
         r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
         ValidationError),
     **{f"seeds_summary_{field}_{name}": _bad_seeds_summary(field, value, rule)
@@ -1266,8 +1323,8 @@ MALFORMED_INPUTS = {
     "summary_no_response_fraction_nan": _bad_summary(
         _set_json(no_response_fraction=math.nan),
         r"no_response_fraction must be in \[0, 1\), got nan"),
-    # build_histogram takes the crash samples' weights, cell probabilities
-    # times seed weights, as >= 0 unchecked
+    # the row statistics and the crash samples take the cells' weights,
+    # cell probabilities times seed weights, as >= 0 unchecked
     "summary_grid_probability_negative": (
         "out_simulate/summary.json", _load_campaign_of, _negative_axis1_probability,
         r"summary\.json: campaign grid probabilities must be >= 0",
@@ -1609,32 +1666,30 @@ class TestSynthWritesWhole:
         assert _files(tmp_path / "synth") == before
 
 
-def test_weight_pipeline_memory_follows_its_samples():
-    """The crash samples are filled once, and the histogram sorts them
-    without an (n, 2) copy or a list of per-seed parts."""
+def test_weight_memory_does_not_follow_the_crash_samples():
+    """weight's histogram and contributions build no crash sample: they
+    sum the row statistics of ROW_BLOCK seeds at a time. On seeds whose
+    rows mostly take the no-response outcome, their peak stays far below
+    the samples' (a delta-v and a weight per crash cell)."""
     rng = np.random.default_rng(9)
-    n1, n2 = 68, 6
+    n1, n2, n_live = 68, 6, 4
     p1, p2 = rng.random(n1), rng.random(n2)
     grid = CampaignGrid(0.1 * np.arange(n1), p1 / p1.sum(),
                         1.5 * np.arange(1, n2 + 1), p2 / p2.sum())
     results = []
-    for k in range(200):
-        crashed = rng.random((n1, n2)) < 0.6
-        v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
-        v1 = v2 + rng.uniform(0, 10, (n1, n2))
-        matrix = all_live(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0))
+    for k in range(8 * ROW_BLOCK):
+        crashed = rng.random((n_live, n2)) < 0.6
+        v2 = np.where(crashed, rng.uniform(0, 10, (n_live, n2)), np.nan)
+        v1 = v2 + rng.uniform(0, 10, (n_live, n2))
+        rows = np.sort(rng.choice(n1, n_live, replace=False))
+        matrix = OutcomeMatrix(f"s{k:04d}", grid, rows, v1, v2, Outcome(20.0, 5.0))
         results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
-    campaign = CampaignResult("cbm", grid, results, 0.1)
+    weighting = weigh(CampaignResult("cbm", grid, results, 0.1))
 
-    def weigh_and_mix():
-        weighting = weigh(campaign)
-        weighting.histogram(2.0)
-        return weighting.samples
-
-    cells, peak = traced_peak(weigh_and_mix)
-    held = cells.delta_v.nbytes + cells.weight.nbytes
-    assert len(cells) == sum(int(m.crashed.sum()) for m in campaign.matrices)
-    assert peak <= 4 * held, peak / held
+    _, peak = traced_peak(lambda: (weighting.histogram(), weighting.contributions()))
+    samples = 16 * sum(r.matrix.n_crash_cells for r in results)
+    assert "samples" not in vars(weighting)  # never built
+    assert peak <= samples / 8, peak / samples
 
 
 def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
@@ -1658,24 +1713,28 @@ def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
 def test_seed_with_only_its_no_response_crash(seed_dv, want):
     """A seed without crash cells whose no-response run crashed is placed
     in that one sample: it carries the weight f, which seed_percentile
-    normalizes to exactly 1. Such a seed is not weighted: in a campaign
-    of it alone, which weigh refuses, it has no crash samples."""
-    def unweighted(campaign):
-        return CampaignWeighting(campaign, [], [], ["a"], CrashSamples(
-            [], [], np.zeros(0), np.zeros(0)), [])
+    normalizes to exactly 1. Such a seed is not weighted; the other seed
+    of its campaign, b, is."""
+    def with_weighted_seed(fraction):
+        campaign = _one_seed(False, True, fraction, seed_dv)
+        b = _one_seed(True, False, fraction).results[0]
+        b = dataclasses.replace(b, seed_id="b",
+                                matrix=dataclasses.replace(b.matrix, seed_id="b"))
+        return dataclasses.replace(campaign, results=campaign.results + [b])
 
-    assert seed_percentiles(unweighted(_one_seed(False, True, 0.1, seed_dv))) == {
-        "a": want}
-    assert seed_percentiles(unweighted(_one_seed(False, True, 0.0, seed_dv))) == {}
+    weighting = weigh(with_weighted_seed(0.1))
+    assert [r.seed_id for r in weighting.seeds] == ["b"]
+    assert seed_percentiles(weighting)["a"] == want
+    assert "a" not in seed_percentiles(weigh(with_weighted_seed(0.0)))
 
 
-def test_seed_whose_crash_weights_underflowed_has_no_percentile():
+def test_seed_whose_crash_weights_underflowed_has_no_percentile(monkeypatch):
     """seed_percentile takes weights with a positive sum unchecked: a seed
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
-    weighting = weigh(_one_seed(True, False, 0.1))
     cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    assert seed_percentiles(dataclasses.replace(weighting, samples=cells)) == {}
+    monkeypatch.setattr(outcome, "weighted_crash_samples", lambda seeds, weights: cells)
+    assert seed_percentiles(weigh(_one_seed(True, False, 0.1))) == {}
 
 
 def test_mixing_without_a_no_response_crash():
@@ -1683,9 +1742,9 @@ def test_mixing_without_a_no_response_crash():
     in, and mix_no_response rejects a mix without one (exit 2). At a
     fraction of 0 the histogram is the crash samples' own."""
     with pytest.raises(ValidationError, match="no-response delta-vs required"):
-        weigh(_one_seed(True, False, 0.1)).histogram(2.0)
+        weigh(_one_seed(True, False, 0.1)).histogram()
     weighting = weigh(_one_seed(True, False, 0.0))
-    final = weighting.histogram(2.0)
+    final = weighting.histogram()
     assert weighting.no_response_dvs == []
     assert (final.mean, final.count) == (
         scenario.delta_v(10.0, 5.0, 1500.0, 1200.0), 1)
@@ -1696,7 +1755,7 @@ def test_no_response_count_is_the_samples_mixed_in(fraction, mixed):
     """A crashing no-response run counts in n_no_response and n_samples
     only where the fraction mixes it in."""
     weighting = weigh(_one_seed(True, True, fraction))
-    final = weighting.histogram(2.0)
+    final = weighting.histogram()
     assert len(weighting.no_response_dvs) == mixed
     assert final.count == 1 + mixed
 

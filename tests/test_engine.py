@@ -849,12 +849,14 @@ class TestReweight:
                                       equal_nan=True), name
 
     def test_other_glance_distribution_rejected(self, paper_baseline):
-        """An overshoot axis that is not a bitwise subset of the grid's."""
+        """An overshoot axis that is not a bitwise subset of the grid's,
+        in the grid's order."""
         _, loaded = paper_baseline
         grid = loaded[0].grid
         nudged = grid.axis1.copy()
         nudged[3] = np.nextafter(nudged[3], 1.0)
-        for axis1 in (nudged, np.append(grid.axis1, grid.axis1[-1] + 0.1)):
+        for axis1 in (nudged, np.append(grid.axis1, grid.axis1[-1] + 0.1),
+                      grid.axis1[::-1], grid.axis1[[0, 0, 1]]):
             target = CampaignGrid(axis1, np.full(len(axis1), 1 / len(axis1)),
                                   grid.decels, grid.decel_probs)
             with pytest.raises(ValidationError):
@@ -1120,3 +1122,38 @@ class TestLoadMatricesParseErrors:
         with pytest.raises(ParseError, match=r"matrices\.npy: record 2 \(seed s1, "
                                              r"axis1 row 0\): an earlier record"):
             load_matrices(path, grid, {"s1": NO_CRASH})
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng_seed=st.integers(0, 2**32 - 1),
+       lead=st.sampled_from(["braking", "non_braking", "standstill"]),
+       d_max=st.floats(0.5, 11.0),
+       onsets=st.lists(st.floats(0.0, 15.0), min_size=2, max_size=16))
+def test_a_later_onset_never_avoids_a_crash(rng_seed, lead, d_max, onsets):
+    """With the maximum deceleration fixed, braking later never turns a
+    crash into no crash: along ascending onsets, the crashing cells are
+    the last ones."""
+    seed = next(synthesize_seeds(SynthesisConfig(n_seeds=1, lead_mix={lead: 1}),
+                                 rng_seed))
+    kin = SeedKinematics(remove_evasive_maneuver(seed))
+    cells = kin.run(np.sort(onsets), np.array([d_max]), CbmConfig().jerk_mean)
+    crashed = ~np.isnan(cells["v1"][:, 0])
+    assert not np.any(crashed[:-1] & ~crashed[1:]), crashed
+
+
+@settings(max_examples=100, deadline=None)
+@given(v_lead=st.floats(0.0, 30.0), closing=st.floats(0.05, 5.0),
+       error=st.floats(-2.0, 5.0), gap=st.floats(0.1, 20.0),
+       d_max=st.floats(0.5, 11.0),
+       onsets=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=16))
+def test_a_later_onset_never_avoids_a_crash_of_a_built_case(
+        v_lead, closing, error, gap, d_max, onsets):
+    """The same on cases built with a lead speed off its motion by
+    `error`, whose first overlaps can find the lead the faster (a graze,
+    which counts as avoidance)."""
+    cf = make_cf(v_lead + closing, v_lead, gap, duration=8.0)
+    cf.lead.speed = np.maximum(cf.lead.speed + error, 0.0)
+    kin = SeedKinematics(cf)
+    cells = kin.run(np.sort(onsets), np.array([d_max]), -23.04)
+    crashed = ~np.isnan(cells["v1"][:, 0])
+    assert not np.any(crashed[:-1] & ~crashed[1:]), crashed

@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rearsim.engine import (
     CampaignConfig,
@@ -13,7 +14,8 @@ from rearsim.engine import (
     run_campaign,
 )
 
-from fixtures import all_live, swept_result
+from fixtures import DenseMatrix, all_live, dense_crash_samples, swept_result
+from rearsim import outcome
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
     build_histogram,
@@ -225,6 +227,91 @@ class TestWeigh:
             assert w.tolist() == [0.75 * weighting.samples.weight[k]]
             assert total == w[0]
         assert sum(total for *_, total in shares) == pytest.approx(0.75, abs=1e-15)
+
+
+def generated_campaign(rng: np.random.Generator, n1: int, n2: int,
+                       n_seeds: int, fraction: float) -> CampaignResult:
+    """A campaign on a random n1 x n2 grid, some of whose probabilities are
+    0, with an excluded seed, a swept seed without crashes, a seed whose
+    every cell crashes and `n_seeds` random ones, in random order. A random
+    seed's live rows are a random subset of the grid's rows, its cells
+    crash at random, and its no-response run crashes or not."""
+    def probs(n):
+        p = rng.random(n) * (rng.random(n) < 0.8)
+        p[rng.integers(n)] = 1.0
+        return p / p.sum()
+
+    grid = CampaignGrid(0.1 * np.arange(n1), probs(n1), 1.5 * np.arange(1, n2 + 1),
+                        probs(n2))
+    kinds = ["excluded", "crash-free", "all crash"] + ["random"] * n_seeds
+    results = []
+    for k, kind in enumerate(rng.permutation(kinds)):
+        live = np.flatnonzero(rng.random(n1) < 0.5)
+        crashed = rng.random((len(live), n2)) < 0.6
+        nr_crashed = rng.random() < 0.5
+        if kind == "all crash":
+            crashed[:], nr_crashed = True, True
+        elif kind == "crash-free":
+            crashed[:], nr_crashed = False, False
+        v2 = np.where(crashed, rng.uniform(0.0, 20.0, crashed.shape), np.nan)
+        v1 = v2 + rng.uniform(0.1, 20.0, crashed.shape)
+        nr = (25.0 + rng.uniform(0.0, 5.0), 10.0) if nr_crashed else (math.nan, math.nan)
+        matrix = OutcomeMatrix(f"s{k:02d}", grid, live, v1, v2, nr)
+        seed = swept_result(matrix, *rng.uniform(500.0, 3000.0, 2))
+        if kind == "excluded":
+            seed = replace(seed, matrix=None, excluded=True)
+        results.append(seed)
+    return CampaignResult("cbm", grid, results, fraction)
+
+
+class TestRowStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(rng_seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 8),
+           n2=st.integers(1, 5), n_seeds=st.integers(0, 6),
+           fraction=st.sampled_from([0.0, 0.25]),
+           bin_width=st.sampled_from([0.5, 2.0, 7.0]),
+           block=st.sampled_from([1, 2, outcome.ROW_BLOCK]))
+    def test_equal_the_dense_oracle(self, rng_seed, n1, n2, n_seeds, fraction,
+                                    bin_width, block):
+        """The histogram, its mean and count, and the contributions summed
+        from the row statistics equal those of the dense per-cell samples
+        (at rel 1e-12, counts and bins exactly), whatever the block of
+        seeds summed at a time."""
+        campaign = generated_campaign(np.random.default_rng(rng_seed), n1, n2,
+                                      n_seeds, fraction)
+        with mock.patch.object(outcome, "ROW_BLOCK", block):
+            weighting = weigh(campaign, bin_width)
+            got, contributions = weighting.histogram(), weighting.contributions()
+        dense = [DenseMatrix(m.seed_id, m.grid, m.cells("v1"), m.cells("v2"))
+                 for m in campaign.matrices]
+        masses = {r.seed_id: (r.follower_mass, r.lead_mass) for r in campaign.results}
+        oracle = dense_crash_samples(dense, masses, weighting.weights)
+        want = mix_no_response(build_histogram(oracle.delta_v, oracle.weight, bin_width),
+                               weighting.no_response_dvs, fraction)
+        assert (len(got.weights), got.count) == (len(want.weights), want.count)
+        assert got.count == len(oracle) + len(weighting.no_response_dvs)
+        assert np.allclose(got.weights, want.weights, rtol=1e-12, atol=0)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12)
+        bounds = np.cumsum([0] + oracle.counts)
+        assert contributions == pytest.approx(
+            [(1 - fraction) * oracle.weight[a:b].sum()
+             for a, b in zip(bounds, bounds[1:])], rel=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(rng_seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(0, 12))
+    def test_keep_their_bits_whatever_the_block(self, rng_seed, n_seeds):
+        """The sums run in seed, row and bin order across blocks: summed
+        one seed at a time, they are the bits of one block."""
+        campaign = generated_campaign(np.random.default_rng(rng_seed), 6, 3,
+                                      n_seeds, 0.25)
+        sums = []
+        for block in (1, outcome.ROW_BLOCK):
+            with mock.patch.object(outcome, "ROW_BLOCK", block):
+                weighting = weigh(campaign)
+                hist = weighting.histogram()
+                sums.append((hist.weights.tobytes(), hist.mean.hex(), hist.count,
+                             [x.hex() for x in weighting.contributions()]))
+        assert sums[0] == sums[1]
 
 
 class TestBuildHistogram:
