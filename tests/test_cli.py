@@ -21,8 +21,6 @@ import pytest
 import rearsim
 from rearsim import cli, outcome, scenario, table
 from rearsim.bias import (
-    DEFAULT_N_FILL_BINS,
-    DEFAULT_P_PDO,
     OccupantRecord,
     build_pdo,
     fit_transfer,
@@ -616,14 +614,6 @@ def test_weight_never_loads_the_bias_correction(pipeline, tmp_path):
                 if line.startswith("import time:")}
     assert {"rearsim.outcome", "rearsim.engine"} <= imported
     assert "rearsim.bias" not in imported
-
-
-def test_fit_bias_defaults_are_the_bias_correction_defaults():
-    """The parser holds fit-bias's defaults without importing rearsim.bias,
-    and they are the ones build_pdo and augment_reference default to."""
-    args = cli.build_parser().parse_args(
-        ["fit-bias", "--occupants", "o.csv", "--injury-hist", "h.csv", "--out", "fit"])
-    assert (args.p_pdo, args.n_fill_bins) == (DEFAULT_P_PDO, DEFAULT_N_FILL_BINS)
 
 
 def test_only_table_imports_csv():
@@ -1664,6 +1654,35 @@ class TestSynthWritesWhole:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no synth manifest" in err, err
         assert _files(tmp_path / "synth") == before
+
+
+def test_weight_pipeline_memory_follows_its_samples():
+    """The crash samples that validate's percentiles read are filled once,
+    and build_histogram sorts them without an (n, 2) copy or a list of
+    per-seed parts."""
+    rng = np.random.default_rng(9)
+    n1, n2 = 68, 6
+    p1, p2 = rng.random(n1), rng.random(n2)
+    grid = CampaignGrid(0.1 * np.arange(n1), p1 / p1.sum(),
+                        1.5 * np.arange(1, n2 + 1), p2 / p2.sum())
+    results = []
+    for k in range(200):
+        crashed = rng.random((n1, n2)) < 0.6
+        v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
+        v1 = v2 + rng.uniform(0, 10, (n1, n2))
+        matrix = all_live(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0))
+        results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
+    campaign = CampaignResult("cbm", grid, results, 0.1)
+
+    def weigh_and_sort():
+        samples = weigh(campaign).samples
+        build_histogram(samples.delta_v, samples.weight, 2.0)
+        return samples
+
+    cells, peak = traced_peak(weigh_and_sort)
+    held = cells.delta_v.nbytes + cells.weight.nbytes
+    assert len(cells) == sum(int(m.crashed.sum()) for m in campaign.matrices)
+    assert peak <= 4 * held, peak / held
 
 
 def test_weight_memory_does_not_follow_the_crash_samples():
