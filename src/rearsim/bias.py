@@ -156,7 +156,7 @@ def build_pdo(records: list[OccupantRecord], p_pdo: float = DEFAULT_P_PDO,
     Returns (PdoModel, augmented PDO histogram, diagnostics).
     """
     if not 0 < p_pdo < 1:
-        raise ValidationError("p_pdo must be in (0, 1)")
+        raise ValidationError(f"p_pdo must be in (0, 1), got {p_pdo!r}")
     if n_fill_bins < 1:
         raise ValidationError(f"n_fill_bins must be >= 1, got {n_fill_bins}")
     check_bins(n_fill_bins - 1, f"n_fill_bins {n_fill_bins}")

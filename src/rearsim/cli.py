@@ -300,27 +300,36 @@ def cmd_apply_bias(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
+    """Every input is read and every output computed before the first
+    write, so a refused run leaves --out as it was."""
     from .engine import load_campaign
     from .validation import compare, injury_risk, percentile_histogram, seed_percentiles
     curves = _load_curves(args.curves)
-    out = _out_dir(args.out)
     model_hist = load_histogram(args.model_hist)
     reference, reference_read = _reference_histogram(args.reference,
                                                      model_hist.bin_width)
     stats = compare(model_hist, reference)
-    outputs = []
-    comparison = write_json(out / "comparison.json", {
-        "model_mean_kmh": model_hist.mean,
-        "reference_mean_kmh": reference.mean,
-        **vars(stats),
-    })
-    outputs.append(comparison)
-
     inputs = {"model_hist": args.model_hist, "reference": reference_read}
     if args.seeds_summary:
         sim_dir = Path(args.seeds_summary).parent
         percentiles = seed_percentiles(weigh(_recovered(load_campaign(sim_dir))))
         rep = percentile_histogram(percentiles.values(), args.n_bins)
+        inputs["simulate_out"] = str(sim_dir)
+    risks = {}
+    for curve_path, curve in curves:
+        risks[curve.level] = {
+            "model": injury_risk(model_hist, curve),
+            "reference": injury_risk(reference, curve),
+        }
+        inputs[f"curve_{curve.level}"] = curve_path
+
+    out = _out_dir(args.out)
+    outputs = [write_json(out / "comparison.json", {
+        "model_mean_kmh": model_hist.mean,
+        "reference_mean_kmh": reference.mean,
+        **vars(stats),
+    })]
+    if args.seeds_summary:
         pct_path = out / "percentiles.csv"
         table.write_csv(pct_path, ["seed_id", "percentile"], [
             table.texts(percentiles),
@@ -329,19 +338,8 @@ def cmd_validate(args) -> int:
         rep_path = write_json(out / "percentile_report.json",
                               {**vars(rep), "counts": rep.counts.tolist()})
         outputs += [pct_path, rep_path]
-        inputs["simulate_out"] = str(sim_dir)
-
-    if curves:
-        risks = {}
-        for curve_path, curve in curves:
-            risks[curve.level] = {
-                "model": injury_risk(model_hist, curve),
-                "reference": injury_risk(reference, curve),
-            }
-            inputs[f"curve_{curve.level}"] = curve_path
-        risk_path = write_json(out / "injury_risk.json", risks)
-        outputs.append(risk_path)
-
+    if risks:
+        outputs.append(write_json(out / "injury_risk.json", risks))
     write_manifest(out, "validate", inputs, outputs,
                    {"n_bins": args.n_bins})
     print(f"validate: TV {stats.tv_distance:.3f}, KS {stats.ks_distance:.3f}, "
@@ -356,7 +354,9 @@ def cmd_assess_dms(args) -> int:
     """Glance cuts reweight the baseline outcome matrices; nothing is
     simulated, so --seeds and --workers are unused. The deceleration bins
     and their marginal come from the baseline's summary.json; the config's
-    glance file must give the baseline's overshoot axis and marginal."""
+    glance file must give the baseline's overshoot axis and marginal. Every
+    cut is computed before the first write, so a refused run leaves --out
+    as it was."""
     from .distributions import cut_glances, load_glances
     from .drivers import cbm_axes
     from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, load_campaign, reweight
@@ -365,7 +365,6 @@ def cmd_assess_dms(args) -> int:
     if repeated:
         raise ValidationError(f"--cuts repeats {', '.join(repeated)}")
     curves = [curve for _, curve in _load_curves(args.curves)]
-    out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     if cfg.model != MODEL_CBM:
         raise ValidationError("glance cutting only applies to the cbm model")
@@ -388,8 +387,7 @@ def cmd_assess_dms(args) -> int:
 
     base_risks = {c.level: injury_risk(base_hist, c) for c in curves}
 
-    rows = []
-    outputs = []
+    rows, hists = [], {}  # hists: file name: histogram
     for cut in args.cuts:
         target = grid if cut == math.inf else CampaignGrid(
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
@@ -400,9 +398,7 @@ def cmd_assess_dms(args) -> int:
         rate, per_seed = crash_avoidance_rate(
             base_q, {w.seed_id: w.q_raw for w in weighting.weights})
         label = "inf" if cut == math.inf else f"{cut:g}"
-        hist_path = out / f"hist_cut_{label}.csv"
-        save_histogram(cut_hist, hist_path)
-        outputs.append(hist_path)
+        hists[f"hist_cut_{label}.csv"] = cut_hist
         row = {
             "cut_at_s": None if cut == math.inf else cut,
             "avoidance_rate": rate,
@@ -418,6 +414,9 @@ def cmd_assess_dms(args) -> int:
                 for c in curves}
         rows.append(row)
 
+    out = _out_dir(args.out)
+    for name, cut_hist in hists.items():
+        save_histogram(cut_hist, out / name)
     assess = write_json(out / "assess.json", {
         "baseline_mean_dv_kmh": base_hist.mean,
         "baseline_injury_risk": base_risks,
@@ -426,7 +425,7 @@ def cmd_assess_dms(args) -> int:
     write_manifest(out, "assess-dms",
                    {"config": args.config, "glances": cfg.glance_file,
                     "baseline": args.baseline},
-                   outputs + [assess],
+                   [out / name for name in hists] + [assess],
                    {"cuts": [None if c == math.inf else c for c in args.cuts]})
     for row in rows:
         cut = row["cut_at_s"]
@@ -586,10 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", default=None,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--seeds-summary", default=None,
-                   help="simulate's seeds_summary.csv: each seed's percentile "
-                        "is built from the simulate output directory that "
-                        "holds it (summary.json, seeds_summary.csv and "
-                        "matrices.npy)")
+                   help="a path in simulate's output directory, such as its "
+                        "seeds_summary.csv: each seed's percentile is built "
+                        "from that directory's summary.json, seeds.npy and "
+                        "matrices.npy; the file itself is not read")
     p.add_argument("--curves", nargs="*", default=None, help=CURVES_HELP)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)

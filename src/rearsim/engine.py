@@ -53,9 +53,13 @@ gives (`OutcomeMatrix.cells`): a seed's crash mass (`crash_mass`, its
 q_raw), from which its prevalence weight follows, and the per-cell crash
 samples (`crashes`) of validate's per-seed percentiles.
 
-`save_campaign` is the one writer of simulate's three artifacts
-(summary.json, seeds_summary.csv and matrices.npy), and `load_campaign`
-the one reader, which gives back the `CampaignResult` written.
+`save_campaign` is the one writer of simulate's four artifacts:
+summary.json, matrices.npy, seeds.npy and seeds_summary.csv. A seeds.npy
+record holds what only simulate knows of a seed, and `load_campaign`, the
+one reader, gives back the `CampaignResult` written from summary.json and
+the two record files. What follows from those (kernel calls, crash cells,
+q_raw, a missing anchor, the no-response delta-v) is computed, never read:
+seeds_summary.csv is a report for people, and nothing reads it back.
 """
 
 from __future__ import annotations
@@ -108,6 +112,18 @@ MODEL_BLOM = "blom"
 # the fields of a cell, in OutcomeMatrix and in a matrices.npy record
 OUTCOME_FIELDS = ("v1", "v2")
 
+# a seeds.npy record, (name, format): what simulate alone knows of a seed.
+# NaN marks a missing anchor or seed delta-v and, in both speeds, a
+# no-response run without crash; a text field ("<U") is as wide as the
+# file's longest
+SEED_LAYOUT = [
+    ("seed_id", "<U"), ("eligible", "?"), ("lead_behavior", "<U"),
+    ("anchor_time_s", "<f8"), ("follower_mass_kg", "<f8"), ("lead_mass_kg", "<f8"),
+    ("seed_delta_v_kmh", "<f8"), ("no_resp_v1", "<f8"), ("no_resp_v2", "<f8"),
+    ("theoretical_cells", "<i8"),
+]
+
+# the columns of seeds_summary.csv, a report that nothing reads back
 SEEDS_SUMMARY_HEADER = [
     "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
     "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
@@ -540,12 +556,62 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
 
 # ---------------------------------------------------------------- file I/O
 
-def _record_dtype(id_length: int, n2: int) -> np.dtype:
-    """One matrices.npy record, (seed_id, axis1_index, v1, v2): a live
-    row's speeds over the `n2` deceleration bins, little-endian whatever
-    the host."""
-    return np.dtype([("seed_id", f"<U{id_length}"), ("axis1_index", "<i8"),
-                     *((name, "<f8", (n2,)) for name in OUTCOME_FIELDS)])
+def _matrices_layout(n2: int) -> list[tuple]:
+    """A matrices.npy record, (seed_id, axis1_index, v1, v2): a live row's
+    speeds over the `n2` deceleration bins."""
+    return [("seed_id", "<U"), ("axis1_index", "<i8"),
+            *((name, "<f8", (n2,)) for name in OUTCOME_FIELDS)]
+
+
+def _dtype(layout: list[tuple], width) -> np.dtype:
+    """The record type of `layout`, little-endian whatever the host, with
+    each text field ("<U") `width(name)` characters wide."""
+    return np.dtype([(name, f"<U{width(name)}" if fmt == "<U" else fmt, *shape)
+                     for name, fmt, *shape in layout])
+
+
+def _read_records(path: str | Path, what: str, layout: list[tuple],
+                  on: str = "") -> np.ndarray:
+    """The records of the .npy file `path`, read without unpickling: a 1-D
+    array of exactly `layout`'s fields, each text field at the file's own
+    width. ParseError names the path if the file is not a whole .npy file
+    of `what` records, or if it holds any other array; that refusal names
+    the expected record type, `on` what the record's shape depends on."""
+    try:
+        # NumPy raises or warns on a corrupt header; MemoryError: a huge shape
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, MemoryError) as exc:
+        raise ParseError(f"{path}: not a .npy file of {what} records: {exc}") from exc
+    if trailing:
+        raise ParseError(f"{path}: bytes follow the records")
+    got = records.dtype
+    # the file's own text widths, so a refusal names the layout's fields
+    want = _dtype(layout, lambda name: got[name].itemsize // 4
+                  if name in (got.names or ()) else 1)
+    if records.ndim != 1 or got != want:
+        raise ParseError(f"{path}: expected a 1-D array of records {want}{on}, "
+                         f"got a {records.ndim}-D array of {got}")
+    return records
+
+
+def _refuse(path: str | Path, records: np.ndarray, label: str, bad: np.ndarray,
+            message: str) -> None:
+    """Raise ParseError naming `path` and the first record that `bad`
+    marks, with `label` and `message` formatted with its fields."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        fields = dict(zip(records.dtype.names, records[k].tolist()))
+        raise ParseError(f"{path}: record {k} ({label.format_map(fields)}): "
+                         f"{message.format_map(fields)}")
+
+
+def _is_cell(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Whether each (v1, v2) is a cell: both NaN (no crash), or both finite
+    with v1 > v2 (a crash; the kernel counts no other)."""
+    return (np.isnan(v1) & np.isnan(v2)) | (np.isfinite(v1) & np.isfinite(v2) & (v1 > v2))
 
 
 def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
@@ -555,8 +621,9 @@ def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     ascending, the speeds in the grid's deceleration order (both NaN where
     a cell does not crash). `save_campaign` writes the grid and the
     no-response outcome that a seed's other rows take."""
-    records = np.zeros(sum(len(m.rows) for m in matrices), dtype=_record_dtype(
-        max((len(m.seed_id) for m in matrices), default=1), grid.shape[1]))
+    width = max((len(m.seed_id) for m in matrices), default=1)
+    records = np.zeros(sum(len(m.rows) for m in matrices),
+                       dtype=_dtype(_matrices_layout(grid.shape[1]), lambda _: width))
     # each matrix's records, as views into `records`
     blocks = np.split(records, np.cumsum([len(m.rows) for m in matrices])[:-1])
     for m, block in zip(matrices, blocks):
@@ -575,46 +642,18 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     The records of `path`, in any order, are the matrices' live rows; every
     other row takes its seed's no-response outcome, so a seed without
     records has no live row. ParseError names the path if the file is not
-    a whole .npy file of records without pickled objects, or not a 1-D
-    array of exactly `save_matrices`'s fields (seed_id, axis1_index, v1,
-    v2) on the grid's deceleration bins. It names the path and the record
-    if a cell's speeds are neither both NaN (no crash) nor both finite with
-    v1 > v2 (a crash; the kernel counts no other), a row index is outside
-    the grid, a seed is not in `no_response`, or a (seed, row) pair
+    a whole .npy file of `save_matrices`'s records on the grid's
+    deceleration bins (`_read_records`). It names the path and the record
+    if a cell's speeds are not a cell's (`_is_cell`), a row index is
+    outside the grid, a seed is not in `no_response`, or a (seed, row) pair
     repeats."""
     n1, n2 = grid.shape
-    try:
-        # NumPy raises or warns on a corrupt header; MemoryError: a huge shape
-        with open(path, "rb") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            records = np.lib.format.read_array(fh, allow_pickle=False)
-            trailing = fh.read(1)
-    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, MemoryError) as exc:
-        raise ParseError(f"{path}: not a .npy file of outcome records: {exc}") from exc
-    if trailing:
-        raise ParseError(f"{path}: bytes follow the records")
-    dtype = records.dtype
-    fields = records.ndim == 1 and dtype.names == _record_dtype(1, n2).names
-    # the file's seed id length, so a refusal names the layout's fields; the
-    # cells on the grid's deceleration bins
-    width = dtype["seed_id"].itemsize // 4 if "seed_id" in (dtype.names or ()) else 1
-    want = _record_dtype(width, n2)
-    if not fields or dtype != want:
-        raise ParseError(f"{path}: expected a 1-D array of records {want} on the "
-                         f"grid's {n2} deceleration bins, got a {records.ndim}-D "
-                         f"array of {dtype}")
-    ids, row = records["seed_id"], records["axis1_index"]
-
-    def check(bad: np.ndarray, message: str) -> None:
-        """Raise `message` for the first record that `bad` marks."""
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ParseError(f"{path}: record {k} (seed {ids[k]}, axis1 row "
-                             f"{row[k]}): {message}")
-
-    v1, v2 = records["v1"], records["v2"]
-    check(~((np.isnan(v1) & np.isnan(v2))
-            | (np.isfinite(v1) & np.isfinite(v2) & (v1 > v2))).all(axis=1),
+    records = _read_records(path, "outcome", _matrices_layout(n2),
+                            f" on the grid's {n2} deceleration bins")
+    check = partial(_refuse, path, records, "seed {seed_id}, axis1 row {axis1_index}")
+    ids, row, v1, v2 = (records[name] for name in ("seed_id", "axis1_index",
+                                                   *OUTCOME_FIELDS))
+    check(~_is_cell(v1, v2).all(axis=1),
           "a cell's v1 and v2 must be both NaN (no crash) or both finite "
           "with v1 > v2 (a crash)")
     check((row < 0) | (row >= n1), f"the grid has {n1} axis1 rows")
@@ -636,10 +675,19 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
 
 def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
     """Write `result` to the directory `out` as simulate's matrices.npy,
-    seeds_summary.csv and summary.json, and return their paths."""
+    seeds.npy, seeds_summary.csv and summary.json, and return their
+    paths."""
     matrices_path = out / "matrices.npy"
     save_matrices(result.matrices, result.grid, matrices_path)
     rows = result.results
+    seeds_path = out / "seeds.npy"
+    np.save(seeds_path, np.array([
+        (r.seed_id, not r.excluded, r.lead_behavior,
+         math.nan if r.anchor is None else r.anchor, r.follower_mass, r.lead_mass,
+         math.nan if r.seed_delta_v_kmh is None else r.seed_delta_v_kmh,
+         *r.no_response, r.theoretical_cells) for r in rows],
+        dtype=_dtype(SEED_LAYOUT, lambda name: max(
+            (len(getattr(r, name)) for r in rows), default=1))), allow_pickle=False)
     m = [r.matrix for r in rows]
     seeds_summary = out / "seeds_summary.csv"
     table.write_csv(seeds_summary, SEEDS_SUMMARY_HEADER, [
@@ -670,19 +718,21 @@ def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
         "no_response_fraction": result.no_response_fraction,
         "grid": result.grid.to_json(),
     })
-    return [matrices_path, seeds_summary, summary]
+    return [matrices_path, seeds_path, seeds_summary, summary]
 
 
 def load_campaign(sim_dir: str | Path) -> CampaignResult:
     """The campaign `save_campaign` wrote to `sim_dir`, without the seed
-    files' digests. ParseError names path:line for a row whose masses are
-    not finite and > 0, whose seed id an earlier row holds, or whose
-    no-response fields are not empty exactly where no_resp_crashed is 0,
-    with finite speeds, v1 > v2 and their `delta_v` elsewhere. It names the
-    file for a summary.json without an integer n_seeds, a
-    no_response_fraction in [0, 1) and a grid, another seed count, a
-    refused matrices.npy (`load_matrices`), or a swept seed whose records
-    there hold other than its kernel_calls - 1 cells."""
+    files' digests, from its summary.json, seeds.npy and matrices.npy.
+
+    ParseError names the file for a summary.json without an integer
+    n_seeds, a no_response_fraction in [0, 1) and a grid; a seeds.npy that
+    is not a whole .npy file of `SEED_LAYOUT`'s records (`_read_records`),
+    or holds other than n_seeds of them; or a refused matrices.npy
+    (`load_matrices`). It names seeds.npy and the record for a mass that is
+    not finite and > 0, a no-response cell that is not a cell (`_is_cell`),
+    theoretical cells outside 0 .. the grid's cells, or a seed id that an
+    earlier record holds."""
     summary_path = Path(sim_dir) / "summary.json"
     summary = read_json(summary_path, "simulate summary",
                         {"no_response_fraction": "number", "n_seeds": "int"})
@@ -691,70 +741,34 @@ def load_campaign(sim_dir: str | Path) -> CampaignResult:
         raise ParseError(f"{summary_path}: simulate summary no_response_fraction must "
                          f"be in [0, 1), got {fraction!r}")
     grid = CampaignGrid.from_json(summary, summary_path)
-    path = summary_path.with_name("seeds_summary.csv")
-    chunk = table.read_csv(path, SEEDS_SUMMARY_HEADER)
-
-    def optional(name: str) -> list[float | None]:
-        """Column `name`, None where a field is empty."""
-        given = ~chunk.equals(name, "")
-        return [x if ok else None for x, ok in
-                zip(chunk.floats(name, where=given).tolist(), given.tolist())]
-
-    def checked(name: str, rule: str, ok, where=None) -> list[float]:
-        values = chunk.floats(name, where=where)
-        bad = ~ok(values) if where is None else where & ~ok(values)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise chunk.error(k, f"{name} must be {rule}, got {float(values[k])!r}")
-        return values.tolist()
-
-    seed_dv = optional("seed_delta_v_kmh")
-    nr_crashed = chunk.flags("no_resp_crashed")
-    m1, m2 = (checked(name, "a finite number > 0",
-                      lambda v: (v > 0) & (v < math.inf))
-              for name in ("follower_mass_kg", "lead_mass_kg"))
-    nr_fields = ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh")
-    for name in nr_fields:
-        stray = ~(nr_crashed | chunk.equals(name, ""))
-        if stray.any():
-            k = int(np.argmax(stray))
-            raise chunk.error(k, f"{name} must be empty where no_resp_crashed "
-                                 f"is 0, got {chunk[name][k]!r}")
-    v1, v2, nr_dv = (checked(name, "a finite number where no_resp_crashed is 1",
-                             np.isfinite, nr_crashed) for name in nr_fields)
-    for k in np.flatnonzero(nr_crashed).tolist():
-        if not v1[k] > v2[k]:
-            raise chunk.error(k, f"no_resp_v1 must be > no_resp_v2 where "
-                                 f"no_resp_crashed is 1, got {v1[k]!r} and {v2[k]!r}")
-        dv = delta_v(v1[k], v2[k], m1[k], m2[k])
-        if dv.hex() != nr_dv[k].hex():  # bit for bit, as simulate wrote it
-            raise chunk.error(k, f"no_resp_dv_kmh must be {dv!r}, the delta-v of "
-                                 f"the row's speeds and masses, got {nr_dv[k]!r}")
-    no_response = list(zip(v1, v2))
-    eligible = chunk.flags("eligible").tolist()
-    kernel_calls = chunk.floats("kernel_calls").tolist()
-    columns = (chunk["lead_behavior"], optional("anchor_time_s"),
-               chunk.indices("theoretical_cells", grid.p_cell.size + 1).tolist())
-    rows = {}  # seed id: its row
-    for k, sid in enumerate(chunk["seed_id"]):
-        if rows.setdefault(sid, k) != k:
-            raise chunk.error(k, f"seed_id {sid!r} repeats an earlier row's")
-    if len(rows) != summary["n_seeds"]:
-        raise ParseError(f"{path}: {len(rows)} seeds, not the "
-                         f"{summary['n_seeds']} summary.json records")
-    matrices_path = path.with_name("matrices.npy")
-    matrices = iter(load_matrices(matrices_path, grid, {
-        sid: no_response[k] for sid, k in rows.items() if eligible[k]}))
-    results = []
-    for sid in sorted(rows):
-        k = rows[sid]
-        m = next(matrices) if eligible[k] else None
-        if m is not None and m.kernel_calls != kernel_calls[k]:
-            raise ParseError(f"{matrices_path}: seed {sid} lists {m.kernel_calls - 1} "
-                             f"cells, not its kernel_calls - 1 = "
-                             f"{kernel_calls[k] - 1:g} from seeds_summary.csv")
-        behavior, anchor, theoretical = (c[k] for c in columns)
-        results.append(SeedResult(sid, m, no_response[k], anchor, behavior,
-                                  not eligible[k], m1[k], m2[k], seed_dv[k],
-                                  theoretical))
+    path = summary_path.with_name("seeds.npy")
+    seeds = _read_records(path, "seed", SEED_LAYOUT)
+    if len(seeds) != summary["n_seeds"]:
+        raise ParseError(f"{path}: {len(seeds)} records, not the "
+                         f"{summary['n_seeds']} seeds of summary.json")
+    check = partial(_refuse, path, seeds, "seed {seed_id}")
+    # `_refuse` formats each message with the record's fields; doubled braces
+    # survive the f-string
+    for name in ("follower_mass_kg", "lead_mass_kg"):
+        check(~((seeds[name] > 0) & (seeds[name] < math.inf)),
+              f"{name} must be a finite number > 0, got {{{name}!r}}")
+    check(~_is_cell(seeds["no_resp_v1"], seeds["no_resp_v2"]),
+          "the no-response cell's v1 and v2 must be both NaN (no crash) or both "
+          "finite with v1 > v2 (a crash), got {no_resp_v1!r} and {no_resp_v2!r}")
+    n_cells = grid.p_cell.size
+    check((seeds["theoretical_cells"] < 0) | (seeds["theoretical_cells"] > n_cells),
+          f"theoretical_cells must be in 0..{n_cells}, got {{theoretical_cells}}")
+    ids = seeds["seed_id"]
+    order = np.argsort(ids, kind="stable")  # a repeated id after its first record
+    again = np.zeros(len(ids), dtype=bool)
+    again[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    check(again, "an earlier record holds the same seed id")
+    seeds = seeds[order]
+    records = list(zip(*(seeds[name].tolist() for name, _ in SEED_LAYOUT)))
+    matrices = iter(load_matrices(summary_path.with_name("matrices.npy"), grid, {
+        sid: (v1, v2) for sid, ok, *_, v1, v2, _ in records if ok}))
+    results = [SeedResult(sid, next(matrices) if ok else None, (v1, v2),
+                          None if math.isnan(anchor) else anchor, behavior, not ok,
+                          m1, m2, None if math.isnan(dv) else dv, cells)
+               for sid, ok, behavior, anchor, m1, m2, dv, v1, v2, cells in records]
     return CampaignResult(summary.get("model"), grid, results, float(fraction))

@@ -1,5 +1,5 @@
-"""Column-at-a-time CSV files: seed trajectories, per-seed summaries,
-weights and histograms.
+"""Column-at-a-time CSV files: seed trajectories, input tables, histograms
+and per-seed reports.
 
 Dialect. A file holds what ``csv.writer`` writes in its default dialect,
 and reads back as ``csv.reader`` reads it:
@@ -19,7 +19,11 @@ of text columns: it accepts every file ``csv.reader`` parses (quoted
 fields, any line ending) and skips blank lines. For each data row the pass
 records the line on which the row ends, so a missing or different header,
 a row with the wrong number of fields, or a field that does not convert
-raises ParseError naming ``path:line``.
+raises ParseError naming ``path:line``. It reads the input tables (glance
+and deceleration distributions, occupant records, injury-risk curves) and
+histogram files, and it is the Python reader behind ``read_floats``. The
+per-seed tables (simulate's seeds_summary.csv, weight's weights.csv) are
+reports that no stage reads back.
 
 ``read_floats`` reads a file whose every column is a float, such as a seed
 trajectory, from bytes the caller has read: after the header line, NumPy's
@@ -42,7 +46,7 @@ row); and on rows that are all as wide as each other but not as the
 header.
 
 Memory. ``read_csv`` holds one Python string per field until its caller
-drops the chunk; the files it reads have a row per seed, bin or occupant.
+drops the chunk; the files it reads have a row per bin or occupant.
 ``read_floats`` holds the file's bytes, which its caller read whole, and
 its numbers twice while it lays them out column by column.
 """
@@ -144,22 +148,14 @@ class Chunk:
         """A ParseError naming the line on which data row `row` ends."""
         return ParseError(f"{self.path}:{self._lines[row]}: {message}")
 
-    def floats(self, name: str, where: np.ndarray | None = None) -> np.ndarray:
-        """Column `name` converted with ``float``; with `where`, only the
-        rows it marks are converted and the others read NaN."""
+    def floats(self, name: str) -> np.ndarray:
+        """Column `name` converted with ``float``."""
         column = self._columns[name]
-        rows = range(self.n_rows) if where is None else np.flatnonzero(where).tolist()
         try:
-            values = np.fromiter(map(float, map(column.__getitem__, rows)),
-                                 dtype=float, count=len(rows))
+            return np.fromiter(map(float, column), dtype=float, count=self.n_rows)
         except ValueError:
-            bad = next(k for k in rows if not is_float(column[k]))
+            bad = next(k for k, text in enumerate(column) if not is_float(text))
             raise self.error(bad, f"{name}: not a number: {column[bad]!r}") from None
-        if where is None:
-            return values
-        out = np.full(self.n_rows, np.nan)
-        out[rows] = values
-        return out
 
     def indices(self, name: str, n: int) -> np.ndarray:
         """Column `name` as integers, each the decimal digits of one of
@@ -173,21 +169,6 @@ class Chunk:
             bad = next(i for i, text in enumerate(column) if text not in index)
             raise self.error(bad, f"{name}: not an index below {n}: "
                                   f"{column[bad]!r}") from None
-
-    def flags(self, name: str) -> np.ndarray:
-        """Column `name` as truth values, each field exactly 0 or 1."""
-        ones = self.equals(name, "1")
-        valid = ones | self.equals(name, "0")
-        if not valid.all():
-            bad = int(np.argmin(valid))
-            raise self.error(bad, f"{name}: expected 0 or 1, got "
-                                  f"{self._columns[name][bad]!r}")
-        return ones
-
-    def equals(self, name: str, text: str) -> np.ndarray:
-        """Whether each field of column `name` is exactly `text`."""
-        return np.fromiter(map(text.__eq__, self._columns[name]), dtype=bool,
-                           count=self.n_rows)
 
 
 def is_float(text: str) -> bool:

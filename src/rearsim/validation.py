@@ -157,7 +157,7 @@ def percentile_histogram(percentiles, n_bins: int = 10) -> PercentileReport:
     """Bin percentile values (and markers) and test the in-range part
     against uniformity. The statistic is reported, not gated."""
     if n_bins < 2:
-        raise ValidationError("n_bins must be >= 2")
+        raise ValidationError(f"n_bins must be >= 2, got {n_bins}")
     counts = np.zeros(n_bins, dtype=int)
     below = above = 0
     for value in percentiles:

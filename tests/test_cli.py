@@ -37,7 +37,6 @@ from rearsim.cli import (
 )
 from rearsim.drivers import CbmConfig
 from rearsim.engine import (
-    SEEDS_SUMMARY_HEADER,
     CampaignConfig,
     CampaignGrid,
     CampaignResult,
@@ -115,6 +114,10 @@ def write_inputs(root: Path, n_seeds=8, lead_mix=None) -> dict:
     return {"synth": "inputs/synth.json", "campaign": "inputs/campaign.json",
             "blom": "inputs/blom.json", "occupants": "inputs/occupants.csv",
             "curve": "inputs/mais1.json"}
+
+
+# simulate's outputs but its manifest
+SIMULATE_ARTIFACTS = ("matrices.npy", "seeds.npy", "seeds_summary.csv", "summary.json")
 
 
 def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
@@ -268,24 +271,26 @@ class TestPipeline:
         without the timestamp. seeds_summary.csv is the bytes it was when
         every seed was parsed field by field; matrices.npy holds the speeds
         of those cells without their crashed and max_severity flags, and
-        summary.json has no glance_cut_at key."""
+        summary.json has no glance_cut_at key. seeds.npy holds each seed's
+        record, and the manifest lists it."""
         _, _, out = pipeline
         sim = out["simulate"]
         manifest = json.loads((sim / "manifest.json").read_bytes())
         manifest.pop("timestamp")
-        blobs = {name: (sim / name).read_bytes()
-                 for name in ("matrices.npy", "seeds_summary.csv", "summary.json")}
+        blobs = {name: (sim / name).read_bytes() for name in SIMULATE_ARTIFACTS}
         blobs["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
         assert {name: hashlib.sha256(blob).hexdigest()
                 for name, blob in blobs.items()} == {
             "matrices.npy":
                 "5ff87f48c73c55e441becb28d0c152a61d9b1c4cab2e3e5d7cec5785bba823da",
+            "seeds.npy":
+                "ef23725b09a89a87c9724a94c2bd57c00a6ed2e9dd2ff8e9e4441ea5cc2c5398",
             "seeds_summary.csv":
                 "c6279bb622505460be2285b8899c85f22fa367f4f4414d95205eb4aa9048d90f",
             "summary.json":
                 "9d1737179e61def7a3982ef6f68515b351efecb50841a775937f5eccb9b5fe10",
             "manifest.json":
-                "796bae6da467b0652b2829ba6ebdc9f63304060454766be6f7689ff2ef425158",
+                "0050a1489969bf549eb3c25091451e9b1454643274f2a4e0e9f163a7e97486b9",
         }
 
     def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
@@ -343,8 +348,8 @@ class TestPipeline:
         """kernel_calls counts one call per swept seed's no-response run
         plus one per integrated cell, and matrices.npy holds exactly those
         cells, a record per integrated row. The matrices weight reads back,
-        with the no-response outcomes of seeds_summary.csv, are the
-        campaign's bitwise."""
+        with the no-response outcomes of seeds.npy, are the campaign's
+        bitwise."""
         root, paths, out = pipeline
         sim = out["simulate"]
         summary = json.loads((sim / "summary.json").read_text())
@@ -373,7 +378,7 @@ class TestPipeline:
             assert main(["simulate", "--seeds", "out_synth/seeds",
                          "--config", paths["campaign"],
                          "--out", str(sim_out), "--workers", "2"]) == 0
-        for name in ("matrices.npy", "seeds_summary.csv", "summary.json"):
+        for name in SIMULATE_ARTIFACTS:
             a = (out_first["simulate"] / name).read_bytes()
             assert (sim_out / name).read_bytes() == a, name
         # the workers hand back the digests of the seed files they parsed
@@ -856,16 +861,6 @@ _REPORT_PERCENTILES = ["report", "--percentiles",
 _REPORT_ASSESS = ["report", "--assess", "out_assess/assess.json", "--out",
                   "bad_report"]
 
-def _edit_first_row(predicate, edit):
-    """Text edit: apply `edit` to the fields of the first CSV line whose
-    fields satisfy `predicate`."""
-    def apply(text: str) -> str:
-        lines = text.split("\r\n")
-        line = next(k for k, row in enumerate(lines) if predicate(row.split(",")))
-        return _edit_row(line + 1, edit)(text)
-    return apply
-
-
 def _set_json(**changes):
     return lambda text: json.dumps(dict(json.loads(text), **changes))
 
@@ -900,10 +895,6 @@ def _edit_records(edit):
     return apply
 
 
-def _drop_first_listed_seed(records):
-    return records[records["seed_id"] != records["seed_id"][0]]
-
-
 def _set_first_cell(crashed: bool, **values):
     """Record edit: the fields of the first cell that crashes, or of the
     first that does not, set to `values`."""
@@ -931,10 +922,39 @@ def _retyped(**changes):
     return _edit_records(edit)
 
 
+def _bad_records(file: str, edit, where):
+    """simulate's record file `file` after `edit`, of its bytes or of its
+    records."""
+    return (f"out_simulate/{file}", _load_campaign_of, edit,
+            rf"{re.escape(file)}: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
+
+
 def _bad_matrices(edit, where):
-    """matrices.npy after `edit`, of its bytes or of its records."""
-    return ("out_simulate/matrices.npy", _load_campaign_of, edit,
-            rf"matrices\.npy: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
+    return _bad_records("matrices.npy", edit, where)
+
+
+def _bad_seeds(edit, where):
+    return _bad_records("seeds.npy", edit, where)
+
+
+def _truncations(file: str, what: str) -> dict:
+    """MALFORMED_INPUTS entries for simulate's record file `file` of
+    `what` records: the file empty; cut inside its magic, its header and
+    its data (its last byte dropped); without its last record; and with a
+    byte appended. The header declares the record count, so a file cut at
+    a record's end is refused too."""
+    unreadable = rf"not a \.npy file of {what} records: "
+    last_record = lambda data: data[:-np.load(io.BytesIO(data)).dtype.itemsize]
+    return {f"{file.removesuffix('.npy')}_{name}": _bad_records(file, edit, where)
+            for name, edit, where in (
+                ("empty", lambda data: b"", unreadable + "EOF"),
+                ("truncated_in_magic", lambda data: data[:3], unreadable + "EOF"),
+                ("truncated_in_header", lambda data: data[:20], unreadable + "EOF"),
+                ("truncated_by_one_byte", lambda data: data[:-1],
+                 unreadable + "Failed to read"),
+                ("last_record_dropped", last_record, unreadable + "Failed to read"),
+                ("byte_appended", lambda data: data + b"\0",
+                 "bytes follow the records"))}
 
 
 def _bad_speeds(crashed: bool, **values):
@@ -960,34 +980,27 @@ def _flagged_layout(records):
     return out
 
 
-def _bad_seeds_summary(field: str, value: str, rule: str):
-    """seeds_summary.csv with `value` as `field` of the first eligible seed
-    whose no-response run crashed."""
-    k = SEEDS_SUMMARY_HEADER.index(field)
-    return ("out_simulate/seeds_summary.csv", _load_campaign_of,
-            _edit_first_row(lambda f: f[1] == f[8] == "1", _set_field(k, value)),
-            rf"seeds_summary\.csv:\d+: {field} must be {rule}, got {value}",
-            (_WEIGHT, _VALIDATE, _ASSESS))
-
-
-def _bad_no_response_crash(edit, where):
-    """seeds_summary.csv with `edit` applied to the fields of the first
+def _set_seed(**values):
+    """Record edit: seeds.npy with `values` in the record of the first
     eligible seed whose no-response run crashed."""
-    return ("out_simulate/seeds_summary.csv", _load_campaign_of,
-            _edit_first_row(lambda f: f[1] == f[8] == "1", edit),
-            rf"seeds_summary\.csv:\d+: {where}", (_WEIGHT, _VALIDATE, _ASSESS))
+    def edit(records):
+        k = np.flatnonzero(records["eligible"] & ~np.isnan(records["no_resp_v1"]))[0]
+        for field, value in values.items():
+            records[field][k] = value
+        return records
+    return _edit_records(edit)
 
 
-def _swap_no_response_speeds(fields):
-    v1, v2 = (SEEDS_SUMMARY_HEADER.index(name) for name in ("no_resp_v1", "no_resp_v2"))
-    fields[v1], fields[v2] = fields[v2], fields[v1]
-    return fields
+def _repeat_first_seed_id(records):
+    records["seed_id"][1] = records["seed_id"][0]
+    return records
 
 
-def _no_response_dv_up_one_ulp(fields):
-    k = SEEDS_SUMMARY_HEADER.index("no_resp_dv_kmh")
-    fields[k] = repr(math.nextafter(float(fields[k]), math.inf))
-    return fields
+# a seeds.npy record, as a refusal names it
+_SEED_RECORD = r"record \d+ \(seed s\d+\): "
+# a no-response cell that is neither both NaN nor a crash's
+_NO_RESPONSE_CELL = (_SEED_RECORD + r"the no-response cell's v1 and v2 must be both "
+                     r"NaN \(no crash\) or both finite with v1 > v2 \(a crash\), got ")
 
 
 _SEEDS_DIR = (_SIMULATE, _FIT_BIAS, _VALIDATE)  # every stage that reads seeds
@@ -1211,12 +1224,7 @@ MALFORMED_INPUTS = {
         r"expected a 1-D array of records \[\('seed_id', '<U5'\), \('axis1_index', "
         r"'<i8'\), \('v1', '<f8', \(6,\)\), \('v2', '<f8', \(6,\)\)\] on the grid's "
         r"6 deceleration bins, got a 1-D array of .*'crashed', 'u1'"),
-    "matrices_seed_dropped": _bad_matrices(
-        _edit_records(_drop_first_listed_seed),
-        r"seed s\d+ lists 0 cells, not its kernel_calls - 1 = [1-9]\d*"),
-    **{f"matrices_truncated_{name}": _bad_matrices(
-        lambda data, stop=stop: data[:stop], r"not a \.npy file of outcome records")
-       for name, stop in (("in_magic", 3), ("in_header", 20), ("by_one_byte", -1))},
+    **_truncations("matrices.npy", "outcome"),
     "matrices_object_dtype": _bad_matrices(
         _edit_records(lambda r: np.array([None], dtype=object)),
         r"not a \.npy file of outcome records: Object arrays"),
@@ -1247,46 +1255,49 @@ MALFORMED_INPUTS = {
         "out_simulate/matrices.npy", _histogram_of, _set_first_cell(True, v1=1e308),
         r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
         ValidationError),
-    **{f"seeds_summary_{field}_{name}": _bad_seeds_summary(field, value, rule)
-       for field, name, value, rule in (
-           ("follower_mass_kg", "nan", "nan", "a finite number > 0"),
-           ("follower_mass_kg", "zero", "0.0", "a finite number > 0"),
-           ("lead_mass_kg", "nan", "nan", "a finite number > 0"),
-           ("lead_mass_kg", "infinite", "inf", "a finite number > 0"),
-           *((field, "nan", "nan", "a finite number where no_resp_crashed is 1")
-             for field in ("no_resp_v1", "no_resp_v2", "no_resp_dv_kmh")))},
-    "seeds_summary_no_resp_speeds_swapped": _bad_no_response_crash(
-        _swap_no_response_speeds, r"no_resp_v1 must be > no_resp_v2 where "
-                                  r"no_resp_crashed is 1, got \S+ and \S+"),
-    "seeds_summary_no_resp_dv_off_by_one_ulp": _bad_no_response_crash(
-        _no_response_dv_up_one_ulp, r"no_resp_dv_kmh must be \S+, the delta-v "
-                                    r"of the row's speeds and masses, got \S+"),
-    # no_resp_crashed is 1 exactly where the no-response speeds and delta-v
-    # are given: a 0 beside them used to read as a crash-free run
-    "seeds_summary_no_resp_speeds_without_crash": _bad_no_response_crash(
-        _set_field(SEEDS_SUMMARY_HEADER.index("no_resp_crashed"), "0"),
-        r"no_resp_v1 must be empty where no_resp_crashed is 0, got '\S+'"),
-    "seeds_summary_no_resp_crash_without_speeds": _bad_no_response_crash(
-        lambda fields: fields[:9] + ["", "", ""] + fields[12:],
-        r"no_resp_v1: not a number: ''"),
-    "seeds_summary_seed_id_repeated": (
-        "out_simulate/seeds_summary.csv", _load_campaign_of,
-        lambda text: text + text[text.rstrip("\r\n").rindex("\r\n") + 2:],
-        r"seeds_summary\.csv:10: seed_id 's0007' repeats an earlier row's",
-        (_WEIGHT, _VALIDATE, _ASSESS)),
-    "seeds_summary_row_dropped": (
-        "out_simulate/seeds_summary.csv", _load_campaign_of,
-        lambda text: text[:text.rstrip("\r\n").rindex("\r\n") + 2],
-        r"seeds_summary\.csv: 7 seeds, not the 8 summary\.json records",
-        (_WEIGHT, _VALIDATE, _ASSESS)),
-    "summary_non_numeric_mass": (
-        "out_simulate/seeds_summary.csv", _load_campaign_of,
-        _edit_row(2, _set_field(5, "heavy")), r"seeds_summary\.csv:2:",
-        (_WEIGHT, _VALIDATE, _ASSESS)),
-    "summary_eligible_not_a_flag": (
-        "out_simulate/seeds_summary.csv", _load_campaign_of,
-        _edit_row(2, _set_field(1, "yes")), r"seeds_summary\.csv:2: eligible",
-        (_WEIGHT,)),
+    **{f"seeds_{field}_{name}": _bad_seeds(
+        _set_seed(**{field: value}),
+        _SEED_RECORD + rf"{field} must be a finite number > 0, got {value!r}")
+       for field, name, value in (("follower_mass_kg", "nan", math.nan),
+                                  ("follower_mass_kg", "zero", 0.0),
+                                  ("lead_mass_kg", "nan", math.nan),
+                                  ("lead_mass_kg", "infinite", math.inf),
+                                  ("lead_mass_kg", "negative", -1500.0))},
+    **{f"seeds_no_resp_{name}": _bad_seeds(_set_seed(**values), _NO_RESPONSE_CELL + got)
+       for name, values, got in (
+           ("v1_nan", dict(no_resp_v1=math.nan), r"nan and \S+"),
+           ("v2_nan", dict(no_resp_v2=math.nan), r"\S+ and nan"),
+           ("v1_infinite", dict(no_resp_v1=math.inf), r"inf and \S+"),
+           ("speeds_swapped", dict(no_resp_v1=1.0, no_resp_v2=9.0), r"1\.0 and 9\.0"),
+           ("speeds_equal", dict(no_resp_v1=5.0, no_resp_v2=5.0), r"5\.0 and 5\.0"))},
+    # no_resp_dv_kmh is not read: a no-response delta-v that overflows is
+    # refused where the weighting computes it, as a crash cell's is
+    "seeds_no_resp_v1_overflow": (
+        "out_simulate/seeds.npy", _histogram_of, _set_seed(no_resp_v1=1e308),
+        r"seed s\d+: a crash's delta-v is not finite", (_WEIGHT, _VALIDATE, _ASSESS),
+        ValidationError),
+    **{f"seeds_theoretical_cells_{name}": _bad_seeds(
+        _set_seed(theoretical_cells=value),
+        _SEED_RECORD + rf"theoretical_cells must be in 0\.\.408, got {value}")
+       for name, value in (("negative", -1), ("beyond_the_grid", 409))},
+    "seeds_seed_id_repeated": _bad_seeds(
+        _edit_records(_repeat_first_seed_id),
+        r"record 1 \(seed s0000\): an earlier record holds the same seed id"),
+    "seeds_record_dropped": _bad_seeds(
+        _edit_records(lambda records: records[:-1]),
+        r"7 records, not the 8 seeds of summary\.json"),
+    "seeds_eligible_not_a_flag": _bad_seeds(
+        _retyped(eligible=("<i8", ())),
+        r"expected a 1-D array of records .*'eligible', '\?'.*, got a 1-D array "
+        r"of .*'eligible', '<i8'"),
+    "seeds_mass_as_text": _bad_seeds(
+        _retyped(follower_mass_kg=("<U8", ())),
+        r"expected a 1-D array of records .*, got a 1-D array of "
+        r".*'follower_mass_kg', '<U8'"),
+    "seeds_object_dtype": _bad_seeds(
+        _edit_records(lambda r: np.array([None], dtype=object)),
+        r"not a \.npy file of seed records: Object arrays"),
+    **_truncations("seeds.npy", "seed"),
     "histogram_non_numeric_weight": (
         "out_weight/hist.csv", load_histogram,
         _edit_row(3, _set_field(2, "x")), r"hist\.csv:3:", (_APPLY,)),
@@ -1383,10 +1394,17 @@ MALFORMED_INPUTS = {
         lambda value: build_pdo(folksam_like_records(n=400), p_pdo=float(value)),
         r"p_pdo must be in \(0, 1\)", (_FIT_BIAS,))
        for name, value in (("zero", "0"), ("one", "1"))},
+    "p_pdo_above_one": _bad_flag(
+        "--p-pdo", "1.5",
+        lambda value: build_pdo(folksam_like_records(n=400), p_pdo=float(value)),
+        r"p_pdo must be in \(0, 1\), got 1\.5", (_FIT_BIAS,)),
     # chi2_sf takes n_bins - 1 degrees of freedom unchecked
     "n_bins_one": _bad_flag(
         "--n-bins", "1", lambda value: percentile_histogram([50.0], int(value)),
         r"n_bins must be >= 2", (_VALIDATE,)),
+    "n_bins_zero": _bad_flag(
+        "--n-bins", "0", lambda value: percentile_histogram([50.0], int(value)),
+        r"n_bins must be >= 2, got 0", (_VALIDATE,)),
     **{f"cuts_{name}": _bad_flag(
         "--cuts", value, lambda value: cut_glances(shrp2_like_glances(), float(value)),
         rf"cut_at must be > 0, got {value}", (_ASSESS,))
@@ -1427,23 +1445,123 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
         assert "Traceback" not in err
 
 
-def test_simulate_output_without_matrices_npy_exits_two(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("name,old", [("matrices.npy", "matrices.csv"),
+                                      ("seeds.npy", "seeds_summary.csv")])
+def test_simulate_output_without_a_record_file_exits_two(name, old, pipeline,
+                                                         tmp_path, capsys):
     """A simulate directory written before matrices.npy, with its
-    matrices.csv, is refused by every stage that reads it, naming the
-    missing file."""
+    matrices.csv, or before seeds.npy, with its seeds_summary.csv, is
+    refused by every stage that reads it, naming the missing file."""
     root, _, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
-    (copy / "out_simulate" / "matrices.npy").unlink()
-    (copy / "out_simulate" / "matrices.csv").write_text(
-        "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\r\n")
+    (copy / "out_simulate" / name).unlink()
+    if name == "matrices.npy":
+        (copy / "out_simulate" / old).write_text(
+            "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\r\n")
+    assert (copy / "out_simulate" / old).is_file()
     for command in (_WEIGHT, _VALIDATE, _ASSESS):
         capsys.readouterr()
         with chdir(copy):
             assert main(command) == 2, command[0]
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "matrices.npy" in err, err
+        assert err.startswith("error: ") and name in err, err
         assert "Traceback" not in err
+
+
+def _rewrite_derived_fields(path: Path) -> None:
+    """seeds_summary.csv with every seed's q_raw, n_crash_cells,
+    kernel_calls and no_resp_dv_kmh changed."""
+    changed = {"q_raw": "0.5", "n_crash_cells": "3", "kernel_calls": "7",
+               "no_resp_dv_kmh": "99.0"}
+    header, *rows = path.read_bytes().decode().removesuffix("\r\n").split("\r\n")
+    names = header.split(",")
+    rows = [",".join(changed.get(name, field) for name, field in zip(names, row.split(",")))
+            for row in rows]
+    path.write_bytes(("\r\n".join([header, *rows]) + "\r\n").encode())
+
+
+@pytest.mark.parametrize("change", ["derived_fields_rewritten", "deleted"])
+def test_nothing_reads_seeds_summary(change, pipeline, tmp_path):
+    """seeds_summary.csv is a report: with its derived fields rewritten, or
+    without it, weight, validate and assess-dms write the pipeline's
+    artifacts byte for byte. Their manifests are left out, because they
+    digest simulate's directory."""
+    root, paths, out = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
+    summary = copy / "out_simulate" / "seeds_summary.csv"
+    if change == "deleted":
+        summary.unlink()
+    else:
+        _rewrite_derived_fields(summary)
+        assert summary.read_bytes() != (out["simulate"] / "seeds_summary.csv").read_bytes()
+    seeds_dir = "out_synth/seeds"
+    commands = {
+        "weight": ["weight", "--simulate-out", "out_simulate"],
+        "validate": ["validate", "--model-hist", "out_apply/transformed.csv",
+                     "--reference", seeds_dir,
+                     "--seeds-summary", "out_simulate/seeds_summary.csv",
+                     "--curves", paths["curve"]],
+        "assess": ["assess-dms", "--config", paths["campaign"],
+                   "--baseline", "out_simulate", "--cuts", "3.0", "2.0", "inf",
+                   "--curves", paths["curve"]],
+    }
+    with chdir(copy):
+        for stage, command in commands.items():
+            assert main(command + ["--out", f"again_{stage}"]) == 0, stage
+    for stage in commands:
+        got, want = _files(copy / f"again_{stage}"), _files(out[stage])
+        got.pop("manifest.json"), want.pop("manifest.json")
+        assert got == want and len(want) >= 2, stage
+
+
+def _truncate_matrices(root: Path) -> None:
+    path = root / "out_simulate" / "matrices.npy"
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+_VALIDATE_WEIGHT_HIST = ["validate", "--model-hist", "out_weight/hist.csv",
+                         "--reference", "out_synth/seeds",
+                         "--seeds-summary", "out_simulate/seeds_summary.csv"]
+# name: (command refused after its other inputs were read, the pipeline
+# output it would overwrite, an edit of the pipeline's copy or None)
+REFUSED_RUNS = {
+    # the last cut removes every off-road glance
+    "assess_dms_last_cut": (
+        ["assess-dms", "--config", "inputs/campaign.json", "--baseline",
+         "out_simulate", "--cuts", "2.5", "0.01"], "out_assess", None),
+    "validate_malformed_matrices": (_VALIDATE_WEIGHT_HIST, "out_validate",
+                                    _truncate_matrices),
+    "validate_n_bins_one": (_VALIDATE_WEIGHT_HIST + ["--n-bins", "1"],
+                            "out_validate", None),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+@pytest.mark.parametrize("name", sorted(REFUSED_RUNS))
+def test_refused_run_writes_nothing(name, existing, pipeline, tmp_path, capsys):
+    """validate and assess-dms read every input and compute every output
+    before they write one: a run refused at its last cut or at its
+    percentiles exits 2, makes no new --out, and leaves an existing --out
+    (one with other outputs of the same stage) with the same files and
+    bytes."""
+    root, _, _ = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
+    command, pipeline_out, edit = REFUSED_RUNS[name]
+    if edit is not None:
+        edit(copy)
+    out = copy / (pipeline_out if existing else "fresh_out")
+    before = _files(out) if existing else {}
+    capsys.readouterr()
+    with chdir(copy):
+        assert main(command + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert out.exists() == existing
+    if existing:
+        assert _files(out) == before
 
 
 def test_assess_dms_rejects_a_repeated_cut(pipeline, tmp_path, capsys):
@@ -1566,7 +1684,7 @@ def test_simulate_opens_each_sidecar_once(pipeline, monkeypatch, tmp_path):
     seed_files = sorted(p.name for p in (root / "out_synth" / "seeds").iterdir())
     assert len(seed_files) == 16
     assert sorted(name for name in opened if name in seed_files) == seed_files
-    for name in ("matrices.npy", "seeds_summary.csv", "summary.json"):
+    for name in SIMULATE_ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (out["simulate"] / name).read_bytes()
 
 

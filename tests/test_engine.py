@@ -18,7 +18,7 @@ from rearsim import engine
 from rearsim.distributions import DecelDistribution, cut_glances
 from rearsim.cli import main
 from rearsim.engine import (
-    SEEDS_SUMMARY_HEADER,
+    SEED_LAYOUT,
     CampaignConfig,
     CampaignGrid,
     OutcomeMatrix,
@@ -396,7 +396,7 @@ def test_a_cell_is_its_two_speeds_everywhere():
     instead of being written and never read."""
     matrix = tuple(f.name for f in fields(OutcomeMatrix)
                    if f.name not in ("seed_id", "grid", "rows", "no_response"))
-    record = tuple(name for name in engine._record_dtype(2, 3).names
+    record = tuple(name for name, *_ in engine._matrices_layout(3)
                    if name not in ("seed_id", "axis1_index"))
     kin = SeedKinematics(make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=10.0))
     kernel = tuple(kin.run(np.array([0.5, math.inf]), np.array([2.0, 8.0]), -23.04))
@@ -940,12 +940,12 @@ class _PickleBomb:
         return _unpickled, ()
 
 
-def write_seeds_summary(path, eligible: dict[str, bool]) -> None:
-    """A seeds_summary.csv of seeds whose no-response runs never crash."""
-    path.write_text("".join(
-        [",".join(SEEDS_SUMMARY_HEADER) + "\n"]
-        + [f"{sid},{int(ok)},braking,,0,1500.0,1500.0,,0,,,,0,,0,0\n"
-           for sid, ok in eligible.items()]))
+def write_seeds(path, eligible: dict[str, bool]) -> None:
+    """A seeds.npy of seeds whose no-response runs never crash."""
+    path.write_bytes(npy(np.array(
+        [(sid, ok, "braking", math.nan, 1500.0, 1500.0, math.nan, *NAN2, 0)
+         for sid, ok in eligible.items()],
+        dtype=engine._dtype(SEED_LAYOUT, lambda name: 7))))
 
 
 GOOD = npy(records(record(), record(row=1)))
@@ -958,7 +958,7 @@ OTHER = (r"matrices\.npy: expected a 1-D array of records .* on the grid's 2 "
 # a cell whose speeds are neither both NaN nor a crash's
 SPEEDS = RECORD_1 + r"a cell's v1 and v2 must be both NaN \(no crash\) or both finite"
 # name: (matrices.npy, the grid in summary.json, the error[, the eligible
-# flag of each seed in seeds_summary.csv, if not s1's alone])
+# flag of each seed in seeds.npy, if not s1's alone])
 MALFORMED_MATRICES = {
     "empty": (b"", SMALL_GRID, UNREADABLE + "EOF"),
     "bad_header": (b"seed,axis1_index\n", SMALL_GRID, UNREADABLE + "the magic"),
@@ -1051,7 +1051,7 @@ class TestLoadMatricesParseErrors:
         sim = tmp_path / "sim"
         sim.mkdir()
         (sim / "matrices.npy").write_bytes(data)
-        write_seeds_summary(sim / "seeds_summary.csv", eligible)
+        write_seeds(sim / "seeds.npy", eligible)
         summary = {"model": "cbm", "no_response_fraction": 0.0,
                    "n_seeds": len(eligible)}
         if grid is not None:
