@@ -4,7 +4,9 @@ validate, assess glance-cutting interventions, and emit reports.
 
 Every command validates its inputs, writes a manifest with input/output
 digests, and is deterministic for identical inputs (worker count
-included). Exit codes: 0 success, 2 validation, 3 model-undefined,
+included). Every command but synth reads every input and computes every
+output before it creates or writes into --out, so a refused run leaves
+--out as it was. Exit codes: 0 success, 2 validation, 3 model-undefined,
 4 fit failure.
 """
 
@@ -149,7 +151,6 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     from .distributions import load_decels, load_glances
     from .engine import MODEL_CBM, CampaignConfig, run_campaign, save_campaign
-    out = _out_dir(args.out)
     cfg = CampaignConfig.from_json(args.config)
     refs = load_seed_refs(args.seeds)  # the workers load the trajectories
     if not refs:
@@ -158,6 +159,7 @@ def cmd_simulate(args) -> int:
     decels = load_decels(cfg.decel_file)
     result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
+    out = _out_dir(args.out)
     outputs = save_campaign(result, out)
     # the seed files parsed are digested from the bytes parsed; any other
     # file under --seeds is read for its digest
@@ -201,10 +203,10 @@ def _recovered(campaign: CampaignResult) -> CampaignResult:
 
 def cmd_weight(args) -> int:
     from .engine import load_campaign
-    out = _out_dir(args.out)
     sim_dir = Path(args.simulate_out)
     weighting = weigh(_recovered(load_campaign(sim_dir)), args.bin_width)
     final = weighting.histogram()
+    out = _out_dir(args.out)
     weights = weighting.weights
     weights_path = out / "weights.csv"
     table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
@@ -242,7 +244,6 @@ def cmd_weight(args) -> int:
 
 def cmd_fit_bias(args) -> int:
     from . import bias
-    out = _out_dir(args.out)
     records = bias.load_occupants(args.occupants)
     injury, injury_read = _reference_histogram(args.injury_hist, args.bin_width)
     model, pdo_hist, diagnostics = bias.build_pdo(
@@ -250,6 +251,7 @@ def cmd_fit_bias(args) -> int:
     reference = bias.augment_reference(injury, model, args.p_pdo)
     tf, fit_diag = bias.fit_transfer(reference, injury)
 
+    out = _out_dir(args.out)
     pdo_path = out / "pdo.json"
     write_json(pdo_path, {**vars(model), "diagnostics": diagnostics})
     tf_path = out / "transfer.json"
@@ -279,10 +281,10 @@ def cmd_fit_bias(args) -> int:
 
 def cmd_apply_bias(args) -> int:
     from . import bias
-    out = _out_dir(args.out)
     dist = load_histogram(args.hist)
     tf = bias.load_transfer(args.transfer)
     transformed = bias.apply_transfer(dist, tf)
+    out = _out_dir(args.out)
     out_path = out / "transformed.csv"
     save_histogram(transformed, out_path)
     summary = write_json(out / "summary.json", {
@@ -300,8 +302,6 @@ def cmd_apply_bias(args) -> int:
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args) -> int:
-    """Every input is read and every output computed before the first
-    write, so a refused run leaves --out as it was."""
     from .engine import load_campaign
     from .validation import compare, injury_risk, percentile_histogram, seed_percentiles
     curves = _load_curves(args.curves)
@@ -354,9 +354,7 @@ def cmd_assess_dms(args) -> int:
     """Glance cuts reweight the baseline outcome matrices; nothing is
     simulated, so --seeds and --workers are unused. The deceleration bins
     and their marginal come from the baseline's summary.json; the config's
-    glance file must give the baseline's overshoot axis and marginal. Every
-    cut is computed before the first write, so a refused run leaves --out
-    as it was."""
+    glance file must give the baseline's overshoot axis and marginal."""
     from .distributions import cut_glances, load_glances
     from .drivers import cbm_axes
     from .engine import MODEL_CBM, CampaignConfig, CampaignGrid, load_campaign, reweight
@@ -479,38 +477,33 @@ def cmd_report(args) -> int:
     from .validation import compare
     hists = _labeled(args.hist, "--hist")
     percentiles = _labeled(args.percentiles, "--percentiles")
+    if not (hists or percentiles or args.assess):
+        raise ValidationError("report: nothing to do (pass --hist/--percentiles/--assess)")
+    series = [(label, load_histogram(path)) for label, path in hists]
+    stats = [vars(compare(dist, series[0][1])) for _, dist in series[1:]]
+    reps = [(label, _load_percentile_report(path)) for label, path in percentiles]
+    cuts = _load_assessment_cuts(args.assess) if args.assess else []
+    inputs = {**{f"hist_{label}": path for label, path in hists},
+              **{f"percentiles_{label}": path for label, path in percentiles}}
+
     out = _out_dir(args.out)
     outputs = []
-    inputs: dict[str, str] = {}
-
-    if hists:
-        series = []
-        for label, path in hists:
-            series.append((label, load_histogram(path)))
-            inputs[f"hist_{label}"] = path
+    if series:
         svg = out / "delta_v.svg"
         report.histogram_svg(series, "Delta-v distributions", svg)
         outputs.append(svg)
-        if len(series) > 1:
-            stats_path = out / "stats.csv"
-            ref_label, ref = series[0]
-            stats = [vars(compare(dist, ref)) for _, dist in series[1:]]
-            table.write_csv(stats_path, ["pair", *stats[0]], [
-                table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
-                *(table.reprs([s[name] for s in stats]) for name in stats[0])])
-            outputs.append(stats_path)
-
-    if percentiles:
-        reps = []
-        for label, path in percentiles:
-            reps.append((label, _load_percentile_report(path)))
-            inputs[f"percentiles_{label}"] = path
+    if stats:
+        stats_path = out / "stats.csv"
+        ref_label = series[0][0]
+        table.write_csv(stats_path, ["pair", *stats[0]], [
+            table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
+            *(table.reprs([s[name] for s in stats]) for name in stats[0])])
+        outputs.append(stats_path)
+    if reps:
         svg = out / "percentiles.svg"
         report.percentile_svg(reps, "Seed percentile uniformity", svg)
         outputs.append(svg)
-
     if args.assess:
-        cuts = _load_assessment_cuts(args.assess)
         labels = ["no cut" if row["cut_at_s"] is None else f"cut {row['cut_at_s']}s"
                   for row in cuts]
         values = [row["avoidance_rate"] for row in cuts]
@@ -519,9 +512,6 @@ def cmd_report(args) -> int:
                        "avoidance rate", svg)
         outputs.append(svg)
         inputs["assess"] = args.assess
-
-    if not outputs:
-        raise ValidationError("report: nothing to do (pass --hist/--percentiles/--assess)")
     write_manifest(out, "report", inputs, outputs, {})
     print(f"report: wrote {len(outputs)} artifacts to {out}")
     return EXIT_OK

@@ -51,7 +51,8 @@ their summed axis-1 mass, so it expands no field over the grid. Two sums
 keep row-major order over the grid's cells, which only an expanded field
 gives (`OutcomeMatrix.cells`): a seed's crash mass (`crash_mass`, its
 q_raw), from which its prevalence weight follows, and the per-cell crash
-samples (`crashes`) of validate's per-seed percentiles.
+samples (`crashes`) of validate's per-seed percentiles, whose weights'
+total is summed from `crash_probs` first.
 
 `save_campaign` is the one writer of simulate's four artifacts:
 summary.json, matrices.npy, seeds.npy and seeds_summary.csv. A seeds.npy
@@ -326,9 +327,15 @@ class OutcomeMatrix:
         return v1[c], self.cells("v2")[c], self.grid.p_cell[c]
 
     @property
+    def crash_probs(self) -> np.ndarray:
+        """The probability of each crashing cell of the grid, in row-major
+        order, as `crashes` gives it, without expanding the speeds."""
+        return self.grid.p_cell[~np.isnan(self.cells("v1"))]
+
+    @property
     def crash_mass(self) -> float:
         """Summed probability of the crashing cells (q_i of the seed)."""
-        return float(self.grid.p_cell[~np.isnan(self.cells("v1"))].sum())
+        return float(self.crash_probs.sum())
 
 
 def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,

@@ -21,9 +21,16 @@ Two sums keep the per-cell order. `prevalence_weights` reads each seed's
 crash mass q from `OutcomeMatrix.crash_mass`, a sum over the seed's crash
 cells in row-major order. Validate's per-seed percentiles read the crash
 samples of `weighted_crash_samples`, one per crash cell in seed and
-row-major cell order, normalized by their sequential total; they are
-built only when `CampaignWeighting.shares` asks for them, and the tied
-percentiles depend on their bits.
+row-major cell order, each weight divided by the sequential sum of all of
+them; the tied percentiles depend on their bits. `CampaignWeighting.shares`
+builds them ROW_BLOCK seeds at a time, in two passes, so that one block's
+samples are alive at a time. The first pass sums the weights (seed weight
+times cell probability) block by block, each block's `np.cumsum` starting
+from the total of the blocks before: the same additions in the same order
+as one sum over the campaign, so the same total. The second pass builds
+each block's samples and divides them by that total. A delta-v and a
+weight are each computed from their own cell alone, so no sample's bits
+depend on the block.
 """
 
 from __future__ import annotations
@@ -52,9 +59,10 @@ TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 MAX_BINS = 10**6  # a histogram is a dense array: a wider one is refused
-# seeds whose row statistics are built at a time, so that the weighting's
-# peak memory follows a block of seeds, not the campaign's crash cells: on
-# 4,000 scale-cbm seeds weight peaked at 60 MB, and at 86 MB in one pass
+# seeds whose row statistics, or crash samples, are built at a time, so
+# that the weighting's peak memory follows a block of seeds, not the
+# campaign's crash cells: on 4,000 scale-cbm seeds, weight's max RSS fell
+# from 109 to 60 MB, and validate's from 86.0 to 58.5 MB
 ROW_BLOCK = 256
 
 
@@ -207,13 +215,23 @@ class CrashSamples:
         return len(self.delta_v)
 
 
-def weighted_crash_samples(seeds: list[SeedResult],
-                           weights: list[SeedWeight]) -> CrashSamples:
+def _check_total(total: float) -> None:
+    """Raise ValidationError unless the crash samples' weights sum to a
+    finite number > 0: an overflowed seed weight makes it inf or NaN."""
+    if not 0 < total < math.inf:  # NaN fails this comparison too
+        raise ValidationError(f"the crash samples' weights sum to {total}, "
+                              f"not a finite number > 0")
+
+
+def weighted_crash_samples(seeds: list[SeedResult], weights: list[SeedWeight],
+                           total: float | None = None) -> CrashSamples:
     """Crash cells of `seeds`' matrices, in row-major order per seed, as
     delta-v samples from the seed's masses, weighted by `weights[k]` for
-    seed k (unchecked: `weigh` pairs them) and renormalized to sum to 1. A
-    delta-v that is not finite raises ValidationError naming the seed, and
-    weights whose sum is not a finite number > 0 raise ValidationError."""
+    seed k (unchecked: `weigh` pairs them) and divided by `total`, by
+    default their own sequential sum, so that they sum to 1. A delta-v that
+    is not finite raises ValidationError naming the seed, and then a
+    default total that `_check_total` refuses raises ValidationError; a
+    given total is divided by unchecked."""
     counts = [r.matrix.n_crash_cells for r in seeds]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
@@ -228,11 +246,10 @@ def weighted_crash_samples(seeds: list[SeedResult],
     if not finite.all():
         r = seeds[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
         raise ValidationError(f"seed {r.seed_id}: a crash's delta-v is not finite")
-    # a sequential sum, so each weight keeps its bits whatever the count
-    total = np.cumsum(w)[-1] if w.size else 0.0
-    if not 0 < total < math.inf:  # NaN fails too: an overflowed seed weight
-        raise ValidationError(f"the crash samples' weights sum to {total}, "
-                              f"not a finite number > 0")
+    if total is None:
+        # a sequential sum, so each weight keeps its bits whatever the count
+        total = np.cumsum(w)[-1] if w.size else 0.0
+        _check_total(total)
     w /= total
     return CrashSamples([r.seed_id for r in seeds], counts, dvs, w)
 
@@ -327,9 +344,7 @@ def sum_rows(seeds: list[SeedResult], weights: list[SeedWeight],
             count += rows.cells
         mass = np.concatenate(mass)
         total = _sequential_sum(mass)
-    if not 0 < total < math.inf:  # NaN fails too
-        raise ValidationError(f"the crash samples' weights sum to {total}, "
-                              f"not a finite number > 0")
+    _check_total(total)
     mean = _sequential_sum(np.concatenate(dv_mass)) / total
     seed = np.repeat(np.arange(len(seeds)), np.concatenate(entries))
     return (DeltaVDistribution(bin_width, hist / total, float(mean), count),
@@ -361,7 +376,8 @@ class CampaignWeighting:
     weights and the seeds they weight, in seed order, the seeds without
     crashes, and the no-response delta-vs mixed in: one per eligible seed
     whose no-response run crashed, weighted or not, none at a fraction of
-    0. The row sums and the crash samples are built on first use."""
+    0. The row sums are built on first use, and the crash samples a block
+    of seeds at a time, each time `shares` is read."""
 
     campaign: CampaignResult
     weights: list[SeedWeight]
@@ -373,12 +389,6 @@ class CampaignWeighting:
     @cached_property
     def _sums(self) -> tuple[DeltaVDistribution, np.ndarray]:
         return sum_rows(self.seeds, self.weights, self.bin_width)
-
-    @cached_property
-    def samples(self) -> CrashSamples:
-        """The weighted seeds' crash samples: only the per-seed percentiles
-        read them."""
-        return weighted_crash_samples(self.seeds, self.weights)
 
     def histogram(self) -> DeltaVDistribution:
         """The campaign's delta-v histogram: the crash samples' with the
@@ -394,12 +404,31 @@ class CampaignWeighting:
     def shares(self):
         """(seed, delta-v, weight, their sum) of each weighted seed's crash
         samples, in seed order, the weights scaled to the 1 - fraction share
-        of the mix they carry."""
+        of the mix they carry: the bits of `weighted_crash_samples` over
+        every weighted seed, built ROW_BLOCK seeds at a time in two passes
+        (see the module docstring). As in one pass, a delta-v that is not
+        finite is refused before a total that is not."""
+        blocks = [slice(start, start + ROW_BLOCK)
+                  for start in range(0, len(self.seeds), ROW_BLOCK)]
+        total = 0.0
+        for block in blocks:
+            w = [sw.w * r.matrix.crash_probs
+                 for r, sw in zip(self.seeds[block], self.weights[block])]
+            total = np.cumsum(np.concatenate([[total], *w]))[-1]
         scale = 1.0 - self.campaign.no_response_fraction
-        bounds = np.cumsum([0] + self.samples.counts).tolist()
-        for r, start, stop in zip(self.seeds, bounds, bounds[1:]):
-            w = scale * self.samples.weight[start:stop]
-            yield r, self.samples.delta_v[start:stop], w, np.cumsum(w)[-1]
+        checked = 0 < total < math.inf
+        for block in blocks:
+            # a total that is not finite divides nothing: it is refused once
+            # every block's delta-vs are checked
+            samples = weighted_crash_samples(self.seeds[block], self.weights[block],
+                                             total if checked else 1.0)
+            if not checked:
+                continue
+            bounds = np.cumsum([0] + samples.counts).tolist()
+            for r, start, stop in zip(self.seeds[block], bounds, bounds[1:]):
+                w = scale * samples.weight[start:stop]
+                yield r, samples.delta_v[start:stop], w, np.cumsum(w)[-1]
+        _check_total(total)
 
 
 def weigh(campaign: CampaignResult,

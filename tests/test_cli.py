@@ -54,6 +54,7 @@ from rearsim.outcome import (
     build_histogram,
     load_histogram,
     weigh,
+    weighted_crash_samples,
 )
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
@@ -1521,31 +1522,58 @@ def _truncate_matrices(root: Path) -> None:
     path.write_bytes(path.read_bytes()[:-1])
 
 
+def _edit_text(path: str, edit):
+    """An edit of the pipeline's copy: the text edit `edit` of its file
+    `path`."""
+    def apply(root: Path) -> None:
+        file = root / path
+        file.write_bytes(edit(file.read_bytes().decode()).encode())
+    return apply
+
+
 _VALIDATE_WEIGHT_HIST = ["validate", "--model-hist", "out_weight/hist.csv",
                          "--reference", "out_synth/seeds",
                          "--seeds-summary", "out_simulate/seeds_summary.csv"]
 # name: (command refused after its other inputs were read, the pipeline
 # output it would overwrite, an edit of the pipeline's copy or None)
 REFUSED_RUNS = {
+    "apply_bias_malformed_transfer": (
+        ["apply-bias", "--hist", "out_weight/hist.csv",
+         "--transfer", "out_fit/transfer.json"], "out_apply",
+        _edit_text("out_fit/transfer.json", _set_json(C1=math.nan))),
     # the last cut removes every off-road glance
     "assess_dms_last_cut": (
         ["assess-dms", "--config", "inputs/campaign.json", "--baseline",
          "out_simulate", "--cuts", "2.5", "0.01"], "out_assess", None),
+    "fit_bias_p_pdo": (
+        ["fit-bias", "--occupants", "inputs/occupants.csv",
+         "--injury-hist", "out_synth/seeds", "--p-pdo", "1.5"], "out_fit", None),
+    # the histogram is read and checked before the percentile report is
+    "report_malformed_percentiles": (
+        ["report", "--hist", "model=out_weight/hist.csv",
+         "--percentiles", "cbm=empty.json"], "out_report",
+        lambda root: (root / "empty.json").write_text("{}")),
+    # a worker refuses the seed while the campaign runs
+    "simulate_malformed_seed": (
+        ["simulate", "--seeds", "out_synth/seeds", "--config", "inputs/campaign.json"],
+        "out_simulate",
+        _edit_text("out_synth/seeds/s0000.csv", _edit_row(3, lambda f: f[:-1]))),
     "validate_malformed_matrices": (_VALIDATE_WEIGHT_HIST, "out_validate",
                                     _truncate_matrices),
     "validate_n_bins_one": (_VALIDATE_WEIGHT_HIST + ["--n-bins", "1"],
                             "out_validate", None),
+    "weight_malformed_matrices": (["weight", "--simulate-out", "out_simulate"],
+                                  "out_weight", _truncate_matrices),
 }
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
 @pytest.mark.parametrize("name", sorted(REFUSED_RUNS))
 def test_refused_run_writes_nothing(name, existing, pipeline, tmp_path, capsys):
-    """validate and assess-dms read every input and compute every output
-    before they write one: a run refused at its last cut or at its
-    percentiles exits 2, makes no new --out, and leaves an existing --out
-    (one with other outputs of the same stage) with the same files and
-    bytes."""
+    """Every stage but synth reads every input and computes every output
+    before it writes one: a refused run exits 2, makes no new --out, and
+    leaves an existing --out (one with other outputs of the same stage)
+    with the same files and bytes."""
     root, _, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
@@ -1793,7 +1821,8 @@ def test_weight_pipeline_memory_follows_its_samples():
     campaign = CampaignResult("cbm", grid, results, 0.1)
 
     def weigh_and_sort():
-        samples = weigh(campaign).samples
+        weighting = weigh(campaign)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
         build_histogram(samples.delta_v, samples.weight, 2.0)
         return samples
 
@@ -1803,11 +1832,13 @@ def test_weight_pipeline_memory_follows_its_samples():
     assert peak <= 4 * held, peak / held
 
 
-def test_weight_memory_does_not_follow_the_crash_samples():
+def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
     """weight's histogram and contributions build no crash sample: they
     sum the row statistics of ROW_BLOCK seeds at a time. On seeds whose
     rows mostly take the no-response outcome, their peak stays far below
-    the samples' (a delta-v and a weight per crash cell)."""
+    the samples' (a delta-v and a weight per crash cell). validate's
+    per-seed percentiles build the samples of ROW_BLOCK seeds at a time,
+    and their peak follows one block's samples, not the campaign's."""
     rng = np.random.default_rng(9)
     n1, n2, n_live = 68, 6, 4
     p1, p2 = rng.random(n1), rng.random(n2)
@@ -1823,10 +1854,22 @@ def test_weight_memory_does_not_follow_the_crash_samples():
         results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
     weighting = weigh(CampaignResult("cbm", grid, results, 0.1))
 
+    def never_built(*args):
+        raise AssertionError("weight built crash samples")
+
+    monkeypatch.setattr(outcome, "weighted_crash_samples", never_built)
     _, peak = traced_peak(lambda: (weighting.histogram(), weighting.contributions()))
-    samples = 16 * sum(r.matrix.n_crash_cells for r in results)
-    assert "samples" not in vars(weighting)  # never built
+    monkeypatch.undo()
+    cells = [r.matrix.n_crash_cells for r in results]
+    samples = 16 * sum(cells)
     assert peak <= samples / 8, peak / samples
+
+    block = 64
+    monkeypatch.setattr(outcome, "ROW_BLOCK", block)
+    percentiles, peak = traced_peak(seed_percentiles, weighting)
+    block_samples = 16 * max(sum(cells[k:k + block]) for k in range(0, len(cells), block))
+    assert len(percentiles) == len(results)
+    assert peak <= 4 * block_samples, peak / block_samples
 
 
 def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
@@ -1870,7 +1913,7 @@ def test_seed_whose_crash_weights_underflowed_has_no_percentile(monkeypatch):
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
     cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    monkeypatch.setattr(outcome, "weighted_crash_samples", lambda seeds, weights: cells)
+    monkeypatch.setattr(outcome, "weighted_crash_samples", lambda seeds, weights, total: cells)
     assert seed_percentiles(weigh(_one_seed(True, False, 0.1))) == {}
 
 

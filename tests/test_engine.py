@@ -35,7 +35,7 @@ from rearsim.engine import (
 from rearsim.drivers import CbmConfig, blom_onsets, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
-from rearsim.outcome import weigh
+from rearsim.outcome import weigh, weighted_crash_samples
 from rearsim.scenario import (
     DT_NOMINAL,
     SeedCrash,
@@ -504,7 +504,7 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         if not any(d.crashed.any() for d in want):
             continue
         weighting = weigh(campaign)
-        samples = weighting.samples
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
         oracle = dense_crash_samples(want, masses, weighting.weights)
         assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
         assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()

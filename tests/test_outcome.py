@@ -27,6 +27,7 @@ from rearsim.outcome import (
     weighted_crash_samples,
 )
 from rearsim.scenario import delta_v
+from rearsim.validation import seed_percentiles
 
 
 def momentum_oracle(v1, v2, m1, m2):
@@ -112,14 +113,24 @@ class TestPrevalenceWeights:
     def test_weights_without_a_finite_sum_are_refused(self):
         """A crash mass of 5e-324 has an infinite inverse, and with two
         seeds trimming keeps it: build_histogram, which takes finite weights
-        unchecked, never sees the samples."""
+        unchecked, never sees the samples. The per-seed percentiles refuse
+        it after every block's delta-vs, so that, as in one pass over the
+        campaign, a delta-v that is not finite is named first."""
         matrices = [matrix_with_q("a", 5e-324), matrix_with_q("b", 0.7)]
         with np.errstate(over="ignore"):
             weights, _ = prevalence_weights(matrices)
         assert weights[0].w == math.inf
+        seeds = [swept_result(matrices[0], 1e3, 2e3, 20.0),
+                 swept_result(matrices[1], 1e3, 1e3, 20.0)]
         with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
-            weighted_crash_samples([swept_result(matrices[0], 1e3, 2e3),
-                                    swept_result(matrices[1], 1e3, 1e3)], weights)
+            weighted_crash_samples(seeds, weights)
+        with np.errstate(over="ignore"), mock.patch.object(outcome, "ROW_BLOCK", 1):
+            weighting = weigh(CampaignResult("cbm", matrices[1].grid, seeds, 0.0))
+            with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
+                seed_percentiles(weighting)
+            matrices[1].v1[0, 0] = 1e308  # in the second block
+            with pytest.raises(ValidationError, match="seed b: a crash's delta-v is not"):
+                seed_percentiles(weighting)
 
     def test_zero_crash_seed_excluded_and_reported(self):
         m = matrix_with_q("dead", 0.5)
@@ -180,7 +191,8 @@ class TestPrevalenceWeights:
         for _, _, w in rows:
             total += w
 
-        samples = weigh(result).samples
+        weighting = weigh(result)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
         assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
                 for _ in range(n)] == [sid for sid, _, _ in rows]
         assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
@@ -210,7 +222,8 @@ class TestWeigh:
         assert [r.seed_id for r in weighting.seeds] == ["a", "d"]
         assert [w.seed_id for w in weighting.weights] == ["a", "d"]
         assert weighting.zero_crash_seeds == ["b"]
-        assert weighting.samples.delta_v.tolist() == [
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        assert samples.delta_v.tolist() == [
             delta_v(10.0, 5.0, 1000.0, 2000.0), delta_v(10.0, 5.0, 1500.0, 1500.0)]
         assert weighting.no_response_dvs == [delta_v(17.5, 5.0, 1500.0, 1200.0)]
         assert weigh(mixed_campaign(0.0)).no_response_dvs == []
@@ -221,10 +234,11 @@ class TestWeigh:
         1 - fraction."""
         weighting = weigh(mixed_campaign(0.25))
         shares = list(weighting.shares())
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
         assert [r.seed_id for r, *_ in shares] == ["a", "d"]
         for k, (_, dv, w, total) in enumerate(shares):
-            assert dv.tolist() == [weighting.samples.delta_v[k]]
-            assert w.tolist() == [0.75 * weighting.samples.weight[k]]
+            assert dv.tolist() == [samples.delta_v[k]]
+            assert w.tolist() == [0.75 * samples.weight[k]]
             assert total == w[0]
         assert sum(total for *_, total in shares) == pytest.approx(0.75, abs=1e-15)
 
@@ -235,7 +249,9 @@ def generated_campaign(rng: np.random.Generator, n1: int, n2: int,
     0, with an excluded seed, a swept seed without crashes, a seed whose
     every cell crashes and `n_seeds` random ones, in random order. A random
     seed's live rows are a random subset of the grid's rows, its cells
-    crash at random, and its no-response run crashes or not."""
+    crash at random, and its no-response run crashes or not. A seed's
+    recorded delta-v is its no-response run's where that crashed, else
+    20 km/h."""
     def probs(n):
         p = rng.random(n) * (rng.random(n) < 0.8)
         p[rng.integers(n)] = 1.0
@@ -257,7 +273,10 @@ def generated_campaign(rng: np.random.Generator, n1: int, n2: int,
         v1 = v2 + rng.uniform(0.1, 20.0, crashed.shape)
         nr = (25.0 + rng.uniform(0.0, 5.0), 10.0) if nr_crashed else (math.nan, math.nan)
         matrix = OutcomeMatrix(f"s{k:02d}", grid, live, v1, v2, nr)
-        seed = swept_result(matrix, *rng.uniform(500.0, 3000.0, 2))
+        masses = rng.uniform(500.0, 3000.0, 2)
+        # a crashed no-response run's delta-v ties with its rows' cells
+        seed_dv = delta_v(*nr, *masses) if nr_crashed else 20.0
+        seed = swept_result(matrix, *masses, seed_dv)
         if kind == "excluded":
             seed = replace(seed, matrix=None, excluded=True)
         results.append(seed)
@@ -301,7 +320,9 @@ class TestRowStatistics:
     @given(rng_seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(0, 12))
     def test_keep_their_bits_whatever_the_block(self, rng_seed, n_seeds):
         """The sums run in seed, row and bin order across blocks: summed
-        one seed at a time, they are the bits of one block."""
+        one seed at a time, they are the bits of one block. So do the
+        per-seed percentiles, whose crash samples are built a block at a
+        time and divided by one total summed on across the blocks."""
         campaign = generated_campaign(np.random.default_rng(rng_seed), 6, 3,
                                       n_seeds, 0.25)
         sums = []
@@ -309,9 +330,13 @@ class TestRowStatistics:
             with mock.patch.object(outcome, "ROW_BLOCK", block):
                 weighting = weigh(campaign)
                 hist = weighting.histogram()
+                percentiles = seed_percentiles(weighting)
                 sums.append((hist.weights.tobytes(), hist.mean.hex(), hist.count,
-                             [x.hex() for x in weighting.contributions()]))
+                             [x.hex() for x in weighting.contributions()],
+                             {sid: v if isinstance(v, str) else v.hex()
+                              for sid, v in percentiles.items()}))
         assert sums[0] == sums[1]
+        assert sums[0][-1]  # the seed whose every cell crashes has one
 
 
 class TestBuildHistogram:
