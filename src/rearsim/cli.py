@@ -4,10 +4,14 @@ validate, assess glance-cutting interventions, and emit reports.
 
 Every command validates its inputs, writes a manifest with input/output
 digests, and is deterministic for identical inputs (worker count
-included). Every command but synth reads every input and computes every
-output before it creates or writes into --out, so a refused run leaves
---out as it was. Exit codes: 0 success, 2 validation, 3 model-undefined,
-4 fit failure.
+included). Every command reads every input, and every command but synth
+computes every output, before it writes one. It publishes its --out
+whole (`manifest.publish`): the outputs and the manifest are written into
+a fresh `<out>.partial` beside --out, which then replaces --out. An
+existing --out is replaced only if it is an empty directory or holds a
+manifest of the same command; any other is refused. A refused or failed
+run leaves --out as it was. Exit codes: 0 success, 2 validation, 3
+model-undefined, 4 fit failure.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import argparse
 import itertools
 import json
 import math
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import table
 from .errors import FitError, ModelUndefinedError, ParseError, RearsimError, ValidationError
-from .manifest import check_json, digest_tree, read_json, write_json, write_manifest
+from .manifest import check_json, digest_tree, publish, read_json, write_json
 from .outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     DEFAULT_N_FILL_BINS,
@@ -62,12 +65,9 @@ SYNTH_BATCH = 16
 
 CURVES_HELP = ("injury-risk curves, each a CSV table (delta_v_kmh,risk) or a JSON "
                "logistic, of distinct levels: its 'level' key, else its file stem")
-
-
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+OUT_HELP = ("the output directory, written whole as <out>.partial beside it and "
+            "then swapped in; an existing one is replaced only if it is empty "
+            "or holds a manifest of this command, else the run exits 2")
 
 
 def _load_curves(paths: list[str] | None) -> list[tuple[str, InjuryRiskCurve]]:
@@ -107,42 +107,23 @@ def cmd_synth(args) -> int:
     rng_seed = args.seed
     if rng_seed < 0:  # NumPy's generators take no negative seed
         raise ValidationError(f"--seed must be >= 0, got {rng_seed}")
-    out = _out_dir(args.out)
     cfg = SynthesisConfig.from_json(args.config)
-    seeds_dir = out / "seeds"
-    manifest = out / "manifest.json"
-    if seeds_dir.exists() and not (manifest.is_file() and read_json(
-            manifest, "manifest").get("command") == "synth"):
-        raise ValidationError(f"{seeds_dir} exists, and {out} holds no synth "
-                              f"manifest: not replacing it")
-    # the seeds go to a fresh sibling directory that replaces seeds/ only
-    # once the last seed is written; one left by a killed run is dropped
-    partial = out / "seeds.partial"
-    shutil.rmtree(partial, ignore_errors=True)
-    partial.mkdir()
     seed_ids = []
-    try:
+    with publish(args.out, "synth", {"config": args.config},
+                 {"rng_seed": rng_seed}) as out:
+        (out / "seeds").mkdir()
         seeds = synthesize_seeds(cfg, rng_seed)
         while batch := list(itertools.islice(seeds, SYNTH_BATCH)):
             for seed in batch:
-                save_seed(seed, partial / f"{seed.id}.csv")
+                save_seed(seed, out / "seeds" / f"{seed.id}.csv")
                 seed_ids.append(seed.id)
             del batch  # written: dropped before the next one is made
-        if seeds_dir.exists():
-            shutil.rmtree(seeds_dir)
-        partial.rename(seeds_dir)
-    finally:
-        shutil.rmtree(partial, ignore_errors=True)
-    outputs = [seeds_dir / f"{sid}{ext}" for sid in seed_ids
-               for ext in (".csv", ".json")]
-    summary = write_json(out / "summary.json", {
-        "n_seeds": len(seed_ids),
-        "rng_seed": rng_seed,
-        "seed_ids": seed_ids,
-    })
-    write_manifest(out, "synth", {"config": args.config},
-                   outputs + [summary], {"rng_seed": rng_seed})
-    print(f"synth: wrote {len(seed_ids)} seeds to {seeds_dir}")
+        write_json(out / "summary.json", {
+            "n_seeds": len(seed_ids),
+            "rng_seed": rng_seed,
+            "seed_ids": seed_ids,
+        })
+    print(f"synth: wrote {len(seed_ids)} seeds to {Path(args.out) / 'seeds'}")
     return EXIT_OK
 
 
@@ -159,8 +140,6 @@ def cmd_simulate(args) -> int:
     decels = load_decels(cfg.decel_file)
     result = run_campaign(refs, cfg, glance=glance, decels=decels,
                           workers=args.workers)
-    out = _out_dir(args.out)
-    outputs = save_campaign(result, out)
     # the seed files parsed are digested from the bytes parsed; any other
     # file under --seeds is read for its digest
     csv_digests = {r.seed_id: r.digest for r in result.results}
@@ -172,8 +151,9 @@ def cmd_simulate(args) -> int:
               "decels": cfg.decel_file}
     if cfg.glance_file:
         inputs["glances"] = cfg.glance_file
-    write_manifest(out, "simulate", inputs, outputs,
-                   {"model": cfg.model, "workers_independent": True})
+    with publish(args.out, "simulate", inputs,
+                 {"model": cfg.model, "workers_independent": True}) as out:
+        save_campaign(result, out)
     if result.excluded_ids:
         print(f"simulate: warning: {len(result.excluded_ids)} seeds excluded "
               f"(lead not braking or standing still)", file=sys.stderr)
@@ -206,35 +186,31 @@ def cmd_weight(args) -> int:
     sim_dir = Path(args.simulate_out)
     weighting = weigh(_recovered(load_campaign(sim_dir)), args.bin_width)
     final = weighting.histogram()
-    out = _out_dir(args.out)
     weights = weighting.weights
-    weights_path = out / "weights.csv"
-    table.write_csv(weights_path, ["seed_id", "q_raw", "q_norm", "w_untrimmed",
-                                   "w_trimmed", "contribution"], [
-        table.texts(w.seed_id for w in weights),
-        table.reprs([w.q_raw for w in weights]),
-        table.reprs([w.q_norm for w in weights]),
-        table.reprs([w.w_untrimmed for w in weights]),
-        table.reprs([w.w for w in weights]),
-        table.reprs(weighting.contributions())])
-    hist_path = out / "hist.csv"
-    save_histogram(final, hist_path)
     w_unt = np.array([w.w_untrimmed for w in weights])
     w_trim = np.array([w.w for w in weights])
-    summary = write_json(out / "summary.json", {
-        "mean_kmh": final.mean,
-        "count": final.count,
-        "n_samples": final.count,
-        "zero_crash_seeds": weighting.zero_crash_seeds,
-        "n_weighted_seeds": len(weights),
-        "n_no_response": len(weighting.no_response_dvs),
-        "weight_span_untrimmed": float(w_unt.max() / w_unt.min()),
-        "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
-        "no_response_fraction": weighting.campaign.no_response_fraction,
-    })
-    write_manifest(out, "weight", {"simulate_out": str(sim_dir)},
-                   [weights_path, hist_path, summary],
-                   {"bin_width": args.bin_width})
+    with publish(args.out, "weight", {"simulate_out": str(sim_dir)},
+                 {"bin_width": args.bin_width}) as out:
+        table.write_csv(out / "weights.csv", ["seed_id", "q_raw", "q_norm",
+                        "w_untrimmed", "w_trimmed", "contribution"], [
+            table.texts(w.seed_id for w in weights),
+            table.reprs([w.q_raw for w in weights]),
+            table.reprs([w.q_norm for w in weights]),
+            table.reprs([w.w_untrimmed for w in weights]),
+            table.reprs([w.w for w in weights]),
+            table.reprs(weighting.contributions())])
+        save_histogram(final, out / "hist.csv")
+        write_json(out / "summary.json", {
+            "mean_kmh": final.mean,
+            "count": final.count,
+            "n_samples": final.count,
+            "zero_crash_seeds": weighting.zero_crash_seeds,
+            "n_weighted_seeds": len(weights),
+            "n_no_response": len(weighting.no_response_dvs),
+            "weight_span_untrimmed": float(w_unt.max() / w_unt.min()),
+            "weight_span_trimmed": float(w_trim.max() / w_trim.min()),
+            "no_response_fraction": weighting.campaign.no_response_fraction,
+        })
     print(f"weight: mean delta-v {final.mean:.2f} km/h over {len(weights)} "
           f"seeds ({len(weighting.zero_crash_seeds)} without crashes)")
     return EXIT_OK
@@ -251,23 +227,16 @@ def cmd_fit_bias(args) -> int:
     reference = bias.augment_reference(injury, model, args.p_pdo)
     tf, fit_diag = bias.fit_transfer(reference, injury)
 
-    out = _out_dir(args.out)
-    pdo_path = out / "pdo.json"
-    write_json(pdo_path, {**vars(model), "diagnostics": diagnostics})
-    tf_path = out / "transfer.json"
-    write_json(tf_path, {**vars(tf), "cost": fit_diag["cost"],
-                         "saturated": fit_diag["saturated"]})
-    ref_path = out / "augmented_reference.csv"
-    save_histogram(reference, ref_path)
-    pdo_hist_path = out / "pdo_hist.csv"
-    save_histogram(pdo_hist, pdo_hist_path)
-    residual_path = out / "residual_curve.csv"
-    table.write_csv(residual_path, ["c1", "min_cost_over_c2"], [
-        table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])])
-    write_manifest(out, "fit-bias",
-                   {"occupants": args.occupants, "injury_hist": injury_read},
-                   [pdo_path, tf_path, ref_path, pdo_hist_path, residual_path],
-                   {"p_pdo": args.p_pdo, "n_fill_bins": args.n_fill_bins})
+    with publish(args.out, "fit-bias",
+                 {"occupants": args.occupants, "injury_hist": injury_read},
+                 {"p_pdo": args.p_pdo, "n_fill_bins": args.n_fill_bins}) as out:
+        write_json(out / "pdo.json", {**vars(model), "diagnostics": diagnostics})
+        write_json(out / "transfer.json", {**vars(tf), "cost": fit_diag["cost"],
+                                           "saturated": fit_diag["saturated"]})
+        save_histogram(reference, out / "augmented_reference.csv")
+        save_histogram(pdo_hist, out / "pdo_hist.csv")
+        table.write_csv(out / "residual_curve.csv", ["c1", "min_cost_over_c2"], [
+            table.reprs(bias.C1_GRID), table.reprs(fit_diag["cost_by_c1"])])
     print(f"fit-bias: PDO shape B1={model.B1:.4g} B2={model.B2:.4g}; "
           f"transfer C1={tf.C1:.3f} C2={tf.C2:.4f} "
           f"(midpoint {tf.midpoint:.1f} km/h, cost {fit_diag['cost']:.4g})")
@@ -284,17 +253,14 @@ def cmd_apply_bias(args) -> int:
     dist = load_histogram(args.hist)
     tf = bias.load_transfer(args.transfer)
     transformed = bias.apply_transfer(dist, tf)
-    out = _out_dir(args.out)
-    out_path = out / "transformed.csv"
-    save_histogram(transformed, out_path)
-    summary = write_json(out / "summary.json", {
-        "mean_kmh": transformed.mean,
-        "input_mean_kmh": dist.mean,
-        "C1": tf.C1, "C2": tf.C2,
-    })
-    write_manifest(out, "apply-bias",
-                   {"hist": args.hist, "transfer": args.transfer},
-                   [out_path, summary], {})
+    with publish(args.out, "apply-bias",
+                 {"hist": args.hist, "transfer": args.transfer}) as out:
+        save_histogram(transformed, out / "transformed.csv")
+        write_json(out / "summary.json", {
+            "mean_kmh": transformed.mean,
+            "input_mean_kmh": dist.mean,
+            "C1": tf.C1, "C2": tf.C2,
+        })
     print(f"apply-bias: mean {dist.mean:.2f} -> {transformed.mean:.2f} km/h")
     return EXIT_OK
 
@@ -323,25 +289,21 @@ def cmd_validate(args) -> int:
         }
         inputs[f"curve_{curve.level}"] = curve_path
 
-    out = _out_dir(args.out)
-    outputs = [write_json(out / "comparison.json", {
-        "model_mean_kmh": model_hist.mean,
-        "reference_mean_kmh": reference.mean,
-        **vars(stats),
-    })]
-    if args.seeds_summary:
-        pct_path = out / "percentiles.csv"
-        table.write_csv(pct_path, ["seed_id", "percentile"], [
-            table.texts(percentiles),
-            [table.quote(v) if isinstance(v, str) else repr(float(v))
-             for v in percentiles.values()]])
-        rep_path = write_json(out / "percentile_report.json",
-                              {**vars(rep), "counts": rep.counts.tolist()})
-        outputs += [pct_path, rep_path]
-    if risks:
-        outputs.append(write_json(out / "injury_risk.json", risks))
-    write_manifest(out, "validate", inputs, outputs,
-                   {"n_bins": args.n_bins})
+    with publish(args.out, "validate", inputs, {"n_bins": args.n_bins}) as out:
+        write_json(out / "comparison.json", {
+            "model_mean_kmh": model_hist.mean,
+            "reference_mean_kmh": reference.mean,
+            **vars(stats),
+        })
+        if args.seeds_summary:
+            table.write_csv(out / "percentiles.csv", ["seed_id", "percentile"], [
+                table.texts(percentiles),
+                [table.quote(v) if isinstance(v, str) else repr(float(v))
+                 for v in percentiles.values()]])
+            write_json(out / "percentile_report.json",
+                       {**vars(rep), "counts": rep.counts.tolist()})
+        if risks:
+            write_json(out / "injury_risk.json", risks)
     print(f"validate: TV {stats.tv_distance:.3f}, KS {stats.ks_distance:.3f}, "
           f"KL {stats.kl_divergence:.3f}, "
           f"mean diff {stats.abs_mean_diff:.2f} km/h")
@@ -412,19 +374,17 @@ def cmd_assess_dms(args) -> int:
                 for c in curves}
         rows.append(row)
 
-    out = _out_dir(args.out)
-    for name, cut_hist in hists.items():
-        save_histogram(cut_hist, out / name)
-    assess = write_json(out / "assess.json", {
-        "baseline_mean_dv_kmh": base_hist.mean,
-        "baseline_injury_risk": base_risks,
-        "cuts": rows,
-    })
-    write_manifest(out, "assess-dms",
-                   {"config": args.config, "glances": cfg.glance_file,
-                    "baseline": args.baseline},
-                   [out / name for name in hists] + [assess],
-                   {"cuts": [None if c == math.inf else c for c in args.cuts]})
+    with publish(args.out, "assess-dms",
+                 {"config": args.config, "glances": cfg.glance_file,
+                  "baseline": args.baseline},
+                 {"cuts": [None if c == math.inf else c for c in args.cuts]}) as out:
+        for name, cut_hist in hists.items():
+            save_histogram(cut_hist, out / name)
+        write_json(out / "assess.json", {
+            "baseline_mean_dv_kmh": base_hist.mean,
+            "baseline_injury_risk": base_risks,
+            "cuts": rows,
+        })
     for row in rows:
         cut = row["cut_at_s"]
         print(f"assess-dms: cut {'none' if cut is None else cut}: "
@@ -484,36 +444,28 @@ def cmd_report(args) -> int:
     reps = [(label, _load_percentile_report(path)) for label, path in percentiles]
     cuts = _load_assessment_cuts(args.assess) if args.assess else []
     inputs = {**{f"hist_{label}": path for label, path in hists},
-              **{f"percentiles_{label}": path for label, path in percentiles}}
+              **{f"percentiles_{label}": path for label, path in percentiles},
+              **({"assess": args.assess} if args.assess else {})}
 
-    out = _out_dir(args.out)
-    outputs = []
-    if series:
-        svg = out / "delta_v.svg"
-        report.histogram_svg(series, "Delta-v distributions", svg)
-        outputs.append(svg)
-    if stats:
-        stats_path = out / "stats.csv"
-        ref_label = series[0][0]
-        table.write_csv(stats_path, ["pair", *stats[0]], [
-            table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
-            *(table.reprs([s[name] for s in stats]) for name in stats[0])])
-        outputs.append(stats_path)
-    if reps:
-        svg = out / "percentiles.svg"
-        report.percentile_svg(reps, "Seed percentile uniformity", svg)
-        outputs.append(svg)
-    if args.assess:
-        labels = ["no cut" if row["cut_at_s"] is None else f"cut {row['cut_at_s']}s"
-                  for row in cuts]
-        values = [row["avoidance_rate"] for row in cuts]
-        svg = out / "avoidance.svg"
-        report.bar_svg(labels, values, "Crash avoidance rate",
-                       "avoidance rate", svg)
-        outputs.append(svg)
-        inputs["assess"] = args.assess
-    write_manifest(out, "report", inputs, outputs, {})
-    print(f"report: wrote {len(outputs)} artifacts to {out}")
+    with publish(args.out, "report", inputs) as out:
+        if series:
+            report.histogram_svg(series, "Delta-v distributions", out / "delta_v.svg")
+        if stats:
+            ref_label = series[0][0]
+            table.write_csv(out / "stats.csv", ["pair", *stats[0]], [
+                table.texts(f"{ref_label} vs {label}" for label, _ in series[1:]),
+                *(table.reprs([s[name] for s in stats]) for name in stats[0])])
+        if reps:
+            report.percentile_svg(reps, "Seed percentile uniformity",
+                                  out / "percentiles.svg")
+        if args.assess:
+            labels = ["no cut" if row["cut_at_s"] is None else f"cut {row['cut_at_s']}s"
+                      for row in cuts]
+            values = [row["avoidance_rate"] for row in cuts]
+            report.bar_svg(labels, values, "Crash avoidance rate",
+                           "avoidance rate", out / "avoidance.svg")
+        written = len(list(out.iterdir()))
+    print(f"report: wrote {written} artifacts to {args.out}")
     return EXIT_OK
 
 
@@ -529,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="a JSON object of SynthesisConfig fields; an unknown "
                         "key or a bad value exits 2")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -539,13 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a JSON object of CampaignConfig fields, with the "
                         "CbmConfig fields under 'cbm'; an unknown key or a "
                         "bad value exits 2")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("weight", help="prevalence-weight campaign outcomes")
     p.add_argument("--simulate-out", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
     p.set_defaults(func=cmd_weight)
 
@@ -554,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--injury-hist", required=True,
                    help="histogram CSV or a seeds directory, of which only "
                         "the JSON sidecars are read")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--p-pdo", type=float, default=DEFAULT_P_PDO)
     p.add_argument("--n-fill-bins", type=int, default=DEFAULT_N_FILL_BINS)
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
@@ -563,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply-bias", help="apply a fitted transfer function")
     p.add_argument("--hist", required=True)
     p.add_argument("--transfer", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.set_defaults(func=cmd_apply_bias)
 
     p = sub.add_parser("validate", help="compare model output to a reference")
@@ -571,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True,
                    help="histogram CSV or a seeds directory, of which only "
                         "the JSON sidecars are read")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--samples", default=None,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--seeds-summary", default=None,
@@ -599,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", type=float, nargs="+", required=True,
                    help="glance cuts in seconds, each > 0; inf is the uncut "
                         "baseline")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.add_argument("--workers", type=int, default=1,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH_KMH)
@@ -610,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist", nargs="*", default=None, metavar="LABEL=PATH")
     p.add_argument("--percentiles", nargs="*", default=None, metavar="LABEL=PATH")
     p.add_argument("--assess", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help=OUT_HELP)
     p.set_defaults(func=cmd_report)
     return parser
 

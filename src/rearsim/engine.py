@@ -680,15 +680,12 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
             for sid, start, stop in zip(swept, bounds, bounds[1:])]
 
 
-def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
-    """Write `result` to the directory `out` as simulate's matrices.npy,
-    seeds.npy, seeds_summary.csv and summary.json, and return their
-    paths."""
-    matrices_path = out / "matrices.npy"
-    save_matrices(result.matrices, result.grid, matrices_path)
+def save_campaign(result: CampaignResult, out: Path) -> None:
+    """Write `result` into the directory `out` as simulate's matrices.npy,
+    seeds.npy, seeds_summary.csv and summary.json."""
+    save_matrices(result.matrices, result.grid, out / "matrices.npy")
     rows = result.results
-    seeds_path = out / "seeds.npy"
-    np.save(seeds_path, np.array([
+    np.save(out / "seeds.npy", np.array([
         (r.seed_id, not r.excluded, r.lead_behavior,
          math.nan if r.anchor is None else r.anchor, r.follower_mass, r.lead_mass,
          math.nan if r.seed_delta_v_kmh is None else r.seed_delta_v_kmh,
@@ -696,8 +693,7 @@ def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
         dtype=_dtype(SEED_LAYOUT, lambda name: max(
             (len(getattr(r, name)) for r in rows), default=1))), allow_pickle=False)
     m = [r.matrix for r in rows]
-    seeds_summary = out / "seeds_summary.csv"
-    table.write_csv(seeds_summary, SEEDS_SUMMARY_HEADER, [
+    table.write_csv(out / "seeds_summary.csv", SEEDS_SUMMARY_HEADER, [
         table.texts([r.seed_id for r in rows]),
         table.flags([not r.excluded for r in rows]),
         table.texts([r.lead_behavior for r in rows]),
@@ -714,7 +710,7 @@ def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
         table.ints(x.kernel_calls if x is not None else 0 for x in m),
         table.ints(r.theoretical_cells for r in rows),
     ])
-    summary = write_json(out / "summary.json", {
+    write_json(out / "summary.json", {
         "model": result.model,
         "n_seeds": len(rows),
         "n_excluded": len(result.excluded_ids),
@@ -725,7 +721,6 @@ def save_campaign(result: CampaignResult, out: Path) -> list[Path]:
         "no_response_fraction": result.no_response_fraction,
         "grid": result.grid.to_json(),
     })
-    return [matrices_path, seeds_path, seeds_summary, summary]
 
 
 def load_campaign(sim_dir: str | Path) -> CampaignResult:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import table
 from .errors import GenerationError, ParseError, ValidationError
-from .manifest import bytes_digest, check_fields, is_finite, read_config, write_json
+from .manifest import (bytes_digest, check_fields, check_json, is_finite, read_config,
+                       write_json)
 
 DT_NOMINAL = 0.010            # s, reconstruction time step
 DT_TOLERANCE = 1e-6           # s, allowed jitter on the step
@@ -301,7 +302,7 @@ def _read_sidecar(csv_path: Path) -> SeedRef:
     with open(json_path, "rb") as fh:
         data = fh.read()
     try:
-        meta = json.loads(data.decode())
+        meta = check_json(json.loads(data.decode()), "seed sidecar")
         sid = str(meta["id"])
         lead_meta = VehicleMeta(id=sid + "/lead", **meta["lead"])
         foll_meta = VehicleMeta(id=sid + "/follower", **meta["follower"])

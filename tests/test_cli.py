@@ -112,53 +112,58 @@ def write_inputs(root: Path, n_seeds=8, lead_mix=None) -> dict:
     save_occupants(folksam_like_records(n=400), root / "occupants.csv")
     (root / "mais1.json").write_text(json.dumps(
         {"level": "mais1+", "intercept": -4.0, "slope": 0.2}))
-    return {"synth": "inputs/synth.json", "campaign": "inputs/campaign.json",
-            "blom": "inputs/blom.json", "occupants": "inputs/occupants.csv",
-            "curve": "inputs/mais1.json"}
+    return dict(INPUT_PATHS)
+
+
+# each input file `write_inputs` writes, relative to the pipeline's root
+INPUT_PATHS = {"synth": "inputs/synth.json", "campaign": "inputs/campaign.json",
+               "blom": "inputs/blom.json", "occupants": "inputs/occupants.csv",
+               "curve": "inputs/mais1.json"}
 
 
 # simulate's outputs but its manifest
 SIMULATE_ARTIFACTS = ("matrices.npy", "seeds.npy", "seeds_summary.csv", "summary.json")
 
 
-def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
-    out = {name: root / f"out_{name}" for name in
-           ("synth", "simulate", "weight", "fit", "apply", "validate",
-            "assess", "report")}
-    with chdir(root):
-        assert main(["synth", "--config", paths["synth"],
-                     "--out", "out_synth", "--seed", "5"]) == 0
-        seeds_dir = "out_synth/seeds"
-        assert main(["simulate", "--seeds", seeds_dir,
-                     "--config", paths["campaign"], "--out", "out_simulate",
-                     "--workers", str(workers)]) == 0
-        assert main(["weight", "--simulate-out", "out_simulate",
-                     "--out", "out_weight"]) == 0
-        assert main(["fit-bias", "--occupants", paths["occupants"],
-                     "--injury-hist", seeds_dir, "--out", "out_fit"]) == 0
-        assert main(["apply-bias", "--hist", "out_weight/hist.csv",
-                     "--transfer", "out_fit/transfer.json",
-                     "--out", "out_apply"]) == 0
+def pipeline_commands(paths: dict, workers=1) -> dict[str, list[str]]:
+    """Each stage's command line in the pipeline, in order, by the name of
+    its output directory out_<name>; paths are relative to the pipeline's
+    root."""
+    seeds_dir = "out_synth/seeds"
+    commands = {
+        "synth": ["synth", "--config", paths["synth"], "--seed", "5"],
+        "simulate": ["simulate", "--seeds", seeds_dir, "--config", paths["campaign"],
+                     "--workers", str(workers)],
+        "weight": ["weight", "--simulate-out", "out_simulate"],
+        "fit": ["fit-bias", "--occupants", paths["occupants"],
+                "--injury-hist", seeds_dir],
+        "apply": ["apply-bias", "--hist", "out_weight/hist.csv",
+                  "--transfer", "out_fit/transfer.json"],
         # perfbench's command line: --samples names a file that no stage
         # writes any more, and validate does not read it
-        assert main(["validate", "--model-hist", "out_apply/transformed.csv",
-                     "--reference", seeds_dir,
-                     "--samples", "out_weight/samples.csv",
+        "validate": ["validate", "--model-hist", "out_apply/transformed.csv",
+                     "--reference", seeds_dir, "--samples", "out_weight/samples.csv",
                      "--seeds-summary", "out_simulate/seeds_summary.csv",
-                     "--curves", paths["curve"],
-                     "--out", "out_validate"]) == 0
-        assert main(["assess-dms", "--seeds", seeds_dir,
-                     "--config", paths["campaign"],
-                     "--baseline", "out_simulate",
-                     "--cuts", "3.0", "2.0", "inf",
-                     "--out", "out_assess", "--curves", paths["curve"]]) == 0
-        assert main(["report",
-                     "--hist", "reference=out_fit/augmented_reference.csv",
-                     "model=out_apply/transformed.csv",
-                     "--percentiles", "cbm=out_validate/percentile_report.json",
-                     "--assess", "out_assess/assess.json",
-                     "--out", "out_report"]) == 0
-    return out
+                     "--curves", paths["curve"]],
+        "assess": ["assess-dms", "--seeds", seeds_dir, "--config", paths["campaign"],
+                   "--baseline", "out_simulate", "--cuts", "3.0", "2.0", "inf",
+                   "--curves", paths["curve"]],
+        "report": ["report", "--hist", "reference=out_fit/augmented_reference.csv",
+                   "model=out_apply/transformed.csv",
+                   "--percentiles", "cbm=out_validate/percentile_report.json",
+                   "--assess", "out_assess/assess.json"],
+    }
+    return {name: command + ["--out", f"out_{name}"] for name, command in commands.items()}
+
+
+STAGES = tuple(pipeline_commands(INPUT_PATHS))
+
+
+def run_pipeline(root: Path, paths: dict, workers=1) -> dict:
+    with chdir(root):
+        for name, command in pipeline_commands(paths, workers).items():
+            assert main(command) == 0, name
+    return {name: root / f"out_{name}" for name in STAGES}
 
 
 def _split_last_column(path: Path) -> tuple[bytes, bytes]:
@@ -176,18 +181,8 @@ def _column(path: Path, name: str) -> list[float]:
 
 def tree_bytes(paths: dict) -> dict:
     """Every output file's bytes, with manifest timestamps stripped."""
-    blobs = {}
-    for out_dir in paths.values():
-        for p in sorted(Path(out_dir).rglob("*")):
-            if not p.is_file():
-                continue
-            data = p.read_bytes()
-            if p.name == "manifest.json":
-                manifest = json.loads(data)
-                manifest.pop("timestamp", None)
-                data = json.dumps(manifest, sort_keys=True).encode()
-            blobs[str(p.relative_to(out_dir.parent))] = data
-    return blobs
+    return {f"{Path(out_dir).name}/{name}": data for out_dir in paths.values()
+            for name, data in _published(Path(out_dir)).items()}
 
 
 @pytest.fixture(scope="module")
@@ -1208,6 +1203,10 @@ MALFORMED_INPUTS = {
     "seed_duplicate_id": (
         "out_synth/seeds/s0001.json", lambda path: load_seed_refs(path.parent),
         _set_json(id="s0000"), r"s0000\.json and \S*s0001\.json", _SEEDS_DIR),
+    "seed_sidecar_not_an_object": (
+        "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+        lambda text: "[]", r"s0000\.json: seed sidecar must be a JSON object, got a list",
+        _SEEDS_DIR),
     **{f"seed_delta_v_{name}": _bad_delta_v(value)
        for name, value in (("text", "abc"), ("nan", math.nan),
                            ("infinite", math.inf), ("negative", -5.0))},
@@ -1446,6 +1445,67 @@ def test_malformed_input_is_parse_error_and_exits_two(name, pipeline, tmp_path,
         assert "Traceback" not in err
 
 
+# each file that MALFORMED_INPUTS edits but the .npy files, whose
+# truncations `_truncations` makes, and the commands that read it
+TRUNCATED_READERS = {
+    "inputs/blom.json": (_SIMULATE_BLOM,),
+    "inputs/campaign.json": (_SIMULATE, _ASSESS),
+    "inputs/decels.csv": (_SIMULATE,),
+    "inputs/glances.csv": (_SIMULATE, _ASSESS),
+    "inputs/mais1.json": (_VALIDATE_HIST + _CURVES, _ASSESS + _CURVES),
+    "inputs/occupants.csv": (_FIT_BIAS,),
+    "inputs/synth.json": (_SYNTH,),
+    "out_assess/assess.json": (_REPORT_ASSESS,),
+    "out_fit/transfer.json": (_APPLY,),
+    "out_simulate/summary.json": (_WEIGHT, _VALIDATE, _ASSESS),
+    "out_synth/seeds/s0000.csv": (_SIMULATE,),
+    "out_synth/seeds/s0000.json": _SEEDS_DIR,
+    "out_synth/seeds/s0001.json": _SEEDS_DIR,
+    "out_validate/percentile_report.json": (_REPORT_PERCENTILES,),
+    "out_weight/hist.csv": (_APPLY, _VALIDATE_HIST, _REPORT_HIST),
+}
+
+# a CSV file empty, with its header only (every line before the first
+# that starts with a number), cut to half its bytes, and without its last
+# line; a JSON file as an empty object or list, or null
+TRUNCATIONS = {
+    ".csv": {"empty": lambda data: b"",
+             "header_only": lambda data: data[:re.search(rb"^[-\d]", data, re.M).start()],
+             "half": lambda data: data[:len(data) // 2],
+             "last_line_dropped": lambda data: data[:data.rstrip(b"\r\n").rfind(b"\r\n") + 2]},
+    ".json": {"empty_object": lambda data: b"{}", "empty_list": lambda data: b"[]",
+              "null": lambda data: b"null"},
+}
+
+
+def test_truncated_readers_cover_every_malformed_input_file():
+    assert set(TRUNCATED_READERS) == {entry[0] for entry in MALFORMED_INPUTS.values()
+                                      if not entry[0].endswith(".npy")}
+
+
+@pytest.mark.parametrize("file,cut", [(file, cut) for file in sorted(TRUNCATED_READERS)
+                                      for cut in TRUNCATIONS[Path(file).suffix]])
+def test_truncated_input_runs_or_exits_with_its_code(file, cut, pipeline, tmp_path,
+                                                     capsys):
+    """Each command that reads the cut file either runs, where the cut left
+    a valid file, or exits 2 (fit-bias may exit 4 on a fit failure, and
+    simulate 3 where the model is undefined) with its error first, and
+    never with a traceback."""
+    copy = _pipeline_copy(pipeline, tmp_path)
+    path = copy / file
+    path.write_bytes(TRUNCATIONS[path.suffix][cut](path.read_bytes()))
+    for command in TRUNCATED_READERS[file]:
+        capsys.readouterr()
+        with chdir(copy):
+            code = main(command)
+        err = capsys.readouterr().err
+        allowed = {0, 2, 4} if command[0] == "fit-bias" else {0, 2, 3} if (
+            command[0] == "simulate") else {0, 2}
+        assert code in allowed, (command[0], code, err)
+        assert code == 0 or err.startswith("error: "), (command[0], err)
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,old", [("matrices.npy", "matrices.csv"),
                                       ("seeds.npy", "seeds_summary.csv")])
 def test_simulate_output_without_a_record_file_exits_two(name, old, pipeline,
@@ -1558,6 +1618,9 @@ REFUSED_RUNS = {
         ["simulate", "--seeds", "out_synth/seeds", "--config", "inputs/campaign.json"],
         "out_simulate",
         _edit_text("out_synth/seeds/s0000.csv", _edit_row(3, lambda f: f[:-1]))),
+    "synth_malformed_config": (
+        ["synth", "--config", "bad.json"], "out_synth",
+        lambda root: (root / "bad.json").write_text(json.dumps({"n_seeds": -1}))),
     "validate_malformed_matrices": (_VALIDATE_WEIGHT_HIST, "out_validate",
                                     _truncate_matrices),
     "validate_n_bins_one": (_VALIDATE_WEIGHT_HIST + ["--n-bins", "1"],
@@ -1570,10 +1633,9 @@ REFUSED_RUNS = {
 @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
 @pytest.mark.parametrize("name", sorted(REFUSED_RUNS))
 def test_refused_run_writes_nothing(name, existing, pipeline, tmp_path, capsys):
-    """Every stage but synth reads every input and computes every output
-    before it writes one: a refused run exits 2, makes no new --out, and
-    leaves an existing --out (one with other outputs of the same stage)
-    with the same files and bytes."""
+    """Every stage reads every input before it writes an output: a refused
+    run exits 2, makes no new --out, and leaves an existing --out (one with
+    other outputs of the same stage) with the same files and bytes."""
     root, _, _ = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
@@ -1800,6 +1862,144 @@ class TestSynthWritesWhole:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no synth manifest" in err, err
         assert _files(tmp_path / "synth") == before
+
+
+def _pipeline_copy(pipeline, tmp_path: Path) -> Path:
+    """A copy of the pipeline's root, without the refused runs' outputs."""
+    copy = tmp_path / "copy"
+    shutil.copytree(pipeline[0], copy, ignore=shutil.ignore_patterns("bad_*"))
+    return copy
+
+
+def _published(root: Path) -> dict[str, bytes]:
+    """`_files` of the output directory `root`, its manifest without the
+    timestamp."""
+    files = _files(root)
+    manifest = json.loads(files["manifest.json"])
+    manifest.pop("timestamp")
+    return {**files, "manifest.json": json.dumps(manifest, sort_keys=True).encode()}
+
+
+# a rerun of the stage that writes fewer files than the pipeline's run;
+# few.json is a synth config of 3 seeds
+FEWER_OUTPUTS = {
+    "synth": ["synth", "--config", "few.json", "--seed", "5"],
+    "validate": ["validate", "--model-hist", "out_apply/transformed.csv",
+                 "--reference", "out_synth/seeds"],
+    "assess": ["assess-dms", "--config", "inputs/campaign.json",
+               "--baseline", "out_simulate", "--cuts", "inf"],
+    "report": ["report", "--hist", "model=out_apply/transformed.csv"],
+}
+
+
+class TestEveryStageWritesWhole:
+    """Each stage of the pipeline publishes its --out whole: a fresh
+    <out>.partial replaces an --out that is empty or holds a manifest of
+    the same command, and only such an --out."""
+
+    @pytest.mark.parametrize("stage", sorted(FEWER_OUTPUTS))
+    def test_rerun_with_fewer_outputs_leaves_no_stale_ones(self, stage, pipeline,
+                                                           tmp_path):
+        """A rerun into the pipeline's --out that writes fewer files, such
+        as validate without --seeds-summary and --curves, leaves the files
+        of a run into a new --out, and none of the first run's others."""
+        copy = _pipeline_copy(pipeline, tmp_path)
+        (copy / "few.json").write_text(json.dumps({"n_seeds": 3}))
+        out = copy / f"out_{stage}"
+        before = _files(out)
+        with chdir(copy):
+            assert main(FEWER_OUTPUTS[stage] + ["--out", str(out)]) == 0
+            assert main(FEWER_OUTPUTS[stage] + ["--out", "fresh"]) == 0
+        got = _published(out)
+        assert got == _published(copy / "fresh")
+        assert len(got) < len(before)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_failure_leaves_the_old_output(self, stage, pipeline, tmp_path,
+                                           monkeypatch, capsys):
+        """An OSError after the stage wrote its outputs, as its manifest is
+        written, exits 2, leaves the old --out byte for byte, and leaves no
+        <out>.partial."""
+        copy = _pipeline_copy(pipeline, tmp_path)
+        out = copy / f"out_{stage}"
+        before = _files(out)
+        written = []
+
+        def failing(out_dir, *args):
+            written.extend(p.name for p in Path(out_dir).rglob("*") if p.is_file())
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(rearsim.manifest, "write_manifest", failing)
+        capsys.readouterr()
+        with chdir(copy):
+            assert main(pipeline_commands(INPUT_PATHS)[stage]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 28] No space left"), err
+        assert written
+        assert _files(out) == before
+        assert not list(copy.glob("*.partial"))
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_refuses_another_stages_output(self, stage, pipeline, tmp_path, capsys):
+        """An --out that holds the output of the stage before, such as
+        weight's naming simulate's, exits 2 and is left byte for byte."""
+        copy = _pipeline_copy(pipeline, tmp_path)
+        other = STAGES[STAGES.index(stage) - 1]
+        before = _files(copy / f"out_{other}")
+        command = pipeline_commands(INPUT_PATHS)[stage][:-1] + [f"out_{other}"]
+        capsys.readouterr()
+        with chdir(copy):
+            assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out_{other} holds no {command[0]} manifest"), err
+        assert "Traceback" not in err
+        assert _files(copy / f"out_{other}") == before
+        assert not list(copy.glob("*.partial"))
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_existing_empty_out_is_accepted(self, stage, pipeline, tmp_path):
+        """An existing empty --out is replaced by the stage's outputs, the
+        pipeline's bytes."""
+        copy = _pipeline_copy(pipeline, tmp_path)
+        (copy / "empty").mkdir()
+        with chdir(copy):
+            assert main(pipeline_commands(INPUT_PATHS)[stage][:-1] + ["empty"]) == 0
+        assert _published(copy / "empty") == _published(copy / f"out_{stage}")
+
+    @pytest.mark.parametrize("target", ["a_file", "."])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_refuses_a_file_or_the_working_directory(self, stage, target, pipeline,
+                                                     tmp_path, capsys):
+        """An --out that is a file, or the working directory when it holds
+        other files, exits 2 naming it, and nothing is written."""
+        copy = _pipeline_copy(pipeline, tmp_path)
+        (copy / "a_file").write_text("keep\n")
+        before = _files(copy)
+        capsys.readouterr()
+        with chdir(copy):
+            assert main(pipeline_commands(INPUT_PATHS)[stage][:-1] + [target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target} holds no "), err
+        assert "Traceback" not in err
+        assert _files(copy) == before
+        assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_rerun_over_its_own_outputs_keeps_every_byte(pipeline, tmp_path):
+    """perfbench's repeated rounds run stages again over their own --out,
+    and a refused rerun would stop the benchmark. Every stage of the
+    pipeline, run again so, rewrites each artifact with the same bytes
+    (manifests without their timestamp), and each --out holds exactly its
+    manifest's outputs and manifest.json."""
+    copy = _pipeline_copy(pipeline, tmp_path)
+    before = {stage: _published(copy / f"out_{stage}") for stage in STAGES}
+    run_pipeline(copy, pipeline[1])
+    for stage in STAGES:
+        files = _published(copy / f"out_{stage}")
+        assert files == before[stage], stage
+        outputs = json.loads(files["manifest.json"])["outputs"]
+        assert sorted(Path(name).name for name in files) == sorted(
+            [*outputs, "manifest.json"]), stage
 
 
 def test_weight_pipeline_memory_follows_its_samples():
