@@ -168,17 +168,16 @@ def cmd_simulate(args) -> int:
 
 def _recovered(campaign: CampaignResult) -> CampaignResult:
     """`campaign` on the marginals the old matrices format gave back: the
-    row and column sums of its cell probabilities over their total. With
-    the exact ones, seeds whose crashes all tie with their own delta-v
+    row and column sums of its cell probabilities over their total. Only
+    the grid changes, since no seed's record holds a probability. With the
+    exact marginals, seeds whose crashes all tie with their own delta-v
     (mid-rank percentile 50 up to rounding) change percentile bin on three
     input sets of perfbench's reference (ROADMAP, item 1)."""
     from .engine import CampaignGrid
     grid = campaign.grid
     p, total = grid.p_cell, grid.p_cell.sum()
-    recovered = CampaignGrid(grid.axis1, p.sum(axis=1) / total, grid.decels,
-                             p.sum(axis=0) / total)
-    return campaign.with_matrices(
-        recovered, [replace(m, grid=recovered) for m in campaign.matrices])
+    return replace(campaign, grid=CampaignGrid(grid.axis1, p.sum(axis=1) / total,
+                                               grid.decels, p.sum(axis=0) / total))
 
 
 def cmd_weight(args) -> int:
@@ -313,7 +312,7 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------- assess-dms
 
 def cmd_assess_dms(args) -> int:
-    """Glance cuts reweight the baseline outcome matrices; nothing is
+    """Glance cuts reweight the baseline's outcomes; nothing is
     simulated, so --seeds and --workers are unused. The deceleration bins
     and their marginal come from the baseline's summary.json; the config's
     glance file must give the baseline's overshoot axis and marginal."""
@@ -351,9 +350,7 @@ def cmd_assess_dms(args) -> int:
     for cut in args.cuts:
         target = grid if cut == math.inf else CampaignGrid(
             *cbm_axes(cut_glances(glance, cut)), grid.decels, grid.decel_probs)
-        cut_campaign = baseline.with_matrices(
-            target, reweight(baseline.matrices, grid, target))
-        weighting = weigh(cut_campaign, args.bin_width)
+        weighting = weigh(reweight(baseline, target), args.bin_width)
         cut_hist = weighting.histogram()
         rate, per_seed = crash_avoidance_rate(
             base_q, {w.seed_id: w.q_raw for w in weighting.weights})
@@ -537,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "assess-dms", help="assess glance-cutting interventions",
-        description="Reweight the baseline outcome matrices under each "
+        description="Reweight the baseline's outcomes under each "
                     "glance cut; no campaign is re-simulated. The deceleration "
                     "distribution is the baseline's, from its summary.json.")
     p.add_argument("--seeds", default=None,

@@ -21,6 +21,7 @@ GLANCE_BIN_WIDTH = 0.1   # s
 DECEL_BIN_WIDTH = 1.5    # m/s^2
 DECELS_CSV_HEADER = ("d_max_ms2", "probability")
 GLANCES_CSV_HEADER = ("duration_s", "probability")
+ON_ROAD_ROW = "on_road_mass,<number>"  # a glance file's line 1, before its header
 
 
 def _duration_to_bin(duration: float) -> int:
@@ -146,13 +147,12 @@ def load_glances(path: str | Path) -> GlanceDistribution:
     row, then the header ``duration_s,probability`` and one row per
     off-road bin. A malformed row, or a file without bins, raises
     ParseError naming ``path:line``."""
-    chunk = table.read_csv(path, GLANCES_CSV_HEADER, preamble=1)
+    chunk = table.read_csv(path, GLANCES_CSV_HEADER, preamble=[ON_ROAD_ROW])
     if not chunk.n_rows:
         raise ParseError(f"{path}:2: no off-road bins")
     row = chunk.preamble[0]
     if row[:1] != ["on_road_mass"] or len(row) != 2 or not table.is_float(row[1]):
-        raise ParseError(f"{path}:1: expected on_road_mass,<number>, got "
-                         f"{','.join(row)!r}")
+        raise ParseError(f"{path}:1: expected {ON_ROAD_ROW}, got {','.join(row)!r}")
     return GlanceDistribution(float(row[1]), chunk.floats("duration_s"),
                               chunk.floats("probability"))
 

@@ -26,33 +26,19 @@ never gets further than without braking (rounded sums are monotone). The
 reduced sweep equals exhaustive simulation, which tests check over
 generated seeds.
 
-Outcomes and probabilities are kept apart. An `OutcomeMatrix` holds one
-seed's physics; the behaviour probabilities live once per campaign in a
-shared `CampaignGrid`. `reweight` changes only the probabilities.
-
-An (axis1, max deceleration) cell is its two speeds at first overlap,
-follower v1 and lead v2: both finite with v1 > v2 where the cell crashes,
-both NaN where it does not. Whether it crashes is `~isnan(v1)`, and its
-delta-v follows from the speeds and the masses. No cell records whether
-the follower had begun to brake: a live row brakes from a step before the
-no-response impact step, up to which it moves like the no-response run,
-which does not overlap before that step. So its first overlap comes after
-its brake onset, with the follower braking. The no-response outcome that
-the other rows take is the only crash without braking. It is a cell too,
-the pair (v1, v2).
-
-A matrix holds the cells of its integrated (live) rows and the seed's
-no-response outcome, which every other row takes, in memory as on disk.
-Each matrices.npy record is one live row: (seed_id, axis1_index, v1, v2),
-the speeds over the grid's deceleration bins. The weighting sums a
-matrix's cells row by row (`outcome.row_statistics`): each live row over
-its deceleration bins, and the other rows as one no-response entry with
-their summed axis-1 mass, so it expands no field over the grid. Two sums
-keep row-major order over the grid's cells, which only an expanded field
-gives (`OutcomeMatrix.cells`): a seed's crash mass (`crash_mass`, its
-q_raw), from which its prevalence weight follows, and the per-cell crash
-samples (`crashes`) of validate's per-seed percentiles, whose weights'
-total is summed from `crash_probs` first.
+A seed's record holds physics only, and the campaign's grid holds the
+probabilities once. A `SeedResult` holds the cells of its integrated
+(live) rows and the no-response outcome that every other row takes; an
+excluded seed has no rows. A cell is its two speeds at first overlap,
+follower v1 and lead v2: both finite with v1 > v2 where it crashes, both
+NaN where it does not. No cell records whether the follower had begun to
+brake: a live row moves like the no-response run, which does not overlap
+before its impact step, up to a brake onset before that step, so the
+no-response outcome is the only crash without braking. The glance,
+reaction and deceleration probabilities live in `CampaignResult.grid`
+alone, and a per-seed query that needs them takes the grid as an
+argument: reweighting a campaign gives a new grid and each seed's rows on
+it, and new marginals are a new grid alone.
 
 `save_campaign` is the one writer of simulate's four artifacts:
 summary.json, matrices.npy, seeds.npy and seeds_summary.csv. A seeds.npy
@@ -110,7 +96,7 @@ BLOCK_ELEMENTS = 2**14
 MODEL_CBM = "cbm"
 MODEL_BLOM = "blom"
 
-# the fields of a cell, in OutcomeMatrix and in a matrices.npy record
+# the fields of a cell, in SeedResult and in a matrices.npy record
 OUTCOME_FIELDS = ("v1", "v2")
 
 # a seeds.npy record, (name, format): what simulate alone knows of a seed.
@@ -238,8 +224,8 @@ class SeedKinematics:
 
 @dataclass(eq=False)
 class CampaignGrid:
-    """A campaign's grid and behaviour probabilities, which every seed's
-    matrix shares: axis1 (glance overshoot with the attentive 0 point, or
+    """A campaign's grid and its behaviour probabilities, which only the
+    campaign holds: axis1 (glance overshoot with the attentive 0 point, or
     reaction time) and the deceleration bins in the order the sweep used
     them, each with its marginal. A cell's probability is their product."""
 
@@ -280,67 +266,11 @@ class CampaignGrid:
         return grid
 
 
-@dataclass(eq=False)
-class OutcomeMatrix:
-    """One seed's outcomes on its campaign grid (axis1 x max deceleration):
-    the live rows' cells, and the no-response outcome of the others. A cell
-    is its speeds, finite with v1 > v2 where it crashes, both NaN where it
-    does not."""
-
-    seed_id: str
-    grid: CampaignGrid
-    rows: np.ndarray  # (k,) the live rows' axis1 indices, ascending
-    v1: np.ndarray    # (k, n2) follower speed at first overlap, m/s
-    v2: np.ndarray    # (k, n2) lead speed at first overlap, m/s
-    no_response: tuple[float, float]  # the cell (v1, v2) of the other rows
-
-    @property
-    def crashed(self) -> np.ndarray:
-        """Whether each live cell crashes."""
-        return ~np.isnan(self.v1)
-
-    @property
-    def kernel_calls(self) -> int:
-        """The seed's no-response run, plus one call per integrated cell."""
-        return 1 + self.grid.shape[1] * len(self.rows)
-
-    def cells(self, name: str) -> np.ndarray:
-        """Field `name` over the whole grid: the live rows' cells, and the
-        no-response outcome in every other row."""
-        out = np.full(self.grid.shape, self.no_response[OUTCOME_FIELDS.index(name)])
-        out[self.rows] = getattr(self, name)
-        return out
-
-    @property
-    def n_crash_cells(self) -> int:
-        """The live rows' crashing cells, plus every cell of the other rows
-        if the no-response run crashed."""
-        n1, n2 = self.grid.shape
-        return (int(np.count_nonzero(self.crashed))
-                + (n1 - len(self.rows)) * n2 * (not math.isnan(self.no_response[0])))
-
-    def crashes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """v1, v2 and probability of each crashing cell of the grid, in
-        row-major order: the order of the crash samples."""
-        v1 = self.cells("v1")
-        c = ~np.isnan(v1)
-        return v1[c], self.cells("v2")[c], self.grid.p_cell[c]
-
-    @property
-    def crash_probs(self) -> np.ndarray:
-        """The probability of each crashing cell of the grid, in row-major
-        order, as `crashes` gives it, without expanding the speeds."""
-        return self.grid.p_cell[~np.isnan(self.cells("v1"))]
-
-    @property
-    def crash_mass(self) -> float:
-        """Summed probability of the crashing cells (q_i of the seed)."""
-        return float(self.crash_probs.sum())
-
-
 def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
-               jerk: float) -> OutcomeMatrix:
-    """Sweep the (axis1 x deceleration) grid for one seed.
+               jerk: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep the (axis1 x deceleration) grid for one seed: the live rows'
+    axis1 indices, ascending, and their v1 and v2 over the deceleration
+    bins.
 
     `onsets` holds the brake onset per axis1 value, in any order (math.inf
     marks never-responding rows). A row whose first braking step is at or
@@ -349,9 +279,7 @@ def sweep_seed(kin: SeedKinematics, grid: CampaignGrid, onsets: np.ndarray,
     """
     onsets = np.asarray(onsets, dtype=float)
     rows = np.flatnonzero(kin.t.searchsorted(onsets, "right") < kin.k_live)
-    return OutcomeMatrix(kin.id, grid, rows,
-                         **kin.run(onsets[rows], grid.decels, jerk),
-                         no_response=kin.no_response)
+    return rows, *kin.run(onsets[rows], grid.decels, jerk).values()
 
 
 # ---------------------------------------------------------------- campaign
@@ -393,12 +321,17 @@ class CampaignConfig:
 
 @dataclass(eq=False)
 class SeedResult:
-    """Per-seed campaign output next to its outcome matrix. A seed loaded
-    from its ref carries the digest of the trajectory bytes parsed."""
+    """One seed's campaign output: its outcomes on the campaign's grid
+    (axis1 x max deceleration), the live rows' cells and the no-response
+    outcome of the others, and its facts. An excluded seed has no rows. A
+    seed loaded from its ref carries the digest of the trajectory bytes
+    parsed."""
 
     seed_id: str
-    matrix: OutcomeMatrix | None
-    no_response: tuple[float, float]  # the cell (v1, v2)
+    rows: np.ndarray  # (k,) the live rows' axis1 indices, ascending
+    v1: np.ndarray    # (k, n2) follower speed at first overlap, m/s
+    v2: np.ndarray    # (k, n2) lead speed at first overlap, m/s
+    no_response: tuple[float, float]  # the cell (v1, v2) of the other rows
     anchor: float | None
     lead_behavior: str
     excluded: bool
@@ -414,11 +347,51 @@ class SeedResult:
         run does not crash."""
         return delta_v(*self.no_response, self.follower_mass, self.lead_mass)
 
+    @property
+    def crashed(self) -> np.ndarray:
+        """Whether each live cell crashes."""
+        return ~np.isnan(self.v1)
+
+    def kernel_calls(self, grid: CampaignGrid) -> int:
+        """The seed's no-response run, plus one call per integrated cell."""
+        return 1 + grid.shape[1] * len(self.rows)
+
+    def cells(self, grid: CampaignGrid, name: str) -> np.ndarray:
+        """Field `name` over the whole grid: the live rows' cells, and the
+        no-response outcome in every other row."""
+        out = np.full(grid.shape, self.no_response[OUTCOME_FIELDS.index(name)])
+        out[self.rows] = getattr(self, name)
+        return out
+
+    def n_crash_cells(self, grid: CampaignGrid) -> int:
+        """The live rows' crashing cells, plus every cell of the other rows
+        if the no-response run crashed."""
+        n1, n2 = grid.shape
+        return (int(np.count_nonzero(self.crashed))
+                + (n1 - len(self.rows)) * n2 * (not math.isnan(self.no_response[0])))
+
+    def crashes(self, grid: CampaignGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v1, v2 and probability of each crashing cell of the grid, in
+        row-major order: the order of the crash samples."""
+        v1 = self.cells(grid, "v1")
+        c = ~np.isnan(v1)
+        return v1[c], self.cells(grid, "v2")[c], grid.p_cell[c]
+
+    def crash_probs(self, grid: CampaignGrid) -> np.ndarray:
+        """The probability of each crashing cell of the grid, in row-major
+        order, as `crashes` gives it, without expanding the speeds."""
+        return grid.p_cell[~np.isnan(self.cells(grid, "v1"))]
+
+    def crash_mass(self, grid: CampaignGrid) -> float:
+        """Summed probability of the crashing cells (q_i of the seed)."""
+        return float(self.crash_probs(grid).sum())
+
 
 @dataclass(eq=False)
 class CampaignResult:
-    """Seed results in seed id order, the grid their matrices share, and
-    the no-response share mixed into the campaign's delta-v."""
+    """Seed results in seed id order, the grid that holds the campaign's
+    probabilities, and the no-response share mixed into the campaign's
+    delta-v."""
 
     model: str
     grid: CampaignGrid
@@ -426,16 +399,9 @@ class CampaignResult:
     no_response_fraction: float
 
     @property
-    def matrices(self) -> list[OutcomeMatrix]:
-        return [r.matrix for r in self.results if r.matrix is not None]
-
-    def with_matrices(self, grid: CampaignGrid,
-                      matrices: list[OutcomeMatrix]) -> "CampaignResult":
-        """This campaign on `grid` with `matrices`, one per swept seed."""
-        given = iter(matrices)
-        return replace(self, grid=grid, results=[
-            r if r.matrix is None else replace(r, matrix=next(given))
-            for r in self.results])
+    def swept(self) -> list[SeedResult]:
+        """The seeds the sweep ran on (not excluded), in seed id order."""
+        return [r for r in self.results if not r.excluded]
 
     @property
     def excluded_ids(self) -> list[str]:
@@ -447,29 +413,29 @@ class CampaignResult:
 
     @property
     def kernel_calls(self) -> int:
-        return sum(m.kernel_calls for m in self.matrices)
+        return sum(r.kernel_calls(self.grid) for r in self.swept)
 
     @property
     def crash_cells(self) -> int:
-        return sum(m.n_crash_cells for m in self.matrices)
+        return sum(r.n_crash_cells(self.grid) for r in self.swept)
 
 
-def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
-             target: CampaignGrid) -> list[OutcomeMatrix]:
-    """`matrices`, simulated on `grid`, under the behaviour probabilities
-    of `target`, built without running the kernel.
+def reweight(campaign: CampaignResult, target: CampaignGrid) -> CampaignResult:
+    """`campaign` under the behaviour probabilities of `target`, built
+    without running the kernel; `campaign`'s records are left as they are.
 
     A cell's outcome depends only on its axis1 value, which fixes the brake
     onset, and its maximum deceleration. So on a target whose axis1 values
-    are a bitwise subset of the grid's, in the grid's order, and whose
-    deceleration bins equal the grid's, each matrix is its rows at the
-    target's axis1 values under the target's marginals. A glance cut is
-    such a target: its overshoots come from the same 0.1 s grid, ascending,
-    and a cut only drops glance mass. An overshoot whose mass underflows to
-    0 only without the cut is on the target's axis alone, which raises
-    ValidationError. Unchecked: the matrices are on `grid`, the target on
-    its deceleration bins (assess-dms).
+    are a bitwise subset of the campaign grid's, in its order, and whose
+    deceleration bins equal the grid's, each swept seed keeps its rows at
+    the target's axis1 values, and the target holds the probabilities. A
+    glance cut is such a target: its overshoots come from the same 0.1 s
+    grid, ascending, and a cut only drops glance mass. An overshoot whose
+    mass underflows to 0 only without the cut is on the target's axis
+    alone, which raises ValidationError. Unchecked: the target is on the
+    grid's deceleration bins (assess-dms).
     """
+    grid = campaign.grid
     index = {x: k for k, x in enumerate(grid.axis1.view(np.int64).tolist())}
     rows = [index.get(x) for x in target.axis1.view(np.int64).tolist()]
     if None in rows or rows != sorted(set(rows)):
@@ -478,12 +444,17 @@ def reweight(matrices: list[OutcomeMatrix], grid: CampaignGrid,
     on_target = np.zeros(grid.shape[0], dtype=bool)
     on_target[rows] = True
     target_row = np.cumsum(on_target) - 1  # a grid row's index on the target
-    out = []
-    for m in matrices:
-        kept = on_target[m.rows]  # the live rows on the target
-        out.append(OutcomeMatrix(m.seed_id, target, target_row[m.rows[kept]], *(
-            getattr(m, name)[kept] for name in OUTCOME_FIELDS), m.no_response))
-    return out
+    results = []
+    for r in campaign.results:
+        kept = on_target[r.rows]  # the live rows on the target
+        results.append(replace(r, rows=target_row[r.rows[kept]],
+                               v1=r.v1[kept], v2=r.v2[kept]))
+    return replace(campaign, grid=target, results=results)
+
+
+def _no_rows(n2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcomes of a seed without live rows: its rows, v1 and v2."""
+    return np.empty(0, dtype=np.int64), np.empty((0, n2)), np.empty((0, n2))
 
 
 def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
@@ -505,9 +476,9 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
         theoretical = (n1 - 1) * n2
         anchor = find_anchor(looming_series(cf), cfg.cbm.inv_tau_threshold)
         onsets = cbm_onsets(anchor, grid.axis1, cfg.cbm)
-    matrix = None if excluded else sweep_seed(kin, grid, onsets,
-                                              cfg.cbm.jerk_mean)
-    return SeedResult(seed.id, matrix, kin.no_response, anchor,
+    outcomes = (_no_rows(n2) if excluded
+                else sweep_seed(kin, grid, onsets, cfg.cbm.jerk_mean))
+    return SeedResult(seed.id, *outcomes, kin.no_response, anchor,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
                       seed.seed_delta_v_kmh, theoretical, digest)
@@ -526,9 +497,9 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
                  decels: DecelDistribution, workers: int = 1) -> CampaignResult:
     """Run one simulation set over all seeds, loaded or as refs whose
     trajectories each worker loads. Output is ordered by seed id and
-    identical for any worker count; every matrix points to the result's
-    grid. Unchecked: `glance` is given for the cbm model, whose config
-    names a glance_file (`CampaignConfig.from_json`)."""
+    identical for any worker count. Unchecked: `glance` is given for the
+    cbm model, whose config names a glance_file
+    (`CampaignConfig.from_json`)."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     if cfg.model == MODEL_BLOM:
@@ -548,9 +519,6 @@ def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, ordered, chunksize=4))
-        for r in results:
-            if r.matrix is not None:
-                r.matrix.grid = grid  # not the worker's copy
     else:
         results = list(map(run, ordered))
 
@@ -621,38 +589,39 @@ def _is_cell(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return (np.isnan(v1) & np.isnan(v2)) | (np.isfinite(v1) & np.isfinite(v2) & (v1 > v2))
 
 
-def save_matrices(matrices: list[OutcomeMatrix], grid: CampaignGrid,
+def save_matrices(seeds: list[SeedResult], grid: CampaignGrid,
                   path: str | Path) -> None:
     """Write one record (seed_id, axis1_index, v1, v2) per live row of
-    each matrix on `grid` to the .npy file `path`: seed by seed, rows
+    each of `seeds` on `grid` to the .npy file `path`: seed by seed, rows
     ascending, the speeds in the grid's deceleration order (both NaN where
     a cell does not crash). `save_campaign` writes the grid and the
     no-response outcome that a seed's other rows take."""
-    width = max((len(m.seed_id) for m in matrices), default=1)
-    records = np.zeros(sum(len(m.rows) for m in matrices),
+    width = max((len(r.seed_id) for r in seeds), default=1)
+    records = np.zeros(sum(len(r.rows) for r in seeds),
                        dtype=_dtype(_matrices_layout(grid.shape[1]), lambda _: width))
-    # each matrix's records, as views into `records`
-    blocks = np.split(records, np.cumsum([len(m.rows) for m in matrices])[:-1])
-    for m, block in zip(matrices, blocks):
-        block["seed_id"], block["axis1_index"] = m.seed_id, m.rows
+    # each seed's records, as views into `records`
+    blocks = np.split(records, np.cumsum([len(r.rows) for r in seeds])[:-1])
+    for r, block in zip(seeds, blocks):
+        block["seed_id"], block["axis1_index"] = r.seed_id, r.rows
         for name in OUTCOME_FIELDS:
-            block[name] = getattr(m, name)
+            block[name] = getattr(r, name)
     with open(path, "wb") as fh:
         np.save(fh, records, allow_pickle=False)
 
 
-def load_matrices(path: str | Path, grid: CampaignGrid,
-                  no_response: dict[str, tuple[float, float]]) -> list[OutcomeMatrix]:
-    """The outcome matrices on `grid` of the swept seeds, which
-    `no_response` maps to their no-response outcomes, in seed id order.
+def load_matrices(path: str | Path, grid: CampaignGrid, seed_ids: list[str]
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The outcomes on `grid` of the swept seeds `seed_ids`, in seed id
+    order: each seed's live rows' axis1 indices, ascending, and their v1
+    and v2 over the grid's deceleration bins.
 
-    The records of `path`, in any order, are the matrices' live rows; every
-    other row takes its seed's no-response outcome, so a seed without
-    records has no live row. ParseError names the path if the file is not
-    a whole .npy file of `save_matrices`'s records on the grid's
+    The records of `path`, in any order, are the live rows; a seed's other
+    rows take its no-response outcome, which seeds.npy holds, so a seed
+    without records has no live row. ParseError names the path if the file
+    is not a whole .npy file of `save_matrices`'s records on the grid's
     deceleration bins (`_read_records`). It names the path and the record
     if a cell's speeds are not a cell's (`_is_cell`), a row index is
-    outside the grid, a seed is not in `no_response`, or a (seed, row) pair
+    outside the grid, a seed is not in `seed_ids`, or a (seed, row) pair
     repeats."""
     n1, n2 = grid.shape
     records = _read_records(path, "outcome", _matrices_layout(n2),
@@ -664,7 +633,7 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
           "a cell's v1 and v2 must be both NaN (no crash) or both finite "
           "with v1 > v2 (a crash)")
     check((row < 0) | (row >= n1), f"the grid has {n1} axis1 rows")
-    swept = {sid: k for k, sid in enumerate(sorted(no_response))}  # id: position
+    swept = {sid: k for k, sid in enumerate(sorted(seed_ids))}  # id: position
     distinct, inverse = np.unique(ids, return_inverse=True)
     position = np.array([swept.get(sid, -1) for sid in distinct.tolist()],
                         dtype=np.intp)[inverse]
@@ -676,14 +645,14 @@ def load_matrices(path: str | Path, grid: CampaignGrid,
     check(again, "an earlier record holds the same row")
     arrays = [a[order] for a in (row, v1, v2)]
     bounds = key.searchsorted(n1 * np.arange(len(swept) + 1)).tolist()
-    return [OutcomeMatrix(sid, grid, *(a[start:stop] for a in arrays), no_response[sid])
-            for sid, start, stop in zip(swept, bounds, bounds[1:])]
+    return [tuple(a[start:stop] for a in arrays)
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 def save_campaign(result: CampaignResult, out: Path) -> None:
     """Write `result` into the directory `out` as simulate's matrices.npy,
     seeds.npy, seeds_summary.csv and summary.json."""
-    save_matrices(result.matrices, result.grid, out / "matrices.npy")
+    save_matrices(result.swept, result.grid, out / "matrices.npy")
     rows = result.results
     np.save(out / "seeds.npy", np.array([
         (r.seed_id, not r.excluded, r.lead_behavior,
@@ -692,7 +661,7 @@ def save_campaign(result: CampaignResult, out: Path) -> None:
          *r.no_response, r.theoretical_cells) for r in rows],
         dtype=_dtype(SEED_LAYOUT, lambda name: max(
             (len(getattr(r, name)) for r in rows), default=1))), allow_pickle=False)
-    m = [r.matrix for r in rows]
+    grid = result.grid
     table.write_csv(out / "seeds_summary.csv", SEEDS_SUMMARY_HEADER, [
         table.texts([r.seed_id for r in rows]),
         table.flags([not r.excluded for r in rows]),
@@ -705,9 +674,9 @@ def save_campaign(result: CampaignResult, out: Path) -> None:
         table.flags([not math.isnan(r.no_response[0]) for r in rows]),
         *(table.fmt([r.no_response[k] for r in rows]) for k in range(2)),
         table.fmt([r.no_response_dv for r in rows]),
-        table.ints(x.n_crash_cells if x is not None else 0 for x in m),
-        table.fmt([x.crash_mass if x is not None else None for x in m]),
-        table.ints(x.kernel_calls if x is not None else 0 for x in m),
+        table.ints(0 if r.excluded else r.n_crash_cells(grid) for r in rows),
+        table.fmt([None if r.excluded else r.crash_mass(grid) for r in rows]),
+        table.ints(0 if r.excluded else r.kernel_calls(grid) for r in rows),
         table.ints(r.theoretical_cells for r in rows),
     ])
     write_json(out / "summary.json", {
@@ -767,9 +736,9 @@ def load_campaign(sim_dir: str | Path) -> CampaignResult:
     check(again, "an earlier record holds the same seed id")
     seeds = seeds[order]
     records = list(zip(*(seeds[name].tolist() for name, _ in SEED_LAYOUT)))
-    matrices = iter(load_matrices(summary_path.with_name("matrices.npy"), grid, {
-        sid: (v1, v2) for sid, ok, *_, v1, v2, _ in records if ok}))
-    results = [SeedResult(sid, next(matrices) if ok else None, (v1, v2),
+    outcomes = iter(load_matrices(summary_path.with_name("matrices.npy"), grid,
+                                  [sid for sid, ok, *_ in records if ok]))
+    results = [SeedResult(sid, *(next(outcomes) if ok else _no_rows(grid.shape[1])), (v1, v2),
                           None if math.isnan(anchor) else anchor, behavior, not ok,
                           m1, m2, None if math.isnan(dv) else dv, cells)
                for sid, ok, behavior, anchor, m1, m2, dv, v1, v2, cells in records]

@@ -30,6 +30,7 @@ def is_finite(value) -> bool:
 # each kind by its annotation: the test of a value, and what it must be. A
 # "number" may be NaN or infinite, as a statistic of no data is.
 KINDS = {
+    "any": (lambda v: True, "any value"),  # a JSON key that must only be present
     "int": (lambda v: type(v) is int, "an integer"),
     "float": (is_finite, "a finite number"),
     "float | None": (lambda v: v is None or is_finite(v), "a finite number or null"),

@@ -1,7 +1,10 @@
 """The weighting of a campaign (`weigh`) and delta-v histograms. Each
 crash cell is a delta-v sample through `scenario.delta_v`, weighted by its
 probability and its seed's trimmed prevalence weight, and the no-response
-("sleepy driver") delta-vs are mixed in at the campaign's fraction.
+("sleepy driver") delta-vs are mixed in at the campaign's fraction. A
+seed's record holds its outcomes alone: every probability is read from
+the campaign's grid (`CampaignResult.grid`), which `weigh` hands to each
+sum below.
 
 A cell's probability is its row's axis-1 mass times its deceleration
 mass, so every sum over a seed's cells factors through its rows
@@ -18,19 +21,19 @@ in that order, and a row's sums over the deceleration bins in the bins'
 order, so the bits depend on the campaign alone.
 
 Two sums keep the per-cell order. `prevalence_weights` reads each seed's
-crash mass q from `OutcomeMatrix.crash_mass`, a sum over the seed's crash
-cells in row-major order. Validate's per-seed percentiles read the crash
-samples of `weighted_crash_samples`, one per crash cell in seed and
-row-major cell order, each weight divided by the sequential sum of all of
-them; the tied percentiles depend on their bits. `CampaignWeighting.shares`
-builds them ROW_BLOCK seeds at a time, in two passes, so that one block's
-samples are alive at a time. The first pass sums the weights (seed weight
-times cell probability) block by block, each block's `np.cumsum` starting
-from the total of the blocks before: the same additions in the same order
-as one sum over the campaign, so the same total. The second pass builds
-each block's samples and divides them by that total. A delta-v and a
-weight are each computed from their own cell alone, so no sample's bits
-depend on the block.
+crash mass q from `SeedResult.crash_mass`, a sum over the seed's crash
+cells on the grid in row-major order. Validate's per-seed percentiles
+read the crash samples of `weighted_crash_samples`, one per crash cell
+in seed and row-major cell order, each weight divided by the sequential
+sum of all of them; the tied percentiles depend on their bits.
+`CampaignWeighting.shares` builds them ROW_BLOCK seeds at a time, in two
+passes, so that one block's samples are alive at a time. The first pass
+sums the weights (seed weight times cell probability) block by block,
+each block's `np.cumsum` starting from the total of the blocks before:
+the same additions in the same order as one sum over the campaign, so
+the same total. The second pass builds each block's samples and divides
+them by that total. A delta-v and a weight are each computed from their
+own cell alone, so no sample's bits depend on the block.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import ParseError, ValidationError
 from .scenario import delta_v
 
 if TYPE_CHECKING:  # annotations only, so stages that never simulate skip the engine
-    from .engine import CampaignResult, OutcomeMatrix, SeedResult
+    from .engine import CampaignGrid, CampaignResult, SeedResult
 
 DEFAULT_BIN_WIDTH_KMH = 2.0
 # the bias correction's defaults (`bias.build_pdo`), here so that the CLI
@@ -175,17 +178,18 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def prevalence_weights(matrices: list[OutcomeMatrix]) -> tuple[list[SeedWeight], list[str]]:
-    """Inverse-crash-probability weights per seed, trimmed to the nearest-rank
-    5th/95th percentiles of the untrimmed weights. Seeds without any crash
-    cell cannot be weighted and are reported separately."""
+def prevalence_weights(seeds: list[SeedResult], grid: CampaignGrid
+                       ) -> tuple[list[SeedWeight], list[str]]:
+    """Inverse-crash-probability weights per seed on `grid`, trimmed to the
+    nearest-rank 5th/95th percentiles of the untrimmed weights. Seeds
+    without any crash cell cannot be weighted and are reported separately."""
     kept, excluded = [], []
-    for m in matrices:
-        q = m.crash_mass
+    for r in seeds:
+        q = r.crash_mass(grid)
         if q > 0:
-            kept.append((m.seed_id, q))
+            kept.append((r.seed_id, q))
         else:
-            excluded.append(m.seed_id)
+            excluded.append(r.seed_id)
     if not kept:
         raise ValidationError("no seed produced any crash cell")
     q_raw = np.array([q for _, q in kept])
@@ -224,20 +228,21 @@ def _check_total(total: float) -> None:
 
 
 def weighted_crash_samples(seeds: list[SeedResult], weights: list[SeedWeight],
-                           total: float | None = None) -> CrashSamples:
-    """Crash cells of `seeds`' matrices, in row-major order per seed, as
+                           grid: CampaignGrid, total: float | None = None
+                           ) -> CrashSamples:
+    """Crash cells of `seeds` on `grid`, in row-major order per seed, as
     delta-v samples from the seed's masses, weighted by `weights[k]` for
     seed k (unchecked: `weigh` pairs them) and divided by `total`, by
     default their own sequential sum, so that they sum to 1. A delta-v that
     is not finite raises ValidationError naming the seed, and then a
     default total that `_check_total` refuses raises ValidationError; a
     given total is divided by unchecked."""
-    counts = [r.matrix.n_crash_cells for r in seeds]
+    counts = [r.n_crash_cells(grid) for r in seeds]
     dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
     start = 0
     with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
         for r, sw, n in zip(seeds, weights, counts):
-            v1, v2, p = r.matrix.crashes()
+            v1, v2, p = r.crashes(grid)
             cells = slice(start, start + n)
             dvs[cells] = delta_v(v1, v2, r.follower_mass, r.lead_mass)
             np.multiply(sw.w, p, out=w[cells])
@@ -275,24 +280,22 @@ def _sequential_sum(a: np.ndarray) -> np.ndarray:
 
 
 def row_statistics(seeds: list[SeedResult], weights: list[SeedWeight],
-                   bin_width: float) -> RowStatistics:
-    """The row statistics of `seeds`' matrices, which share one grid, with
-    the seed weights `weights[k]` for seed k (unchecked: `weigh` pairs
-    them), vectorized over the seeds' rows. A cell's probability is its
-    row's axis-1 mass times its deceleration mass, so each sum over a row's
-    crashing cells runs over the deceleration bins, in their order. A cell
-    of weight 0 adds no bin. A delta-v that is not finite raises
-    ValidationError naming the seed."""
-    matrices = [r.matrix for r in seeds]
-    grid = matrices[0].grid
+                   grid: CampaignGrid, bin_width: float) -> RowStatistics:
+    """The row statistics of `seeds` on `grid`, with the seed weights
+    `weights[k]` for seed k (unchecked: `weigh` pairs them), vectorized
+    over the seeds' rows. A cell's probability is its row's axis-1 mass
+    times its deceleration mass, so each sum over a row's crashing cells
+    runs over the deceleration bins, in their order. A cell of weight 0
+    adds no bin. A delta-v that is not finite raises ValidationError naming
+    the seed."""
     n1, n2 = grid.shape
     p1, p2 = grid.axis1_probs, grid.decel_probs
-    live = np.array([len(m.rows) for m in matrices])
+    live = np.array([len(r.rows) for r in seeds])
     entries = live + 1
     ends = np.cumsum(live)  # where each seed's no-response entry goes
-    rows = np.concatenate([m.rows for m in matrices])
-    v1, v2 = (np.insert(np.concatenate([getattr(m, name) for m in matrices]), ends,
-                        [[m.no_response[k]] for m in matrices], axis=0)
+    rows = np.concatenate([r.rows for r in seeds])
+    v1, v2 = (np.insert(np.concatenate([getattr(r, name) for r in seeds]), ends,
+                        [[r.no_response[k]] for r in seeds], axis=0)
               for k, name in enumerate(("v1", "v2")))
     m1, m2 = (np.repeat([getattr(r, name) for r in seeds], entries)[:, None]
               for name in ("follower_mass", "lead_mass"))
@@ -321,19 +324,19 @@ def row_statistics(seeds: list[SeedResult], weights: list[SeedWeight],
         axis1[pairs // n_bins] * np.bincount(pair, weights=p2[j]), int(cells.sum()))
 
 
-def sum_rows(seeds: list[SeedResult], weights: list[SeedWeight],
+def sum_rows(seeds: list[SeedResult], weights: list[SeedWeight], grid: CampaignGrid,
              bin_width: float) -> tuple[DeltaVDistribution, np.ndarray]:
-    """The crash samples' histogram at `bin_width` and each seed's share
-    of their mass, in seed order, summed from the row statistics of
-    ROW_BLOCK seeds at a time, in seed, row and bin order. A crash mass that
-    is not a finite number > 0 (an overflowed seed weight) raises
-    ValidationError."""
+    """The crash samples' histogram of `seeds` on `grid` at `bin_width`
+    and each seed's share of their mass, in seed order, summed from the row
+    statistics of ROW_BLOCK seeds at a time, in seed, row and bin order. A
+    crash mass that is not a finite number > 0 (an overflowed seed weight)
+    raises ValidationError."""
     check_bin_width(bin_width)
     hist, entries, mass, dv_mass, count = np.zeros(0), [], [], [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for start in range(0, len(seeds), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
-            rows = row_statistics(seeds[block], weights[block], bin_width)
+            rows = row_statistics(seeds[block], weights[block], grid, bin_width)
             n_bins = int(rows.bins.max(initial=-1)) + 1
             if n_bins > len(hist):
                 hist = np.pad(hist, (0, n_bins - len(hist)))
@@ -388,7 +391,7 @@ class CampaignWeighting:
 
     @cached_property
     def _sums(self) -> tuple[DeltaVDistribution, np.ndarray]:
-        return sum_rows(self.seeds, self.weights, self.bin_width)
+        return sum_rows(self.seeds, self.weights, self.campaign.grid, self.bin_width)
 
     def histogram(self) -> DeltaVDistribution:
         """The campaign's delta-v histogram: the crash samples' with the
@@ -410,9 +413,9 @@ class CampaignWeighting:
         finite is refused before a total that is not."""
         blocks = [slice(start, start + ROW_BLOCK)
                   for start in range(0, len(self.seeds), ROW_BLOCK)]
-        total = 0.0
+        grid, total = self.campaign.grid, 0.0
         for block in blocks:
-            w = [sw.w * r.matrix.crash_probs
+            w = [sw.w * r.crash_probs(grid)
                  for r, sw in zip(self.seeds[block], self.weights[block])]
             total = np.cumsum(np.concatenate([[total], *w]))[-1]
         scale = 1.0 - self.campaign.no_response_fraction
@@ -421,7 +424,7 @@ class CampaignWeighting:
             # a total that is not finite divides nothing: it is refused once
             # every block's delta-vs are checked
             samples = weighted_crash_samples(self.seeds[block], self.weights[block],
-                                             total if checked else 1.0)
+                                             grid, total if checked else 1.0)
             if not checked:
                 continue
             bounds = np.cumsum([0] + samples.counts).tolist()
@@ -435,9 +438,10 @@ def weigh(campaign: CampaignResult,
           bin_width: float = DEFAULT_BIN_WIDTH_KMH) -> CampaignWeighting:
     """The prevalence weighting of `campaign` (`CampaignWeighting`), its
     histogram at `bin_width`."""
-    weights, zero_crash = prevalence_weights(campaign.matrices)
-    swept = (r for r in campaign.results if r.matrix is not None)  # the weights' order
-    seeds = [next(r for r in swept if r.seed_id == w.seed_id) for w in weights]
+    swept = campaign.swept
+    weights, zero_crash = prevalence_weights(swept, campaign.grid)
+    left = iter(swept)  # in the weights' order
+    seeds = [next(r for r in left if r.seed_id == w.seed_id) for w in weights]
     nr_dvs = [r.no_response_dv for r in campaign.results
               if campaign.no_response_fraction > 0 and not r.excluded
               and not math.isnan(r.no_response_dv)]

@@ -38,6 +38,7 @@ LEAD_STANDSTILL = "standstill-at-start"
 
 SEED_CSV_HEADER = ["t", "lead_pos", "lead_speed", "lead_acc",
                    "foll_pos", "foll_speed", "foll_acc"]
+VEHICLE_KEYS = ("mass", "width", "length")  # a vehicle's fields in a seed sidecar
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class VehicleMeta:
     def __post_init__(self):
         try:
             check_fields(self)
-            for name in ("mass", "width", "length"):
+            for name in VEHICLE_KEYS:
                 if not getattr(self, name) > 0:
                     raise ValidationError(
                         f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -302,10 +303,13 @@ def _read_sidecar(csv_path: Path) -> SeedRef:
     with open(json_path, "rb") as fh:
         data = fh.read()
     try:
-        meta = check_json(json.loads(data.decode()), "seed sidecar")
+        meta = check_json(json.loads(data.decode()), "seed sidecar",
+                          dict.fromkeys(("id", "lead", "follower"), "any"))
         sid = str(meta["id"])
-        lead_meta = VehicleMeta(id=sid + "/lead", **meta["lead"])
-        foll_meta = VehicleMeta(id=sid + "/follower", **meta["follower"])
+        lead_meta, foll_meta = (
+            VehicleMeta(id=f"{sid}/{role}",
+                        **check_json(meta[role], role, dict.fromkeys(VEHICLE_KEYS, "any")))
+            for role in ("lead", "follower"))
         dv = meta.get("seed_delta_v_kmh")
     except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors
         raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc

@@ -179,17 +179,22 @@ def is_float(text: str) -> bool:
     return True
 
 
-def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chunk:
-    """Every data row of a CSV file with `header` after `preamble` rows,
-    as one chunk."""
-    path, width = Path(path), len(header)
+def read_csv(path: str | Path, header: Sequence[str],
+             preamble: Sequence[str] = ()) -> Chunk:
+    """Every data row of a CSV file with `header` after one row for each
+    of `preamble`, which says what belongs in it, as one chunk. A file that
+    ends before a preamble row raises ParseError naming its line and what
+    belongs there."""
+    path, width, n_pre = Path(path), len(header), len(preamble)
     fields, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            head = list(itertools.islice(reader, preamble + 1))
-            if head[preamble:] != [list(header)]:
-                raise ParseError(f"{path}:{preamble + 1}: expected header "
+            head = list(itertools.islice(reader, n_pre + 1))
+            if len(head) < n_pre:
+                raise ParseError(f"{path}:{len(head) + 1}: expected {preamble[len(head)]}")
+            if head[n_pre:] != [list(header)]:
+                raise ParseError(f"{path}:{n_pre + 1}: expected header "
                                  f"{','.join(header)}")
             for row in filter(None, reader):
                 if len(row) != width:
@@ -199,7 +204,7 @@ def read_csv(path: str | Path, header: Sequence[str], preamble: int = 0) -> Chun
                 lines.append(reader.line_num)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: unreadable CSV: {exc}") from exc
-    return Chunk(path, header, fields, head[:preamble], lines)
+    return Chunk(path, header, fields, head[:n_pre], lines)
 
 
 def read_floats(path: str | Path, header: Sequence[str],

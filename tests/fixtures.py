@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -24,7 +24,6 @@ from rearsim.distributions import (
 )
 from rearsim.engine import (
     CampaignGrid,
-    OutcomeMatrix,
     SeedKinematics,
     SeedResult,
 )
@@ -151,8 +150,9 @@ def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
 
 @dataclass(eq=False)
 class DenseMatrix:
-    """The oracle for `engine.OutcomeMatrix`: one seed's outcomes in every
-    cell of its grid, (n1, n2) arrays, whatever the kernel integrated."""
+    """The oracle for an `engine.SeedResult`'s outcomes: one seed's outcomes
+    in every cell of a grid, (n1, n2) arrays, whatever the kernel
+    integrated, with the grid's probabilities."""
 
     seed_id: str
     grid: CampaignGrid
@@ -217,21 +217,24 @@ class Outcome(NamedTuple):
 NO_CRASH = Outcome(math.nan, math.nan)
 
 
-def all_live(seed_id: str, grid: CampaignGrid, v1, v2,
-             no_response: tuple[float, float] = NO_CRASH) -> OutcomeMatrix:
-    """A matrix whose every row is live, with the (n1, n2) speeds and the
-    no-response outcome given."""
-    return OutcomeMatrix(seed_id, grid, np.arange(len(v1)), v1, v2, no_response)
+def swept_result(seed_id: str, grid: CampaignGrid, v1, v2,
+                 no_response: tuple[float, float] = NO_CRASH, *, rows=None,
+                 follower_mass: float = 1500.0, lead_mass: float = 1500.0,
+                 seed_delta_v_kmh: float | None = None) -> SeedResult:
+    """An eligible seed's result on `grid`: the live rows `rows` (by
+    default every row) with their (k, n2) speeds, the no-response outcome
+    of the others, and the masses and recorded delta-v given."""
+    rows = np.arange(len(v1)) if rows is None else np.asarray(rows)
+    return SeedResult(seed_id, rows, np.asarray(v1, dtype=float),
+                      np.asarray(v2, dtype=float), no_response, None, "braking",
+                      False, follower_mass, lead_mass, seed_delta_v_kmh,
+                      grid.p_cell.size)
 
 
-def swept_result(matrix: OutcomeMatrix, follower_mass: float,
-                 lead_mass: float, seed_delta_v_kmh: float | None = None
-                 ) -> SeedResult:
-    """An eligible seed's result with `matrix`, whose no-response outcome
-    it shares, and the masses and recorded delta-v given."""
-    return SeedResult(matrix.seed_id, matrix, matrix.no_response, None,
-                      "braking", False, follower_mass, lead_mass,
-                      seed_delta_v_kmh, matrix.grid.p_cell.size)
+def excluded_result(seed: SeedResult) -> SeedResult:
+    """`seed` as the sweep leaves an excluded seed: without rows."""
+    return replace(seed, rows=seed.rows[:0], v1=seed.v1[:0], v2=seed.v2[:0],
+                   excluded=True)
 
 
 def paper_mix_seed_set() -> tuple[SeedCrash, ...]:

@@ -40,7 +40,6 @@ from rearsim.engine import (
     CampaignConfig,
     CampaignGrid,
     CampaignResult,
-    OutcomeMatrix,
     load_campaign,
     run_campaign,
 )
@@ -62,7 +61,6 @@ from rearsim.validation import load_injury_curve, percentile_histogram, seed_per
 
 from fixtures import (
     Outcome,
-    all_live,
     load_seed_dir,
     save_decels,
     save_glances,
@@ -253,14 +251,15 @@ class TestPipeline:
         }
 
     def test_q_raw_is_the_crash_mass_weight_reads(self, pipeline):
-        """Each seed's q_raw is bitwise the crash mass of its matrix in the
+        """Each seed's q_raw is bitwise its crash mass on the grid of the
         campaign weight reads, and only seeds with crash mass are listed."""
         _, _, out = pipeline
         campaign = _recovered(load_campaign(out["simulate"]))
         with open(out["weight"] / "weights.csv", newline="") as fh:
             got = {row["seed_id"]: float(row["q_raw"]).hex() for row in csv.DictReader(fh)}
-        assert got == {m.seed_id: m.crash_mass.hex() for m in campaign.matrices
-                       if m.crash_mass > 0}
+        grid = campaign.grid
+        assert got == {r.seed_id: r.crash_mass(grid).hex() for r in campaign.swept
+                       if r.crash_mass(grid) > 0}
 
     def test_simulate_artifacts_are_pinned(self, pipeline):
         """simulate's outputs from the seed files on disk, and its manifest
@@ -343,7 +342,7 @@ class TestPipeline:
     def test_matrices_list_only_the_integrated_cells(self, pipeline):
         """kernel_calls counts one call per swept seed's no-response run
         plus one per integrated cell, and matrices.npy holds exactly those
-        cells, a record per integrated row. The matrices weight reads back,
+        cells, a record per integrated row. The outcomes weight reads back,
         with the no-response outcomes of seeds.npy, are the campaign's
         bitwise."""
         root, paths, out = pipeline
@@ -357,15 +356,15 @@ class TestPipeline:
             result = run_campaign(load_seed_refs("out_synth/seeds"), cfg,
                                   glance=load_glances(cfg.glance_file),
                                   decels=load_decels(cfg.decel_file))
-        loaded = load_campaign(sim).matrices
-        assert len(loaded) == len(result.matrices) == swept
-        for want, got in zip(result.matrices, loaded):
+        loaded = load_campaign(sim)
+        assert len(loaded.swept) == len(result.swept) == swept
+        for want, got in zip(result.swept, loaded.swept):
             assert got.seed_id == want.seed_id
             assert ([x.hex() for x in got.no_response]
                     == [x.hex() for x in want.no_response])
             for name in ("rows", "v1", "v2"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.kernel_calls == want.kernel_calls
+            assert got.kernel_calls(loaded.grid) == want.kernel_calls(result.grid)
 
     def test_worker_count_does_not_change_output(self, pipeline, tmp_path):
         root, paths, out_first = pipeline
@@ -1018,6 +1017,14 @@ def _bad_vehicle(role, field, value):
             _SEEDS_DIR)
 
 
+def _without_vehicle_key(role, key):
+    """A seed sidecar whose `role` vehicle lacks `key`."""
+    def edit(text):
+        meta = json.loads(text)
+        return json.dumps({**meta, role: {k: v for k, v in meta[role].items() if k != key}})
+    return edit
+
+
 def _bad_occupants(edit, where):
     return ("inputs/occupants.csv", load_occupants, edit,
             rf"occupants\.csv:{where}", (_FIT_BIAS,))
@@ -1206,6 +1213,13 @@ MALFORMED_INPUTS = {
     "seed_sidecar_not_an_object": (
         "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
         lambda text: "[]", r"s0000\.json: seed sidecar must be a JSON object, got a list",
+        _SEEDS_DIR),
+    "seed_sidecar_empty_object": (
+        "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+        lambda text: "{}", r"s0000\.json: seed sidecar lacks key 'id'$", _SEEDS_DIR),
+    "seed_lead_without_length": (
+        "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+        _without_vehicle_key("lead", "length"), r"s0000\.json: lead lacks key 'length'$",
         _SEEDS_DIR),
     **{f"seed_delta_v_{name}": _bad_delta_v(value)
        for name, value in (("text", "abc"), ("nan", math.nan),
@@ -1476,6 +1490,12 @@ TRUNCATIONS = {
     ".json": {"empty_object": lambda data: b"{}", "empty_list": lambda data: b"[]",
               "null": lambda data: b"null"},
 }
+# (file, cut): the error every command that reads the cut file exits 2 with
+TRUNCATION_ERRORS = {
+    ("inputs/glances.csv", "empty"): r"glances\.csv:1: expected on_road_mass,<number>$",
+    ("out_synth/seeds/s0000.json", "empty_object"):
+        r"s0000\.json: seed sidecar lacks key 'id'$",
+}
 
 
 def test_truncated_readers_cover_every_malformed_input_file():
@@ -1504,6 +1524,8 @@ def test_truncated_input_runs_or_exits_with_its_code(file, cut, pipeline, tmp_pa
         assert code in allowed, (command[0], code, err)
         assert code == 0 or err.startswith("error: "), (command[0], err)
         assert "Traceback" not in err
+        if (file, cut) in TRUNCATION_ERRORS:
+            assert code == 2 and re.search(TRUNCATION_ERRORS[file, cut], err, re.M), err
 
 
 @pytest.mark.parametrize("name,old", [("matrices.npy", "matrices.csv"),
@@ -2016,19 +2038,20 @@ def test_weight_pipeline_memory_follows_its_samples():
         crashed = rng.random((n1, n2)) < 0.6
         v2 = np.where(crashed, rng.uniform(0, 10, (n1, n2)), np.nan)
         v1 = v2 + rng.uniform(0, 10, (n1, n2))
-        matrix = all_live(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0))
-        results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
+        results.append(swept_result(f"s{k:03d}", grid, v1, v2, Outcome(20.0, 5.0),
+                                    follower_mass=1500.0, lead_mass=1200.0,
+                                    seed_delta_v_kmh=10.0))
     campaign = CampaignResult("cbm", grid, results, 0.1)
 
     def weigh_and_sort():
         weighting = weigh(campaign)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights, grid)
         build_histogram(samples.delta_v, samples.weight, 2.0)
         return samples
 
     cells, peak = traced_peak(weigh_and_sort)
     held = cells.delta_v.nbytes + cells.weight.nbytes
-    assert len(cells) == sum(int(m.crashed.sum()) for m in campaign.matrices)
+    assert len(cells) == sum(int(r.crashed.sum()) for r in campaign.swept)
     assert peak <= 4 * held, peak / held
 
 
@@ -2050,8 +2073,9 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
         v2 = np.where(crashed, rng.uniform(0, 10, (n_live, n2)), np.nan)
         v1 = v2 + rng.uniform(0, 10, (n_live, n2))
         rows = np.sort(rng.choice(n1, n_live, replace=False))
-        matrix = OutcomeMatrix(f"s{k:04d}", grid, rows, v1, v2, Outcome(20.0, 5.0))
-        results.append(swept_result(matrix, 1500.0, 1200.0, 10.0))
+        results.append(swept_result(f"s{k:04d}", grid, v1, v2, Outcome(20.0, 5.0),
+                                    rows=rows, follower_mass=1500.0, lead_mass=1200.0,
+                                    seed_delta_v_kmh=10.0))
     weighting = weigh(CampaignResult("cbm", grid, results, 0.1))
 
     def never_built(*args):
@@ -2060,7 +2084,7 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
     monkeypatch.setattr(outcome, "weighted_crash_samples", never_built)
     _, peak = traced_peak(lambda: (weighting.histogram(), weighting.contributions()))
     monkeypatch.undo()
-    cells = [r.matrix.n_crash_cells for r in results]
+    cells = [r.n_crash_cells(grid) for r in results]
     samples = 16 * sum(cells)
     assert peak <= samples / 8, peak / samples
 
@@ -2075,15 +2099,15 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
 def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
               seed_dv: float = 20.0) -> CampaignResult:
     """A campaign of one eligible seed, mixing in a no-response share of
-    `fraction`: its 1 x 2 matrix crashes in cell (0, 0) or in none, and its
+    `fraction`: its 1 x 2 grid crashes in cell (0, 0) or in none, and its
     no-response run crashes at a delta-v of exactly 20 km/h or does not
     crash."""
     grid = CampaignGrid([0.0], [1.0], [3.0, 6.0], [0.5, 0.5])
     crashed = np.array([[crashed_cell, False]])
     v1, v2 = (np.where(crashed, v, np.nan) for v in (10.0, 5.0))
     nr = Outcome(17.5, 5.0) if nr_crashed else Outcome(math.nan, math.nan)
-    matrix = all_live("a", grid, v1, v2, nr)
-    seed = swept_result(matrix, 1500.0, 1200.0, seed_dv)
+    seed = swept_result("a", grid, v1, v2, nr, follower_mass=1500.0, lead_mass=1200.0,
+                        seed_delta_v_kmh=seed_dv)
     assert math.isnan(seed.no_response_dv) or seed.no_response_dv == 20.0
     return CampaignResult("cbm", grid, [seed], fraction)
 
@@ -2098,8 +2122,7 @@ def test_seed_with_only_its_no_response_crash(seed_dv, want):
     def with_weighted_seed(fraction):
         campaign = _one_seed(False, True, fraction, seed_dv)
         b = _one_seed(True, False, fraction).results[0]
-        b = dataclasses.replace(b, seed_id="b",
-                                matrix=dataclasses.replace(b.matrix, seed_id="b"))
+        b = dataclasses.replace(b, seed_id="b")
         return dataclasses.replace(campaign, results=campaign.results + [b])
 
     weighting = weigh(with_weighted_seed(0.1))
@@ -2113,7 +2136,8 @@ def test_seed_whose_crash_weights_underflowed_has_no_percentile(monkeypatch):
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
     cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    monkeypatch.setattr(outcome, "weighted_crash_samples", lambda seeds, weights, total: cells)
+    monkeypatch.setattr(outcome, "weighted_crash_samples",
+                        lambda seeds, weights, grid, total: cells)
     assert seed_percentiles(weigh(_one_seed(True, False, 0.1))) == {}
 
 

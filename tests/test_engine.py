@@ -21,7 +21,6 @@ from rearsim.engine import (
     SEED_LAYOUT,
     CampaignConfig,
     CampaignGrid,
-    OutcomeMatrix,
     SeedKinematics,
     SeedResult,
     load_campaign,
@@ -56,6 +55,7 @@ from fixtures import (
     exhaustive_sweep,
     shrp2_like_decels,
     shrp2_like_glances,
+    swept_result,
     traced_peak,
 )
 from test_looming import make_cf
@@ -134,7 +134,7 @@ class TestSimulate:
         result = run_campaign(list(small_seeds[:4]), cfg, glance=glances,
                               decels=decels)
         for r in result.results:
-            v1, v2, _ = r.matrix.crashes()
+            v1, v2, _ = r.crashes(result.grid)
             assert np.all(v1 > v2)
 
     def test_no_response_run_crashes(self, small_seeds):
@@ -308,6 +308,14 @@ class TestWindowedKernel:
         assert n_overlaps > 0
 
 
+def sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
+          jerk: float = -23.04) -> SeedResult:
+    """`sweep_seed`'s outcomes of `kin` on `grid`, as an eligible seed's
+    record."""
+    rows, v1, v2 = sweep_seed(kin, grid, onsets, jerk)
+    return swept_result(kin.id, grid, v1, v2, kin.no_response, rows=rows)
+
+
 class TestSweep:
     @staticmethod
     def grid(n1=68, overshoot_probs_seed=3, decels=(2.0, 4.0, 6.0, 8.0)):
@@ -321,7 +329,7 @@ class TestSweep:
         grid = self.grid(n1)
         onsets = cbm_onsets(anchor, grid.axis1, CbmConfig())
         kin = SeedKinematics(cf)
-        reduced = sweep_seed(kin, grid, onsets, -23.04)
+        reduced = sweep(kin, grid, onsets)
         exhaustive = exhaustive_sweep(kin, grid, onsets, -23.04)
         # rows braking before the step ahead of the no-response impact
         n_live = int(np.sum(onsets < kin.t[kin.k_live - 1]))
@@ -338,34 +346,32 @@ class TestSweep:
             assert_cells(reduced, exhaustive)
             # one call for the no-response run, one per integrated cell
             n1, n2 = exhaustive.crashed.shape
-            assert reduced.kernel_calls == 1 + n2 * n_live
+            assert reduced.kernel_calls(exhaustive.grid) == 1 + n2 * n_live
             assert exhaustive.kernel_calls == 1 + n1 * n2
 
     def test_all_avoid_row_costs_few_calls(self):
         cf = make_cf(v_foll=10.0, v_lead=9.0, gap0=500.0, duration=20.0)
         grid = self.grid(32, decels=(9.0,))
-        m = sweep_seed(SeedKinematics(cf), grid,
-                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert np.isnan(m.cells("v1")).all()
+        m = sweep(SeedKinematics(cf), grid, cbm_onsets(0.0, grid.axis1, CbmConfig()))
+        assert np.isnan(m.cells(grid, "v1")).all()
         # the no-response run never overlaps, so no row is live
-        assert m.kernel_calls == 1
+        assert m.kernel_calls(grid) == 1
 
     def test_every_row_brakes_too_late(self):
         # tiny gap: even the attentive response is too late for any decel
         cf = make_cf(v_foll=20.0, v_lead=0.0, gap0=3.0, duration=10.0)
         grid = self.grid(16)
-        m = sweep_seed(SeedKinematics(cf), grid,
-                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert not np.isnan(m.cells("v1")).any()
+        m = sweep(SeedKinematics(cf), grid, cbm_onsets(0.0, grid.axis1, CbmConfig()))
+        assert not np.isnan(m.cells(grid, "v1")).any()
         # every onset is past the no-response impact, so no row is live
-        assert m.kernel_calls == 1
+        assert m.kernel_calls(grid) == 1
 
     def test_cell_probabilities_sum_to_one(self, small_seeds):
         cf = remove_evasive_maneuver(small_seeds[0])
         grid = self.grid()
-        m = sweep_seed(SeedKinematics(cf), grid,
-                       cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
-        assert m.grid is grid
+        rows, v1, v2 = sweep_seed(SeedKinematics(cf), grid,
+                                  cbm_onsets(0.0, grid.axis1, CbmConfig()), -23.04)
+        assert v1.shape == v2.shape == (len(rows), grid.shape[1])
         assert grid.p_cell.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_monotonicity_in_axes(self, small_seeds):
@@ -390,25 +396,31 @@ MATRIX_FIELDS = ("v1", "v2")
 
 
 def test_a_cell_is_its_two_speeds_everywhere():
-    """The kernel's block, OutcomeMatrix's per-cell arrays and a
-    matrices.npy record's data fields name one outcome, OUTCOME_FIELDS. A
-    per-cell field added to one of them but not the others fails here,
-    instead of being written and never read."""
-    matrix = tuple(f.name for f in fields(OutcomeMatrix)
-                   if f.name not in ("seed_id", "grid", "rows", "no_response"))
+    """The kernel's block, a seed record's per-cell arrays (its fields of
+    shape (live rows, deceleration bins)) and a matrices.npy record's data
+    fields name one outcome, OUTCOME_FIELDS. A per-cell field added to one
+    of them but not the others fails here, instead of being written and
+    never read."""
     record = tuple(name for name, *_ in engine._matrices_layout(3)
                    if name not in ("seed_id", "axis1_index"))
     kin = SeedKinematics(make_cf(v_foll=10.0, v_lead=0.0, gap0=30.0, duration=10.0))
     kernel = tuple(kin.run(np.array([0.5, math.inf]), np.array([2.0, 8.0]), -23.04))
-    assert engine.OUTCOME_FIELDS == matrix == record == kernel == MATRIX_FIELDS
+    seed = sweep(kin, TestSweep.grid(8), 0.5 + 0.1 * np.arange(8))
+    assert len(seed.rows)
+    per_cell = tuple(f.name for f in fields(seed) if np.ndim(getattr(seed, f.name)) == 2)
+    assert engine.OUTCOME_FIELDS == per_cell == record == kernel == MATRIX_FIELDS
 GRID_FIELDS = ("axis1", "axis1_probs", "decels", "decel_probs")
 
 
-def swept(result) -> dict[str, tuple[float, float]]:
-    """The no-response outcome of each swept seed of a campaign result,
-    which fills the rows matrices.npy holds no record of."""
-    return {r.seed_id: r.no_response for r in result.results
-            if r.matrix is not None}
+def swept_ids(result) -> list[str]:
+    """The ids of a campaign result's swept seeds, whose live rows
+    matrices.npy holds."""
+    return [r.seed_id for r in result.swept]
+
+
+def outcomes(r: SeedResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A seed's outcomes as `load_matrices` gives them: rows, v1 and v2."""
+    return r.rows, r.v1, r.v2
 
 
 def assert_bitwise(got, want, names):
@@ -418,20 +430,19 @@ def assert_bitwise(got, want, names):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_cells(got, want: DenseMatrix):
-    """Each outcome field of `got` over its whole grid has the dtype and
-    bytes of the dense oracle's."""
+def assert_cells(got: SeedResult, want: DenseMatrix):
+    """Each outcome field of `got` over the oracle's whole grid has the
+    dtype and bytes of the dense oracle's."""
     for name in MATRIX_FIELDS:
-        a, b = got.cells(name), getattr(want, name)
+        a, b = got.cells(want.grid, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_same_matrix(got, want):
-    """`got` holds `want`'s seed, live rows, their cells and no-response
-    outcome, bit for bit."""
-    assert got.seed_id == want.seed_id
-    assert_bitwise(got, want, ("rows",) + MATRIX_FIELDS)
-    assert bits(got.no_response) == bits(want.no_response)
+def assert_same_outcomes(got, want):
+    """`got` and `want`, each a seed's outcomes (rows, v1, v2), have the
+    same dtypes and bytes."""
+    for name, a, b in zip(("rows",) + MATRIX_FIELDS, got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def grid_round_trip(grid: CampaignGrid) -> CampaignGrid:
@@ -469,7 +480,7 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
     cfg = CampaignConfig(model=model)
     reduced = run_campaign(seeds, cfg, glance=glance, decels=decels)
     grid = reduced.grid
-    assert len(reduced.matrices) >= 1
+    assert len(reduced.swept) >= 1
     dense = []
     for seed, r in zip(sorted(seeds, key=lambda s: s.id), reduced.results,
                        strict=True):
@@ -481,9 +492,9 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         onsets = (blom_onsets(cf.lead_brake_onset, grid.axis1) if model == "blom"
                   else cbm_onsets(r.anchor, grid.axis1, cfg.cbm))
         want = exhaustive_sweep(kin, grid, onsets, cfg.cbm.jerk_mean)
-        assert_cells(r.matrix, want)
-        assert r.matrix.kernel_calls <= want.kernel_calls
-        assert r.matrix.n_crash_cells == np.count_nonzero(want.crashed)
+        assert_cells(r, want)
+        assert r.kernel_calls(grid) <= want.kernel_calls
+        assert r.n_crash_cells(grid) == np.count_nonzero(want.crashed)
         dense.append(want)
     if model == "blom":
         rows = list(range(0, grid.shape[0], 2))
@@ -495,16 +506,17 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
                               grid.decels, grid.decel_probs)
         rows = [grid.axis1.tolist().index(x) for x in target.axis1.tolist()]
     masses = {s.id: (s.follower_meta.mass, s.lead_meta.mass) for s in seeds}
-    reweighted = reduced.with_matrices(target, reweight(reduced.matrices, grid, target))
+    reweighted = reweight(reduced, target)
     for campaign, want in ((reduced, dense),
                            (reweighted, [m.at(rows, target) for m in dense])):
-        for m, d in zip(campaign.matrices, want, strict=True):
-            assert_cells(m, d)
-            assert m.crash_mass.hex() == d.crash_mass.hex()
+        for r, d in zip(campaign.swept, want, strict=True):
+            assert_cells(r, d)
+            assert r.crash_mass(campaign.grid).hex() == d.crash_mass.hex()
         if not any(d.crashed.any() for d in want):
             continue
         weighting = weigh(campaign)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
+                                         campaign.grid)
         oracle = dense_crash_samples(want, masses, weighting.weights)
         assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
         assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()
@@ -525,7 +537,7 @@ def test_every_crash_closes(v_lead, closing, error, gap, onset):
     cf.lead.speed = np.maximum(cf.lead.speed + error, 0.0)
     kin = SeedKinematics(cf)
     grid = TestSweep.grid(21, decels=(1.0, 3.0, 6.0, 9.0))
-    m = sweep_seed(kin, grid, onset + grid.axis1, -23.04)
+    m = sweep(kin, grid, onset + grid.axis1)
     assert np.all(m.v1[m.crashed] > m.v2[m.crashed])
     nr = Outcome(*kin.no_response)
     assert not nr.crashed or nr.v1 > nr.v2
@@ -539,46 +551,43 @@ def test_every_crash_closes(v_lead, closing, error, gap, onset):
        onset=st.floats(0.0, 3.0))
 def test_compact_matrices_expand_to_the_dense_ones_bitwise(
         rng_seed, model, lead, v_lead, gap, onset):
-    """load_matrices(save_matrices(m)) gives back the matrices bit for bit:
-    their live rows, cells and no-response outcomes. Besides the campaign's
-    seeds there are three constructed ones on its grid: a follower that
-    never responds (no live row, and the no-response run crashes), one
-    slower than its lead (no live row, and no crash), and one braking from
-    `onset` on."""
+    """load_matrices(save_matrices(seeds)) gives back the seeds' outcomes
+    bit for bit: their live rows and cells. Besides the campaign's seeds
+    there are three constructed ones on its grid: a follower that never
+    responds (no live row, and the no-response run crashes), one slower
+    than its lead (no live row, and no crash), and one braking from `onset`
+    on."""
     seeds = list(synthesize_seeds(SynthesisConfig(
         n_seeds=2, lead_mix={"braking": 1, lead: 1}), rng_seed))
     cfg = CampaignConfig(model=model)
     result = run_campaign(seeds, cfg, glance=shrp2_like_glances(),
                           decels=shrp2_like_decels())
-    grid, matrices, no_response = result.grid, result.matrices, swept(result)
+    grid, swept = result.grid, result.swept
     for sid, v_foll, v_ahead, start in (("x_never", 20.0, v_lead, math.inf),
                                         ("y_slow", v_lead, 20.0, onset),
                                         ("z_brakes", 20.0, v_lead, onset)):
         kin = SeedKinematics(make_cf(v_foll, v_ahead, gap, duration=12.0))
         kin.id = sid
-        matrices.append(sweep_seed(kin, grid, start + grid.axis1,
-                                   cfg.cbm.jerk_mean))
-        no_response[sid] = kin.no_response
-    by_id = {m.seed_id: m for m in matrices}
-    assert not len(by_id["x_never"].rows) and Outcome(*no_response["x_never"]).crashed
-    assert not len(by_id["y_slow"].rows) and not Outcome(*no_response["y_slow"]).crashed
+        swept.append(sweep(kin, grid, start + grid.axis1, cfg.cbm.jerk_mean))
+    by_id = {r.seed_id: r for r in swept}
+    never, slow = by_id["x_never"], by_id["y_slow"]
+    assert not len(never.rows) and Outcome(*never.no_response).crashed
+    assert not len(slow.rows) and not Outcome(*slow.no_response).crashed
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "matrices.npy"
-        save_matrices(matrices, grid, path)
+        save_matrices(swept, grid, path)
         n_records = len(np.load(path))
-        loaded = load_matrices(path, grid, no_response)
-    assert n_records == sum(len(m.rows) for m in matrices)
-    assert [m.seed_id for m in loaded] == sorted(by_id)
-    for got in loaded:
-        assert got.grid is grid
-        assert_same_matrix(got, by_id[got.seed_id])
+        loaded = load_matrices(path, grid, list(by_id))
+    assert n_records == sum(len(r.rows) for r in swept)
+    for sid, got in zip(sorted(by_id), loaded, strict=True):
+        assert_same_outcomes(got, outcomes(by_id[sid]))
 
 
 @pytest.mark.parametrize("model", ["cbm", "blom"])
 def test_campaign_round_trip(model, tmp_path):
     """load_campaign gives back the campaign save_campaign wrote: its model,
     no-response fraction and grid, and every field of every seed result but
-    the digest, its matrix included, bit for bit. The cbm campaign mixes in
+    the digest, its outcomes included, bit for bit. The cbm campaign mixes in
     a no-response share of 0.1 and the blom campaign excludes seeds; each
     has a seed whose no-response run does not crash, with no live row."""
     seeds = list(synthesize_seeds(SynthesisConfig(
@@ -587,10 +596,9 @@ def test_campaign_round_trip(model, tmp_path):
                           glance=shrp2_like_glances(), decels=shrp2_like_decels())
     kin = SeedKinematics(make_cf(10.0, 20.0, 15.0, duration=12.0))
     kin.id = "y_slow"
-    slow = sweep_seed(kin, result.grid, 1.0 + result.grid.axis1, -23.04)
+    slow = sweep(kin, result.grid, 1.0 + result.grid.axis1)
     assert bits(kin.no_response) == ("nan", "nan") and not len(slow.rows)
-    result.results.append(SeedResult("y_slow", slow, kin.no_response, None,
-                                     "braking", False, 1500.0, 1400.0, None, 0))
+    result.results.append(replace(slow, lead_mass=1400.0, theoretical_cells=0))
     assert result.excluded_ids if model == "blom" else result.no_response_fraction == 0.1
 
     save_campaign(result, tmp_path)
@@ -599,12 +607,9 @@ def test_campaign_round_trip(model, tmp_path):
     assert_bitwise(got.grid, result.grid, GRID_FIELDS)
     assert len(got.results) == len(result.results)
     for a, b in zip(got.results, result.results):
-        assert (a.matrix is None) == (b.matrix is None)
-        if a.matrix is not None:
-            assert a.matrix.grid is got.grid
-            assert_same_matrix(a.matrix, b.matrix)
+        assert_same_outcomes(outcomes(a), outcomes(b))
         for f in fields(SeedResult):
-            if f.name not in ("matrix", "digest"):
+            if f.name not in ("rows", *MATRIX_FIELDS, "digest"):
                 x, y = getattr(a, f.name), getattr(b, f.name)
                 assert (bits(x) == bits(y) if f.name == "no_response" else
                         x.hex() == y.hex() if isinstance(y, float) else x == y), f.name
@@ -619,13 +624,14 @@ def test_load_matrices_memory_follows_its_records(tmp_path):
         grid = CampaignGrid(0.1 * np.arange(n1), np.full(n1, 1 / n1),
                             1.5 * np.arange(1, n2 + 1), np.full(n2, 1 / n2))
         v1, v2 = np.full((1, n2), 9.0), np.full((1, n2), 1.0)
-        matrices = [OutcomeMatrix(f"s{k:03d}", grid, np.array([1]), v1, v2, NO_CRASH)
-                    for k in range(200)]
+        seeds = [swept_result(f"s{k:03d}", grid, v1, v2, rows=[1]) for k in range(200)]
         path = tmp_path / f"{n1}.npy"
-        save_matrices(matrices, grid, path)
+        save_matrices(seeds, grid, path)
         loaded, peaks[n1] = traced_peak(load_matrices, path, grid,
-                                        {m.seed_id: NO_CRASH for m in matrices})
-        assert len(loaded) == 200 and loaded[0].cells("v1").shape == (n1, n2)
+                                        [r.seed_id for r in seeds])
+        assert len(loaded) == 200
+        rows, v1_back, _ = loaded[0]
+        assert rows.tolist() == [1] and v1_back.shape == (1, n2)
     assert peaks[1000] <= 1.05 * peaks[2], peaks
     assert peaks[1000] < 200 * 1000 * n2 * (8 + 8) / 20, peaks
 
@@ -638,9 +644,8 @@ class TestCampaign:
         n = len(small_seeds)
         assert len(result.results) == n
         assert result.theoretical_cells == n * 67 * 6
-        for r in result.results:
-            assert r.matrix is not None
-            assert abs(r.matrix.grid.p_cell.sum() - 1.0) <= 1e-12
+        assert not result.excluded_ids
+        assert abs(result.grid.p_cell.sum() - 1.0) <= 1e-12
 
     def test_blom_excludes_ineligible(self, small_seeds, decels):
         cfg = CampaignConfig(model="blom")
@@ -649,11 +654,11 @@ class TestCampaign:
         expected_excluded = sum(
             1 for r in result.results if r.lead_behavior != LEAD_BRAKING)
         assert len(result.excluded_ids) == expected_excluded > 0
+        assert result.grid.axis1.shape == (25,)
         for r in result.results:
-            if not r.excluded:
-                assert r.matrix.grid is result.grid
-                assert result.grid.axis1.shape == (25,)
-                assert r.theoretical_cells == 25 * 6
+            assert r.v1.shape == (len(r.rows), 6)
+            assert r.theoretical_cells == (0 if r.excluded else 25 * 6)
+            assert not (r.excluded and len(r.rows))  # an excluded seed has no rows
 
     def test_blom_all_standstill_is_model_undefined(self, decels):
         cfg_synth = SynthesisConfig(n_seeds=3, lead_mix={"standstill": 3})
@@ -669,7 +674,7 @@ class TestCampaign:
             result = run_campaign(list(small_seeds), cfg, glance=glances,
                                   decels=decels, workers=workers)
             path = tmp_path / f"{tag}.npy"
-            save_matrices(result.matrices, result.grid, path)
+            save_matrices(result.swept, result.grid, path)
             paths.append(path)
         blob = paths[0].read_bytes()
         assert paths[1].read_bytes() == blob
@@ -726,56 +731,56 @@ class TestCampaign:
                         a.follower_mass, a.lead_mass) == (
                     b.seed_id, b.anchor, bits(b.no_response), b.seed_delta_v_kmh,
                     b.follower_mass, b.lead_mass)
-                assert_same_matrix(a.matrix, b.matrix)
+                assert_same_outcomes(outcomes(a), outcomes(b))
 
     def test_matrices_round_trip(self, small_seeds, glances, decels, tmp_path):
         cfg = CampaignConfig()
         result = run_campaign(list(small_seeds[:3]), cfg, glance=glances,
                               decels=decels, workers=2)
         path = tmp_path / "m.npy"
-        save_matrices(result.matrices, result.grid, path)
+        save_matrices(result.swept, result.grid, path)
         grid = grid_round_trip(result.grid)
         assert_bitwise(grid, result.grid, GRID_FIELDS + ("p_cell",))
-        loaded = load_matrices(path, grid, swept(result))
+        loaded = load_matrices(path, grid, swept_ids(result))
         assert len(loaded) == 3
-        for orig, back in zip(result.matrices, loaded, strict=True):
-            assert orig.grid is result.grid and back.grid is grid
-            assert_same_matrix(back, orig)
-            assert back.crash_mass == orig.crash_mass
+        for orig, (rows, v1, v2) in zip(result.swept, loaded, strict=True):
+            assert_same_outcomes((rows, v1, v2), outcomes(orig))
+            back = replace(orig, rows=rows, v1=v1, v2=v2)
+            assert back.crash_mass(grid) == orig.crash_mass(result.grid)
         # one little-endian record per live row, seed by seed, rows ascending
         records = np.load(path)
         assert records.dtype == np.dtype([
             ("seed_id", "<U5"), ("axis1_index", "<i8"), ("v1", "<f8", (6,)),
             ("v2", "<f8", (6,))])
         assert list(zip(records["seed_id"].tolist(), records["axis1_index"].tolist())) == [
-            (m.seed_id, row) for m in result.matrices for row in m.rows.tolist()]
+            (r.seed_id, row) for r in result.swept for row in r.rows.tolist()]
 
     def test_matrices_without_live_rows_write_no_record(self, small_seeds, glances,
                                                         decels, tmp_path):
         result = run_campaign(list(small_seeds[:2]), CampaignConfig(), glance=glances,
                               decels=decels)
-        dead = [replace(m, rows=m.rows[:0], **{name: getattr(m, name)[:0]
+        dead = [replace(r, rows=r.rows[:0], **{name: getattr(r, name)[:0]
                                                for name in MATRIX_FIELDS})
-                for m in result.matrices]
+                for r in result.swept]
         path = tmp_path / "m.npy"
         save_matrices(dead, result.grid, path)
         assert np.load(path).shape == (0,)
         assert np.load(path).dtype["v1"].shape == (6,)
-        for m, want in zip(load_matrices(path, result.grid, swept(result)), dead,
-                           strict=True):
-            assert_same_matrix(m, want)
+        for got, want in zip(load_matrices(path, result.grid, swept_ids(result)), dead,
+                             strict=True):
+            assert_same_outcomes(got, outcomes(want))
 
 
 @pytest.fixture(scope="module")
 def paper_baseline(paper_mix_seeds, glances, decels, tmp_path_factory):
-    """The uncut paper-mix campaign, in memory and after a round trip of
-    its grid through JSON and its matrices through matrices.npy."""
+    """The uncut paper-mix campaign, in memory and as `load_campaign` reads
+    it back from simulate's files: its grid through JSON and its outcomes
+    through matrices.npy."""
     result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
                           glance=glances, decels=decels)
-    path = tmp_path_factory.mktemp("baseline") / "matrices.npy"
-    save_matrices(result.matrices, result.grid, path)
-    return result, load_matrices(path, grid_round_trip(result.grid),
-                                 swept(result))
+    out = tmp_path_factory.mktemp("baseline")
+    save_campaign(result, out)
+    return result, load_campaign(out)
 
 
 def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
@@ -786,7 +791,7 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
     assert (result.kernel_calls, result.theoretical_cells,
             result.crash_cells) == (9799, 41406, 39167)
     path = tmp_path / "matrices.npy"
-    save_matrices(result.matrices, result.grid, path)
+    save_matrices(result.swept, result.grid, path)
     data = path.read_bytes()
     assert len(data) == 200576
     assert hashlib.sha256(data).hexdigest() == (
@@ -796,12 +801,12 @@ def test_paper_mix_counters_and_matrices_are_pinned(paper_baseline, tmp_path):
 def test_load_matrices_takes_rows_in_any_order(paper_baseline, tmp_path):
     result, loaded = paper_baseline
     path = tmp_path / "matrices.npy"
-    save_matrices(result.matrices, result.grid, path)
+    save_matrices(result.swept, result.grid, path)
     records = np.load(path)
     np.save(path, records[np.random.default_rng(3).permutation(len(records))])
-    for want, got in zip(loaded, load_matrices(path, result.grid, swept(result)),
+    for want, got in zip(loaded.swept, load_matrices(path, result.grid, swept_ids(result)),
                          strict=True):
-        assert_same_matrix(got, want)
+        assert_same_outcomes(got, outcomes(want))
 
 
 class TestReweight:
@@ -809,7 +814,7 @@ class TestReweight:
     def test_equals_cut_campaign_bitwise(self, cut_at, paper_baseline,
                                          paper_mix_seeds, glances, decels):
         result, loaded = paper_baseline
-        grid = loaded[0].grid
+        grid = loaded.grid
         target = grid
         if cut_at is not None:
             result = run_campaign(list(paper_mix_seeds), CampaignConfig(),
@@ -818,14 +823,15 @@ class TestReweight:
             target = CampaignGrid(*cbm_axes(cut_glances(glances, cut_at)),
                                   grid.decels, grid.decel_probs)
         assert_bitwise(target, result.grid, GRID_FIELDS + ("p_cell",))
-        reweighted = reweight(loaded, grid, target)
-        assert [m.seed_id for m in reweighted] == [m.seed_id for m in result.matrices]
-        for want, got in zip(result.matrices, reweighted):
-            assert got.grid is target
-            assert_same_matrix(got, want)
-            assert got.crash_mass == want.crash_mass
-            # loaded and reweighted, a matrix still counts its kernel calls
-            assert got.kernel_calls == want.kernel_calls
+        reweighted = reweight(loaded, target)
+        assert reweighted.grid is target
+        assert [r.seed_id for r in reweighted.swept] == [r.seed_id for r in result.swept]
+        for want, got in zip(result.swept, reweighted.swept):
+            assert_same_outcomes(outcomes(got), outcomes(want))
+            assert bits(got.no_response) == bits(want.no_response)
+            assert got.crash_mass(target) == want.crash_mass(result.grid)
+            # loaded and reweighted, a seed still counts its kernel calls
+            assert got.kernel_calls(target) == want.kernel_calls(result.grid)
 
     def test_unsorted_decel_file_order_is_kept(self, paper_baseline,
                                                paper_mix_seeds, glances,
@@ -837,22 +843,23 @@ class TestReweight:
         result = run_campaign(list(paper_mix_seeds[:8]), CampaignConfig(),
                               glance=glances, decels=flipped)
         path = tmp_path / "matrices.npy"
-        save_matrices(result.matrices, result.grid, path)
+        save_matrices(result.swept, result.grid, path)
         grid = grid_round_trip(result.grid)
         assert np.array_equal(grid.decels, flipped.d_values)
-        back = load_matrices(path, grid, swept(result))
-        for orig, got, ascending in zip(result.matrices, back, loaded):
-            assert got.seed_id == ascending.seed_id
-            assert_same_matrix(got, orig)
+        back = load_matrices(path, grid, swept_ids(result))
+        for orig, got, ascending in zip(result.swept, back, loaded.swept):
+            assert orig.seed_id == ascending.seed_id
+            assert_same_outcomes(got, outcomes(orig))
             for name in MATRIX_FIELDS:
-                assert np.array_equal(got.cells(name), ascending.cells(name)[:, ::-1],
+                assert np.array_equal(orig.cells(grid, name),
+                                      ascending.cells(loaded.grid, name)[:, ::-1],
                                       equal_nan=True), name
 
     def test_other_glance_distribution_rejected(self, paper_baseline):
         """An overshoot axis that is not a bitwise subset of the grid's,
         in the grid's order."""
         _, loaded = paper_baseline
-        grid = loaded[0].grid
+        grid = loaded.grid
         nudged = grid.axis1.copy()
         nudged[3] = np.nextafter(nudged[3], 1.0)
         for axis1 in (nudged, np.append(grid.axis1, grid.axis1[-1] + 0.1),
@@ -860,17 +867,49 @@ class TestReweight:
             target = CampaignGrid(axis1, np.full(len(axis1), 1 / len(axis1)),
                                   grid.decels, grid.decel_probs)
             with pytest.raises(ValidationError):
-                reweight(loaded, grid, target)
+                reweight(loaded, target)
 
     def test_other_decel_probabilities_reweight_the_same_outcomes(
             self, paper_baseline):
         _, loaded = paper_baseline
-        grid = loaded[0].grid
+        grid = loaded.grid
         tilted = CampaignGrid(grid.axis1, grid.axis1_probs, grid.decels,
                               grid.decel_probs[::-1])
-        for want, got in zip(loaded, reweight(loaded, grid, tilted)):
-            assert_same_matrix(got, want)
-            assert got.grid is tilted
+        reweighted = reweight(loaded, tilted)
+        assert reweighted.grid is tilted
+        for want, got in zip(loaded.results, reweighted.results, strict=True):
+            assert_same_outcomes(outcomes(got), outcomes(want))
+
+    def test_probabilities_are_read_from_the_campaign_grid_alone(
+            self, paper_baseline, glances):
+        """weigh reads every probability from the campaign's grid: on a
+        grid with another deceleration marginal, each seed's q_raw is
+        bitwise its crash mass there, as the dense oracle sums it. reweight
+        leaves the records of the campaign it cuts as they were."""
+        _, loaded = paper_baseline
+        grid = loaded.grid
+        tilted = CampaignGrid(grid.axis1, grid.axis1_probs, grid.decels,
+                              grid.decel_probs[::-1])
+        weighting = weigh(replace(loaded, grid=tilted))
+        want = {r.seed_id: DenseMatrix(r.seed_id, tilted, r.cells(grid, "v1"),
+                                       r.cells(grid, "v2")).crash_mass
+                for r in loaded.swept}
+        got = {w.seed_id: w.q_raw for w in weighting.weights}
+        assert {sid: q.hex() for sid, q in got.items()} == {
+            sid: q.hex() for sid, q in want.items() if q > 0}
+        assert weighting.zero_crash_seeds == [sid for sid, q in want.items() if q == 0]
+        assert any(got[r.seed_id] != r.crash_mass(grid) for r in weighting.seeds)
+
+        before = [(r, *(a.tobytes() for a in outcomes(r)), bits(r.no_response))
+                  for r in loaded.results]
+        target = CampaignGrid(*cbm_axes(cut_glances(glances, 2.0)), grid.decels,
+                              grid.decel_probs)
+        cut = reweight(loaded, target)
+        assert cut.grid is target and loaded.grid is grid
+        assert (sum(len(r.rows) for r in cut.results)
+                < sum(len(r.rows) for r in loaded.results))
+        assert [(r, *(a.tobytes() for a in outcomes(r)), bits(r.no_response))
+                for r in loaded.results] == before
 
 
 SMALL_GRID = {"axis1": [0.0, 0.1], "axis1_probs": [0.8, 0.2],
@@ -1072,15 +1111,14 @@ class TestLoadMatricesParseErrors:
         beside a cell without one is well formed too."""
         path = tmp_path / "matrices.npy"
         path.write_bytes(GOOD)
-        (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
-                             {"s1": NO_CRASH})
-        assert m.rows.tolist() == [0, 1] and not m.crashed.any()
-        assert np.isnan(m.v1).all()
+        grid = grid_round_trip(CampaignGrid(**SMALL_GRID))
+        ((rows, v1, v2),) = load_matrices(path, grid, ["s1"])
+        assert rows.tolist() == [0, 1] and np.isnan(v1).all() and np.isnan(v2).all()
         path.write_bytes(npy(records(CRASH)))
-        (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
-                             {"s1": NO_CRASH})
-        assert m.crashed.tolist() == [[True, False]]
-        assert m.crashes()[0].tolist() == [9.0] and m.n_crash_cells == 1
+        ((rows, v1, v2),) = load_matrices(path, grid, ["s1"])
+        seed = swept_result("s1", grid, v1, v2, rows=rows)
+        assert seed.crashed.tolist() == [[True, False]]
+        assert seed.crashes(grid)[0].tolist() == [9.0] and seed.n_crash_cells(grid) == 1
 
     @pytest.mark.parametrize("width", [2, 12])
     def test_any_seed_id_width(self, width, tmp_path):
@@ -1089,15 +1127,15 @@ class TestLoadMatricesParseErrors:
         record at the file's own width."""
         path, grid = tmp_path / "matrices.npy", grid_round_trip(CampaignGrid(**SMALL_GRID))
         path.write_bytes(npy(recast(records(CRASH), record_type(seed_id=(f"<U{width}",)))))
-        (m,) = load_matrices(path, grid, {"s1": NO_CRASH})
-        assert m.crashed.tolist() == [[True, False]]
+        ((_, v1, _),) = load_matrices(path, grid, ["s1"])
+        assert (~np.isnan(v1)).tolist() == [[True, False]]
         flagged = [("seed_id", f"<U{width}") if field[0] == "seed_id" else field
                    for field in FLAGGED_RECORD]
         path.write_bytes(npy(recast(records(CRASH), np.dtype(flagged))))
         with pytest.raises(ParseError, match=re.escape(
                 f"records [('seed_id', '<U{width}'), ('axis1_index', '<i8'), "
                 "('v1', '<f8', (2,)), ('v2', '<f8', (2,))] on the grid's 2")):
-            load_matrices(path, grid, {"s1": NO_CRASH})
+            load_matrices(path, grid, ["s1"])
 
     def test_python_2_header_loads_without_a_warning(self, tmp_path):
         """NumPy warns that it parsed a header with a Python 2 long, but
@@ -1106,9 +1144,9 @@ class TestLoadMatricesParseErrors:
         path.write_bytes(raw_npy(header(shape="(1L,)")))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (m,) = load_matrices(path, grid_round_trip(CampaignGrid(**SMALL_GRID)),
-                                 {"s1": NO_CRASH})
-        assert m.rows.tolist() == [0]
+            ((rows, _, _),) = load_matrices(
+                path, grid_round_trip(CampaignGrid(**SMALL_GRID)), ["s1"])
+        assert rows.tolist() == [0]
 
     def test_truncated_row_names_its_line(self, tmp_path):
         """A file cut inside its last record is refused whole; an error in
@@ -1117,11 +1155,11 @@ class TestLoadMatricesParseErrors:
         grid = grid_round_trip(CampaignGrid(**SMALL_GRID))
         path.write_bytes(GOOD[:-1])
         with pytest.raises(ParseError, match=r"matrices\.npy: .*Failed to read"):
-            load_matrices(path, grid, {"s1": NO_CRASH})
+            load_matrices(path, grid, ["s1"])
         path.write_bytes(npy(records(record(), record(row=1), CRASH)))
         with pytest.raises(ParseError, match=r"matrices\.npy: record 2 \(seed s1, "
                                              r"axis1 row 0\): an earlier record"):
-            load_matrices(path, grid, {"s1": NO_CRASH})
+            load_matrices(path, grid, ["s1"])
 
 
 @settings(max_examples=60, deadline=None)

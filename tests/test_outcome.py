@@ -10,11 +10,11 @@ from rearsim.engine import (
     CampaignConfig,
     CampaignGrid,
     CampaignResult,
-    OutcomeMatrix,
+    SeedResult,
     run_campaign,
 )
 
-from fixtures import DenseMatrix, all_live, dense_crash_samples, swept_result
+from fixtures import DenseMatrix, dense_crash_samples, excluded_result, swept_result
 from rearsim import outcome
 from rearsim.errors import ValidationError
 from rearsim.outcome import (
@@ -41,12 +41,18 @@ def momentum_oracle(v1, v2, m1, m2):
     return np.asarray((v1 - v_f) * np.longdouble("3.6"), dtype=float)
 
 
-def matrix_with_q(seed_id: str, q: float) -> OutcomeMatrix:
-    """Minimal 1x2 matrix whose crash mass is exactly q."""
-    v1 = np.array([[10.0, np.nan]])
-    v2 = np.array([[5.0, np.nan]])
-    grid = CampaignGrid([0.1], [1.0], [3.0, 6.0], [q, 1.0 - q])
-    return all_live(seed_id, grid, v1, v2)
+def seeds_with_q(qs: dict[str, float]) -> tuple[CampaignGrid, list[SeedResult]]:
+    """Seeds on one 1 x len(qs) grid whose crash masses are exactly the
+    `qs` given by seed id: seed k crashes in deceleration bin k alone, whose
+    probability is its q."""
+    n = len(qs)
+    grid = CampaignGrid([0.1], [1.0], 3.0 * np.arange(1, n + 1), list(qs.values()))
+    seeds = []
+    for k, sid in enumerate(qs):
+        v1, v2 = np.full((2, 1, n), np.nan)
+        v1[0, k], v2[0, k] = 10.0, 5.0
+        seeds.append(swept_result(sid, grid, v1, v2))
+    return grid, seeds
 
 
 class TestDeltaV:
@@ -83,15 +89,16 @@ class TestDeltaV:
 
 class TestPrevalenceWeights:
     def test_single_seed_normalizes_to_one(self):
-        weights, excluded = prevalence_weights([matrix_with_q("a", 0.37)])
+        grid, seeds = seeds_with_q({"a": 0.37})
+        weights, excluded = prevalence_weights(seeds, grid)
         assert excluded == []
         w = weights[0]
         assert w.q_norm == pytest.approx(1.0)
         assert w.w * w.q_norm == pytest.approx(1.0)
 
     def test_two_seed_hand_computation(self):
-        weights, _ = prevalence_weights(
-            [matrix_with_q("a", 0.2), matrix_with_q("b", 0.8)])
+        grid, seeds = seeds_with_q({"a": 0.2, "b": 0.8})
+        weights, _ = prevalence_weights(seeds, grid)
         by_id = {w.seed_id: w for w in weights}
         # untrimmed weights are proportional to {5, 1.25}; with only two
         # seeds the nearest-rank 5th/95th percentiles are the extremes, so
@@ -105,10 +112,10 @@ class TestPrevalenceWeights:
     def test_crash_free_matrices_are_refused(self):
         """crash_avoidance_rate takes a baseline with crash mass unchecked,
         because assess-dms weights the baseline first."""
-        m = matrix_with_q("dead", 0.5)
-        m.v1[:] = m.v2[:] = np.nan
+        grid, (dead,) = seeds_with_q({"dead": 0.5})
+        dead.v1[:] = dead.v2[:] = np.nan
         with pytest.raises(ValidationError, match="no seed produced any crash cell"):
-            prevalence_weights([m])
+            prevalence_weights([dead], grid)
 
     def test_weights_without_a_finite_sum_are_refused(self):
         """A crash mass of 5e-324 has an infinite inverse, and with two
@@ -116,35 +123,34 @@ class TestPrevalenceWeights:
         unchecked, never sees the samples. The per-seed percentiles refuse
         it after every block's delta-vs, so that, as in one pass over the
         campaign, a delta-v that is not finite is named first."""
-        matrices = [matrix_with_q("a", 5e-324), matrix_with_q("b", 0.7)]
+        grid, (a, b) = seeds_with_q({"a": 5e-324, "b": 0.7})
         with np.errstate(over="ignore"):
-            weights, _ = prevalence_weights(matrices)
+            weights, _ = prevalence_weights([a, b], grid)
         assert weights[0].w == math.inf
-        seeds = [swept_result(matrices[0], 1e3, 2e3, 20.0),
-                 swept_result(matrices[1], 1e3, 1e3, 20.0)]
+        seeds = [replace(a, follower_mass=1e3, lead_mass=2e3, seed_delta_v_kmh=20.0),
+                 replace(b, follower_mass=1e3, lead_mass=1e3, seed_delta_v_kmh=20.0)]
         with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
-            weighted_crash_samples(seeds, weights)
+            weighted_crash_samples(seeds, weights, grid)
         with np.errstate(over="ignore"), mock.patch.object(outcome, "ROW_BLOCK", 1):
-            weighting = weigh(CampaignResult("cbm", matrices[1].grid, seeds, 0.0))
+            weighting = weigh(CampaignResult("cbm", grid, seeds, 0.0))
             with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
                 seed_percentiles(weighting)
-            matrices[1].v1[0, 0] = 1e308  # in the second block
+            b.v1[0, 1] = 1e308  # in the second block
             with pytest.raises(ValidationError, match="seed b: a crash's delta-v is not"):
                 seed_percentiles(weighting)
 
     def test_zero_crash_seed_excluded_and_reported(self):
-        m = matrix_with_q("dead", 0.5)
-        m.v1[:] = m.v2[:] = np.nan
-        weights, excluded = prevalence_weights([m, matrix_with_q("live", 0.5)])
+        grid, (dead, live) = seeds_with_q({"dead": 0.5, "live": 0.5})
+        dead.v1[:] = dead.v2[:] = np.nan
+        weights, excluded = prevalence_weights([dead, live], grid)
         assert excluded == ["dead"]
         assert [w.seed_id for w in weights] == ["live"]
 
     def test_stress_span_is_clamped(self):
         # log-spaced crash masses spanning more than 10^3
         qs = np.geomspace(1e-4, 0.3, 40)
-        matrices = [matrix_with_q(f"s{i:02d}", float(q))
-                    for i, q in enumerate(qs)]
-        weights, _ = prevalence_weights(matrices)
+        grid, seeds = seeds_with_q({f"s{i:02d}": float(q) for i, q in enumerate(qs)})
+        weights, _ = prevalence_weights(seeds, grid)
         unt = np.array([w.w_untrimmed for w in weights])
         trm = np.array([w.w for w in weights])
         assert unt.max() / unt.min() >= 1e3
@@ -158,11 +164,10 @@ class TestPrevalenceWeights:
         assert contrib.max() / contrib.min() <= p95 / p5 + 1e-9
 
     def test_weighted_samples_total_mass_one(self):
-        matrices = [matrix_with_q("a", 0.2), matrix_with_q("b", 0.7)]
-        weights, _ = prevalence_weights(matrices)
-        samples = weighted_crash_samples([swept_result(matrices[0], 1000.0, 2000.0),
-                                          swept_result(matrices[1], 1500.0, 1500.0)],
-                                         weights)
+        grid, (a, b) = seeds_with_q({"a": 0.2, "b": 0.7})
+        weights, _ = prevalence_weights([a, b], grid)
+        samples = weighted_crash_samples(
+            [replace(a, follower_mass=1000.0, lead_mass=2000.0), b], weights, grid)
         assert samples.weight.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(samples) == sum(samples.counts) == len(samples.weight)
         assert samples.delta_v[0] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
@@ -173,26 +178,27 @@ class TestPrevalenceWeights:
         addition in cell order."""
         result = run_campaign(list(small_seeds), CampaignConfig(),
                               glance=glances, decels=decels)
-        matrices = result.matrices
-        weights, _ = prevalence_weights(matrices)
+        grid = result.grid
+        weights, _ = prevalence_weights(result.swept, grid)
         masses = {s.id: (s.follower_meta.mass, s.lead_meta.mass)
                   for s in small_seeds}
         w_by_seed = {w.seed_id: w.w for w in weights}
         rows = []
-        for m in matrices:
-            if m.seed_id in w_by_seed:
-                m1, m2 = masses[m.seed_id]
-                v1, v2 = m.cells("v1"), m.cells("v2")
+        for r in result.swept:
+            if r.seed_id in w_by_seed:
+                m1, m2 = masses[r.seed_id]
+                v1, v2 = r.cells(grid, "v1"), r.cells(grid, "v2")
                 for i, j in zip(*np.nonzero(~np.isnan(v1))):
-                    rows.append((m.seed_id,
+                    rows.append((r.seed_id,
                                  delta_v(float(v1[i, j]), float(v2[i, j]), m1, m2),
-                                 w_by_seed[m.seed_id] * float(m.grid.p_cell[i, j])))
+                                 w_by_seed[r.seed_id] * float(grid.p_cell[i, j])))
         total = 0.0
         for _, _, w in rows:
             total += w
 
         weighting = weigh(result)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
+                                         weighting.campaign.grid)
         assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
                 for _ in range(n)] == [sid for sid, _, _ in rows]
         assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
@@ -203,15 +209,14 @@ def mixed_campaign(fraction: float, seed_dvs=(None,) * 4) -> CampaignResult:
     """Seeds a (weighted), b (swept, without crashes), c (excluded) and d
     (weighted), with the recorded delta-vs given; only b's no-response run
     crashes."""
-    dead = matrix_with_q("b", 0.5)
-    dead.v1[:] = dead.v2[:] = np.nan
-    dead.no_response = (17.5, 5.0)
+    grid, seeds = seeds_with_q({"a": 0.2, "b": 0.5, "c": 0.5, "d": 0.7})
+    seeds[1].v1[:] = seeds[1].v2[:] = np.nan
+    seeds[1].no_response = (17.5, 5.0)
     masses = ((1000.0, 2000.0), (1500.0, 1200.0), (1000.0, 1000.0), (1500.0, 1500.0))
-    seeds = [swept_result(m, *mass, dv) for m, mass, dv in zip(
-        (matrix_with_q("a", 0.2), dead, matrix_with_q("c", 0.5),
-         matrix_with_q("d", 0.7)), masses, seed_dvs)]
-    seeds[2] = replace(seeds[2], matrix=None, excluded=True)
-    return CampaignResult("cbm", seeds[0].matrix.grid, seeds, fraction)
+    seeds = [replace(r, follower_mass=m1, lead_mass=m2, seed_delta_v_kmh=dv)
+             for r, (m1, m2), dv in zip(seeds, masses, seed_dvs)]
+    seeds[2] = excluded_result(seeds[2])
+    return CampaignResult("cbm", grid, seeds, fraction)
 
 
 class TestWeigh:
@@ -222,7 +227,8 @@ class TestWeigh:
         assert [r.seed_id for r in weighting.seeds] == ["a", "d"]
         assert [w.seed_id for w in weighting.weights] == ["a", "d"]
         assert weighting.zero_crash_seeds == ["b"]
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
+                                         weighting.campaign.grid)
         assert samples.delta_v.tolist() == [
             delta_v(10.0, 5.0, 1000.0, 2000.0), delta_v(10.0, 5.0, 1500.0, 1500.0)]
         assert weighting.no_response_dvs == [delta_v(17.5, 5.0, 1500.0, 1200.0)]
@@ -234,7 +240,8 @@ class TestWeigh:
         1 - fraction."""
         weighting = weigh(mixed_campaign(0.25))
         shares = list(weighting.shares())
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights)
+        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
+                                         weighting.campaign.grid)
         assert [r.seed_id for r, *_ in shares] == ["a", "d"]
         for k, (_, dv, w, total) in enumerate(shares):
             assert dv.tolist() == [samples.delta_v[k]]
@@ -272,13 +279,13 @@ def generated_campaign(rng: np.random.Generator, n1: int, n2: int,
         v2 = np.where(crashed, rng.uniform(0.0, 20.0, crashed.shape), np.nan)
         v1 = v2 + rng.uniform(0.1, 20.0, crashed.shape)
         nr = (25.0 + rng.uniform(0.0, 5.0), 10.0) if nr_crashed else (math.nan, math.nan)
-        matrix = OutcomeMatrix(f"s{k:02d}", grid, live, v1, v2, nr)
-        masses = rng.uniform(500.0, 3000.0, 2)
+        m1, m2 = rng.uniform(500.0, 3000.0, 2)
         # a crashed no-response run's delta-v ties with its rows' cells
-        seed_dv = delta_v(*nr, *masses) if nr_crashed else 20.0
-        seed = swept_result(matrix, *masses, seed_dv)
+        seed_dv = delta_v(*nr, m1, m2) if nr_crashed else 20.0
+        seed = swept_result(f"s{k:02d}", grid, v1, v2, nr, rows=live, follower_mass=m1,
+                            lead_mass=m2, seed_delta_v_kmh=seed_dv)
         if kind == "excluded":
-            seed = replace(seed, matrix=None, excluded=True)
+            seed = excluded_result(seed)
         results.append(seed)
     return CampaignResult("cbm", grid, results, fraction)
 
@@ -301,8 +308,9 @@ class TestRowStatistics:
         with mock.patch.object(outcome, "ROW_BLOCK", block):
             weighting = weigh(campaign, bin_width)
             got, contributions = weighting.histogram(), weighting.contributions()
-        dense = [DenseMatrix(m.seed_id, m.grid, m.cells("v1"), m.cells("v2"))
-                 for m in campaign.matrices]
+        grid = campaign.grid
+        dense = [DenseMatrix(r.seed_id, grid, r.cells(grid, "v1"), r.cells(grid, "v2"))
+                 for r in campaign.swept]
         masses = {r.seed_id: (r.follower_mass, r.lead_mass) for r in campaign.results}
         oracle = dense_crash_samples(dense, masses, weighting.weights)
         want = mix_no_response(build_histogram(oracle.delta_v, oracle.weight, bin_width),

@@ -125,7 +125,7 @@ def test_one_reader_pass_reads_and_counts_lines_as_csv_reader(tmp_path_factory,
             if row:
                 want.append(row)
                 lines.append(reader.line_num)
-    chunk = table.read_csv(path, header, preamble=preamble)
+    chunk = table.read_csv(path, header, preamble=["a row"] * preamble)
     assert head[preamble] == header and chunk.preamble == head[:preamble]
     assert chunk.n_rows == len(want)
     for j, name in enumerate(header):

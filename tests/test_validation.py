@@ -22,7 +22,7 @@ from rearsim.validation import (
     seed_percentiles,
 )
 
-from test_outcome import matrix_with_q, mixed_campaign
+from test_outcome import mixed_campaign, seeds_with_q
 
 
 def dist(weights, count=100):
@@ -255,48 +255,49 @@ class TestInjuryRisk:
         assert curve2(20.0) == pytest.approx(0.5)
 
 
-def q_raw(matrices) -> dict[str, float]:
-    """Each seed's crash probability, as assess-dms passes it."""
-    return {w.seed_id: w.q_raw for w in prevalence_weights(matrices)[0]}
+def q_raw(grid, seeds) -> dict[str, float]:
+    """Each seed's crash probability on `grid`, as assess-dms passes it."""
+    return {w.seed_id: w.q_raw for w in prevalence_weights(seeds, grid)[0]}
 
 
 class TestCrashAvoidance:
     def test_ratio_definition(self):
-        rate, per_seed = crash_avoidance_rate(q_raw([matrix_with_q("a", 0.4)]),
-                                              q_raw([matrix_with_q("a", 0.2)]))
+        rate, per_seed = crash_avoidance_rate(q_raw(*seeds_with_q({"a": 0.4})),
+                                              q_raw(*seeds_with_q({"a": 0.2})))
         assert rate == pytest.approx(0.5)
         assert per_seed["a"] == pytest.approx(0.5)
 
     def test_fully_avoided_seed_scores_one(self):
         """A seed that no longer crashes has no crash probability in the
         treatment's map (prevalence_weights lists it without crashes)."""
-        base = [matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)]
-        treat = [matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)]
-        treat[0].v1[:] = treat[0].v2[:] = np.nan
-        assert "a" not in q_raw(treat)
-        rate, per_seed = crash_avoidance_rate(q_raw(base), q_raw(treat))
+        base = seeds_with_q({"a": 0.4, "b": 0.1})
+        treat = seeds_with_q({"a": 0.4, "b": 0.1})
+        treat[1][0].v1[:] = treat[1][0].v2[:] = np.nan
+        assert "a" not in q_raw(*treat)
+        rate, per_seed = crash_avoidance_rate(q_raw(*base), q_raw(*treat))
         assert per_seed == {"a": 1.0, "b": 0.0}
         assert rate == pytest.approx(0.5)
 
     def test_identity_treatment_scores_zero(self):
-        base = q_raw([matrix_with_q("a", 0.4), matrix_with_q("b", 0.1)])
+        base = q_raw(*seeds_with_q({"a": 0.4, "b": 0.1}))
         rate, _ = crash_avoidance_rate(base, base)
         assert rate == pytest.approx(0.0)
 
     def test_maps_give_the_matrix_walk_bitwise(self):
         """The ratios from the q_raw maps are the floats, in the order, that
-        a walk over the baseline's and the cut's matrices gives: 1 -
+        a walk over the baseline's and the cut's seeds gives: 1 -
         crash_mass ratio for each baseline seed that crashes."""
         rng = np.random.default_rng(5)
         ids = [f"s{k}" for k in range(40)]
-        base = [matrix_with_q(sid, q) for sid, q in zip(ids, rng.uniform(0.01, 1.0, 40))]
-        treat = [matrix_with_q(sid, q) for sid, q in zip(ids, rng.uniform(0.0, 1.0, 40))]
+        base_grid, base = seeds_with_q(dict(zip(ids, rng.uniform(0.01, 1.0, 40))))
+        treat_grid, treat = seeds_with_q(dict(zip(ids, rng.uniform(0.0, 1.0, 40))))
         base[3].v1[:] = base[3].v2[:] = np.nan  # never crashes: no ratio
         treat[7].v1[:] = treat[7].v2[:] = np.nan  # fully avoided
-        mass = {m.seed_id: m.crash_mass for m in treat}
-        walk = {m.seed_id: 1.0 - mass[m.seed_id] / m.crash_mass
-                for m in base if m.crash_mass > 0}
-        rate, per_seed = crash_avoidance_rate(q_raw(base), q_raw(treat))
+        mass = {r.seed_id: r.crash_mass(treat_grid) for r in treat}
+        walk = {r.seed_id: 1.0 - mass[r.seed_id] / r.crash_mass(base_grid)
+                for r in base if r.crash_mass(base_grid) > 0}
+        rate, per_seed = crash_avoidance_rate(q_raw(base_grid, base),
+                                              q_raw(treat_grid, treat))
         assert list(per_seed.items()) == list(walk.items())
         assert per_seed["s7"] == 1.0 and "s3" not in per_seed
         assert rate == float(np.mean(list(walk.values())))
