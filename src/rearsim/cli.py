@@ -524,10 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", default=None,
                    help="unused; accepted so existing command lines still run")
     p.add_argument("--seeds-summary", default=None,
-                   help="a path in simulate's output directory, such as its "
-                        "seeds_summary.csv: each seed's percentile is built "
-                        "from that directory's summary.json, seeds.npy and "
-                        "matrices.npy; the file itself is not read")
+                   help="a path in simulate's output directory, of which "
+                        "only the directory is used, and the file need not "
+                        "exist: each seed's percentile is built from that "
+                        "directory's summary.json, seeds.npy and matrices.npy")
     p.add_argument("--curves", nargs="*", default=None, help=CURVES_HELP)
     p.add_argument("--n-bins", type=int, default=10)
     p.set_defaults(func=cmd_validate)

@@ -40,13 +40,12 @@ alone, and a per-seed query that needs them takes the grid as an
 argument: reweighting a campaign gives a new grid and each seed's rows on
 it, and new marginals are a new grid alone.
 
-`save_campaign` is the one writer of simulate's four artifacts:
-summary.json, matrices.npy, seeds.npy and seeds_summary.csv. A seeds.npy
-record holds what only simulate knows of a seed, and `load_campaign`, the
-one reader, gives back the `CampaignResult` written from summary.json and
-the two record files. What follows from those (kernel calls, crash cells,
-q_raw, a missing anchor, the no-response delta-v) is computed, never read:
-seeds_summary.csv is a report for people, and nothing reads it back.
+`save_campaign` is the one writer of simulate's three artifacts:
+summary.json, matrices.npy and seeds.npy. A seeds.npy record holds what
+only simulate knows of a seed, and `load_campaign`, the one reader, gives
+back the `CampaignResult` written from them. What follows from those
+(kernel calls, crash cells, q_raw, a missing anchor, the no-response
+delta-v) is computed, never read back.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import table
 from .distributions import DecelDistribution, GlanceDistribution
 from .drivers import (
     DEFAULT_REACTION_M,
@@ -108,14 +106,6 @@ SEED_LAYOUT = [
     ("anchor_time_s", "<f8"), ("follower_mass_kg", "<f8"), ("lead_mass_kg", "<f8"),
     ("seed_delta_v_kmh", "<f8"), ("no_resp_v1", "<f8"), ("no_resp_v2", "<f8"),
     ("theoretical_cells", "<i8"),
-]
-
-# the columns of seeds_summary.csv, a report that nothing reads back
-SEEDS_SUMMARY_HEADER = [
-    "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
-    "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
-    "no_resp_crashed", "no_resp_v1", "no_resp_v2", "no_resp_dv_kmh",
-    "n_crash_cells", "q_raw", "kernel_calls", "theoretical_cells",
 ]
 
 
@@ -651,7 +641,8 @@ def load_matrices(path: str | Path, grid: CampaignGrid, seed_ids: list[str]
 
 def save_campaign(result: CampaignResult, out: Path) -> None:
     """Write `result` into the directory `out` as simulate's matrices.npy,
-    seeds.npy, seeds_summary.csv and summary.json."""
+    seeds.npy and summary.json, the files `load_campaign` reads, and no
+    other."""
     save_matrices(result.swept, result.grid, out / "matrices.npy")
     rows = result.results
     np.save(out / "seeds.npy", np.array([
@@ -661,24 +652,6 @@ def save_campaign(result: CampaignResult, out: Path) -> None:
          *r.no_response, r.theoretical_cells) for r in rows],
         dtype=_dtype(SEED_LAYOUT, lambda name: max(
             (len(getattr(r, name)) for r in rows), default=1))), allow_pickle=False)
-    grid = result.grid
-    table.write_csv(out / "seeds_summary.csv", SEEDS_SUMMARY_HEADER, [
-        table.texts([r.seed_id for r in rows]),
-        table.flags([not r.excluded for r in rows]),
-        table.texts([r.lead_behavior for r in rows]),
-        table.fmt([r.anchor for r in rows]),
-        table.flags([r.anchor is None and result.model == MODEL_CBM for r in rows]),
-        table.fmt([r.follower_mass for r in rows]),
-        table.fmt([r.lead_mass for r in rows]),
-        table.fmt([r.seed_delta_v_kmh for r in rows]),
-        table.flags([not math.isnan(r.no_response[0]) for r in rows]),
-        *(table.fmt([r.no_response[k] for r in rows]) for k in range(2)),
-        table.fmt([r.no_response_dv for r in rows]),
-        table.ints(0 if r.excluded else r.n_crash_cells(grid) for r in rows),
-        table.fmt([None if r.excluded else r.crash_mass(grid) for r in rows]),
-        table.ints(0 if r.excluded else r.kernel_calls(grid) for r in rows),
-        table.ints(r.theoretical_cells for r in rows),
-    ])
     write_json(out / "summary.json", {
         "model": result.model,
         "n_seeds": len(rows),
@@ -694,7 +667,8 @@ def save_campaign(result: CampaignResult, out: Path) -> None:
 
 def load_campaign(sim_dir: str | Path) -> CampaignResult:
     """The campaign `save_campaign` wrote to `sim_dir`, without the seed
-    files' digests, from its summary.json, seeds.npy and matrices.npy.
+    files' digests, from its summary.json, seeds.npy and matrices.npy. No
+    other file there is read.
 
     ParseError names the file for a summary.json without an integer
     n_seeds, a no_response_fraction in [0, 1) and a grid; a seeds.npy that

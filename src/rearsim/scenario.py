@@ -291,12 +291,23 @@ class SeedRef:
         return _seed(data, self), digest
 
 
+def _vehicle(value, role: str, sid: str) -> VehicleMeta:
+    """The `role` vehicle of seed `sid` from its sidecar `value`, a JSON
+    object of exactly the keys VEHICLE_KEYS."""
+    keys = check_json(value, role, dict.fromkeys(VEHICLE_KEYS, "any"))
+    unknown = [key for key in keys if key not in VEHICLE_KEYS]
+    if unknown:
+        raise ParseError(f"{role} has no key {unknown[0]!r}; a vehicle's keys "
+                         f"are {', '.join(VEHICLE_KEYS)}")
+    return VehicleMeta(id=f"{sid}/{role}", **keys)
+
+
 def _read_sidecar(csv_path: Path) -> SeedRef:
     """The ref of the seed whose trajectory CSV is `csv_path`, from its
     JSON sidecar, read once: the ref's digest is that of the bytes parsed.
-    Each vehicle's mass, width and length are finite numbers > 0, and the
-    recorded delta-v is absent, null or a finite number >= 0; anything
-    else raises ParseError naming the sidecar."""
+    Each vehicle holds its mass, width and length, finite numbers > 0, and
+    no other key; the recorded delta-v is absent, null or a finite number
+    >= 0. Anything else raises ParseError naming the sidecar."""
     json_path = csv_path.with_suffix(".json")
     if not json_path.exists():
         raise ParseError(f"seed sidecar not found: {json_path}")
@@ -306,12 +317,10 @@ def _read_sidecar(csv_path: Path) -> SeedRef:
         meta = check_json(json.loads(data.decode()), "seed sidecar",
                           dict.fromkeys(("id", "lead", "follower"), "any"))
         sid = str(meta["id"])
-        lead_meta, foll_meta = (
-            VehicleMeta(id=f"{sid}/{role}",
-                        **check_json(meta[role], role, dict.fromkeys(VEHICLE_KEYS, "any")))
-            for role in ("lead", "follower"))
+        lead_meta, foll_meta = (_vehicle(meta[role], role, sid)
+                                for role in ("lead", "follower"))
         dv = meta.get("seed_delta_v_kmh")
-    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors
+    except ValueError as exc:  # JSON and UTF-8 errors
         raise ParseError(f"{json_path}: malformed sidecar: {exc}") from exc
     except ValidationError as exc:
         raise ParseError(f"{json_path}: {exc}") from exc

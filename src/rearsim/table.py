@@ -7,10 +7,7 @@ and reads back as ``csv.reader`` reads it:
 - fields are separated by commas and every row ends in CRLF;
 - the first row is the header, and every table has two or more columns;
 - a float is ``repr(float(x))``, the shortest text that reads back to the
-  same bits;
-- a missing value (None, or NaN in a column that allows missing values)
-  is an empty field; elsewhere NaN is written ``nan``;
-- a flag is ``0`` or ``1``, an integer its decimal digits;
+  same bits, and NaN is written ``nan``;
 - a text field that holds a comma, a double quote, CR or LF is enclosed in
   double quotes, with each double quote doubled (``csv.QUOTE_MINIMAL``).
 
@@ -21,9 +18,8 @@ records the line on which the row ends, so a missing or different header,
 a row with the wrong number of fields, or a field that does not convert
 raises ParseError naming ``path:line``. It reads the input tables (glance
 and deceleration distributions, occupant records, injury-risk curves) and
-histogram files, and it is the Python reader behind ``read_floats``. The
-per-seed tables (simulate's seeds_summary.csv, weight's weights.csv) are
-reports that no stage reads back.
+histogram files, and it is the Python reader behind ``read_floats``.
+weight's per-seed weights.csv is a report that no stage reads back.
 
 ``read_floats`` reads a file whose every column is a float, such as a seed
 trajectory, from bytes the caller has read: after the header line, NumPy's
@@ -32,18 +28,17 @@ C parser reads the rest. The Python reader, ``read_csv`` and
 rejects the file or might read it differently. So ``read_floats`` gives
 the same bits, and raises the same ParseError, as the Python reader.
 
-Cost. Tables repeat values (a seed's lead behaviour, the empty fields of
-each seed whose no-response run did not crash), so writing formats each
-distinct float bit pattern once and shares its text among the fields that
-hold it. ``read_floats`` makes no Python object per field. NumPy's parser takes the
-body of a file whose first line is the header, ended by CRLF or LF. The
-Python reader takes over on any other first line; on a body that is empty
-or holds only line ends (NumPy would warn that it holds no data); on a
-byte from 0x1C to 0x1F, which NumPy skips as whitespace around a number
-and ``float`` rejects; on a ValueError, a UnicodeDecodeError included (a
-non-ASCII byte, a quote, a CR-only line end, ``0_0.0``, a short or long
-row); and on rows that are all as wide as each other but not as the
-header.
+Cost. Tables repeat values (the accelerations of a seed trajectory, which
+hold over many steps), so writing formats each distinct float bit pattern
+once and shares its text among the fields that hold it. ``read_floats``
+makes no Python object per field. NumPy's parser takes the body of a file
+whose first line is the header, ended by CRLF or LF. The Python reader
+takes over on any other first line; on a body that is empty or holds only
+line ends (NumPy would warn that it holds no data); on a byte from 0x1C to
+0x1F, which NumPy skips as whitespace around a number and ``float``
+rejects; on a ValueError, a UnicodeDecodeError included (a non-ASCII byte,
+a quote, a CR-only line end, ``0_0.0``, a short or long row); and on rows
+that are all as wide as each other but not as the header.
 
 Memory. ``read_csv`` holds one Python string per field until its caller
 drops the chunk; the files it reads have a row per bin or occupant.
@@ -71,34 +66,13 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # ----------------------------------------------------------------- writing
 
 def reprs(values) -> list[str]:
-    """Each value as ``repr`` of a float."""
-    return _float_texts(values, "nan")
-
-
-def fmt(values) -> list[str]:
-    """Each value as ``repr`` of a float; None and NaN, a missing value,
-    as an empty field."""
-    return _float_texts(values, "")
-
-
-def _float_texts(values, nan: str) -> list[str]:
-    """Each value as ``repr`` of a float, and every NaN as `nan`. Each
+    """Each value as ``repr`` of a float, and every NaN as ``nan``. Each
     distinct bit pattern is formatted once: keys are bits, not float
     equality, which would merge -0.0 into 0.0."""
     bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = [nan if x != x else repr(x) for x in distinct.view(float).tolist()]
+    text = ["nan" if x != x else repr(x) for x in distinct.view(float).tolist()]
     return np.array(text, dtype=object)[inverse].tolist()
-
-
-def flags(values) -> list[str]:
-    """Each truth value as ``0`` or ``1``."""
-    return list(map(("0", "1").__getitem__, np.asarray(values, dtype=bool).tolist()))
-
-
-def ints(values) -> list[str]:
-    """Each value as the decimal digits of an integer."""
-    return list(map(str, map(int, values)))
 
 
 def quote(text: str) -> str:

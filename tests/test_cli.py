@@ -1,9 +1,11 @@
+import argparse
 import ast
 import contextlib
 import csv
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -120,7 +122,16 @@ INPUT_PATHS = {"synth": "inputs/synth.json", "campaign": "inputs/campaign.json",
 
 
 # simulate's outputs but its manifest
-SIMULATE_ARTIFACTS = ("matrices.npy", "seeds.npy", "seeds_summary.csv", "summary.json")
+SIMULATE_ARTIFACTS = ("matrices.npy", "seeds.npy", "summary.json")
+
+# the columns of the seeds_summary.csv report that an older simulate wrote
+# beside its artifacts, and that no stage reads
+OLD_SEEDS_SUMMARY_HEADER = (
+    "seed_id", "eligible", "lead_behavior", "anchor_time_s", "anchor_absent",
+    "follower_mass_kg", "lead_mass_kg", "seed_delta_v_kmh",
+    "no_resp_crashed", "no_resp_v1", "no_resp_v2", "no_resp_dv_kmh",
+    "n_crash_cells", "q_raw", "kernel_calls", "theoretical_cells",
+)
 
 
 def pipeline_commands(paths: dict, workers=1) -> dict[str, list[str]]:
@@ -137,8 +148,9 @@ def pipeline_commands(paths: dict, workers=1) -> dict[str, list[str]]:
                 "--injury-hist", seeds_dir],
         "apply": ["apply-bias", "--hist", "out_weight/hist.csv",
                   "--transfer", "out_fit/transfer.json"],
-        # perfbench's command line: --samples names a file that no stage
-        # writes any more, and validate does not read it
+        # perfbench's command line: --samples and --seeds-summary name files
+        # that no stage writes any more; validate reads neither, and takes
+        # only the directory of --seeds-summary
         "validate": ["validate", "--model-hist", "out_apply/transformed.csv",
                      "--reference", seeds_dir, "--samples", "out_weight/samples.csv",
                      "--seeds-summary", "out_simulate/seeds_summary.csv",
@@ -196,7 +208,6 @@ class TestPipeline:
         _, _, out = pipeline
         expected = [
             out["simulate"] / "matrices.npy",
-            out["simulate"] / "seeds_summary.csv",
             out["weight"] / "hist.csv",
             out["weight"] / "weights.csv",
             out["fit"] / "pdo.json",
@@ -217,6 +228,10 @@ class TestPipeline:
         for out_dir in out.values():
             assert (Path(out_dir) / "manifest.json").is_file()
         assert not (out["weight"] / "samples.csv").exists()
+        assert not (out["simulate"] / "seeds_summary.csv").exists()
+        # simulate writes the files load_campaign reads, and its manifest
+        assert (sorted(path.name for path in out["simulate"].iterdir())
+                == sorted([*SIMULATE_ARTIFACTS, "manifest.json"]))
 
     def test_no_response_mass_is_ten_percent(self, pipeline):
         """The crash samples carry 0.90 of the mix, the no-response
@@ -263,11 +278,11 @@ class TestPipeline:
 
     def test_simulate_artifacts_are_pinned(self, pipeline):
         """simulate's outputs from the seed files on disk, and its manifest
-        without the timestamp. seeds_summary.csv is the bytes it was when
-        every seed was parsed field by field; matrices.npy holds the speeds
-        of those cells without their crashed and max_severity flags, and
+        without the timestamp. matrices.npy holds the speeds of the
+        integrated cells without their crashed and max_severity flags, and
         summary.json has no glance_cut_at key. seeds.npy holds each seed's
-        record, and the manifest lists it."""
+        record. The manifest lists these three files and no
+        seeds_summary.csv."""
         _, _, out = pipeline
         sim = out["simulate"]
         manifest = json.loads((sim / "manifest.json").read_bytes())
@@ -280,12 +295,10 @@ class TestPipeline:
                 "5ff87f48c73c55e441becb28d0c152a61d9b1c4cab2e3e5d7cec5785bba823da",
             "seeds.npy":
                 "ef23725b09a89a87c9724a94c2bd57c00a6ed2e9dd2ff8e9e4441ea5cc2c5398",
-            "seeds_summary.csv":
-                "c6279bb622505460be2285b8899c85f22fa367f4f4414d95205eb4aa9048d90f",
             "summary.json":
                 "9d1737179e61def7a3982ef6f68515b351efecb50841a775937f5eccb9b5fe10",
             "manifest.json":
-                "0050a1489969bf549eb3c25091451e9b1454643274f2a4e0e9f163a7e97486b9",
+                "0520a46e3db1e07db74c1fecc60126dc19266c5fa37c52089939435bc371d806",
         }
 
     def test_weight_and_assess_artifacts_are_pinned(self, pipeline):
@@ -497,6 +510,31 @@ def test_every_config_field_is_read():
     assert sorted(fields) == sorted(CONFIG_CLASSES)
     assert [f"{cls}.{name}" for cls, names in fields.items()
             for name in names if name not in reads] == []
+
+
+# (subcommand, option): flags accepted so that existing command lines, such
+# as perfbench's, still run, and read by nothing
+UNREAD_FLAGS = {("validate", "--samples"), ("assess-dms", "--seeds"),
+                ("assess-dms", "--workers")}
+
+
+def test_every_cli_flag_is_read():
+    """Each option of each subcommand is read as `args.<dest>` in the
+    function the subcommand runs, but the flags of UNREAD_FLAGS, each of
+    which stays unread: a flag that nothing reads is a setting without
+    effect."""
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    unread = set()
+    for command, parser in subcommands.items():
+        func = parser.get_default("func")
+        reads = {node.attr for node in ast.walk(ast.parse(inspect.getsource(func)))
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "args"}
+        unread |= {(command, action.option_strings[-1]) for action in parser._actions
+                   if action.option_strings and action.dest != "help"
+                   and action.dest not in reads}
+    assert unread == UNREAD_FLAGS
 
 
 def test_every_config_field_has_a_known_kind():
@@ -1007,14 +1045,18 @@ def _bad_delta_v(value):
             _SEEDS_DIR)
 
 
-def _bad_vehicle(role, field, value):
-    """A seed sidecar whose `role` vehicle records `value` as `field`."""
+def _with_vehicle_key(role, key, value):
+    """A seed sidecar whose `role` vehicle records `value` as `key`."""
     def edit(text):
         meta = json.loads(text)
-        return json.dumps({**meta, role: {**meta[role], field: value}})
+        return json.dumps({**meta, role: {**meta[role], key: value}})
+    return edit
+
+
+def _bad_vehicle(role, field, value):
     return ("out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
-            edit, rf"s0000\.json: vehicle 's0000/{role}': {field} must be",
-            _SEEDS_DIR)
+            _with_vehicle_key(role, field, value),
+            rf"s0000\.json: vehicle 's0000/{role}': {field} must be", _SEEDS_DIR)
 
 
 def _without_vehicle_key(role, key):
@@ -1220,6 +1262,11 @@ MALFORMED_INPUTS = {
     "seed_lead_without_length": (
         "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
         _without_vehicle_key("lead", "length"), r"s0000\.json: lead lacks key 'length'$",
+        _SEEDS_DIR),
+    "seed_lead_with_unknown_key": (
+        "out_synth/seeds/s0000.json", lambda path: load_seed_refs(path.parent),
+        _with_vehicle_key("lead", "foo", 2),
+        r"s0000\.json: lead has no key 'foo'; a vehicle's keys are mass, width, length$",
         _SEEDS_DIR),
     **{f"seed_delta_v_{name}": _bad_delta_v(value)
        for name, value in (("text", "abc"), ("nan", math.nan),
@@ -1528,6 +1575,14 @@ def test_truncated_input_runs_or_exits_with_its_code(file, cut, pipeline, tmp_pa
             assert code == 2 and re.search(TRUNCATION_ERRORS[file, cut], err, re.M), err
 
 
+# the header of each file that simulate wrote before its record files
+OLD_HEADERS = {
+    "matrices.csv": ("seed_id", "axis1_index", "decel_index", "crashed", "v1", "v2",
+                     "max_severity"),
+    "seeds_summary.csv": OLD_SEEDS_SUMMARY_HEADER,
+}
+
+
 @pytest.mark.parametrize("name,old", [("matrices.npy", "matrices.csv"),
                                       ("seeds.npy", "seeds_summary.csv")])
 def test_simulate_output_without_a_record_file_exits_two(name, old, pipeline,
@@ -1539,10 +1594,7 @@ def test_simulate_output_without_a_record_file_exits_two(name, old, pipeline,
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
     (copy / "out_simulate" / name).unlink()
-    if name == "matrices.npy":
-        (copy / "out_simulate" / old).write_text(
-            "seed_id,axis1_index,decel_index,crashed,v1,v2,max_severity\r\n")
-    assert (copy / "out_simulate" / old).is_file()
+    (copy / "out_simulate" / old).write_text(",".join(OLD_HEADERS[old]) + "\r\n")
     for command in (_WEIGHT, _VALIDATE, _ASSESS):
         capsys.readouterr()
         with chdir(copy):
@@ -1552,33 +1604,30 @@ def test_simulate_output_without_a_record_file_exits_two(name, old, pipeline,
         assert "Traceback" not in err
 
 
-def _rewrite_derived_fields(path: Path) -> None:
-    """seeds_summary.csv with every seed's q_raw, n_crash_cells,
-    kernel_calls and no_resp_dv_kmh changed."""
-    changed = {"q_raw": "0.5", "n_crash_cells": "3", "kernel_calls": "7",
-               "no_resp_dv_kmh": "99.0"}
-    header, *rows = path.read_bytes().decode().removesuffix("\r\n").split("\r\n")
-    names = header.split(",")
-    rows = [",".join(changed.get(name, field) for name, field in zip(names, row.split(",")))
-            for row in rows]
-    path.write_bytes(("\r\n".join([header, *rows]) + "\r\n").encode())
+def _leave_old_seeds_summary(sim_dir: Path) -> None:
+    """Write into `sim_dir` the seeds_summary.csv of an older simulate, a
+    row per seed of seeds.npy, with every derived field made up: anchor
+    absence, no-response crash and delta-v, crash cells, q_raw and kernel
+    calls."""
+    derived = {"anchor_absent": 1, "no_resp_crashed": 1, "no_resp_dv_kmh": 99.0,
+               "n_crash_cells": 3, "q_raw": 0.5, "kernel_calls": 7}
+    seeds = np.load(sim_dir / "seeds.npy")
+    with open(sim_dir / "seeds_summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(OLD_SEEDS_SUMMARY_HEADER)
+        writer.writerows([derived[name] if name in derived else seed[name].item()
+                          for name in OLD_SEEDS_SUMMARY_HEADER] for seed in seeds)
 
 
-@pytest.mark.parametrize("change", ["derived_fields_rewritten", "deleted"])
-def test_nothing_reads_seeds_summary(change, pipeline, tmp_path):
-    """seeds_summary.csv is a report: with its derived fields rewritten, or
-    without it, weight, validate and assess-dms write the pipeline's
-    artifacts byte for byte. Their manifests are left out, because they
-    digest simulate's directory."""
+def test_nothing_reads_seeds_summary(pipeline, tmp_path):
+    """The pipeline runs without seeds_summary.csv. With one that an older
+    simulate left in simulate's directory, weight, validate and assess-dms
+    write the pipeline's artifacts byte for byte. Their manifests are left
+    out, because they digest simulate's directory."""
     root, paths, out = pipeline
     copy = tmp_path / "copy"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("bad_*"))
-    summary = copy / "out_simulate" / "seeds_summary.csv"
-    if change == "deleted":
-        summary.unlink()
-    else:
-        _rewrite_derived_fields(summary)
-        assert summary.read_bytes() != (out["simulate"] / "seeds_summary.csv").read_bytes()
+    _leave_old_seeds_summary(copy / "out_simulate")
     seeds_dir = "out_synth/seeds"
     commands = {
         "weight": ["weight", "--simulate-out", "out_simulate"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rearsim import table
 from rearsim.errors import ParseError
 
-HEADER = ["id", "value", "maybe", "count", "flag"]
+HEADER = ["id", "value"]
 
 # ids with the characters csv.writer quotes, plus a space it leaves alone
 ids = st.text(alphabet=st.sampled_from('ab ,"\r\n1'), max_size=6)
@@ -18,8 +18,7 @@ floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([float("nan"), -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
                      1e308, -1e308, 0.1, 1e16, 1e-5]))
-rows = st.lists(st.tuples(ids, floats, floats, st.integers(-10**20, 10**20),
-                          st.booleans()), max_size=30)
+rows = st.lists(st.tuples(ids, floats), max_size=30)
 ending = st.sampled_from(["\r\n", "\n", "\r"])
 
 
@@ -28,18 +27,14 @@ def csv_writer_bytes(data) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(HEADER)
-    for sid, value, maybe, count, flag in data:
-        writer.writerow([sid, repr(float(value)),
-                         "" if np.isnan(maybe) else repr(float(maybe)),
-                         count, int(flag)])
+    for sid, value in data:
+        writer.writerow([sid, repr(float(value))])
     return buf.getvalue().encode()
 
 
 def write_table(path, data) -> None:
-    sid, value, maybe, count, flag = zip(*data) if data else ((),) * 5
-    table.write_csv(path, HEADER, [table.texts(sid), table.reprs(value),
-                                   table.fmt(maybe), table.ints(count),
-                                   table.flags(flag)])
+    sid, value = zip(*data) if data else ((),) * 2
+    table.write_csv(path, HEADER, [table.texts(sid), table.reprs(value)])
 
 
 def same_floats(a: np.ndarray, b) -> bool:
@@ -57,21 +52,14 @@ def test_writer_matches_csv_writer_and_reads_back(tmp_path_factory, data):
     write_table(path, data)
     assert path.read_bytes() == csv_writer_bytes(data)
 
-    # a row of five empty fields is four commas, never a skipped blank line
     chunk = table.read_csv(path, HEADER)
     assert chunk.n_rows == len(data)
     if not data:
         return
     value = chunk.floats("value")
-    maybe = np.array([float(s) if s else math.nan for s in chunk["maybe"]])
-    count = [int(s) for s in chunk["count"]]
-    flag = [s == "1" for s in chunk["flag"]]
-    sid, want_value, want_maybe, want_count, want_flag = zip(*data)
+    sid, want_value = zip(*data)
     assert chunk["id"] == list(sid)
     assert same_floats(value, want_value)
-    assert same_floats(maybe, want_maybe)
-    assert count == list(want_count)
-    assert flag == list(want_flag)
 
 
 def test_reader_accepts_what_csv_reader_accepts(tmp_path):
@@ -147,10 +135,6 @@ def oracle_reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def oracle_fmt(values) -> list[str]:
-    return ["" if text == "nan" else text for text in oracle_reprs(values)]
-
-
 def from_bits(*bits: int) -> list[float]:
     return np.array(bits, dtype=np.uint64).view(float).tolist()
 
@@ -167,20 +151,18 @@ SPECIAL = [*from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001
 @given(pool=st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
                      min_size=1, max_size=12),
        picks=st.lists(st.integers(0, 11), max_size=300))
-def test_reprs_and_fmt_give_the_text_of_each_value(pool, picks):
+def test_reprs_give_the_text_of_each_value(pool, picks):
     # few distinct values, many repeats: each distinct bit pattern is
     # formatted once and its text shared
     values = np.array([pool[k % len(pool)] for k in picks], dtype=float)
     assert table.reprs(values) == oracle_reprs(values)
-    assert table.fmt(values) == oracle_fmt(values)
     assert table.reprs(values.tolist()) == oracle_reprs(values)
 
 
 def test_signed_zeros_and_nans_keep_their_text():
     values = [0.0, -0.0, math.nan, -math.nan, 0.0, -0.0, None]
     assert table.reprs(values) == ["0.0", "-0.0", "nan", "nan", "0.0", "-0.0", "nan"]
-    assert table.fmt(values) == ["0.0", "-0.0", "", "", "0.0", "-0.0", ""]
-    assert table.reprs([]) == table.fmt([]) == []
+    assert table.reprs([]) == []
 
 
 def test_chunk_of_blank_lines_holds_no_row(tmp_path):
