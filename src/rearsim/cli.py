@@ -17,6 +17,7 @@ model-undefined, 4 fit failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import math
@@ -43,8 +44,9 @@ from .outcome import (
 from .scenario import (
     SynthesisConfig,
     load_seed_refs,
-    save_seed,
     synthesize_seeds,
+    usable_cpus,
+    write_seeds,
 )
 
 # a stage imports the modules only it runs: fit-bias and apply-bias load
@@ -59,8 +61,13 @@ EXIT_VALIDATION = 2
 EXIT_MODEL_UNDEFINED = 3
 EXIT_FIT_FAILURE = 4
 
-# synth makes and writes this many seeds at a time, so it holds one batch;
-# making and writing seed by seed took about 10% longer
+# synth hands its writer processes SYNTH_TASK seeds a task and has at most
+# SYNTH_BATCH // 2 seeds handed out and not yet written (two tasks per writer
+# on two CPUs), so it holds no more seeds than that whatever the seed count.
+# Holding SYNTH_BATCH seeds raised synth's traced peak memory over 64 seeds by
+# a fifth or more against its peak over 16; 2-seed tasks wrote as fast as
+# 4-seed ones
+SYNTH_TASK = 2
 SYNTH_BATCH = 16
 
 CURVES_HELP = ("injury-risk curves, each a CSV table (delta_v_kmh,risk) or a JSON "
@@ -104,20 +111,48 @@ def _reference_histogram(path: str, bin_width: float
 # ------------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
+    """Draw every seed in order in this process, from one generator
+    (`synthesize_seeds`), and write them on every usable CPU: writer
+    processes each format and write SYNTH_TASK seeds at a time
+    (`write_seeds`), while this process draws the next ones and lists the
+    ids in draw order in summary.json. With one usable CPU, or one task,
+    this process writes the seeds itself. The files' bytes are the same
+    for any CPU count."""
     rng_seed = args.seed
     if rng_seed < 0:  # NumPy's generators take no negative seed
         raise ValidationError(f"--seed must be >= 0, got {rng_seed}")
     cfg = SynthesisConfig.from_json(args.config)
+    seeds = synthesize_seeds(cfg, rng_seed)
+    tasks = iter(lambda: list(itertools.islice(seeds, SYNTH_TASK)), [])
+    in_flight = SYNTH_BATCH // (2 * SYNTH_TASK)  # tasks handed out at most
+    workers = min(usable_cpus(), -(-cfg.n_seeds // SYNTH_TASK), in_flight)
     seed_ids = []
     with publish(args.out, "synth", {"config": args.config},
                  {"rng_seed": rng_seed}) as out:
-        (out / "seeds").mkdir()
-        seeds = synthesize_seeds(cfg, rng_seed)
-        while batch := list(itertools.islice(seeds, SYNTH_BATCH)):
-            for seed in batch:
-                save_seed(seed, out / "seeds" / f"{seed.id}.csv")
-                seed_ids.append(seed.id)
-            del batch  # written: dropped before the next one is made
+        directory = out / "seeds"
+        directory.mkdir()
+        if workers > 1:
+            # The pool takes the platform's default start method, as
+            # simulate's does. Under fork it starts every worker at the
+            # first submit, before its own threads, when NumPy's idle BLAS
+            # thread is the only other one; the workers make no BLAS call.
+            # A spawn pool re-imports NumPy in every worker, and wrote
+            # slower than one process on two CPUs. Imported here: one
+            # writer does not pay for multiprocessing's import.
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                written = collections.deque()
+                for task in tasks:
+                    seed_ids += (seed.id for seed in task)
+                    written.append(pool.submit(write_seeds, task, directory))
+                    if len(written) == in_flight:
+                        written.popleft().result()
+                for future in written:
+                    future.result()  # a worker's error is raised here
+        else:
+            for task in tasks:
+                seed_ids += (seed.id for seed in task)
+                write_seeds(task, directory)
         write_json(out / "summary.json", {
             "n_seeds": len(seed_ids),
             "rng_seed": rng_seed,

@@ -51,7 +51,6 @@ delta-v) is computed, never read back.
 from __future__ import annotations
 
 import math
-import os
 import tokenize
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -84,6 +83,7 @@ from .scenario import (
     delta_v,
     overlap_speeds,
     remove_evasive_maneuver,
+    usable_cpus,
 )
 
 FIRST_CHUNK = 256  # steps integrated before the first outcome check
@@ -472,14 +472,6 @@ def _run_one_seed(seed: SeedCrash | SeedRef, cfg: CampaignConfig,
                       cf.lead_behavior_class, excluded,
                       seed.follower_meta.mass, seed.lead_meta.mass,
                       seed.seed_delta_v_kmh, theoretical, digest)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def run_campaign(seeds: list[SeedCrash] | list[SeedRef], cfg: CampaignConfig,

@@ -11,7 +11,8 @@ follower's speed change (delta-v) is m2*(v1 - v2)/(m1 + m2).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,8 @@ STANDSTILL_SPEED = 0.01       # m/s, below this a vehicle is "not moving"
 DEFAULT_HORIZON_EXTENSION = 30.0  # s, added beyond the seed when the
                                   # evasive maneuver is removed
 MS_TO_KMH = 3.6               # km/h per m/s
+CANDIDATE_WINDOW = 10.0       # s, how much of a synthesis candidate is
+                              # integrated before all of max_sim_time
 
 LEAD_BRAKING = "braking"
 LEAD_NON_BRAKING = "non-braking"
@@ -187,13 +190,17 @@ def _sustained_decel_onset(t: np.ndarray, acc: np.ndarray) -> int | None:
     at or below DECEL_ONSET_THRESHOLD. None if no such window exists."""
     dt = float(t[1] - t[0])
     win = max(1, int(round(DECEL_ONSET_HOLD / dt)))
-    below = acc <= DECEL_ONSET_THRESHOLD
-    if len(below) < win:
-        return None
-    # rolling all-true over windows of length `win`
-    hits = np.convolve(below.astype(int), np.ones(win, dtype=int), mode="valid")
-    idx = np.nonzero(hits == win)[0]
-    return int(idx[0]) if idx.size else None
+    return _first_run(acc <= DECEL_ONSET_THRESHOLD, win)
+
+
+def _first_run(mask: np.ndarray, length: int) -> int | None:
+    """Start of the first run of at least `length` (>= 1) true samples in
+    the boolean `mask`, found in one pass over the runs' starts and ends;
+    None if there is no such run."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    long = np.flatnonzero(ends - starts >= length)
+    return int(starts[long[0]]) if long.size else None
 
 
 def classify_lead_behavior(lead: Trajectory) -> tuple[str, float | None]:
@@ -387,6 +394,24 @@ def save_seed(seed: SeedCrash, csv_path: str | Path) -> None:
     write_json(csv_path.with_suffix(".json"), meta)
 
 
+def write_seeds(seeds: Iterable[SeedCrash], directory: Path) -> None:
+    """Write each seed as `<id>.csv` in `directory`, with its sidecar
+    (`save_seed`). A file's bytes depend on its seed alone, not on the
+    process that writes it, so synth's writer processes each call this on
+    a few seeds."""
+    for seed in seeds:
+        save_seed(seed, directory / f"{seed.id}.csv")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the most writer processes synth
+    starts, and the most workers simulate starts."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def load_seed_refs(directory: str | Path) -> list[SeedRef]:
     """Every seed CSV in a directory as its sidecar lists it, ordered by
     id. Only the JSON sidecars are read, each once; two sidecars with one
@@ -477,11 +502,9 @@ def _trapezoid_positions(x0: float, speed: np.ndarray, dt: float) -> np.ndarray:
     return x0 + np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
-    """Forward-simulate one candidate scenario. Returns sampled arrays up to
-    and including the first collision sample k, then k and the follower and
-    lead speeds at first overlap; None if nothing collides."""
-    n = int(round(max_time / dt)) + 1
+def _candidate_run(mode: str, params: dict, dt: float, n: int) -> tuple:
+    """The first `n` samples of one candidate scenario: t, then the lead's
+    and the follower's positions, speeds and accelerations."""
     t = dt * np.arange(n)
 
     if mode == "standstill":
@@ -503,10 +526,25 @@ def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
         foll_speed = np.maximum(ramp, 0.0)
     foll_acc = np.concatenate([[0.0], np.diff(foll_speed) / dt])
     foll_pos = _trapezoid_positions(0.0, foll_speed, dt)
+    return t, lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc
 
-    gap = lead_pos - foll_pos
-    hit = np.nonzero(gap <= 0)[0]
-    if hit.size == 0:
+
+def _simulate_raw(mode: str, params: dict, dt: float, max_time: float):
+    """Forward-simulate one candidate scenario. Returns sampled arrays up to
+    and including the first collision sample k, then k and the follower and
+    lead speeds at first overlap; None if nothing collides within max_time.
+    The first CANDIDATE_WINDOW s are integrated first, and all of max_time
+    only if they hold no overlap. Every sample is elementwise or a prefix of
+    one sequential cumsum, so the window changes no bit of the result."""
+    n = int(round(max_time / dt)) + 1
+    for m in sorted({min(n, int(round(CANDIDATE_WINDOW / dt)) + 1), n}):
+        t, lead_pos, lead_speed, lead_acc, foll_pos, foll_speed, foll_acc = (
+            _candidate_run(mode, params, dt, m))
+        gap = lead_pos - foll_pos
+        hit = np.nonzero(gap <= 0)[0]
+        if hit.size:
+            break
+    else:
         return None
     k = int(hit[0])
     if k < 1 or foll_speed[k] <= lead_speed[k]:

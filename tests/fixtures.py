@@ -148,6 +148,17 @@ def load_seed_dir(directory: str | Path) -> list[SeedCrash]:
     return [load_seed(ref.path) for ref in load_seed_refs(directory)]
 
 
+def first_run_by_convolution(mask: np.ndarray, length: int) -> int | None:
+    """The oracle for `scenario._first_run`: the first index at which a
+    window of `length` samples of `mask` is all true, found by convolving
+    the mask with a window of ones; None if there is none."""
+    if len(mask) < length:
+        return None
+    hits = np.convolve(mask.astype(int), np.ones(length, dtype=int), mode="valid")
+    idx = np.nonzero(hits == length)[0]
+    return int(idx[0]) if idx.size else None
+
+
 @dataclass(eq=False)
 class DenseMatrix:
     """The oracle for an `engine.SeedResult`'s outcomes: one seed's outcomes

@@ -31,6 +31,7 @@ from rearsim.bias import (
 )
 from rearsim.cli import (
     SYNTH_BATCH,
+    SYNTH_TASK,
     _load_assessment_cuts,
     _load_percentile_report,
     _recovered,
@@ -1933,6 +1934,115 @@ class TestSynthWritesWhole:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no synth manifest" in err, err
         assert _files(tmp_path / "synth") == before
+
+
+class TestSynthWriters:
+    """synth draws every seed in this process and hands them, SYNTH_TASK
+    at a time, to a pool of writer processes."""
+
+    def test_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        """Nine seeds are five tasks: one CPU writes them in this process,
+        two and three in as many writer processes, and every file but the
+        manifest's timestamp is the same."""
+        published = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            assert _synth(tmp_path, 9, f"cpus{cpus}") == 0
+            published.append(_published(tmp_path / f"cpus{cpus}"))
+        assert published[0] == published[1] == published[2]
+        assert len(published[0]) == 2 * 9 + 2
+
+    @pytest.mark.parametrize("cpus,n_seeds,want", [
+        (3, 12, 3), (64, 5, 3), (64, 40, SYNTH_BATCH // (2 * SYNTH_TASK)),
+        (1, 12, None), (64, SYNTH_TASK, None), (64, 1, None)])
+    def test_pool_is_no_larger_than_the_cpus_or_the_tasks(
+            self, cpus, n_seeds, want, tmp_path, monkeypatch):
+        """A pool starts all its processes at its first task, so it gets
+        min(usable CPUs, tasks) writers, and no more than it is handed
+        tasks at once; one CPU or one task gets no pool. The pool is a
+        stand-in that starts no process and runs a task when its result
+        is read, so it also shows that synth never hands out more than
+        SYNTH_BATCH // 2 seeds that are not yet written."""
+        import concurrent.futures
+        sizes, queued, most = [], [], [0]
+
+        class Deferred:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                if self in queued:
+                    queued.remove(self)
+                    self.fn(*self.args)
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                queued.append(Deferred(fn, args))
+                most[0] = max(most[0], sum(len(f.args[0]) for f in queued))
+                return queued[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        assert _synth(tmp_path, n_seeds) == 0
+        assert sizes == ([want] if want else [])
+        assert not queued and most[0] <= SYNTH_BATCH // 2
+        summary = json.loads((tmp_path / "synth" / "summary.json").read_text())
+        assert sorted(p.stem for p in (tmp_path / "synth" / "seeds").glob("*.csv")
+                      ) == summary["seed_ids"] == [f"s{k:04d}" for k in range(n_seeds)]
+
+    def test_a_failed_write_in_a_writer_leaves_the_old_output(
+            self, tmp_path, monkeypatch, capsys):
+        """A writer process that cannot write a seed file makes synth exit
+        2 with the error on stderr and no traceback; the old --out stays
+        and no <out>.partial is left. The file's path is taken by a
+        directory before the first seed is drawn, so any start method's
+        writers meet it."""
+        assert _synth(tmp_path, 9) == 0
+        before = _files(tmp_path / "synth")
+        drawn = cli.synthesize_seeds
+
+        def blocked(config, rng_seed):
+            (tmp_path / "synth.partial" / "seeds" / "s0005.csv").mkdir()
+            yield from drawn(config, rng_seed)
+
+        monkeypatch.setattr(cli, "synthesize_seeds", blocked)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        capsys.readouterr()
+        assert _synth(tmp_path, 9) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "s0005.csv" in err, err
+        assert "Traceback" not in err
+        assert _files(tmp_path / "synth") == before
+        assert not (tmp_path / "synth.partial").exists()
+
+
+def test_process_pools_run_clean_under_dev_mode(tmp_path):
+    """synth's writer pool and simulate's worker pool, run as processes
+    under -X dev with ResourceWarning as an error: both exit 0 and write
+    nothing to stderr, so no file is left unclosed and no pool unjoined.
+    Six seeds are three synth tasks, so synth starts a pool wherever two
+    CPUs are usable."""
+    paths = write_inputs(tmp_path / "inputs", n_seeds=6)
+    src = str(Path(rearsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for command in (["synth", "--config", paths["synth"], "--out", "synth"],
+                    ["simulate", "--seeds", "synth/seeds", "--config",
+                     paths["campaign"], "--out", "simulate", "--workers", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "rearsim.cli", *command],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), command
 
 
 def _pipeline_copy(pipeline, tmp_path: Path) -> Path:

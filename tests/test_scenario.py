@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rearsim import scenario
 from rearsim.errors import GenerationError, ParseError, ValidationError
 from rearsim.scenario import (
     LEAD_BRAKING,
@@ -15,6 +16,7 @@ from rearsim.scenario import (
     SynthesisConfig,
     Trajectory,
     VehicleMeta,
+    _first_run,
     _mode_counts,
     _simulate_raw,
     load_seed,
@@ -24,7 +26,7 @@ from rearsim.scenario import (
     synthesize_seeds,
 )
 
-from fixtures import load_seed_dir
+from fixtures import first_run_by_convolution, load_seed_dir
 
 META = VehicleMeta(mass=1500.0, width=1.8, length=4.5)
 
@@ -280,6 +282,41 @@ class TestSynthesis:
         assert classes.count(LEAD_NON_BRAKING) == 15
         assert classes.count(LEAD_STANDSTILL) == 20
 
+    @pytest.mark.parametrize("window", [0.03, 60.0])
+    def test_the_candidate_window_changes_no_byte(self, window, monkeypatch,
+                                                  tmp_path):
+        """Candidates integrated over a first window of 4 samples, or over
+        the whole 60 s horizon at once, give the files of the 10 s window.
+        The non-braking leads close at 2 m/s from 30-44 m and half the
+        followers never respond, so some candidates first overlap after
+        10 s, and some avoid the crash and are integrated over the whole
+        horizon."""
+        cfg = SynthesisConfig(n_seeds=8, follower_speed=(20.0, 22.0),
+                              lead_speed=(25.0, 25.0), headway_time=(1.5, 2.0),
+                              follower_no_response_prob=0.5,
+                              lead_mix={"non_braking": 4, "braking": 4})
+        ends = []
+
+        def recording(*args):
+            raw = _simulate_raw(*args)
+            ends.append(None if raw is None else float(raw[0][-1]))
+            return raw
+
+        def files(name):
+            for seed in synthesize_seeds(cfg, 11):
+                save_seed(seed, tmp_path / name / f"{seed.id}.csv")
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        (tmp_path / "default").mkdir()
+        (tmp_path / "patched").mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "_simulate_raw", recording)
+            want = files("default")
+        assert max(t for t in ends if t is not None) > scenario.CANDIDATE_WINDOW
+        assert None in ends
+        monkeypatch.setattr(scenario, "CANDIDATE_WINDOW", window)
+        assert files("patched") == want and len(want) == 16
+
     @pytest.mark.parametrize("gap0,kept", [(1e-6, False), (1e-3, True)])
     def test_candidate_with_a_faster_lead_at_first_overlap_is_rejected(
             self, gap0, kept):
@@ -296,6 +333,28 @@ class TestSynthesis:
         if kept:
             *_, k, v1, v2 = raw
             assert k == 1 and v1 > v2
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), length=st.integers(1, 24))
+def test_first_run_is_the_convolution_oracle(data, length):
+    """The one-pass run scan finds the index that convolving with a
+    window of ones finds, on masks shorter than the window and on runs that
+    end at the last sample as well."""
+    size = data.draw(st.integers(0, 59))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                    dtype=bool)
+    tail = data.draw(st.integers(0, size))  # the last samples all true
+    mask[size - tail:] = True
+    assert _first_run(mask, length) == first_run_by_convolution(mask, length)
+
+
+@pytest.mark.parametrize("mask,length,want", [
+    ([], 1, None), ([True] * 3, 4, None), ([True] * 4, 4, 0),
+    ([True, False, True, True], 2, 2), ([False, True, True, False, True], 3, None),
+])
+def test_first_run_edges(mask, length, want):
+    assert _first_run(np.array(mask, dtype=bool), length) == want
 
 
 @settings(max_examples=200, deadline=None)
