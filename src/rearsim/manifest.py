@@ -127,12 +127,11 @@ def check_fields(config) -> None:
             raise ValidationError(f"{item.name} must be {name}, got {value!r}")
 
 
-def read_json(path: str | Path, what: str, kinds: dict | None = None,
-              required: bool = True) -> dict:
+def read_json(path: str | Path, what: str, kinds: dict | None = None) -> dict:
     """The JSON object in `path`, a `what`, checked by `check_json`."""
     with open(path) as fh:
         try:
-            return check_json(json.load(fh), f"{path}: {what}", kinds, required)
+            return check_json(json.load(fh), f"{path}: {what}", kinds)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {what} is not JSON: {exc}") from exc
 

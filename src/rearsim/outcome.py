@@ -23,17 +23,15 @@ order, so the bits depend on the campaign alone.
 Two sums keep the per-cell order. `prevalence_weights` reads each seed's
 crash mass q from `SeedResult.crash_mass`, a sum over the seed's crash
 cells on the grid in row-major order. Validate's per-seed percentiles
-read the crash samples of `weighted_crash_samples`, one per crash cell
-in seed and row-major cell order, each weight divided by the sequential
-sum of all of them; the tied percentiles depend on their bits.
-`CampaignWeighting.shares` builds them ROW_BLOCK seeds at a time, in two
-passes, so that one block's samples are alive at a time. The first pass
-sums the weights (seed weight times cell probability) block by block,
-each block's `np.cumsum` starting from the total of the blocks before:
-the same additions in the same order as one sum over the campaign, so
-the same total. The second pass builds each block's samples and divides
-them by that total. A delta-v and a weight are each computed from their
-own cell alone, so no sample's bits depend on the block.
+read `CampaignWeighting.crash_samples`, one sample per crash cell in seed
+and row-major cell order, each weight divided by the sequential sum of
+all of them; the tied percentiles depend on their bits. It builds one
+seed's samples at a time, after one pass for the total. That pass
+continues one `np.cumsum` seed after seed, each starting from the total
+of the seeds before: the same additions in the same order as one sum over
+the campaign, so the same total. A delta-v and a weight are each computed
+from their own cell alone, so no sample's bits depend on the seeds built
+with it.
 """
 
 from __future__ import annotations
@@ -62,10 +60,9 @@ TRIM_LOW_PCT = 5.0
 TRIM_HIGH_PCT = 95.0
 HISTOGRAM_CSV_HEADER = ["bin_low_kmh", "bin_high_kmh", "weight"]
 MAX_BINS = 10**6  # a histogram is a dense array: a wider one is refused
-# seeds whose row statistics, or crash samples, are built at a time, so
-# that the weighting's peak memory follows a block of seeds, not the
-# campaign's crash cells: on 4,000 scale-cbm seeds, weight's max RSS fell
-# from 109 to 60 MB, and validate's from 86.0 to 58.5 MB
+# seeds whose row statistics `sum_rows` builds at a time, so that its peak
+# memory follows a block of seeds, not the campaign's crash cells: on 4,000
+# scale-cbm seeds, weight's max RSS fell from 109 to 60 MB
 ROW_BLOCK = 256
 
 
@@ -204,59 +201,12 @@ def prevalence_weights(seeds: list[SeedResult], grid: CampaignGrid
             excluded)
 
 
-@dataclass(frozen=True, eq=False)
-class CrashSamples:
-    """Crash cells as weighted delta-v samples, seed by seed: the first
-    counts[0] samples belong to seed_ids[0], the next counts[1] to
-    seed_ids[1], and so on."""
-
-    seed_ids: list[str]
-    counts: list[int]
-    delta_v: np.ndarray  # km/h
-    weight: np.ndarray   # sums to 1
-
-    def __len__(self) -> int:
-        return len(self.delta_v)
-
-
 def _check_total(total: float) -> None:
     """Raise ValidationError unless the crash samples' weights sum to a
     finite number > 0: an overflowed seed weight makes it inf or NaN."""
     if not 0 < total < math.inf:  # NaN fails this comparison too
         raise ValidationError(f"the crash samples' weights sum to {total}, "
                               f"not a finite number > 0")
-
-
-def weighted_crash_samples(seeds: list[SeedResult], weights: list[SeedWeight],
-                           grid: CampaignGrid, total: float | None = None
-                           ) -> CrashSamples:
-    """Crash cells of `seeds` on `grid`, in row-major order per seed, as
-    delta-v samples from the seed's masses, weighted by `weights[k]` for
-    seed k (unchecked: `weigh` pairs them) and divided by `total`, by
-    default their own sequential sum, so that they sum to 1. A delta-v that
-    is not finite raises ValidationError naming the seed, and then a
-    default total that `_check_total` refuses raises ValidationError; a
-    given total is divided by unchecked."""
-    counts = [r.n_crash_cells(grid) for r in seeds]
-    dvs, w = np.empty(sum(counts)), np.empty(sum(counts))
-    start = 0
-    with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
-        for r, sw, n in zip(seeds, weights, counts):
-            v1, v2, p = r.crashes(grid)
-            cells = slice(start, start + n)
-            dvs[cells] = delta_v(v1, v2, r.follower_mass, r.lead_mass)
-            np.multiply(sw.w, p, out=w[cells])
-            start += n
-    finite = np.isfinite(dvs)
-    if not finite.all():
-        r = seeds[int(np.searchsorted(np.cumsum(counts), np.argmin(finite), "right"))]
-        raise ValidationError(f"seed {r.seed_id}: a crash's delta-v is not finite")
-    if total is None:
-        # a sequential sum, so each weight keeps its bits whatever the count
-        total = np.cumsum(w)[-1] if w.size else 0.0
-        _check_total(total)
-    w /= total
-    return CrashSamples([r.seed_id for r in seeds], counts, dvs, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,8 +329,8 @@ class CampaignWeighting:
     weights and the seeds they weight, in seed order, the seeds without
     crashes, and the no-response delta-vs mixed in: one per eligible seed
     whose no-response run crashed, weighted or not, none at a fraction of
-    0. The row sums are built on first use, and the crash samples a block
-    of seeds at a time, each time `shares` is read."""
+    0. The row sums are built on first use, and the crash samples one seed
+    at a time, each time `crash_samples` is read."""
 
     campaign: CampaignResult
     weights: list[SeedWeight]
@@ -404,33 +354,26 @@ class CampaignWeighting:
         the crash mass times 1 - fraction."""
         return ((1.0 - self.campaign.no_response_fraction) * self._sums[1]).tolist()
 
-    def shares(self):
-        """(seed, delta-v, weight, their sum) of each weighted seed's crash
-        samples, in seed order, the weights scaled to the 1 - fraction share
-        of the mix they carry: the bits of `weighted_crash_samples` over
-        every weighted seed, built ROW_BLOCK seeds at a time in two passes
-        (see the module docstring). As in one pass, a delta-v that is not
-        finite is refused before a total that is not."""
-        blocks = [slice(start, start + ROW_BLOCK)
-                  for start in range(0, len(self.seeds), ROW_BLOCK)]
+    def crash_samples(self):
+        """(seed, delta-v, weight) of each weighted seed's crash cells on
+        the campaign's grid, in seed order and per seed in row-major cell
+        order: each weight is the seed weight times the cell's probability,
+        divided by the sequential sum of all of them (see the module
+        docstring). A delta-v that is not finite raises ValidationError
+        naming the seed; then, once every seed's delta-vs are checked, a
+        total that `_check_total` refuses raises ValidationError."""
         grid, total = self.campaign.grid, 0.0
-        for block in blocks:
-            w = [sw.w * r.crash_probs(grid)
-                 for r, sw in zip(self.seeds[block], self.weights[block])]
-            total = np.cumsum(np.concatenate([[total], *w]))[-1]
-        scale = 1.0 - self.campaign.no_response_fraction
-        checked = 0 < total < math.inf
-        for block in blocks:
-            # a total that is not finite divides nothing: it is refused once
-            # every block's delta-vs are checked
-            samples = weighted_crash_samples(self.seeds[block], self.weights[block],
-                                             grid, total if checked else 1.0)
-            if not checked:
-                continue
-            bounds = np.cumsum([0] + samples.counts).tolist()
-            for r, start, stop in zip(self.seeds[block], bounds, bounds[1:]):
-                w = scale * samples.weight[start:stop]
-                yield r, samples.delta_v[start:stop], w, np.cumsum(w)[-1]
+        for r, sw in zip(self.seeds, self.weights):
+            total = np.cumsum(np.concatenate([[total], sw.w * r.crash_probs(grid)]))[-1]
+        checked = 0 < total < math.inf  # NaN fails this comparison too
+        for r, sw in zip(self.seeds, self.weights):
+            v1, v2, p = r.crashes(grid)
+            with np.errstate(over="ignore"):  # finite speeds can overflow: checked below
+                dvs = delta_v(v1, v2, r.follower_mass, r.lead_mass)
+            if not np.isfinite(dvs).all():
+                raise ValidationError(f"seed {r.seed_id}: a crash's delta-v is not finite")
+            if checked:
+                yield r, dvs, np.multiply(sw.w, p) / total
         _check_total(total)
 
 
@@ -456,9 +399,9 @@ def save_histogram(h: DeltaVDistribution, path: str | Path) -> None:
         table.reprs(edges[:-1]), table.reprs(edges[1:]), table.reprs(h.weights)])
 
 
-def load_histogram(h_path: str | Path, mean: float | None = None,
-                   count: int = 1) -> DeltaVDistribution:
-    """A histogram CSV file; one without bins, or whose weights do not sum
+def load_histogram(h_path: str | Path) -> DeltaVDistribution:
+    """A histogram CSV file, its mean the bin-center mean and its count 1
+    (the file holds neither); one without bins, or whose weights do not sum
     to 1 (a histogram of counts), raises ParseError naming the file. The
     first row's width must be a finite number > 0, and row k must span
     [k w, (k + 1) w] within 1e-9 w; a row that does not raises ParseError
@@ -481,8 +424,8 @@ def load_histogram(h_path: str | Path, mean: float | None = None,
                              f"{float(high[k])!r}], not [{float(edges[k])!r}, "
                              f"{float(edges[k + 1])!r}]")
     try:
-        dist = DeltaVDistribution(width, weights, 0.0, count)
+        dist = DeltaVDistribution(width, weights, 0.0, 1)
     except ValidationError as exc:
         raise ParseError(f"{h_path}: {exc}") from exc
-    dist.mean = dist.binned_mean() if mean is None else mean
+    dist.mean = dist.binned_mean()
     return dist

@@ -93,14 +93,16 @@ def seed_percentiles(weighting: CampaignWeighting) -> dict[str, float | str]:
     samples the rest. A seed without a delta-v of its own, or whose crash
     samples carry no weight (none, or all underflowed), is left out."""
     fraction = weighting.campaign.no_response_fraction
-    shares = weighting.shares()  # the weighted seeds, in the campaign's order
-    share = next(shares, None)
+    samples = weighting.crash_samples()  # the weighted seeds, in the campaign's order
+    sample = next(samples, None)
     out = {}
     for r in weighting.campaign.results:
         dvs, cell_w, cell_mass = np.zeros(0), np.zeros(0), 0.0
-        if share is not None and share[0] is r:
-            _, dvs, cell_w, cell_mass = share
-            share = next(shares, None)
+        if sample is not None and sample[0] is r:
+            _, dvs, cell_w = sample
+            cell_w = (1.0 - fraction) * cell_w
+            cell_mass = np.cumsum(cell_w)[-1]
+            sample = next(samples, None)
         if r.excluded or r.seed_delta_v_kmh is None:
             continue
         nr_dv = r.no_response_dv
@@ -235,16 +237,16 @@ def crash_avoidance_rate(baseline: dict[str, float],
 
 # ---------------------------------------------------------------- file I/O
 
-def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskCurve:
+def load_injury_curve(path: str | Path) -> InjuryRiskCurve:
     """Load a curve from CSV (delta_v_kmh,risk) or JSON logistic parameters
-    {"level", "intercept", "slope"}. A malformed file raises ParseError; for
-    a CSV file (a bad row, a non-finite value, no rows) it names
-    ``path:line``."""
+    {"level", "intercept", "slope"}, at the level the JSON names, else the
+    file's stem. A malformed file raises ParseError; for a CSV file (a bad
+    row, a non-finite value, no rows) it names ``path:line``."""
     path = Path(path)
     if path.suffix == ".json":
         raw = read_json(path, "injury curve", {"intercept": "float", "slope": "float"})
         check_json(raw, f"{path}: injury curve", {"level": "str"}, required=False)
-        return InjuryRiskCurve(raw.get("level", level or path.stem), logistic=(
+        return InjuryRiskCurve(raw.get("level", path.stem), logistic=(
             float(raw["intercept"]), float(raw["slope"])))
     chunk = table.read_csv(path, CURVE_CSV_HEADER)
     if not chunk.n_rows:
@@ -253,4 +255,4 @@ def load_injury_curve(path: str | Path, level: str | None = None) -> InjuryRiskC
     finite = np.isfinite(dv) & np.isfinite(risk)
     if not finite.all():
         raise chunk.error(int(np.argmin(finite)), "non-finite value")
-    return InjuryRiskCurve(level=level or path.stem, dv=dv, risk=risk)
+    return InjuryRiskCurve(level=path.stem, dv=dv, risk=risk)

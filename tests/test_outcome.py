@@ -24,7 +24,6 @@ from rearsim.outcome import (
     prevalence_weights,
     save_histogram,
     weigh,
-    weighted_crash_samples,
 )
 from rearsim.scenario import delta_v
 from rearsim.validation import seed_percentiles
@@ -120,22 +119,23 @@ class TestPrevalenceWeights:
     def test_weights_without_a_finite_sum_are_refused(self):
         """A crash mass of 5e-324 has an infinite inverse, and with two
         seeds trimming keeps it: build_histogram, which takes finite weights
-        unchecked, never sees the samples. The per-seed percentiles refuse
-        it after every block's delta-vs, so that, as in one pass over the
-        campaign, a delta-v that is not finite is named first."""
+        unchecked, never sees the samples. The crash samples refuse it after
+        every seed's delta-vs, so that, as in one pass over the campaign, a
+        delta-v that is not finite is named first."""
         grid, (a, b) = seeds_with_q({"a": 5e-324, "b": 0.7})
         with np.errstate(over="ignore"):
             weights, _ = prevalence_weights([a, b], grid)
         assert weights[0].w == math.inf
         seeds = [replace(a, follower_mass=1e3, lead_mass=2e3, seed_delta_v_kmh=20.0),
                  replace(b, follower_mass=1e3, lead_mass=1e3, seed_delta_v_kmh=20.0)]
-        with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
-            weighted_crash_samples(seeds, weights, grid)
-        with np.errstate(over="ignore"), mock.patch.object(outcome, "ROW_BLOCK", 1):
+        with np.errstate(over="ignore"):
             weighting = weigh(CampaignResult("cbm", grid, seeds, 0.0))
+            assert weighting.weights == weights
+            with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
+                list(weighting.crash_samples())
             with pytest.raises(ValidationError, match="weights sum to inf, not a finite"):
                 seed_percentiles(weighting)
-            b.v1[0, 1] = 1e308  # in the second block
+            b.v1[0, 1] = 1e308  # in the second seed
             with pytest.raises(ValidationError, match="seed b: a crash's delta-v is not"):
                 seed_percentiles(weighting)
 
@@ -165,12 +165,13 @@ class TestPrevalenceWeights:
 
     def test_weighted_samples_total_mass_one(self):
         grid, (a, b) = seeds_with_q({"a": 0.2, "b": 0.7})
-        weights, _ = prevalence_weights([a, b], grid)
-        samples = weighted_crash_samples(
-            [replace(a, follower_mass=1000.0, lead_mass=2000.0), b], weights, grid)
-        assert samples.weight.sum() == pytest.approx(1.0, abs=1e-12)
-        assert len(samples) == sum(samples.counts) == len(samples.weight)
-        assert samples.delta_v[0] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
+        seeds = [replace(a, follower_mass=1000.0, lead_mass=2000.0), b]
+        samples = list(weigh(CampaignResult("cbm", grid, seeds, 0.0)).crash_samples())
+        assert [r for r, *_ in samples] == seeds
+        assert sum(w.sum() for *_, w in samples) == pytest.approx(1.0, abs=1e-12)
+        assert ([len(dv) for _, dv, _ in samples] == [len(w) for *_, w in samples]
+                == [r.n_crash_cells(grid) for r in seeds])
+        assert samples[0][1][0] == pytest.approx(delta_v(10.0, 5.0, 1000.0, 2000.0))
 
     def test_weighted_samples_equal_the_cell_loop_bitwise(
             self, small_seeds, glances, decels):
@@ -196,13 +197,13 @@ class TestPrevalenceWeights:
         for _, _, w in rows:
             total += w
 
-        weighting = weigh(result)
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
-                                         weighting.campaign.grid)
-        assert [sid for sid, n in zip(samples.seed_ids, samples.counts)
-                for _ in range(n)] == [sid for sid, _, _ in rows]
-        assert samples.delta_v.tolist() == [dv for _, dv, _ in rows]
-        assert samples.weight.tolist() == [w / total for _, _, w in rows]
+        samples = list(weigh(result).crash_samples())
+        assert [r.seed_id for r, dv, _ in samples
+                for _ in dv] == [sid for sid, _, _ in rows]
+        assert [x for _, dv, _ in samples
+                for x in dv.tolist()] == [dv for _, dv, _ in rows]
+        assert [x for *_, w in samples
+                for x in w.tolist()] == [w / total for _, _, w in rows]
 
 
 def mixed_campaign(fraction: float, seed_dvs=(None,) * 4) -> CampaignResult:
@@ -227,27 +228,26 @@ class TestWeigh:
         assert [r.seed_id for r in weighting.seeds] == ["a", "d"]
         assert [w.seed_id for w in weighting.weights] == ["a", "d"]
         assert weighting.zero_crash_seeds == ["b"]
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
-                                         weighting.campaign.grid)
-        assert samples.delta_v.tolist() == [
-            delta_v(10.0, 5.0, 1000.0, 2000.0), delta_v(10.0, 5.0, 1500.0, 1500.0)]
+        assert [dv.tolist() for _, dv, _ in weighting.crash_samples()] == [
+            [delta_v(10.0, 5.0, 1000.0, 2000.0)], [delta_v(10.0, 5.0, 1500.0, 1500.0)]]
         assert weighting.no_response_dvs == [delta_v(17.5, 5.0, 1500.0, 1200.0)]
         assert weigh(mixed_campaign(0.0)).no_response_dvs == []
 
     def test_shares_carry_the_crash_samples_part_of_the_mix(self):
-        """Each weighted seed's share is its samples' weights times
-        1 - fraction, with their sequential sum; the shares add to
-        1 - fraction."""
+        """Each weighted seed's crash samples weigh its cells by the seed
+        weight over one sequential total of every seed's, so they add to 1
+        across the seeds: seed_percentiles scales them to the 1 - fraction
+        part of the mix."""
         weighting = weigh(mixed_campaign(0.25))
-        shares = list(weighting.shares())
-        samples = weighted_crash_samples(weighting.seeds, weighting.weights,
-                                         weighting.campaign.grid)
-        assert [r.seed_id for r, *_ in shares] == ["a", "d"]
-        for k, (_, dv, w, total) in enumerate(shares):
-            assert dv.tolist() == [samples.delta_v[k]]
-            assert w.tolist() == [0.75 * samples.weight[k]]
-            assert total == w[0]
-        assert sum(total for *_, total in shares) == pytest.approx(0.75, abs=1e-15)
+        grid = weighting.campaign.grid
+        cell_w = [sw.w * r.crash_probs(grid)[0]
+                  for r, sw in zip(weighting.seeds, weighting.weights)]
+        samples = list(weighting.crash_samples())
+        assert [r.seed_id for r, *_ in samples] == ["a", "d"]
+        for (r, dv, w), want in zip(samples, cell_w):
+            assert dv.tolist() == [delta_v(10.0, 5.0, r.follower_mass, r.lead_mass)]
+            assert w.tolist() == [want / (cell_w[0] + cell_w[1])]
+        assert sum(w[0] for *_, w in samples) == pytest.approx(1.0, abs=1e-15)
 
 
 def generated_campaign(rng: np.random.Generator, n1: int, n2: int,
@@ -313,24 +313,23 @@ class TestRowStatistics:
                  for r in campaign.swept]
         masses = {r.seed_id: (r.follower_mass, r.lead_mass) for r in campaign.results}
         oracle = dense_crash_samples(dense, masses, weighting.weights)
-        want = mix_no_response(build_histogram(oracle.delta_v, oracle.weight, bin_width),
+        dvs, ws = (np.concatenate(parts) for parts in list(zip(*oracle))[1:])
+        want = mix_no_response(build_histogram(dvs, ws, bin_width),
                                weighting.no_response_dvs, fraction)
         assert (len(got.weights), got.count) == (len(want.weights), want.count)
-        assert got.count == len(oracle) + len(weighting.no_response_dvs)
+        assert got.count == len(dvs) + len(weighting.no_response_dvs)
         assert np.allclose(got.weights, want.weights, rtol=1e-12, atol=0)
         assert got.mean == pytest.approx(want.mean, rel=1e-12)
-        bounds = np.cumsum([0] + oracle.counts)
         assert contributions == pytest.approx(
-            [(1 - fraction) * oracle.weight[a:b].sum()
-             for a, b in zip(bounds, bounds[1:])], rel=1e-12)
+            [(1 - fraction) * w.sum() for *_, w in oracle], rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(rng_seed=st.integers(0, 2**32 - 1), n_seeds=st.integers(0, 12))
     def test_keep_their_bits_whatever_the_block(self, rng_seed, n_seeds):
         """The sums run in seed, row and bin order across blocks: summed
-        one seed at a time, they are the bits of one block. So do the
-        per-seed percentiles, whose crash samples are built a block at a
-        time and divided by one total summed on across the blocks."""
+        one seed at a time, they are the bits of one block. The per-seed
+        percentiles, whose crash samples are built one seed at a time, do
+        not follow the block either."""
         campaign = generated_campaign(np.random.default_rng(rng_seed), 6, 3,
                                       n_seeds, 0.25)
         sums = []
@@ -370,10 +369,10 @@ class TestBuildHistogram:
         h = build_histogram([3.0, 11.0], [0.25, 0.75])
         path = tmp_path / "h.csv"
         save_histogram(h, path)
-        back = load_histogram(path, mean=h.mean, count=h.count)
+        back = load_histogram(path)
         assert np.array_equal(back.weights, h.weights)
         assert back.bin_width == h.bin_width
-        assert back.mean == h.mean
+        assert (back.mean, back.count) == (9.0, 1)  # the bin centers' mean
 
 
 class TestMixNoResponse:

@@ -244,8 +244,8 @@ class TestInjuryRisk:
     def test_curve_file_round_trip(self, tmp_path):
         path = tmp_path / "mais1.csv"
         path.write_text("delta_v_kmh,risk\n0.0,0.0\n20.0,0.5\n60.0,0.9\n")
-        curve = load_injury_curve(path, level="mais1+")
-        assert curve.logistic is None  # a curve is a table or a logistic
+        curve = load_injury_curve(path)
+        assert curve.level == "mais1" and curve.logistic is None  # a curve is a table or a logistic
         assert curve(20.0) == pytest.approx(0.5)
         assert curve(40.0) == pytest.approx(0.7)
         jpath = tmp_path / "mais2.json"
