@@ -108,18 +108,27 @@ def discretize_reaction_time(m: float = DEFAULT_REACTION_M,
     """Discretize the log-normal with mean m and variance v into 25 bins of
     0.2 s (centers 0.2..5.0). Bin mass is the density integrated over
     center +/- 0.1 s; the last bin is truncated at 5 s, and everything cut
-    away is recovered by renormalization. Unchecked: `CampaignConfig`
-    requires m and v to be finite numbers > 0."""
-    mu = math.log(m * m / math.sqrt(v + m * m))
-    sigma = math.sqrt(math.log(v / (m * m) + 1.0))
-
+    away is recovered by renormalization. Unless the bins hold a finite
+    mass > 0, which needs a finite sigma > 0, ValidationError names m and v
+    as reaction_m and reaction_v. Unchecked: `CampaignConfig` requires m
+    and v to be finite numbers > 0."""
     n = int(round((REACTION_BIN_LAST - REACTION_BIN_FIRST) / REACTION_BIN_STEP)) + 1
     centers = REACTION_BIN_FIRST + REACTION_BIN_STEP * np.arange(n)
     half = REACTION_BIN_STEP / 2.0
     masses = np.empty(n)
-    for i, c in enumerate(centers):
-        lo = c - half
-        hi = min(c + half, REACTION_BIN_LAST)
-        masses[i] = _lognorm_cdf(hi, mu, sigma) - _lognorm_cdf(lo, mu, sigma)
-    masses /= masses.sum()
+    try:
+        mu = math.log(m * m / math.sqrt(v + m * m))
+        sigma = math.sqrt(math.log(v / (m * m) + 1.0))
+        for i, c in enumerate(centers):
+            lo = c - half
+            hi = min(c + half, REACTION_BIN_LAST)
+            masses[i] = _lognorm_cdf(hi, mu, sigma) - _lognorm_cdf(lo, mu, sigma)
+    except (ValueError, ZeroDivisionError):  # m * m, or sigma, is 0
+        masses.fill(0.0)
+    total = masses.sum()
+    if not 0 < total < math.inf:
+        raise ValidationError(f"reaction_m and reaction_v must give the reaction time "
+                              f"mass on its {REACTION_BIN_FIRST}-{REACTION_BIN_LAST} s "
+                              f"bins, got {m!r} and {v!r}")
+    masses /= total
     return ReactionTimeDistribution(centers, masses, m, v, mu, sigma)

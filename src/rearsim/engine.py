@@ -12,11 +12,14 @@ over the whole horizon. A braking case moves exactly like it up to its
 first braking step. The kernel integrates a block of cases, every brake
 onset x every maximum deceleration, from the no-response state at the
 earliest first braking step, in chunks of doubling length (capped in cells
-x steps), continuing both running sums. A case whose onset is still ahead
-adds exact zeros to its speed loss and the no-response step to its
-distance, so every value is bitwise the one a whole-horizon integration of
-that case gives. A case leaves the block at its first overlap, or with no
-crash once the follower stands still short of every later lead position.
+x steps), each laid out as steps x cells. Only the two running sums, speed
+loss and distance, carry over: a chunk's first step is the last one's
+final step, and its speed and gap are recomputed from the sums with the
+same bits. A case whose onset is still ahead adds exact zeros to its speed
+loss and the no-response step to its distance, so every value is bitwise
+the one a whole-horizon integration of that case gives. A case leaves the
+block at its first overlap, or with no crash once the follower stands
+still short of every later lead position.
 
 Two outcomes need no integration. A case whose first braking step is at
 or past the no-response impact step is the no-response outcome, so the
@@ -77,6 +80,7 @@ from .scenario import (
     DEFAULT_HORIZON_EXTENSION,
     DT_NOMINAL,
     LEAD_BRAKING,
+    MAX_SPAN,
     CounterfactualSeed,
     SeedCrash,
     SeedRef,
@@ -123,7 +127,7 @@ class SeedKinematics:
         self.lead_pos = cf.lead.pos
         self.lead_speed = cf.lead.speed
         self.v0 = cf.follower_speed
-        self.x0 = float(cf.follower.pos[0])
+        self.x0 = cf.follower_x0
         # the lowest lead position from each step on
         self.lead_floor = np.minimum.accumulate(self.lead_pos[::-1])[::-1]
         n = len(self.t)
@@ -171,43 +175,36 @@ class SeedKinematics:
         cell = np.arange(v1.size)  # the cells still in the block
         lost = np.zeros(cell.size)  # running speed loss and distance
         reach = np.full(cell.size, self.reach[p])
-        gap_prev = np.full(cell.size, self.free_gap[p])
-        v_prev = np.full(cell.size, self.v_free)
         size = FIRST_CHUNK
         while p < n - 1 and cell.size:
             q = min(p + min(size, max(BLOCK_ELEMENTS // cell.size, 1)), n - 1)
-            # two buffers per chunk: decelerations then speeds, and the
-            # running sums then gaps
-            v = brake_deceleration(t[p:q], onset[cell, None], jerk,
-                                   d[cell, None])
-            acc = np.empty((cell.size, q - p + 1))
-            acc[:, 0] = lost
-            np.multiply(v, DT_NOMINAL, out=acc[:, 1:])
-            acc.cumsum(axis=1, out=acc)
-            lost = acc[:, -1].copy()
-            np.subtract(self.v0, acc[:, 1:], out=v)  # speeds at steps p+1..q
+            # steps p..q x cells; row 0 is step p, from the carried sums
+            acc = np.empty((q - p + 1, cell.size))
+            acc[0] = lost
+            np.multiply(brake_deceleration(t[p:q, None], onset[cell], jerk, d[cell]),
+                        DT_NOMINAL, out=acc[1:])
+            acc.cumsum(axis=0, out=acc)
+            lost = acc[-1].copy()
+            v = np.subtract(self.v0, acc)  # speeds at steps p..q
             np.maximum(v, 0.0, out=v)
-            acc[:, 0] = reach
-            np.multiply(v, DT_NOMINAL, out=acc[:, 1:])
-            acc.cumsum(axis=1, out=acc)
-            reach = acc[:, -1].copy()
-            gap = np.add(self.x0, acc[:, 1:], out=acc[:, 1:])
-            np.subtract(self.lead_pos[p + 1:q + 1], gap, out=gap)
-            over = gap <= 0
-            m = over.argmax(axis=1)
-            hit = over[np.arange(cell.size), m]
+            acc[0] = reach
+            np.multiply(v[1:], DT_NOMINAL, out=acc[1:])
+            acc.cumsum(axis=0, out=acc)
+            reach = acc[-1].copy()
+            gap = np.add(self.x0, acc, out=acc)
+            np.subtract(self.lead_pos[p:q + 1, None], gap, out=gap)
+            over = gap[1:] <= 0
+            m = over.argmax(axis=0)
+            hit = over[m, np.arange(cell.size)]
             h, m = np.flatnonzero(hit), m[hit]
-            inside = m > 0  # else the step before is the last chunk's
-            crash, hv1, hv2 = self._impact(
-                p + 1 + m, np.where(inside, gap[h, m - 1], gap_prev[h]),
-                gap[h, m], np.where(inside, v[h, m - 1], v_prev[h]), v[h, m])
+            crash, hv1, hv2 = self._impact(p + 1 + m, gap[m, h], gap[m + 1, h],
+                                           v[m, h], v[m + 1, h])
             c = cell[h[crash]]
             v1[c], v2[c] = hv1[crash], hv2[crash]
             # stopped for good short of the lead: no crash
-            stopped = (v[:, -1] == 0.0) & (self.x0 + reach < self.lead_floor[q])
+            stopped = (v[-1] == 0.0) & (self.x0 + reach < self.lead_floor[q])
             keep = ~(hit | stopped)
             cell, lost, reach = cell[keep], lost[keep], reach[keep]
-            gap_prev, v_prev = gap[keep, -1], v[keep, -1]
             p, size = q, 2 * size
         return out
 
@@ -290,11 +287,14 @@ class CampaignConfig:
         check_fields(self)
         for key, ok, rule in (
                 ("model", self.model in (MODEL_CBM, MODEL_BLOM), "cbm or blom"),
-                ("horizon_extension", self.horizon_extension >= 0, ">= 0"),
+                ("horizon_extension", 0 <= self.horizon_extension <= MAX_SPAN,
+                 f"in [0, {MAX_SPAN}]"),
                 ("reaction_m", self.reaction_m > 0, "> 0"),
                 ("reaction_v", self.reaction_v > 0, "> 0")):
             if not ok:
                 raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        if self.model == MODEL_BLOM:  # refuses a reaction-time grid without mass
+            discretize_reaction_time(self.reaction_m, self.reaction_v)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignConfig":

@@ -5,6 +5,7 @@ plain rect/line/text elements."""
 from __future__ import annotations
 
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def histogram_svg(series: list[tuple[str, DeltaVDistribution]], title: str,
         parts.append(
             f'<text x="{WIDTH - MARGIN - 4}" y="{MARGIN + 16 + 16 * s}" '
             f'text-anchor="end" font-family="sans-serif" font-size="12" '
-            f'fill="{color}">{label} (mean {_fmt(dist.mean)} km/h)</text>')
+            f'fill="{color}">{escape(label)} (mean {_fmt(dist.mean)} km/h)</text>')
     # x ticks every 10 km/h
     for v in np.arange(0, x_max + 1e-9, 10.0):
         parts.append(
@@ -118,7 +119,7 @@ def percentile_svg(reports: list[tuple[str, PercentileReport]], title: str,
         parts.append(
             f'<text x="{x_left + panel_w / 2:.2f}" y="{HEIGHT - MARGIN + 18}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f'{label} (chi2 {_fmt(rep.chi2)}, p {_fmt(rep.p_value)})</text>')
+            f'{escape(label)} (chi2 {_fmt(rep.chi2)}, p {_fmt(rep.p_value)})</text>')
         parts.append(
             f'<line x1="{x_left:.2f}" y1="{HEIGHT - MARGIN}" '
             f'x2="{x_left + panel_w - 10:.2f}" y2="{HEIGHT - MARGIN}" '

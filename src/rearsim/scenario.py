@@ -34,6 +34,7 @@ DEFAULT_HORIZON_EXTENSION = 30.0  # s, added beyond the seed when the
 MS_TO_KMH = 3.6               # km/h per m/s
 CANDIDATE_WINDOW = 10.0       # s, how much of a synthesis candidate is
                               # integrated before all of max_sim_time
+MAX_SPAN = 600.0              # s, the longest horizon_extension or max_sim_time
 
 LEAD_BRAKING = "braking"
 LEAD_NON_BRAKING = "non-braking"
@@ -141,31 +142,26 @@ class CounterfactualSeed:
     """A seed with the follower's evasive maneuver removed.
 
     The follower holds one constant speed over the whole (extended)
-    horizon; the lead trajectory is extrapolated past its last
-    reconstructed sample at its final speed (a stopped lead stays
-    stopped).
+    horizon, from its first position; the lead trajectory is extrapolated
+    past its last reconstructed sample at its final speed (a stopped lead
+    stays stopped).
     """
 
     id: str
     lead: Trajectory
-    follower: Trajectory
+    follower_x0: float     # m, at lead.t[0]
+    follower_speed: float  # m/s
     lead_meta: VehicleMeta
-    follower_meta: VehicleMeta
     lead_behavior_class: str
     lead_brake_onset: float | None
-    source_duration: float
-    seed_delta_v_kmh: float | None = None
 
     @property
     def dt(self) -> float:
         return float(self.lead.t[1] - self.lead.t[0])
 
-    @property
-    def follower_speed(self) -> float:
-        return float(self.follower.speed[0])
-
     def gap(self) -> np.ndarray:
-        return self.lead.pos - self.follower.pos
+        t = self.lead.t
+        return self.lead.pos - (self.follower_x0 + self.follower_speed * (t - t[0]))
 
 
 def delta_v(v1, v2, m1: float, m2: float):
@@ -215,18 +211,15 @@ def classify_lead_behavior(lead: Trajectory) -> tuple[str, float | None]:
 
 
 def remove_evasive_maneuver(
-    seed: SeedCrash | CounterfactualSeed,
+    seed: SeedCrash,
     horizon_extension: float = DEFAULT_HORIZON_EXTENSION,
 ) -> CounterfactualSeed:
     """Replace the follower's speed profile with the constant speed it held
     just before its first sustained deceleration (its initial speed if it
     never decelerates), and extend the horizon so late responses can play
-    out. Idempotent: reapplying to the output is a no-op."""
+    out."""
     lead, foll = seed.lead, seed.follower
     dt = float(lead.t[1] - lead.t[0])
-    t0 = float(lead.t[0])
-    source_duration = getattr(seed, "source_duration",
-                              float(lead.t[-1] - lead.t[0]))
 
     onset_idx = _sustained_decel_onset(foll.t, foll.acc)
     if onset_idx is None:
@@ -234,9 +227,9 @@ def remove_evasive_maneuver(
     else:
         v_const = float(foll.speed[max(onset_idx - 1, 0)])
 
-    total = source_duration + horizon_extension
+    total = seed.duration + horizon_extension
     n = int(round(total / dt)) + 1
-    t = t0 + dt * np.arange(n)
+    t = float(lead.t[0]) + dt * np.arange(n)
 
     # lead: reconstructed part verbatim, then constant-speed extrapolation
     n_src = len(lead)
@@ -254,23 +247,18 @@ def remove_evasive_maneuver(
         k = np.arange(1, n - n_src + 1)
         lead_pos[n_src:] = lead.pos[-1] + v_end * dt * k
         lead_speed[n_src:] = v_end
-        lead_acc[n_src:] = 0.0
 
-    foll_pos = float(foll.pos[0]) + v_const * (t - t0)
-    cf_follower = Trajectory(t, foll_pos, np.full(n, v_const), np.zeros(n))
     cf_lead = Trajectory(t, lead_pos, lead_speed, lead_acc)
 
     behavior, brake_onset = classify_lead_behavior(cf_lead)
     return CounterfactualSeed(
         id=seed.id,
         lead=cf_lead,
-        follower=cf_follower,
+        follower_x0=float(foll.pos[0]),
+        follower_speed=v_const,
         lead_meta=seed.lead_meta,
-        follower_meta=seed.follower_meta,
         lead_behavior_class=behavior,
         lead_brake_onset=brake_onset,
-        source_duration=source_duration,
-        seed_delta_v_kmh=seed.seed_delta_v_kmh,
     )
 
 
@@ -464,7 +452,7 @@ class SynthesisConfig:
                 ("max_attempts", self.max_attempts >= 1, ">= 1"),
                 ("follower_no_response_prob",
                  0 <= self.follower_no_response_prob <= 1, "in [0, 1]"),
-                ("max_sim_time", self.max_sim_time > 0, "> 0"),
+                ("max_sim_time", 0 < self.max_sim_time <= MAX_SPAN, f"in (0, {MAX_SPAN}]"),
                 ("lead_mix", mix.keys() <= _LEAD_CLASS.keys() and sum(mix.values()) > 0
                  and all(w >= 0 for w in mix.values()),
                  f"weights >= 0, not all zero, keyed by {', '.join(_LEAD_CLASS)}")):

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -1151,6 +1152,7 @@ MALFORMED_INPUTS = {
         "campaign.json", CampaignConfig.from_json, _SIMULATE, key, value)
        for key, name, value in (("horizon_extension", "negative", -40),
                                 ("horizon_extension", "infinite", math.inf),
+                                ("horizon_extension", "past_the_cap", 1e308),
                                 ("decel_file", "number", 123),
                                 ("glance_file", "number", 5))},
     # run_campaign takes the distributions the config names unchecked
@@ -1176,6 +1178,16 @@ MALFORMED_INPUTS = {
                                 # discretize_reaction_time takes them unchecked
                                 ("reaction_m", "zero", 0),
                                 ("reaction_v", "zero", 0.0))},
+    # finite numbers > 0 whose log-normal leaves no mass on the 0.2-5.0 s
+    # bins: all of it lies past them, sigma is 0, or m * m underflows to 0
+    **{f"campaign_blom_reaction_{name}": (
+        "inputs/blom.json", CampaignConfig.from_json, _set_json(**{key: value}),
+        r"blom\.json: campaign config reaction_m and reaction_v must give",
+        (_SIMULATE_BLOM,), ValidationError)
+       for key, name, value in (("reaction_m", "m_past_the_bins", 100.0),
+                                ("reaction_m", "m_huge", 1e300),
+                                ("reaction_v", "v_tiny", 1e-300),
+                                ("reaction_m", "m_tiny", 1e-200))},
     **{f"campaign_cbm_{key}_nan": (
         "inputs/campaign.json", CampaignConfig.from_json, _set_json(cbm={key: math.nan}),
         rf"campaign\.json: campaign config cbm: {key}", (_SIMULATE,), ValidationError)
@@ -1195,6 +1207,8 @@ MALFORMED_INPUTS = {
                                 ("follower_no_response_prob", "text", "a"),
                                 ("max_attempts", "text", "a"),
                                 ("max_sim_time", "zero", 0),
+                                # a span past scenario.MAX_SPAN
+                                ("max_sim_time", "past_the_cap", 1e308),
                                 ("lead_mix", "unknown_mode", {"braking": 1, "trucks": 1}))},
     "decels_short_row": _bad_decels(_edit_row(3, lambda f: f[:-1]),
                                     "3: expected 2 fields, got 1"),
@@ -1691,6 +1705,10 @@ REFUSED_RUNS = {
         ["simulate", "--seeds", "out_synth/seeds", "--config", "inputs/campaign.json"],
         "out_simulate",
         _edit_text("out_synth/seeds/s0000.csv", _edit_row(3, lambda f: f[:-1]))),
+    # the config is refused before a seed is read
+    "simulate_blom_reaction_without_mass": (
+        ["simulate", "--seeds", "out_synth/seeds", "--config", "inputs/blom.json"],
+        "out_simulate", _edit_text("inputs/blom.json", _set_json(reaction_m=100.0))),
     "synth_malformed_config": (
         ["synth", "--config", "bad.json"], "out_synth",
         lambda root: (root / "bad.json").write_text(json.dumps({"n_seeds": -1}))),
@@ -1756,6 +1774,23 @@ def test_report_rejects_a_repeated_label(flag, pairs, pipeline, tmp_path, capsys
     assert err.startswith(f"error: {flag} repeats label "), err
     assert re.search(rf"{flag} repeats label '{pairs[0].split('=')[0]}'", err), err
     assert "Traceback" not in err and not (tmp_path / "report").exists()
+
+
+def test_report_escapes_its_labels(pipeline, tmp_path):
+    """A label is text: the characters XML reserves are escaped, so both
+    charts parse and each legend reads its label back."""
+    root, _, _ = pipeline
+    hist, percentiles = "a<b&c", "x&y>"
+    with chdir(root):
+        assert main(["report", "--hist", f"{hist}=out_fit/augmented_reference.csv",
+                     "model=out_apply/transformed.csv", "--percentiles",
+                     f"{percentiles}=out_validate/percentile_report.json",
+                     "--out", str(tmp_path / "report")]) == 0
+    for name, label, legend in (("delta_v.svg", hist, " (mean "),
+                                ("percentiles.svg", percentiles, " (chi2 ")):
+        texts = [t.text for t in ET.parse(tmp_path / "report" / name).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert any(t.startswith(label + legend) for t in texts), (name, texts)
 
 
 def test_cut_with_overshoots_the_baseline_lacks_exits_two(pipeline, tmp_path,

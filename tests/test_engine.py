@@ -250,14 +250,19 @@ class TestWindowedKernel:
                 want = full_horizon_run(kin, onset, d_max, -23.04)
                 assert bits(cell(got, i, j)) == bits(want), (cf.id, onset, d_max)
 
-    # a first chunk of one step puts chunk boundaries at every power of two
-    @pytest.mark.parametrize("first_chunk", [1, engine.FIRST_CHUNK])
-    def test_equals_full_horizon_on_synthesized_seeds(self, small_seeds,
-                                                      first_chunk, monkeypatch):
+    # a first chunk of one step puts chunk boundaries at every power of two;
+    # one block element gives one-step chunks, so every overlap's step
+    # before is a chunk's first step, recomputed from the carried sums
+    @pytest.mark.parametrize("first_chunk,block_elements", [
+        (1, engine.BLOCK_ELEMENTS), (engine.FIRST_CHUNK, engine.BLOCK_ELEMENTS),
+        (engine.FIRST_CHUNK, 1)])
+    def test_equals_full_horizon_on_synthesized_seeds(self, small_seeds, first_chunk,
+                                                      block_elements, monkeypatch):
         monkeypatch.setattr(engine, "FIRST_CHUNK", first_chunk)
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block_elements)
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
-            self._check(cf, cf.source_duration)
+            self._check(cf, seed.duration)
 
     @pytest.mark.parametrize("v_foll,v_lead,gap0", [
         (20.0, 0.0, 30.0),   # parked lead, impact inside the seed
@@ -296,7 +301,7 @@ class TestWindowedKernel:
         for seed in small_seeds:
             cf = remove_evasive_maneuver(seed)
             kin = SeedKinematics(cf)
-            for onset in kernel_onsets(kin, cf.source_duration):
+            for onset in kernel_onsets(kin, seed.duration):
                 if kin.t.searchsorted(onset, "right") >= kin.k_live:
                     continue  # not a live row
                 for d_max in self.DECELS:

@@ -40,10 +40,8 @@ def make_cf(v_foll=20.0, v_lead=10.0, gap0=50.0, duration=4.0, width=1.8):
     meta = VehicleMeta(1500.0, width, 4.5)
     return CounterfactualSeed(
         id="cf", lead=Trajectory(t, gap0 + v_lead * t, np.full(n, v_lead), np.zeros(n)),
-        follower=Trajectory(t, v_foll * t, np.full(n, v_foll), np.zeros(n)),
-        lead_meta=meta, follower_meta=meta,
-        lead_behavior_class="non-braking", lead_brake_onset=None,
-        source_duration=duration)
+        follower_x0=0.0, follower_speed=v_foll, lead_meta=meta,
+        lead_behavior_class="non-braking", lead_brake_onset=None)
 
 
 class TestOpticalAngle:
@@ -93,7 +91,7 @@ class TestLoomingSeries:
             series = looming_series(cf)
             oracle = central_diff4_theta_dot(series.t, series.theta)
             r = cf.gap()[: len(series.t)]
-            r_dot = cf.lead.speed[: len(series.t)] - cf.follower.speed[: len(series.t)]
+            r_dot = cf.lead.speed[: len(series.t)] - cf.follower_speed
             # exclude lead-speed kink samples (theta_dot jumps there, any
             # difference stencil smears) and the last meters before overlap
             # (the oracle's own truncation error blows up)

